@@ -17,7 +17,6 @@ from medembed import (
     gen_tree,
     parse_weight,
     profile,
-    tree_embedder,
 )
 
 
@@ -37,8 +36,7 @@ def main():
     for depth in depths:
         t0 = time.perf_counter()
         tree = gen_tree(TreeSpec.binary_sample(depth, args.rays, args.seed))
-        prof = profile(tree, tree_embedder(tree, w),
-                       PairSampler.exhaustive(), block_size=1024)
+        prof = profile(tree, w, PairSampler.exhaustive(), block_size=1024)
         v = bourgain_consistency(prof)
         results.append(v)
         print(f"{depth:>6} {tree.vertex_count:>9} {v.fitted_c:>9.4f} "

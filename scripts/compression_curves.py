@@ -16,36 +16,23 @@ from medembed import (
     TreeSpec,
     WeightFunction,
     check_profile_against,
-    cube_embedder,
     default_bound_curves,
     gen_cube,
     gen_tree,
     profile,
-    tree_embedder,
 )
-from medembed.cli import CSV_HEADER, _fmt
+from medembed.cli import format_profile_csv, profile_rows
 
 
-def write_csv(path, prof, lower, upper):
-    ts = prof.ts()
-    lo = lower.values(ts)
-    up = upper.values(ts)
-    lines = [CSV_HEADER]
-    for e, lo_v, up_v in zip(prof.entries, lo, up):
-        lines.append(f"{e.t},{_fmt(e.rho_hat)},{_fmt(e.delta_hat)},"
-                     f"{_fmt(lo_v)},{_fmt(up_v)},{e.pair_count}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def run_space(name, space, embed, dim, sampler, t_min, out_dir):
-    w_label = "paper:18"
+def run_space(name, space, dim, sampler, t_min, out_dir):
+    w = WeightFunction.paper(18)
     t0 = time.perf_counter()
-    prof = profile(space, embed, sampler,
-                   metadata={"space": name, "weight": w_label})
-    lower, upper = default_bound_curves(WeightFunction.paper(18), dim)
+    prof = profile(space, w, sampler,
+                   metadata={"space": name, "weight": w.label()})
+    lower, upper = default_bound_curves(w, dim)
     check = check_profile_against(prof, lower, upper, t_min=t_min)
     out = Path(out_dir) / f"{name}.csv"
-    write_csv(out, prof, lower, upper)
+    out.write_text(format_profile_csv(profile_rows(prof, lower, upper)))
     status = "PASS" if check.passed else "FAIL"
     print(f"{name:<24} rows={len(prof.entries):<5} "
           f"[{status}] min slack {check.min_slack:8.4f} at t={check.at_t}  "
@@ -61,17 +48,16 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    w = WeightFunction.paper(18)
 
     tree = gen_tree(TreeSpec.binary_sample(args.depth, args.rays, args.seed))
     print(f"binary sample: {tree.vertex_count} vertices, depth {args.depth}")
-    run_space("tree-profile", tree, tree_embedder(tree, w), 1,
+    run_space("tree-profile", tree, 1,
               PairSampler.exhaustive(), t_min=36, out_dir=args.out_dir)
 
     grid = gen_cube(CubeSpec.grid(args.grid, args.grid))
     print(f"grid: {grid.vertex_count} vertices, "
           f"{len(grid.hyperplanes())} hyperplanes")
-    run_space("grid-profile", grid, cube_embedder(grid, w), grid.dimension,
+    run_space("grid-profile", grid, grid.dimension,
               PairSampler.stratified(1000, seed=11), t_min=36,
               out_dir=args.out_dir)
 

@@ -4,18 +4,16 @@ vectors, with empirical compression and dilatation measurement."""
 from .cube import (
     CubeSpec,
     Hyperplane,
+    KeyProperty,
     MedianGraph,
     MedianVerdict,
     NormalCubePath,
-    cube_embed,
     cube_embedder,
     dimension_by_cliques,
     gen_cube,
-    hyperplanes,
-    index_delta_check,
+    key_property,
     median_from_tree,
     normal_cube_path,
-    path_index_map,
     separates,
     square_closure_classes,
     tree_product_graph,
@@ -41,13 +39,13 @@ from .metrics import (
     check_profile_against,
     default_bound_curves,
     edge_dilatation_bound,
-    embedding_matrix,
     l1_l2_compare,
     product_embed,
     profile,
+    sq_row_norms,
     unit_identity_max_rel_error,
 )
-from .sparse import SparseVector, allocate_keys, vec_distance
+from .sparse import PathForest, SparseVector, vec_distance
 from .spacefile import (
     SpaceFile,
     build_space,
@@ -61,7 +59,6 @@ from .tree import (
     gen_tree,
     geodesic_edges,
     meeting_point,
-    tree_embed,
     tree_embedder,
 )
 from .weights import (
@@ -76,7 +73,6 @@ from .weights import (
     parse_weight,
     sq_partial_sum,
     sq_partial_sums,
-    xi_eval,
 )
 
 __version__ = "0.1.0"

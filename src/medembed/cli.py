@@ -20,9 +20,8 @@ from .cube import (
     MedianGraph,
     cube_embedder,
     gen_cube,
+    key_property,
     median_from_tree,
-    normal_cube_path,
-    path_index_map,
     validate_median,
 )
 from .errors import MedEmbedError
@@ -43,17 +42,32 @@ from .spacefile import (
     to_spacefile,
 )
 from .tree import RootedTree, TreeSpec, gen_tree, tree_embedder
-from .weights import (
-    WeightFunction,
-    build_weight_report,
-    parse_weight,
-)
+from .weights import build_weight_report, parse_weight
 
 CSV_HEADER = "t,rho_hat,delta_hat,bound_lower,bound_upper,pairs"
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
+
+
+def format_profile_csv(rows) -> str:
+    """Profile CSV text: the header, then one line per
+    (t, rho_hat, delta_hat, bound_lower, bound_upper, pairs) row."""
+    lines = [CSV_HEADER]
+    for t, rho, delta, lo, up, pairs in rows:
+        lines.append(
+            f"{t},{_fmt(rho)},{_fmt(delta)},{_fmt(lo)},{_fmt(up)},{pairs}")
+    return "\n".join(lines) + "\n"
+
+
+def profile_rows(prof, lower, upper):
+    """CSV rows of a profile next to the two bound curves."""
+    ts = prof.ts()
+    return [
+        (e.t, e.rho_hat, e.delta_hat, lo, up, e.pair_count)
+        for e, lo, up in zip(prof.entries, lower.values(ts), upper.values(ts))
+    ]
 
 
 def parse_tree_spec(text: str, seed=None) -> TreeSpec:
@@ -201,10 +215,8 @@ def cmd_measure(args) -> int:
                 f"median validation failed on triple {verdict.violation} "
                 f"(medians found: {verdict.median_count})")
         dim = space.dimension
-        embed = cube_embedder(space, w)
     else:
         dim = 1
-        embed = tree_embedder(space, w)
     n_pairs = space.vertex_count * (space.vertex_count - 1) // 2
     if args.sampler == "auto":
         if n_pairs <= EXHAUSTIVE_DEFAULT_PAIR_LIMIT:
@@ -214,21 +226,12 @@ def cmd_measure(args) -> int:
     else:
         sampler = parse_sampler(args.sampler, args.seed)
     prof = profile(
-        space, embed, sampler,
+        space, w, sampler,
         metadata={"space": space.label or str(args.space), "weight": w.label()},
     )
     lower, upper = default_bound_curves(w, dim)
     t_min = args.t_min if args.t_min else max(2, 2 * w.cutoff)
-    ts = prof.ts()
-    lo = lower.values(ts)
-    up = upper.values(ts)
-    lines = [CSV_HEADER]
-    for e, lo_v, up_v in zip(prof.entries, lo, up):
-        lines.append(
-            f"{e.t},{_fmt(e.rho_hat)},{_fmt(e.delta_hat)},"
-            f"{_fmt(lo_v)},{_fmt(up_v)},{e.pair_count}"
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text(format_profile_csv(profile_rows(prof, lower, upper)))
     print(f"profile: {len(prof.entries)} rows -> {args.out}")
     if args.assert_bounds:
         check = check_profile_against(prof, lower, upper, t_min)
@@ -263,12 +266,7 @@ def _verify_oracle(args) -> int:
     if not args.space:
         raise ValueError("oracle suite requires --space")
     space = _load_space(args.space)
-    w = WeightFunction.unit()
-    if isinstance(space, RootedTree):
-        embed = tree_embedder(space, w)
-    else:
-        embed = cube_embedder(space, w)
-    err = unit_identity_max_rel_error(space, embed)
+    err = unit_identity_max_rel_error(space)
     ok = err <= 1e-9
     print(f"  unit-weight identity max relative error: {err:.3e}")
     if isinstance(space, MedianGraph):
@@ -296,30 +294,14 @@ def _verify_normalpath(args) -> int:
     space = _load_space(args.space)
     if isinstance(space, RootedTree):
         space = median_from_tree(space)
-    space.hyperplanes()
     n_dim = space.dimension
-    max_dev = 0
-    for eid in range(space.edge_count):
-        u, v = int(space.eu[eid]), int(space.ev[eid])
-        nu = path_index_map(space, u)
-        nv = path_index_map(space, v)
-        for key, iu in nu.items():
-            iv = nv.get(key)
-            if iv is not None:
-                max_dev = max(max_dev, abs(iu - iv))
-    mult_ok = True
-    partition_ok = True
-    for v in range(space.vertex_count):
-        path = normal_cube_path(space, v)
-        sizes = [len(s.crossed) for s in path.steps]
-        if any(s > n_dim for s in sizes):
-            mult_ok = False
-        if sum(sizes) != int(space.dist_root[v]):
-            partition_ok = False
+    keys = key_property(space)
+    max_dev = int(keys.index_deltas.max(initial=0))
+    mult_ok = keys.max_step_size <= n_dim
     print(f"  max index deviation over edges: {max_dev}")
     print(f"  step sizes within dimension {n_dim}: {mult_ok}")
-    print(f"  crossed sets partition the separators: {partition_ok}")
-    ok = max_dev <= 1 and mult_ok and partition_ok
+    print(f"  crossed sets partition the separators: {keys.partition_ok}")
+    ok = max_dev <= 1 and mult_ok and keys.partition_ok
     status = "PASS" if ok else "FAIL"
     print(f"normalpath[{status}]")
     return 0 if ok else 1
@@ -340,9 +322,9 @@ def _verify_product(args) -> int:
     t2 = gen_tree(TreeSpec.spider(3, 4))
     prod = ProductSpace([t1, t2])
     w = parse_weight(args.weight or "unit")
-    embed = prod.embedder([tree_embedder(t1, w), tree_embedder(t2, w)])
     e1 = tree_embedder(t1, w)
     e2 = tree_embedder(t2, w)
+    embed = prod.embedder([e1, e2])
     max_err = 0.0
     for _ in range(2000):
         a = int(rng.integers(0, prod.vertex_count))
@@ -397,12 +379,8 @@ def cmd_report(args) -> int:
                 cur[2] = min(cur[2], row[2])
                 cur[3] = max(cur[3], row[3])
                 cur[4] += row[4]
-    lines = [CSV_HEADER]
-    for t in sorted(merged):
-        rho, delta, lo, up, pairs = merged[t]
-        lines.append(
-            f"{t},{_fmt(rho)},{_fmt(delta)},{_fmt(lo)},{_fmt(up)},{pairs}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    rows = [(t, *merged[t]) for t in sorted(merged)]
+    Path(args.out).write_text(format_profile_csv(rows))
     print(f"merged {len(args.inputs)} tables, {len(merged)} rows -> {args.out}")
     return 0
 

@@ -11,11 +11,11 @@ The cube path from a vertex V to the base vertex repeatedly crosses, in
 one diagonal step, the full set of hyperplanes that are adjacent at the
 current vertex and separate it from the base.  The step index at which a
 hyperplane is crossed drives the embedding: coordinate w(index) on that
-hyperplane's basis vector.
+hyperplane's basis vector, whose key is the hyperplane's class id.
 
-Graphs and hyperplanes are immutable once computed; per-vertex path steps
-are cached in a plain dict (single writer per key), and embeddings of
-different vertices may be computed concurrently.
+The steps of all vertices form one cube-path forest, computed once per
+graph; embeddings and index maps of any set of vertices are built from
+it.  Graphs, hyperplanes and the forest are immutable once computed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     NonTerminationError,
     SideComputationError,
 )
-from .sparse import SparseVector, allocate_keys
+from .sparse import PathForest, SparseVector
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
 from .weights import WeightFunction
 
@@ -98,7 +98,8 @@ class CubeSpec:
 
 @dataclass(frozen=True, eq=False)
 class Hyperplane:
-    """One edge class: its basis key, member edges, and the side bitmap."""
+    """One edge class: its basis key (the class id), member edges, and the
+    side bitmap."""
 
     key: int
     edge_ids: frozenset[int]
@@ -170,9 +171,8 @@ class MedianGraph:
         self._hyperplanes: Optional[list[Hyperplane]] = None
         self._hyp_of_edge: Optional[np.ndarray] = None
         self._near: Optional[np.ndarray] = None
-        self._hyp_key_base: Optional[int] = None
         self._dimension: Optional[int] = None
-        self._steps: dict[int, tuple[tuple[int, ...], int]] = {}
+        self._forest: Optional[PathForest] = None
         if self.n > 1:
             row = self._bfs_row(self.root)
             if not np.isfinite(row).all():
@@ -269,10 +269,9 @@ class MedianGraph:
                 raise SideComputationError(
                     f"class {cid} has an edge inside one side")
             near[cid] = side
-        base = allocate_keys(len(classes))
         self._hyperplanes = [
             Hyperplane(
-                key=base + cid,
+                key=cid,
                 edge_ids=frozenset(int(e) for e in members),
                 near_side=near[cid],
             )
@@ -280,7 +279,6 @@ class MedianGraph:
         ]
         self._hyp_of_edge = assigned
         self._near = near
-        self._hyp_key_base = base
         return self._hyperplanes
 
     @property
@@ -293,11 +291,6 @@ class MedianGraph:
         """Bool matrix, one row per hyperplane, True on the root side."""
         self.hyperplanes()
         return self._near
-
-    @property
-    def hyperplane_key_base(self) -> int:
-        self.hyperplanes()
-        return self._hyp_key_base
 
     def separating_counts(self, us, vs) -> np.ndarray:
         """Number of hyperplanes separating each u-v pair (vectorized)."""
@@ -363,10 +356,7 @@ class MedianGraph:
 
     def _step(self, x: int) -> tuple[tuple[int, ...], int]:
         """Crossed hyperplane ids and exit corner of the cube-path step
-        leaving x toward the root. Cached per vertex."""
-        cached = self._steps.get(x)
-        if cached is not None:
-            return cached
+        leaving x toward the root."""
         dist = self.dist_root
         hoe = self.hyp_of_edge
         legs = [
@@ -377,9 +367,34 @@ class MedianGraph:
         if not legs:
             raise NonTerminationError(f"no downward edge at vertex {x}")
         exit_vertex = self._cross_cube(x, legs)
-        result = (tuple(sorted(h for h, _ in legs)), exit_vertex)
-        self._steps[x] = result
-        return result
+        return tuple(sorted(h for h, _ in legs)), exit_vertex
+
+    def forest(self) -> PathForest:
+        """Cube-path forest: one step per vertex, computed once."""
+        if self._forest is None:
+            n_keys = len(self.hyperplanes())
+            exits = np.arange(self.n)
+            sizes = np.zeros(self.n, dtype=np.int64)
+            keys: list[int] = []
+            for x in range(self.n):
+                if x != self.root:
+                    crossed, exits[x] = self._step(x)
+                    sizes[x] = len(crossed)
+                    keys.extend(crossed)
+            self._forest = PathForest(
+                root=self.root,
+                exit=exits,
+                step_ptr=np.concatenate([[0], np.cumsum(sizes)]),
+                step_keys=np.asarray(keys, dtype=np.int64),
+                key_count=n_keys,
+                length=self.dist_root,
+            )
+        return self._forest
+
+    def embedding_matrix(self, w: WeightFunction, rows):
+        """CSR rows of the embedding of ``rows``; column k is key k."""
+        forest = self.forest()
+        return forest.matrix(rows, forest.weight_table(w))
 
 
 # -- generators --------------------------------------------------------------
@@ -527,17 +542,14 @@ def validate_median(
 # -- spec operations -----------------------------------------------------------
 
 
-def hyperplanes(g: MedianGraph) -> list[Hyperplane]:
-    return g.hyperplanes()
-
-
 def separates(h: Hyperplane, u: int, v: int) -> bool:
     """True when u and v lie on opposite sides of h."""
     return bool(h.near_side[u] != h.near_side[v])
 
 
 def normal_cube_path(g: MedianGraph, v: int) -> NormalCubePath:
-    """Greedy maximal cube path from v to the base vertex.
+    """Greedy maximal cube path from v to the base vertex, walked one
+    vertex at a time through the forest; the oracle for its matrices.
 
     Each step crosses every hyperplane that is adjacent at the current
     vertex and separates it from the base; the crossed set must span a
@@ -546,101 +558,80 @@ def normal_cube_path(g: MedianGraph, v: int) -> NormalCubePath:
     """
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"unknown vertex {v}")
-    g.hyperplanes()
-    base = g.hyperplane_key_base
-    limit = int(g.dist_root[v])
+    forest = g.forest()
     steps = []
     index_map: dict[int, int] = {}
     x = v
-    i = 0
     while x != g.root:
-        i += 1
-        if i > limit:
-            raise NonTerminationError(
-                f"cube path from {v} exceeded {limit} steps")
-        hyps, exit_vertex = g._step(x)
-        keys = frozenset(base + h for h in hyps)
+        lo, hi = forest.step_ptr[x], forest.step_ptr[x + 1]
+        keys = frozenset(int(k) for k in forest.step_keys[lo:hi])
         for key in keys:
-            index_map[key] = i
+            index_map[key] = len(steps) + 1
+        exit_vertex = int(forest.exit[x])
         steps.append(CubeStep(entry=x, crossed=keys, exit=exit_vertex))
         x = exit_vertex
     return NormalCubePath(start=v, steps=tuple(steps), index_map=index_map)
 
 
-def path_index_map(g: MedianGraph, v: int) -> dict[int, int]:
-    """Hyperplane key -> step index along the cube path from v; keys not
-    separating v from the base vertex are absent (index zero)."""
-    g.hyperplanes()
-    base = g.hyperplane_key_base
-    limit = int(g.dist_root[v])
-    out: dict[int, int] = {}
-    x = v
-    i = 0
-    while x != g.root:
-        i += 1
-        if i > limit:
-            raise NonTerminationError(
-                f"cube path from {v} exceeded {limit} steps")
-        hyps, x = g._step(x)
-        for h in hyps:
-            out[base + h] = i
-    return out
-
-
 def cube_embedder(g: MedianGraph, w: WeightFunction) -> Callable[[int], SparseVector]:
-    """Embedding function vertex -> SparseVector with a cached weight table."""
-    g.hyperplanes()
-    base = g.hyperplane_key_base
-    max_len = int(g.dist_root.max()) if g.vertex_count > 1 else 0
-    table = np.zeros(max_len + 2)
-    if max_len >= 1:
-        table[1:] = w.values(np.arange(1, max_len + 2, dtype=np.float64))
-    root = g.root
+    """Embedding function vertex -> SparseVector: weight w(i) on each
+    hyperplane crossed at step i."""
+    forest = g.forest()
+    return forest.embedder(forest.weight_table(w))
+
+
+@dataclass(frozen=True)
+class KeyProperty:
+    """Cube-path index facts over every vertex and edge of a graph.
+
+    ``index_deltas[e]`` is, for edge e = (u, v), the largest gap between
+    the steps at which the paths of u and v cross a common hyperplane
+    (zero when they share none).  ``own_key_ok`` says that each edge's own
+    hyperplane is crossed at step 1 from its deeper end and not at all
+    from its shallower end.  ``max_step_size`` is the most hyperplanes
+    crossed at one step of any path.  ``partition_ok`` says that each
+    path crosses exactly the hyperplanes separating its start from the
+    base vertex, each once.
+    """
+
+    index_deltas: np.ndarray
+    own_key_ok: bool
+    max_step_size: int
+    partition_ok: bool
+
+
+def key_property(g: MedianGraph) -> KeyProperty:
+    """Read the key property of every edge off the index matrix, whose
+    row v holds the step at which v's path crosses each hyperplane."""
+    if not g.edge_count:
+        return KeyProperty(np.zeros(0, dtype=np.int64), True, 0, True)
+    forest = g.forest()
+    steps = np.arange(int(forest.length.max()) + 1, dtype=np.float64)
+    index = forest.matrix(np.arange(g.vertex_count), steps)
+    a, b = index[g.eu], index[g.ev]
+    gaps = abs(a - b).multiply(a.multiply(b).astype(bool))
+    deltas = gaps.max(axis=1).toarray().ravel().astype(np.int64)
     dist = g.dist_root
-
-    def embed(v: int) -> SparseVector:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"unknown vertex {v}")
-        limit = int(dist[v])
-        coords: dict[int, float] = {}
-        x = v
-        i = 0
-        while x != root:
-            i += 1
-            if i > limit:
-                raise NonTerminationError(
-                    f"cube path from {v} exceeded {limit} steps")
-            hyps, x = g._step(x)
-            val = float(table[i])
-            if val != 0.0:
-                for h in hyps:
-                    coords[base + h] = val
-        vec = SparseVector.__new__(SparseVector)
-        vec.coords = coords
-        return vec
-
-    return embed
-
-
-def cube_embed(g: MedianGraph, w: WeightFunction, v: int) -> SparseVector:
-    """Embed one vertex: weight w(i) on each hyperplane crossed at step i."""
-    return cube_embedder(g, w)(v)
-
-
-def index_delta_check(g: MedianGraph, u: int, v: int) -> int:
-    """Largest index difference, over hyperplanes separating both endpoints
-    of the edge (u, v) from the base vertex, between the two cube paths.
-    Zero when no hyperplane separates both."""
-    if v not in [nbr for nbr, _ in g.adj[u]]:
-        raise ValueError(f"({u},{v}) is not an edge")
-    nu = path_index_map(g, u)
-    nv = path_index_map(g, v)
-    best = 0
-    for key, iu in nu.items():
-        iv = nv.get(key)
-        if iv is not None:
-            best = max(best, abs(iu - iv))
-    return best
+    down = dist[g.eu] > dist[g.ev]
+    deeper, shallower = np.where(down, g.eu, g.ev), np.where(down, g.ev, g.eu)
+    own = g.hyp_of_edge
+    own_ok = bool((np.asarray(index[deeper, own]) == 1).all()
+                  and (np.asarray(index[shallower, own]) == 0).all())
+    row = np.repeat(np.arange(g.vertex_count), np.diff(index.indptr))
+    _, per_step = np.unique(row * len(steps) + index.data.astype(np.int64),
+                            return_counts=True)
+    crossed = index.astype(bool)
+    crossed.sum_duplicates()
+    near = g.near_matrix
+    separating = sp.csr_matrix((near != near[:, [g.root]]).T)
+    partition_ok = bool(np.array_equal(np.diff(crossed.indptr), dist)
+                        and (crossed != separating).nnz == 0)
+    return KeyProperty(
+        index_deltas=deltas,
+        own_key_ok=own_ok,
+        max_step_size=int(per_step.max()),
+        partition_ok=partition_ok,
+    )
 
 
 # -- independent oracle for tests ----------------------------------------------

@@ -7,16 +7,17 @@ embedded distance over pairs at metric distance <= t (``delta_hat``, a
 prefix maximum).  Exhaustive sampling makes both exact on the space;
 random sampling can only raise rho_hat and lower delta_hat.
 
-A space object must expose ``vertex_count`` and
-``distances_from(sources) -> 2d array``; trees, median graphs and
-products of trees all qualify.
+A space object must expose ``vertex_count``,
+``distances_from(sources) -> 2d array`` and
+``embedding_matrix(w, rows) -> CSR rows``; trees, median graphs and
+products of them all qualify.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +27,8 @@ from .sparse import SparseVector
 from .weights import WeightFunction, deficit_constant, diff_sq_tail_bound
 
 EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
+# Pairs per chunk of row-wise dot products in _grouped_pairs.
+PAIR_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -84,32 +87,9 @@ class CompressionProfile:
         return np.asarray([e.pair_count for e in self.entries], dtype=np.int64)
 
 
-def embedding_matrix(
-    embed_fn: Callable[[int], SparseVector], vertices: Sequence[int]
-) -> tuple[sp.csr_matrix, np.ndarray, int]:
-    """Stack embeddings of the given vertices into a CSR matrix.
-
-    Returns (matrix, squared norms per row, key offset); column j holds
-    basis key ``offset + j``.
-    """
-    indptr = [0]
-    all_keys: list[np.ndarray] = []
-    all_vals: list[np.ndarray] = []
-    for v in vertices:
-        keys, vals = embed_fn(v).as_arrays()
-        all_keys.append(keys)
-        all_vals.append(vals)
-        indptr.append(indptr[-1] + len(keys))
-    keys = np.concatenate(all_keys) if all_keys else np.empty(0, dtype=np.int64)
-    vals = np.concatenate(all_vals) if all_vals else np.empty(0)
-    offset = int(keys.min()) if len(keys) else 0
-    width = int(keys.max()) - offset + 1 if len(keys) else 1
-    mat = sp.csr_matrix(
-        (vals, keys - offset, np.asarray(indptr)),
-        shape=(len(vertices), width),
-    )
-    norms_sq = np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
-    return mat, norms_sq, offset
+def sq_row_norms(mat: sp.csr_matrix) -> np.ndarray:
+    """Squared Euclidean norm of each row."""
+    return np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
 
 
 class _ProfileAccumulator:
@@ -157,88 +137,56 @@ def _entries_from_pairs(ts: np.ndarray, emb: np.ndarray) -> tuple[ProfileEntry, 
     return acc.entries()
 
 
-def _exhaustive_entries(space, embed_fn, block_size: int):
+def _gram_blocks(space, w: WeightFunction,
+                 block_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Metric and squared embedded distances of all pairs u < v, one block
+    of u at a time; each block only meets the columns from its start on."""
     n = space.vertex_count
-    mat, norms_sq, _ = embedding_matrix(embed_fn, range(n))
-    acc = _ProfileAccumulator()
-    cols = np.arange(n)[None, :]
+    mat = space.embedding_matrix(w, np.arange(n))
+    norms_sq = sq_row_norms(mat)
     for start in range(0, n, block_size):
-        block = np.arange(start, min(start + block_size, n))
-        dist = space.distances_from(block)
-        gram = np.asarray((mat[block] @ mat.T).todense())
-        emb_sq = norms_sq[block][:, None] + norms_sq[None, :] - 2.0 * gram
-        emb = np.sqrt(np.clip(emb_sq, 0.0, None))
-        mask = cols > block[:, None]
-        acc.add(dist[mask].astype(np.int64), emb[mask])
+        stop = min(start + block_size, n)
+        block = np.arange(start, stop)
+        dist = space.distances_from(block)[:, start:]
+        gram = (mat[start:stop] @ mat[start:].T).toarray()
+        emb_sq = norms_sq[start:stop, None] + norms_sq[None, start:] - 2.0 * gram
+        mask = np.arange(start, n)[None, :] > block[:, None]
+        yield dist[mask], emb_sq[mask]
+
+
+def _exhaustive_entries(space, w: WeightFunction, block_size: int):
+    acc = _ProfileAccumulator()
+    for dist, emb_sq in _gram_blocks(space, w, block_size):
+        acc.add(dist.astype(np.int64), np.sqrt(np.clip(emb_sq, 0.0, None)))
     return acc.entries()
 
 
-def _grouped_pairs(space, embed_fn, us, vs):
-    """Embedded and metric distances for explicit pairs.
+def _grouped_pairs(space, w: WeightFunction, us, vs):
+    """Embedded and metric distances for explicit pairs, aligned with the
+    input pair order.
 
-    Results are aligned with the input pair order.  Metric distances come
-    from BFS rows grouped by first endpoint; the first endpoints are
-    expected to form a small set (samplers guarantee this), so their
-    embeddings are held densely while second endpoints stream through
-    grouped to avoid recomputation.  Target coordinates outside the dense
-    window cannot meet a source coordinate and only enter through the
-    target norm.
+    Metric distances come from BFS rows of the distinct first endpoints
+    (samplers keep that set small).  Embedded distances come from one
+    matrix of the distinct endpoints, as row-wise dot products taken in
+    chunks of PAIR_CHUNK pairs.
     """
-    order = np.argsort(us, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(order))
-    us, vs = us[order], vs[order]
-    distinct_sources = np.unique(us)
-    src_rows = {}
-    for start in range(0, len(distinct_sources), 256):
-        chunk = distinct_sources[start:start + 256]
-        rows = space.distances_from(chunk)
-        for i, s in enumerate(chunk):
-            src_rows[int(s)] = rows[i]
+    sources, src_row = np.unique(us, return_inverse=True)
     ts = np.empty(len(us), dtype=np.int64)
-    for i, (u, v) in enumerate(zip(us, vs)):
-        ts[i] = int(src_rows[int(u)][int(v)])
-
-    src_vecs = {}
-    src_norm = {}
-    key_min = None
-    key_max = None
-    for s in distinct_sources:
-        keys, vals = embed_fn(int(s)).as_arrays()
-        src_vecs[int(s)] = (keys, vals)
-        src_norm[int(s)] = float(vals @ vals)
-        if len(keys):
-            key_min = min(key_min, keys[0]) if key_min is not None else int(keys[0])
-            key_max = max(key_max, keys[-1]) if key_max is not None else int(keys[-1])
-    lo = key_min if key_min is not None else 0
-    width = (key_max - key_min + 1) if key_min is not None else 1
-    dense = np.zeros(width)
-    dense_for = None
+    for start in range(0, len(sources), 256):
+        rows = space.distances_from(sources[start:start + 256])
+        sel = np.flatnonzero((src_row >= start) & (src_row < start + 256))
+        ts[sel] = rows[src_row[sel] - start, vs[sel]]
+    ends, end_row = np.unique(np.concatenate([us, vs]), return_inverse=True)
+    mat = space.embedding_matrix(w, ends)
+    norms_sq = sq_row_norms(mat)
+    ru, rv = end_row[:len(us)], end_row[len(us):]
     emb = np.empty(len(us))
-    torder = np.argsort(vs, kind="stable")
-    cur_target = None
-    tkeys_in = tvals_in = None
-    tnorm = 0.0
-    for idx in torder:
-        u, v = int(us[idx]), int(vs[idx])
-        if dense_for != u:
-            if dense_for is not None:
-                pk, _ = src_vecs[dense_for]
-                dense[pk - lo] = 0.0
-            keys, vals = src_vecs[u]
-            dense[keys - lo] = vals
-            dense_for = u
-        if cur_target != v:
-            tkeys, tvals = embed_fn(v).as_arrays()
-            tnorm = float(tvals @ tvals)
-            window = (tkeys >= lo) & (tkeys < lo + width)
-            tkeys_in = tkeys[window] - lo
-            tvals_in = tvals[window]
-            cur_target = v
-        dot = float(dense[tkeys_in] @ tvals_in) if len(tkeys_in) else 0.0
-        d2 = src_norm[u] + tnorm - 2.0 * dot
-        emb[idx] = math.sqrt(d2) if d2 > 0.0 else 0.0
-    return ts[inverse], emb[inverse]
+    for start in range(0, len(us), PAIR_CHUNK):
+        a, b = ru[start:start + PAIR_CHUNK], rv[start:start + PAIR_CHUNK]
+        dots = np.asarray(mat[a].multiply(mat[b]).sum(axis=1)).ravel()
+        d2 = norms_sq[a] + norms_sq[b] - 2.0 * dots
+        emb[start:start + PAIR_CHUNK] = np.sqrt(np.clip(d2, 0.0, None))
+    return ts, emb
 
 
 def _stratified_pairs(space, sampler: PairSampler):
@@ -302,24 +250,21 @@ def _uniform_pairs(space, sampler: PairSampler):
 
 def profile(
     space,
-    embed_fn: Callable[[int], SparseVector],
+    w: WeightFunction,
     sampler: PairSampler,
     metadata: Optional[Mapping[str, object]] = None,
     block_size: int = 512,
 ) -> CompressionProfile:
-    """Measure the embedding over sampled pairs and fold into a profile."""
+    """Measure the embedding with weight w over sampled pairs and fold
+    into a profile."""
     if space.vertex_count < 2:
         raise ValueError("profile needs at least two vertices")
+    samplers = {"stratified": _stratified_pairs, "uniform": _uniform_pairs}
     if sampler.mode == "exhaustive":
-        entries = _exhaustive_entries(space, embed_fn, block_size)
-    elif sampler.mode == "stratified":
-        us, vs = _stratified_pairs(space, sampler)
-        ts, emb = _grouped_pairs(space, embed_fn, us, vs)
-        entries = _entries_from_pairs(ts, emb)
-    elif sampler.mode == "uniform":
-        us, vs = _uniform_pairs(space, sampler)
-        ts, emb = _grouped_pairs(space, embed_fn, us, vs)
-        entries = _entries_from_pairs(ts, emb)
+        entries = _exhaustive_entries(space, w, block_size)
+    elif sampler.mode in samplers:
+        us, vs = samplers[sampler.mode](space, sampler)
+        entries = _entries_from_pairs(*_grouped_pairs(space, w, us, vs))
     else:
         raise ValueError(f"unknown sampler mode {sampler.mode!r}")
     meta = dict(metadata or {})
@@ -443,24 +388,29 @@ def check_profile_against(
 
 def product_embed(
     factors: Sequence[Callable[[int], SparseVector]],
+    offsets: Sequence[int],
 ) -> Callable[[Sequence[int]], SparseVector]:
-    """Direct sum of per-factor embeddings.
+    """Direct sum of per-factor embeddings: factor i's key k becomes key
+    ``offsets[i] + k``.
 
-    Factor embeddings live on disjoint key blocks by construction; a key
+    The offsets must put the factors on disjoint key blocks; a key
     appearing twice is a construction bug and raises KeyCollisionError.
     """
     if not factors:
         raise ValueError("need at least one factor")
+    if len(offsets) != len(factors):
+        raise ValueError("need one offset per factor")
 
     def embed(coords: Sequence[int]) -> SparseVector:
         if len(coords) != len(factors):
             raise ValueError("coordinate count does not match factor count")
         out: dict[int, float] = {}
-        for fn, x in zip(factors, coords):
+        for fn, base, x in zip(factors, offsets, coords):
             for k, val in fn(int(x)).coords.items():
-                if k in out:
-                    raise KeyCollisionError(f"basis key {k} used by two factors")
-                out[k] = val
+                if base + k in out:
+                    raise KeyCollisionError(
+                        f"basis key {base + k} used by two factors")
+                out[base + k] = val
         vec = SparseVector.__new__(SparseVector)
         vec.coords = out
         return vec
@@ -470,7 +420,9 @@ def product_embed(
 
 class ProductSpace:
     """Cartesian product of spaces under the combined path metric (sum of
-    factor distances). Vertices are flat indices in row-major order."""
+    factor distances). Vertices are flat indices in row-major order; each
+    factor's keys sit at its offset, after the keys of the factors before
+    it."""
 
     def __init__(self, factors: Sequence, label: str = ""):
         if not factors:
@@ -479,6 +431,12 @@ class ProductSpace:
         self.sizes = [f.vertex_count for f in self.factors]
         self.vertex_count = int(np.prod(self.sizes))
         self.label = label
+
+    @property
+    def offsets(self) -> list[int]:
+        """First key of each factor's block."""
+        widths = [f.forest().key_count for f in self.factors]
+        return [0, *np.cumsum(widths[:-1]).tolist()]
 
     def decode(self, idx: int) -> tuple[int, ...]:
         coords = []
@@ -504,8 +462,15 @@ class ProductSpace:
             rows.append(acc.ravel())
         return np.asarray(rows)
 
+    def embedding_matrix(self, w: WeightFunction, rows) -> sp.csr_matrix:
+        """Factor matrices side by side; each factor's key count is its
+        width, so factor i's columns start at ``offsets[i]``."""
+        coords = np.unravel_index(np.asarray(rows, dtype=np.int64), self.sizes)
+        return sp.hstack([f.embedding_matrix(w, c)
+                          for f, c in zip(self.factors, coords)], format="csr")
+
     def embedder(self, factor_embedders: Sequence[Callable[[int], SparseVector]]):
-        merged = product_embed(factor_embedders)
+        merged = product_embed(factor_embedders, self.offsets)
 
         def embed(idx: int) -> SparseVector:
             return merged(self.decode(idx))
@@ -569,24 +534,15 @@ def bourgain_consistency(
 # -- convenience checks shared by the CLI and the test suite ----------------------
 
 
-def unit_identity_max_rel_error(space, embed_fn, block_size: int = 512) -> float:
-    """Largest relative deviation of squared embedded distance from metric
-    distance over all pairs; zero-ish for unit-weight embeddings."""
-    n = space.vertex_count
-    mat, norms_sq, _ = embedding_matrix(embed_fn, range(n))
+def unit_identity_max_rel_error(space, block_size: int = 512) -> float:
+    """Largest relative deviation of squared unit-weight embedded distance
+    from metric distance over all pairs; zero-ish when the embedding is
+    a square-root isometry."""
     worst = 0.0
-    for start in range(0, n, block_size):
-        block = np.arange(start, min(start + block_size, n))
-        dist = space.distances_from(block)
-        gram = np.asarray((mat[block] @ mat.T).todense())
-        emb_sq = norms_sq[block][:, None] + norms_sq[None, :] - 2.0 * gram
-        cols = np.arange(n)[None, :]
-        mask = cols > block[:, None]
-        d = dist[mask]
-        err = np.abs(emb_sq[mask] - d)
+    for d, emb_sq in _gram_blocks(space, WeightFunction.unit(), block_size):
         nz = d > 0
         if nz.any():
-            worst = max(worst, float((err[nz] / d[nz]).max()))
+            worst = max(worst, float((np.abs(emb_sq - d)[nz] / d[nz]).max()))
     return worst
 
 

@@ -91,27 +91,25 @@ def load_spacefile(path) -> SpaceFile:
         if key not in doc:
             raise SpaceFormatError(f"{path}: missing field {key!r}")
     stype = doc["type"]
-    n = int(doc["n"])
-    root = int(doc["root"])
-    if stype == "tree":
-        if "parent" in doc:
+    if stype not in ("tree", "median_graph"):
+        raise SpaceFormatError(f"{path}: unknown space type {stype!r}")
+    try:
+        n = int(doc["n"])
+        root = int(doc["root"])
+        parent = edges = None
+        if stype == "tree" and "parent" in doc:
             parent = tuple(int(p) for p in doc["parent"])
-            if len(parent) != n:
-                raise SpaceFormatError(f"{path}: parent array length != n")
-            return SpaceFile(type=stype, n=n, root=root, parent=parent,
-                             generator=doc.get("generator"))
-        if "edges" in doc:
+        elif "edges" in doc:
             edges = tuple((int(u), int(v)) for u, v in doc["edges"])
-            return SpaceFile(type=stype, n=n, root=root, edges=edges,
-                             generator=doc.get("generator"))
-        raise SpaceFormatError(f"{path}: tree needs parent or edges")
-    if stype == "median_graph":
-        if "edges" not in doc:
-            raise SpaceFormatError(f"{path}: median_graph needs edges")
-        edges = tuple((int(u), int(v)) for u, v in doc["edges"])
-        return SpaceFile(type=stype, n=n, root=root, edges=edges,
-                         generator=doc.get("generator"))
-    raise SpaceFormatError(f"{path}: unknown space type {stype!r}")
+    except (TypeError, ValueError) as exc:
+        raise SpaceFormatError(f"{path}: malformed field ({exc})") from exc
+    if parent is not None and len(parent) != n:
+        raise SpaceFormatError(f"{path}: parent array length != n")
+    if parent is None and edges is None:
+        needs = "parent or edges" if stype == "tree" else "edges"
+        raise SpaceFormatError(f"{path}: {stype} needs {needs}")
+    return SpaceFile(type=stype, n=n, root=root, parent=parent, edges=edges,
+                     generator=doc.get("generator"))
 
 
 def build_space(sf: SpaceFile) -> Union[RootedTree, MedianGraph]:

@@ -1,31 +1,23 @@
-"""Finitely supported vectors in a Hilbert space with integer basis keys.
+"""Finitely supported vectors in a Hilbert space with integer basis keys,
+and the cube-path forest every embedding is built from.
 
-Basis keys are handed out by a process-global allocator so that distinct
-spaces never share keys; direct sums of embeddings of different spaces are
-then automatically orthogonal.
+Keys are local to a space: a tree's edge (v, parent(v)) has key v, a
+median graph's hyperplane has its class id as its key. These are the keys
+``medembed embed`` prints. A product of spaces places each factor's keys
+at an explicit offset, so the factor blocks are disjoint.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-_key_lock = threading.Lock()
-_next_key = 0
-
-
-def allocate_keys(count: int) -> int:
-    """Reserve a dense block of ``count`` fresh basis keys, returning the
-    first. Blocks are never reused within a process."""
-    global _next_key
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    with _key_lock:
-        start = _next_key
-        _next_key += count
-    return start
+from .errors import NonTerminationError
 
 
 class SparseVector:
@@ -91,3 +83,97 @@ def vec_distance(a: SparseVector, b: SparseVector) -> float:
         terms.append(diff * diff)
     terms.extend(v * v for k, v in cb.items() if k not in ca)
     return math.sqrt(math.fsum(terms))
+
+
+@dataclass(frozen=True, eq=False)
+class PathForest:
+    """Canonical paths of every vertex to ``root`` as a forest.
+
+    Vertex v leaves by one step to ``exit[v]`` and crosses the keys
+    ``step_keys[step_ptr[v]:step_ptr[v + 1]]``; the root maps to itself
+    and crosses nothing. ``length[v]`` counts the keys on v's whole path,
+    which is v's graph distance to the root.
+    """
+
+    root: int
+    exit: np.ndarray
+    step_ptr: np.ndarray
+    step_keys: np.ndarray
+    key_count: int
+    length: np.ndarray
+
+    def __post_init__(self):
+        # Every step shortens the remaining path by exactly the keys it
+        # crosses, so every walk reaches the root within length[v] keys.
+        sizes = np.diff(self.step_ptr)
+        other = np.arange(len(self.exit)) != self.root
+        if not (self.exit[self.root] == self.root
+                and self.length[self.root] == 0
+                and sizes[self.root] == 0
+                and (sizes[other] >= 1).all()
+                and (self.length[self.exit[other]]
+                     == self.length[other] - sizes[other]).all()):
+            raise NonTerminationError(
+                "a path step does not shorten the path to the root "
+                "by the number of keys it crosses")
+
+    def weight_table(self, w, shift: float = 0.0) -> np.ndarray:
+        """Entry i is w(i) + shift, the value of step i; entry 0 is unused."""
+        table = np.zeros(int(self.length.max()) + 1)
+        table[1:] = w.values(np.arange(1, len(table), dtype=np.float64)) + shift
+        return table
+
+    def matrix(self, rows, table) -> sp.csr_matrix:
+        """Row r holds ``table[i]`` on every key that the path of
+        ``rows[r]`` crosses at step i; zeros are dropped.
+
+        All rows walk in lockstep, one step per round, writing into
+        arrays sized from ``length`` up front.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(self.length[rows], out=indptr[1:])
+        idx = np.int32 if max(self.key_count, indptr[-1]) < 2**31 else np.int64
+        indices = np.empty(indptr[-1], dtype=idx)
+        data = np.empty(indptr[-1])
+        at = rows.copy()
+        fill = indptr[:-1].copy()
+        live = np.flatnonzero(at != self.root)
+        step = 0
+        while len(live):
+            step += 1
+            x = at[live]
+            first = self.step_ptr[x]
+            count = self.step_ptr[x + 1] - first
+            offset = np.arange(int(count.sum())) - np.repeat(
+                np.cumsum(count) - count, count)
+            dst = np.repeat(fill[live], count) + offset
+            indices[dst] = self.step_keys[np.repeat(first, count) + offset]
+            data[dst] = table[step]
+            fill[live] += count
+            at[live] = self.exit[x]
+            live = live[at[live] != self.root]
+        mat = sp.csr_matrix((data, indices, indptr.astype(idx, copy=False)),
+                            shape=(len(rows), self.key_count))
+        mat.eliminate_zeros()
+        mat.sort_indices()
+        return mat
+
+    def embedder(self, table) -> Callable[[int], SparseVector]:
+        """Per-vertex view of ``matrix``: vertex -> SparseVector.
+
+        A one-row matrix costs a few array operations per path step, so
+        each vertex's vector is built once and shared by later calls.
+        """
+        n = len(self.exit)
+
+        @functools.lru_cache(maxsize=None)
+        def embed(v: int) -> SparseVector:
+            if not 0 <= v < n:
+                raise ValueError(f"unknown vertex {v}")
+            row = self.matrix([v], table)
+            vec = SparseVector.__new__(SparseVector)
+            vec.coords = dict(zip(row.indices.tolist(), row.data.tolist()))
+            return vec
+
+        return embed

@@ -1,9 +1,10 @@
 """Rooted locally finite trees with unit edges and their weighted embedding.
 
 A tree is stored as a parent array over vertex ids 0..n-1; the edge from a
-non-root vertex v to parent(v) carries the basis key ``key_base + v``.  The
-embedding of a vertex V places weight w(i) on the i-th edge of the path
-from V back to the root, counted from V.
+non-root vertex v to parent(v) carries the basis key v.  The embedding of a
+vertex V places weight w(i) on the i-th edge of the path from V back to the
+root, counted from V.  As a cube-path forest, a tree exits each vertex to
+its parent and crosses the single key of that edge.
 
 Trees are immutable after generation and all operations here are pure, so
 vertex pairs may be evaluated concurrently without coordination.
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import BudgetExceededError
-from .sparse import SparseVector, allocate_keys
+from .sparse import PathForest, SparseVector
 from .weights import WeightFunction
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
@@ -116,8 +117,8 @@ class RootedTree:
         if seen != n:
             raise ValueError("parent array is not a connected tree")
         self.depth = depth
-        self.key_base = allocate_keys(n)
         self._csr = None
+        self._forest: Optional[PathForest] = None
 
     @property
     def vertex_count(self) -> int:
@@ -131,7 +132,28 @@ class RootedTree:
         """Basis key of the edge (v, parent(v))."""
         if v == self.root:
             raise ValueError("the root has no parent edge")
-        return self.key_base + v
+        return v
+
+    def forest(self) -> PathForest:
+        """The tree as a cube-path forest: exit is the parent, and the
+        step out of v crosses the single key v."""
+        if self._forest is None:
+            other = np.arange(self.vertex_count) != self.root
+            self._forest = PathForest(
+                root=self.root,
+                exit=self.parent,
+                step_ptr=np.concatenate([[0], np.cumsum(other)]),
+                step_keys=np.flatnonzero(other),
+                key_count=self.vertex_count,
+                length=self.depth,
+            )
+        return self._forest
+
+    def embedding_matrix(self, w: WeightFunction, rows,
+                         unit_epsilon: float = 0.0):
+        """CSR rows of the embedding of ``rows``; column k is key k."""
+        forest = self.forest()
+        return forest.matrix(rows, forest.weight_table(w, unit_epsilon))
 
     def _graph(self):
         if self._csr is None:
@@ -246,42 +268,11 @@ def meeting_point(tree: RootedTree, u: int, v: int) -> int:
 def tree_embedder(
     tree: RootedTree, w: WeightFunction, unit_epsilon: float = 0.0
 ) -> Callable[[int], SparseVector]:
-    """Embedding function vertex -> SparseVector with a cached weight table.
+    """Embedding function vertex -> SparseVector.
 
     With ``unit_epsilon`` > 0 every path coordinate is shifted by that
     amount, which makes the map injective at the price of perturbing each
     pair distance by at most unit_epsilon * sqrt(d(U, V)).
     """
-    max_depth = int(tree.depth.max())
-    table = np.zeros(max_depth + 1)
-    if max_depth >= 1:
-        table[1:] = w.values(np.arange(1, max_depth + 1, dtype=np.float64))
-    if unit_epsilon:
-        table[1:] += unit_epsilon
-    parent = tree.parent
-    root = tree.root
-    base = tree.key_base
-
-    def embed(v: int) -> SparseVector:
-        if not 0 <= v < tree.vertex_count:
-            raise ValueError(f"unknown vertex {v}")
-        coords = {}
-        i = 1
-        while v != root:
-            val = float(table[i])
-            if val != 0.0:
-                coords[base + v] = val
-            v = int(parent[v])
-            i += 1
-        vec = SparseVector.__new__(SparseVector)
-        vec.coords = coords
-        return vec
-
-    return embed
-
-
-def tree_embed(
-    tree: RootedTree, w: WeightFunction, v: int, unit_epsilon: float = 0.0
-) -> SparseVector:
-    """Embed one vertex: weight w(i) on the i-th edge of its root path."""
-    return tree_embedder(tree, w, unit_epsilon)(v)
+    forest = tree.forest()
+    return forest.embedder(forest.weight_table(w, unit_epsilon))

@@ -143,11 +143,6 @@ def parse_weight(label: str) -> WeightFunction:
     raise ValueError(f"unknown weight spec {label!r}")
 
 
-def xi_eval(w: WeightFunction, t: float) -> float:
-    """Single-point weight evaluation (alias of WeightFunction.value)."""
-    return w.value(t)
-
-
 def diff_sq_sum(w: WeightFunction, n: int) -> float:
     """Sum of (w(j+1) - w(j))^2 for j = 1 .. n."""
     if n < 1:

@@ -12,8 +12,8 @@ from medembed.cube import (
     CubeSpec,
     cube_embedder,
     gen_cube,
+    key_property,
     median_from_tree,
-    path_index_map,
 )
 from medembed.metrics import (
     BoundCurve,
@@ -22,10 +22,10 @@ from medembed.metrics import (
     bourgain_consistency,
     check_profile_against,
     edge_dilatation_bound,
-    embedding_matrix,
     l1_l2_compare,
     product_embed,
     profile,
+    sq_row_norms,
     unit_identity_max_rel_error,
 )
 from medembed.tree import TreeSpec, gen_tree, tree_embedder
@@ -37,7 +37,6 @@ from medembed.weights import (
     sq_partial_sums,
 )
 
-UNIT = WeightFunction.unit()
 PAPER = WeightFunction.paper(18)
 XI_18_SQ = 5.52806069209341
 
@@ -112,8 +111,7 @@ def grid300():
 def test_criterion_01_unit_oracle_trees(trees_c1):
     worst = 0.0
     for t in trees_c1:
-        err = unit_identity_max_rel_error(t, tree_embedder(t, UNIT),
-                                          block_size=1024)
+        err = unit_identity_max_rel_error(t, block_size=1024)
         worst = max(worst, err)
     ok = worst <= 1e-9
     report(1, ok, f"unit-weight tree oracle, max rel error {worst:.3e}")
@@ -124,7 +122,7 @@ def test_criterion_02_unit_oracle_complexes(cubes_c2):
     worst = 0.0
     max_dev = 0
     for g in cubes_c2:
-        err = unit_identity_max_rel_error(g, cube_embedder(g, UNIT))
+        err = unit_identity_max_rel_error(g)
         worst = max(worst, err)
         near = g.near_matrix
         n = g.vertex_count
@@ -188,8 +186,7 @@ def test_criterion_05_edge_dilatation(trees_c1, trees_c6, trees_c10,
     trees = list(trees_c1) + list(trees_c6) + list(trees_c10) + [
         from_tree_spider[0], gen_tree(TreeSpec.caterpillar(40, 3))]
     for t in trees:
-        mat, _, _ = embedding_matrix(tree_embedder(t, PAPER),
-                                     range(t.vertex_count))
+        mat = t.embedding_matrix(PAPER, range(t.vertex_count))
         children = np.asarray(
             [v for v in range(t.vertex_count) if v != t.root])
         norms = _edge_sq_norms(mat, children, t.parent[children])
@@ -197,8 +194,7 @@ def test_criterion_05_edge_dilatation(trees_c1, trees_c6, trees_c10,
         worst_ratio = max(worst_ratio, float(norms.max()) / bound)
     cubes = list(cubes_c2) + list(cubes_c8) + [from_tree_spider[1]]
     for g in cubes:
-        mat, _, _ = embedding_matrix(cube_embedder(g, PAPER),
-                                     range(g.vertex_count))
+        mat = g.embedding_matrix(PAPER, range(g.vertex_count))
         norms = _edge_sq_norms(mat, g.eu, g.ev)
         bound = 2 * g.dimension * budget
         worst_ratio = max(worst_ratio, float(norms.max()) / bound)
@@ -216,7 +212,8 @@ def test_criterion_06_tree_pair_lower_bound(trees_c6):
         n = t.vertex_count
         max_depth = int(t.depth.max())
         cum = np.concatenate([[0.0], sq_partial_sums(PAPER, max_depth)])
-        mat, norms_sq, _ = embedding_matrix(tree_embedder(t, PAPER), range(n))
+        mat = t.embedding_matrix(PAPER, range(n))
+        norms_sq = sq_row_norms(mat)
         depth = t.depth
         cols = np.arange(n)[None, :]
         for start in range(0, n, 1024):
@@ -243,8 +240,7 @@ def test_criterion_07_complex_compression_bound(grid300):
     g = grid300
     assert g.dimension == 2
     c_full, _ = deficit_scan(PAPER, 10**6)
-    prof = profile(g, cube_embedder(g, PAPER),
-                   PairSampler.stratified(1000, seed=11),
+    prof = profile(g, PAPER, PairSampler.stratified(1000, seed=11),
                    metadata={"space": g.label, "weight": PAPER.label()})
     lower = BoundCurve.paper_lower(PAPER, 2, c_full)
     upper = BoundCurve.linear_upper(edge_dilatation_bound(PAPER, 2))
@@ -262,29 +258,11 @@ def test_criterion_08_key_property(cubes_c8):
     mult_ok = True
     edges = 0
     for g in cubes_c8:
-        base = g.hyperplane_key_base
-        hoe = g.hyp_of_edge
-        dist = g.dist_root
-        n_dim = g.dimension
-        maps = [path_index_map(g, v) for v in range(g.vertex_count)]
-        for eid in range(g.edge_count):
-            u, v = int(g.eu[eid]), int(g.ev[eid])
-            nu, nv = maps[u], maps[v]
-            for key, iu in nu.items():
-                iv = nv.get(key)
-                if iv is not None:
-                    max_dev = max(max_dev, abs(iu - iv))
-            deeper, shallower = (u, v) if dist[u] > dist[v] else (v, u)
-            own = base + int(hoe[eid])
-            if maps[deeper].get(own) != 1 or own in maps[shallower]:
-                norm_ok = False
-            edges += 1
-        for v in range(g.vertex_count):
-            counts: dict[int, int] = {}
-            for i in maps[v].values():
-                counts[i] = counts.get(i, 0) + 1
-            if counts and max(counts.values()) > n_dim:
-                mult_ok = False
+        keys = key_property(g)
+        max_dev = max(max_dev, int(keys.index_deltas.max()))
+        norm_ok = norm_ok and keys.own_key_ok
+        mult_ok = mult_ok and keys.max_step_size <= g.dimension
+        edges += g.edge_count
     ok = max_dev <= 1 and norm_ok and mult_ok
     report(8, ok, f"key property over {edges} edges: max index deviation "
                   f"{max_dev}, own-hyperplane normalization {norm_ok}, "
@@ -321,8 +299,7 @@ def test_criterion_09_cross_module_consistency(from_tree_spider):
 def test_criterion_10_ceiling_stability(trees_c10):
     verdicts = []
     for t in trees_c10:
-        prof = profile(t, tree_embedder(t, PAPER), PairSampler.exhaustive(),
-                       block_size=1024)
+        prof = profile(t, PAPER, PairSampler.exhaustive(), block_size=1024)
         verdicts.append(bourgain_consistency(prof))
     cs = [v.fitted_c for v in verdicts]
     ratio = max(cs) / min(cs)
@@ -346,7 +323,7 @@ def test_criterion_11_product_identities():
     t2 = gen_tree(TreeSpec.spider(3, 20))
     prod = ProductSpace([t1, t2])
     factors = [tree_embedder(t1, PAPER), tree_embedder(t2, PAPER)]
-    merged = product_embed(factors)
+    merged = product_embed(factors, prod.offsets)
     for _ in range(10_000):
         a, b = (int(x) for x in rng.integers(0, prod.vertex_count, 2))
         ca, cb = prod.decode(a), prod.decode(b)

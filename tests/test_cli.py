@@ -163,6 +163,15 @@ def test_measure_rejects_nonmedian(tmp_path, capsys):
     assert "median" in err
     assert "triple" in err
     assert not out.exists()
+    # malformed fields are bad input too, not a failed check
+    for doc in ('{"type":"median_graph","n":null,"root":0,"edges":[[0,1]]}',
+                '{"type":"median_graph","n":2,"root":0,"edges":[[0,null]]}'):
+        bad.write_text(doc + "\n")
+        code, _, err = run(capsys, "measure", "--space", str(bad),
+                           "-o", str(out))
+        assert code == 2
+        assert "malformed" in err
+        assert not out.exists()
 
 
 def test_measure_sampler_needs_seed(tmp_path, capsys):

@@ -6,14 +6,12 @@ import pytest
 from medembed.cube import (
     CubeSpec,
     MedianGraph,
-    cube_embed,
     cube_embedder,
     dimension_by_cliques,
     gen_cube,
-    index_delta_check,
+    key_property,
     median_from_tree,
     normal_cube_path,
-    path_index_map,
     separates,
     square_closure_classes,
     tree_product_graph,
@@ -260,10 +258,9 @@ def test_from_tree_path_degenerates_to_geodesic():
     assert path.length == 6
     assert all(len(s.crossed) == 1 for s in path.steps)
     # i-th crossed hyperplane is the class of the i-th root-path edge
-    base = g.hyperplane_key_base
     for i, step in enumerate(path.steps):
         (key,) = step.crossed
-        eid = next(iter(g.hyperplanes()[key - base].edge_ids))
+        eid = next(iter(g.hyperplanes()[key].edge_ids))
         assert {int(g.eu[eid]), int(g.ev[eid])} == {6 - i, 5 - i}
 
 
@@ -290,8 +287,7 @@ def test_path_partitions_separators():
             assert not (crossed & s.crossed)
             crossed |= s.crossed
         separating = {
-            g.hyperplane_key_base + i
-            for i in np.flatnonzero(near[:, v] != near[:, g.root])
+            int(i) for i in np.flatnonzero(near[:, v] != near[:, g.root])
         }
         assert crossed == separating
 
@@ -312,13 +308,10 @@ def test_step_order_independence():
     far = g.vertex_count - 1
     step = normal_cube_path(g, far).steps[0]
     hoe = g.hyp_of_edge
-    base = g.hyperplane_key_base
     for order in itertools.permutations(step.crossed):
         at = far
         for key in order:
-            nxt = [
-                nbr for nbr, eid in g.adj[at] if base + hoe[eid] == key
-            ]
+            nxt = [nbr for nbr, eid in g.adj[at] if hoe[eid] == key]
             assert len(nxt) == 1
             at = nxt[0]
         assert at == step.exit
@@ -336,7 +329,7 @@ def test_six_cycle_has_no_spanning_cube():
 
 def test_root_embeds_to_zero():
     g = gen_cube(CubeSpec.grid(3, 3))
-    assert cube_embed(g, PAPER, g.root).coords == {}
+    assert cube_embedder(g, PAPER)(g.root).coords == {}
 
 
 def test_unit_identity_exhaustive_small_grids():
@@ -354,11 +347,10 @@ def test_embedding_support_is_separating_set():
     g = gen_cube(CubeSpec.staircase(5))
     embed = cube_embedder(g, UNIT)
     near = g.near_matrix
-    base = g.hyperplane_key_base
     for v in range(g.vertex_count):
         support = set(embed(v).coords)
         separating = {
-            base + i for i in np.flatnonzero(near[:, v] != near[:, g.root])
+            int(i) for i in np.flatnonzero(near[:, v] != near[:, g.root])
         }
         assert support == separating
 
@@ -369,7 +361,6 @@ def test_cube_embed_matches_tree_embed_on_from_tree():
     embed_g = cube_embedder(g, PAPER)
     embed_t = tree_embedder(t, PAPER)
     # shared key assignment: hyperplane of edge (child, parent) <-> tree key
-    base = g.hyperplane_key_base
     hyps = g.hyperplanes()
     key_map = {}
     for h in hyps:
@@ -387,14 +378,15 @@ def test_cube_embed_matches_tree_embed_on_from_tree():
 
 def test_per_pair_compression_inequality_on_grid():
     # diameter 80 makes the floor pass the cutoff, so the bound is live
-    from medembed.metrics import embedding_matrix
+    from medembed.metrics import sq_row_norms
     from medembed.weights import sq_partial_sums
 
     g = gen_cube(CubeSpec.grid(40, 40))
     n = g.vertex_count
     n_dim = g.dimension
     cum = np.concatenate([[0.0], sq_partial_sums(PAPER, 100)])
-    mat, norms_sq, _ = embedding_matrix(cube_embedder(g, PAPER), range(n))
+    mat = g.embedding_matrix(PAPER, range(n))
+    norms_sq = sq_row_norms(mat)
     cols = np.arange(n)[None, :]
     live = 0
     for start in range(0, n, 512):
@@ -417,22 +409,22 @@ def test_index_delta_bounded_on_edges():
                  CubeSpec.staircase(5),
                  CubeSpec.from_tree(TreeSpec.spider(3, 6))):
         g = gen_cube(spec)
-        for eid in range(g.edge_count):
-            u, v = int(g.eu[eid]), int(g.ev[eid])
-            assert index_delta_check(g, u, v) <= 1, spec.label()
+        deltas = key_property(g).index_deltas
+        assert len(deltas) == g.edge_count
+        assert deltas.max() <= 1, spec.label()
 
 
 def test_edge_own_hyperplane_indices():
     g = gen_cube(CubeSpec.grid(4, 3))
-    base = g.hyperplane_key_base
     hoe = g.hyp_of_edge
     dist = g.dist_root
     for eid in range(g.edge_count):
         u, v = int(g.eu[eid]), int(g.ev[eid])
         deeper, shallower = (u, v) if dist[u] > dist[v] else (v, u)
-        key = base + int(hoe[eid])
-        assert path_index_map(g, deeper)[key] == 1
-        assert key not in path_index_map(g, shallower)
+        key = int(hoe[eid])
+        assert normal_cube_path(g, deeper).index_map[key] == 1
+        assert key not in normal_cube_path(g, shallower).index_map
+    assert key_property(g).own_key_ok
 
 
 def test_index_multiplicity_bounded():
@@ -440,15 +432,10 @@ def test_index_multiplicity_bounded():
     n_dim = g.dimension
     for v in range(g.vertex_count):
         counts = {}
-        for _, i in path_index_map(g, v).items():
+        for _, i in normal_cube_path(g, v).index_map.items():
             counts[i] = counts.get(i, 0) + 1
         assert all(c <= n_dim for c in counts.values())
-
-
-def test_index_delta_requires_edge():
-    g = gen_cube(CubeSpec.grid(2, 2))
-    with pytest.raises(ValueError):
-        index_delta_check(g, 0, g.vertex_count - 1)
+    assert key_property(g).max_step_size <= n_dim
 
 
 def test_vacuous_index_delta_is_zero():
@@ -456,7 +443,9 @@ def test_vacuous_index_delta_is_zero():
     # common separating set is empty
     t = gen_tree(TreeSpec.path(2))
     g = median_from_tree(t)
-    assert index_delta_check(g, 0, 1) == 0
+    (eid,) = [e for e in range(g.edge_count)
+              if {int(g.eu[e]), int(g.ev[e])} == {0, 1}]
+    assert key_property(g).index_deltas[eid] == 0
 
 
 # -- changing the root -------------------------------------------------------------
@@ -485,5 +474,4 @@ def test_invariants_survive_root_change():
             assert vec_distance(vecs[u], vecs[v]) ** 2 == pytest.approx(
                 dist[u][v], rel=1e-9)
         # key property
-        for eid in range(g.edge_count):
-            assert index_delta_check(g, int(g.eu[eid]), int(g.ev[eid])) <= 1
+        assert key_property(g).index_deltas.max() <= 1

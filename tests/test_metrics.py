@@ -17,14 +17,14 @@ from medembed.metrics import (
     check_profile_against,
     default_bound_curves,
     edge_dilatation_bound,
-    embedding_matrix,
     l1_l2_compare,
     product_embed,
     profile,
+    sq_row_norms,
     unit_identity_max_rel_error,
 )
 from medembed.sparse import SparseVector
-from medembed.tree import TreeSpec, gen_tree, tree_embedder
+from medembed.tree import TreeSpec, gen_tree, geodesic_edges, tree_embedder
 from medembed.weights import WeightFunction, deficit_constant
 
 XI_18 = 2.35118282830013
@@ -41,7 +41,7 @@ PAPER = WeightFunction.paper(18)
 def test_unit_profile_is_sqrt_t():
     for spec in (TreeSpec.path(12), TreeSpec.spider(3, 5)):
         t = gen_tree(spec)
-        prof = profile(t, tree_embedder(t, UNIT), PairSampler.exhaustive())
+        prof = profile(t, UNIT, PairSampler.exhaustive())
         for e in prof.entries:
             assert e.rho_hat == pytest.approx(math.sqrt(e.t), rel=1e-9)
             assert e.delta_hat == pytest.approx(math.sqrt(e.t), rel=1e-9)
@@ -49,7 +49,7 @@ def test_unit_profile_is_sqrt_t():
 
 def test_single_edge_space():
     t = gen_tree(TreeSpec.path(1))
-    prof = profile(t, tree_embedder(t, UNIT), PairSampler.exhaustive())
+    prof = profile(t, UNIT, PairSampler.exhaustive())
     assert len(prof.entries) == 1
     e = prof.entries[0]
     assert e.t == 1 and e.pair_count == 1
@@ -58,7 +58,7 @@ def test_single_edge_space():
 
 def test_profile_monotone_columns():
     t = gen_tree(TreeSpec.binary_sample(15, 6, seed=4))
-    prof = profile(t, tree_embedder(t, PAPER), PairSampler.exhaustive())
+    prof = profile(t, PAPER, PairSampler.exhaustive())
     rho = prof.rho()
     delta = prof.delta()
     assert np.all(np.diff(rho) >= 0)
@@ -77,28 +77,26 @@ def test_profile_requires_pairs():
             return np.zeros((len(s), 1))
 
     with pytest.raises(ValueError):
-        profile(Tiny(), tree_embedder(t, UNIT), PairSampler.exhaustive())
+        profile(Tiny(), UNIT, PairSampler.exhaustive())
 
 
 def test_sampler_determinism():
     t = gen_tree(TreeSpec.spider(4, 8))
-    embed = tree_embedder(t, PAPER)
     for sampler in (PairSampler.uniform(50, seed=7),
                     PairSampler.stratified(5, seed=7)):
-        p1 = profile(t, embed, sampler)
-        p2 = profile(t, embed, sampler)
+        p1 = profile(t, PAPER, sampler)
+        p2 = profile(t, PAPER, sampler)
         assert p1.entries == p2.entries
 
 
 def test_sampled_profile_is_inside_exhaustive():
     t = gen_tree(TreeSpec.spider(4, 8))
-    embed = tree_embedder(t, UNIT)
-    exh = profile(t, embed, PairSampler.exhaustive())
+    exh = profile(t, UNIT, PairSampler.exhaustive())
     exh_rho = {e.t: e.rho_hat for e in exh.entries}
     exh_delta = {e.t: e.delta_hat for e in exh.entries}
     for sampler in (PairSampler.uniform(60, seed=3),
                     PairSampler.stratified(3, seed=11)):
-        sub = profile(t, embed, sampler)
+        sub = profile(t, UNIT, sampler)
         for e in sub.entries:
             assert e.t in exh_rho
             assert e.rho_hat >= exh_rho[e.t] - 1e-12
@@ -108,7 +106,7 @@ def test_sampled_profile_is_inside_exhaustive():
 def test_exhaustive_matches_pairwise_bruteforce():
     t = gen_tree(TreeSpec.caterpillar(5, 2))
     embed = tree_embedder(t, PAPER)
-    prof = profile(t, embed, PairSampler.exhaustive())
+    prof = profile(t, PAPER, PairSampler.exhaustive())
     from medembed.sparse import vec_distance
     from itertools import combinations
     dist = t.distances_from(range(t.vertex_count)).astype(int)
@@ -141,7 +139,7 @@ def test_grouped_pair_evaluator_matches_bruteforce():
             _stratified_pairs(space, PairSampler.stratified(7, seed=5)),
             _uniform_pairs(space, PairSampler.uniform(80, seed=6)),
         ):
-            ts, emb = _grouped_pairs(space, embed, us, vs)
+            ts, emb = _grouped_pairs(space, w, us, vs)
             for u, v, t, e in zip(us, vs, ts, emb):
                 assert t == dist[u][v]
                 want = vec_distance(embed(int(u)), embed(int(v)))
@@ -150,7 +148,7 @@ def test_grouped_pair_evaluator_matches_bruteforce():
 
 def test_profile_metadata_recorded():
     t = gen_tree(TreeSpec.path(4))
-    prof = profile(t, tree_embedder(t, UNIT), PairSampler.exhaustive(),
+    prof = profile(t, UNIT, PairSampler.exhaustive(),
                    metadata={"space": "path:4", "weight": "unit"})
     assert prof.metadata["space"] == "path:4"
     assert prof.metadata["sampler"] == "exhaustive"
@@ -190,7 +188,7 @@ def test_edge_dilatation_bound_values():
 
 def test_check_profile_against_tree():
     t = gen_tree(TreeSpec.spider(3, 40))
-    prof = profile(t, tree_embedder(t, PAPER), PairSampler.exhaustive())
+    prof = profile(t, PAPER, PairSampler.exhaustive())
     lower, upper = default_bound_curves(PAPER, 1)
     check = check_profile_against(prof, lower, upper, t_min=36)
     assert check.passed
@@ -199,7 +197,7 @@ def test_check_profile_against_tree():
 
 def test_check_profile_adversarial_lower_fails():
     t = gen_tree(TreeSpec.spider(3, 40))
-    prof = profile(t, tree_embedder(t, PAPER), PairSampler.exhaustive())
+    prof = profile(t, PAPER, PairSampler.exhaustive())
     _, upper = default_bound_curves(PAPER, 1)
     hostile = BoundCurve.linear_upper(10.0)  # far above any compression
     check = check_profile_against(prof, hostile, upper, t_min=36)
@@ -210,7 +208,7 @@ def test_check_profile_adversarial_lower_fails():
 
 def test_check_profile_needs_sane_args():
     t = gen_tree(TreeSpec.path(4))
-    prof = profile(t, tree_embedder(t, UNIT), PairSampler.exhaustive())
+    prof = profile(t, UNIT, PairSampler.exhaustive())
     lower, upper = default_bound_curves(UNIT, 1)
     with pytest.raises(ValueError):
         check_profile_against(prof, lower, upper, t_min=1)
@@ -224,7 +222,7 @@ def test_check_profile_needs_sane_args():
 
 def test_bourgain_unit_profile_passes():
     t = gen_tree(TreeSpec.binary_sample(40, 6, seed=1))
-    prof = profile(t, tree_embedder(t, UNIT), PairSampler.exhaustive())
+    prof = profile(t, UNIT, PairSampler.exhaustive())
     verdict = bourgain_consistency(prof)
     assert verdict.passed
     # ratio sqrt(ln t / t) peaks next to e and decreases from there
@@ -233,7 +231,7 @@ def test_bourgain_unit_profile_passes():
 
 def test_bourgain_paper_profile_passes():
     t = gen_tree(TreeSpec.binary_sample(100, 8, seed=2))
-    prof = profile(t, tree_embedder(t, PAPER), PairSampler.exhaustive())
+    prof = profile(t, PAPER, PairSampler.exhaustive())
     verdict = bourgain_consistency(prof)
     assert verdict.passed
     assert 0 < verdict.fitted_c < 1.0
@@ -263,7 +261,7 @@ def test_bourgain_short_profile_inconclusive():
 def test_product_single_factor_identity():
     t = gen_tree(TreeSpec.path(9))
     embed = tree_embedder(t, PAPER)
-    merged = product_embed([embed])
+    merged = product_embed([embed], [0])
     for v in range(t.vertex_count):
         assert merged([v]) == embed(v)
 
@@ -314,9 +312,34 @@ def test_product_distance_identity_three_factors():
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
+def test_product_factor_blocks_disjoint():
+    t1 = gen_tree(TreeSpec.path(6))
+    t2 = gen_tree(TreeSpec.spider(2, 3))
+    prod = ProductSpace([t1, t2])
+    assert prod.offsets == [0, t1.vertex_count]
+    mat = prod.embedding_matrix(UNIT, range(prod.vertex_count))
+    embed = prod.embedder([tree_embedder(t1, UNIT), tree_embedder(t2, UNIT)])
+    for idx in range(prod.vertex_count):
+        x, y = prod.decode(idx)
+        want = geodesic_edges(t1, x) + [
+            t1.vertex_count + k for k in geodesic_edges(t2, y)]
+        assert sorted(mat[idx].indices) == sorted(want)
+        assert sorted(embed(idx).coords) == sorted(want)
+    # keys are local to each space: building another space between the
+    # factors leaves the product's profile as it was
+    sampler = PairSampler.stratified(40, seed=13)
+    a1, a2 = gen_tree(TreeSpec.path(40)), gen_tree(TreeSpec.path(40))
+    before = profile(ProductSpace([a1, a2]), PAPER, sampler)
+    b1 = gen_tree(TreeSpec.path(40))
+    gen_cube(CubeSpec.grid(3, 3)).forest()
+    b2 = gen_tree(TreeSpec.path(40))
+    after = profile(ProductSpace([b1, b2]), PAPER, sampler)
+    assert before.entries == after.entries
+
+
 def test_product_key_collision_detected():
     clash = lambda v: SparseVector({5: 1.0})
-    merged = product_embed([clash, clash])
+    merged = product_embed([clash, clash], [0, 0])
     with pytest.raises(KeyCollisionError):
         merged([0, 0])
 
@@ -326,8 +349,7 @@ def test_product_profile_against_lower_bound():
     t1 = gen_tree(TreeSpec.path(80))
     t2 = gen_tree(TreeSpec.path(80))
     prod = ProductSpace([t1, t2])
-    embed = prod.embedder([tree_embedder(t1, PAPER), tree_embedder(t2, PAPER)])
-    prof = profile(prod, embed, PairSampler.stratified(40, seed=13))
+    prof = profile(prod, PAPER, PairSampler.stratified(40, seed=13))
     c = deficit_constant(PAPER, 10**5)
     lower = BoundCurve.paper_lower(PAPER, 2, c)
     upper = BoundCurve.linear_upper(edge_dilatation_bound(PAPER, 2))
@@ -341,7 +363,7 @@ def test_product_l2_metric_lower_bound():
     t1 = gen_tree(TreeSpec.path(200))
     t2 = gen_tree(TreeSpec.path(200))
     factors = [tree_embedder(t1, PAPER), tree_embedder(t2, PAPER)]
-    merged = product_embed(factors)
+    merged = product_embed(factors, [0, t1.vertex_count])
     c = deficit_constant(PAPER, 10**5)
     lower = BoundCurve.paper_lower(PAPER, 2, c)
     d1 = t1.distances_from(range(t1.vertex_count)).astype(int)
@@ -357,7 +379,7 @@ def test_product_l2_metric_lower_bound():
 def test_tree_profile_rho_bounded_below_by_partial_sums():
     from medembed.weights import sq_partial_sums
     t = gen_tree(TreeSpec.spider(3, 40))
-    prof = profile(t, tree_embedder(t, PAPER), PairSampler.exhaustive())
+    prof = profile(t, PAPER, PairSampler.exhaustive())
     cum = np.concatenate([[0.0], sq_partial_sums(PAPER, 100)])
     for e in prof.entries:
         want = cum[(e.t + 1) // 2]
@@ -392,8 +414,9 @@ def test_l1_l2_bounds_hold(ds):
 
 def test_embedding_matrix_round_trip():
     t = gen_tree(TreeSpec.spider(3, 4))
-    embed = tree_embedder(t, PAPER if False else UNIT)
-    mat, norms, offset = embedding_matrix(embed, range(t.vertex_count))
+    embed = tree_embedder(t, UNIT)
+    mat = t.embedding_matrix(UNIT, range(t.vertex_count))
+    norms = sq_row_norms(mat)
     assert mat.shape[0] == t.vertex_count
     for v in range(t.vertex_count):
         assert norms[v] == pytest.approx(embed(v).norm() ** 2, rel=1e-12)
@@ -401,5 +424,5 @@ def test_embedding_matrix_round_trip():
 
 def test_unit_identity_helper():
     g = gen_cube(CubeSpec.grid(5, 4))
-    err = unit_identity_max_rel_error(g, cube_embedder(g, UNIT))
+    err = unit_identity_max_rel_error(g)
     assert err <= 1e-9

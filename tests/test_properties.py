@@ -12,19 +12,27 @@ from medembed.cube import (
     CubeSpec,
     cube_embedder,
     gen_cube,
-    index_delta_check,
+    key_property,
     normal_cube_path,
     square_closure_classes,
     validate_median,
 )
 from medembed.metrics import _entries_from_pairs
 from medembed.sparse import vec_distance
-from medembed.tree import RootedTree, gen_tree, meeting_point, tree_embedder
-from medembed.tree import TreeSpec
+from medembed.tree import (
+    RootedTree,
+    TreeSpec,
+    gen_tree,
+    geodesic_edges,
+    meeting_point,
+    tree_embedder,
+)
 from medembed.weights import WeightFunction, diff_sq_sum
 
 UNIT = WeightFunction.unit()
 PAPER = WeightFunction.paper(18)
+# nonzero at every index, so no forest entry is dropped
+POWER = WeightFunction.power(0.25)
 
 
 # parent[i] < i makes any integer list a valid rooted tree
@@ -90,8 +98,47 @@ def test_random_staircase_is_median_with_key_property(heights):
         path = normal_cube_path(g, v)
         assert sum(len(s.crossed) for s in path.steps) == int(g.dist_root[v])
         assert all(len(s.crossed) <= g.dimension for s in path.steps)
-    for eid in range(g.edge_count):
-        assert index_delta_check(g, int(g.eu[eid]), int(g.ev[eid])) <= 1
+    assert key_property(g).index_deltas.max() <= 1
+
+
+def _rows(mat):
+    return [dict(zip(mat[r].indices.tolist(), mat[r].data.tolist()))
+            for r in range(mat.shape[0])]
+
+
+def assert_forest_rows_match(space, index_maps):
+    """The forest's index and embedding rows equal the per-vertex walks."""
+    forest = space.forest()
+    n = space.vertex_count
+    steps = np.arange(int(forest.length.max()) + 1, dtype=np.float64)
+    table = forest.weight_table(POWER)
+    assert _rows(forest.matrix(range(n), steps)) == index_maps
+    assert _rows(space.embedding_matrix(POWER, range(n))) == [
+        {key: table[i] for key, i in m.items()} for m in index_maps]
+
+
+@given(random_trees)
+@settings(max_examples=60, deadline=None)
+def test_random_tree_forest_matches_geodesics(tree):
+    assert_forest_rows_match(tree, [
+        {key: i for i, key in enumerate(geodesic_edges(tree, v), start=1)}
+        for v in range(tree.vertex_count)
+    ])
+
+
+@given(staircase_heights)
+@settings(max_examples=30, deadline=None)
+def test_random_staircase_forest_matches_cube_paths(heights):
+    g = gen_cube(CubeSpec.staircase_heights(heights))
+    maps = [normal_cube_path(g, v).index_map for v in range(g.vertex_count)]
+    assert_forest_rows_match(g, maps)
+    # per-edge index gaps, read off the walks one edge at a time
+    gaps = [
+        max((abs(i - maps[v][k]) for k, i in maps[u].items() if k in maps[v]),
+            default=0)
+        for u, v in zip(g.eu, g.ev)
+    ]
+    assert key_property(g).index_deltas.tolist() == gaps
 
 
 @given(staircase_heights)

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medembed.sparse import SparseVector, allocate_keys, vec_distance
+from medembed.errors import NonTerminationError
+from medembed.sparse import SparseVector, vec_distance
+from medembed.tree import TreeSpec, gen_tree
 
 XI_18 = 2.35118282830013
 
@@ -80,10 +84,13 @@ def test_triangle_inequality(ca, cb, cc):
     assert vec_distance(a, c) <= vec_distance(a, b) + vec_distance(b, c) + 1e-9
 
 
-def test_allocator_blocks_disjoint():
-    a = allocate_keys(5)
-    b = allocate_keys(3)
-    assert b >= a + 5
-    c = allocate_keys(0)
-    d = allocate_keys(1)
-    assert d >= c
+def test_doctored_forest_raises_non_termination():
+    forest = gen_tree(TreeSpec.path(4)).forest()
+    longer = forest.length.copy()
+    longer[2] += 1  # the step out of 3 now shortens the path by two keys
+    with pytest.raises(NonTerminationError):
+        dataclasses.replace(forest, length=longer)
+    loop = forest.exit.copy()
+    loop[3] = 4  # 3 -> 4 -> 3 never reaches the root
+    with pytest.raises(NonTerminationError):
+        dataclasses.replace(forest, exit=loop)

@@ -12,7 +12,6 @@ from medembed.tree import (
     gen_tree,
     geodesic_edges,
     meeting_point,
-    tree_embed,
     tree_embedder,
 )
 from medembed.weights import (
@@ -132,7 +131,7 @@ def test_unknown_vertex_rejected():
     with pytest.raises(ValueError):
         meeting_point(t, 0, 9)
     with pytest.raises(ValueError):
-        tree_embed(t, UNIT, -1)
+        tree_embedder(t, UNIT)(-1)
 
 
 # -- embedding ----------------------------------------------------------------
@@ -140,8 +139,8 @@ def test_unknown_vertex_rejected():
 
 def test_root_embeds_to_zero():
     t = gen_tree(TreeSpec.spider(3, 5))
-    assert tree_embed(t, PAPER, 0).coords == {}
-    assert tree_embed(t, UNIT, 0).coords == {}
+    assert tree_embedder(t, PAPER)(0).coords == {}
+    assert tree_embedder(t, UNIT)(0).coords == {}
 
 
 def test_unit_norm_is_sqrt_depth():
@@ -164,7 +163,7 @@ def test_unit_pairwise_identity_brute_force():
 
 def test_paper_norm_on_deep_path_vertex():
     t = gen_tree(TreeSpec.path(30))
-    vec = tree_embed(t, PAPER, 20)  # depth 20: only indices 18, 19, 20 remain
+    vec = tree_embedder(t, PAPER)(20)  # depth 20: only indices 18, 19, 20 remain
     assert vec.support_size == 3
     assert vec.norm() ** 2 == pytest.approx(XI_SQ_18_19_20, rel=1e-9)
 

@@ -17,7 +17,6 @@ from medembed.weights import (
     paper_formula,
     sq_partial_sum,
     sq_partial_sums,
-    xi_eval,
 )
 
 # Frozen oracle values, computed independently with mpmath at 50 digits
@@ -32,27 +31,27 @@ DEFICIT_18 = 44.2244855367473  # equals 8 * XI_18_SQ
 
 def test_paper_is_zero_below_cutoff():
     w = WeightFunction.paper(18)
-    assert xi_eval(w, 17) == 0.0
-    assert xi_eval(w, 1) == 0.0
-    assert xi_eval(w, 17.999) == 0.0
+    assert w.value(17) == 0.0
+    assert w.value(1) == 0.0
+    assert w.value(17.999) == 0.0
 
 
 def test_paper_value_at_100():
     w = WeightFunction.paper(18)
-    assert xi_eval(w, 100) == pytest.approx(3.0513, abs=1e-4)
-    assert xi_eval(w, 100) == pytest.approx(XI_100, rel=1e-9)
+    assert w.value(100) == pytest.approx(3.0513, abs=1e-4)
+    assert w.value(100) == pytest.approx(XI_100, rel=1e-9)
 
 
 def test_unit_weight_is_constant():
     w = WeightFunction.unit()
-    assert xi_eval(w, 5) == 1.0
-    assert xi_eval(w, 1) == 1.0
+    assert w.value(5) == 1.0
+    assert w.value(1) == 1.0
 
 
 def test_power_weight():
     w = WeightFunction.power(0.25)
-    assert xi_eval(w, 4) == pytest.approx(4 ** -0.25, rel=1e-12)
-    assert math.sqrt(9) * xi_eval(w, 9) == pytest.approx(9 ** 0.25, rel=1e-12)
+    assert w.value(4) == pytest.approx(4 ** -0.25, rel=1e-12)
+    assert math.sqrt(9) * w.value(9) == pytest.approx(9 ** 0.25, rel=1e-12)
 
 
 def test_domain_guard():
