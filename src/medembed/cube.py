@@ -549,25 +549,29 @@ def separates(h: Hyperplane, u: int, v: int) -> bool:
 
 def normal_cube_path(g: MedianGraph, v: int) -> NormalCubePath:
     """Greedy maximal cube path from v to the base vertex, walked one
-    vertex at a time through the forest; the oracle for its matrices.
+    step at a time without the forest; the oracle for its matrices.
 
     Each step crosses every hyperplane that is adjacent at the current
     vertex and separates it from the base; the crossed set must span a
     cube (verified constructively) and the walk exits at its opposite
-    corner.
+    corner, which must be as many edges nearer the base as the step
+    crosses hyperplanes.
     """
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"unknown vertex {v}")
-    forest = g.forest()
+    dist = g.dist_root
     steps = []
     index_map: dict[int, int] = {}
     x = v
     while x != g.root:
-        lo, hi = forest.step_ptr[x], forest.step_ptr[x + 1]
-        keys = frozenset(int(k) for k in forest.step_keys[lo:hi])
+        hyps, exit_vertex = g._step(x)
+        if dist[exit_vertex] != dist[x] - len(hyps):
+            raise NonTerminationError(
+                f"cube path step from {x} does not shorten the path by "
+                f"the {len(hyps)} hyperplanes it crosses")
+        keys = frozenset(hyps)
         for key in keys:
             index_map[key] = len(steps) + 1
-        exit_vertex = int(forest.exit[x])
         steps.append(CubeStep(entry=x, crossed=keys, exit=exit_vertex))
         x = exit_vertex
     return NormalCubePath(start=v, steps=tuple(steps), index_map=index_map)

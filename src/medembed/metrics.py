@@ -165,27 +165,29 @@ def _grouped_pairs(space, w: WeightFunction, us, vs):
     """Embedded and metric distances for explicit pairs, aligned with the
     input pair order.
 
-    Metric distances come from BFS rows of the distinct first endpoints
-    (samplers keep that set small).  Embedded distances come from one
-    matrix of the distinct endpoints, as row-wise dot products taken in
-    chunks of PAIR_CHUNK pairs.
+    The distinct first endpoints (samplers keep that set small) give the
+    BFS rows for the metric distances and one source matrix.  Second
+    endpoints stream through in target order, PAIR_CHUNK pairs at a time,
+    each chunk building the matrix of its own distinct targets only.
     """
     sources, src_row = np.unique(us, return_inverse=True)
+    src = space.embedding_matrix(w, sources)
+    src_norms = sq_row_norms(src)
     ts = np.empty(len(us), dtype=np.int64)
     for start in range(0, len(sources), 256):
         rows = space.distances_from(sources[start:start + 256])
         sel = np.flatnonzero((src_row >= start) & (src_row < start + 256))
         ts[sel] = rows[src_row[sel] - start, vs[sel]]
-    ends, end_row = np.unique(np.concatenate([us, vs]), return_inverse=True)
-    mat = space.embedding_matrix(w, ends)
-    norms_sq = sq_row_norms(mat)
-    ru, rv = end_row[:len(us)], end_row[len(us):]
     emb = np.empty(len(us))
+    by_target = np.argsort(vs, kind="stable")
     for start in range(0, len(us), PAIR_CHUNK):
-        a, b = ru[start:start + PAIR_CHUNK], rv[start:start + PAIR_CHUNK]
-        dots = np.asarray(mat[a].multiply(mat[b]).sum(axis=1)).ravel()
-        d2 = norms_sq[a] + norms_sq[b] - 2.0 * dots
-        emb[start:start + PAIR_CHUNK] = np.sqrt(np.clip(d2, 0.0, None))
+        chunk = by_target[start:start + PAIR_CHUNK]
+        targets, b = np.unique(vs[chunk], return_inverse=True)
+        tgt = space.embedding_matrix(w, targets)
+        a = src_row[chunk]
+        dots = np.asarray(src[a].multiply(tgt[b]).sum(axis=1)).ravel()
+        d2 = src_norms[a] + sq_row_norms(tgt)[b] - 2.0 * dots
+        emb[chunk] = np.sqrt(np.clip(d2, 0.0, None))
     return ts, emb
 
 

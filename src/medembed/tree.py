@@ -149,11 +149,10 @@ class RootedTree:
             )
         return self._forest
 
-    def embedding_matrix(self, w: WeightFunction, rows,
-                         unit_epsilon: float = 0.0):
+    def embedding_matrix(self, w: WeightFunction, rows):
         """CSR rows of the embedding of ``rows``; column k is key k."""
         forest = self.forest()
-        return forest.matrix(rows, forest.weight_table(w, unit_epsilon))
+        return forest.matrix(rows, forest.weight_table(w))
 
     def _graph(self):
         if self._csr is None:

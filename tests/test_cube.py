@@ -20,6 +20,7 @@ from medembed.cube import (
 from medembed.errors import (
     BudgetExceededError,
     CubeSpanError,
+    NonTerminationError,
     SideComputationError,
 )
 from medembed.sparse import vec_distance
@@ -315,6 +316,14 @@ def test_step_order_independence():
             assert len(nxt) == 1
             at = nxt[0]
         assert at == step.exit
+
+
+def test_cube_path_step_must_shorten_path():
+    g = gen_cube(CubeSpec.grid(2, 2))
+    far = g.vertex_count - 1
+    g._step = lambda x: ((0,), x)  # a step that stays put never ends
+    with pytest.raises(NonTerminationError):
+        normal_cube_path(g, far)
 
 
 def test_six_cycle_has_no_spanning_cube():
