@@ -40,10 +40,10 @@ from .metrics import (
     default_bound_curves,
     edge_dilatation_bound,
     l1_l2_compare,
+    oracle_deviations,
     product_embed,
     profile,
     sq_row_norms,
-    unit_identity_max_rel_error,
 )
 from .sparse import PathForest, SparseVector, vec_distance
 from .spacefile import (

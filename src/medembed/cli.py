@@ -32,8 +32,8 @@ from .metrics import (
     check_profile_against,
     default_bound_curves,
     l1_l2_compare,
+    oracle_deviations,
     profile,
-    unit_identity_max_rel_error,
 )
 from .spacefile import (
     build_space,
@@ -266,23 +266,12 @@ def _verify_oracle(args) -> int:
     if not args.space:
         raise ValueError("oracle suite requires --space")
     space = _load_space(args.space)
-    err = unit_identity_max_rel_error(space)
+    err, sep_dev = oracle_deviations(space)
     ok = err <= 1e-9
     print(f"  unit-weight identity max relative error: {err:.3e}")
-    if isinstance(space, MedianGraph):
-        worst = 0
-        n = space.vertex_count
-        for start in range(0, n, 256):
-            block = np.arange(start, min(start + 256, n))
-            dist = space.distances_from(block).astype(np.int64)
-            for i, u in enumerate(block):
-                vs = np.arange(u + 1, n)
-                if len(vs) == 0:
-                    continue
-                seps = space.separating_counts(np.full(len(vs), u), vs)
-                worst = max(worst, int(np.abs(seps - dist[i][vs]).max()))
-        print(f"  distance vs separating-hyperplane count: max deviation {worst}")
-        ok = ok and worst == 0
+    if sep_dev is not None:
+        print(f"  distance vs separating-hyperplane count: max deviation {sep_dev}")
+        ok = ok and sep_dev == 0
     status = "PASS" if ok else "FAIL"
     print(f"oracle[{status}]")
     return 0 if ok else 1

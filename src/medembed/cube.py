@@ -171,6 +171,7 @@ class MedianGraph:
         self._hyperplanes: Optional[list[Hyperplane]] = None
         self._hyp_of_edge: Optional[np.ndarray] = None
         self._near: Optional[np.ndarray] = None
+        self._separators: Optional[sp.csr_matrix] = None
         self._dimension: Optional[int] = None
         self._forest: Optional[PathForest] = None
         if self.n > 1:
@@ -225,50 +226,36 @@ class MedianGraph:
     def hyperplanes(self) -> list[Hyperplane]:
         """Edge classes with side bitmaps; computed once and cached.
 
-        Classes come from the distance condition against a representative
-        edge (two BFS runs per class).  Sides are found by removing the
-        class and flood-filling from the base vertex; anything other than
-        exactly two components, or a class edge not straddling them,
-        raises SideComputationError.
+        The BFS rows da, db of a representative edge (a, b) split the
+        vertices into the halfspaces W_ab = {da < db} and W_ba; the near
+        side holds the base vertex, and the class is the set of edges
+        crossing between them. Each halfspace is connected (a shortest
+        path to a stays in W_ab). A vertex with da == db (not bipartite)
+        or overlapping classes raise SideComputationError.
         """
         if self._hyperplanes is not None:
             return self._hyperplanes
-        m = self.edge_count
         eu, ev = self.eu, self.ev
-        assigned = np.full(m, -1, dtype=np.int64)
+        assigned = np.full(self.edge_count, -1, dtype=np.int64)
         classes: list[np.ndarray] = []
-        for e0 in range(m):
+        packed: list[np.ndarray] = []  # near sides, eight vertices a byte
+        for e0 in range(self.edge_count):
             if assigned[e0] >= 0:
                 continue
-            rows = self.distances_from([int(eu[e0]), int(ev[e0])])
-            da, db = rows[0], rows[1]
-            in_class = (da[eu] + db[ev]) != (da[ev] + db[eu])
-            members = np.flatnonzero(in_class)
+            da, db = self.distances_from([int(eu[e0]), int(ev[e0])])
+            if (da == db).any():
+                raise SideComputationError(
+                    f"a vertex is equidistant from the ends of edge {e0}; not bipartite")
+            side = (da < db) == (da[self.root] < db[self.root])
+            members = np.flatnonzero(side[eu] != side[ev])
             if (assigned[members] >= 0).any():
                 raise SideComputationError(
                     "edge classes overlap; graph is not a partial cube")
             assigned[members] = len(classes)
             classes.append(members)
-        near = np.zeros((len(classes), self.n), dtype=bool)
-        for cid, members in enumerate(classes):
-            keep = np.ones(m, dtype=bool)
-            keep[members] = False
-            ku, kv = eu[keep], ev[keep]
-            data = np.ones(len(ku), dtype=np.int8)
-            rest = sp.csr_matrix(
-                (np.concatenate([data, data]),
-                 (np.concatenate([ku, kv]), np.concatenate([kv, ku]))),
-                shape=(self.n, self.n),
-            )
-            ncc, lab = csgraph.connected_components(rest, directed=False)
-            if ncc != 2:
-                raise SideComputationError(
-                    f"removing edge class {cid} leaves {ncc} components")
-            side = lab == lab[self.root]
-            if not (side[eu[members]] ^ side[ev[members]]).all():
-                raise SideComputationError(
-                    f"class {cid} has an edge inside one side")
-            near[cid] = side
+            packed.append(np.packbits(side))
+        packed_rows = np.asarray(packed, dtype=np.uint8).reshape(-1, (self.n + 7) // 8)
+        near = np.unpackbits(packed_rows, axis=1, count=self.n).view(bool)
         self._hyperplanes = [
             Hyperplane(
                 key=cid,
@@ -292,10 +279,25 @@ class MedianGraph:
         self.hyperplanes()
         return self._near
 
-    def separating_counts(self, us, vs) -> np.ndarray:
-        """Number of hyperplanes separating each u-v pair (vectorized)."""
-        near = self.near_matrix
-        return (near[:, us] != near[:, vs]).sum(axis=0)
+    @property
+    def separators(self) -> sp.csr_matrix:
+        """0/1 matrix with a row per vertex and a column per hyperplane:
+        1 where the hyperplane separates the vertex from the base vertex."""
+        if self._separators is None:
+            near = self.near_matrix
+            self._separators = sp.csr_matrix((near != near[:, [self.root]]).T,
+                                             dtype=np.int32)
+        return self._separators
+
+    def separating_counts(self, sources) -> np.ndarray:
+        """Number of hyperplanes separating each source from each vertex,
+        a len(sources) x n block like ``distances_from``: a Gram of
+        separator rows, |S_u| + |S_v| - 2 S_u . S_v."""
+        sep = self.separators
+        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+        sizes = np.diff(sep.indptr)
+        gram = sep[sources].toarray() @ sep.T
+        return sizes[sources, None] + sizes[None, :] - 2 * gram
 
     @property
     def dimension(self) -> int:
@@ -626,10 +628,8 @@ def key_property(g: MedianGraph) -> KeyProperty:
                             return_counts=True)
     crossed = index.astype(bool)
     crossed.sum_duplicates()
-    near = g.near_matrix
-    separating = sp.csr_matrix((near != near[:, [g.root]]).T)
     partition_ok = bool(np.array_equal(np.diff(crossed.indptr), dist)
-                        and (crossed != separating).nnz == 0)
+                        and (crossed != g.separators.astype(bool)).nnz == 0)
     return KeyProperty(
         index_deltas=deltas,
         own_key_ok=own_ok,

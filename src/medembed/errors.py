@@ -14,8 +14,8 @@ class SpaceFormatError(MedEmbedError):
 
 
 class SideComputationError(MedEmbedError):
-    """Removing a hyperplane edge class did not split the graph into two
-    sides, or the computed classes overlap. Signals non-median input."""
+    """Hyperplane sides could not be computed: the graph is not bipartite,
+    or the computed edge classes overlap. Signals non-median input."""
 
 
 class CubeSpanError(MedEmbedError):

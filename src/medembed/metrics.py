@@ -7,9 +7,10 @@ embedded distance over pairs at metric distance <= t (``delta_hat``, a
 prefix maximum).  Exhaustive sampling makes both exact on the space;
 random sampling can only raise rho_hat and lower delta_hat.
 
-A space object must expose ``vertex_count``,
-``distances_from(sources) -> 2d array`` and
-``embedding_matrix(w, rows) -> CSR rows``; trees, median graphs and
+``profile`` needs a space with ``vertex_count`` and
+``embedding_matrix(w, rows) -> CSR rows``: exhaustive sampling reads the
+metric off the unit-weight rows. The samplers and the oracle also need
+``distances_from(sources) -> 2d array``. Trees, median graphs and
 products of them all qualify.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,47 +138,49 @@ def _entries_from_pairs(ts: np.ndarray, emb: np.ndarray) -> tuple[ProfileEntry, 
     return acc.entries()
 
 
-def _gram_blocks(space, w: WeightFunction,
-                 block_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Metric and squared embedded distances of all pairs u < v, one block
-    of u at a time; each block only meets the columns from its start on."""
-    n = space.vertex_count
-    mat = space.embedding_matrix(w, np.arange(n))
-    norms_sq = sq_row_norms(mat)
+def _sq_distance_blocks(mats, block_size: int):
+    """Squared distances between the rows of each CSR matrix in ``mats``
+    for all pairs u < v, one block of u at a time: yields the block, the
+    mask of pairs v > u in the block x [block[0], n) window, and one flat
+    array per matrix in mask order."""
+    n = mats[0].shape[0]
+    norms = [sq_row_norms(mat) for mat in mats]
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
         block = np.arange(start, stop)
-        dist = space.distances_from(block)[:, start:]
-        gram = (mat[start:stop] @ mat[start:].T).toarray()
-        emb_sq = norms_sq[start:stop, None] + norms_sq[None, start:] - 2.0 * gram
         mask = np.arange(start, n)[None, :] > block[:, None]
-        yield dist[mask], emb_sq[mask]
+        d2s = []
+        for mat, nsq in zip(mats, norms):
+            d2 = (mat[start:stop] @ mat[start:].T).toarray()
+            d2 *= -2.0  # in place, bit for bit (|u|^2 + |v|^2) - 2 u.v
+            d2 += nsq[start:stop, None] + nsq[None, start:]
+            d2s.append(d2[mask])
+            del d2  # before the next product allocates
+        yield block, mask, d2s
 
 
 def _exhaustive_entries(space, w: WeightFunction, block_size: int):
+    """All pairs; t is the unit-weight squared distance, rounded. That is
+    exact: it sums products of 0/1 entries, far below 2**53."""
+    mats = [space.embedding_matrix(weight, np.arange(space.vertex_count))
+            for weight in (WeightFunction.unit(), w)]
     acc = _ProfileAccumulator()
-    for dist, emb_sq in _gram_blocks(space, w, block_size):
-        acc.add(dist.astype(np.int64), np.sqrt(np.clip(emb_sq, 0.0, None)))
+    for _, _, (unit_sq, emb_sq) in _sq_distance_blocks(mats, block_size):
+        acc.add(np.rint(unit_sq, out=unit_sq).astype(np.int64),
+                np.sqrt(np.clip(emb_sq, 0.0, None, out=emb_sq), out=emb_sq))
+        del unit_sq, emb_sq  # before the next block is computed
     return acc.entries()
 
 
-def _grouped_pairs(space, w: WeightFunction, us, vs):
-    """Embedded and metric distances for explicit pairs, aligned with the
-    input pair order.
-
-    The distinct first endpoints (samplers keep that set small) give the
-    BFS rows for the metric distances and one source matrix.  Second
-    endpoints stream through in target order, PAIR_CHUNK pairs at a time,
-    each chunk building the matrix of its own distinct targets only.
-    """
+def _grouped_pairs(space, w: WeightFunction, us, vs) -> np.ndarray:
+    """Embedded distances for explicit pairs, aligned with the input pair
+    order. The distinct first endpoints (samplers keep that set small)
+    give one source matrix; second endpoints stream through in target
+    order, PAIR_CHUNK pairs at a time, each chunk building the matrix of
+    its own distinct targets only."""
     sources, src_row = np.unique(us, return_inverse=True)
     src = space.embedding_matrix(w, sources)
     src_norms = sq_row_norms(src)
-    ts = np.empty(len(us), dtype=np.int64)
-    for start in range(0, len(sources), 256):
-        rows = space.distances_from(sources[start:start + 256])
-        sel = np.flatnonzero((src_row >= start) & (src_row < start + 256))
-        ts[sel] = rows[src_row[sel] - start, vs[sel]]
     emb = np.empty(len(us))
     by_target = np.argsort(vs, kind="stable")
     for start in range(0, len(us), PAIR_CHUNK):
@@ -188,49 +191,36 @@ def _grouped_pairs(space, w: WeightFunction, us, vs):
         dots = np.asarray(src[a].multiply(tgt[b]).sum(axis=1)).ravel()
         d2 = src_norms[a] + sq_row_norms(tgt)[b] - 2.0 * dots
         emb[chunk] = np.sqrt(np.clip(d2, 0.0, None))
-    return ts, emb
+    return emb
 
 
 def _stratified_pairs(space, sampler: PairSampler):
+    """Pairs (us, vs) from a few random sources and their BFS distances ts,
+    at most ``per_bucket`` pairs per distance."""
     n = space.vertex_count
     rng = np.random.default_rng(sampler.seed)
     n_sources = min(n, max(16, math.isqrt(4 * sampler.per_bucket)))
     sources = np.sort(rng.choice(n, size=n_sources, replace=False))
-    src_set = {int(s): i for i, s in enumerate(sources)}
-    cand_u = []
-    cand_v = []
-    cand_t = []
     rows = space.distances_from(sources).astype(np.int64)
-    for i, s in enumerate(sources):
-        row = rows[i]
-        targets = np.flatnonzero(row > 0)
-        # drop mirrored source-source pairs
-        keep = np.asarray([
-            (int(v) not in src_set) or (src_set[int(v)] > i) for v in targets
-        ])
-        targets = targets[keep]
-        cand_u.append(np.full(len(targets), s, dtype=np.int64))
-        cand_v.append(targets.astype(np.int64))
-        cand_t.append(row[targets])
-    cu = np.concatenate(cand_u)
-    cv = np.concatenate(cand_v)
-    ct = np.concatenate(cand_t)
+    # every target at positive distance, except mirrored source-source pairs
+    rank = np.full(n, n_sources)
+    rank[sources] = np.arange(n_sources)
+    i, cv = np.nonzero((rows > 0) & (rank[None, :] > np.arange(n_sources)[:, None]))
+    cu, ct = sources[i], rows[i, cv]
     order = np.argsort(ct, kind="stable")
-    ct = ct[order]
-    bounds = np.searchsorted(ct, np.arange(ct[0], ct[-1] + 2))
     picks = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
-        idx = order[lo:hi]
+    for idx in np.split(order, np.flatnonzero(np.diff(ct[order])) + 1):
         if len(idx) > sampler.per_bucket:
             idx = rng.choice(idx, size=sampler.per_bucket, replace=False)
         picks.append(idx)
     sel = np.concatenate(picks)
-    return cu[sel], cv[sel]
+    return cu[sel], cv[sel], ct[sel]
 
 
 def _uniform_pairs(space, sampler: PairSampler):
+    """``count`` distinct random pairs (us, vs) and their BFS distances ts."""
+    if sampler.count < 1:
+        raise ValueError("uniform sampler needs a pair count of at least 1")
     n = space.vertex_count
     rng = np.random.default_rng(sampler.seed)
     got: set[tuple[int, int]] = set()
@@ -247,7 +237,14 @@ def _uniform_pairs(space, sampler: PairSampler):
         if len(got) >= n * (n - 1) // 2:
             break
     pairs = np.asarray(sorted(got), dtype=np.int64)
-    return pairs[:, 0], pairs[:, 1]
+    us, vs = pairs[:, 0], pairs[:, 1]
+    sources, src_row = np.unique(us, return_inverse=True)
+    ts = np.empty(len(us), dtype=np.int64)
+    for start in range(0, len(sources), 256):
+        rows = space.distances_from(sources[start:start + 256])
+        sel = np.flatnonzero((src_row >= start) & (src_row < start + 256))
+        ts[sel] = rows[src_row[sel] - start, vs[sel]]
+    return us, vs, ts
 
 
 def profile(
@@ -265,8 +262,8 @@ def profile(
     if sampler.mode == "exhaustive":
         entries = _exhaustive_entries(space, w, block_size)
     elif sampler.mode in samplers:
-        us, vs = samplers[sampler.mode](space, sampler)
-        entries = _entries_from_pairs(*_grouped_pairs(space, w, us, vs))
+        us, vs, ts = samplers[sampler.mode](space, sampler)
+        entries = _entries_from_pairs(ts, _grouped_pairs(space, w, us, vs))
     else:
         raise ValueError(f"unknown sampler mode {sampler.mode!r}")
     meta = dict(metadata or {})
@@ -536,16 +533,23 @@ def bourgain_consistency(
 # -- convenience checks shared by the CLI and the test suite ----------------------
 
 
-def unit_identity_max_rel_error(space, block_size: int = 512) -> float:
-    """Largest relative deviation of squared unit-weight embedded distance
-    from metric distance over all pairs; zero-ish when the embedding is
-    a square-root isometry."""
-    worst = 0.0
-    for d, emb_sq in _gram_blocks(space, WeightFunction.unit(), block_size):
+def oracle_deviations(space, block_size: int = 512) -> tuple[float, Optional[int]]:
+    """Exact identities over all pairs against BFS distances d, with one
+    BFS per vertex: the largest relative deviation of the squared
+    unit-weight embedded distance from d (zero-ish for a square-root
+    isometry) and the largest deviation of ``separating_counts`` from d
+    (None on spaces without hyperplanes)."""
+    unit = space.embedding_matrix(WeightFunction.unit(), np.arange(space.vertex_count))
+    seps = getattr(space, "separating_counts", None)
+    worst, sep_worst = 0.0, None if seps is None else 0
+    for block, mask, (unit_sq,) in _sq_distance_blocks([unit], block_size):
+        d = space.distances_from(block)[:, block[0]:][mask]
         nz = d > 0
-        if nz.any():
-            worst = max(worst, float((np.abs(emb_sq - d)[nz] / d[nz]).max()))
-    return worst
+        worst = max(worst, float((np.abs(unit_sq - d)[nz] / d[nz]).max(initial=0.0)))
+        if seps is not None:
+            sep = seps(block)[:, block[0]:][mask]
+            sep_worst = max(sep_worst, int(np.abs(sep - d).max(initial=0)))
+    return worst, sep_worst
 
 
 def default_bound_curves(w: WeightFunction, n: int) -> tuple[BoundCurve, BoundCurve]:

@@ -108,8 +108,11 @@ def load_spacefile(path) -> SpaceFile:
     if parent is None and edges is None:
         needs = "parent or edges" if stype == "tree" else "edges"
         raise SpaceFormatError(f"{path}: {stype} needs {needs}")
+    generator = doc.get("generator")
+    if generator is not None and not isinstance(generator, dict):
+        raise SpaceFormatError(f"{path}: generator must be an object")
     return SpaceFile(type=stype, n=n, root=root, parent=parent, edges=edges,
-                     generator=doc.get("generator"))
+                     generator=generator)
 
 
 def build_space(sf: SpaceFile) -> Union[RootedTree, MedianGraph]:
@@ -131,6 +134,8 @@ def build_space(sf: SpaceFile) -> Union[RootedTree, MedianGraph]:
 def _parent_from_edges(n, edges, root):
     if len(edges) != n - 1:
         raise SpaceFormatError("a tree on n vertices needs n-1 edges")
+    if not 0 <= root < n:
+        raise SpaceFormatError(f"root {root} out of range")
     adj = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

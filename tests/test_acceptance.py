@@ -23,10 +23,10 @@ from medembed.metrics import (
     check_profile_against,
     edge_dilatation_bound,
     l1_l2_compare,
+    oracle_deviations,
     product_embed,
     profile,
     sq_row_norms,
-    unit_identity_max_rel_error,
 )
 from medembed.tree import TreeSpec, gen_tree, tree_embedder
 from medembed.weights import (
@@ -111,7 +111,7 @@ def grid300():
 def test_criterion_01_unit_oracle_trees(trees_c1):
     worst = 0.0
     for t in trees_c1:
-        err = unit_identity_max_rel_error(t, block_size=1024)
+        err, _ = oracle_deviations(t, block_size=1024)
         worst = max(worst, err)
     ok = worst <= 1e-9
     report(1, ok, f"unit-weight tree oracle, max rel error {worst:.3e}")
@@ -122,8 +122,9 @@ def test_criterion_02_unit_oracle_complexes(cubes_c2):
     worst = 0.0
     max_dev = 0
     for g in cubes_c2:
-        err = unit_identity_max_rel_error(g)
+        err, sep_dev = oracle_deviations(g)
         worst = max(worst, err)
+        max_dev = max(max_dev, sep_dev)
         near = g.near_matrix
         n = g.vertex_count
         for start in range(0, n, 256):

@@ -184,6 +184,30 @@ def test_measure_sampler_needs_seed(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_measure_rejects_bad_uniform_count(tmp_path, capsys):
+    space = tmp_path / "p.json"
+    run(capsys, "generate", "--space", "path", "--len", "9", "-o", str(space))
+    for sampler in ("uniform:0", "uniform:-3"):
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "measure", "--space", str(space),
+                           "--sampler", sampler, "--seed", "1", "-o", str(out))
+        assert code == 2
+        assert "pair count" in err
+        assert not out.exists()
+
+
+def test_measure_rejects_malformed_space_files(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "out.csv"
+    for doc in ('{"type":"tree","n":3,"root":3,"edges":[[0,1],[1,2]]}',
+                '{"type":"tree","n":2,"root":0,"parent":[0,0],"generator":5}'):
+        bad.write_text(doc + "\n")
+        code, _, err = run(capsys, "measure", "--space", str(bad), "-o", str(out))
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out.exists()
+
+
 def test_measure_deterministic_given_seed(tmp_path, capsys):
     space = tmp_path / "s.json"
     run(capsys, "generate", "--space", "spider", "--legs", "4",

@@ -168,8 +168,12 @@ def test_near_side_contains_root():
 
 
 def test_triangle_hyperplanes_error():
-    with pytest.raises(SideComputationError):
-        triangle().hyperplanes()
+    five_cycle = MedianGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    k4 = MedianGraph(4, list(itertools.combinations(range(4), 2)))
+    k23 = MedianGraph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    for g in (triangle(), five_cycle, k4, k23):
+        with pytest.raises(SideComputationError):
+            g.hyperplanes()
 
 
 def test_square_closure_oracle_agrees():
@@ -213,15 +217,9 @@ def test_distance_equals_separating_count():
         CubeSpec.tree_product(TreeSpec.path(3), TreeSpec.path(4)),
     ):
         g = gen_cube(spec)
-        g.hyperplanes()
-        dist = all_distances(g)
-        n = g.vertex_count
-        for u in range(n):
-            vs = np.arange(u + 1, n)
-            if len(vs) == 0:
-                continue
-            seps = g.separating_counts(np.full(len(vs), u), vs)
-            assert np.array_equal(seps, dist[u][vs]), spec.label()
+        seps = g.separating_counts(np.arange(g.vertex_count))
+        assert np.array_equal(seps, all_distances(g)), spec.label()
+        assert np.array_equal(g.separating_counts([3, 1]), seps[[3, 1]])
 
 
 def test_dimension_against_clique_oracle():
@@ -471,11 +469,7 @@ def test_invariants_survive_root_change():
         )
         dist = all_distances(g)
         # distance oracle
-        g.hyperplanes()
-        for u in range(g.vertex_count):
-            vs = np.arange(u + 1, g.vertex_count)
-            seps = g.separating_counts(np.full(len(vs), u), vs)
-            assert np.array_equal(seps, dist[u][vs])
+        assert np.array_equal(g.separating_counts(range(g.vertex_count)), dist)
         # unit identity
         embed = cube_embedder(g, UNIT)
         vecs = [embed(v) for v in range(g.vertex_count)]

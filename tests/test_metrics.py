@@ -18,10 +18,10 @@ from medembed.metrics import (
     default_bound_curves,
     edge_dilatation_bound,
     l1_l2_compare,
+    oracle_deviations,
     product_embed,
     profile,
     sq_row_norms,
-    unit_identity_max_rel_error,
 )
 from medembed.sparse import SparseVector
 from medembed.tree import TreeSpec, gen_tree, geodesic_edges, tree_embedder
@@ -104,22 +104,48 @@ def test_sampled_profile_is_inside_exhaustive():
 
 
 def test_exhaustive_matches_pairwise_bruteforce():
+    # t is read off the unit-weight rows; the reference takes it from BFS
     t = gen_tree(TreeSpec.caterpillar(5, 2))
-    embed = tree_embedder(t, PAPER)
-    prof = profile(t, PAPER, PairSampler.exhaustive())
+    g = gen_cube(CubeSpec.staircase(6))
+    t1, t2 = gen_tree(TreeSpec.path(4)), gen_tree(TreeSpec.spider(2, 3))
+    prod = ProductSpace([t1, t2])
+    cases = [
+        (t, tree_embedder(t, PAPER)),
+        (g, cube_embedder(g, PAPER)),
+        (prod, prod.embedder([tree_embedder(t1, PAPER), tree_embedder(t2, PAPER)])),
+    ]
     from medembed.sparse import vec_distance
     from itertools import combinations
-    dist = t.distances_from(range(t.vertex_count)).astype(int)
-    by_t = {}
-    for u, v in combinations(range(t.vertex_count), 2):
-        d = int(dist[u][v])
-        by_t.setdefault(d, []).append(vec_distance(embed(u), embed(v)))
+    for space, embed in cases:
+        prof = profile(space, PAPER, PairSampler.exhaustive())
+        dist = space.distances_from(range(space.vertex_count)).astype(int)
+        by_t = {}
+        for u, v in combinations(range(space.vertex_count), 2):
+            d = int(dist[u][v])
+            by_t.setdefault(d, []).append(vec_distance(embed(u), embed(v)))
+        assert prof.ts().tolist() == sorted(by_t)
+        for e in prof.entries:
+            suffix = [x for d, xs in by_t.items() if d >= e.t for x in xs]
+            prefix = [x for d, xs in by_t.items() if d <= e.t for x in xs]
+            assert e.rho_hat == pytest.approx(min(suffix), rel=1e-9, abs=1e-12)
+            assert e.delta_hat == pytest.approx(max(prefix), rel=1e-9, abs=1e-12)
+            assert e.pair_count == len(by_t[e.t])
+
+
+def test_exhaustive_profile_runs_without_bfs():
+    t = gen_tree(TreeSpec.spider(3, 6))
+
+    class NoBFS:
+        vertex_count = t.vertex_count
+        embedding_matrix = staticmethod(t.embedding_matrix)
+
+        def distances_from(self, sources):
+            raise AssertionError("exhaustive profiles must not run BFS")
+
+    prof = profile(NoBFS(), UNIT, PairSampler.exhaustive())
+    assert prof.ts().tolist() == list(range(1, 13))
     for e in prof.entries:
-        suffix = [x for d, xs in by_t.items() if d >= e.t for x in xs]
-        prefix = [x for d, xs in by_t.items() if d <= e.t for x in xs]
-        assert e.rho_hat == pytest.approx(min(suffix), rel=1e-9, abs=1e-12)
-        assert e.delta_hat == pytest.approx(max(prefix), rel=1e-9, abs=1e-12)
-        assert e.pair_count == len(by_t[e.t])
+        assert e.rho_hat == pytest.approx(math.sqrt(e.t), rel=1e-12)
 
 
 def test_grouped_pair_evaluator_matches_bruteforce():
@@ -135,11 +161,11 @@ def test_grouped_pair_evaluator_matches_bruteforce():
     for space, make, w in cases:
         embed = make(space, w)
         dist = space.distances_from(range(space.vertex_count)).astype(int)
-        for us, vs in (
+        for us, vs, ts in (
             _stratified_pairs(space, PairSampler.stratified(7, seed=5)),
             _uniform_pairs(space, PairSampler.uniform(80, seed=6)),
         ):
-            ts, emb = _grouped_pairs(space, w, us, vs)
+            emb = _grouped_pairs(space, w, us, vs)
             for u, v, t, e in zip(us, vs, ts, emb):
                 assert t == dist[u][v]
                 want = vec_distance(embed(int(u)), embed(int(v)))
@@ -424,5 +450,10 @@ def test_embedding_matrix_round_trip():
 
 def test_unit_identity_helper():
     g = gen_cube(CubeSpec.grid(5, 4))
-    err = unit_identity_max_rel_error(g)
+    err, sep_dev = oracle_deviations(g)
     assert err <= 1e-9
+    assert sep_dev == 0
+    t = gen_tree(TreeSpec.spider(3, 4))
+    err, sep_dev = oracle_deviations(t, block_size=5)
+    assert err <= 1e-9
+    assert sep_dev is None

@@ -81,6 +81,22 @@ def test_inconsistent_spaces_rejected():
                               edges=((0, 1), (2, 3))))  # disconnected
 
 
+def test_tree_edges_with_root_out_of_range_rejected():
+    for root in (3, -1):
+        with pytest.raises(SpaceFormatError):
+            build_space(SpaceFile(type="tree", n=3, root=root,
+                                  edges=((0, 1), (1, 2))))
+
+
+def test_generator_must_be_an_object(tmp_path):
+    p = tmp_path / "bad.json"
+    for generator in ("5", '"grid"', "[1,2]"):
+        p.write_text('{"type":"tree","n":2,"root":0,"parent":[0,0],'
+                     f'"generator":{generator}}}')
+        with pytest.raises(SpaceFormatError):
+            build_space(load_spacefile(p))
+
+
 def test_dumps_requires_fields():
     with pytest.raises(SpaceFormatError):
         dumps_spacefile(SpaceFile(type="median_graph", n=2, root=0))
