@@ -8,7 +8,6 @@ from .cube import (
     MedianGraph,
     MedianVerdict,
     NormalCubePath,
-    cube_embedder,
     dimension_by_cliques,
     gen_cube,
     key_property,
@@ -22,7 +21,6 @@ from .cube import (
 from .errors import (
     BudgetExceededError,
     CubeSpanError,
-    KeyCollisionError,
     MedEmbedError,
     NonTerminationError,
     SideComputationError,
@@ -41,11 +39,10 @@ from .metrics import (
     edge_dilatation_bound,
     l1_l2_compare,
     oracle_deviations,
-    product_embed,
     profile,
     sq_row_norms,
 )
-from .sparse import PathForest, SparseVector, vec_distance
+from .sparse import PathForest, SparseVector, embedder, vec_distance
 from .spacefile import (
     SpaceFile,
     build_space,
@@ -59,7 +56,6 @@ from .tree import (
     gen_tree,
     geodesic_edges,
     meeting_point,
-    tree_embedder,
 )
 from .weights import (
     WeightFunction,

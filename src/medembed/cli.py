@@ -18,7 +18,6 @@ import numpy as np
 from .cube import (
     CubeSpec,
     MedianGraph,
-    cube_embedder,
     gen_cube,
     key_property,
     median_from_tree,
@@ -41,7 +40,8 @@ from .spacefile import (
     save_spacefile,
     to_spacefile,
 )
-from .tree import RootedTree, TreeSpec, gen_tree, tree_embedder
+from .sparse import embedder
+from .tree import RootedTree, TreeSpec, gen_tree
 from .weights import build_weight_report, parse_weight
 
 CSV_HEADER = "t,rho_hat,delta_hat,bound_lower,bound_upper,pairs"
@@ -178,10 +178,7 @@ def _load_space(path):
 def cmd_embed(args) -> int:
     space = _load_space(args.space)
     w = parse_weight(args.weight)
-    if isinstance(space, RootedTree):
-        vec = tree_embedder(space, w)(args.vertex)
-    else:
-        vec = cube_embedder(space, w)(args.vertex)
+    vec = embedder(space, w)(args.vertex)
     keys, vals = vec.as_arrays()
     doc = {
         "vertex": args.vertex,
@@ -207,6 +204,12 @@ def _auto_triple_budget(n: int) -> int:
 def cmd_measure(args) -> int:
     space = _load_space(args.space)
     w = parse_weight(args.weight)
+    spec = args.sampler
+    if spec == "auto":
+        n_pairs = space.vertex_count * (space.vertex_count - 1) // 2
+        spec = ("exhaustive" if n_pairs <= EXHAUSTIVE_DEFAULT_PAIR_LIMIT
+                else "stratified:1000")
+    sampler = parse_sampler(spec, args.seed)
     if isinstance(space, MedianGraph):
         budget = args.triple_budget or _auto_triple_budget(space.vertex_count)
         verdict = validate_median(space, triple_budget=budget)
@@ -217,14 +220,6 @@ def cmd_measure(args) -> int:
         dim = space.dimension
     else:
         dim = 1
-    n_pairs = space.vertex_count * (space.vertex_count - 1) // 2
-    if args.sampler == "auto":
-        if n_pairs <= EXHAUSTIVE_DEFAULT_PAIR_LIMIT:
-            sampler = PairSampler.exhaustive()
-        else:
-            sampler = parse_sampler("stratified:1000", args.seed)
-    else:
-        sampler = parse_sampler(args.sampler, args.seed)
     prof = profile(
         space, w, sampler,
         metadata={"space": space.label or str(args.space), "weight": w.label()},
@@ -311,18 +306,16 @@ def _verify_product(args) -> int:
     t2 = gen_tree(TreeSpec.spider(3, 4))
     prod = ProductSpace([t1, t2])
     w = parse_weight(args.weight or "unit")
-    e1 = tree_embedder(t1, w)
-    e2 = tree_embedder(t2, w)
-    embed = prod.embedder([e1, e2])
+    embed, e1, e2 = (embedder(s, w) for s in (prod, t1, t2))
     max_err = 0.0
     for _ in range(2000):
         a = int(rng.integers(0, prod.vertex_count))
         b = int(rng.integers(0, prod.vertex_count))
-        ca, cb = prod.decode(a), prod.decode(b)
+        (x_a, x_b), (y_a, y_b) = np.unravel_index([a, b], prod.sizes)
         lhs = embed(a).distance(embed(b)) ** 2
         rhs = (
-            e1(ca[0]).distance(e1(cb[0])) ** 2
-            + e2(ca[1]).distance(e2(cb[1])) ** 2
+            e1(x_a).distance(e1(x_b)) ** 2
+            + e2(y_a).distance(e2(y_b)) ** 2
         )
         max_err = max(max_err, abs(lhs - rhs) / max(1.0, rhs))
     ok = worst_gap == 0.0 and max_err <= 1e-9

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +34,7 @@ from .errors import (
     NonTerminationError,
     SideComputationError,
 )
-from .sparse import PathForest, SparseVector
+from .sparse import PathForest
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
 from .weights import WeightFunction
 
@@ -175,7 +175,7 @@ class MedianGraph:
         self._dimension: Optional[int] = None
         self._forest: Optional[PathForest] = None
         if self.n > 1:
-            row = self._bfs_row(self.root)
+            row = self.distances_from([self.root])[0]
             if not np.isfinite(row).all():
                 raise ValueError("graph is not connected")
             self._dist_root = row.astype(np.int64)
@@ -192,9 +192,6 @@ class MedianGraph:
     def edge_count(self) -> int:
         return len(self.eu)
 
-    def neighbors(self, v: int):
-        return self.adj[v]
-
     def _graph(self):
         if self._csr is None:
             m = self.edge_count
@@ -207,9 +204,6 @@ class MedianGraph:
             )
         return self._csr
 
-    def _bfs_row(self, v: int) -> np.ndarray:
-        return csgraph.dijkstra(self._graph(), unweighted=True, indices=v)
-
     def distances_from(self, sources) -> np.ndarray:
         d = csgraph.dijkstra(self._graph(), unweighted=True, indices=sources)
         return np.atleast_2d(d)
@@ -217,9 +211,6 @@ class MedianGraph:
     @property
     def dist_root(self) -> np.ndarray:
         return self._dist_root
-
-    def distance(self, u: int, v: int) -> int:
-        return int(self._bfs_row(u)[v])
 
     # -- hyperplanes -------------------------------------------------------
 
@@ -577,13 +568,6 @@ def normal_cube_path(g: MedianGraph, v: int) -> NormalCubePath:
         steps.append(CubeStep(entry=x, crossed=keys, exit=exit_vertex))
         x = exit_vertex
     return NormalCubePath(start=v, steps=tuple(steps), index_map=index_map)
-
-
-def cube_embedder(g: MedianGraph, w: WeightFunction) -> Callable[[int], SparseVector]:
-    """Embedding function vertex -> SparseVector: weight w(i) on each
-    hyperplane crossed at step i."""
-    forest = g.forest()
-    return forest.embedder(forest.weight_table(w))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,3 @@ class CubeSpanError(MedEmbedError):
 
 class NonTerminationError(MedEmbedError):
     """A cube-path walk took more steps than the graph distance allows."""
-
-
-class KeyCollisionError(MedEmbedError):
-    """Two embedding factors produced coordinates on the same basis key."""

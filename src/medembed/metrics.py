@@ -8,23 +8,21 @@ prefix maximum).  Exhaustive sampling makes both exact on the space;
 random sampling can only raise rho_hat and lower delta_hat.
 
 ``profile`` needs a space with ``vertex_count`` and
-``embedding_matrix(w, rows) -> CSR rows``: exhaustive sampling reads the
-metric off the unit-weight rows. The samplers and the oracle also need
-``distances_from(sources) -> 2d array``. Trees, median graphs and
-products of them all qualify.
+``embedding_matrix(w, rows) -> CSR rows``: the exhaustive and the uniform
+sampler read the metric off the unit-weight rows. Only the stratified
+sampler and the oracle also need ``distances_from(sources) -> 2d array``.
+Trees, median graphs and products of them all qualify.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import KeyCollisionError
-from .sparse import SparseVector
 from .weights import WeightFunction, deficit_constant, diff_sq_tail_bound
 
 EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
@@ -41,6 +39,13 @@ class PairSampler:
     count: int = 0
     per_bucket: int = 0
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.mode == "uniform" and self.count < 1:
+            raise ValueError("uniform sampler needs a pair count of at least 1")
+        if self.mode == "stratified" and self.per_bucket < 1:
+            raise ValueError(
+                "stratified sampler needs a per-bucket count of at least 1")
 
     @classmethod
     def exhaustive(cls) -> "PairSampler":
@@ -173,15 +178,15 @@ def _exhaustive_entries(space, w: WeightFunction, block_size: int):
 
 
 def _grouped_pairs(space, w: WeightFunction, us, vs) -> np.ndarray:
-    """Embedded distances for explicit pairs, aligned with the input pair
-    order. The distinct first endpoints (samplers keep that set small)
-    give one source matrix; second endpoints stream through in target
-    order, PAIR_CHUNK pairs at a time, each chunk building the matrix of
-    its own distinct targets only."""
+    """Squared embedded distances for explicit pairs, aligned with the
+    input pair order. The distinct first endpoints give one source
+    matrix; second endpoints stream through in target order, PAIR_CHUNK
+    pairs at a time, each chunk building the matrix of its own distinct
+    targets only."""
     sources, src_row = np.unique(us, return_inverse=True)
     src = space.embedding_matrix(w, sources)
     src_norms = sq_row_norms(src)
-    emb = np.empty(len(us))
+    emb_sq = np.empty(len(us))
     by_target = np.argsort(vs, kind="stable")
     for start in range(0, len(us), PAIR_CHUNK):
         chunk = by_target[start:start + PAIR_CHUNK]
@@ -189,9 +194,8 @@ def _grouped_pairs(space, w: WeightFunction, us, vs) -> np.ndarray:
         tgt = space.embedding_matrix(w, targets)
         a = src_row[chunk]
         dots = np.asarray(src[a].multiply(tgt[b]).sum(axis=1)).ravel()
-        d2 = src_norms[a] + sq_row_norms(tgt)[b] - 2.0 * dots
-        emb[chunk] = np.sqrt(np.clip(d2, 0.0, None))
-    return emb
+        emb_sq[chunk] = src_norms[a] + sq_row_norms(tgt)[b] - 2.0 * dots
+    return emb_sq
 
 
 def _stratified_pairs(space, sampler: PairSampler):
@@ -218,9 +222,8 @@ def _stratified_pairs(space, sampler: PairSampler):
 
 
 def _uniform_pairs(space, sampler: PairSampler):
-    """``count`` distinct random pairs (us, vs) and their BFS distances ts."""
-    if sampler.count < 1:
-        raise ValueError("uniform sampler needs a pair count of at least 1")
+    """``count`` distinct random pairs (us, vs) and their distances ts,
+    read off the unit-weight rows like the exhaustive route's t."""
     n = space.vertex_count
     rng = np.random.default_rng(sampler.seed)
     got: set[tuple[int, int]] = set()
@@ -238,13 +241,8 @@ def _uniform_pairs(space, sampler: PairSampler):
             break
     pairs = np.asarray(sorted(got), dtype=np.int64)
     us, vs = pairs[:, 0], pairs[:, 1]
-    sources, src_row = np.unique(us, return_inverse=True)
-    ts = np.empty(len(us), dtype=np.int64)
-    for start in range(0, len(sources), 256):
-        rows = space.distances_from(sources[start:start + 256])
-        sel = np.flatnonzero((src_row >= start) & (src_row < start + 256))
-        ts[sel] = rows[src_row[sel] - start, vs[sel]]
-    return us, vs, ts
+    unit_sq = _grouped_pairs(space, WeightFunction.unit(), us, vs)
+    return us, vs, np.rint(unit_sq).astype(np.int64)
 
 
 def profile(
@@ -263,7 +261,8 @@ def profile(
         entries = _exhaustive_entries(space, w, block_size)
     elif sampler.mode in samplers:
         us, vs, ts = samplers[sampler.mode](space, sampler)
-        entries = _entries_from_pairs(ts, _grouped_pairs(space, w, us, vs))
+        emb_sq = _grouped_pairs(space, w, us, vs)
+        entries = _entries_from_pairs(ts, np.sqrt(np.clip(emb_sq, 0.0, None)))
     else:
         raise ValueError(f"unknown sampler mode {sampler.mode!r}")
     meta = dict(metadata or {})
@@ -385,38 +384,6 @@ def check_profile_against(
 # -- products -------------------------------------------------------------------
 
 
-def product_embed(
-    factors: Sequence[Callable[[int], SparseVector]],
-    offsets: Sequence[int],
-) -> Callable[[Sequence[int]], SparseVector]:
-    """Direct sum of per-factor embeddings: factor i's key k becomes key
-    ``offsets[i] + k``.
-
-    The offsets must put the factors on disjoint key blocks; a key
-    appearing twice is a construction bug and raises KeyCollisionError.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    if len(offsets) != len(factors):
-        raise ValueError("need one offset per factor")
-
-    def embed(coords: Sequence[int]) -> SparseVector:
-        if len(coords) != len(factors):
-            raise ValueError("coordinate count does not match factor count")
-        out: dict[int, float] = {}
-        for fn, base, x in zip(factors, offsets, coords):
-            for k, val in fn(int(x)).coords.items():
-                if base + k in out:
-                    raise KeyCollisionError(
-                        f"basis key {base + k} used by two factors")
-                out[base + k] = val
-        vec = SparseVector.__new__(SparseVector)
-        vec.coords = out
-        return vec
-
-    return embed
-
-
 class ProductSpace:
     """Cartesian product of spaces under the combined path metric (sum of
     factor distances). Vertices are flat indices in row-major order; each
@@ -437,29 +404,18 @@ class ProductSpace:
         widths = [f.forest().key_count for f in self.factors]
         return [0, *np.cumsum(widths[:-1]).tolist()]
 
-    def decode(self, idx: int) -> tuple[int, ...]:
-        coords = []
-        for size in reversed(self.sizes):
-            coords.append(idx % size)
-            idx //= size
-        return tuple(reversed(coords))
-
-    def encode(self, coords: Sequence[int]) -> int:
-        idx = 0
-        for c, size in zip(coords, self.sizes):
-            idx = idx * size + int(c)
-        return idx
-
     def distances_from(self, sources) -> np.ndarray:
-        rows = []
-        for s in np.atleast_1d(np.asarray(sources, dtype=np.int64)):
-            coords = self.decode(int(s))
-            acc = None
-            for f, c in zip(self.factors, coords):
-                row = f.distances_from([c])[0]
-                acc = row if acc is None else np.add.outer(acc, row)
-            rows.append(acc.ravel())
-        return np.asarray(rows)
+        """Sum of the factor distances: one ``distances_from`` call per
+        factor on its distinct source coordinates, read off at every
+        vertex's coordinate in that factor."""
+        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+        src = np.unravel_index(sources, self.sizes)
+        cols = np.unravel_index(np.arange(self.vertex_count), self.sizes)
+        out = np.zeros((len(sources), self.vertex_count))
+        for f, s, c in zip(self.factors, src, cols):
+            distinct, row = np.unique(s, return_inverse=True)
+            out += f.distances_from(distinct)[np.ix_(row, c)]
+        return out
 
     def embedding_matrix(self, w: WeightFunction, rows) -> sp.csr_matrix:
         """Factor matrices side by side; each factor's key count is its
@@ -467,14 +423,6 @@ class ProductSpace:
         coords = np.unravel_index(np.asarray(rows, dtype=np.int64), self.sizes)
         return sp.hstack([f.embedding_matrix(w, c)
                           for f, c in zip(self.factors, coords)], format="csr")
-
-    def embedder(self, factor_embedders: Sequence[Callable[[int], SparseVector]]):
-        merged = product_embed(factor_embedders, self.offsets)
-
-        def embed(idx: int) -> SparseVector:
-            return merged(self.decode(idx))
-
-        return embed
 
 
 def l1_l2_compare(k: int, distances: Sequence[float]) -> tuple[float, float]:

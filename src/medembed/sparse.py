@@ -159,21 +159,23 @@ class PathForest:
         mat.sort_indices()
         return mat
 
-    def embedder(self, table) -> Callable[[int], SparseVector]:
-        """Per-vertex view of ``matrix``: vertex -> SparseVector.
 
-        A one-row matrix costs a few array operations per path step, so
-        each vertex's vector is built once and shared by later calls.
-        """
-        n = len(self.exit)
+def embedder(space, w) -> Callable[[int], SparseVector]:
+    """Per-vertex view of ``space.embedding_matrix(w, [v])``: vertex ->
+    SparseVector, for a tree, a median graph or a product alike.
 
-        @functools.lru_cache(maxsize=None)
-        def embed(v: int) -> SparseVector:
-            if not 0 <= v < n:
-                raise ValueError(f"unknown vertex {v}")
-            row = self.matrix([v], table)
-            vec = SparseVector.__new__(SparseVector)
-            vec.coords = dict(zip(row.indices.tolist(), row.data.tolist()))
-            return vec
+    A one-row matrix costs a few array operations per path step, so
+    each vertex's vector is built once and shared by later calls.
+    """
+    n = space.vertex_count
 
-        return embed
+    @functools.lru_cache(maxsize=None)
+    def embed(v: int) -> SparseVector:
+        if not 0 <= v < n:
+            raise ValueError(f"unknown vertex {v}")
+        row = space.embedding_matrix(w, [v])
+        vec = SparseVector.__new__(SparseVector)
+        vec.coords = dict(zip(row.indices.tolist(), row.data.tolist()))
+        return vec
+
+    return embed

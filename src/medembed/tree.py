@@ -13,14 +13,14 @@ vertex pairs may be evaluated concurrently without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import BudgetExceededError
-from .sparse import PathForest, SparseVector
+from .sparse import PathForest
 from .weights import WeightFunction
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
@@ -174,10 +174,6 @@ class RootedTree:
         d = csgraph.dijkstra(self._graph(), unweighted=True, indices=sources)
         return np.atleast_2d(d)
 
-    def distance(self, u: int, v: int) -> int:
-        s = meeting_point(self, u, v)
-        return int(self.depth[u] + self.depth[v] - 2 * self.depth[s])
-
 
 def gen_tree(spec: TreeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> RootedTree:
     """Build the tree described by ``spec``; deterministic given its seed."""
@@ -263,15 +259,3 @@ def meeting_point(tree: RootedTree, u: int, v: int) -> int:
         v = int(tree.parent[v])
     return u
 
-
-def tree_embedder(
-    tree: RootedTree, w: WeightFunction, unit_epsilon: float = 0.0
-) -> Callable[[int], SparseVector]:
-    """Embedding function vertex -> SparseVector.
-
-    With ``unit_epsilon`` > 0 every path coordinate is shifted by that
-    amount, which makes the map injective at the price of perturbing each
-    pair distance by at most unit_epsilon * sqrt(d(U, V)).
-    """
-    forest = tree.forest()
-    return forest.embedder(forest.weight_table(w, unit_epsilon))

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 # Least cutoff at which the truncated formula is defined and positive
 # (needs ln ln t > 0, comfortably true from 16 on).
@@ -45,6 +44,8 @@ def find_monotone_cutoff() -> int:
     The derivative is positive exactly when u - 1 - 2/ln(u) > 0 for
     u = ln t; the unique root of that expression gives the threshold.
     """
+    from scipy.optimize import brentq  # slow to import; no CLI path needs it
+
     u = brentq(lambda u: u - 1.0 - 2.0 / math.log(u), 1.0 + 1e-9, 10.0)
     m = math.ceil(math.exp(u))
     # Sanity: decreasing into m, increasing from m on (short scan).

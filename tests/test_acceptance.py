@@ -10,7 +10,6 @@ import pytest
 
 from medembed.cube import (
     CubeSpec,
-    cube_embedder,
     gen_cube,
     key_property,
     median_from_tree,
@@ -24,11 +23,11 @@ from medembed.metrics import (
     edge_dilatation_bound,
     l1_l2_compare,
     oracle_deviations,
-    product_embed,
     profile,
     sq_row_norms,
 )
-from medembed.tree import TreeSpec, gen_tree, tree_embedder
+from medembed.sparse import embedder
+from medembed.tree import TreeSpec, gen_tree
 from medembed.weights import (
     WeightFunction,
     deficit_scan,
@@ -273,8 +272,8 @@ def test_criterion_08_key_property(cubes_c8):
 
 def test_criterion_09_cross_module_consistency(from_tree_spider):
     tree, g = from_tree_spider
-    embed_g = cube_embedder(g, PAPER)
-    embed_t = tree_embedder(tree, PAPER)
+    embed_g = embedder(g, PAPER)
+    embed_t = embedder(tree, PAPER)
     key_map = {}
     for h in g.hyperplanes():
         (eid,) = h.edge_ids
@@ -323,12 +322,12 @@ def test_criterion_11_product_identities():
     t1 = gen_tree(TreeSpec.path(60))
     t2 = gen_tree(TreeSpec.spider(3, 20))
     prod = ProductSpace([t1, t2])
-    factors = [tree_embedder(t1, PAPER), tree_embedder(t2, PAPER)]
-    merged = product_embed(factors, prod.offsets)
+    factors = [embedder(t1, PAPER), embedder(t2, PAPER)]
+    merged = embedder(prod, PAPER)
     for _ in range(10_000):
         a, b = (int(x) for x in rng.integers(0, prod.vertex_count, 2))
-        ca, cb = prod.decode(a), prod.decode(b)
-        lhs = merged(ca).distance(merged(cb)) ** 2
+        ca, cb = (np.unravel_index(x, prod.sizes) for x in (a, b))
+        lhs = merged(a).distance(merged(b)) ** 2
         rhs = sum(factors[i](ca[i]).distance(factors[i](cb[i])) ** 2
                   for i in range(2))
         worst_rel = max(worst_rel, abs(lhs - rhs) / max(1.0, rhs))

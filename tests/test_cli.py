@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +116,30 @@ def test_embed_byte_identical_across_processes(tmp_path):
     assert len(doc["coords"]) > 0
 
 
+def test_embed_rejects_unknown_vertex(tmp_path, capsys):
+    space = tmp_path / "p.json"
+    run(capsys, "generate", "--space", "path", "--len", "5", "-o", str(space))
+    for vertex in ("-1", "6"):
+        code, stdout, err = run(capsys, "embed", "--space", str(space),
+                                "--vertex", vertex)
+        assert code == 2
+        assert "unknown vertex" in err
+        assert stdout == ""
+
+
+def test_cli_import_skips_scipy_optimize():
+    # scipy.optimize takes a noticeable share of a CLI process's start-up
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, medembed.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr or "scipy.optimize was imported"
+
+
 def test_measure_unit_profile(tmp_path, capsys):
     space = tmp_path / "p.json"
     run(capsys, "generate", "--space", "path", "--len", "9", "-o", str(space))
@@ -194,6 +220,28 @@ def test_measure_rejects_bad_uniform_count(tmp_path, capsys):
         assert code == 2
         assert "pair count" in err
         assert not out.exists()
+
+
+def test_measure_rejects_bad_stratified_count(tmp_path, capsys):
+    space = tmp_path / "p.json"
+    run(capsys, "generate", "--space", "path", "--len", "9", "-o", str(space))
+    # the hexagon C6 is not median: the sampler is checked before the triples
+    c6 = tmp_path / "c6.json"
+    c6.write_text('{"type":"median_graph","n":6,"root":0,"edges":'
+                  '[[0,1],[1,2],[2,3],[3,4],[4,5],[5,0]]}\n')
+    for path, sampler in ((space, "stratified:0"), (space, "stratified:-1"),
+                          (c6, "stratified:0")):
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "measure", "--space", str(path),
+                           "--sampler", sampler, "--seed", "1", "-o", str(out))
+        assert code == 2
+        assert "stratified sampler" in err
+        assert "median" not in err
+        assert not out.exists()
+    code, _, err = run(capsys, "measure", "--space", str(c6), "--sampler",
+                       "stratified:3", "--seed", "1", "-o", str(out))
+    assert code == 2
+    assert "median validation failed" in err
 
 
 def test_measure_rejects_malformed_space_files(tmp_path, capsys):

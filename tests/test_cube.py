@@ -6,7 +6,6 @@ import pytest
 from medembed.cube import (
     CubeSpec,
     MedianGraph,
-    cube_embedder,
     dimension_by_cliques,
     gen_cube,
     key_property,
@@ -23,8 +22,8 @@ from medembed.errors import (
     NonTerminationError,
     SideComputationError,
 )
-from medembed.sparse import vec_distance
-from medembed.tree import TreeSpec, gen_tree, tree_embedder
+from medembed.sparse import embedder, vec_distance
+from medembed.tree import TreeSpec, gen_tree
 from medembed.weights import WeightFunction
 
 UNIT = WeightFunction.unit()
@@ -336,14 +335,14 @@ def test_six_cycle_has_no_spanning_cube():
 
 def test_root_embeds_to_zero():
     g = gen_cube(CubeSpec.grid(3, 3))
-    assert cube_embedder(g, PAPER)(g.root).coords == {}
+    assert embedder(g, PAPER)(g.root).coords == {}
 
 
 def test_unit_identity_exhaustive_small_grids():
     for spec in (CubeSpec.grid(6, 6), CubeSpec.grid(2, 3, 2)):
         g = gen_cube(spec)
         dist = all_distances(g)
-        embed = cube_embedder(g, UNIT)
+        embed = embedder(g, UNIT)
         vecs = [embed(v) for v in range(g.vertex_count)]
         for u, v in itertools.combinations(range(g.vertex_count), 2):
             assert vec_distance(vecs[u], vecs[v]) ** 2 == pytest.approx(
@@ -352,7 +351,7 @@ def test_unit_identity_exhaustive_small_grids():
 
 def test_embedding_support_is_separating_set():
     g = gen_cube(CubeSpec.staircase(5))
-    embed = cube_embedder(g, UNIT)
+    embed = embedder(g, UNIT)
     near = g.near_matrix
     for v in range(g.vertex_count):
         support = set(embed(v).coords)
@@ -365,8 +364,8 @@ def test_embedding_support_is_separating_set():
 def test_cube_embed_matches_tree_embed_on_from_tree():
     t = gen_tree(TreeSpec.spider(3, 8))
     g = median_from_tree(t)
-    embed_g = cube_embedder(g, PAPER)
-    embed_t = tree_embedder(t, PAPER)
+    embed_g = embedder(g, PAPER)
+    embed_t = embedder(t, PAPER)
     # shared key assignment: hyperplane of edge (child, parent) <-> tree key
     hyps = g.hyperplanes()
     key_map = {}
@@ -471,7 +470,7 @@ def test_invariants_survive_root_change():
         # distance oracle
         assert np.array_equal(g.separating_counts(range(g.vertex_count)), dist)
         # unit identity
-        embed = cube_embedder(g, UNIT)
+        embed = embedder(g, UNIT)
         vecs = [embed(v) for v in range(g.vertex_count)]
         for u, v in itertools.combinations(range(g.vertex_count), 2):
             assert vec_distance(vecs[u], vecs[v]) ** 2 == pytest.approx(

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medembed.cube import CubeSpec, cube_embedder, gen_cube
-from medembed.errors import KeyCollisionError
+from medembed.cube import CubeSpec, MedianGraph, gen_cube
 from medembed.metrics import (
     BoundCurve,
     CompressionProfile,
@@ -19,12 +18,11 @@ from medembed.metrics import (
     edge_dilatation_bound,
     l1_l2_compare,
     oracle_deviations,
-    product_embed,
     profile,
     sq_row_norms,
 )
-from medembed.sparse import SparseVector
-from medembed.tree import TreeSpec, gen_tree, geodesic_edges, tree_embedder
+from medembed.sparse import embedder
+from medembed.tree import RootedTree, TreeSpec, gen_tree, geodesic_edges
 from medembed.weights import WeightFunction, deficit_constant
 
 XI_18 = 2.35118282830013
@@ -109,14 +107,10 @@ def test_exhaustive_matches_pairwise_bruteforce():
     g = gen_cube(CubeSpec.staircase(6))
     t1, t2 = gen_tree(TreeSpec.path(4)), gen_tree(TreeSpec.spider(2, 3))
     prod = ProductSpace([t1, t2])
-    cases = [
-        (t, tree_embedder(t, PAPER)),
-        (g, cube_embedder(g, PAPER)),
-        (prod, prod.embedder([tree_embedder(t1, PAPER), tree_embedder(t2, PAPER)])),
-    ]
     from medembed.sparse import vec_distance
     from itertools import combinations
-    for space, embed in cases:
+    for space in (t, g, prod):
+        embed = embedder(space, PAPER)
         prof = profile(space, PAPER, PairSampler.exhaustive())
         dist = space.distances_from(range(space.vertex_count)).astype(int)
         by_t = {}
@@ -132,20 +126,31 @@ def test_exhaustive_matches_pairwise_bruteforce():
             assert e.pair_count == len(by_t[e.t])
 
 
-def test_exhaustive_profile_runs_without_bfs():
-    t = gen_tree(TreeSpec.spider(3, 6))
+def test_exhaustive_profile_runs_without_bfs(monkeypatch):
+    # the exhaustive and the uniform sampler read t off the unit rows
+    spaces = [
+        gen_tree(TreeSpec.spider(3, 6)),
+        gen_cube(CubeSpec.staircase(5)),
+        ProductSpace([gen_tree(TreeSpec.path(3)), gen_cube(CubeSpec.grid(2, 2))]),
+    ]
+    for space in spaces:
+        space.embedding_matrix(UNIT, [0])  # hyperplanes and forests first
 
-    class NoBFS:
-        vertex_count = t.vertex_count
-        embedding_matrix = staticmethod(t.embedding_matrix)
+    def no_bfs(self, sources):
+        raise AssertionError("exhaustive and uniform profiles must not run BFS")
 
-        def distances_from(self, sources):
-            raise AssertionError("exhaustive profiles must not run BFS")
-
-    prof = profile(NoBFS(), UNIT, PairSampler.exhaustive())
-    assert prof.ts().tolist() == list(range(1, 13))
-    for e in prof.entries:
-        assert e.rho_hat == pytest.approx(math.sqrt(e.t), rel=1e-12)
+    for cls in (RootedTree, MedianGraph, ProductSpace):
+        monkeypatch.setattr(cls, "distances_from", no_bfs)
+    exh_ts = []
+    for space in spaces:
+        exh = profile(space, UNIT, PairSampler.exhaustive())
+        uni = profile(space, UNIT, PairSampler.uniform(60, seed=2))
+        exh_ts.append(exh.ts().tolist())
+        assert set(uni.ts().tolist()) <= set(exh_ts[-1])
+        for prof in (exh, uni):
+            for e in prof.entries:
+                assert e.rho_hat == pytest.approx(math.sqrt(e.t), rel=1e-12)
+    assert exh_ts[0] == list(range(1, 13))  # spider(3, 6)
 
 
 def test_grouped_pair_evaluator_matches_bruteforce():
@@ -153,19 +158,21 @@ def test_grouped_pair_evaluator_matches_bruteforce():
     from medembed.sparse import vec_distance
 
     cases = [
-        (gen_cube(CubeSpec.grid(8, 7)), cube_embedder, UNIT),
+        (gen_cube(CubeSpec.grid(8, 7)), UNIT),
         # paper weight on a spider: sources near the root embed to zero,
         # deep targets carry keys outside the sources' dense window
-        (gen_tree(TreeSpec.spider(3, 25)), tree_embedder, PAPER),
+        (gen_tree(TreeSpec.spider(3, 25)), PAPER),
+        (ProductSpace([gen_tree(TreeSpec.path(6)), gen_cube(CubeSpec.grid(2, 3))]),
+         PAPER),
     ]
-    for space, make, w in cases:
-        embed = make(space, w)
+    for space, w in cases:
+        embed = embedder(space, w)
         dist = space.distances_from(range(space.vertex_count)).astype(int)
         for us, vs, ts in (
             _stratified_pairs(space, PairSampler.stratified(7, seed=5)),
             _uniform_pairs(space, PairSampler.uniform(80, seed=6)),
         ):
-            emb = _grouped_pairs(space, w, us, vs)
+            emb = np.sqrt(np.clip(_grouped_pairs(space, w, us, vs), 0.0, None))
             for u, v, t, e in zip(us, vs, ts, emb):
                 assert t == dist[u][v]
                 want = vec_distance(embed(int(u)), embed(int(v)))
@@ -286,37 +293,42 @@ def test_bourgain_short_profile_inconclusive():
 
 def test_product_single_factor_identity():
     t = gen_tree(TreeSpec.path(9))
-    embed = tree_embedder(t, PAPER)
-    merged = product_embed([embed], [0])
+    embed = embedder(t, PAPER)
+    merged = embedder(ProductSpace([t]), PAPER)
     for v in range(t.vertex_count):
-        assert merged([v]) == embed(v)
+        assert merged(v) == embed(v)
 
 
 def test_product_unit_distance_is_l1():
     t1 = gen_tree(TreeSpec.path(6))
     t2 = gen_tree(TreeSpec.path(7))
     prod = ProductSpace([t1, t2])
-    embed = prod.embedder([tree_embedder(t1, UNIT), tree_embedder(t2, UNIT)])
+    embed = embedder(prod, UNIT)
     rng = np.random.default_rng(0)
     d1 = t1.distances_from(range(t1.vertex_count)).astype(int)
     d2 = t2.distances_from(range(t2.vertex_count)).astype(int)
     for _ in range(200):
         a, b = rng.integers(0, prod.vertex_count, 2)
-        xa, ya = prod.decode(int(a))
-        xb, yb = prod.decode(int(b))
+        (xa, xb), (ya, yb) = np.unravel_index([a, b], prod.sizes)
         want = d1[xa][xb] + d2[ya][yb]
         assert embed(int(a)).distance(embed(int(b))) ** 2 == pytest.approx(
             float(want), rel=1e-9, abs=1e-12)
 
 
 def test_product_space_metric_rows():
-    t1 = gen_tree(TreeSpec.path(3))
-    t2 = gen_tree(TreeSpec.path(4))
-    prod = ProductSpace([t1, t2])
-    row = prod.distances_from([prod.encode((1, 2))])[0]
-    for idx in range(prod.vertex_count):
-        x, y = prod.decode(idx)
-        assert row[idx] == abs(x - 1) + abs(y - 2)
+    factors = [gen_tree(TreeSpec.path(3)), gen_tree(TreeSpec.spider(2, 2)),
+               gen_cube(CubeSpec.grid(1, 2))]
+    prod = ProductSpace(factors)
+    dists = [f.distances_from(range(f.vertex_count)).astype(int) for f in factors]
+    sources = [int(np.ravel_multi_index((1, 2, 3), prod.sizes)), 0,
+               prod.vertex_count - 1, 7, 7]
+    rows = prod.distances_from(sources)
+    assert rows.shape == (len(sources), prod.vertex_count)
+    for s, row in zip(sources, rows):
+        cs = np.unravel_index(s, prod.sizes)
+        for idx in range(prod.vertex_count):
+            cv = np.unravel_index(idx, prod.sizes)
+            assert row[idx] == sum(d[a][b] for d, a, b in zip(dists, cs, cv))
 
 
 def test_product_distance_identity_three_factors():
@@ -324,12 +336,12 @@ def test_product_distance_identity_three_factors():
              gen_tree(TreeSpec.spider(2, 5)),
              gen_tree(TreeSpec.path(4))]
     prod = ProductSpace(trees)
-    factors = [tree_embedder(t, PAPER) for t in trees]
-    embed = prod.embedder(factors)
+    factors = [embedder(t, PAPER) for t in trees]
+    embed = embedder(prod, PAPER)
     rng = np.random.default_rng(5)
     for _ in range(300):
         a, b = (int(x) for x in rng.integers(0, prod.vertex_count, 2))
-        ca, cb = prod.decode(a), prod.decode(b)
+        ca, cb = (np.unravel_index(x, prod.sizes) for x in (a, b))
         lhs = embed(a).distance(embed(b)) ** 2
         rhs = sum(
             factors[i](ca[i]).distance(factors[i](cb[i])) ** 2
@@ -344,9 +356,15 @@ def test_product_factor_blocks_disjoint():
     prod = ProductSpace([t1, t2])
     assert prod.offsets == [0, t1.vertex_count]
     mat = prod.embedding_matrix(UNIT, range(prod.vertex_count))
-    embed = prod.embedder([tree_embedder(t1, UNIT), tree_embedder(t2, UNIT)])
+    assert mat.shape[1] == t1.vertex_count + t2.vertex_count
+    # each factor's block holds that factor's own matrix and nothing else
+    coords = np.unravel_index(np.arange(prod.vertex_count), prod.sizes)
+    for f, start, c in zip(prod.factors, prod.offsets, coords):
+        block = mat[:, start:start + f.vertex_count]
+        assert (block != f.embedding_matrix(UNIT, c)).nnz == 0
+    embed = embedder(prod, UNIT)
     for idx in range(prod.vertex_count):
-        x, y = prod.decode(idx)
+        x, y = np.unravel_index(idx, prod.sizes)
         want = geodesic_edges(t1, x) + [
             t1.vertex_count + k for k in geodesic_edges(t2, y)]
         assert sorted(mat[idx].indices) == sorted(want)
@@ -361,13 +379,6 @@ def test_product_factor_blocks_disjoint():
     b2 = gen_tree(TreeSpec.path(40))
     after = profile(ProductSpace([b1, b2]), PAPER, sampler)
     assert before.entries == after.entries
-
-
-def test_product_key_collision_detected():
-    clash = lambda v: SparseVector({5: 1.0})
-    merged = product_embed([clash, clash], [0, 0])
-    with pytest.raises(KeyCollisionError):
-        merged([0, 0])
 
 
 def test_product_profile_against_lower_bound():
@@ -388,8 +399,8 @@ def test_product_l2_metric_lower_bound():
     # distances combined the Euclidean way across the two factors
     t1 = gen_tree(TreeSpec.path(200))
     t2 = gen_tree(TreeSpec.path(200))
-    factors = [tree_embedder(t1, PAPER), tree_embedder(t2, PAPER)]
-    merged = product_embed(factors, [0, t1.vertex_count])
+    prod = ProductSpace([t1, t2])
+    merged = embedder(prod, PAPER)
     c = deficit_constant(PAPER, 10**5)
     lower = BoundCurve.paper_lower(PAPER, 2, c)
     d1 = t1.distances_from(range(t1.vertex_count)).astype(int)
@@ -398,7 +409,8 @@ def test_product_l2_metric_lower_bound():
         xa, ya, xb, yb = (int(v) for v in rng.integers(0, 201, 4))
         da, db = d1[xa][xb], d1[ya][yb]
         d_l2 = math.hypot(da, db)
-        emb = merged((xa, ya)).distance(merged((xb, yb)))
+        a, b = np.ravel_multi_index(([xa, xb], [ya, yb]), prod.sizes)
+        emb = merged(a).distance(merged(b))
         assert emb >= lower.value(math.floor(d_l2)) - 1e-9
 
 
@@ -440,7 +452,7 @@ def test_l1_l2_bounds_hold(ds):
 
 def test_embedding_matrix_round_trip():
     t = gen_tree(TreeSpec.spider(3, 4))
-    embed = tree_embedder(t, UNIT)
+    embed = embedder(t, UNIT)
     mat = t.embedding_matrix(UNIT, range(t.vertex_count))
     norms = sq_row_norms(mat)
     assert mat.shape[0] == t.vertex_count

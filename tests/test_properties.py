@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from medembed.cube import (
     CubeSpec,
-    cube_embedder,
     gen_cube,
     key_property,
     normal_cube_path,
@@ -18,14 +17,13 @@ from medembed.cube import (
     validate_median,
 )
 from medembed.metrics import _entries_from_pairs
-from medembed.sparse import vec_distance
+from medembed.sparse import embedder, vec_distance
 from medembed.tree import (
     RootedTree,
     TreeSpec,
     gen_tree,
     geodesic_edges,
     meeting_point,
-    tree_embedder,
 )
 from medembed.weights import WeightFunction, diff_sq_sum
 
@@ -49,7 +47,7 @@ staircase_heights = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_random_tree_unit_identity(tree):
     dist = tree.distances_from(range(tree.vertex_count)).astype(np.int64)
-    embed = tree_embedder(tree, UNIT)
+    embed = embedder(tree, UNIT)
     vecs = [embed(v) for v in range(tree.vertex_count)]
     for u, v in itertools.combinations(range(tree.vertex_count), 2):
         emb_sq = vec_distance(vecs[u], vecs[v]) ** 2
@@ -71,7 +69,7 @@ def test_random_tree_meet_distance_identity(tree):
 @settings(max_examples=40, deadline=None)
 def test_random_tree_edge_dilatation(tree):
     bound_sq = PAPER.value(18) ** 2 + diff_sq_sum(PAPER, 10**4)
-    embed = tree_embedder(tree, PAPER)
+    embed = embedder(tree, PAPER)
     for v in range(tree.vertex_count):
         if v == tree.root:
             continue
@@ -152,7 +150,7 @@ def test_random_staircase_class_oracle(heights):
 def test_random_staircase_unit_embedding(heights):
     g = gen_cube(CubeSpec.staircase_heights(heights))
     dist = g.distances_from(range(g.vertex_count)).astype(np.int64)
-    embed = cube_embedder(g, UNIT)
+    embed = embedder(g, UNIT)
     vecs = [embed(v) for v in range(g.vertex_count)]
     for u, v in itertools.combinations(range(g.vertex_count), 2):
         emb_sq = vec_distance(vecs[u], vecs[v]) ** 2

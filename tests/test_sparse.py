@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medembed.cube import CubeSpec, gen_cube
 from medembed.errors import NonTerminationError
-from medembed.sparse import SparseVector, vec_distance
+from medembed.metrics import ProductSpace
+from medembed.sparse import SparseVector, embedder, vec_distance
 from medembed.tree import TreeSpec, gen_tree
+from medembed.weights import WeightFunction
 
 XI_18 = 2.35118282830013
 
@@ -94,3 +97,23 @@ def test_doctored_forest_raises_non_termination():
     loop[3] = 4  # 3 -> 4 -> 3 never reaches the root
     with pytest.raises(NonTerminationError):
         dataclasses.replace(forest, exit=loop)
+
+
+def test_embedder_is_a_view_of_the_matrix_rows():
+    w = WeightFunction.paper(18)
+    spaces = [
+        gen_tree(TreeSpec.spider(3, 25)),
+        gen_cube(CubeSpec.staircase(6)),
+        ProductSpace([gen_tree(TreeSpec.path(20)), gen_cube(CubeSpec.grid(3, 2))]),
+    ]
+    for space in spaces:
+        n = space.vertex_count
+        mat = space.embedding_matrix(w, range(n))
+        embed = embedder(space, w)
+        for v in range(n):
+            row = mat[v]
+            assert embed(v).coords == dict(zip(row.indices.tolist(),
+                                                row.data.tolist()))
+        for bad in (-1, n):
+            with pytest.raises(ValueError, match="unknown vertex"):
+                embed(bad)

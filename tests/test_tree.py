@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from medembed.errors import BudgetExceededError
-from medembed.sparse import vec_distance
+from medembed.sparse import embedder, vec_distance
 from medembed.tree import (
     RootedTree,
     TreeSpec,
     gen_tree,
     geodesic_edges,
     meeting_point,
-    tree_embedder,
 )
 from medembed.weights import (
     WeightFunction,
@@ -131,7 +130,7 @@ def test_unknown_vertex_rejected():
     with pytest.raises(ValueError):
         meeting_point(t, 0, 9)
     with pytest.raises(ValueError):
-        tree_embedder(t, UNIT)(-1)
+        embedder(t, UNIT)(-1)
 
 
 # -- embedding ----------------------------------------------------------------
@@ -139,13 +138,13 @@ def test_unknown_vertex_rejected():
 
 def test_root_embeds_to_zero():
     t = gen_tree(TreeSpec.spider(3, 5))
-    assert tree_embedder(t, PAPER)(0).coords == {}
-    assert tree_embedder(t, UNIT)(0).coords == {}
+    assert embedder(t, PAPER)(0).coords == {}
+    assert embedder(t, UNIT)(0).coords == {}
 
 
 def test_unit_norm_is_sqrt_depth():
     t = gen_tree(TreeSpec.caterpillar(6, 2))
-    embed = tree_embedder(t, UNIT)
+    embed = embedder(t, UNIT)
     for v in range(t.vertex_count):
         assert embed(v).norm() == pytest.approx(
             math.sqrt(t.depth[v]), rel=1e-12)
@@ -154,7 +153,7 @@ def test_unit_norm_is_sqrt_depth():
 def test_unit_pairwise_identity_brute_force():
     t = gen_tree(TreeSpec.path(30))
     dist = bfs_distances(t)
-    embed = tree_embedder(t, UNIT)
+    embed = embedder(t, UNIT)
     vecs = [embed(v) for v in range(t.vertex_count)]
     for u, v in itertools.combinations(range(t.vertex_count), 2):
         assert vec_distance(vecs[u], vecs[v]) ** 2 == pytest.approx(
@@ -163,14 +162,14 @@ def test_unit_pairwise_identity_brute_force():
 
 def test_paper_norm_on_deep_path_vertex():
     t = gen_tree(TreeSpec.path(30))
-    vec = tree_embedder(t, PAPER)(20)  # depth 20: only indices 18, 19, 20 remain
+    vec = embedder(t, PAPER)(20)  # depth 20: only indices 18, 19, 20 remain
     assert vec.support_size == 3
     assert vec.norm() ** 2 == pytest.approx(XI_SQ_18_19_20, rel=1e-9)
 
 
 def test_embedding_support_is_root_path():
     t = gen_tree(TreeSpec.spider(2, 25))
-    embed = tree_embedder(t, PAPER)
+    embed = embedder(t, PAPER)
     for v in (5, 25, 40):
         keys = set(geodesic_edges(t, v))
         assert set(embed(v).coords) <= keys
@@ -179,7 +178,7 @@ def test_embedding_support_is_root_path():
 def test_per_pair_compression_inequality_exhaustive():
     t = gen_tree(TreeSpec.spider(3, 30))
     cum = np.concatenate([[0.0], sq_partial_sums(PAPER, 60)])
-    embed = tree_embedder(t, PAPER)
+    embed = embedder(t, PAPER)
     vecs = [embed(v) for v in range(t.vertex_count)]
     dist = bfs_distances(t)
     for u, v in itertools.combinations(range(t.vertex_count), 2):
@@ -194,7 +193,7 @@ def test_per_pair_compression_inequality_exhaustive():
 def test_edge_dilatation_exact_bound():
     t = gen_tree(TreeSpec.path(60))
     bound_sq = PAPER.value(18) ** 2 + diff_sq_tail_bound(PAPER)
-    embed = tree_embedder(t, PAPER)
+    embed = embedder(t, PAPER)
     for v in range(1, t.vertex_count):
         d = vec_distance(embed(v), embed(int(t.parent[v])))
         assert d * d <= bound_sq + 1e-9
@@ -204,7 +203,7 @@ def test_lipschitz_up_to_edge_constant():
     t = gen_tree(TreeSpec.binary_sample(40, 8, seed=1))
     c_edge = math.sqrt(PAPER.value(18) ** 2 + diff_sq_tail_bound(PAPER))
     dist = bfs_distances(t)
-    embed = tree_embedder(t, PAPER)
+    embed = embedder(t, PAPER)
     rng = np.random.default_rng(0)
     for _ in range(300):
         u, v = rng.integers(0, t.vertex_count, 2)
@@ -215,17 +214,14 @@ def test_lipschitz_up_to_edge_constant():
 def test_injectivity_patch():
     t = gen_tree(TreeSpec.spider(2, 10))
     eps = 0.5
-    embed = tree_embedder(t, PAPER, unit_epsilon=eps)
-    plain = tree_embedder(t, PAPER)
-    vecs = {v: embed(v) for v in range(t.vertex_count)}
-    seen = set()
-    for v, vec in vecs.items():
-        key = tuple(sorted(vec.coords.items()))
-        assert key not in seen
-        seen.add(key)
+    forest = t.forest()
+    rows = range(t.vertex_count)
+    patched = forest.matrix(rows, forest.weight_table(PAPER, eps)).toarray()
+    plain = t.embedding_matrix(PAPER, rows).toarray()
+    assert len({tuple(row) for row in patched}) == t.vertex_count
     dist = bfs_distances(t)
     for u in range(t.vertex_count):
         for v in range(t.vertex_count):
-            raw = vec_distance(plain(u), plain(v))
-            patched = vec_distance(vecs[u], vecs[v])
-            assert abs(patched - raw) <= eps * math.sqrt(dist[u][v]) + 1e-12
+            raw = np.linalg.norm(plain[u] - plain[v])
+            moved = np.linalg.norm(patched[u] - patched[v])
+            assert abs(moved - raw) <= eps * math.sqrt(dist[u][v]) + 1e-12
