@@ -42,7 +42,7 @@ from .metrics import (
     profile,
     sq_row_norms,
 )
-from .sparse import PathForest, SparseVector, embedder, vec_distance
+from .sparse import Graph, PathForest, SparseVector, embedder, vec_distance
 from .spacefile import (
     SpaceFile,
     build_space,

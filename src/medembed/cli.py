@@ -74,7 +74,10 @@ def parse_tree_spec(text: str, seed=None) -> TreeSpec:
     """Parse compact tree specs: path:5, spider:3,100,
     binary-sample:200,50 (seed separate), caterpillar:10,3."""
     name, _, rest = text.partition(":")
-    args = [int(a) for a in rest.split(",") if a != ""]
+    try:
+        args = [int(a) for a in rest.split(",") if a != ""]
+    except ValueError:
+        args = []  # no kind takes zero numbers: ends at the error below
     if name == "path" and len(args) == 1:
         return TreeSpec.path(args[0])
     if name == "spider" and len(args) == 2:
@@ -92,15 +95,24 @@ def parse_sampler(text: str, seed=None) -> PairSampler:
     name, _, arg = text.partition(":")
     if name == "exhaustive":
         return PairSampler.exhaustive()
-    if name == "uniform":
-        if seed is None:
-            raise ValueError("uniform sampler requires --seed")
-        return PairSampler.uniform(int(arg or 10000), seed)
-    if name == "stratified":
-        if seed is None:
-            raise ValueError("stratified sampler requires --seed")
-        return PairSampler.stratified(int(arg or 1000), seed)
-    raise ValueError(f"unknown sampler {text!r}")
+    if name not in ("uniform", "stratified"):
+        raise ValueError(f"unknown sampler {text!r}")
+    if seed is None:
+        raise ValueError(f"{name} sampler requires --seed")
+    default = 10000 if name == "uniform" else 1000
+    try:
+        count = int(arg or default)
+    except ValueError:
+        raise ValueError(f"cannot parse sampler {text!r}") from None
+    return getattr(PairSampler, name)(count, seed)  # uniform or stratified
+
+
+def _ints(flag: str, text: str, sep: str) -> list[int]:
+    """The integers of ``text`` split at ``sep``, or a ValueError naming ``flag``."""
+    try:
+        return [int(a) for a in text.lower().split(sep)]
+    except ValueError:
+        raise ValueError(f"cannot parse {flag} {text!r}") from None
 
 
 # -- generate -------------------------------------------------------------------
@@ -123,12 +135,10 @@ def _build_generated_space(args):
     if kind == "grid":
         if not args.dims:
             raise ValueError("grid requires --dims, e.g. 20x20")
-        dims = [int(d) for d in args.dims.lower().split("x")]
-        spec = CubeSpec.grid(*dims)
+        spec = CubeSpec.grid(*_ints("--dims", args.dims, "x"))
     elif kind == "staircase":
         if args.heights:
-            spec = CubeSpec.staircase_heights(
-                [int(h) for h in args.heights.split(",")])
+            spec = CubeSpec.staircase_heights(_ints("--heights", args.heights, ","))
         elif args.cols:
             spec = CubeSpec.staircase(args.cols)
         else:

@@ -1,8 +1,9 @@
 """Median graphs (1-skeleta of cube complexes) and their weighted embedding.
 
-A finite median graph is stored as an undirected simple graph with a base
-vertex.  Hyperplanes are the distance-condition edge classes: edges (a,b)
-and (c,d) fall together exactly when d(a,c)+d(b,d) != d(a,d)+d(b,c).
+A finite median graph is a ``sparse.Graph``, built from an int64 edge
+array whose order fixes the class ids.  Hyperplanes are the
+distance-condition edge classes: edges (a,b) and (c,d) fall together
+exactly when d(a,c)+d(b,d) != d(a,d)+d(b,c).
 Removing a class splits the graph into a near side (containing the base
 vertex) and a far side; for vertices, graph distance equals the number of
 classes separating them.
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import (
     BudgetExceededError,
@@ -34,9 +35,8 @@ from .errors import (
     NonTerminationError,
     SideComputationError,
 )
-from .sparse import PathForest
+from .sparse import Graph, PathForest, edge_array
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
-from .weights import WeightFunction
 
 
 @dataclass(frozen=True)
@@ -135,82 +135,36 @@ class MedianVerdict:
     median_count: Optional[int] = None
 
 
-class MedianGraph:
+class MedianGraph(Graph):
     """Undirected simple connected graph with a base vertex ``root``."""
 
     def __init__(self, n: int, edges, root: int = 0, label: str = ""):
-        self.n = int(n)
-        self.root = int(root)
-        self.label = label
-        if not 0 <= self.root < self.n:
-            raise ValueError("root out of range")
-        eu = []
-        ev = []
-        seen = set()
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            eid = len(eu)
-            eu.append(u)
-            ev.append(v)
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        self.eu = np.asarray(eu, dtype=np.int64)
-        self.ev = np.asarray(ev, dtype=np.int64)
-        self.adj = adj
-        self._csr = None
-        self._dist_root: Optional[np.ndarray] = None
-        self._hyperplanes: Optional[list[Hyperplane]] = None
-        self._hyp_of_edge: Optional[np.ndarray] = None
-        self._near: Optional[np.ndarray] = None
-        self._separators: Optional[sp.csr_matrix] = None
-        self._dimension: Optional[int] = None
-        self._forest: Optional[PathForest] = None
-        if self.n > 1:
-            row = self.distances_from([self.root])[0]
-            if not np.isfinite(row).all():
-                raise ValueError("graph is not connected")
-            self._dist_root = row.astype(np.int64)
-        else:
-            self._dist_root = np.zeros(1, dtype=np.int64)
-
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def vertex_count(self) -> int:
-        return self.n
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.eu)
-
-    def _graph(self):
-        if self._csr is None:
-            m = self.edge_count
-            data = np.ones(m, dtype=np.int8)
-            self._csr = sp.csr_matrix(
-                (np.concatenate([data, data]),
-                 (np.concatenate([self.eu, self.ev]),
-                  np.concatenate([self.ev, self.eu]))),
-                shape=(self.n, self.n),
-            )
-        return self._csr
-
-    def distances_from(self, sources) -> np.ndarray:
-        d = csgraph.dijkstra(self._graph(), unweighted=True, indices=sources)
-        return np.atleast_2d(d)
-
-    @property
-    def dist_root(self) -> np.ndarray:
-        return self._dist_root
+        super().__init__(n, root, label)
+        e, out = edge_array(edges, self.n)
+        # The first offending edge in edge order raises; within one edge,
+        # out of range comes before a self-loop, a self-loop before a repeat.
+        loop = int(np.flatnonzero(e[:out, 0] == e[:out, 1]).min(initial=out))
+        pairs = np.sort(e[:loop], axis=1)
+        order = np.lexsort(pairs.T[::-1])  # stable: a repeat follows its first
+        repeats = order[1:][(np.diff(pairs[order], axis=0) == 0).all(axis=1)]
+        dup = int(repeats.min(initial=loop))
+        if dup < loop:
+            raise ValueError(f"duplicate edge {tuple(pairs[dup].tolist())}")
+        if loop < out:
+            raise ValueError(f"self-loop at {e[loop, 0]}")
+        if out < len(e):
+            u, v = edges[out]
+            raise ValueError(f"edge ({int(u)},{int(v)}) out of range")
+        # Fewer than n - 1 edges cannot connect n vertices: fail before allocating.
+        if self.n > len(e) + 1:
+            raise ValueError("graph is not connected")
+        self.eu, self.ev = np.ascontiguousarray(e.T)
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for eid, (u, v) in enumerate(zip(self.eu.tolist(), self.ev.tolist())):
+            self.adj[u].append((v, eid))
+            self.adj[v].append((u, eid))
+        self._hyperplanes = None  # hyperplanes() sets it, _hyp_of_edge and _near
+        self.dist_root = self._root_distances("graph is not connected")
 
     # -- hyperplanes -------------------------------------------------------
 
@@ -248,11 +202,8 @@ class MedianGraph:
         packed_rows = np.asarray(packed, dtype=np.uint8).reshape(-1, (self.n + 7) // 8)
         near = np.unpackbits(packed_rows, axis=1, count=self.n).view(bool)
         self._hyperplanes = [
-            Hyperplane(
-                key=cid,
-                edge_ids=frozenset(int(e) for e in members),
-                near_side=near[cid],
-            )
+            Hyperplane(key=cid, edge_ids=frozenset(members.tolist()),
+                       near_side=near[cid])
             for cid, members in enumerate(classes)
         ]
         self._hyp_of_edge = assigned
@@ -270,15 +221,12 @@ class MedianGraph:
         self.hyperplanes()
         return self._near
 
-    @property
+    @cached_property
     def separators(self) -> sp.csr_matrix:
         """0/1 matrix with a row per vertex and a column per hyperplane:
         1 where the hyperplane separates the vertex from the base vertex."""
-        if self._separators is None:
-            near = self.near_matrix
-            self._separators = sp.csr_matrix((near != near[:, [self.root]]).T,
-                                             dtype=np.int32)
-        return self._separators
+        near = self.near_matrix
+        return sp.csr_matrix((near != near[:, [self.root]]).T, dtype=np.int32)
 
     def separating_counts(self, sources) -> np.ndarray:
         """Number of hyperplanes separating each source from each vertex,
@@ -290,20 +238,16 @@ class MedianGraph:
         gram = sep[sources].toarray() @ sep.T
         return sizes[sources, None] + sizes[None, :] - 2 * gram
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         """Largest cube dimension, computed as the maximum number of
         root-decreasing edges at any vertex."""
-        if self._dimension is None:
-            dist = self.dist_root
-            du, dv = dist[self.eu], dist[self.ev]
-            if (du == dv).any():
-                raise SideComputationError(
-                    "graph has an edge between equal levels; not bipartite")
-            deeper = np.where(du > dv, self.eu, self.ev)
-            counts = np.bincount(deeper, minlength=self.n)
-            self._dimension = int(counts.max()) if self.edge_count else 0
-        return self._dimension
+        du, dv = self.dist_root[self.eu], self.dist_root[self.ev]
+        if (du == dv).any():
+            raise SideComputationError(
+                "graph has an edge between equal levels; not bipartite")
+        deeper = np.where(du > dv, self.eu, self.ev)
+        return int(np.bincount(deeper, minlength=self.n).max())
 
     # -- cube path machinery -------------------------------------------------
 
@@ -384,22 +328,13 @@ class MedianGraph:
             )
         return self._forest
 
-    def embedding_matrix(self, w: WeightFunction, rows):
-        """CSR rows of the embedding of ``rows``; column k is key k."""
-        forest = self.forest()
-        return forest.matrix(rows, forest.weight_table(w))
-
 
 # -- generators --------------------------------------------------------------
 
 
 def median_from_tree(tree: RootedTree) -> MedianGraph:
     """The tree itself as a one-dimensional median graph (ids preserved)."""
-    edges = [
-        (v, int(tree.parent[v]))
-        for v in range(tree.vertex_count)
-        if v != tree.root
-    ]
+    edges = np.column_stack([tree.eu, tree.ev])
     return MedianGraph(tree.vertex_count, edges, root=tree.root,
                        label=f"from-tree({tree.label})" if tree.label else "from-tree")
 
@@ -407,19 +342,13 @@ def median_from_tree(tree: RootedTree) -> MedianGraph:
 def tree_product_graph(t1: RootedTree, t2: RootedTree, label: str = "") -> MedianGraph:
     """Cartesian product of two trees; vertex (i1, i2) gets id i1*n2 + i2."""
     n1, n2 = t1.vertex_count, t2.vertex_count
-    edges = []
-    for v in range(n1):
-        if v == t1.root:
-            continue
-        p = int(t1.parent[v])
-        for i2 in range(n2):
-            edges.append((v * n2 + i2, p * n2 + i2))
-    for u in range(n2):
-        if u == t2.root:
-            continue
-        q = int(t2.parent[u])
-        for i1 in range(n1):
-            edges.append((i1 * n2 + u, i1 * n2 + q))
+    i1, i2 = np.arange(n1) * n2, np.arange(n2)
+    # All t1 edges (by t1 edge, then i2), then all t2 edges (by t2 edge,
+    # then i1): edge order fixes the class ids, which are the printed keys.
+    edges = np.concatenate([
+        np.stack([t1.eu[:, None] * n2 + i2, t1.ev[:, None] * n2 + i2], axis=-1),
+        np.stack([i1 + t2.eu[:, None], i1 + t2.ev[:, None]], axis=-1),
+    ], axis=None).reshape(-1, 2)
     return MedianGraph(n1 * n2, edges, root=t1.root * n2 + t2.root, label=label)
 
 
@@ -436,19 +365,13 @@ def gen_cube(spec: CubeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Media
             raise ValueError("grid needs positive side lengths")
         sizes = [d + 1 for d in dims]
         strides = np.cumprod([1] + sizes[::-1][:-1])[::-1]
-
-        def vid(coords):
-            return int(np.dot(coords, strides))
-
-        edges = []
-        for coords in itertools.product(*(range(s) for s in sizes)):
-            base = vid(coords)
-            for axis, s in enumerate(sizes):
-                if coords[axis] + 1 < s:
-                    step = list(coords)
-                    step[axis] += 1
-                    edges.append((base, vid(step)))
-        return MedianGraph(int(np.prod(sizes)), edges, root=0, label=spec.label())
+        v = np.arange(int(np.prod(sizes)))
+        # Edges (v, v + stride) ordered by v, then by axis (-1: no edge):
+        # edge order fixes the class ids, which are the keys embed prints.
+        up = np.stack([np.where(v // st % k < k - 1, v + st, -1)
+                       for st, k in zip(strides, sizes)], axis=1).ravel()
+        edges = np.column_stack([np.repeat(v, len(sizes)), up])[up >= 0]
+        return MedianGraph(len(v), edges, root=0, label=spec.label())
     if spec.kind == "staircase":
         h = spec.heights
         if not h or any(x < 1 for x in h):

@@ -20,8 +20,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
+
 from .cube import MedianGraph
 from .errors import SpaceFormatError
+from .sparse import edge_array
 from .tree import RootedTree
 
 
@@ -136,25 +141,16 @@ def _parent_from_edges(n, edges, root):
         raise SpaceFormatError("a tree on n vertices needs n-1 edges")
     if not 0 <= root < n:
         raise SpaceFormatError(f"root {root} out of range")
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise SpaceFormatError(f"edge ({u},{v}) out of range")
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [-1] * n
-    parent[root] = root
-    frontier = [root]
-    seen = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if parent[v] == -1:
-                    parent[v] = u
-                    nxt.append(v)
-                    seen += 1
-        frontier = nxt
-    if seen != n:
+    e, out = edge_array(edges, n)
+    if out < len(e):
+        u, v = edges[out]
+        raise SpaceFormatError(f"edge ({u},{v}) out of range")
+    graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    # n - 1 edges reach every vertex only if they form a tree, whose BFS
+    # predecessors from the root are the parents.
+    order, parent = csgraph.breadth_first_order(
+        graph, root, directed=False, return_predecessors=True)
+    if len(order) != n:
         raise SpaceFormatError("edge list is not a connected tree")
+    parent[root] = root
     return parent

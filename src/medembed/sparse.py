@@ -1,5 +1,6 @@
 """Finitely supported vectors in a Hilbert space with integer basis keys,
-and the cube-path forest every embedding is built from.
+the cube-path forest every embedding is built from, and ``Graph``, what
+trees and median graphs share: edge arrays, CSR, BFS and embedding matrix.
 
 Keys are local to a space: a tree's edge (v, parent(v)) has key v, a
 median graph's hyperplane has its class id as its key. These are the keys
@@ -12,10 +13,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import NonTerminationError
 
@@ -117,10 +119,10 @@ class PathForest:
                 "a path step does not shorten the path to the root "
                 "by the number of keys it crosses")
 
-    def weight_table(self, w, shift: float = 0.0) -> np.ndarray:
-        """Entry i is w(i) + shift, the value of step i; entry 0 is unused."""
+    def weight_table(self, w) -> np.ndarray:
+        """Entry i is w(i), the value of step i; entry 0 is unused."""
         table = np.zeros(int(self.length.max()) + 1)
-        table[1:] = w.values(np.arange(1, len(table), dtype=np.float64)) + shift
+        table[1:] = w.values(np.arange(1, len(table), dtype=np.float64))
         return table
 
     def matrix(self, rows, table) -> sp.csr_matrix:
@@ -158,6 +160,69 @@ class PathForest:
         mat.eliminate_zeros()
         mat.sort_indices()
         return mat
+
+
+def edge_array(edges, n: int) -> tuple[np.ndarray, int]:
+    """``edges`` as an (m, 2) int64 array, and the index of the first edge
+    with an end outside 0..n-1 (m when there is none)."""
+    try:
+        e = np.asarray(edges, dtype=np.int64)
+    except OverflowError:  # an end beyond int64 is out of range: store -1
+        e = np.asarray(edges, dtype=object)
+        e = np.where((e < 0) | (e >= n), -1, e).astype(np.int64)
+    if e.shape == (0,):
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    out = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
+    return e, int(out.min(initial=len(e)))
+
+
+class Graph:
+    """Undirected graph on vertices 0..n-1 with a base vertex ``root``.
+
+    Edge i joins ``eu[i]`` and ``ev[i]``; a subclass sets both arrays and
+    ``forest()``, its cube-path forest to the root.
+    """
+
+    def __init__(self, n: int, root: int, label: str = ""):
+        self.n = int(n)
+        self.root = int(root)
+        self.label = label
+        if not 0 <= self.root < self.n:
+            raise ValueError("root out of range")
+        self._csr: Optional[sp.csr_matrix] = None
+        self._forest: Optional[PathForest] = None
+
+    @property
+    def vertex_count(self) -> int:
+        return self.n
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.eu)
+
+    def distances_from(self, sources) -> np.ndarray:
+        """Graph distances from the given vertices to every vertex."""
+        if self._csr is None:
+            ones = np.ones(2 * self.edge_count, dtype=np.int8)
+            ends = (np.concatenate([self.eu, self.ev]),
+                    np.concatenate([self.ev, self.eu]))
+            self._csr = sp.csr_matrix((ones, ends), shape=(self.n, self.n))
+        d = csgraph.dijkstra(self._csr, unweighted=True, indices=sources)
+        return np.atleast_2d(d)
+
+    def _root_distances(self, unreached: str) -> np.ndarray:
+        """BFS row of the root; ValueError(unreached) if it misses a vertex."""
+        row = self.distances_from([self.root])[0]
+        if not np.isfinite(row).all():
+            raise ValueError(unreached)
+        return row.astype(np.int64)
+
+    def embedding_matrix(self, w, rows) -> sp.csr_matrix:
+        """CSR rows of the embedding of ``rows``; column k is key k."""
+        forest = self.forest()
+        return forest.matrix(rows, forest.weight_table(w))
 
 
 def embedder(space, w) -> Callable[[int], SparseVector]:

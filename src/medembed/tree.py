@@ -1,10 +1,12 @@
 """Rooted locally finite trees with unit edges and their weighted embedding.
 
 A tree is stored as a parent array over vertex ids 0..n-1; the edge from a
-non-root vertex v to parent(v) carries the basis key v.  The embedding of a
-vertex V places weight w(i) on the i-th edge of the path from V back to the
-root, counted from V.  As a cube-path forest, a tree exits each vertex to
-its parent and crosses the single key of that edge.
+non-root vertex v to parent(v) carries the basis key v.  As a ``sparse.Graph``
+its edges are the non-root vertices and their parents, and its depths are
+the BFS row of the root.  The embedding of a vertex V places weight w(i) on
+the i-th edge of the path from V back to the root, counted from V.  As a
+cube-path forest, a tree exits each vertex to its parent and crosses the
+single key of that edge.
 
 Trees are immutable after generation and all operations here are pure, so
 vertex pairs may be evaluated concurrently without coordination.
@@ -16,12 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import BudgetExceededError
-from .sparse import PathForest
-from .weights import WeightFunction
+from .sparse import Graph, PathForest
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 
@@ -79,54 +78,27 @@ class TreeSpec:
         return f"caterpillar:{self.spine},{self.hair}"
 
 
-class RootedTree:
-    """Locally finite rooted tree over vertices 0..n-1, unit edge lengths."""
+class RootedTree(Graph):
+    """Locally finite rooted tree over vertices 0..n-1, unit edge lengths.
+
+    Edge i joins the non-root vertex ``eu[i]`` (in id order) to its parent
+    ``ev[i]`` and carries the key ``eu[i]``.
+    """
 
     def __init__(self, parent, root: int = 0, label: str = ""):
         self.parent = np.asarray(parent, dtype=np.int64)
-        self.root = int(root)
-        self.label = label
-        n = len(self.parent)
-        if not 0 <= self.root < n:
-            raise ValueError("root out of range")
+        super().__init__(len(self.parent), root, label)
         if self.parent[self.root] != self.root:
             raise ValueError("root must be its own parent")
-        if ((self.parent < 0) | (self.parent >= n)).any():
+        if ((self.parent < 0) | (self.parent >= self.n)).any():
             raise ValueError("parent ids out of range")
-        self.children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            p = int(self.parent[v])
-            if v != self.root:
-                if p == v:
-                    raise ValueError(f"vertex {v} is its own parent but not root")
-                self.children[p].append(v)
-        # BFS from the root: computes depths and proves connectivity
-        # (a parent array with a cycle leaves its vertices unreached).
-        depth = np.full(n, -1, dtype=np.int64)
-        depth[self.root] = 0
-        frontier = [self.root]
-        seen = 1
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for c in self.children[u]:
-                    depth[c] = depth[u] + 1
-                    nxt.append(c)
-                    seen += 1
-            frontier = nxt
-        if seen != n:
-            raise ValueError("parent array is not a connected tree")
-        self.depth = depth
-        self._csr = None
-        self._forest: Optional[PathForest] = None
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.parent)
-
-    @property
-    def edge_count(self) -> int:
-        return self.vertex_count - 1
+        self.eu = np.flatnonzero(np.arange(self.n) != self.root)
+        self.ev = self.parent[self.eu]
+        loops = self.eu[self.ev == self.eu]
+        if len(loops):
+            raise ValueError(f"vertex {loops[0]} is its own parent but not root")
+        # A parent array with a cycle leaves the cycle's vertices unreached.
+        self.depth = self._root_distances("parent array is not a connected tree")
 
     def edge_key(self, v: int) -> int:
         """Basis key of the edge (v, parent(v))."""
@@ -138,41 +110,15 @@ class RootedTree:
         """The tree as a cube-path forest: exit is the parent, and the
         step out of v crosses the single key v."""
         if self._forest is None:
-            other = np.arange(self.vertex_count) != self.root
             self._forest = PathForest(
                 root=self.root,
                 exit=self.parent,
-                step_ptr=np.concatenate([[0], np.cumsum(other)]),
-                step_keys=np.flatnonzero(other),
-                key_count=self.vertex_count,
+                step_ptr=np.searchsorted(self.eu, np.arange(self.n + 1)),
+                step_keys=self.eu,
+                key_count=self.n,
                 length=self.depth,
             )
         return self._forest
-
-    def embedding_matrix(self, w: WeightFunction, rows):
-        """CSR rows of the embedding of ``rows``; column k is key k."""
-        forest = self.forest()
-        return forest.matrix(rows, forest.weight_table(w))
-
-    def _graph(self):
-        if self._csr is None:
-            n = self.vertex_count
-            vs = np.arange(n)
-            mask = vs != self.root
-            u = vs[mask]
-            p = self.parent[mask]
-            data = np.ones(len(u), dtype=np.int8)
-            self._csr = sp.csr_matrix(
-                (np.concatenate([data, data]),
-                 (np.concatenate([u, p]), np.concatenate([p, u]))),
-                shape=(n, n),
-            )
-        return self._csr
-
-    def distances_from(self, sources) -> np.ndarray:
-        """Graph distances from the given vertices to every vertex."""
-        d = csgraph.dijkstra(self._graph(), unweighted=True, indices=sources)
-        return np.atleast_2d(d)
 
 
 def gen_tree(spec: TreeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> RootedTree:
@@ -190,21 +136,14 @@ def gen_tree(spec: TreeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Roote
     elif spec.kind == "spider":
         if spec.legs < 1 or spec.leg_len < 1:
             raise ValueError("spider parameters must be positive")
-        parent = np.zeros(declared, dtype=np.int64)
-        for leg in range(spec.legs):
-            base = 1 + leg * spec.leg_len
-            parent[base] = 0
-            for j in range(1, spec.leg_len):
-                parent[base + j] = base + j - 1
+        parent = np.arange(-1, declared - 1)
+        parent[0] = 0
+        parent[1::spec.leg_len] = 0  # the first vertex of each leg
     elif spec.kind == "caterpillar":
         if spec.spine < 1 or spec.hair < 0:
             raise ValueError("caterpillar parameters must be positive")
-        parents = [0]
-        for i in range(1, spec.spine + 1):
-            parents.append(i - 1)
-        for s in range(spec.spine + 1):
-            parents.extend([s] * spec.hair)
-        parent = np.asarray(parents)
+        spine = np.arange(spec.spine + 1)
+        parent = np.concatenate([[0], spine[:-1], np.repeat(spine, spec.hair)])
     elif spec.kind == "binary_sample":
         if spec.depth < 1 or spec.rays < 1:
             raise ValueError("binary_sample parameters must be positive")

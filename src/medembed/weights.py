@@ -135,13 +135,15 @@ def parse_weight(label: str) -> WeightFunction:
     name, _, arg = label.partition(":")
     if name == "unit":
         return WeightFunction.unit()
-    if name == "paper":
-        return WeightFunction.paper(int(arg) if arg else DEFAULT_CUTOFF)
-    if name == "power":
-        if not arg:
-            raise ValueError("power weight needs an exponent, e.g. power:0.25")
-        return WeightFunction.power(float(arg))
-    raise ValueError(f"unknown weight spec {label!r}")
+    if name == "power" and not arg:
+        raise ValueError("power weight needs an exponent, e.g. power:0.25")
+    if name not in ("paper", "power"):
+        raise ValueError(f"unknown weight spec {label!r}")
+    try:
+        number = float(arg) if name == "power" else int(arg or DEFAULT_CUTOFF)
+    except ValueError:
+        raise ValueError(f"cannot parse weight spec {label!r}") from None
+    return (WeightFunction.paper if name == "paper" else WeightFunction.power)(number)
 
 
 def diff_sq_sum(w: WeightFunction, n: int) -> float:

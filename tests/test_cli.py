@@ -244,6 +244,42 @@ def test_measure_rejects_bad_stratified_count(tmp_path, capsys):
     assert "median validation failed" in err
 
 
+def test_malformed_numbers_name_the_spec(tmp_path, capsys):
+    space = tmp_path / "p.json"
+    run(capsys, "generate", "--space", "path", "--len", "9", "-o", str(space))
+    out = tmp_path / "x.csv"
+    for flags, message in (
+            (("--sampler", "uniform:abc"), "cannot parse sampler 'uniform:abc'"),
+            (("--sampler", "stratified:1.5"),
+             "cannot parse sampler 'stratified:1.5'"),
+            (("--weight", "paper:abc"), "cannot parse weight spec 'paper:abc'"),
+            (("--weight", "power:x"), "cannot parse weight spec 'power:x'")):
+        code, _, err = run(capsys, "measure", "--space", str(space), *flags,
+                           "--seed", "1", "-o", str(out))
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+    for flags, message in (
+            (("from-tree", "--tree", "spider:3,x"),
+             "cannot parse tree spec 'spider:3,x'"),
+            (("grid", "--dims", "10xA"), "cannot parse --dims '10xA'"),
+            (("staircase", "--heights", "3,a"), "cannot parse --heights '3,a'")):
+        code, _, err = run(capsys, "generate", "--space", *flags,
+                           "-o", str(tmp_path / "x.json"))
+        assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_measure_rejects_too_few_edges_for_n(tmp_path, capsys):
+    # 2,000,000 declared vertices and one edge: rejected before anything
+    # sized by n is allocated
+    bad = tmp_path / "big.json"
+    bad.write_text('{"type":"median_graph","n":2000000,"root":0,"edges":[[0,1]]}')
+    out = tmp_path / "out.csv"
+    code, _, err = run(capsys, "measure", "--space", str(bad),
+                       "--sampler", "exhaustive", "-o", str(out))
+    assert (code, err) == (2, "error: graph is not connected\n")
+    assert not out.exists()
+
+
 def test_measure_rejects_malformed_space_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     out = tmp_path / "out.csv"

@@ -22,8 +22,8 @@ from medembed.errors import (
     NonTerminationError,
     SideComputationError,
 )
-from medembed.sparse import embedder, vec_distance
-from medembed.tree import TreeSpec, gen_tree
+from medembed.sparse import Graph, embedder, vec_distance
+from medembed.tree import RootedTree, TreeSpec, gen_tree
 from medembed.weights import WeightFunction
 
 UNIT = WeightFunction.unit()
@@ -103,12 +103,90 @@ def test_cube_budget():
 
 
 def test_rejects_bad_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
         MedianGraph(3, [(0, 1), (0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^self-loop at 0$"):
         MedianGraph(3, [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^graph is not connected$"):
         MedianGraph(4, [(0, 1), (2, 3)])  # disconnected
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        MedianGraph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])  # n - 1 edges, two parts
+    with pytest.raises(ValueError):
+        MedianGraph(3, [(0, 1, 2)])  # not a pair
+
+
+def test_edge_errors_name_the_first_bad_edge():
+    # the first offending edge in edge order is reported; within one edge
+    # out of range comes before a self-loop, a self-loop before a repeat
+    cases = [
+        ([(0, 1), (1, 7), (0, 1)], r"^edge \(1,7\) out of range$"),
+        ([(0, 1), (-1, 2), (0, 0)], r"^edge \(-1,2\) out of range$"),
+        ([(0, 1), (9, 9), (1, 0)], r"^edge \(9,9\) out of range$"),
+        ([(0, 1), (2, 2 ** 70)], rf"^edge \(2,{2 ** 70}\) out of range$"),
+        ([(0, 1), (1, 1), (0, 1)], "^self-loop at 1$"),
+        ([(0, 1), (2, 1), (1, 2), (3, 3)], r"^duplicate edge \(1, 2\)$"),
+        ([(3, 1), (1, 0), (1, 3), (9, 0)], r"^duplicate edge \(1, 3\)$"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(ValueError, match=message):
+            MedianGraph(4, edges)
+    # the root is checked before any edge
+    with pytest.raises(ValueError, match="^root out of range$"):
+        MedianGraph(4, [(0, 9), (1, 1)], root=7)
+    with pytest.raises(ValueError, match="^root out of range$"):
+        MedianGraph(4, [(0, 1)], root=-1)
+
+
+def test_single_vertex_graph():
+    g = MedianGraph(1, [])
+    assert (g.vertex_count, g.edge_count, g.dimension) == (1, 0, 0)
+    assert g.dist_root.tolist() == [0]
+    assert g.eu.dtype == g.ev.dtype == np.int64
+
+
+def _grid_edges_by_loops(dims):
+    sizes = [d + 1 for d in dims]
+    strides = [int(np.prod(sizes[a + 1:])) for a in range(len(sizes))]
+    edges = []
+    for coords in itertools.product(*(range(s) for s in sizes)):
+        base = sum(c * st for c, st in zip(coords, strides))
+        for axis, s in enumerate(sizes):
+            if coords[axis] + 1 < s:
+                edges.append((base, base + strides[axis]))
+    return edges
+
+
+def test_generator_edge_arrays_match_loops():
+    # edge order fixes the class ids, the keys ``medembed embed`` prints
+    for dims in ((1,), (7,), (3, 2), (1, 4), (2, 3, 4), (1, 1, 1)):
+        g = gen_cube(CubeSpec.grid(*dims))
+        assert list(zip(g.eu.tolist(), g.ev.tolist())) == _grid_edges_by_loops(dims)
+    for left, right in ((TreeSpec.path(3), TreeSpec.spider(2, 2)),
+                        (TreeSpec.caterpillar(2, 1), TreeSpec.path(1))):
+        t1, t2 = gen_tree(left), gen_tree(right)
+        g = tree_product_graph(t1, t2)
+        n2 = t2.vertex_count
+        expected = [(v * n2 + i2, int(t1.parent[v]) * n2 + i2)
+                    for v in range(t1.vertex_count) if v != t1.root
+                    for i2 in range(n2)]
+        expected += [(i1 * n2 + u, i1 * n2 + int(t2.parent[u]))
+                     for u in range(n2) if u != t2.root
+                     for i1 in range(t1.vertex_count)]
+        assert list(zip(g.eu.tolist(), g.ev.tolist())) == expected
+    t = RootedTree([2, 2, 2, 0, 3, 1], root=2)
+    g = median_from_tree(t)
+    assert list(zip(g.eu.tolist(), g.ev.tolist())) == [
+        (v, int(t.parent[v])) for v in range(t.vertex_count) if v != t.root]
+    assert g.root == 2
+
+
+def test_one_graph_core():
+    # trees and median graphs inherit BFS and the embedding matrix; a
+    # per-kind copy of either is a second code path to keep in step
+    for name in ("distances_from", "embedding_matrix"):
+        assert name in Graph.__dict__
+        assert name not in RootedTree.__dict__
+        assert name not in MedianGraph.__dict__
 
 
 # -- median validation -----------------------------------------------------------

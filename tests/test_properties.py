@@ -17,6 +17,7 @@ from medembed.cube import (
     validate_median,
 )
 from medembed.metrics import _entries_from_pairs
+from medembed.spacefile import SpaceFile, build_space
 from medembed.sparse import embedder, vec_distance
 from medembed.tree import (
     RootedTree,
@@ -118,6 +119,26 @@ def test_random_tree_forest_matches_geodesics(tree):
     ])
 
 
+@given(random_trees, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_tree_edge_list_loads_back_to_its_parents(tree, rnd):
+    # relabel so the root is any vertex, then write the edges shuffled
+    # and with random ends first
+    n = tree.vertex_count
+    label = list(range(n))
+    rnd.shuffle(label)
+    parent = [0] * n
+    for v in range(n):
+        parent[label[v]] = label[int(tree.parent[v])]
+    edges = [(label[v], label[int(tree.parent[v])]) for v in range(1, n)]
+    rnd.shuffle(edges)
+    edges = tuple((v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges)
+    root = label[tree.root]
+    t = build_space(SpaceFile(type="tree", n=n, root=root, edges=edges))
+    assert t.root == root
+    assert t.parent.tolist() == parent
+
+
 @given(staircase_heights)
 @settings(max_examples=30, deadline=None)
 def test_random_staircase_forest_matches_cube_paths(heights):
@@ -204,6 +225,6 @@ def test_binary_sample_prefix_sharing(depth, seed):
     # a trie over 4 rays shares at least the root and never exceeds the
     # declared ceiling; every leaf sits at the full depth
     assert t.vertex_count <= 4 * depth + 1
-    leaves = [v for v in range(t.vertex_count) if not t.children[v]]
+    leaves = np.setdiff1d(np.arange(t.vertex_count), t.ev)
     assert all(int(t.depth[v]) == depth for v in leaves)
     assert 1 <= len(leaves) <= 4

@@ -79,6 +79,13 @@ def test_inconsistent_spaces_rejected():
     with pytest.raises(SpaceFormatError):
         build_space(SpaceFile(type="median_graph", n=4, root=0,
                               edges=((0, 1), (2, 3))))  # disconnected
+    for edges, message in (
+            (((0, 1), (1, 0), (2, 3)), "^edge list is not a connected tree$"),
+            (((0, 0), (1, 2), (2, 3)), "^edge list is not a connected tree$"),
+            (((0, 1), (1, 2), (2, 9)), r"^edge \(2,9\) out of range$"),
+            (((0, 1), (1, 2), (3, 2 ** 70)), rf"^edge \(3,{2 ** 70}\) out of range$")):
+        with pytest.raises(SpaceFormatError, match=message):
+            build_space(SpaceFile(type="tree", n=4, root=0, edges=edges))
 
 
 def test_tree_edges_with_root_out_of_range_rejected():

@@ -50,7 +50,7 @@ def test_caterpillar_generator():
     spec = TreeSpec.caterpillar(4, 3)
     t = gen_tree(spec)
     assert t.vertex_count == spec.max_vertex_count() == 5 * 4
-    leaves = sum(1 for v in range(t.vertex_count) if not t.children[v])
+    leaves = len(np.setdiff1d(np.arange(t.vertex_count), t.ev))
     assert leaves == 5 * 3  # every leaf is a hair; the spine tip has hairs
 
 
@@ -74,12 +74,18 @@ def test_budget_guard():
 
 
 def test_invalid_parent_arrays():
-    with pytest.raises(ValueError):
-        RootedTree([1, 0], root=0)  # root not its own parent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^root must be its own parent$"):
+        RootedTree([1, 0], root=0)
+    with pytest.raises(ValueError, match="^vertex 1 is its own parent but not root$"):
         RootedTree([0, 1], root=0)  # vertex 1 detached self-parent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex 2 is its own parent but not root$"):
+        RootedTree([0, 0, 2, 3], root=0)  # the first of two is named
+    with pytest.raises(ValueError, match="^parent array is not a connected tree$"):
         RootedTree([0, 2, 1], root=0)  # 2-cycle unreachable from root
+    with pytest.raises(ValueError, match="^parent ids out of range$"):
+        RootedTree([0, 0, 5], root=0)
+    with pytest.raises(ValueError, match="^root out of range$"):
+        RootedTree([0, 0], root=2)
 
 
 # -- geodesics and meets -----------------------------------------------------
@@ -216,7 +222,7 @@ def test_injectivity_patch():
     eps = 0.5
     forest = t.forest()
     rows = range(t.vertex_count)
-    patched = forest.matrix(rows, forest.weight_table(PAPER, eps)).toarray()
+    patched = forest.matrix(rows, forest.weight_table(PAPER) + eps).toarray()
     plain = t.embedding_matrix(PAPER, rows).toarray()
     assert len({tuple(row) for row in patched}) == t.vertex_count
     dist = bfs_distances(t)
