@@ -3,7 +3,6 @@ vectors, with empirical compression and dilatation measurement."""
 
 from .cube import (
     CubeSpec,
-    Hyperplane,
     KeyProperty,
     MedianGraph,
     MedianVerdict,
@@ -13,7 +12,6 @@ from .cube import (
     key_property,
     median_from_tree,
     normal_cube_path,
-    separates,
     square_closure_classes,
     tree_product_graph,
     validate_median,

@@ -1,12 +1,13 @@
 """Median graphs (1-skeleta of cube complexes) and their weighted embedding.
 
 A finite median graph is a ``sparse.Graph``, built from an int64 edge
-array whose order fixes the class ids.  Hyperplanes are the
+array whose order fixes the class ids.  Its hyperplanes are the
 distance-condition edge classes: edges (a,b) and (c,d) fall together
 exactly when d(a,c)+d(b,d) != d(a,d)+d(b,c).
 Removing a class splits the graph into a near side (containing the base
 vertex) and a far side; for vertices, graph distance equals the number of
-classes separating them.
+classes separating them.  Each class's far side is stored once, as a
+packed bit row, and ``separators`` is the one reader of the sides.
 
 The cube path from a vertex V to the base vertex repeatedly crosses, in
 one diagonal step, the full set of hyperplanes that are adjacent at the
@@ -96,16 +97,6 @@ class CubeSpec:
         return f"tree-product({self.left.label()},{self.right.label()})"
 
 
-@dataclass(frozen=True, eq=False)
-class Hyperplane:
-    """One edge class: its basis key (the class id), member edges, and the
-    side bitmap."""
-
-    key: int
-    edge_ids: frozenset[int]
-    near_side: np.ndarray  # bool per vertex, True on the base-vertex side
-
-
 @dataclass(frozen=True)
 class CubeStep:
     entry: int
@@ -163,27 +154,28 @@ class MedianGraph(Graph):
         for eid, (u, v) in enumerate(zip(self.eu.tolist(), self.ev.tolist())):
             self.adj[u].append((v, eid))
             self.adj[v].append((u, eid))
-        self._hyperplanes = None  # hyperplanes() sets it, _hyp_of_edge and _near
+        self._far = None  # hyperplanes() sets it and _hyp_of_edge
         self.dist_root = self._root_distances("graph is not connected")
 
     # -- hyperplanes -------------------------------------------------------
 
-    def hyperplanes(self) -> list[Hyperplane]:
-        """Edge classes with side bitmaps; computed once and cached.
+    def hyperplanes(self) -> np.ndarray:
+        """Far sides of the edge classes, computed once and cached: row c
+        is the halfspace of class c without the base vertex, packed eight
+        vertices a byte (``np.packbits``), shape (K, ceil(n/8)), uint8.
 
         The BFS rows da, db of a representative edge (a, b) split the
-        vertices into the halfspaces W_ab = {da < db} and W_ba; the near
-        side holds the base vertex, and the class is the set of edges
-        crossing between them. Each halfspace is connected (a shortest
-        path to a stays in W_ab). A vertex with da == db (not bipartite)
-        or overlapping classes raise SideComputationError.
+        vertices into the halfspaces W_ab = {da < db} and W_ba; the class
+        is the set of edges crossing between them, numbered in order of
+        its first edge. Each halfspace is connected (a shortest path to a
+        stays in W_ab). A vertex with da == db (not bipartite) or
+        overlapping classes raise SideComputationError.
         """
-        if self._hyperplanes is not None:
-            return self._hyperplanes
+        if self._far is not None:
+            return self._far
         eu, ev = self.eu, self.ev
         assigned = np.full(self.edge_count, -1, dtype=np.int64)
-        classes: list[np.ndarray] = []
-        packed: list[np.ndarray] = []  # near sides, eight vertices a byte
+        packed: list[np.ndarray] = []
         for e0 in range(self.edge_count):
             if assigned[e0] >= 0:
                 continue
@@ -191,42 +183,31 @@ class MedianGraph(Graph):
             if (da == db).any():
                 raise SideComputationError(
                     f"a vertex is equidistant from the ends of edge {e0}; not bipartite")
-            side = (da < db) == (da[self.root] < db[self.root])
-            members = np.flatnonzero(side[eu] != side[ev])
+            far = (da < db) != (da[self.root] < db[self.root])
+            members = np.flatnonzero(far[eu] != far[ev])
             if (assigned[members] >= 0).any():
                 raise SideComputationError(
                     "edge classes overlap; graph is not a partial cube")
-            assigned[members] = len(classes)
-            classes.append(members)
-            packed.append(np.packbits(side))
-        packed_rows = np.asarray(packed, dtype=np.uint8).reshape(-1, (self.n + 7) // 8)
-        near = np.unpackbits(packed_rows, axis=1, count=self.n).view(bool)
-        self._hyperplanes = [
-            Hyperplane(key=cid, edge_ids=frozenset(members.tolist()),
-                       near_side=near[cid])
-            for cid, members in enumerate(classes)
-        ]
+            assigned[members] = len(packed)
+            packed.append(np.packbits(far))
+        self._far = np.asarray(packed, dtype=np.uint8).reshape(-1, (self.n + 7) // 8)
         self._hyp_of_edge = assigned
-        self._near = near
-        return self._hyperplanes
+        return self._far
 
     @property
     def hyp_of_edge(self) -> np.ndarray:
         self.hyperplanes()
         return self._hyp_of_edge
 
-    @property
-    def near_matrix(self) -> np.ndarray:
-        """Bool matrix, one row per hyperplane, True on the root side."""
-        self.hyperplanes()
-        return self._near
-
     @cached_property
     def separators(self) -> sp.csr_matrix:
         """0/1 matrix with a row per vertex and a column per hyperplane:
-        1 where the hyperplane separates the vertex from the base vertex."""
-        near = self.near_matrix
-        return sp.csr_matrix((near != near[:, [self.root]]).T, dtype=np.int32)
+        1 where the vertex lies on the hyperplane's far side."""
+        far = np.unpackbits(self.hyperplanes(), axis=1, count=self.n)
+        vertex, cls = np.nonzero(far.T)  # vertex-major, so already CSR order
+        indptr = np.searchsorted(vertex, np.arange(self.n + 1))
+        return sp.csr_matrix((np.ones(len(cls), dtype=np.int32), cls, indptr),
+                             shape=(self.n, len(far)))
 
     def separating_counts(self, sources) -> np.ndarray:
         """Number of hyperplanes separating each source from each vertex,
@@ -405,6 +386,8 @@ def gen_cube(spec: CubeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Media
 
 # -- validation ----------------------------------------------------------------
 
+CHUNK_BYTES = 4 << 20  # bytes per chunk of rows in validate_median
+
 
 def validate_median(
     g: MedianGraph, triple_budget: int = 200_000, seed: int = 0
@@ -414,7 +397,9 @@ def validate_median(
     Exhaustive when the triple count fits the budget, otherwise a seeded
     sample drawn from a vertex pool sized so the pool's triples cover the
     budget. The median of (u, v, w) is the intersection of the three
-    pairwise metric intervals; any count other than one is a violation.
+    pairwise intervals I(p, q) = {x : d(p,x) + d(x,q) = d(p,q)}, one packed
+    bit row per pool pair. Triples are checked in order, CHUNK_BYTES of
+    rows at a time; the first whose median count is not 1 is a violation.
     """
     n = g.vertex_count
     if n < 3:
@@ -422,7 +407,9 @@ def validate_median(
     total = n * (n - 1) * (n - 2) // 6
     if total <= triple_budget:
         pool = np.arange(n)
-        triple_iter = itertools.combinations(range(n), 3)
+        triples = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), 3)),
+            dtype=np.int64, count=3 * total).reshape(-1, 3)
     else:
         rng = np.random.default_rng(seed)
         p = min(n, max(8, int(round((6.0 * triple_budget) ** (1.0 / 3.0))) + 2))
@@ -433,34 +420,33 @@ def validate_median(
             & (draws[:, 1] != draws[:, 2])
             & (draws[:, 0] != draws[:, 2])
         )
-        triple_iter = map(tuple, draws[distinct][:triple_budget])
+        triples = draws[distinct][:triple_budget]
     rows = g.distances_from(pool).astype(np.int64)
-    checked = 0
-    for i, j, k in triple_iter:
-        du, dv, dw = rows[i], rows[j], rows[k]
-        duv = du[pool[j]]
-        dvw = dv[pool[k]]
-        duw = du[pool[k]]
-        medians = np.count_nonzero(
-            (du + dv == duv) & (dv + dw == dvw) & (du + dw == duw)
-        )
-        checked += 1
-        if medians != 1:
-            return MedianVerdict(
-                valid=False,
-                triples_checked=checked,
-                violation=(int(pool[i]), int(pool[j]), int(pool[k])),
-                median_count=int(medians),
-            )
-    return MedianVerdict(valid=True, triples_checked=checked)
+    # slot[i, j] is the interval row of pool pair {i, j}
+    a, b = np.triu_indices(len(pool), 1)
+    slot = np.zeros((len(pool), len(pool)), dtype=np.int64)
+    slot[a, b] = slot[b, a] = np.arange(len(a))
+    intervals = np.empty((len(a), (n + 7) // 8), dtype=np.uint8)
+    step = max(1, CHUNK_BYTES // (8 * n))
+    for s in range(0, len(a), step):
+        i, j = a[s:s + step], b[s:s + step]
+        between = rows[i] + rows[j] == rows[i, pool[j]][:, None]
+        intervals[s:s + step] = np.packbits(between, axis=1)
+    step = max(1, CHUNK_BYTES // (3 * intervals.shape[1]))
+    for s in range(0, len(triples), step):
+        i, j, k = triples[s:s + step].T
+        medians = np.bitwise_count(intervals[slot[i, j]] & intervals[slot[j, k]]
+                                   & intervals[slot[i, k]]).sum(axis=1)
+        bad = np.flatnonzero(medians != 1)
+        if len(bad):
+            t = int(bad[0])
+            return MedianVerdict(valid=False, triples_checked=s + t + 1,
+                                 violation=tuple(pool[triples[s + t]].tolist()),
+                                 median_count=int(medians[t]))
+    return MedianVerdict(valid=True, triples_checked=len(triples))
 
 
 # -- spec operations -----------------------------------------------------------
-
-
-def separates(h: Hyperplane, u: int, v: int) -> bool:
-    """True when u and v lie on opposite sides of h."""
-    return bool(h.near_side[u] != h.near_side[v])
 
 
 def normal_cube_path(g: MedianGraph, v: int) -> NormalCubePath:
@@ -468,7 +454,7 @@ def normal_cube_path(g: MedianGraph, v: int) -> NormalCubePath:
     step at a time without the forest; the oracle for its matrices.
 
     Each step crosses every hyperplane that is adjacent at the current
-    vertex and separates it from the base; the crossed set must span a
+    vertex and has it on its far side; the crossed set must span a
     cube (verified constructively) and the walk exits at its opposite
     corner, which must be as many edges nearer the base as the step
     crosses hyperplanes.

@@ -14,7 +14,7 @@ class SpaceFormatError(MedEmbedError):
 
 
 class SideComputationError(MedEmbedError):
-    """Hyperplane sides could not be computed: the graph is not bipartite,
+    """A hyperplane's sides could not be computed: the graph is not bipartite,
     or the computed edge classes overlap. Signals non-median input."""
 
 

@@ -99,13 +99,13 @@ def load_spacefile(path) -> SpaceFile:
     if stype not in ("tree", "median_graph"):
         raise SpaceFormatError(f"{path}: unknown space type {stype!r}")
     try:
-        n = int(doc["n"])
-        root = int(doc["root"])
+        n = _integer(doc["n"])
+        root = _integer(doc["root"])
         parent = edges = None
         if stype == "tree" and "parent" in doc:
-            parent = tuple(int(p) for p in doc["parent"])
+            parent = tuple(_integer(p) for p in doc["parent"])
         elif "edges" in doc:
-            edges = tuple((int(u), int(v)) for u, v in doc["edges"])
+            edges = tuple((_integer(u), _integer(v)) for u, v in doc["edges"])
     except (TypeError, ValueError) as exc:
         raise SpaceFormatError(f"{path}: malformed field ({exc})") from exc
     if parent is not None and len(parent) != n:
@@ -118,6 +118,14 @@ def load_spacefile(path) -> SpaceFile:
         raise SpaceFormatError(f"{path}: generator must be an object")
     return SpaceFile(type=stype, n=n, root=root, parent=parent, edges=edges,
                      generator=generator)
+
+
+def _integer(x) -> int:
+    """A JSON integer; a bool, a float (1.0 too) or a string is refused
+    rather than truncated or coerced."""
+    if type(x) is not int:
+        raise TypeError(f"{json.dumps(x)} is not an integer")
+    return x
 
 
 def build_space(sf: SpaceFile) -> Union[RootedTree, MedianGraph]:

@@ -162,14 +162,20 @@ class PathForest:
         return mat
 
 
+def id_array(ids, n: int) -> np.ndarray:
+    """Vertex ids as an int64 array; if some id is beyond int64, every id
+    outside 0..n-1 is stored as -1, which range checks still reject."""
+    try:
+        return np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        a = np.asarray(ids, dtype=object)
+        return np.where((a < 0) | (a >= n), -1, a).astype(np.int64)
+
+
 def edge_array(edges, n: int) -> tuple[np.ndarray, int]:
     """``edges`` as an (m, 2) int64 array, and the index of the first edge
     with an end outside 0..n-1 (m when there is none)."""
-    try:
-        e = np.asarray(edges, dtype=np.int64)
-    except OverflowError:  # an end beyond int64 is out of range: store -1
-        e = np.asarray(edges, dtype=object)
-        e = np.where((e < 0) | (e >= n), -1, e).astype(np.int64)
+    e = id_array(edges, n)
     if e.shape == (0,):
         e = e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError
-from .sparse import Graph, PathForest
+from .sparse import Graph, PathForest, id_array
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 
@@ -86,7 +86,7 @@ class RootedTree(Graph):
     """
 
     def __init__(self, parent, root: int = 0, label: str = ""):
-        self.parent = np.asarray(parent, dtype=np.int64)
+        self.parent = id_array(parent, len(parent))
         super().__init__(len(self.parent), root, label)
         if self.parent[self.root] != self.root:
             raise ValueError("root must be its own parent")

@@ -124,8 +124,10 @@ def test_criterion_02_unit_oracle_complexes(cubes_c2):
         err, sep_dev = oracle_deviations(g)
         worst = max(worst, err)
         max_dev = max(max_dev, sep_dev)
-        near = g.near_matrix
         n = g.vertex_count
+        # far sides: two vertices differ on one side exactly when they
+        # differ on the other
+        far = np.unpackbits(g.hyperplanes(), axis=1, count=n).view(bool)
         for start in range(0, n, 256):
             block = np.arange(start, min(start + 256, n))
             dist = g.distances_from(block).astype(np.int64)
@@ -133,7 +135,7 @@ def test_criterion_02_unit_oracle_complexes(cubes_c2):
                 vs = np.arange(u + 1, n)
                 if len(vs) == 0:
                     continue
-                seps = (near[:, u][:, None] != near[:, vs]).sum(axis=0)
+                seps = (far[:, u][:, None] != far[:, vs]).sum(axis=0)
                 max_dev = max(max_dev, int(np.abs(seps - dist[i][vs]).max()))
     ok = worst <= 1e-9 and max_dev == 0
     report(2, ok, f"unit-weight complex oracle, max rel error {worst:.3e}, "
@@ -274,12 +276,12 @@ def test_criterion_09_cross_module_consistency(from_tree_spider):
     tree, g = from_tree_spider
     embed_g = embedder(g, PAPER)
     embed_t = embedder(tree, PAPER)
+    assert (np.bincount(g.hyp_of_edge) == 1).all()  # every class is one edge
     key_map = {}
-    for h in g.hyperplanes():
-        (eid,) = h.edge_ids
+    for eid, key in enumerate(g.hyp_of_edge.tolist()):
         u, v = int(g.eu[eid]), int(g.ev[eid])
         child = u if tree.depth[u] > tree.depth[v] else v
-        key_map[h.key] = tree.edge_key(child)
+        key_map[key] = tree.edge_key(child)
     worst = 0.0
     for v in range(tree.vertex_count):
         got = {key_map[k]: val for k, val in embed_g(v).coords.items()}

@@ -292,6 +292,39 @@ def test_measure_rejects_malformed_space_files(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_measure_rejects_non_integer_numbers(tmp_path, capsys):
+    # ids and counts must be JSON integers: nothing is truncated or coerced
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "out.csv"
+    graph = '"edges":[[0,1],[1,2],[2,3]]'
+    for doc, shown in (
+            ('{"type":"median_graph","n":4,"root":0,"edges":[[0,1],[1,2.9],[2,3]]}', "2.9"),
+            ('{"type":"median_graph","n":4.7,"root":0,' + graph + '}', "4.7"),
+            ('{"type":"median_graph","n":4,"root":true,' + graph + '}', "true"),
+            ('{"type":"median_graph","n":"4","root":0,' + graph + '}', '"4"'),
+            ('{"type":"median_graph","n":4.0,"root":0,' + graph + '}', "4.0"),
+            ('{"type":"tree","n":3,"root":0,"edges":[[0,1],[1,2.5]]}', "2.5"),
+            ('{"type":"tree","n":3,"root":0,"parent":[0,0,1.0]}', "1.0")):
+        bad.write_text(doc + "\n")
+        code, _, err = run(capsys, "measure", "--space", str(bad), "-o", str(out))
+        assert (code, err) == (
+            2, f"error: {bad}: malformed field ({shown} is not an integer)\n")
+        assert not out.exists()
+
+
+def test_tree_parent_ids_beyond_int64_exit_2(tmp_path, capsys):
+    bad = tmp_path / "huge.json"
+    out = tmp_path / "out.csv"
+    huge = "99999999999999999999999"
+    for parent, message in ((f"[0,{huge}]", "parent ids out of range"),
+                            (f"[0,-{huge}]", "parent ids out of range"),
+                            (f"[{huge},0]", "root must be its own parent")):
+        bad.write_text('{"type":"tree","n":2,"root":0,"parent":' + parent + "}\n")
+        code, _, err = run(capsys, "measure", "--space", str(bad), "-o", str(out))
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+
 def test_measure_deterministic_given_seed(tmp_path, capsys):
     space = tmp_path / "s.json"
     run(capsys, "generate", "--space", "spider", "--legs", "4",

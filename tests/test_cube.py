@@ -6,12 +6,12 @@ import pytest
 from medembed.cube import (
     CubeSpec,
     MedianGraph,
+    MedianVerdict,
     dimension_by_cliques,
     gen_cube,
     key_property,
     median_from_tree,
     normal_cube_path,
-    separates,
     square_closure_classes,
     tree_product_graph,
     validate_median,
@@ -50,6 +50,11 @@ def three_cube():
     return gen_cube(CubeSpec.grid(1, 1, 1))
 
 
+def far_sides(g):
+    """Bool matrix, row c True on the far side of hyperplane c."""
+    return np.unpackbits(g.hyperplanes(), axis=1, count=g.vertex_count).view(bool)
+
+
 # -- construction and generators -----------------------------------------------
 
 
@@ -74,7 +79,7 @@ def test_from_tree_keeps_metric():
     dist_g = g.distances_from(range(g.vertex_count))
     assert np.array_equal(dist_t, dist_g)
     assert len(g.hyperplanes()) == 5  # singleton classes on a path
-    assert all(len(h.edge_ids) == 1 for h in g.hyperplanes())
+    assert np.bincount(g.hyp_of_edge).tolist() == [1] * 5
 
 
 def test_tree_product_of_paths_is_grid():
@@ -225,6 +230,83 @@ def test_validate_median_budget_sampling_deterministic():
     assert a.triples_checked <= 500
 
 
+def _median_loop(g, triple_budget, seed=0):
+    """validate_median one triple at a time: the per-triple oracle."""
+    n = g.vertex_count
+    if n < 3:
+        return MedianVerdict(valid=True, triples_checked=0)
+    total = n * (n - 1) * (n - 2) // 6
+    if total <= triple_budget:
+        pool = np.arange(n)
+        triple_iter = itertools.combinations(range(n), 3)
+    else:
+        rng = np.random.default_rng(seed)
+        p = min(n, max(8, int(round((6.0 * triple_budget) ** (1.0 / 3.0))) + 2))
+        pool = np.sort(rng.choice(n, size=p, replace=False))
+        draws = rng.integers(0, p, size=(int(triple_budget * 1.3), 3))
+        distinct = ((draws[:, 0] != draws[:, 1]) & (draws[:, 1] != draws[:, 2])
+                    & (draws[:, 0] != draws[:, 2]))
+        triple_iter = map(tuple, draws[distinct][:triple_budget])
+    rows = g.distances_from(pool)
+    assert rows.max() < 2 ** 14  # so int16 sums are exact; int64 takes twice as long
+    rows = rows.astype(np.int16)
+    checked = 0
+    for i, j, k in triple_iter:
+        du, dv, dw = rows[i], rows[j], rows[k]
+        medians = np.count_nonzero((du + dv == du[pool[j]]) & (dv + dw == dv[pool[k]])
+                                   & (du + dw == du[pool[k]]))
+        checked += 1
+        if medians != 1:
+            return MedianVerdict(False, checked,
+                                 (int(pool[i]), int(pool[j]), int(pool[k])), int(medians))
+    return MedianVerdict(valid=True, triples_checked=checked)
+
+
+def _median_check_graphs():
+    """Median graphs, near misses one edge away from a grid, and
+    connected induced subgraphs of the 5-cube."""
+    yield six_cycle()
+    yield MedianGraph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])  # K_{2,3}
+    yield MedianGraph(10, [(i, (i + 1) % 5) for i in range(5)]  # Petersen
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    for spec in (CubeSpec.grid(100, 100), CubeSpec.grid(20, 20),
+                 CubeSpec.grid(4, 5, 6), CubeSpec.staircase(25),
+                 CubeSpec.tree_product(TreeSpec.spider(3, 4), TreeSpec.path(6))):
+        yield gen_cube(spec)
+    for side in (8, 30, 60):
+        g = gen_cube(CubeSpec.grid(side, side))
+        edges = list(zip(g.eu.tolist(), g.ev.tolist()))
+        mid = (side // 2) * (side + 1) + side // 2
+        yield MedianGraph(g.vertex_count, edges + [(mid, mid + side + 2)])  # diagonal
+        yield MedianGraph(g.vertex_count, [e for e in edges if e != (mid, mid + 1)])
+    rng = np.random.default_rng(5)
+    found = 0
+    while found < 14:
+        keep = np.flatnonzero(rng.random(32) < rng.uniform(0.3, 0.8))
+        ids = {int(v): i for i, v in enumerate(keep)}
+        edges = [(ids[u], ids[u | 1 << b]) for u in ids for b in range(5)
+                 if u | 1 << b != u and u | 1 << b in ids]
+        try:
+            g = MedianGraph(len(ids), edges)
+        except ValueError:  # not connected
+            continue
+        found += 1
+        yield g
+
+
+def test_validate_median_matches_per_triple_loop():
+    verdicts = []
+    for g in _median_check_graphs():
+        for budget in (200_000, 2_000, 50):
+            verdict = validate_median(g, triple_budget=budget)
+            assert verdict == _median_loop(g, budget), (g.vertex_count, budget)
+            verdicts.append(verdict)
+    assert len(verdicts) == 84
+    assert 0 < sum(not v.valid for v in verdicts) < 84  # both kinds are checked
+    assert any(not v.valid and v.triples_checked > 1 for v in verdicts)
+
+
 # -- hyperplanes ------------------------------------------------------------------
 
 
@@ -232,16 +314,38 @@ def test_three_cube_hyperplanes():
     g = three_cube()
     hyps = g.hyperplanes()
     assert len(hyps) == 3
-    assert all(len(h.edge_ids) == 4 for h in hyps)
+    assert np.bincount(g.hyp_of_edge).tolist() == [4, 4, 4]
 
 
 def test_near_side_contains_root():
     g = gen_cube(CubeSpec.grid(3, 2))
-    for h in g.hyperplanes():
-        assert h.near_side[g.root]
-        u = g.eu[next(iter(h.edge_ids))]
-        v = g.ev[next(iter(h.edge_ids))]
-        assert h.near_side[u] != h.near_side[v]
+    far = far_sides(g)
+    assert len(far) == 5
+    for c, row in enumerate(far):
+        assert not row[g.root]
+        eid = np.flatnonzero(g.hyp_of_edge == c)[0]
+        assert row[g.eu[eid]] != row[g.ev[eid]]
+
+
+def test_far_rows_match_bfs_sides():
+    for g in (gen_cube(CubeSpec.grid(3, 2)), gen_cube(CubeSpec.staircase(5)),
+              three_cube(), six_cycle(), MedianGraph(1, [])):
+        n = g.vertex_count
+        packed = g.hyperplanes()
+        k = len(np.unique(g.hyp_of_edge))
+        assert packed.dtype == np.uint8 and packed.shape == (k, (n + 7) // 8)
+        far = np.zeros((k, n), dtype=bool)
+        for c in range(k):
+            # the far side is the halfspace of the class's first edge whose
+            # end is the farther one from the base vertex
+            eid = np.flatnonzero(g.hyp_of_edge == c)[0]
+            a, b = int(g.eu[eid]), int(g.ev[eid])
+            if g.dist_root[a] < g.dist_root[b]:
+                a, b = b, a
+            da, db = g.distances_from([a, b])
+            far[c] = da < db
+        assert np.array_equal(np.packbits(far, axis=1), packed)
+        assert np.array_equal(g.separators.toarray(), far.T)
 
 
 def test_triangle_hyperplanes_error():
@@ -273,17 +377,16 @@ def test_square_closure_oracle_agrees():
 
 def test_separates_cases():
     g = gen_cube(CubeSpec.grid(2, 3))
-    hyps = g.hyperplanes()
-    for h in hyps:
-        assert not separates(h, 5, 5)
+    sep = g.separators.toarray()
+    assert sep.shape == (g.vertex_count, 5)
+    assert not (sep[5] != sep[5]).any()
     # adjacent pair crosses exactly its own hyperplane
     u, v = int(g.eu[0]), int(g.ev[0])
-    crossing = [h for h in hyps if separates(h, u, v)]
-    assert len(crossing) == 1
-    assert 0 in crossing[0].edge_ids
+    crossing = np.flatnonzero(sep[u] != sep[v])
+    assert crossing.tolist() == [g.hyp_of_edge[0]]
     # opposite corners cross all five
     far = g.vertex_count - 1
-    assert sum(separates(h, g.root, far) for h in hyps) == 5
+    assert (sep[g.root] != sep[far]).sum() == 5
 
 
 def test_distance_equals_separating_count():
@@ -336,7 +439,7 @@ def test_from_tree_path_degenerates_to_geodesic():
     # i-th crossed hyperplane is the class of the i-th root-path edge
     for i, step in enumerate(path.steps):
         (key,) = step.crossed
-        eid = next(iter(g.hyperplanes()[key].edge_ids))
+        (eid,) = np.flatnonzero(g.hyp_of_edge == key)
         assert {int(g.eu[eid]), int(g.ev[eid])} == {6 - i, 5 - i}
 
 
@@ -352,8 +455,7 @@ def test_grid_2x2_two_steps():
 
 def test_path_partitions_separators():
     g = gen_cube(CubeSpec.staircase(5))
-    g.hyperplanes()
-    near = g.near_matrix
+    far = far_sides(g)
     for v in range(g.vertex_count):
         path = normal_cube_path(g, v)
         total = sum(len(s.crossed) for s in path.steps)
@@ -363,7 +465,7 @@ def test_path_partitions_separators():
             assert not (crossed & s.crossed)
             crossed |= s.crossed
         separating = {
-            int(i) for i in np.flatnonzero(near[:, v] != near[:, g.root])
+            int(i) for i in np.flatnonzero(far[:, v] != far[:, g.root])
         }
         assert crossed == separating
 
@@ -430,11 +532,11 @@ def test_unit_identity_exhaustive_small_grids():
 def test_embedding_support_is_separating_set():
     g = gen_cube(CubeSpec.staircase(5))
     embed = embedder(g, UNIT)
-    near = g.near_matrix
+    far = far_sides(g)
     for v in range(g.vertex_count):
         support = set(embed(v).coords)
         separating = {
-            int(i) for i in np.flatnonzero(near[:, v] != near[:, g.root])
+            int(i) for i in np.flatnonzero(far[:, v] != far[:, g.root])
         }
         assert support == separating
 
@@ -445,13 +547,12 @@ def test_cube_embed_matches_tree_embed_on_from_tree():
     embed_g = embedder(g, PAPER)
     embed_t = embedder(t, PAPER)
     # shared key assignment: hyperplane of edge (child, parent) <-> tree key
-    hyps = g.hyperplanes()
+    assert (np.bincount(g.hyp_of_edge) == 1).all()  # one edge per class
     key_map = {}
-    for h in hyps:
-        (eid,) = h.edge_ids
+    for eid, key in enumerate(g.hyp_of_edge.tolist()):
         u, v = int(g.eu[eid]), int(g.ev[eid])
         child = u if t.depth[u] > t.depth[v] else v
-        key_map[h.key] = t.edge_key(child)
+        key_map[key] = t.edge_key(child)
     for v in range(t.vertex_count):
         got = {key_map[k]: val for k, val in embed_g(v).coords.items()}
         want = embed_t(v).coords
