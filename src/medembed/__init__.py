@@ -40,7 +40,7 @@ from .metrics import (
     profile,
     sq_row_norms,
 )
-from .sparse import Graph, PathForest, SparseVector, embedder, vec_distance
+from .sparse import Graph, PathForest, SparseVector, vec_distance, vectors
 from .spacefile import (
     SpaceFile,
     build_space,

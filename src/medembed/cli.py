@@ -40,7 +40,7 @@ from .spacefile import (
     save_spacefile,
     to_spacefile,
 )
-from .sparse import embedder
+from .sparse import vec_distance, vectors
 from .tree import RootedTree, TreeSpec, gen_tree
 from .weights import build_weight_report, parse_weight
 
@@ -188,7 +188,9 @@ def _load_space(path):
 def cmd_embed(args) -> int:
     space = _load_space(args.space)
     w = parse_weight(args.weight)
-    vec = embedder(space, w)(args.vertex)
+    if not 0 <= args.vertex < space.vertex_count:
+        raise ValueError(f"unknown vertex {args.vertex}")
+    vec, = vectors(space.embedding_matrix(w, [args.vertex]))
     keys, vals = vec.as_arrays()
     doc = {
         "vertex": args.vertex,
@@ -220,6 +222,8 @@ def cmd_measure(args) -> int:
         spec = ("exhaustive" if n_pairs <= EXHAUSTIVE_DEFAULT_PAIR_LIMIT
                 else "stratified:1000")
     sampler = parse_sampler(spec, args.seed)
+    if args.triple_budget < 0:
+        raise ValueError(f"--triple-budget must be >= 0, got {args.triple_budget}")
     if isinstance(space, MedianGraph):
         budget = args.triple_budget or _auto_triple_budget(space.vertex_count)
         verdict = validate_median(space, triple_budget=budget)
@@ -254,6 +258,9 @@ def cmd_measure(args) -> int:
 
 def _verify_lemma(args) -> int:
     w = parse_weight(args.weight or "paper:18")
+    if w.kind == "paper" and args.n_max < w.m - 1:
+        raise ValueError(f"--N-max must be at least {w.m - 1} for weight "
+                         f"{w.label()}, got {args.n_max}")
     report = build_weight_report(w, n_max=args.n_max)
     for n, s in report.partial_sums:
         print(f"  increment sum to {n}: {s:.9f}")
@@ -305,6 +312,8 @@ def _verify_product(args) -> int:
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     count = args.count
+    if count < 0:
+        raise ValueError(f"--count must be >= 0, got {count}")
     worst_gap = 0.0
     for _ in range(count):
         k = int(rng.integers(1, 6))
@@ -316,17 +325,15 @@ def _verify_product(args) -> int:
     t2 = gen_tree(TreeSpec.spider(3, 4))
     prod = ProductSpace([t1, t2])
     w = parse_weight(args.weight or "unit")
-    embed, e1, e2 = (embedder(s, w) for s in (prod, t1, t2))
+    # 2,000 pairs (a, b), drawn one scalar at a time, a before b
+    ends = [int(rng.integers(0, prod.vertex_count)) for _ in range(4000)]
+    vec = vectors(prod.embedding_matrix(w, ends))
+    x, y = (vectors(t.embedding_matrix(w, c))
+            for t, c in zip((t1, t2), np.unravel_index(ends, prod.sizes)))
     max_err = 0.0
-    for _ in range(2000):
-        a = int(rng.integers(0, prod.vertex_count))
-        b = int(rng.integers(0, prod.vertex_count))
-        (x_a, x_b), (y_a, y_b) = np.unravel_index([a, b], prod.sizes)
-        lhs = embed(a).distance(embed(b)) ** 2
-        rhs = (
-            e1(x_a).distance(e1(x_b)) ** 2
-            + e2(y_a).distance(e2(y_b)) ** 2
-        )
+    for a, b in zip(range(0, 4000, 2), range(1, 4000, 2)):
+        lhs = vec_distance(vec[a], vec[b]) ** 2
+        rhs = vec_distance(x[a], x[b]) ** 2 + vec_distance(y[a], y[b]) ** 2
         max_err = max(max_err, abs(lhs - rhs) / max(1.0, rhs))
     ok = worst_gap == 0.0 and max_err <= 1e-9
     print(f"  l1/l2 bounds on {count} tuples: {'ok' if worst_gap == 0 else 'violated'}")
@@ -355,22 +362,24 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     merged: dict[int, list] = {}
     for path in args.inputs:
-        text = Path(path).read_text().strip().splitlines()
+        raw = Path(path).read_text()
+        text = raw.strip().splitlines()
         if not text or text[0] != CSV_HEADER:
             raise MedEmbedError(f"{path}: unexpected CSV header")
-        for line in text[1:]:
-            t_s, rho, delta, lo, up, pairs = line.split(",")
-            t = int(t_s)
-            row = [float(rho), float(delta), float(lo), float(up), int(pairs)]
-            if t not in merged:
-                merged[t] = row
-            else:
-                cur = merged[t]
-                cur[0] = min(cur[0], row[0])
-                cur[1] = max(cur[1], row[1])
-                cur[2] = min(cur[2], row[2])
-                cur[3] = max(cur[3], row[3])
-                cur[4] += row[4]
+        header_line = raw[:len(raw) - len(raw.lstrip())].count("\n") + 1
+        for lineno, line in enumerate(text[1:], start=header_line + 1):
+            try:
+                t_s, rho, delta, lo, up, pairs = line.split(",")
+                t = int(t_s)
+                row = [float(rho), float(delta), float(lo), float(up), int(pairs)]
+            except ValueError:
+                raise MedEmbedError(
+                    f"{path}: line {lineno}: malformed row {line!r}") from None
+            cur = merged.setdefault(t, row)
+            if cur is not row:
+                merged[t] = [min(cur[0], row[0]), max(cur[1], row[1]),
+                             min(cur[2], row[2]), max(cur[3], row[3]),
+                             cur[4] + row[4]]
     rows = [(t, *merged[t]) for t in sorted(merged)]
     Path(args.out).write_text(format_profile_csv(rows))
     print(f"merged {len(args.inputs)} tables, {len(merged)} rows -> {args.out}")

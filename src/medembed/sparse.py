@@ -6,14 +6,18 @@ Keys are local to a space: a tree's edge (v, parent(v)) has key v, a
 median graph's hyperplane has its class id as its key. These are the keys
 ``medembed embed`` prints. A product of spaces places each factor's keys
 at an explicit offset, so the factor blocks are disjoint.
+
+``embedding_matrix(w, rows)`` is the one way to embed. Its walk costs a
+few array operations per path step, whatever the number of rows, so
+collect the rows and make one call; ``vectors`` hands them to ``fsum``.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,9 +51,6 @@ class SparseVector:
     def support_size(self) -> int:
         return len(self.coords)
 
-    def get(self, key: int) -> float:
-        return self.coords.get(key, 0.0)
-
     def norm(self) -> float:
         return math.sqrt(math.fsum(v * v for v in self.coords.values()))
 
@@ -59,9 +60,6 @@ class SparseVector:
             a, b = b, a
         return math.fsum(v * b[k] for k, v in a.items() if k in b)
 
-    def distance(self, other: "SparseVector") -> float:
-        return vec_distance(self, other)
-
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Support and values as parallel arrays, sorted by key."""
         if not self.coords:
@@ -70,6 +68,14 @@ class SparseVector:
         vals = np.fromiter(self.coords.values(), dtype=np.float64, count=len(self.coords))
         order = np.argsort(keys)
         return keys[order], vals[order]
+
+
+def vectors(mat: sp.csr_matrix) -> list[SparseVector]:
+    """The rows of a CSR matrix, such as ``embedding_matrix(w, rows)``,
+    as SparseVectors for the ``fsum`` routines."""
+    indices, data = mat.indices.tolist(), mat.data.tolist()
+    return [SparseVector(dict(zip(indices[lo:hi], data[lo:hi])))
+            for lo, hi in itertools.pairwise(mat.indptr.tolist())]
 
 
 def vec_distance(a: SparseVector, b: SparseVector) -> float:
@@ -229,24 +235,3 @@ class Graph:
         """CSR rows of the embedding of ``rows``; column k is key k."""
         forest = self.forest()
         return forest.matrix(rows, forest.weight_table(w))
-
-
-def embedder(space, w) -> Callable[[int], SparseVector]:
-    """Per-vertex view of ``space.embedding_matrix(w, [v])``: vertex ->
-    SparseVector, for a tree, a median graph or a product alike.
-
-    A one-row matrix costs a few array operations per path step, so
-    each vertex's vector is built once and shared by later calls.
-    """
-    n = space.vertex_count
-
-    @functools.lru_cache(maxsize=None)
-    def embed(v: int) -> SparseVector:
-        if not 0 <= v < n:
-            raise ValueError(f"unknown vertex {v}")
-        row = space.embedding_matrix(w, [v])
-        vec = SparseVector.__new__(SparseVector)
-        vec.coords = dict(zip(row.indices.tolist(), row.data.tolist()))
-        return vec
-
-    return embed

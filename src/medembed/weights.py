@@ -190,10 +190,13 @@ def deficit_scan(w: WeightFunction, n_max: int) -> tuple[float, int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    idx = np.arange(1, n_max + 1, dtype=np.float64)
-    vals = w.values(idx)
+    return _deficit_peak(w.values(np.arange(1, n_max + 1, dtype=np.float64)))
+
+
+def _deficit_peak(vals: np.ndarray) -> tuple[float, int]:
+    """``deficit_scan`` over N <= len(vals), from vals[i - 1] = w(i)."""
     sq = vals * vals
-    cand = 0.5 * idx * sq - np.cumsum(sq)
+    cand = 0.5 * np.arange(1, len(vals) + 1, dtype=np.float64) * sq - np.cumsum(sq)
     k = int(np.argmax(cand))
     return max(0.0, float(cand[k])), k + 1
 
@@ -240,8 +243,9 @@ def build_weight_report(
     tail_bound = diff_sq_tail_bound(w)
     tail = float(dsq[n_max - 1] - dsq[w.m - 2])
     margin = tail_bound - tail
-    c_full, argmax = deficit_scan(w, n_max)
-    c_tenth, _ = deficit_scan(w, max(w.m, n_max // 10))
+    # vals runs to n_max + 1, so it covers the n_max/10 scan at n_max = M - 1
+    c_full, argmax = _deficit_peak(vals[:n_max])
+    c_tenth, _ = _deficit_peak(vals[:max(w.m, n_max // 10)])
     stabilized = c_full == c_tenth and argmax < n_max
     passed = monotone_ok and stabilized and margin >= 0.0
     return WeightReport(

@@ -26,7 +26,7 @@ from medembed.metrics import (
     profile,
     sq_row_norms,
 )
-from medembed.sparse import embedder
+from medembed.sparse import vec_distance, vectors
 from medembed.tree import TreeSpec, gen_tree
 from medembed.weights import (
     WeightFunction,
@@ -274,8 +274,8 @@ def test_criterion_08_key_property(cubes_c8):
 
 def test_criterion_09_cross_module_consistency(from_tree_spider):
     tree, g = from_tree_spider
-    embed_g = embedder(g, PAPER)
-    embed_t = embedder(tree, PAPER)
+    vecs_g = vectors(g.embedding_matrix(PAPER, range(tree.vertex_count)))
+    vecs_t = vectors(tree.embedding_matrix(PAPER, range(tree.vertex_count)))
     assert (np.bincount(g.hyp_of_edge) == 1).all()  # every class is one edge
     key_map = {}
     for eid, key in enumerate(g.hyp_of_edge.tolist()):
@@ -284,8 +284,8 @@ def test_criterion_09_cross_module_consistency(from_tree_spider):
         key_map[key] = tree.edge_key(child)
     worst = 0.0
     for v in range(tree.vertex_count):
-        got = {key_map[k]: val for k, val in embed_g(v).coords.items()}
-        want = embed_t(v).coords
+        got = {key_map[k]: val for k, val in vecs_g[v].coords.items()}
+        want = vecs_t[v].coords
         if got.keys() != want.keys():
             worst = math.inf
             break
@@ -324,13 +324,14 @@ def test_criterion_11_product_identities():
     t1 = gen_tree(TreeSpec.path(60))
     t2 = gen_tree(TreeSpec.spider(3, 20))
     prod = ProductSpace([t1, t2])
-    factors = [embedder(t1, PAPER), embedder(t2, PAPER)]
-    merged = embedder(prod, PAPER)
+    factors = [vectors(t.embedding_matrix(PAPER, range(t.vertex_count)))
+               for t in (t1, t2)]
+    merged = vectors(prod.embedding_matrix(PAPER, range(prod.vertex_count)))
     for _ in range(10_000):
         a, b = (int(x) for x in rng.integers(0, prod.vertex_count, 2))
         ca, cb = (np.unravel_index(x, prod.sizes) for x in (a, b))
-        lhs = merged(a).distance(merged(b)) ** 2
-        rhs = sum(factors[i](ca[i]).distance(factors[i](cb[i])) ** 2
+        lhs = vec_distance(merged[a], merged[b]) ** 2
+        rhs = sum(vec_distance(factors[i][ca[i]], factors[i][cb[i]]) ** 2
                   for i in range(2))
         worst_rel = max(worst_rel, abs(lhs - rhs) / max(1.0, rhs))
     ok = worst_rel <= 1e-9

@@ -117,9 +117,10 @@ def test_embed_byte_identical_across_processes(tmp_path):
 
 
 def test_embed_rejects_unknown_vertex(tmp_path, capsys):
-    space = tmp_path / "p.json"
-    run(capsys, "generate", "--space", "path", "--len", "5", "-o", str(space))
-    for vertex in ("-1", "6"):
+    path, grid = tmp_path / "p.json", tmp_path / "g.json"
+    run(capsys, "generate", "--space", "path", "--len", "5", "-o", str(path))
+    run(capsys, "generate", "--space", "grid", "--dims", "2x2", "-o", str(grid))
+    for space, vertex in ((path, "-1"), (path, "6"), (grid, "-1"), (grid, "9")):
         code, stdout, err = run(capsys, "embed", "--space", str(space),
                                 "--vertex", vertex)
         assert code == 2
@@ -356,6 +357,28 @@ def test_verify_lemma_fails_below_monotone_cutoff(capsys):
     assert "lemma[FAIL]" in stdout
 
 
+def test_verify_lemma_n_max_below_cutoff(capsys):
+    code, stdout, err = run(capsys, "verify", "--suite", "lemma", "--N-max", "10")
+    assert code == 2 and stdout == ""
+    assert err == "error: --N-max must be at least 17 for weight paper:18, got 10\n"
+    # from M - 1 on the report runs; at 17 its deficit scan is one point short
+    code, stdout, _ = run(capsys, "verify", "--suite", "lemma", "--N-max", "17")
+    assert code == 1
+    assert "lemma[FAIL]" in stdout
+
+
+def test_negative_counts_exit_2(tmp_path, capsys):
+    grid = tmp_path / "g.json"
+    run(capsys, "generate", "--space", "grid", "--dims", "3x3", "-o", str(grid))
+    code, stdout, err = run(capsys, "measure", "--space", str(grid),
+                            "--triple-budget", "-1", "-o", str(tmp_path / "p.csv"))
+    assert code == 2 and stdout == ""
+    assert err == "error: --triple-budget must be >= 0, got -1\n"
+    code, stdout, err = run(capsys, "verify", "--suite", "product", "--count", "-3")
+    assert code == 2 and stdout == ""
+    assert err == "error: --count must be >= 0, got -3\n"
+
+
 def test_verify_oracle_tree_and_grid(tmp_path, capsys):
     space = tmp_path / "t.json"
     run(capsys, "generate", "--space", "caterpillar", "--spine", "6",
@@ -417,3 +440,15 @@ def test_report_rejects_foreign_header(tmp_path, capsys):
                        str(bad))
     assert code == 2
     assert "header" in err
+
+
+def test_report_names_the_malformed_row(tmp_path, capsys):
+    short, word = tmp_path / "short.csv", tmp_path / "word.csv"
+    short.write_text(CSV_HEADER + "\n2,1.5,2.5,1,4,10\n3,2,3\n")
+    word.write_text("\n" + CSV_HEADER + "\n2,abc,2.5,1,4,10\n")
+    for path, want in ((short, "line 3: malformed row '3,2,3'"),
+                       (word, "line 3: malformed row '2,abc,2.5,1,4,10'")):
+        code, stdout, err = run(capsys, "report", "-o", str(tmp_path / "m.csv"),
+                                str(path))
+        assert code == 2 and stdout == ""
+        assert err == f"error: {path}: {want}\n"

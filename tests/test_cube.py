@@ -22,7 +22,7 @@ from medembed.errors import (
     NonTerminationError,
     SideComputationError,
 )
-from medembed.sparse import Graph, embedder, vec_distance
+from medembed.sparse import Graph, vec_distance, vectors
 from medembed.tree import RootedTree, TreeSpec, gen_tree
 from medembed.weights import WeightFunction
 
@@ -515,15 +515,15 @@ def test_six_cycle_has_no_spanning_cube():
 
 def test_root_embeds_to_zero():
     g = gen_cube(CubeSpec.grid(3, 3))
-    assert embedder(g, PAPER)(g.root).coords == {}
+    root, = vectors(g.embedding_matrix(PAPER, [g.root]))
+    assert root.coords == {}
 
 
 def test_unit_identity_exhaustive_small_grids():
     for spec in (CubeSpec.grid(6, 6), CubeSpec.grid(2, 3, 2)):
         g = gen_cube(spec)
         dist = all_distances(g)
-        embed = embedder(g, UNIT)
-        vecs = [embed(v) for v in range(g.vertex_count)]
+        vecs = vectors(g.embedding_matrix(UNIT, range(g.vertex_count)))
         for u, v in itertools.combinations(range(g.vertex_count), 2):
             assert vec_distance(vecs[u], vecs[v]) ** 2 == pytest.approx(
                 dist[u][v], rel=1e-9)
@@ -531,10 +531,10 @@ def test_unit_identity_exhaustive_small_grids():
 
 def test_embedding_support_is_separating_set():
     g = gen_cube(CubeSpec.staircase(5))
-    embed = embedder(g, UNIT)
+    vecs = vectors(g.embedding_matrix(UNIT, range(g.vertex_count)))
     far = far_sides(g)
     for v in range(g.vertex_count):
-        support = set(embed(v).coords)
+        support = set(vecs[v].coords)
         separating = {
             int(i) for i in np.flatnonzero(far[:, v] != far[:, g.root])
         }
@@ -544,8 +544,8 @@ def test_embedding_support_is_separating_set():
 def test_cube_embed_matches_tree_embed_on_from_tree():
     t = gen_tree(TreeSpec.spider(3, 8))
     g = median_from_tree(t)
-    embed_g = embedder(g, PAPER)
-    embed_t = embedder(t, PAPER)
+    vecs_g = vectors(g.embedding_matrix(PAPER, range(t.vertex_count)))
+    vecs_t = vectors(t.embedding_matrix(PAPER, range(t.vertex_count)))
     # shared key assignment: hyperplane of edge (child, parent) <-> tree key
     assert (np.bincount(g.hyp_of_edge) == 1).all()  # one edge per class
     key_map = {}
@@ -554,8 +554,8 @@ def test_cube_embed_matches_tree_embed_on_from_tree():
         child = u if t.depth[u] > t.depth[v] else v
         key_map[key] = t.edge_key(child)
     for v in range(t.vertex_count):
-        got = {key_map[k]: val for k, val in embed_g(v).coords.items()}
-        want = embed_t(v).coords
+        got = {key_map[k]: val for k, val in vecs_g[v].coords.items()}
+        want = vecs_t[v].coords
         assert got.keys() == want.keys()
         for k in want:
             assert got[k] == pytest.approx(want[k], rel=1e-12)
@@ -649,8 +649,7 @@ def test_invariants_survive_root_change():
         # distance oracle
         assert np.array_equal(g.separating_counts(range(g.vertex_count)), dist)
         # unit identity
-        embed = embedder(g, UNIT)
-        vecs = [embed(v) for v in range(g.vertex_count)]
+        vecs = vectors(g.embedding_matrix(UNIT, range(g.vertex_count)))
         for u, v in itertools.combinations(range(g.vertex_count), 2):
             assert vec_distance(vecs[u], vecs[v]) ** 2 == pytest.approx(
                 dist[u][v], rel=1e-9)

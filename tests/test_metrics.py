@@ -21,7 +21,7 @@ from medembed.metrics import (
     profile,
     sq_row_norms,
 )
-from medembed.sparse import embedder
+from medembed.sparse import vec_distance, vectors
 from medembed.tree import RootedTree, TreeSpec, gen_tree, geodesic_edges
 from medembed.weights import WeightFunction, deficit_constant
 
@@ -107,16 +107,15 @@ def test_exhaustive_matches_pairwise_bruteforce():
     g = gen_cube(CubeSpec.staircase(6))
     t1, t2 = gen_tree(TreeSpec.path(4)), gen_tree(TreeSpec.spider(2, 3))
     prod = ProductSpace([t1, t2])
-    from medembed.sparse import vec_distance
     from itertools import combinations
     for space in (t, g, prod):
-        embed = embedder(space, PAPER)
+        vecs = vectors(space.embedding_matrix(PAPER, range(space.vertex_count)))
         prof = profile(space, PAPER, PairSampler.exhaustive())
         dist = space.distances_from(range(space.vertex_count)).astype(int)
         by_t = {}
         for u, v in combinations(range(space.vertex_count), 2):
             d = int(dist[u][v])
-            by_t.setdefault(d, []).append(vec_distance(embed(u), embed(v)))
+            by_t.setdefault(d, []).append(vec_distance(vecs[u], vecs[v]))
         assert prof.ts().tolist() == sorted(by_t)
         for e in prof.entries:
             suffix = [x for d, xs in by_t.items() if d >= e.t for x in xs]
@@ -155,7 +154,6 @@ def test_exhaustive_profile_runs_without_bfs(monkeypatch):
 
 def test_grouped_pair_evaluator_matches_bruteforce():
     from medembed.metrics import _grouped_pairs, _stratified_pairs, _uniform_pairs
-    from medembed.sparse import vec_distance
 
     cases = [
         (gen_cube(CubeSpec.grid(8, 7)), UNIT),
@@ -166,7 +164,7 @@ def test_grouped_pair_evaluator_matches_bruteforce():
          PAPER),
     ]
     for space, w in cases:
-        embed = embedder(space, w)
+        vecs = vectors(space.embedding_matrix(w, range(space.vertex_count)))
         dist = space.distances_from(range(space.vertex_count)).astype(int)
         for us, vs, ts in (
             _stratified_pairs(space, PairSampler.stratified(7, seed=5)),
@@ -175,7 +173,7 @@ def test_grouped_pair_evaluator_matches_bruteforce():
             emb = np.sqrt(np.clip(_grouped_pairs(space, w, us, vs), 0.0, None))
             for u, v, t, e in zip(us, vs, ts, emb):
                 assert t == dist[u][v]
-                want = vec_distance(embed(int(u)), embed(int(v)))
+                want = vec_distance(vecs[u], vecs[v])
                 assert e == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -293,17 +291,18 @@ def test_bourgain_short_profile_inconclusive():
 
 def test_product_single_factor_identity():
     t = gen_tree(TreeSpec.path(9))
-    embed = embedder(t, PAPER)
-    merged = embedder(ProductSpace([t]), PAPER)
+    rows = range(t.vertex_count)
+    vecs = vectors(t.embedding_matrix(PAPER, rows))
+    merged = vectors(ProductSpace([t]).embedding_matrix(PAPER, rows))
     for v in range(t.vertex_count):
-        assert merged(v) == embed(v)
+        assert merged[v] == vecs[v]
 
 
 def test_product_unit_distance_is_l1():
     t1 = gen_tree(TreeSpec.path(6))
     t2 = gen_tree(TreeSpec.path(7))
     prod = ProductSpace([t1, t2])
-    embed = embedder(prod, UNIT)
+    vecs = vectors(prod.embedding_matrix(UNIT, range(prod.vertex_count)))
     rng = np.random.default_rng(0)
     d1 = t1.distances_from(range(t1.vertex_count)).astype(int)
     d2 = t2.distances_from(range(t2.vertex_count)).astype(int)
@@ -311,7 +310,7 @@ def test_product_unit_distance_is_l1():
         a, b = rng.integers(0, prod.vertex_count, 2)
         (xa, xb), (ya, yb) = np.unravel_index([a, b], prod.sizes)
         want = d1[xa][xb] + d2[ya][yb]
-        assert embed(int(a)).distance(embed(int(b))) ** 2 == pytest.approx(
+        assert vec_distance(vecs[a], vecs[b]) ** 2 == pytest.approx(
             float(want), rel=1e-9, abs=1e-12)
 
 
@@ -336,15 +335,16 @@ def test_product_distance_identity_three_factors():
              gen_tree(TreeSpec.spider(2, 5)),
              gen_tree(TreeSpec.path(4))]
     prod = ProductSpace(trees)
-    factors = [embedder(t, PAPER) for t in trees]
-    embed = embedder(prod, PAPER)
+    factors = [vectors(t.embedding_matrix(PAPER, range(t.vertex_count)))
+               for t in trees]
+    vecs = vectors(prod.embedding_matrix(PAPER, range(prod.vertex_count)))
     rng = np.random.default_rng(5)
     for _ in range(300):
         a, b = (int(x) for x in rng.integers(0, prod.vertex_count, 2))
         ca, cb = (np.unravel_index(x, prod.sizes) for x in (a, b))
-        lhs = embed(a).distance(embed(b)) ** 2
+        lhs = vec_distance(vecs[a], vecs[b]) ** 2
         rhs = sum(
-            factors[i](ca[i]).distance(factors[i](cb[i])) ** 2
+            vec_distance(factors[i][ca[i]], factors[i][cb[i]]) ** 2
             for i in range(3)
         )
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
@@ -362,13 +362,13 @@ def test_product_factor_blocks_disjoint():
     for f, start, c in zip(prod.factors, prod.offsets, coords):
         block = mat[:, start:start + f.vertex_count]
         assert (block != f.embedding_matrix(UNIT, c)).nnz == 0
-    embed = embedder(prod, UNIT)
+    vecs = vectors(mat)
     for idx in range(prod.vertex_count):
         x, y = np.unravel_index(idx, prod.sizes)
         want = geodesic_edges(t1, x) + [
             t1.vertex_count + k for k in geodesic_edges(t2, y)]
         assert sorted(mat[idx].indices) == sorted(want)
-        assert sorted(embed(idx).coords) == sorted(want)
+        assert sorted(vecs[idx].coords) == sorted(want)
     # keys are local to each space: building another space between the
     # factors leaves the product's profile as it was
     sampler = PairSampler.stratified(40, seed=13)
@@ -400,17 +400,19 @@ def test_product_l2_metric_lower_bound():
     t1 = gen_tree(TreeSpec.path(200))
     t2 = gen_tree(TreeSpec.path(200))
     prod = ProductSpace([t1, t2])
-    merged = embedder(prod, PAPER)
     c = deficit_constant(PAPER, 10**5)
     lower = BoundCurve.paper_lower(PAPER, 2, c)
     d1 = t1.distances_from(range(t1.vertex_count)).astype(int)
     rng = np.random.default_rng(17)
-    for _ in range(4000):
-        xa, ya, xb, yb = (int(v) for v in rng.integers(0, 201, 4))
-        da, db = d1[xa][xb], d1[ya][yb]
+    # the pairs first, drawn as before; then all their rows in one call
+    xa, ya, xb, yb = np.array([rng.integers(0, 201, 4) for _ in range(4000)]).T
+    a = np.ravel_multi_index((xa, ya), prod.sizes)
+    b = np.ravel_multi_index((xb, yb), prod.sizes)
+    merged = vectors(prod.embedding_matrix(PAPER, np.concatenate([a, b])))
+    for i in range(4000):
+        da, db = d1[xa[i]][xb[i]], d1[ya[i]][yb[i]]
         d_l2 = math.hypot(da, db)
-        a, b = np.ravel_multi_index(([xa, xb], [ya, yb]), prod.sizes)
-        emb = merged(a).distance(merged(b))
+        emb = vec_distance(merged[i], merged[4000 + i])
         assert emb >= lower.value(math.floor(d_l2)) - 1e-9
 
 
@@ -452,12 +454,11 @@ def test_l1_l2_bounds_hold(ds):
 
 def test_embedding_matrix_round_trip():
     t = gen_tree(TreeSpec.spider(3, 4))
-    embed = embedder(t, UNIT)
     mat = t.embedding_matrix(UNIT, range(t.vertex_count))
     norms = sq_row_norms(mat)
     assert mat.shape[0] == t.vertex_count
-    for v in range(t.vertex_count):
-        assert norms[v] == pytest.approx(embed(v).norm() ** 2, rel=1e-12)
+    for v, vec in enumerate(vectors(mat)):
+        assert norms[v] == pytest.approx(vec.norm() ** 2, rel=1e-12)
 
 
 def test_unit_identity_helper():

@@ -18,7 +18,7 @@ from medembed.cube import (
 )
 from medembed.metrics import _entries_from_pairs
 from medembed.spacefile import SpaceFile, build_space
-from medembed.sparse import embedder, vec_distance
+from medembed.sparse import vec_distance, vectors
 from medembed.tree import (
     RootedTree,
     TreeSpec,
@@ -48,8 +48,7 @@ staircase_heights = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_random_tree_unit_identity(tree):
     dist = tree.distances_from(range(tree.vertex_count)).astype(np.int64)
-    embed = embedder(tree, UNIT)
-    vecs = [embed(v) for v in range(tree.vertex_count)]
+    vecs = vectors(tree.embedding_matrix(UNIT, range(tree.vertex_count)))
     for u, v in itertools.combinations(range(tree.vertex_count), 2):
         emb_sq = vec_distance(vecs[u], vecs[v]) ** 2
         assert abs(emb_sq - dist[u][v]) <= 1e-9 * dist[u][v]
@@ -70,11 +69,11 @@ def test_random_tree_meet_distance_identity(tree):
 @settings(max_examples=40, deadline=None)
 def test_random_tree_edge_dilatation(tree):
     bound_sq = PAPER.value(18) ** 2 + diff_sq_sum(PAPER, 10**4)
-    embed = embedder(tree, PAPER)
+    vecs = vectors(tree.embedding_matrix(PAPER, range(tree.vertex_count)))
     for v in range(tree.vertex_count):
         if v == tree.root:
             continue
-        d = vec_distance(embed(v), embed(int(tree.parent[v])))
+        d = vec_distance(vecs[v], vecs[int(tree.parent[v])])
         assert d * d <= bound_sq + 1e-9
 
 
@@ -171,8 +170,7 @@ def test_random_staircase_class_oracle(heights):
 def test_random_staircase_unit_embedding(heights):
     g = gen_cube(CubeSpec.staircase_heights(heights))
     dist = g.distances_from(range(g.vertex_count)).astype(np.int64)
-    embed = embedder(g, UNIT)
-    vecs = [embed(v) for v in range(g.vertex_count)]
+    vecs = vectors(g.embedding_matrix(UNIT, range(g.vertex_count)))
     for u, v in itertools.combinations(range(g.vertex_count), 2):
         emb_sq = vec_distance(vecs[u], vecs[v]) ** 2
         assert abs(emb_sq - dist[u][v]) <= 1e-9 * dist[u][v]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from medembed.cube import CubeSpec, gen_cube
 from medembed.errors import NonTerminationError
 from medembed.metrics import ProductSpace
-from medembed.sparse import SparseVector, embedder, vec_distance
+from medembed.sparse import SparseVector, vec_distance, vectors
 from medembed.tree import TreeSpec, gen_tree
 from medembed.weights import WeightFunction
 
@@ -99,7 +99,8 @@ def test_doctored_forest_raises_non_termination():
         dataclasses.replace(forest, exit=loop)
 
 
-def test_embedder_is_a_view_of_the_matrix_rows():
+def test_vectors_are_the_matrix_rows():
+    # one call over all rows gives each vertex the row it gets on its own
     w = WeightFunction.paper(18)
     spaces = [
         gen_tree(TreeSpec.spider(3, 25)),
@@ -109,11 +110,9 @@ def test_embedder_is_a_view_of_the_matrix_rows():
     for space in spaces:
         n = space.vertex_count
         mat = space.embedding_matrix(w, range(n))
-        embed = embedder(space, w)
+        vecs = vectors(mat)
+        assert len(vecs) == n
         for v in range(n):
-            row = mat[v]
-            assert embed(v).coords == dict(zip(row.indices.tolist(),
-                                                row.data.tolist()))
-        for bad in (-1, n):
-            with pytest.raises(ValueError, match="unknown vertex"):
-                embed(bad)
+            for row in (mat[v], space.embedding_matrix(w, [v])):
+                assert vecs[v].coords == dict(zip(row.indices.tolist(),
+                                                  row.data.tolist()))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from medembed.errors import BudgetExceededError
-from medembed.sparse import embedder, vec_distance
+from medembed.sparse import vec_distance, vectors
 from medembed.tree import (
     RootedTree,
     TreeSpec,
@@ -135,8 +135,6 @@ def test_unknown_vertex_rejected():
         geodesic_edges(t, 9)
     with pytest.raises(ValueError):
         meeting_point(t, 0, 9)
-    with pytest.raises(ValueError):
-        embedder(t, UNIT)(-1)
 
 
 # -- embedding ----------------------------------------------------------------
@@ -144,23 +142,23 @@ def test_unknown_vertex_rejected():
 
 def test_root_embeds_to_zero():
     t = gen_tree(TreeSpec.spider(3, 5))
-    assert embedder(t, PAPER)(0).coords == {}
-    assert embedder(t, UNIT)(0).coords == {}
+    for w in (PAPER, UNIT):
+        root, = vectors(t.embedding_matrix(w, [0]))
+        assert root.coords == {}
 
 
 def test_unit_norm_is_sqrt_depth():
     t = gen_tree(TreeSpec.caterpillar(6, 2))
-    embed = embedder(t, UNIT)
+    vecs = vectors(t.embedding_matrix(UNIT, range(t.vertex_count)))
     for v in range(t.vertex_count):
-        assert embed(v).norm() == pytest.approx(
+        assert vecs[v].norm() == pytest.approx(
             math.sqrt(t.depth[v]), rel=1e-12)
 
 
 def test_unit_pairwise_identity_brute_force():
     t = gen_tree(TreeSpec.path(30))
     dist = bfs_distances(t)
-    embed = embedder(t, UNIT)
-    vecs = [embed(v) for v in range(t.vertex_count)]
+    vecs = vectors(t.embedding_matrix(UNIT, range(t.vertex_count)))
     for u, v in itertools.combinations(range(t.vertex_count), 2):
         assert vec_distance(vecs[u], vecs[v]) ** 2 == pytest.approx(
             dist[u][v], rel=1e-9)
@@ -168,24 +166,24 @@ def test_unit_pairwise_identity_brute_force():
 
 def test_paper_norm_on_deep_path_vertex():
     t = gen_tree(TreeSpec.path(30))
-    vec = embedder(t, PAPER)(20)  # depth 20: only indices 18, 19, 20 remain
+    # depth 20: only indices 18, 19, 20 remain
+    vec, = vectors(t.embedding_matrix(PAPER, [20]))
     assert vec.support_size == 3
     assert vec.norm() ** 2 == pytest.approx(XI_SQ_18_19_20, rel=1e-9)
 
 
 def test_embedding_support_is_root_path():
     t = gen_tree(TreeSpec.spider(2, 25))
-    embed = embedder(t, PAPER)
-    for v in (5, 25, 40):
+    rows = (5, 25, 40)
+    for v, vec in zip(rows, vectors(t.embedding_matrix(PAPER, rows))):
         keys = set(geodesic_edges(t, v))
-        assert set(embed(v).coords) <= keys
+        assert set(vec.coords) <= keys
 
 
 def test_per_pair_compression_inequality_exhaustive():
     t = gen_tree(TreeSpec.spider(3, 30))
     cum = np.concatenate([[0.0], sq_partial_sums(PAPER, 60)])
-    embed = embedder(t, PAPER)
-    vecs = [embed(v) for v in range(t.vertex_count)]
+    vecs = vectors(t.embedding_matrix(PAPER, range(t.vertex_count)))
     dist = bfs_distances(t)
     for u, v in itertools.combinations(range(t.vertex_count), 2):
         s_vertex = meeting_point(t, u, v)
@@ -199,9 +197,9 @@ def test_per_pair_compression_inequality_exhaustive():
 def test_edge_dilatation_exact_bound():
     t = gen_tree(TreeSpec.path(60))
     bound_sq = PAPER.value(18) ** 2 + diff_sq_tail_bound(PAPER)
-    embed = embedder(t, PAPER)
+    vecs = vectors(t.embedding_matrix(PAPER, range(t.vertex_count)))
     for v in range(1, t.vertex_count):
-        d = vec_distance(embed(v), embed(int(t.parent[v])))
+        d = vec_distance(vecs[v], vecs[int(t.parent[v])])
         assert d * d <= bound_sq + 1e-9
 
 
@@ -209,11 +207,11 @@ def test_lipschitz_up_to_edge_constant():
     t = gen_tree(TreeSpec.binary_sample(40, 8, seed=1))
     c_edge = math.sqrt(PAPER.value(18) ** 2 + diff_sq_tail_bound(PAPER))
     dist = bfs_distances(t)
-    embed = embedder(t, PAPER)
+    vecs = vectors(t.embedding_matrix(PAPER, range(t.vertex_count)))
     rng = np.random.default_rng(0)
     for _ in range(300):
         u, v = rng.integers(0, t.vertex_count, 2)
-        assert vec_distance(embed(int(u)), embed(int(v))) <= (
+        assert vec_distance(vecs[u], vecs[v]) <= (
             c_edge * dist[u][v] + 1e-9)
 
 

@@ -212,6 +212,18 @@ def test_weight_report_passes():
     assert sums == sorted(sums)
 
 
+def test_weight_report_deficits_match_deficit_scan():
+    # one evaluation of w serves both deficit scans; at n_max = M - 1 the
+    # n_max/10 scan reaches M, one point past n_max
+    for w in (WeightFunction.paper(18), WeightFunction.paper(25)):
+        for n_max in (w.m - 1, w.m, w.m + 1, 10 * w.m - 1, 10 * w.m, 12_345):
+            report = build_weight_report(w, n_max=n_max)
+            c_full, at = deficit_scan(w, n_max)
+            c_tenth, _ = deficit_scan(w, max(w.m, n_max // 10))
+            assert (report.deficit_constant, report.deficit_argmax) == (c_full, at)
+            assert report.stabilized == (c_full == c_tenth and at < n_max)
+
+
 def test_weight_report_fails_for_nonmonotone_cutoff():
     with pytest.warns(UserWarning):
         w = WeightFunction.paper(16)
