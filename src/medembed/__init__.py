@@ -8,6 +8,7 @@ from .cube import (
     MedianVerdict,
     NormalCubePath,
     dimension_by_cliques,
+    distance_condition_sides,
     gen_cube,
     key_property,
     median_from_tree,

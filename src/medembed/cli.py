@@ -188,8 +188,6 @@ def _load_space(path):
 def cmd_embed(args) -> int:
     space = _load_space(args.space)
     w = parse_weight(args.weight)
-    if not 0 <= args.vertex < space.vertex_count:
-        raise ValueError(f"unknown vertex {args.vertex}")
     vec, = vectors(space.embedding_matrix(w, [args.vertex]))
     keys, vals = vec.as_arrays()
     doc = {

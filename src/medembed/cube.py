@@ -1,13 +1,26 @@
 """Median graphs (1-skeleta of cube complexes) and their weighted embedding.
 
 A finite median graph is a ``sparse.Graph``, built from an int64 edge
-array whose order fixes the class ids.  Its hyperplanes are the
-distance-condition edge classes: edges (a,b) and (c,d) fall together
-exactly when d(a,c)+d(b,d) != d(a,d)+d(b,c).
+array whose order fixes the class ids.  Its hyperplanes are the Θ-classes
+of edges: edges (a,b) and (c,d) fall together exactly when
+d(a,c)+d(b,d) != d(a,d)+d(b,c).
 Removing a class splits the graph into a near side (containing the base
 vertex) and a far side; for vertices, graph distance equals the number of
 classes separating them.  Each class's far side is stored once, as a
 packed bit row, and ``separators`` is the one reader of the sides.
+
+The classes, their sides and the cube paths all come from one sweep over
+the levels of the base vertex's BFS row, which relies on two facts about
+median graphs (Bénéteau, Chalopin, Chepoi and Vaxès, "Medians in median
+graphs and their cube complexes in linear time", ICALP 2020): the vertex
+of a far side nearest the base is the one vertex there with a single
+down-edge, and any two down-neighbours of a vertex have exactly one
+common lower neighbour, so the down-edges of every vertex span a cube.
+The sweep checks enough local conditions to accept exactly the median
+graphs (Chepoi's local characterization of median graphs; see
+``_link_check``). ``distance_condition_sides`` (two BFS rows per class),
+``square_closure_classes`` and ``normal_cube_path`` are the independent
+oracles the tests compare with.
 
 The cube path from a vertex V to the base vertex repeatedly crosses, in
 one diagonal step, the full set of hyperplanes that are adjacent at the
@@ -38,6 +51,8 @@ from .errors import (
 )
 from .sparse import Graph, PathForest, edge_array
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
+
+CHUNK_BYTES = 4 << 20  # bytes per chunk of the row-sized work arrays
 
 
 @dataclass(frozen=True)
@@ -150,12 +165,27 @@ class MedianGraph(Graph):
         if self.n > len(e) + 1:
             raise ValueError("graph is not connected")
         self.eu, self.ev = np.ascontiguousarray(e.T)
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(zip(self.eu.tolist(), self.ev.tolist())):
-            self.adj[u].append((v, eid))
-            self.adj[v].append((u, eid))
         self._far = None  # hyperplanes() sets it and _hyp_of_edge
         self.dist_root = self._root_distances("graph is not connected")
+
+    @cached_property
+    def adj(self) -> list[list[tuple[int, int]]]:
+        """(neighbour, edge id) lists in edge-id order, for the oracles'
+        walks; the level sweep does not read them."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for eid, (u, v) in enumerate(zip(self.eu.tolist(), self.ev.tolist())):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        return adj
+
+    def _down_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Deeper and shallower end of every edge, in edge order."""
+        du, dv = self.dist_root[self.eu], self.dist_root[self.ev]
+        if (du == dv).any():
+            raise SideComputationError(
+                "graph has an edge between equal levels; not bipartite")
+        down = du > dv
+        return np.where(down, self.eu, self.ev), np.where(down, self.ev, self.eu)
 
     # -- hyperplanes -------------------------------------------------------
 
@@ -163,35 +193,79 @@ class MedianGraph(Graph):
         """Far sides of the edge classes, computed once and cached: row c
         is the halfspace of class c without the base vertex, packed eight
         vertices a byte (``np.packbits``), shape (K, ceil(n/8)), uint8.
+        Classes are numbered in order of their first edge.
 
-        The BFS rows da, db of a representative edge (a, b) split the
-        vertices into the halfspaces W_ab = {da < db} and W_ba; the class
-        is the set of edges crossing between them, numbered in order of
-        its first edge. Each halfspace is connected (a shortest path to a
-        stays in W_ab). A vertex with da == db (not bipartite) or
-        overlapping classes raise SideComputationError.
+        One sweep over the levels of ``dist_root``, after Bénéteau,
+        Chalopin, Chepoi and Vaxès, "Medians in median graphs and their
+        cube complexes in linear time" (ICALP 2020). Orient each edge
+        down, toward the base vertex. In a median graph the far side of a
+        class is convex, and its vertex nearest the base is the one vertex
+        of it whose only down-edge is in the class: every other vertex of
+        the far side has a down-edge inside it as well. So a vertex with
+        one down-edge opens a class. Any other down-edge (v, u) is
+        opposite, in the square v, u, x, u', to the edge (u', x), where u'
+        is the next down-neighbour of v and x the one common lower
+        neighbour of u and u', and takes its class. A vertex lies on the
+        far sides of its first down-neighbour and of the class of the edge
+        between them.
+
+        The checks accept exactly the median graphs, so the classes are
+        right whenever they are returned. Raises SideComputationError for
+        an edge between equal levels (not bipartite), for two
+        down-neighbours without exactly one common lower neighbour, and
+        for an edge whose ends are not separated by exactly its own class
+        (the cut check, run on every edge; it is what rejects K_{2,3}).
+        Then the cube-path forest is built on the classes (see
+        ``_cube_forest``), and its cube walk and ``_link_check`` raise
+        CubeSpanError or NonTerminationError for the rest.
         """
         if self._far is not None:
             return self._far
-        eu, ev = self.eu, self.ev
-        assigned = np.full(self.edge_count, -1, dtype=np.int64)
-        packed: list[np.ndarray] = []
-        for e0 in range(self.edge_count):
-            if assigned[e0] >= 0:
-                continue
-            da, db = self.distances_from([int(eu[e0]), int(ev[e0])])
-            if (da == db).any():
-                raise SideComputationError(
-                    f"a vertex is equidistant from the ends of edge {e0}; not bipartite")
-            far = (da < db) != (da[self.root] < db[self.root])
-            members = np.flatnonzero(far[eu] != far[ev])
-            if (assigned[members] >= 0).any():
-                raise SideComputationError(
-                    "edge classes overlap; graph is not a partial cube")
-            assigned[members] = len(packed)
-            packed.append(np.packbits(far))
-        self._far = np.asarray(packed, dtype=np.uint8).reshape(-1, (self.n + 7) // 8)
-        self._hyp_of_edge = assigned
+        n, dist = self.n, self.dist_root
+        child, par = self._down_edges()
+        # Position j: the down-edges grouped by deeper end (``below`` holds
+        # the group bounds), each group ordered by its shallower end.
+        order = np.lexsort((par, child))
+        v, u = child[order], par[order]
+        below = np.searchsorted(v, np.arange(n + 1))
+        multi, across = _square_opposites(v, u, below, n)
+        # The sweep: level by level, classes from the level below, then
+        # each vertex's far sides from its first down-neighbour's.
+        gate = np.diff(below)[v] == 1
+        n_classes = int(gate.sum())
+        cls = np.full(len(v), -1)
+        cls[gate] = np.arange(n_classes)
+        side = np.zeros((n, (n_classes + 7) // 8), dtype=np.uint8)
+        by_level = np.argsort(dist, kind="stable")
+        multi = multi[np.argsort(dist[v[multi]], kind="stable")]
+        levels = np.arange(int(dist.max()) + 2)
+        vertex_at = np.searchsorted(dist[by_level], levels)
+        multi_at = np.searchsorted(dist[v[multi]], levels)
+        for level in levels[1:-1].tolist():
+            j = multi[multi_at[level]:multi_at[level + 1]]
+            cls[j] = cls[across[j]]
+            x = by_level[vertex_at[level]:vertex_at[level + 1]]
+            first = below[x]
+            c = cls[first]
+            side[x] = side[u[first]]
+            side[x, c >> 3] |= (128 >> (c & 7)).astype(np.uint8)
+        hoe = np.empty_like(cls)
+        hoe[order] = cls
+        _cut_check(side, self.eu, self.ev, hoe)
+        # Renumber the classes by first edge; transpose the sides in chunks.
+        _, first_edge = np.unique(hoe, return_index=True)
+        renamed = np.argsort(first_edge)
+        rank = np.empty_like(renamed)
+        rank[renamed] = np.arange(n_classes)
+        far = np.zeros((n_classes, (n + 7) // 8), dtype=np.uint8)
+        step = 8 * max(1, CHUNK_BYTES // (8 * max(1, n_classes)))
+        for s in range(0, n, step):
+            bits = np.unpackbits(side[s:s + step], axis=1, count=n_classes)
+            block = np.packbits(bits[:, renamed].T, axis=1)
+            far[:, s // 8:s // 8 + block.shape[1]] = block
+        hoe = rank[hoe]
+        self._forest = self._cube_forest(hoe, n_classes)
+        self._far, self._hyp_of_edge = far, hoe
         return self._far
 
     @property
@@ -223,17 +297,98 @@ class MedianGraph(Graph):
     def dimension(self) -> int:
         """Largest cube dimension, computed as the maximum number of
         root-decreasing edges at any vertex."""
-        du, dv = self.dist_root[self.eu], self.dist_root[self.ev]
-        if (du == dv).any():
-            raise SideComputationError(
-                "graph has an edge between equal levels; not bipartite")
-        deeper = np.where(du > dv, self.eu, self.ev)
-        return int(np.bincount(deeper, minlength=self.n).max())
+        return int(np.bincount(self._down_edges()[0], minlength=self.n).max())
 
-    # -- cube path machinery -------------------------------------------------
+    # -- cube paths ------------------------------------------------------------
 
-    def _neighbor_across(self, v: int, hyp: int) -> Optional[int]:
-        hoe = self.hyp_of_edge
+    def forest(self) -> PathForest:
+        """Cube-path forest: one step per vertex, built and checked by
+        ``hyperplanes()`` from the classes it finds.
+
+        The step leaving x crosses the classes of its down-edges, its
+        legs, in sorted order, and exits at the corner opposite x of the
+        cube the legs span.
+        """
+        self.hyperplanes()
+        return self._forest
+
+    def _cube_forest(self, hoe: np.ndarray, n_keys: int) -> PathForest:
+        """The forest for the edge classes ``hoe``, and the checks that,
+        with those of the sweep, make the graph median.
+
+        In a median graph the legs of x span a cube below x (the
+        characterization the level sweep relies on), and the step exits at
+        the corner opposite x. Every face of every such cube is walked,
+        all vertices with k legs at once, and must close up. Then
+        ``_link_check`` runs on the squares and 3-cubes the walk found.
+
+        Raises NonTerminationError for a vertex other than the base with
+        no down-edge, and CubeSpanError for two down-edges in one class
+        (parallel), two edges at one vertex in one class, legs that do
+        not span a cube or whose cube does not close up, and three squares
+        at a vertex that lie in no cube.
+        """
+        child, par = self._down_edges()
+        order = np.lexsort((hoe, child))
+        child, par, keys = child[order], par[order], hoe[order]
+        sizes = np.bincount(child, minlength=self.n)
+        stuck = np.flatnonzero(sizes == 0)
+        stuck = stuck[stuck != self.root]
+        if len(stuck):
+            raise NonTerminationError(f"no downward edge at vertex {stuck[0]}")
+        twin = np.flatnonzero((child[1:] == child[:-1]) & (keys[1:] == keys[:-1]))
+        if len(twin):
+            raise CubeSpanError(f"parallel downward edges at vertex {child[twin[0]]}")
+        across = _Across(self, hoe, n_keys)
+        step_ptr = np.concatenate([[0], np.cumsum(sizes)])
+        exits = np.arange(self.n)
+        single = sizes[child] == 1
+        exits[child[single]] = par[single]
+        squares, cubes = [], []
+        for k in np.unique(sizes[sizes > 1]).tolist():
+            x = np.flatnonzero(sizes == k)
+            if 1 << k > self.n:  # a k-cube has 2**k corners
+                raise CubeSpanError(
+                    f"downward edges at vertex {x[0]} do not span a cube")
+            i, j = np.array(list(itertools.combinations(range(k), 2))).T
+            trios = np.array(list(itertools.combinations(range(k), 3)),
+                             dtype=np.int64).reshape(-1, 3)
+            step = max(1, CHUNK_BYTES // (32 * k << k))
+            for s in range(0, len(x), step):
+                legs = step_ptr[x[s:s + step], None] + np.arange(k)
+                corner = across.corners(x[s:s + step], keys[legs], par[legs])
+                exits[x[s:s + step]] = corner[:, -1]
+                # rows: top, its two legs' lower ends, bottom, the two classes
+                squares.append(np.stack(np.broadcast_arrays(
+                    x[s:s + step, None], corner[:, 1 << i], corner[:, 1 << j],
+                    corner[:, 1 << i | 1 << j], keys[legs][:, i],
+                    keys[legs][:, j]), axis=-1).reshape(-1, 6))
+                # rows: bottom, the three classes
+                cubes.append(np.concatenate([
+                    corner[:, (1 << trios).sum(axis=1)][..., None],
+                    keys[legs][:, trios]], axis=-1).reshape(-1, 4))
+        _link_check(n_keys, child * n_keys + keys, step_ptr, keys,
+                    np.concatenate(squares or [np.empty((0, 6), np.int64)]),
+                    np.concatenate(cubes or [np.empty((0, 4), np.int64)]))
+        return PathForest(
+            root=self.root,
+            exit=exits,
+            step_ptr=step_ptr,
+            step_keys=keys,
+            key_count=n_keys,
+            length=self.dist_root,
+        )
+
+    # -- the walk of normal_cube_path, the forest's oracle ----------------------
+
+    @cached_property
+    def _walk_classes(self) -> np.ndarray:
+        """The classes of ``distance_condition_sides``, computed once per
+        graph for the walks of ``normal_cube_path``; the sweep never reads
+        them."""
+        return distance_condition_sides(self)[1]
+
+    def _neighbor_across(self, v: int, hyp: int, hoe) -> Optional[int]:
         found = None
         for nbr, eid in self.adj[v]:
             if hoe[eid] == hyp:
@@ -243,7 +398,7 @@ class MedianGraph(Graph):
                 found = nbr
         return found
 
-    def _cross_cube(self, x: int, legs: list[tuple[int, int]]) -> int:
+    def _cross_cube(self, x: int, legs: list[tuple[int, int]], hoe) -> int:
         """Verify that the legs (hyperplane id, neighbor) span a cube at x
         and return the diagonally opposite corner."""
         if len(legs) == 1:
@@ -260,7 +415,7 @@ class MedianGraph(Graph):
                 target = None
                 for h in combo:
                     base = corner[fs - {h}]
-                    nb = self._neighbor_across(base, h)
+                    nb = self._neighbor_across(base, h, hoe)
                     if nb is None:
                         raise CubeSpanError(
                             f"downward edges at vertex {x} do not span a cube")
@@ -272,11 +427,10 @@ class MedianGraph(Graph):
                 corner[fs] = target
         return corner[frozenset(hyps)]
 
-    def _step(self, x: int) -> tuple[tuple[int, ...], int]:
+    def _step(self, x: int, hoe) -> tuple[tuple[int, ...], int]:
         """Crossed hyperplane ids and exit corner of the cube-path step
-        leaving x toward the root."""
+        leaving x toward the root, with edge classes ``hoe``."""
         dist = self.dist_root
-        hoe = self.hyp_of_edge
         legs = [
             (int(hoe[eid]), nbr)
             for nbr, eid in self.adj[x]
@@ -284,30 +438,190 @@ class MedianGraph(Graph):
         ]
         if not legs:
             raise NonTerminationError(f"no downward edge at vertex {x}")
-        exit_vertex = self._cross_cube(x, legs)
+        exit_vertex = self._cross_cube(x, legs, hoe)
         return tuple(sorted(h for h, _ in legs)), exit_vertex
 
-    def forest(self) -> PathForest:
-        """Cube-path forest: one step per vertex, computed once."""
-        if self._forest is None:
-            n_keys = len(self.hyperplanes())
-            exits = np.arange(self.n)
-            sizes = np.zeros(self.n, dtype=np.int64)
-            keys: list[int] = []
-            for x in range(self.n):
-                if x != self.root:
-                    crossed, exits[x] = self._step(x)
-                    sizes[x] = len(crossed)
-                    keys.extend(crossed)
-            self._forest = PathForest(
-                root=self.root,
-                exit=exits,
-                step_ptr=np.concatenate([[0], np.cumsum(sizes)]),
-                step_keys=np.asarray(keys, dtype=np.int64),
-                key_count=n_keys,
-                length=self.dist_root,
-            )
-        return self._forest
+
+def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the down-edges (v[j], u[j]), grouped by v with group bounds
+    ``below``: the positions j whose vertex has another down-edge, and
+    across[j], the position of the edge opposite j in the square through
+    the next down-neighbour u' of v. SideComputationError unless u[j] and
+    u' have exactly one common lower neighbour."""
+    count = np.diff(below)
+    edge_key = v * n + u  # ascending
+    multi = np.flatnonzero(count[v] > 1)
+    other = multi + 1
+    wrap = other == below[v[multi] + 1]
+    other[wrap] = below[v[multi[wrap]]]
+    across = np.full(len(v), -1)
+    step = max(1, CHUNK_BYTES // (32 * max(1, int(count.max()))))
+    for s in range(0, len(multi), step):
+        a, b = u[multi[s:s + step]], u[other[s:s + step]]
+        # candidates: every down-edge (u', x) of u', kept where (u, x) is one
+        owner = np.repeat(np.arange(len(b)), count[b])
+        cand = np.arange(len(owner)) + (below[b] - np.cumsum(count[b]) + count[b])[owner]
+        want = a[owner] * n + u[cand]
+        hit = edge_key[np.minimum(np.searchsorted(edge_key, want), len(v) - 1)] == want
+        common = np.bincount(owner[hit], minlength=len(a))
+        bad = np.flatnonzero(common != 1)
+        if len(bad):
+            i = int(bad[0])
+            raise SideComputationError(
+                f"down-neighbours {a[i]} and {b[i]} of vertex {v[multi[s + i]]} "
+                f"have {common[i]} common lower neighbours; not a median graph")
+        across[multi[s:s + step]] = cand[hit]
+    return multi, across
+
+
+def _cut_check(side: np.ndarray, eu, ev, hoe) -> None:
+    """SideComputationError unless the far-side rows (one packed row per
+    vertex) of the ends of every edge differ in exactly its class."""
+    step = max(1, CHUNK_BYTES // (2 * side.shape[1] + 1))
+    for s in range(0, len(hoe), step):
+        c = hoe[s:s + step]
+        diff = side[eu[s:s + step]] ^ side[ev[s:s + step]]
+        own = diff[np.arange(len(c)), c >> 3] & (128 >> (c & 7)) != 0
+        bad = np.flatnonzero(~own | (np.bitwise_count(diff).sum(axis=1) != 1))
+        if len(bad):
+            raise SideComputationError(
+                f"the ends of edge {s + bad[0]} are not separated by exactly "
+                "its own class; not a median graph")
+
+
+def _link_check(n_keys: int, down_key, step_ptr, keys,
+                squares: np.ndarray, cubes: np.ndarray) -> None:
+    """CubeSpanError unless any three squares at a vertex that pairwise
+    share an edge lie in a 3-cube.
+
+    ``squares`` holds a row (top, lower end of leg i, of leg j, bottom,
+    class i, class j) per pair of legs of each vertex, ``cubes`` a row
+    (bottom, three classes) per three legs; ``down_key`` is the sorted
+    v * n_keys + class of every down-edge, whose classes ``keys`` are
+    grouped by v with bounds ``step_ptr``.
+
+    This is the last of the local conditions that make the graph median.
+    Every two down-neighbours have a common lower neighbour, so every
+    cycle is a sum of squares (shorten it at its vertex farthest from the
+    base) and the square complex is simply connected. By Chepoi ("Graphs
+    of some CAT(0) complexes", Adv. Appl. Math. 24, 2000) such a graph is
+    median if it has no K_{2,3} and satisfies this 3-cube condition. A
+    K_{2,3} would give two vertices two common legs; by the cut check
+    both would lie on the far sides of exactly the classes of the two
+    legs, so two edges at a leg would share a class, which ``_Across``
+    rejects. Three squares at w with two or three edges going down lie in
+    the cube of w's legs or of the top of a square through the up-edge.
+    With one down-edge, the top of the square of the two up-edges must go
+    down in every class in which both of them do. With none, the three
+    classes must be those of a 3-cube with bottom w; the triangles of
+    squares at w are listed in degree order.
+    """
+    if not len(squares):
+        return
+    top, b, c, w, p, q = squares.T
+
+    def find(sorted_keys, want):
+        """Index of each wanted key in ``sorted_keys``, -1 where absent."""
+        if not len(sorted_keys):
+            return np.full(len(want), -1)
+        i = np.minimum(np.searchsorted(sorted_keys, want), len(sorted_keys) - 1)
+        return np.where(sorted_keys[i] == want, i, -1)
+
+    count = np.diff(step_ptr)
+    step = max(1, CHUNK_BYTES // (32 * int(count.max())))
+    for s in range(0, len(top), step):
+        # every down-class of b, kept where c goes down in it and top not
+        cnt = count[b[s:s + step]]
+        owner = s + np.repeat(np.arange(len(cnt)), cnt)
+        alpha = keys[np.arange(len(owner))
+                     + np.repeat(step_ptr[b[s:s + step]] - np.cumsum(cnt) + cnt, cnt)]
+        bad = np.flatnonzero((find(down_key, c[owner] * n_keys + alpha) >= 0)
+                             & (find(down_key, top[owner] * n_keys + alpha) < 0))
+        if len(bad):
+            raise CubeSpanError(
+                f"three squares at vertex {w[owner[bad[0]]]} lie in no cube")
+    # The link of each bottom w: a node (w, class) per up-edge in a square,
+    # a link edge per square; each points away from its end of lower
+    # (degree, node), so a triangle is found once, at its lowest node.
+    nodes, ends = np.unique(np.concatenate([w * n_keys + p, w * n_keys + q]),
+                            return_inverse=True)
+    m = len(nodes)
+    ends = ends.reshape(2, -1)
+    rank = np.bincount(ends.ravel(), minlength=m) * m + np.arange(m)
+    src, dst = np.where(rank[ends[0]] < rank[ends[1]], ends, ends[::-1])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    link = np.sort(np.minimum(src, dst) * m + np.maximum(src, dst))
+    # the 3-cubes, keyed by the link edge of their two lower classes
+    lo = find(nodes, cubes[:, 0] * n_keys + cubes[:, 1])
+    hi = find(nodes, cubes[:, 0] * n_keys + cubes[:, 2])
+    edge = find(link, lo * m + hi)
+    known = (lo >= 0) & (hi >= 0) & (edge >= 0)
+    solid = np.sort(edge[known] * n_keys + cubes[known, 3])
+    pairs = np.searchsorted(src, src, side="right") - np.arange(len(src)) - 1
+    step = max(1, CHUNK_BYTES // (32 * max(1, int(pairs.max()))))
+    for s in range(0, len(src), step):
+        cnt = pairs[s:s + step]
+        first = s + np.repeat(np.arange(len(cnt)), cnt)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        a, z = np.sort(np.stack([dst[first], dst[second]]), axis=0)
+        tri = find(link, a * m + z) >= 0
+        t = np.sort(np.stack([src[first][tri], a[tri], z[tri]]), axis=0)
+        cube = find(link, t[0] * m + t[1]) * n_keys + nodes[t[2]] % n_keys
+        bad = np.flatnonzero(find(solid, cube) < 0)
+        if len(bad):
+            raise CubeSpanError(
+                f"three squares at vertex {nodes[t[0, bad[0]]] // n_keys} lie in no cube")
+
+
+class _Across:
+    """The neighbour across class c from vertex v, for arrays of (v, c):
+    one sorted key v * K + c per edge end. Two edges at a vertex in one
+    class raise CubeSpanError."""
+
+    def __init__(self, g: MedianGraph, hoe: np.ndarray, n_keys: int):
+        key = np.concatenate([g.eu, g.ev]) * n_keys + np.concatenate([hoe, hoe])
+        order = np.argsort(key, kind="stable")
+        self.key = key[order]
+        self.nbr = np.concatenate([g.ev, g.eu])[order]
+        self.n_keys = n_keys
+        twin = np.flatnonzero(self.key[1:] == self.key[:-1])
+        if len(twin):
+            raise CubeSpanError(f"two edges at vertex {self.key[twin[0]] // n_keys} "
+                                "cross the same hyperplane")
+
+    def __call__(self, v: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Neighbour of each v across class c, -1 where there is none."""
+        want = v * self.n_keys + c
+        i = np.minimum(np.searchsorted(self.key, want), len(self.key) - 1)
+        return np.where(self.key[i] == want, self.nbr[i], -1)
+
+    def corners(self, x: np.ndarray, legs: np.ndarray,
+                ends: np.ndarray) -> np.ndarray:
+        """Corners of the cube spanned by x's k legs, one row of 2**k per
+        x: row i of ``legs`` holds the classes and row i of ``ends`` the
+        lower ends. Corner ``mask`` is reached by crossing the legs in
+        ``mask``; each corner is reached from every corner one leg short
+        of it, and all those ways must exist and agree."""
+        g, k = legs.shape
+        corner = np.empty((g, 1 << k), dtype=np.int64)
+        corner[:, 0] = x
+        corner[:, 1 << np.arange(k)] = ends
+        masks = np.arange(1 << k)
+        size = np.bitwise_count(masks)
+        for p in range(2, k + 1):
+            face = masks[size == p]
+            bits = np.nonzero(face[:, None] >> np.arange(k) & 1)[1].reshape(-1, p)
+            nb = self(corner[:, face[:, None] ^ (1 << bits)], legs[:, bits])
+            gap = (nb < 0).any(axis=(1, 2))
+            if gap.any():
+                raise CubeSpanError(
+                    f"downward edges at vertex {x[gap][0]} do not span a cube")
+            split = (nb != nb[..., :1]).any(axis=(1, 2))
+            if split.any():
+                raise CubeSpanError(f"cube at vertex {x[split][0]} does not close up")
+            corner[:, face] = nb[..., 0]
+        return corner
 
 
 # -- generators --------------------------------------------------------------
@@ -386,9 +700,6 @@ def gen_cube(spec: CubeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Media
 
 # -- validation ----------------------------------------------------------------
 
-CHUNK_BYTES = 4 << 20  # bytes per chunk of rows in validate_median
-
-
 def validate_median(
     g: MedianGraph, triple_budget: int = 200_000, seed: int = 0
 ) -> MedianVerdict:
@@ -451,7 +762,8 @@ def validate_median(
 
 def normal_cube_path(g: MedianGraph, v: int) -> NormalCubePath:
     """Greedy maximal cube path from v to the base vertex, walked one
-    step at a time without the forest; the oracle for its matrices.
+    step at a time on the classes of ``distance_condition_sides`` (found
+    once per graph); the oracle for the forest, which it does not read.
 
     Each step crosses every hyperplane that is adjacent at the current
     vertex and has it on its far side; the crossed set must span a
@@ -461,12 +773,13 @@ def normal_cube_path(g: MedianGraph, v: int) -> NormalCubePath:
     """
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"unknown vertex {v}")
+    hoe = g._walk_classes
     dist = g.dist_root
     steps = []
     index_map: dict[int, int] = {}
     x = v
     while x != g.root:
-        hyps, exit_vertex = g._step(x)
+        hyps, exit_vertex = g._step(x, hoe)
         if dist[exit_vertex] != dist[x] - len(hyps):
             raise NonTerminationError(
                 f"cube path step from {x} does not shorten the path by "
@@ -532,6 +845,39 @@ def key_property(g: MedianGraph) -> KeyProperty:
 
 
 # -- independent oracle for tests ----------------------------------------------
+
+
+def distance_condition_sides(g: MedianGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Far rows, as ``hyperplanes()`` returns them, and the class of every
+    edge, by the distance condition with two BFS rows per class.
+
+    The BFS rows da, db of a representative edge (a, b) split the
+    vertices into the halfspaces W_ab = {da < db} and W_ba; the class
+    is the set of edges crossing between them, numbered in order of
+    its first edge. Each halfspace is connected (a shortest path to a
+    stays in W_ab). A vertex with da == db (not bipartite) or
+    overlapping classes raise SideComputationError. Independent of the
+    level sweep; the cache of ``g`` is left as it is.
+    """
+    eu, ev = g.eu, g.ev
+    assigned = np.full(g.edge_count, -1, dtype=np.int64)
+    packed: list[np.ndarray] = []
+    for e0 in range(g.edge_count):
+        if assigned[e0] >= 0:
+            continue
+        da, db = g.distances_from([int(eu[e0]), int(ev[e0])])
+        if (da == db).any():
+            raise SideComputationError(
+                f"a vertex is equidistant from the ends of edge {e0}; not bipartite")
+        far = (da < db) != (da[g.root] < db[g.root])
+        members = np.flatnonzero(far[eu] != far[ev])
+        if (assigned[members] >= 0).any():
+            raise SideComputationError(
+                "edge classes overlap; graph is not a partial cube")
+        assigned[members] = len(packed)
+        packed.append(np.packbits(far))
+    far = np.asarray(packed, dtype=np.uint8).reshape(-1, (g.vertex_count + 7) // 8)
+    return far, assigned
 
 
 def square_closure_classes(g: MedianGraph) -> np.ndarray:

@@ -15,11 +15,13 @@ class SpaceFormatError(MedEmbedError):
 
 class SideComputationError(MedEmbedError):
     """A hyperplane's sides could not be computed: the graph is not bipartite,
-    or the computed edge classes overlap. Signals non-median input."""
+    two down-neighbours lack a unique common lower neighbour, or the edge
+    classes are not cuts (they overlap). Signals non-median input."""
 
 
 class CubeSpanError(MedEmbedError):
-    """A set of edges expected to span a cube does not close up."""
+    """A set of edges expected to span a cube does not close up, or three
+    squares at a vertex lie in no cube. Signals non-median input."""
 
 
 class NonTerminationError(MedEmbedError):

@@ -23,6 +23,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .sparse import vertex_rows
 from .weights import WeightFunction, deficit_constant, diff_sq_tail_bound
 
 EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
@@ -419,9 +420,10 @@ class ProductSpace:
 
     def embedding_matrix(self, w: WeightFunction, rows) -> sp.csr_matrix:
         """Factor matrices side by side; each factor's key count is its
-        width, so factor i's columns start at ``offsets[i]``."""
-        coords = np.unravel_index(np.asarray(rows, dtype=np.int64), self.sizes)
-        return sp.hstack([f.embedding_matrix(w, c)
+        width, so factor i's columns start at ``offsets[i]``. A row outside
+        0..vertex_count-1 raises ValueError("unknown vertex v")."""
+        coords = np.unravel_index(vertex_rows(rows, self.vertex_count), self.sizes)
+        return sp.hstack([f._embed(w, c)
                           for f, c in zip(self.factors, coords)], format="csr")
 
 

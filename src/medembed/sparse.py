@@ -178,6 +178,16 @@ def id_array(ids, n: int) -> np.ndarray:
         return np.where((a < 0) | (a >= n), -1, a).astype(np.int64)
 
 
+def vertex_rows(rows, n: int) -> np.ndarray:
+    """``rows`` as ``id_array`` gives them; ValueError("unknown vertex v")
+    for the first row v outside 0..n-1, printed as given."""
+    a = id_array(rows, n)
+    bad = np.flatnonzero((a < 0) | (a >= n))
+    if len(bad):
+        raise ValueError(f"unknown vertex {np.ravel(np.asarray(rows, dtype=object))[bad[0]]}")
+    return a
+
+
 def edge_array(edges, n: int) -> tuple[np.ndarray, int]:
     """``edges`` as an (m, 2) int64 array, and the index of the first edge
     with an end outside 0..n-1 (m when there is none)."""
@@ -232,6 +242,11 @@ class Graph:
         return row.astype(np.int64)
 
     def embedding_matrix(self, w, rows) -> sp.csr_matrix:
-        """CSR rows of the embedding of ``rows``; column k is key k."""
+        """CSR rows of the embedding of ``rows``; column k is key k. A row
+        outside 0..n-1 raises ValueError("unknown vertex v")."""
+        return self._embed(w, vertex_rows(rows, self.n))
+
+    def _embed(self, w, rows: np.ndarray) -> sp.csr_matrix:
+        """``embedding_matrix`` of rows already checked to be vertices."""
         forest = self.forest()
         return forest.matrix(rows, forest.weight_table(w))

@@ -181,20 +181,38 @@ def sq_partial_sums(w: WeightFunction, n: int) -> np.ndarray:
     return np.cumsum(vals * vals)
 
 
+SCAN_CHUNK = 1 << 16  # points of w held at once by deficit_scan
+
+
 def deficit_scan(w: WeightFunction, n_max: int) -> tuple[float, int]:
     """Scan the deficit N*w(N)^2/2 - sum_{i<=N} w(i)^2 over N <= n_max.
 
     Returns (max deficit clamped at 0, index attaining the maximum).  The
     returned constant C makes sum_{i<=N} w(i)^2 >= N*w(N)^2/2 - C hold for
-    every N in the scanned range.
+    every N in the scanned range.  Runs SCAN_CHUNK points at a time; each
+    chunk's cumulative sum starts from the last one's, so the sums, the
+    constant and the first index attaining it are those of one whole-array
+    scan (``_deficit_peak``).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return _deficit_peak(w.values(np.arange(1, n_max + 1, dtype=np.float64)))
+    best, at, carry = -math.inf, 0, 0.0
+    for lo in range(1, n_max + 1, SCAN_CHUNK):
+        ns = np.arange(lo, min(lo + SCAN_CHUNK, n_max + 1), dtype=np.float64)
+        vals = w.values(ns)
+        sq = vals * vals
+        sums = np.cumsum(np.concatenate([[carry], sq]))[1:]
+        cand = 0.5 * ns * sq - sums
+        k = int(np.argmax(cand))
+        if cand[k] > best:
+            best, at = float(cand[k]), lo + k
+        carry = sums[-1]
+    return max(0.0, best), at
 
 
 def _deficit_peak(vals: np.ndarray) -> tuple[float, int]:
-    """``deficit_scan`` over N <= len(vals), from vals[i - 1] = w(i)."""
+    """``deficit_scan`` over N <= len(vals), from vals[i - 1] = w(i), as one
+    whole-array scan."""
     sq = vals * vals
     cand = 0.5 * np.arange(1, len(vals) + 1, dtype=np.float64) * sq - np.cumsum(sq)
     k = int(np.argmax(cand))
@@ -234,6 +252,9 @@ def build_weight_report(
     """
     if w.kind != "paper":
         raise ValueError("the summability report applies to the paper weight")
+    if n_max < w.m - 1:
+        raise ValueError(f"n_max must be at least M - 1 = {w.m - 1} for weight "
+                         f"{w.label()}, got {n_max}")
     checkpoints = tuple(c for c in checkpoints if c <= n_max)
     vals = w.values(np.arange(1, n_max + 2, dtype=np.float64))
     diffs = np.diff(vals)

@@ -128,6 +128,21 @@ def test_embed_rejects_unknown_vertex(tmp_path, capsys):
         assert stdout == ""
 
 
+def test_embed_rejects_graph_that_is_not_median(tmp_path, capsys):
+    # an induced subgraph of Q5 that is not a partial cube (see test_cube)
+    labels = [3, 11, 7, 23, 22, 2, 19, 31, 10, 6, 18, 29, 25, 17, 5, 24, 28,
+              27, 4, 26, 16, 14]
+    ids = {v: i for i, v in enumerate(labels)}
+    edges = [[ids[u], ids[u ^ 1 << b]] for u in labels for b in range(5)
+             if u < u ^ 1 << b and u ^ 1 << b in ids]
+    space = tmp_path / "q5.json"
+    space.write_text(json.dumps({"type": "median_graph", "n": len(labels),
+                                 "root": 0, "edges": edges}))
+    code, stdout, err = run(capsys, "embed", "--space", str(space), "--vertex", "5")
+    assert code == 2 and stdout == ""
+    assert err == "error: three squares at vertex 6 lie in no cube\n"
+
+
 def test_cli_import_skips_scipy_optimize():
     # scipy.optimize takes a noticeable share of a CLI process's start-up
     src = Path(__file__).resolve().parent.parent / "src"

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medembed.cube import (
     CubeSpec,
     MedianGraph,
     MedianVerdict,
     dimension_by_cliques,
+    distance_condition_sides,
     gen_cube,
     key_property,
     median_from_tree,
@@ -19,6 +22,7 @@ from medembed.cube import (
 from medembed.errors import (
     BudgetExceededError,
     CubeSpanError,
+    MedEmbedError,
     NonTerminationError,
     SideComputationError,
 )
@@ -48,6 +52,12 @@ def six_cycle():
 
 def three_cube():
     return gen_cube(CubeSpec.grid(1, 1, 1))
+
+
+def _petersen():
+    return MedianGraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(i, i + 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
 
 def far_sides(g):
@@ -267,9 +277,7 @@ def _median_check_graphs():
     connected induced subgraphs of the 5-cube."""
     yield six_cycle()
     yield MedianGraph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])  # K_{2,3}
-    yield MedianGraph(10, [(i, (i + 1) % 5) for i in range(5)]  # Petersen
-                      + [(i, i + 5) for i in range(5)]
-                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    yield _petersen()
     for spec in (CubeSpec.grid(100, 100), CubeSpec.grid(20, 20),
                  CubeSpec.grid(4, 5, 6), CubeSpec.staircase(25),
                  CubeSpec.tree_product(TreeSpec.spider(3, 4), TreeSpec.path(6))):
@@ -310,6 +318,111 @@ def test_validate_median_matches_per_triple_loop():
 # -- hyperplanes ------------------------------------------------------------------
 
 
+def _same_partition(a, b):
+    a, b = a.tolist(), b.tolist()
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+def _sweep_against_oracles(g, median=None):
+    """The level sweep against exhaustive validate_median (``median``,
+    computed when None) and the distance-condition and square-closure
+    classes. The sweep accepts exactly the median graphs, so it rejects
+    whatever the distance condition rejects; on a median graph all three
+    agree (far rows and class ids byte for byte). Returns (median, sweep
+    ok, oracle ok)."""
+    if median is None:
+        n = g.vertex_count
+        median = validate_median(g, triple_budget=max(1, n * (n - 1) * (n - 2) // 6)).valid
+    try:
+        fast = g.hyperplanes(), g.hyp_of_edge
+    except MedEmbedError:
+        fast = None
+    try:
+        slow = distance_condition_sides(g)
+    except SideComputationError:
+        slow = None
+    assert (fast is not None) == median
+    assert fast is None or slow is not None
+    if median:
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(fast, slow))
+        assert _same_partition(g.hyp_of_edge, square_closure_classes(g))
+    return median, fast is not None, slow is not None
+
+
+def _forest_against_walks(g):
+    """On a median graph the forest and the walks of normal_cube_path
+    agree on every step."""
+    forest = g.forest()
+    for step in (s for v in range(g.vertex_count) for s in normal_cube_path(g, v).steps):
+        lo, hi = forest.step_ptr[step.entry], forest.step_ptr[step.entry + 1]
+        assert forest.step_keys[lo:hi].tolist() == sorted(step.crossed)
+        assert forest.exit[step.entry] == step.exit
+
+
+def _rerooted(g, root):
+    return MedianGraph(g.vertex_count, np.column_stack([g.eu, g.ev]),
+                       root=root % g.vertex_count)
+
+
+def _grown_q5(start, picks):
+    """Connected induced subgraph of the 5-cube grown from ``start`` by
+    adding, for each pick, a vertex of the current frontier."""
+    keep = [start]
+    for pick in picks:
+        frontier = sorted({u ^ 1 << b for u in keep for b in range(5)} - set(keep))
+        if not frontier:
+            break
+        keep.append(frontier[pick % len(frontier)])
+    ids = {v: i for i, v in enumerate(keep)}
+    return MedianGraph(len(keep), [(ids[u], ids[u ^ 1 << b]) for u in keep for b in range(5)
+                                   if u < u ^ 1 << b and u ^ 1 << b in ids])
+
+
+_small_trees = st.lists(st.integers(min_value=0, max_value=10**6), max_size=9).map(
+    lambda raw: RootedTree([0] + [r % (i + 1) for i, r in enumerate(raw)]))
+
+generated_medians = st.tuples(st.one_of(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3).map(
+        lambda dims: gen_cube(CubeSpec.grid(*dims))),
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5).map(
+        lambda hs: gen_cube(CubeSpec.staircase_heights(sorted(hs, reverse=True)))),
+    st.tuples(_small_trees, _small_trees).map(lambda ts: tree_product_graph(*ts)),
+    _small_trees.map(median_from_tree),
+), st.integers(min_value=0, max_value=10**6)).map(lambda gr: _rerooted(*gr))
+
+
+@given(generated_medians)
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_oracles_on_generated_spaces(g):
+    # grids, staircases, tree products and trees are median by construction
+    assert _sweep_against_oracles(g, median=True) == (True, True, True)
+
+
+@given(st.integers(min_value=0, max_value=31),
+       st.lists(st.integers(min_value=0, max_value=10**6), max_size=31))
+@settings(max_examples=150, deadline=None)
+def test_sweep_matches_oracles_on_q5_subgraphs(start, picks):
+    g = _grown_q5(start, picks)
+    if _sweep_against_oracles(g)[0]:
+        _forest_against_walks(g)
+
+
+def test_sweep_matches_oracles_on_median_check_graphs():
+    seen = set()
+    for g in _median_check_graphs():
+        # exhaustive up to 100 vertices; above, the sampled check (which the
+        # defect grids on 961 and 3721 vertices fail)
+        median = None if g.vertex_count <= 100 else validate_median(g).valid
+        verdicts = _sweep_against_oracles(g, median)
+        seen.add(verdicts)
+        if g.vertex_count <= 32 and verdicts[0]:
+            _forest_against_walks(g)
+    # medians, non-medians both routes reject, and partial cubes (C6 and
+    # some subgraphs of Q5) that only the sweep rejects
+    assert {(True, True, True), (False, False, False), (False, False, True)} <= seen
+
+
 def test_three_cube_hyperplanes():
     g = three_cube()
     hyps = g.hyperplanes()
@@ -328,33 +441,130 @@ def test_near_side_contains_root():
 
 
 def test_far_rows_match_bfs_sides():
-    for g in (gen_cube(CubeSpec.grid(3, 2)), gen_cube(CubeSpec.staircase(5)),
-              three_cube(), six_cycle(), MedianGraph(1, [])):
+    medians = [gen_cube(CubeSpec.grid(3, 2)), gen_cube(CubeSpec.staircase(5)),
+               three_cube(), MedianGraph(1, [])]
+    # the level sweep on median graphs; the distance-condition oracle on
+    # those and on C6, a partial cube the sweep rejects
+    routes = [(g, lambda g: (g.hyperplanes(), g.hyp_of_edge)) for g in medians]
+    routes += [(g, distance_condition_sides) for g in medians + [six_cycle()]]
+    for g, route in routes:
         n = g.vertex_count
-        packed = g.hyperplanes()
-        k = len(np.unique(g.hyp_of_edge))
+        packed, hoe = route(g)
+        k = len(np.unique(hoe))
         assert packed.dtype == np.uint8 and packed.shape == (k, (n + 7) // 8)
         far = np.zeros((k, n), dtype=bool)
         for c in range(k):
             # the far side is the halfspace of the class's first edge whose
             # end is the farther one from the base vertex
-            eid = np.flatnonzero(g.hyp_of_edge == c)[0]
+            eid = np.flatnonzero(hoe == c)[0]
             a, b = int(g.eu[eid]), int(g.ev[eid])
             if g.dist_root[a] < g.dist_root[b]:
                 a, b = b, a
             da, db = g.distances_from([a, b])
             far[c] = da < db
         assert np.array_equal(np.packbits(far, axis=1), packed)
-        assert np.array_equal(g.separators.toarray(), far.T)
+    for g in medians:
+        assert np.array_equal(g.separators.toarray(), far_sides(g).T)
+
+
+def test_median_hot_path_runs_one_bfs(monkeypatch):
+    # the level sweep and the forest read dist_root, the constructor's BFS
+    calls = []
+    bfs = MedianGraph.distances_from
+
+    def counted(self, sources):
+        calls.append(np.atleast_1d(sources).tolist())
+        return bfs(self, sources)
+
+    monkeypatch.setattr(MedianGraph, "distances_from", counted)
+    for spec in (CubeSpec.grid(30, 30), CubeSpec.staircase(12),
+                 CubeSpec.tree_product(TreeSpec.spider(3, 4), TreeSpec.path(6))):
+        calls.clear()
+        g = gen_cube(spec)
+        g.hyperplanes()
+        g.forest()
+        g.embedding_matrix(PAPER, range(g.vertex_count))
+        assert calls == [[g.root]], spec.label()
 
 
 def test_triangle_hyperplanes_error():
     five_cycle = MedianGraph(5, [(i, (i + 1) % 5) for i in range(5)])
     k4 = MedianGraph(4, list(itertools.combinations(range(4), 2)))
-    k23 = MedianGraph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
-    for g in (triangle(), five_cycle, k4, k23):
-        with pytest.raises(SideComputationError):
+    for g in (triangle(), five_cycle, k4, _petersen()):
+        with pytest.raises(SideComputationError, match="between equal levels"):
             g.hyperplanes()
+    # C6: the bottom vertex's two down-neighbours have no common lower neighbour
+    with pytest.raises(SideComputationError, match="0 common lower neighbours"):
+        six_cycle().hyperplanes()
+    # K_{2,3} passes the square check (any two of 2, 3, 4 meet at 0 below
+    # vertex 1) and is rejected by the cut check: edge 4, (1, 3), takes the
+    # class of (4, 0), but its ends differ in the class of (2, 0) instead
+    k23 = MedianGraph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    with pytest.raises(SideComputationError, match="^the ends of edge 4 are not separated"):
+        k23.hyperplanes()
+
+
+def _cube_subgraph(labels, dim):
+    """Subgraph of the dim-cube induced by the vertex labels, numbered in
+    the order given; the first is the base vertex."""
+    ids = {v: i for i, v in enumerate(labels)}
+    return MedianGraph(len(labels), [(ids[u], ids[u ^ 1 << b]) for u in labels
+                                     for b in range(dim) if u < u ^ 1 << b and u ^ 1 << b in ids])
+
+
+def test_sweep_rejects_squares_outside_cubes():
+    # Q3 without 7: the squares at 0 on its three up-edges lie in no cube
+    # (the triangle listing); a partial cube the distance condition accepts
+    no_top = _cube_subgraph([0, 1, 2, 3, 4, 5, 6], 3)
+    # Q3 without 3: at 4 (id 3), the down-edge to 0 and the up-edges to 5
+    # and 6 pairwise span squares; 5 and 6 go down across bit 2, their top 7 does not
+    no_side = _cube_subgraph([0, 1, 2, 4, 5, 6, 7], 3)
+    # An induced subgraph of Q5 that passes every other check of the sweep
+    # and is not a partial cube: vertex 6 (label 19) fails as 4 does above
+    q5 = _cube_subgraph([3, 11, 7, 23, 22, 2, 19, 31, 10, 6, 18, 29, 25, 17, 5,
+                         24, 28, 27, 4, 26, 16, 14], 5)
+    with pytest.raises(SideComputationError, match="not a partial cube"):
+        distance_condition_sides(q5)
+    for g, w in ((no_top, 0), (no_side, 3), (q5, 6)):
+        assert not validate_median(g).valid
+        with pytest.raises(CubeSpanError, match=f"^three squares at vertex {w} lie in no cube$"):
+            g.hyperplanes()
+        with pytest.raises(CubeSpanError):
+            g.embedding_matrix(UNIT, [1])
+
+
+def _small_graphs():
+    """Every graph on 2 to 5 vertices, then a seeded sample on 6 to 8."""
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield n, [p for i, p in enumerate(pairs) if mask >> i & 1]
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        n = int(rng.integers(6, 9))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.6)
+        yield n, [p for p, k in zip(pairs, keep) if k]
+
+
+def test_sweep_accepts_exactly_the_median_graphs():
+    # the local characterization hyperplanes() relies on, against
+    # exhaustive validate_median on every connected graph it is given
+    verdicts = []
+    for n, edges in _small_graphs():
+        try:
+            g = MedianGraph(n, edges)
+        except ValueError:  # not connected
+            continue
+        try:
+            g.hyperplanes()
+        except MedEmbedError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == validate_median(g).valid, (n, edges)
+        verdicts.append(accepted)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_square_closure_oracle_agrees():
@@ -498,14 +708,42 @@ def test_step_order_independence():
 def test_cube_path_step_must_shorten_path():
     g = gen_cube(CubeSpec.grid(2, 2))
     far = g.vertex_count - 1
-    g._step = lambda x: ((0,), x)  # a step that stays put never ends
+    g._step = lambda x, hoe: ((0,), x)  # a step that stays put never ends
     with pytest.raises(NonTerminationError):
         normal_cube_path(g, far)
 
 
+def test_forest_rejects_classes_that_do_not_span_cubes():
+    def forest_with(g, hoe):
+        return g._cube_forest(np.asarray(hoe), int(max(hoe)) + 1)
+
+    square = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    cases = [
+        # both down-edges at 3 in one class
+        (MedianGraph(4, square), [0, 0, 0, 0], "^parallel downward edges at vertex 3$"),
+        # (0, 1) and (1, 3) in one class
+        (MedianGraph(4, square), [0, 1, 0, 1],
+         "^two edges at vertex 1 cross the same hyperplane$"),
+        # the distance-condition classes of C6: nothing crosses class 0 at 2
+        (six_cycle(), distance_condition_sides(six_cycle())[1],
+         "^downward edges at vertex 3 do not span a cube$"),
+        # C6 again: 2 and 4 lead across the other leg to 1 and to 5
+        (six_cycle(), [2, 1, 0, 1, 0, 3], "^cube at vertex 3 does not close up$"),
+        # three legs at vertex 1 would need 8 corners
+        (MedianGraph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]), [0, 1, 2, 1, 2, 0],
+         "^downward edges at vertex 1 do not span a cube$"),
+    ]
+    for g, hoe, message in cases:
+        with pytest.raises(CubeSpanError, match=message):
+            forest_with(g, hoe)
+
+
 def test_six_cycle_has_no_spanning_cube():
     g = six_cycle()
-    g.hyperplanes()  # opposite-edge classes are fine
+    far, hoe = distance_condition_sides(g)  # opposite-edge classes are fine
+    assert len(far) == 3 and hoe.tolist() == [0, 1, 2, 0, 1, 2]
+    with pytest.raises(SideComputationError):
+        g.hyperplanes()
     with pytest.raises(CubeSpanError):
         normal_cube_path(g, 3)
 

@@ -125,6 +125,20 @@ def test_exhaustive_matches_pairwise_bruteforce():
             assert e.pair_count == len(by_t[e.t])
 
 
+def test_embedding_matrix_rejects_unknown_rows():
+    path = gen_tree(TreeSpec.path(5))
+    grid = gen_cube(CubeSpec.grid(2, 2))
+    prod = ProductSpace([gen_tree(TreeSpec.path(2)), grid])  # 27 vertices
+    for space, rows, bad in ((path, [-1], -1), (path, [0, 6, -1], 6), (grid, [9], 9),
+                             (prod, [26, 27], 27), (prod, [3, -2], -2),
+                             (grid, [2**70], 2**70)):
+        with pytest.raises(ValueError, match=rf"^unknown vertex {bad}$"):
+            space.embedding_matrix(UNIT, rows)
+    for space in (path, grid, prod):
+        last = space.vertex_count - 1
+        assert space.embedding_matrix(UNIT, [0, last]).shape[0] == 2
+
+
 def test_exhaustive_profile_runs_without_bfs(monkeypatch):
     # the exhaustive and the uniform sampler read t off the unit rows
     spaces = [

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medembed import weights
 from medembed.weights import (
+    SCAN_CHUNK,
     WeightFunction,
+    _deficit_peak,
     build_weight_report,
     deficit_constant,
     deficit_scan,
@@ -161,6 +164,35 @@ def test_deficit_constant_paper():
     assert c == pytest.approx(8 * XI_18_SQ, rel=1e-9)
     # candidate at the cutoff equals 18/2 * xi(18)^2 - xi(18)^2
     assert c == pytest.approx(DEFICIT_18, rel=1e-9)
+
+
+def test_deficit_scan_in_chunks_matches_whole_array(monkeypatch):
+    families = (WeightFunction.paper(18), WeightFunction.paper(40),
+                WeightFunction.power(0.25), WeightFunction.unit())
+
+    def whole(w, n_max):
+        return _deficit_peak(w.values(np.arange(1, n_max + 1, dtype=np.float64)))
+
+    c = SCAN_CHUNK
+    for w in families:
+        for n_max in (1, c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1):
+            assert deficit_scan(w, n_max) == whole(w, n_max), (w.label(), n_max)
+    # small chunks put the paper weights' argmax (18, 40) on and around
+    # chunk boundaries, with the carried sums crossing many of them
+    for chunk in (1, 5, 17, 18, 19, 40):
+        monkeypatch.setattr(weights, "SCAN_CHUNK", chunk)
+        for w in families:
+            for n_max in (1, 17, 18, 39, 40, 41, 97, 1000):
+                assert deficit_scan(w, n_max) == whole(w, n_max), (chunk, w.label(), n_max)
+
+
+def test_weight_report_rejects_short_n_max():
+    w = WeightFunction.paper(18)
+    for n_max in (10, 16):
+        with pytest.raises(ValueError, match=rf"^n_max must be at least M - 1 = 17 "
+                                             rf"for weight paper:18, got {n_max}$"):
+            build_weight_report(w, n_max=n_max)
+    assert build_weight_report(w, n_max=17).deficit_argmax <= 17
 
 
 def test_deficit_stabilizes():
