@@ -5,6 +5,10 @@ c across depths is the expected signature; a climbing c would indicate a
 profile growing faster than the ceiling allows.
 
 Usage: python scripts/ceiling_drift.py [--depths 50,100,150,200]
+       python scripts/ceiling_drift.py --depths 250,500,1000
+
+The exhaustive profiles come from the trees' depth triples, so depth 1000
+(about 40,000 vertices at 40 rays) runs in seconds.
 """
 
 import argparse
@@ -36,7 +40,7 @@ def main():
     for depth in depths:
         t0 = time.perf_counter()
         tree = gen_tree(TreeSpec.binary_sample(depth, args.rays, args.seed))
-        prof = profile(tree, w, PairSampler.exhaustive(), block_size=1024)
+        prof = profile(tree, w, PairSampler.exhaustive())
         v = bourgain_consistency(prof)
         results.append(v)
         print(f"{depth:>6} {tree.vertex_count:>9} {v.fitted_c:>9.4f} "

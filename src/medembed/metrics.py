@@ -12,6 +12,14 @@ random sampling can only raise rho_hat and lower delta_hat.
 sampler read the metric off the unit-weight rows. Only the stratified
 sampler and the oracle also need ``distances_from(sources) -> 2d array``.
 Trees, median graphs and products of them all qualify.
+
+An exhaustive profile takes one of two routes. On a ``RootedTree`` a
+pair's embedded distance depends only on its depth triple (a, b, s), so
+the profile folds the distinct triples, weighted by their pair counts
+(``_tree_entries``); its cost grows with the triples, not with the
+n(n-1)/2 pairs. Median graphs and products take the Gram route
+(``_exhaustive_entries``): squared distances of all pairs as blocks of
+``block_size`` rows, which on trees is the tree route's oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .sparse import vertex_rows
+from .tree import RootedTree
 from .weights import WeightFunction, deficit_constant, diff_sq_tail_bound
 
 EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
@@ -117,13 +126,15 @@ class _ProfileAccumulator:
         self.counts = np.concatenate(
             [self.counts, np.zeros(new - size, dtype=np.int64)])
 
-    def add(self, ts: np.ndarray, emb: np.ndarray):
+    def add(self, ts: np.ndarray, emb: np.ndarray, counts=1):
+        """Fold pairs at distances ``ts`` with embedded distances ``emb``;
+        entry i stands for ``counts[i]`` pairs (one each by default)."""
         if len(ts) == 0:
             return
         self._grow(int(ts.max()))
         np.minimum.at(self.min_emb, ts, emb)
         np.maximum.at(self.max_emb, ts, emb)
-        np.add.at(self.counts, ts, 1)
+        np.add.at(self.counts, ts, counts)
 
     def entries(self) -> tuple[ProfileEntry, ...]:
         realized = np.flatnonzero(self.counts)
@@ -149,6 +160,8 @@ def _sq_distance_blocks(mats, block_size: int):
     for all pairs u < v, one block of u at a time: yields the block, the
     mask of pairs v > u in the block x [block[0], n) window, and one flat
     array per matrix in mask order."""
+    if block_size < 1:
+        raise ValueError(f"block_size must be at least 1, got {block_size}")
     n = mats[0].shape[0]
     norms = [sq_row_norms(mat) for mat in mats]
     for start in range(0, n, block_size):
@@ -166,8 +179,9 @@ def _sq_distance_blocks(mats, block_size: int):
 
 
 def _exhaustive_entries(space, w: WeightFunction, block_size: int):
-    """All pairs; t is the unit-weight squared distance, rounded. That is
-    exact: it sums products of 0/1 entries, far below 2**53."""
+    """All pairs by Gram blocks; t is the unit-weight squared distance,
+    rounded. That is exact: it sums products of 0/1 entries, far below
+    2**53. On trees this is the oracle of ``_tree_entries``."""
     mats = [space.embedding_matrix(weight, np.arange(space.vertex_count))
             for weight in (WeightFunction.unit(), w)]
     acc = _ProfileAccumulator()
@@ -175,6 +189,28 @@ def _exhaustive_entries(space, w: WeightFunction, block_size: int):
         acc.add(np.rint(unit_sq, out=unit_sq).astype(np.int64),
                 np.sqrt(np.clip(emb_sq, 0.0, None, out=emb_sq), out=emb_sq))
         del unit_sq, emb_sq  # before the next block is computed
+    return acc.entries()
+
+
+def _triple_sq_distances(table: np.ndarray, c: int, a, s) -> np.ndarray:
+    """Squared embedded distance of tree pairs that meet at depth s and
+    lie a and b = a + c edges below it, from the weight table w(0..depth)
+    of ``PathForest.weight_table``: S(a) + S(b) + P_c(a + s) - P_c(a),
+    where S(k) sums w(i)^2 and P_c(k) sums (w(i) - w(i + c))^2 over
+    i <= k. No term cancels, unlike |u|^2 + |v|^2 - 2 u.v."""
+    sq = np.cumsum(table * table)
+    step = table[1:len(table) - c] - table[1 + c:]
+    p = np.concatenate(([0.0], np.cumsum(step * step)))
+    return sq[a] + sq[a + c] + (p[a + s] - p[a])
+
+
+def _tree_entries(tree: RootedTree, w: WeightFunction):
+    """All pairs of a tree, folded one offset at a time from its depth
+    triples (``RootedTree.depth_triples``) at t = a + b."""
+    table = tree.forest().weight_table(w)
+    acc = _ProfileAccumulator()
+    for c, a, s, count in tree.depth_triples():
+        acc.add(2 * a + c, np.sqrt(_triple_sq_distances(table, c, a, s)), count)
     return acc.entries()
 
 
@@ -222,26 +258,29 @@ def _stratified_pairs(space, sampler: PairSampler):
     return cu[sel], cv[sel], ct[sel]
 
 
+def _draw_pairs(n: int, sampler: PairSampler):
+    """``count`` distinct random pairs u < v of 0..n-1 (all of them if
+    there are fewer), sorted. Each round draws 1.5 times the pairs still
+    needed and keeps the new ones in draw order, up to the count."""
+    rng = np.random.default_rng(sampler.seed)
+    held = np.empty(0, dtype=np.int64)  # codes u * n + v, sorted
+    while len(held) < sampler.count:
+        need = sampler.count - len(held)
+        draw = rng.integers(0, n, size=(max(16, int(need * 1.5)), 2))
+        draw = draw[draw[:, 0] != draw[:, 1]]
+        codes = draw.min(axis=1) * n + draw.max(axis=1)
+        distinct, first = np.unique(codes, return_index=True)
+        fresh = first[~np.isin(distinct, held, assume_unique=True)]
+        held = np.sort(np.concatenate([held, codes[np.sort(fresh)[:need]]]))
+        if len(held) >= n * (n - 1) // 2:
+            break
+    return held // n, held % n
+
+
 def _uniform_pairs(space, sampler: PairSampler):
     """``count`` distinct random pairs (us, vs) and their distances ts,
     read off the unit-weight rows like the exhaustive route's t."""
-    n = space.vertex_count
-    rng = np.random.default_rng(sampler.seed)
-    got: set[tuple[int, int]] = set()
-    while len(got) < sampler.count:
-        need = sampler.count - len(got)
-        draw = rng.integers(0, n, size=(max(16, int(need * 1.5)), 2))
-        for a, b in draw:
-            if a == b:
-                continue
-            pair = (int(min(a, b)), int(max(a, b)))
-            got.add(pair)
-            if len(got) >= sampler.count:
-                break
-        if len(got) >= n * (n - 1) // 2:
-            break
-    pairs = np.asarray(sorted(got), dtype=np.int64)
-    us, vs = pairs[:, 0], pairs[:, 1]
+    us, vs = _draw_pairs(space.vertex_count, sampler)
     unit_sq = _grouped_pairs(space, WeightFunction.unit(), us, vs)
     return us, vs, np.rint(unit_sq).astype(np.int64)
 
@@ -254,11 +293,16 @@ def profile(
     block_size: int = 512,
 ) -> CompressionProfile:
     """Measure the embedding with weight w over sampled pairs and fold
-    into a profile."""
+    into a profile. An exhaustive profile of a ``RootedTree`` is folded
+    from its depth triples; of any other space, from Gram blocks of
+    ``block_size`` rows, the one place ``block_size`` applies (at least
+    1)."""
     if space.vertex_count < 2:
         raise ValueError("profile needs at least two vertices")
     samplers = {"stratified": _stratified_pairs, "uniform": _uniform_pairs}
-    if sampler.mode == "exhaustive":
+    if sampler.mode == "exhaustive" and isinstance(space, RootedTree):
+        entries = _tree_entries(space, w)
+    elif sampler.mode == "exhaustive":
         entries = _exhaustive_entries(space, w, block_size)
     elif sampler.mode in samplers:
         us, vs, ts = samplers[sampler.mode](space, sampler)

@@ -8,6 +8,11 @@ the i-th edge of the path from V back to the root, counted from V.  As a
 cube-path forest, a tree exits each vertex to its parent and crosses the
 single key of that edge.
 
+A pair's embedded distance depends only on its depth triple: the depth
+of its meeting point and the lengths of the two branches below it.
+``depth_triples`` lists the triples of all pairs, with pair counts, and
+an exhaustive profile is folded from them.
+
 Trees are immutable after generation and all operations here are pure, so
 vertex pairs may be evaluated concurrently without coordination.
 """
@@ -23,6 +28,11 @@ from .errors import BudgetExceededError
 from .sparse import Graph, PathForest, id_array
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
+CHUNK_BYTES = 16 << 20  # bytes of depth histograms and their rows per chunk
+# int64 words held per entry of h_k, q_k (depth_triples) while they are
+# built, and per entry of q_k's support, which gives up to two rows per
+# offset of (a, s, count) and of the profile fold's arrays over them
+_ENTRY_WORDS, _ROW_WORDS = 8, 24
 
 
 @dataclass(frozen=True)
@@ -119,6 +129,95 @@ class RootedTree(Graph):
                 length=self.depth,
             )
         return self._forest
+
+    def depth_triples(self):
+        """Every pair of distinct vertices as a triple (a, b, s): the pair
+        meets at depth s and lies a <= b edges below its meeting point.
+        Yields, one offset c = b - a at a time, arrays (a, s, count):
+        count pairs have the triple (a, a + c, s). Counts are positive; a
+        triple may take several rows.
+
+        A vertex at depth s and a descendant at depth s + c are (0, c, s);
+        each of the N[s + c] vertices at that depth has one such ancestor.
+        The other pairs meet at a vertex m with two or more children. With
+        the children in order of height, the pairs with one end at depth a
+        below m in child k's subtree and the other at depth b in an earlier
+        child's number h_k[a] * q_k[b]: h_k counts k's subtree by depth
+        below m and q_k the earlier children's subtrees, which form one
+        interval of a preorder that visits children in that order. The
+        h_k, q_k rows are built for CHUNK_BYTES worth of children at a
+        time, and each chunk runs through its offsets.
+        """
+        n_at = np.bincount(self.depth)
+        top = len(n_at) - 1
+        for c in range(1, top + 1):
+            yield (c, np.zeros(top + 1 - c, dtype=np.int64),
+                   np.arange(top + 1 - c), n_at[c:])
+        height, size, tin = self._preorder()
+        kids = np.bincount(self.parent[self.eu], minlength=self.n)
+        child = self.eu[kids[self.ev] >= 2]
+        child = child[np.lexsort((child, height[child], self.parent[child]))]
+        later = np.flatnonzero(self.parent[child][1:] == self.parent[child][:-1]) + 1
+        k, prev = child[later], child[later - 1]
+        m = self.parent[k]
+        seg_len, seg_plen = height[k] + 1, height[prev] + 1
+        # vertices by (depth, preorder position): those at depth d in the
+        # preorder interval [lo, hi) lie between the insertion points of
+        # d*n + lo and d*n + hi
+        keys = np.sort(self.depth * self.n + tin)
+        words = _ENTRY_WORDS * seg_len + _ROW_WORDS * seg_plen
+        chunk = (np.cumsum(words) - words) // max(1, CHUNK_BYTES // 8)
+        for g in np.split(np.arange(len(k)), np.flatnonzero(np.diff(chunk)) + 1):
+            if not len(g):
+                continue
+            # one entry per child k and depth a = 1..height(k) + 1 below m;
+            # q_k is zero below the earlier children's depth plen
+            lens, plens = seg_len[g], seg_plen[g]
+            start = np.cumsum(lens) - lens
+            seg = np.repeat(np.arange(len(g)), lens)
+            a = np.arange(len(seg)) - start[seg] + 1
+            s = self.depth[m[g]][seg]
+            base = (s + a) * self.n
+            at = np.searchsorted(keys, base + tin[k[g]][seg])
+            h = np.searchsorted(keys, base + (tin[k[g]] + size[k[g]])[seg]) - at
+            q = at - np.searchsorted(keys, base + tin[m[g]][seg])
+            for c in range(int(lens.max())):
+                # k's end at depth a, the other at a + c (up) or a - c (down)
+                up = _ranges(start, plens - c)
+                down = _ranges(start + c, np.minimum(lens - c, plens)) if c else up[:0]
+                yield (c, np.concatenate([a[up], a[down] - c]),
+                       np.concatenate([s[up], s[down]]),
+                       np.concatenate([h[up] * q[up + c], h[down] * q[down - c]]))
+
+    def _preorder(self):
+        """Height, subtree size and preorder position of every vertex, in a
+        preorder that visits the children of a vertex by height, then id."""
+        order = np.argsort(self.depth, kind="stable")
+        ptr = np.searchsorted(self.depth[order], np.arange(self.depth.max() + 2))
+        levels = [order[lo:hi] for lo, hi in zip(ptr[1:-1], ptr[2:])]
+        height = np.zeros(self.n, dtype=np.int64)
+        size = np.ones(self.n, dtype=np.int64)
+        for vs in reversed(levels):
+            np.maximum.at(height, self.parent[vs], height[vs] + 1)
+            np.add.at(size, self.parent[vs], size[vs])
+        tin = np.zeros(self.n, dtype=np.int64)
+        for vs in levels:
+            vs = vs[np.lexsort((vs, height[vs], self.parent[vs]))]
+            p = self.parent[vs]
+            before = np.cumsum(size[vs]) - size[vs]
+            first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+            before -= np.repeat(before[first], np.diff(np.r_[first, len(vs)]))
+            tin[vs] = tin[p] + 1 + before
+        return height, size, tin
+
+
+def _ranges(starts, counts) -> np.ndarray:
+    """The concatenated ranges [start, start + count); counts below 1
+    give empty ranges."""
+    counts = np.maximum(counts, 0)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
 def gen_tree(spec: TreeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> RootedTree:

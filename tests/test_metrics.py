@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -189,6 +190,76 @@ def test_grouped_pair_evaluator_matches_bruteforce():
                 assert t == dist[u][v]
                 want = vec_distance(vecs[u], vecs[v])
                 assert e == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_tree_triples_give_the_exact_pair_distances():
+    # every pair of a spider deep enough for paper:18's nonzero steps:
+    # the closed form at the pair's (a, b, s) against fsum
+    from medembed.metrics import _triple_sq_distances
+    from medembed.tree import meeting_point
+
+    t = gen_tree(TreeSpec.spider(3, 24))
+    for w in (UNIT, PAPER, WeightFunction.power(0.3)):
+        table = t.forest().weight_table(w)
+        vecs = vectors(t.embedding_matrix(w, range(t.vertex_count)))
+        for u, v in itertools.combinations(range(t.vertex_count), 2):
+            s = int(t.depth[meeting_point(t, u, v)])
+            a, b = sorted((int(t.depth[u]) - s, int(t.depth[v]) - s))
+            got = _triple_sq_distances(table, b - a, np.array([a]), np.array([s]))[0]
+            assert got == pytest.approx(vec_distance(vecs[u], vecs[v]) ** 2,
+                                        rel=1e-12, abs=1e-300)
+
+
+def test_tree_profile_split_into_chunks(monkeypatch):
+    # a budget below one child's histograms gives each child its own chunk
+    import medembed.tree as tree_mod
+    from medembed.metrics import _tree_entries
+
+    t = gen_tree(TreeSpec.binary_sample(40, 12, seed=5))
+    whole = _tree_entries(t, PAPER)
+    offsets = sum(1 for _ in t.depth_triples())
+    monkeypatch.setattr(tree_mod, "CHUNK_BYTES", 64)
+    assert sum(1 for _ in t.depth_triples()) > offsets
+    assert _tree_entries(t, PAPER) == whole
+
+
+def _uniform_pairs_by_loop(n, sampler):
+    """The pair draw as a loop over the drawn pairs, one at a time."""
+    rng = np.random.default_rng(sampler.seed)
+    got = set()
+    while len(got) < sampler.count:
+        need = sampler.count - len(got)
+        draw = rng.integers(0, n, size=(max(16, int(need * 1.5)), 2))
+        for a, b in draw:
+            if a == b:
+                continue
+            got.add((int(min(a, b)), int(max(a, b))))
+            if len(got) >= sampler.count:
+                break
+        if len(got) >= n * (n - 1) // 2:
+            break
+    return sorted(got)
+
+
+def test_uniform_draw_matches_loop():
+    from medembed.metrics import _draw_pairs
+
+    # (2, 5), (5, 10), (5, 11) and (30, 435) ask for all pairs or more
+    for n, count in ((2, 1), (2, 5), (5, 10), (5, 11), (7, 15), (30, 200),
+                     (30, 435), (100, 3000), (2000, 5000)):
+        for seed in range(4):
+            sampler = PairSampler.uniform(count, seed=seed)
+            us, vs = _draw_pairs(n, sampler)
+            assert list(zip(us.tolist(), vs.tolist())) == _uniform_pairs_by_loop(n, sampler)
+
+
+def test_block_size_below_one_is_rejected():
+    grid = gen_cube(CubeSpec.grid(3, 3))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"^block_size must be at least 1, got {bad}$"):
+            oracle_deviations(grid, block_size=bad)
+        with pytest.raises(ValueError, match=f"^block_size must be at least 1, got {bad}$"):
+            profile(grid, UNIT, PairSampler.exhaustive(), block_size=bad)
 
 
 def test_profile_metadata_recorded():

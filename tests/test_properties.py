@@ -2,9 +2,11 @@
 trees, random monotone height profiles for staircases, and random pair
 data for the profile fold."""
 
+import collections
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,7 @@ from medembed.cube import (
     square_closure_classes,
     validate_median,
 )
-from medembed.metrics import _entries_from_pairs
+from medembed.metrics import _entries_from_pairs, _exhaustive_entries, _tree_entries
 from medembed.spacefile import SpaceFile, build_space
 from medembed.sparse import vec_distance, vectors
 from medembed.tree import (
@@ -38,6 +40,42 @@ POWER = WeightFunction.power(0.25)
 random_trees = st.lists(
     st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40
 ).map(lambda raw: RootedTree([0] + [raw[i] % (i + 1) for i in range(len(raw))]))
+
+
+def _shaped_tree(kind, size, seed):
+    """A path, star, spider, caterpillar, binary sample or random tree of
+    about ``size`` vertices, relabelled at random, so its root is any
+    vertex."""
+    rng = np.random.default_rng(seed)
+    if kind == "path":
+        parent = [0, *range(size - 1)]
+    elif kind == "star":
+        parent = [0] * size
+    elif kind == "spider":
+        legs = int(rng.integers(1, 5))
+        parent = gen_tree(TreeSpec.spider(legs, max(1, size // legs))).parent
+    elif kind == "caterpillar":
+        hair = int(rng.integers(0, 4))
+        parent = gen_tree(TreeSpec.caterpillar(max(1, size // (hair + 1) - 1), hair)).parent
+    elif kind == "binary":
+        depth = int(rng.integers(1, 9))
+        rays = int(rng.integers(1, min(8, 2 ** depth) + 1))
+        parent = gen_tree(TreeSpec.binary_sample(depth, rays, seed=seed)).parent
+    else:
+        parent = [0] + [int(rng.integers(0, i)) for i in range(1, size)]
+    label = rng.permutation(len(parent))
+    relabelled = np.empty(len(parent), dtype=np.int64)
+    relabelled[label] = label[np.asarray(parent)]
+    return RootedTree(relabelled, root=int(label[0]))
+
+
+shaped_trees = st.builds(
+    _shaped_tree,
+    st.sampled_from(["path", "star", "spider", "caterpillar", "binary", "random"]),
+    st.integers(min_value=2, max_value=36),
+    st.integers(min_value=0, max_value=10**6),
+)
+
 
 staircase_heights = st.lists(
     st.integers(min_value=1, max_value=7), min_size=1, max_size=5
@@ -226,3 +264,32 @@ def test_binary_sample_prefix_sharing(depth, seed):
     leaves = np.setdiff1d(np.arange(t.vertex_count), t.ev)
     assert all(int(t.depth[v]) == depth for v in leaves)
     assert 1 <= len(leaves) <= 4
+
+
+@given(shaped_trees)
+@settings(max_examples=80, deadline=None)
+def test_tree_profile_from_depth_triples_matches_gram_oracle(tree):
+    n = tree.vertex_count
+    dist = tree.distances_from(range(n)).astype(np.int64)
+    want = collections.Counter()
+    for u, v in itertools.combinations(range(n), 2):
+        s = int(tree.depth[meeting_point(tree, u, v)])
+        a, b = sorted((int(tree.depth[u]) - s, int(tree.depth[v]) - s))
+        assert a + b == dist[u][v]
+        want[a, b, s] += 1
+    got = collections.Counter()
+    for c, a, s, count in tree.depth_triples():
+        assert (count > 0).all()
+        for ai, si, k in zip(a.tolist(), s.tolist(), count.tolist()):
+            got[ai, ai + c, si] += k
+    assert got == want
+    for w in (UNIT, PAPER, WeightFunction.power(0.3)):
+        fast, oracle = _tree_entries(tree, w), _exhaustive_entries(tree, w, 7)
+        assert [(e.t, e.pair_count) for e in fast] == [
+            (e.t, e.pair_count) for e in oracle]
+        assert sum(e.pair_count for e in fast) == n * (n - 1) // 2
+        # compared squared: the oracle's |u|^2 + |v|^2 - 2 u.v errs by a
+        # few ulp of |u|^2, which is most of a distance near zero
+        for x, y in zip(fast, oracle):
+            assert x.rho_hat ** 2 == pytest.approx(y.rho_hat ** 2, rel=1e-12, abs=1e-12)
+            assert x.delta_hat ** 2 == pytest.approx(y.delta_hat ** 2, rel=1e-12, abs=1e-12)
