@@ -21,7 +21,6 @@ from .cube import (
     gen_cube,
     key_property,
     median_from_tree,
-    validate_median,
 )
 from .errors import MedEmbedError
 from .metrics import (
@@ -93,6 +92,8 @@ def parse_tree_spec(text: str, seed=None) -> TreeSpec:
 
 def parse_sampler(text: str, seed=None) -> PairSampler:
     name, _, arg = text.partition(":")
+    if name == "exhaustive" and arg:
+        raise ValueError(f"cannot parse sampler {text!r}")
     if name == "exhaustive":
         return PairSampler.exhaustive()
     if name not in ("uniform", "stratified"):
@@ -207,10 +208,6 @@ def cmd_embed(args) -> int:
 # -- measure --------------------------------------------------------------------
 
 
-def _auto_triple_budget(n: int) -> int:
-    return min(200_000, max(2_000, 2 * 10**8 // max(1, n)))
-
-
 def cmd_measure(args) -> int:
     space = _load_space(args.space)
     w = parse_weight(args.weight)
@@ -220,15 +217,8 @@ def cmd_measure(args) -> int:
         spec = ("exhaustive" if n_pairs <= EXHAUSTIVE_DEFAULT_PAIR_LIMIT
                 else "stratified:1000")
     sampler = parse_sampler(spec, args.seed)
-    if args.triple_budget < 0:
-        raise ValueError(f"--triple-budget must be >= 0, got {args.triple_budget}")
     if isinstance(space, MedianGraph):
-        budget = args.triple_budget or _auto_triple_budget(space.vertex_count)
-        verdict = validate_median(space, triple_budget=budget)
-        if not verdict.valid:
-            raise MedEmbedError(
-                f"median validation failed on triple {verdict.violation} "
-                f"(medians found: {verdict.median_count})")
+        space.forest()  # the level sweep accepts exactly the median graphs
         dim = space.dimension
     else:
         dim = 1
@@ -436,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--t-min", dest="t_min", type=int, default=0)
     m.add_argument("--assert", dest="assert_bounds", action="store_true",
                    help="exit nonzero unless bound checks pass")
-    m.add_argument("--triple-budget", dest="triple_budget", type=int, default=0)
     m.add_argument("-o", "--out", required=True)
     m.set_defaults(func=cmd_measure)
 

@@ -19,8 +19,9 @@ common lower neighbour, so the down-edges of every vertex span a cube.
 The sweep checks enough local conditions to accept exactly the median
 graphs (Chepoi's local characterization of median graphs; see
 ``_link_check``). ``distance_condition_sides`` (two BFS rows per class),
-``square_closure_classes`` and ``normal_cube_path`` are the independent
-oracles the tests compare with.
+``square_closure_classes``, ``normal_cube_path`` and ``validate_median``
+(unique medians of vertex triples) are the independent oracles the
+tests compare with.
 
 The cube path from a vertex V to the base vertex repeatedly crosses, in
 one diagonal step, the full set of hyperplanes that are adjacent at the
@@ -49,7 +50,7 @@ from .errors import (
     NonTerminationError,
     SideComputationError,
 )
-from .sparse import Graph, PathForest, edge_array
+from .sparse import Graph, PathForest, edge_array, lookup, ranges
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
 
 CHUNK_BYTES = 4 << 20  # bytes per chunk of the row-sized work arrays
@@ -460,9 +461,8 @@ def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray]:
         a, b = u[multi[s:s + step]], u[other[s:s + step]]
         # candidates: every down-edge (u', x) of u', kept where (u, x) is one
         owner = np.repeat(np.arange(len(b)), count[b])
-        cand = np.arange(len(owner)) + (below[b] - np.cumsum(count[b]) + count[b])[owner]
-        want = a[owner] * n + u[cand]
-        hit = edge_key[np.minimum(np.searchsorted(edge_key, want), len(v) - 1)] == want
+        cand = ranges(below[b], count[b])
+        hit = lookup(edge_key, a[owner] * n + u[cand]) >= 0
         common = np.bincount(owner[hit], minlength=len(a))
         bad = np.flatnonzero(common != 1)
         if len(bad):
@@ -519,24 +519,15 @@ def _link_check(n_keys: int, down_key, step_ptr, keys,
     if not len(squares):
         return
     top, b, c, w, p, q = squares.T
-
-    def find(sorted_keys, want):
-        """Index of each wanted key in ``sorted_keys``, -1 where absent."""
-        if not len(sorted_keys):
-            return np.full(len(want), -1)
-        i = np.minimum(np.searchsorted(sorted_keys, want), len(sorted_keys) - 1)
-        return np.where(sorted_keys[i] == want, i, -1)
-
     count = np.diff(step_ptr)
     step = max(1, CHUNK_BYTES // (32 * int(count.max())))
     for s in range(0, len(top), step):
         # every down-class of b, kept where c goes down in it and top not
         cnt = count[b[s:s + step]]
         owner = s + np.repeat(np.arange(len(cnt)), cnt)
-        alpha = keys[np.arange(len(owner))
-                     + np.repeat(step_ptr[b[s:s + step]] - np.cumsum(cnt) + cnt, cnt)]
-        bad = np.flatnonzero((find(down_key, c[owner] * n_keys + alpha) >= 0)
-                             & (find(down_key, top[owner] * n_keys + alpha) < 0))
+        alpha = keys[ranges(step_ptr[b[s:s + step]], cnt)]
+        bad = np.flatnonzero((lookup(down_key, c[owner] * n_keys + alpha) >= 0)
+                             & (lookup(down_key, top[owner] * n_keys + alpha) < 0))
         if len(bad):
             raise CubeSpanError(
                 f"three squares at vertex {w[owner[bad[0]]]} lie in no cube")
@@ -553,9 +544,9 @@ def _link_check(n_keys: int, down_key, step_ptr, keys,
     src, dst = src[order], dst[order]
     link = np.sort(np.minimum(src, dst) * m + np.maximum(src, dst))
     # the 3-cubes, keyed by the link edge of their two lower classes
-    lo = find(nodes, cubes[:, 0] * n_keys + cubes[:, 1])
-    hi = find(nodes, cubes[:, 0] * n_keys + cubes[:, 2])
-    edge = find(link, lo * m + hi)
+    lo = lookup(nodes, cubes[:, 0] * n_keys + cubes[:, 1])
+    hi = lookup(nodes, cubes[:, 0] * n_keys + cubes[:, 2])
+    edge = lookup(link, lo * m + hi)
     known = (lo >= 0) & (hi >= 0) & (edge >= 0)
     solid = np.sort(edge[known] * n_keys + cubes[known, 3])
     pairs = np.searchsorted(src, src, side="right") - np.arange(len(src)) - 1
@@ -563,12 +554,12 @@ def _link_check(n_keys: int, down_key, step_ptr, keys,
     for s in range(0, len(src), step):
         cnt = pairs[s:s + step]
         first = s + np.repeat(np.arange(len(cnt)), cnt)
-        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        second = ranges(s + 1 + np.arange(len(cnt)), cnt)
         a, z = np.sort(np.stack([dst[first], dst[second]]), axis=0)
-        tri = find(link, a * m + z) >= 0
+        tri = lookup(link, a * m + z) >= 0
         t = np.sort(np.stack([src[first][tri], a[tri], z[tri]]), axis=0)
-        cube = find(link, t[0] * m + t[1]) * n_keys + nodes[t[2]] % n_keys
-        bad = np.flatnonzero(find(solid, cube) < 0)
+        cube = lookup(link, t[0] * m + t[1]) * n_keys + nodes[t[2]] % n_keys
+        bad = np.flatnonzero(lookup(solid, cube) < 0)
         if len(bad):
             raise CubeSpanError(
                 f"three squares at vertex {nodes[t[0, bad[0]]] // n_keys} lie in no cube")
@@ -592,9 +583,8 @@ class _Across:
 
     def __call__(self, v: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Neighbour of each v across class c, -1 where there is none."""
-        want = v * self.n_keys + c
-        i = np.minimum(np.searchsorted(self.key, want), len(self.key) - 1)
-        return np.where(self.key[i] == want, self.nbr[i], -1)
+        i = lookup(self.key, v * self.n_keys + c)
+        return np.where(i >= 0, self.nbr[i], -1)
 
     def corners(self, x: np.ndarray, legs: np.ndarray,
                 ends: np.ndarray) -> np.ndarray:

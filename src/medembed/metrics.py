@@ -19,7 +19,7 @@ the profile folds the distinct triples, weighted by their pair counts
 (``_tree_entries``); its cost grows with the triples, not with the
 n(n-1)/2 pairs. Median graphs and products take the Gram route
 (``_exhaustive_entries``): squared distances of all pairs as blocks of
-``block_size`` rows, which on trees is the tree route's oracle.
+BLOCK_ROWS rows, which on trees is the tree route's oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .tree import RootedTree
 from .weights import WeightFunction, deficit_constant, diff_sq_tail_bound
 
 EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
+# Rows u per block of the all-pairs Gram route (_sq_distance_blocks).
+BLOCK_ROWS = 512
 # Pairs per chunk of row-wise dot products in _grouped_pairs.
 PAIR_CHUNK = 8192
 
@@ -46,14 +48,13 @@ class PairSampler:
     fixed number per realized distance."""
 
     mode: str
-    count: int = 0
-    per_bucket: int = 0
+    count: int = 0  # pairs (uniform) or pairs per distance (stratified)
     seed: Optional[int] = None
 
     def __post_init__(self):
         if self.mode == "uniform" and self.count < 1:
             raise ValueError("uniform sampler needs a pair count of at least 1")
-        if self.mode == "stratified" and self.per_bucket < 1:
+        if self.mode == "stratified" and self.count < 1:
             raise ValueError(
                 "stratified sampler needs a per-bucket count of at least 1")
 
@@ -66,15 +67,13 @@ class PairSampler:
         return cls(mode="uniform", count=int(count), seed=int(seed))
 
     @classmethod
-    def stratified(cls, per_bucket: int, seed: int) -> "PairSampler":
-        return cls(mode="stratified", per_bucket=int(per_bucket), seed=int(seed))
+    def stratified(cls, count: int, seed: int) -> "PairSampler":
+        return cls(mode="stratified", count=int(count), seed=int(seed))
 
     def label(self) -> str:
         if self.mode == "exhaustive":
             return "exhaustive"
-        if self.mode == "uniform":
-            return f"uniform:{self.count},seed{self.seed}"
-        return f"stratified:{self.per_bucket},seed{self.seed}"
+        return f"{self.mode}:{self.count},seed{self.seed}"
 
 
 @dataclass(frozen=True)
@@ -155,17 +154,15 @@ def _entries_from_pairs(ts: np.ndarray, emb: np.ndarray) -> tuple[ProfileEntry, 
     return acc.entries()
 
 
-def _sq_distance_blocks(mats, block_size: int):
+def _sq_distance_blocks(mats):
     """Squared distances between the rows of each CSR matrix in ``mats``
-    for all pairs u < v, one block of u at a time: yields the block, the
+    for all pairs u < v, BLOCK_ROWS of u at a time: yields the block, the
     mask of pairs v > u in the block x [block[0], n) window, and one flat
     array per matrix in mask order."""
-    if block_size < 1:
-        raise ValueError(f"block_size must be at least 1, got {block_size}")
     n = mats[0].shape[0]
     norms = [sq_row_norms(mat) for mat in mats]
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
         block = np.arange(start, stop)
         mask = np.arange(start, n)[None, :] > block[:, None]
         d2s = []
@@ -178,14 +175,14 @@ def _sq_distance_blocks(mats, block_size: int):
         yield block, mask, d2s
 
 
-def _exhaustive_entries(space, w: WeightFunction, block_size: int):
+def _exhaustive_entries(space, w: WeightFunction):
     """All pairs by Gram blocks; t is the unit-weight squared distance,
     rounded. That is exact: it sums products of 0/1 entries, far below
     2**53. On trees this is the oracle of ``_tree_entries``."""
     mats = [space.embedding_matrix(weight, np.arange(space.vertex_count))
             for weight in (WeightFunction.unit(), w)]
     acc = _ProfileAccumulator()
-    for _, _, (unit_sq, emb_sq) in _sq_distance_blocks(mats, block_size):
+    for _, _, (unit_sq, emb_sq) in _sq_distance_blocks(mats):
         acc.add(np.rint(unit_sq, out=unit_sq).astype(np.int64),
                 np.sqrt(np.clip(emb_sq, 0.0, None, out=emb_sq), out=emb_sq))
         del unit_sq, emb_sq  # before the next block is computed
@@ -237,10 +234,10 @@ def _grouped_pairs(space, w: WeightFunction, us, vs) -> np.ndarray:
 
 def _stratified_pairs(space, sampler: PairSampler):
     """Pairs (us, vs) from a few random sources and their BFS distances ts,
-    at most ``per_bucket`` pairs per distance."""
+    at most ``count`` pairs per distance."""
     n = space.vertex_count
     rng = np.random.default_rng(sampler.seed)
-    n_sources = min(n, max(16, math.isqrt(4 * sampler.per_bucket)))
+    n_sources = min(n, max(16, math.isqrt(4 * sampler.count)))
     sources = np.sort(rng.choice(n, size=n_sources, replace=False))
     rows = space.distances_from(sources).astype(np.int64)
     # every target at positive distance, except mirrored source-source pairs
@@ -251,8 +248,8 @@ def _stratified_pairs(space, sampler: PairSampler):
     order = np.argsort(ct, kind="stable")
     picks = []
     for idx in np.split(order, np.flatnonzero(np.diff(ct[order])) + 1):
-        if len(idx) > sampler.per_bucket:
-            idx = rng.choice(idx, size=sampler.per_bucket, replace=False)
+        if len(idx) > sampler.count:
+            idx = rng.choice(idx, size=sampler.count, replace=False)
         picks.append(idx)
     sel = np.concatenate(picks)
     return cu[sel], cv[sel], ct[sel]
@@ -290,20 +287,17 @@ def profile(
     w: WeightFunction,
     sampler: PairSampler,
     metadata: Optional[Mapping[str, object]] = None,
-    block_size: int = 512,
 ) -> CompressionProfile:
     """Measure the embedding with weight w over sampled pairs and fold
     into a profile. An exhaustive profile of a ``RootedTree`` is folded
-    from its depth triples; of any other space, from Gram blocks of
-    ``block_size`` rows, the one place ``block_size`` applies (at least
-    1)."""
+    from its depth triples; of any other space, from Gram blocks."""
     if space.vertex_count < 2:
         raise ValueError("profile needs at least two vertices")
     samplers = {"stratified": _stratified_pairs, "uniform": _uniform_pairs}
     if sampler.mode == "exhaustive" and isinstance(space, RootedTree):
         entries = _tree_entries(space, w)
     elif sampler.mode == "exhaustive":
-        entries = _exhaustive_entries(space, w, block_size)
+        entries = _exhaustive_entries(space, w)
     elif sampler.mode in samplers:
         us, vs, ts = samplers[sampler.mode](space, sampler)
         emb_sq = _grouped_pairs(space, w, us, vs)
@@ -527,7 +521,7 @@ def bourgain_consistency(
 # -- convenience checks shared by the CLI and the test suite ----------------------
 
 
-def oracle_deviations(space, block_size: int = 512) -> tuple[float, Optional[int]]:
+def oracle_deviations(space) -> tuple[float, Optional[int]]:
     """Exact identities over all pairs against BFS distances d, with one
     BFS per vertex: the largest relative deviation of the squared
     unit-weight embedded distance from d (zero-ish for a square-root
@@ -536,7 +530,7 @@ def oracle_deviations(space, block_size: int = 512) -> tuple[float, Optional[int
     unit = space.embedding_matrix(WeightFunction.unit(), np.arange(space.vertex_count))
     seps = getattr(space, "separating_counts", None)
     worst, sep_worst = 0.0, None if seps is None else 0
-    for block, mask, (unit_sq,) in _sq_distance_blocks([unit], block_size):
+    for block, mask, (unit_sq,) in _sq_distance_blocks([unit]):
         d = space.distances_from(block)[:, block[0]:][mask]
         nz = d > 0
         worst = max(worst, float((np.abs(unit_sq - d)[nz] / d[nz]).max(initial=0.0)))

@@ -168,6 +168,23 @@ class PathForest:
         return mat
 
 
+def ranges(starts, counts) -> np.ndarray:
+    """The concatenated ranges [start, start + count); counts below 1
+    give empty ranges."""
+    counts = np.maximum(counts, 0)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+
+
+def lookup(sorted_keys: np.ndarray, want) -> np.ndarray:
+    """Index of each wanted key in ``sorted_keys``, -1 where absent."""
+    if not len(sorted_keys):
+        return np.full(np.shape(want), -1)
+    i = np.minimum(np.searchsorted(sorted_keys, want), len(sorted_keys) - 1)
+    return np.where(sorted_keys[i] == want, i, -1)
+
+
 def id_array(ids, n: int) -> np.ndarray:
     """Vertex ids as an int64 array; if some id is beyond int64, every id
     outside 0..n-1 is stored as -1, which range checks still reject."""

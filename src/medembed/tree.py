@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError
-from .sparse import Graph, PathForest, id_array
+from .sparse import Graph, PathForest, id_array, ranges
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 CHUNK_BYTES = 16 << 20  # bytes of depth histograms and their rows per chunk
@@ -183,8 +183,8 @@ class RootedTree(Graph):
             q = at - np.searchsorted(keys, base + tin[m[g]][seg])
             for c in range(int(lens.max())):
                 # k's end at depth a, the other at a + c (up) or a - c (down)
-                up = _ranges(start, plens - c)
-                down = _ranges(start + c, np.minimum(lens - c, plens)) if c else up[:0]
+                up = ranges(start, plens - c)
+                down = ranges(start + c, np.minimum(lens - c, plens)) if c else up[:0]
                 yield (c, np.concatenate([a[up], a[down] - c]),
                        np.concatenate([s[up], s[down]]),
                        np.concatenate([h[up] * q[up + c], h[down] * q[down - c]]))
@@ -209,15 +209,6 @@ class RootedTree(Graph):
             before -= np.repeat(before[first], np.diff(np.r_[first, len(vs)]))
             tin[vs] = tin[p] + 1 + before
         return height, size, tin
-
-
-def _ranges(starts, counts) -> np.ndarray:
-    """The concatenated ranges [start, start + count); counts below 1
-    give empty ranges."""
-    counts = np.maximum(counts, 0)
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
 def gen_tree(spec: TreeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> RootedTree:

@@ -133,6 +133,8 @@ class WeightFunction:
 def parse_weight(label: str) -> WeightFunction:
     """Parse 'unit', 'paper', 'paper:M' or 'power:ALPHA'."""
     name, _, arg = label.partition(":")
+    if name == "unit" and arg:
+        raise ValueError(f"cannot parse weight spec {label!r}")
     if name == "unit":
         return WeightFunction.unit()
     if name == "power" and not arg:
@@ -192,7 +194,7 @@ def deficit_scan(w: WeightFunction, n_max: int) -> tuple[float, int]:
     every N in the scanned range.  Runs SCAN_CHUNK points at a time; each
     chunk's cumulative sum starts from the last one's, so the sums, the
     constant and the first index attaining it are those of one whole-array
-    scan (``_deficit_peak``).
+    scan.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -208,15 +210,6 @@ def deficit_scan(w: WeightFunction, n_max: int) -> tuple[float, int]:
             best, at = float(cand[k]), lo + k
         carry = sums[-1]
     return max(0.0, best), at
-
-
-def _deficit_peak(vals: np.ndarray) -> tuple[float, int]:
-    """``deficit_scan`` over N <= len(vals), from vals[i - 1] = w(i), as one
-    whole-array scan."""
-    sq = vals * vals
-    cand = 0.5 * np.arange(1, len(vals) + 1, dtype=np.float64) * sq - np.cumsum(sq)
-    k = int(np.argmax(cand))
-    return max(0.0, float(cand[k])), k + 1
 
 
 def deficit_constant(w: WeightFunction, n_max: int) -> float:
@@ -264,9 +257,8 @@ def build_weight_report(
     tail_bound = diff_sq_tail_bound(w)
     tail = float(dsq[n_max - 1] - dsq[w.m - 2])
     margin = tail_bound - tail
-    # vals runs to n_max + 1, so it covers the n_max/10 scan at n_max = M - 1
-    c_full, argmax = _deficit_peak(vals[:n_max])
-    c_tenth, _ = _deficit_peak(vals[:max(w.m, n_max // 10)])
+    c_full, argmax = deficit_scan(w, n_max)
+    c_tenth, _ = deficit_scan(w, max(w.m, n_max // 10))
     stabilized = c_full == c_tenth and argmax < n_max
     passed = monotone_ok and stabilized and margin >= 0.0
     return WeightReport(

@@ -110,7 +110,7 @@ def grid300():
 def test_criterion_01_unit_oracle_trees(trees_c1):
     worst = 0.0
     for t in trees_c1:
-        err, _ = oracle_deviations(t, block_size=1024)
+        err, _ = oracle_deviations(t)
         worst = max(worst, err)
     ok = worst <= 1e-9
     report(1, ok, f"unit-weight tree oracle, max rel error {worst:.3e}")
@@ -301,7 +301,7 @@ def test_criterion_09_cross_module_consistency(from_tree_spider):
 def test_criterion_10_ceiling_stability(trees_c10):
     verdicts = []
     for t in trees_c10:
-        prof = profile(t, PAPER, PairSampler.exhaustive(), block_size=1024)
+        prof = profile(t, PAPER, PairSampler.exhaustive())
         verdicts.append(bourgain_consistency(prof))
     cs = [v.fitted_c for v in verdicts]
     ratio = max(cs) / min(cs)

@@ -196,15 +196,44 @@ def test_measure_missing_file(tmp_path, capsys):
 
 
 def test_measure_rejects_nonmedian(tmp_path, capsys):
-    bad = tmp_path / "k3.json"
-    bad.write_text('{"type":"median_graph","n":3,"root":0,'
-                   '"edges":[[0,1],[1,2],[0,2]]}\n')
+    # the level sweep of hyperplanes() rejects each graph before any pair
+    # is drawn, whatever the sampler
+    q5 = [3, 11, 7, 23, 22, 2, 19, 31, 10, 6, 18, 29, 25, 17, 5, 24, 28,
+          27, 4, 26, 16, 14]  # the Q5 subgraph of the embed test above
+    grid = tmp_path / "grid.json"
+    run(capsys, "generate", "--space", "grid", "--dims", "30x30", "-o", str(grid))
+    doc = json.loads(grid.read_text())
+    doc["edges"].append([928, 960])  # a diagonal in the far corner square
+    cases = (
+        ("k3", 3, [[0, 1], [1, 2], [0, 2]],
+         "graph has an edge between equal levels; not bipartite"),
+        ("c6", 6, [[i, (i + 1) % 6] for i in range(6)],
+         "down-neighbours 2 and 4 of vertex 3 have 0 common lower "
+         "neighbours; not a median graph"),
+        ("k23", 5, [[a, b] for a in (0, 1) for b in (2, 3, 4)],
+         "the ends of edge 4 are not separated by exactly its own class; "
+         "not a median graph"),
+        ("q3-minus-top", 7, [[u, u ^ 1 << b] for u in range(7) for b in range(3)
+                             if u < u ^ 1 << b < 7],
+         "three squares at vertex 0 lie in no cube"),
+        ("q5-subgraph", len(q5),
+         [[q5.index(u), q5.index(u ^ 1 << b)] for u in q5 for b in range(5)
+          if u < u ^ 1 << b and u ^ 1 << b in q5],
+         "three squares at vertex 6 lie in no cube"),
+        ("grid-diagonal", doc["n"], doc["edges"],
+         "graph has an edge between equal levels; not bipartite"),
+    )
+    bad = tmp_path / "bad.json"
     out = tmp_path / "out.csv"
-    code, _, err = run(capsys, "measure", "--space", str(bad), "-o", str(out))
-    assert code == 2
-    assert "median" in err
-    assert "triple" in err
-    assert not out.exists()
+    for name, n, edges, message in cases:
+        bad.write_text(json.dumps({"type": "median_graph", "n": n, "root": 0,
+                                   "edges": edges}))
+        for sampler in ("exhaustive", "uniform:50", "stratified:5"):
+            code, stdout, err = run(capsys, "measure", "--space", str(bad),
+                                    "--sampler", sampler, "--seed", "1",
+                                    "-o", str(out))
+            assert (code, stdout, err) == (2, "", f"error: {message}\n"), (name, sampler)
+            assert not out.exists()
     # malformed fields are bad input too, not a failed check
     for doc in ('{"type":"median_graph","n":null,"root":0,"edges":[[0,1]]}',
                 '{"type":"median_graph","n":2,"root":0,"edges":[[0,null]]}'):
@@ -241,7 +270,7 @@ def test_measure_rejects_bad_uniform_count(tmp_path, capsys):
 def test_measure_rejects_bad_stratified_count(tmp_path, capsys):
     space = tmp_path / "p.json"
     run(capsys, "generate", "--space", "path", "--len", "9", "-o", str(space))
-    # the hexagon C6 is not median: the sampler is checked before the triples
+    # the hexagon C6 is not median: the sampler is checked before the sweep
     c6 = tmp_path / "c6.json"
     c6.write_text('{"type":"median_graph","n":6,"root":0,"edges":'
                   '[[0,1],[1,2],[2,3],[3,4],[4,5],[5,0]]}\n')
@@ -256,8 +285,8 @@ def test_measure_rejects_bad_stratified_count(tmp_path, capsys):
         assert not out.exists()
     code, _, err = run(capsys, "measure", "--space", str(c6), "--sampler",
                        "stratified:3", "--seed", "1", "-o", str(out))
-    assert code == 2
-    assert "median validation failed" in err
+    assert (code, err) == (2, "error: down-neighbours 2 and 4 of vertex 3 have 0 "
+                              "common lower neighbours; not a median graph\n")
 
 
 def test_malformed_numbers_name_the_spec(tmp_path, capsys):
@@ -269,7 +298,9 @@ def test_malformed_numbers_name_the_spec(tmp_path, capsys):
             (("--sampler", "stratified:1.5"),
              "cannot parse sampler 'stratified:1.5'"),
             (("--weight", "paper:abc"), "cannot parse weight spec 'paper:abc'"),
-            (("--weight", "power:x"), "cannot parse weight spec 'power:x'")):
+            (("--weight", "power:x"), "cannot parse weight spec 'power:x'"),
+            (("--sampler", "exhaustive:7"), "cannot parse sampler 'exhaustive:7'"),
+            (("--weight", "unit:9"), "cannot parse weight spec 'unit:9'")):
         code, _, err = run(capsys, "measure", "--space", str(space), *flags,
                            "--seed", "1", "-o", str(out))
         assert (code, err) == (2, f"error: {message}\n")
@@ -382,13 +413,7 @@ def test_verify_lemma_n_max_below_cutoff(capsys):
     assert "lemma[FAIL]" in stdout
 
 
-def test_negative_counts_exit_2(tmp_path, capsys):
-    grid = tmp_path / "g.json"
-    run(capsys, "generate", "--space", "grid", "--dims", "3x3", "-o", str(grid))
-    code, stdout, err = run(capsys, "measure", "--space", str(grid),
-                            "--triple-budget", "-1", "-o", str(tmp_path / "p.csv"))
-    assert code == 2 and stdout == ""
-    assert err == "error: --triple-budget must be >= 0, got -1\n"
+def test_negative_counts_exit_2(capsys):
     code, stdout, err = run(capsys, "verify", "--suite", "product", "--count", "-3")
     assert code == 2 and stdout == ""
     assert err == "error: --count must be >= 0, got -3\n"

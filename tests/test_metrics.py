@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medembed import metrics
 from medembed.cube import CubeSpec, MedianGraph, gen_cube
 from medembed.metrics import (
     BoundCurve,
@@ -251,15 +252,6 @@ def test_uniform_draw_matches_loop():
             sampler = PairSampler.uniform(count, seed=seed)
             us, vs = _draw_pairs(n, sampler)
             assert list(zip(us.tolist(), vs.tolist())) == _uniform_pairs_by_loop(n, sampler)
-
-
-def test_block_size_below_one_is_rejected():
-    grid = gen_cube(CubeSpec.grid(3, 3))
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match=f"^block_size must be at least 1, got {bad}$"):
-            oracle_deviations(grid, block_size=bad)
-        with pytest.raises(ValueError, match=f"^block_size must be at least 1, got {bad}$"):
-            profile(grid, UNIT, PairSampler.exhaustive(), block_size=bad)
 
 
 def test_profile_metadata_recorded():
@@ -546,12 +538,13 @@ def test_embedding_matrix_round_trip():
         assert norms[v] == pytest.approx(vec.norm() ** 2, rel=1e-12)
 
 
-def test_unit_identity_helper():
+def test_unit_identity_helper(monkeypatch):
     g = gen_cube(CubeSpec.grid(5, 4))
     err, sep_dev = oracle_deviations(g)
     assert err <= 1e-9
     assert sep_dev == 0
     t = gen_tree(TreeSpec.spider(3, 4))
-    err, sep_dev = oracle_deviations(t, block_size=5)
+    monkeypatch.setattr(metrics, "BLOCK_ROWS", 5)  # several blocks of 13 rows
+    err, sep_dev = oracle_deviations(t)
     assert err <= 1e-9
     assert sep_dev is None

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medembed import metrics
 from medembed.cube import (
     CubeSpec,
     gen_cube,
@@ -284,7 +285,9 @@ def test_tree_profile_from_depth_triples_matches_gram_oracle(tree):
             got[ai, ai + c, si] += k
     assert got == want
     for w in (UNIT, PAPER, WeightFunction.power(0.3)):
-        fast, oracle = _tree_entries(tree, w), _exhaustive_entries(tree, w, 7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "BLOCK_ROWS", 7)  # several Gram blocks per tree
+            fast, oracle = _tree_entries(tree, w), _exhaustive_entries(tree, w)
         assert [(e.t, e.pair_count) for e in fast] == [
             (e.t, e.pair_count) for e in oracle]
         assert sum(e.pair_count for e in fast) == n * (n - 1) // 2

@@ -9,7 +9,6 @@ from medembed import weights
 from medembed.weights import (
     SCAN_CHUNK,
     WeightFunction,
-    _deficit_peak,
     build_weight_report,
     deficit_constant,
     deficit_scan,
@@ -164,6 +163,15 @@ def test_deficit_constant_paper():
     assert c == pytest.approx(8 * XI_18_SQ, rel=1e-9)
     # candidate at the cutoff equals 18/2 * xi(18)^2 - xi(18)^2
     assert c == pytest.approx(DEFICIT_18, rel=1e-9)
+
+
+def _deficit_peak(vals: np.ndarray) -> tuple[float, int]:
+    """``deficit_scan`` over N <= len(vals), from vals[i - 1] = w(i), as one
+    whole-array scan: the oracle of the chunked scan."""
+    sq = vals * vals
+    cand = 0.5 * np.arange(1, len(vals) + 1, dtype=np.float64) * sq - np.cumsum(sq)
+    k = int(np.argmax(cand))
+    return max(0.0, float(cand[k])), k + 1
 
 
 def test_deficit_scan_in_chunks_matches_whole_array(monkeypatch):
