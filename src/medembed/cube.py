@@ -39,10 +39,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     BudgetExceededError,
@@ -52,6 +51,9 @@ from .errors import (
 )
 from .sparse import Graph, PathForest, edge_array, lookup, ranges
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 CHUNK_BYTES = 4 << 20  # bytes per chunk of the row-sized work arrays
 
@@ -167,7 +169,10 @@ class MedianGraph(Graph):
             raise ValueError("graph is not connected")
         self.eu, self.ev = np.ascontiguousarray(e.T)
         self._far = None  # hyperplanes() sets it and _hyp_of_edge
-        self.dist_root = self._root_distances("graph is not connected")
+        row = self.distances_from([self.root])[0]
+        if not np.isfinite(row).all():
+            raise ValueError("graph is not connected")
+        self.dist_root = row.astype(np.int64)
 
     @cached_property
     def adj(self) -> list[list[tuple[int, int]]]:
@@ -278,6 +283,8 @@ class MedianGraph(Graph):
     def separators(self) -> sp.csr_matrix:
         """0/1 matrix with a row per vertex and a column per hyperplane:
         1 where the vertex lies on the hyperplane's far side."""
+        import scipy.sparse as sp  # slow to import, so only callers pay for it
+
         far = np.unpackbits(self.hyperplanes(), axis=1, count=self.n)
         vertex, cls = np.nonzero(far.T)  # vertex-major, so already CSR order
         indptr = np.searchsorted(vertex, np.arange(self.n + 1))

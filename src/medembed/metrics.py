@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .sparse import vertex_rows
 from .tree import RootedTree
 from .weights import WeightFunction, deficit_constant, diff_sq_tail_bound
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
 # Rows u per block of the all-pairs Gram route (_sq_distance_blocks).
@@ -260,17 +262,16 @@ def _draw_pairs(n: int, sampler: PairSampler):
     there are fewer), sorted. Each round draws 1.5 times the pairs still
     needed and keeps the new ones in draw order, up to the count."""
     rng = np.random.default_rng(sampler.seed)
+    count = min(sampler.count, n * (n - 1) // 2)  # before sizing any draw
     held = np.empty(0, dtype=np.int64)  # codes u * n + v, sorted
-    while len(held) < sampler.count:
-        need = sampler.count - len(held)
+    while len(held) < count:
+        need = count - len(held)
         draw = rng.integers(0, n, size=(max(16, int(need * 1.5)), 2))
         draw = draw[draw[:, 0] != draw[:, 1]]
         codes = draw.min(axis=1) * n + draw.max(axis=1)
         distinct, first = np.unique(codes, return_index=True)
         fresh = first[~np.isin(distinct, held, assume_unique=True)]
         held = np.sort(np.concatenate([held, codes[np.sort(fresh)[:need]]]))
-        if len(held) >= n * (n - 1) // 2:
-            break
     return held // n, held % n
 
 
@@ -460,6 +461,8 @@ class ProductSpace:
         """Factor matrices side by side; each factor's key count is its
         width, so factor i's columns start at ``offsets[i]``. A row outside
         0..vertex_count-1 raises ValueError("unknown vertex v")."""
+        import scipy.sparse as sp  # slow to import, so only callers pay for it
+
         coords = np.unravel_index(vertex_rows(rows, self.vertex_count), self.sizes)
         return sp.hstack([f._embed(w, c)
                           for f, c in zip(self.factors, coords)], format="csr")

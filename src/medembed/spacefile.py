@@ -21,8 +21,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .cube import MedianGraph
 from .errors import SpaceFormatError
@@ -145,6 +143,9 @@ def build_space(sf: SpaceFile) -> Union[RootedTree, MedianGraph]:
 
 
 def _parent_from_edges(n, edges, root):
+    import scipy.sparse as sp  # slow to import, so only callers pay for it
+    from scipy.sparse import csgraph
+
     if len(edges) != n - 1:
         raise SpaceFormatError("a tree on n vertices needs n-1 edges")
     if not 0 <= root < n:

@@ -17,13 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import NonTerminationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class SparseVector:
@@ -138,6 +139,8 @@ class PathForest:
         All rows walk in lockstep, one step per round, writing into
         arrays sized from ``length`` up front.
         """
+        import scipy.sparse as sp  # slow to import, so only callers pay for it
+
         rows = np.asarray(rows, dtype=np.int64)
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(self.length[rows], out=indptr[1:])
@@ -221,7 +224,9 @@ class Graph:
     """Undirected graph on vertices 0..n-1 with a base vertex ``root``.
 
     Edge i joins ``eu[i]`` and ``ev[i]``; a subclass sets both arrays and
-    ``forest()``, its cube-path forest to the root.
+    ``forest()``, its cube-path forest to the root. ``distances_from``,
+    a csgraph BFS, serves the samplers, the oracles and a median graph's
+    base row; a tree reads its depths off its parent array.
     """
 
     def __init__(self, n: int, root: int, label: str = ""):
@@ -243,6 +248,9 @@ class Graph:
 
     def distances_from(self, sources) -> np.ndarray:
         """Graph distances from the given vertices to every vertex."""
+        import scipy.sparse as sp  # slow to import, so only callers pay for it
+        from scipy.sparse import csgraph
+
         if self._csr is None:
             ones = np.ones(2 * self.edge_count, dtype=np.int8)
             ends = (np.concatenate([self.eu, self.ev]),
@@ -250,13 +258,6 @@ class Graph:
             self._csr = sp.csr_matrix((ones, ends), shape=(self.n, self.n))
         d = csgraph.dijkstra(self._csr, unweighted=True, indices=sources)
         return np.atleast_2d(d)
-
-    def _root_distances(self, unreached: str) -> np.ndarray:
-        """BFS row of the root; ValueError(unreached) if it misses a vertex."""
-        row = self.distances_from([self.root])[0]
-        if not np.isfinite(row).all():
-            raise ValueError(unreached)
-        return row.astype(np.int64)
 
     def embedding_matrix(self, w, rows) -> sp.csr_matrix:
         """CSR rows of the embedding of ``rows``; column k is key k. A row

@@ -2,11 +2,11 @@
 
 A tree is stored as a parent array over vertex ids 0..n-1; the edge from a
 non-root vertex v to parent(v) carries the basis key v.  As a ``sparse.Graph``
-its edges are the non-root vertices and their parents, and its depths are
-the BFS row of the root.  The embedding of a vertex V places weight w(i) on
-the i-th edge of the path from V back to the root, counted from V.  As a
-cube-path forest, a tree exits each vertex to its parent and crosses the
-single key of that edge.
+its edges are the non-root vertices and their parents, and its depths come
+from the parent array by pointer doubling, without a BFS or scipy.  The
+embedding of a vertex V places weight w(i) on the i-th edge of the path
+from V back to the root, counted from V.  As a cube-path forest, a tree
+exits each vertex to its parent and crosses the single key of that edge.
 
 A pair's embedded distance depends only on its depth triple: the depth
 of its meeting point and the lengths of the two branches below it.
@@ -107,8 +107,22 @@ class RootedTree(Graph):
         loops = self.eu[self.ev == self.eu]
         if len(loops):
             raise ValueError(f"vertex {loops[0]} is its own parent but not root")
-        # A parent array with a cycle leaves the cycle's vertices unreached.
-        self.depth = self._root_distances("parent array is not a connected tree")
+        self.depth = self._depths()
+
+    def _depths(self) -> np.ndarray:
+        """Depth of every vertex by pointer doubling on ``parent``: after
+        round k, ``anc[v]`` is v's 2**k-th ancestor (or the root) and
+        ``depth[v]`` the edges up to it. Within n.bit_length() rounds every
+        ancestor is the root, unless some vertex's parents run into a cycle
+        that never reaches it."""
+        anc = self.parent
+        depth = (np.arange(self.n) != self.root).astype(np.int64)
+        for _ in range(self.n.bit_length() + 1):
+            if (anc == self.root).all():
+                return depth
+            depth += depth[anc]
+            anc = anc[anc]
+        raise ValueError("parent array is not a connected tree")
 
     def edge_key(self, v: int) -> int:
         """Basis key of the edge (v, parent(v))."""

@@ -143,17 +143,48 @@ def test_embed_rejects_graph_that_is_not_median(tmp_path, capsys):
     assert err == "error: three squares at vertex 6 lie in no cube\n"
 
 
-def test_cli_import_skips_scipy_optimize():
-    # scipy.optimize takes a noticeable share of a CLI process's start-up
+# Imports medembed.cli, runs the command given in argv, if any, and prints
+# the scipy modules then loaded on its last stdout line.
+SCIPY_GUARD = (
+    "import sys, medembed.cli; "
+    "code = medembed.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+    "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+    "sys.exit(code)")
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ((), None),
+    (("generate", "--space", "binary-sample", "--depth", "30", "--rays", "6",
+      "--seed", "42", "-o", "new.json"), None),
+    (("measure", "--space", "tree.json", "--sampler", "exhaustive",
+      "-o", "tree.csv"), None),
+    (("verify", "--suite", "lemma", "--N-max", "1000"), None),
+    (("report", "-o", "merged.csv", "profile.csv"), None),
+    (("measure", "--space", "grid.json", "--sampler", "exhaustive",
+      "-o", "grid.csv"), "scipy.sparse"),
+], ids=["import", "generate-tree", "measure-tree", "verify-lemma", "report",
+        "measure-grid"])
+def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
+    # scipy takes most of a CLI process's start-up; tree commands build no
+    # sparse matrix and run no BFS, so they should not pay for it
+    run(capsys, "generate", "--space", "binary-sample", "--depth", "30",
+        "--rays", "6", "--seed", "42", "-o", str(tmp_path / "tree.json"))
+    run(capsys, "generate", "--space", "grid", "--dims", "4x4",
+        "-o", str(tmp_path / "grid.json"))
+    run(capsys, "measure", "--space", str(tmp_path / "tree.json"),
+        "--sampler", "exhaustive", "-o", str(tmp_path / "profile.csv"))
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    code = ("import sys, medembed.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr or "scipy.optimize was imported"
+    res = subprocess.run([sys.executable, "-c", SCIPY_GUARD, *argv], cwd=tmp_path,
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = res.stdout.splitlines()[-1].split()
+    if loads is None:
+        assert loaded == []
+    else:
+        assert loads in loaded
 
 
 def test_measure_unit_profile(tmp_path, capsys):
@@ -172,6 +203,20 @@ def test_measure_unit_profile(tmp_path, capsys):
         assert float(rho) == pytest.approx(math.sqrt(int(t)), rel=1e-8)
         assert float(rho) == float(delta)
         assert int(pairs) == 10 - int(t)
+
+
+def test_measure_uniform_count_above_all_pairs(tmp_path, capsys):
+    # path:9 has 45 pairs; a count far beyond that must not size a draw
+    space = tmp_path / "p.json"
+    run(capsys, "generate", "--space", "path", "--len", "9", "-o", str(space))
+    csvs = []
+    for sampler in ("uniform:100000000000", "exhaustive"):
+        out = tmp_path / f"{sampler.partition(':')[0]}.csv"
+        code, _, err = run(capsys, "measure", "--space", str(space),
+                           "--sampler", sampler, "--seed", "1", "-o", str(out))
+        assert code == 0, err
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_measure_assert_passes(tmp_path, capsys):

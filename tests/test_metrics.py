@@ -252,6 +252,11 @@ def test_uniform_draw_matches_loop():
             sampler = PairSampler.uniform(count, seed=seed)
             us, vs = _draw_pairs(n, sampler)
             assert list(zip(us.tolist(), vs.tolist())) == _uniform_pairs_by_loop(n, sampler)
+    # (10, 10**12) would make the loop size its first draw by the count
+    for seed in range(4):
+        us, vs = _draw_pairs(10, PairSampler.uniform(10**12, seed=seed))
+        assert list(zip(us.tolist(), vs.tolist())) == list(
+            itertools.combinations(range(10), 2))
 
 
 def test_profile_metadata_recorded():

@@ -78,6 +78,14 @@ shaped_trees = st.builds(
 )
 
 
+generated_trees = st.sampled_from([
+    TreeSpec.path(1000),
+    TreeSpec.spider(7, 60),
+    TreeSpec.caterpillar(40, 3),
+    TreeSpec.binary_sample(60, 20, seed=5),
+]).map(gen_tree)
+
+
 staircase_heights = st.lists(
     st.integers(min_value=1, max_value=7), min_size=1, max_size=5
 ).map(lambda hs: tuple(sorted(hs, reverse=True)))
@@ -91,6 +99,14 @@ def test_random_tree_unit_identity(tree):
     for u, v in itertools.combinations(range(tree.vertex_count), 2):
         emb_sq = vec_distance(vecs[u], vecs[v]) ** 2
         assert abs(emb_sq - dist[u][v]) <= 1e-9 * dist[u][v]
+
+
+@given(st.one_of(shaped_trees, generated_trees))
+@settings(max_examples=200, deadline=None)
+def test_tree_depths_match_root_bfs(tree):
+    bfs = tree.distances_from([tree.root])[0].astype(np.int64)
+    assert tree.depth.dtype == np.int64
+    np.testing.assert_array_equal(tree.depth, bfs)
 
 
 @given(random_trees)

@@ -82,6 +82,10 @@ def test_invalid_parent_arrays():
         RootedTree([0, 0, 2, 3], root=0)  # the first of two is named
     with pytest.raises(ValueError, match="^parent array is not a connected tree$"):
         RootedTree([0, 2, 1], root=0)  # 2-cycle unreachable from root
+    with pytest.raises(ValueError, match="^parent array is not a connected tree$"):
+        RootedTree([0, 0, 3, 4, 2], root=0)  # 3-cycle away from the root
+    with pytest.raises(ValueError, match="^parent array is not a connected tree$"):
+        RootedTree([0, 2, 3, 4, 5, 3], root=0)  # a chain into a 3-cycle
     with pytest.raises(ValueError, match="^parent ids out of range$"):
         RootedTree([0, 0, 5], root=0)
     with pytest.raises(ValueError, match="^root out of range$"):
