@@ -56,7 +56,7 @@ def main():
 
     grid = gen_cube(CubeSpec.grid(args.grid, args.grid))
     print(f"grid: {grid.vertex_count} vertices, "
-          f"{len(grid.hyperplanes())} hyperplanes")
+          f"{grid.forest().key_count} hyperplanes")
     run_space("grid-profile", grid, grid.dimension,
               PairSampler.stratified(1000, seed=11), t_min=36,
               out_dir=args.out_dir)

@@ -168,10 +168,9 @@ def cmd_generate(args) -> int:
     if isinstance(space, RootedTree):
         print(f"tree: {space.vertex_count} vertices, {space.edge_count} edges")
     else:
-        hyps = space.hyperplanes()
         print(
             f"median graph: {space.vertex_count} vertices, "
-            f"{space.edge_count} edges, {len(hyps)} hyperplanes, "
+            f"{space.edge_count} edges, {space.forest().key_count} hyperplanes, "
             f"dimension {space.dimension}"
         )
     return 0
@@ -209,6 +208,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.assert_bounds and args.t_min and args.t_min < 2:
+        raise ValueError("t_min must be >= 2")  # before any output is written
     space = _load_space(args.space)
     w = parse_weight(args.weight)
     spec = args.sampler

@@ -6,13 +6,14 @@ of edges: edges (a,b) and (c,d) fall together exactly when
 d(a,c)+d(b,d) != d(a,d)+d(b,c).
 Removing a class splits the graph into a near side (containing the base
 vertex) and a far side; for vertices, graph distance equals the number of
-classes separating them.  Each class's far side is stored once, as a
-packed bit row, and ``separators`` is the one reader of the sides.
+classes separating them.  Those classes are stored once per vertex, as a
+packed bit row, and ``separators`` is the one reader of the rows.
 
-The classes, their sides and the cube paths all come from one sweep over
-the levels of the base vertex's BFS row, which relies on two facts about
-median graphs (Bénéteau, Chalopin, Chepoi and Vaxès, "Medians in median
-graphs and their cube complexes in linear time", ICALP 2020): the vertex
+The classes (linked across squares, one level down), their sides and the
+cube paths all come from the levels of the base vertex's BFS row, which
+relies on two facts about median graphs (Bénéteau, Chalopin, Chepoi and
+Vaxès, "Medians in median graphs and their cube complexes in linear
+time", ICALP 2020): the vertex
 of a far side nearest the base is the one vertex there with a single
 down-edge, and any two down-neighbours of a vertex have exactly one
 common lower neighbour, so the down-edges of every vertex span a cube.
@@ -168,7 +169,7 @@ class MedianGraph(Graph):
         if self.n > len(e) + 1:
             raise ValueError("graph is not connected")
         self.eu, self.ev = np.ascontiguousarray(e.T)
-        self._far = None  # hyperplanes() sets it and _hyp_of_edge
+        self._sides = None  # hyperplanes() sets it and _hyp_of_edge
         row = self.distances_from([self.root])[0]
         if not np.isfinite(row).all():
             raise ValueError("graph is not connected")
@@ -196,10 +197,11 @@ class MedianGraph(Graph):
     # -- hyperplanes -------------------------------------------------------
 
     def hyperplanes(self) -> np.ndarray:
-        """Far sides of the edge classes, computed once and cached: row c
-        is the halfspace of class c without the base vertex, packed eight
-        vertices a byte (``np.packbits``), shape (K, ceil(n/8)), uint8.
-        Classes are numbered in order of their first edge.
+        """Far-side rows, computed once and cached: row v is the set of
+        classes that separate v from the base vertex (whose far sides hold
+        v), packed eight classes a byte (``np.packbits``), shape
+        (n, ceil(K/8)), uint8. Classes are numbered in order of their
+        first edge.
 
         One sweep over the levels of ``dist_root``, after Bénéteau,
         Chalopin, Chepoi and Vaxès, "Medians in median graphs and their
@@ -211,9 +213,10 @@ class MedianGraph(Graph):
         one down-edge opens a class. Any other down-edge (v, u) is
         opposite, in the square v, u, x, u', to the edge (u', x), where u'
         is the next down-neighbour of v and x the one common lower
-        neighbour of u and u', and takes its class. A vertex lies on the
-        far sides of its first down-neighbour and of the class of the edge
-        between them.
+        neighbour of u and u', and takes its class. These links descend
+        one level each, so pointer doubling finds every edge's opening
+        edge. Then, level by level, a vertex lies on the far sides of its
+        first down-neighbour and of the class of the edge between them.
 
         The checks accept exactly the median graphs, so the classes are
         right whenever they are returned. Raises SideComputationError for
@@ -225,8 +228,8 @@ class MedianGraph(Graph):
         ``_cube_forest``), and its cube walk and ``_link_check`` raise
         CubeSpanError or NonTerminationError for the rest.
         """
-        if self._far is not None:
-            return self._far
+        if self._sides is not None:
+            return self._sides
         n, dist = self.n, self.dist_root
         child, par = self._down_edges()
         # Position j: the down-edges grouped by deeper end (``below`` holds
@@ -235,44 +238,32 @@ class MedianGraph(Graph):
         v, u = child[order], par[order]
         below = np.searchsorted(v, np.arange(n + 1))
         multi, across = _square_opposites(v, u, below, n)
-        # The sweep: level by level, classes from the level below, then
-        # each vertex's far sides from its first down-neighbour's.
-        gate = np.diff(below)[v] == 1
-        n_classes = int(gate.sum())
-        cls = np.full(len(v), -1)
-        cls[gate] = np.arange(n_classes)
+        # Every edge's class-opening edge: at most max(dist) - 1 links down.
+        opener = np.arange(len(v))
+        opener[multi] = across[multi]
+        for _ in range(int(dist.max()).bit_length()):
+            opener = opener[opener]
+        # Number the classes by first edge.
+        hoe = np.empty_like(opener)
+        hoe[order] = opener
+        _, first_edge, hoe = np.unique(hoe, return_index=True, return_inverse=True)
+        hoe = np.argsort(np.argsort(first_edge))[hoe]
+        n_classes, cls = len(first_edge), hoe[order]
+        # The sweep: level by level, each vertex's far sides from its first
+        # down-neighbour's.
         side = np.zeros((n, (n_classes + 7) // 8), dtype=np.uint8)
         by_level = np.argsort(dist, kind="stable")
-        multi = multi[np.argsort(dist[v[multi]], kind="stable")]
-        levels = np.arange(int(dist.max()) + 2)
-        vertex_at = np.searchsorted(dist[by_level], levels)
-        multi_at = np.searchsorted(dist[v[multi]], levels)
-        for level in levels[1:-1].tolist():
-            j = multi[multi_at[level]:multi_at[level + 1]]
-            cls[j] = cls[across[j]]
+        vertex_at = np.searchsorted(dist[by_level], np.arange(int(dist.max()) + 2))
+        for level in range(1, len(vertex_at) - 1):
             x = by_level[vertex_at[level]:vertex_at[level + 1]]
             first = below[x]
             c = cls[first]
             side[x] = side[u[first]]
             side[x, c >> 3] |= (128 >> (c & 7)).astype(np.uint8)
-        hoe = np.empty_like(cls)
-        hoe[order] = cls
         _cut_check(side, self.eu, self.ev, hoe)
-        # Renumber the classes by first edge; transpose the sides in chunks.
-        _, first_edge = np.unique(hoe, return_index=True)
-        renamed = np.argsort(first_edge)
-        rank = np.empty_like(renamed)
-        rank[renamed] = np.arange(n_classes)
-        far = np.zeros((n_classes, (n + 7) // 8), dtype=np.uint8)
-        step = 8 * max(1, CHUNK_BYTES // (8 * max(1, n_classes)))
-        for s in range(0, n, step):
-            bits = np.unpackbits(side[s:s + step], axis=1, count=n_classes)
-            block = np.packbits(bits[:, renamed].T, axis=1)
-            far[:, s // 8:s // 8 + block.shape[1]] = block
-        hoe = rank[hoe]
         self._forest = self._cube_forest(hoe, n_classes)
-        self._far, self._hyp_of_edge = far, hoe
-        return self._far
+        self._sides, self._hyp_of_edge = side, hoe
+        return side
 
     @property
     def hyp_of_edge(self) -> np.ndarray:
@@ -282,14 +273,15 @@ class MedianGraph(Graph):
     @cached_property
     def separators(self) -> sp.csr_matrix:
         """0/1 matrix with a row per vertex and a column per hyperplane:
-        1 where the vertex lies on the hyperplane's far side."""
+        1 where the vertex lies on the hyperplane's far side, the
+        ``hyperplanes()`` rows unpacked."""
         import scipy.sparse as sp  # slow to import, so only callers pay for it
 
-        far = np.unpackbits(self.hyperplanes(), axis=1, count=self.n)
-        vertex, cls = np.nonzero(far.T)  # vertex-major, so already CSR order
+        k = self.forest().key_count
+        vertex, cls = np.nonzero(np.unpackbits(self.hyperplanes(), axis=1, count=k))
         indptr = np.searchsorted(vertex, np.arange(self.n + 1))
         return sp.csr_matrix((np.ones(len(cls), dtype=np.int32), cls, indptr),
-                             shape=(self.n, len(far)))
+                             shape=(self.n, k))
 
     def separating_counts(self, sources) -> np.ndarray:
         """Number of hyperplanes separating each source from each vertex,
@@ -821,8 +813,7 @@ def key_property(g: MedianGraph) -> KeyProperty:
     gaps = abs(a - b).multiply(a.multiply(b).astype(bool))
     deltas = gaps.max(axis=1).toarray().ravel().astype(np.int64)
     dist = g.dist_root
-    down = dist[g.eu] > dist[g.ev]
-    deeper, shallower = np.where(down, g.eu, g.ev), np.where(down, g.ev, g.eu)
+    deeper, shallower = g._down_edges()
     own = g.hyp_of_edge
     own_ok = bool((np.asarray(index[deeper, own]) == 1).all()
                   and (np.asarray(index[shallower, own]) == 0).all())
@@ -845,8 +836,8 @@ def key_property(g: MedianGraph) -> KeyProperty:
 
 
 def distance_condition_sides(g: MedianGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Far rows, as ``hyperplanes()`` returns them, and the class of every
-    edge, by the distance condition with two BFS rows per class.
+    """Far-side rows, as ``hyperplanes()`` returns them, and the class of
+    every edge, by the distance condition with two BFS rows per class.
 
     The BFS rows da, db of a representative edge (a, b) split the
     vertices into the halfspaces W_ab = {da < db} and W_ba; the class
@@ -858,7 +849,7 @@ def distance_condition_sides(g: MedianGraph) -> tuple[np.ndarray, np.ndarray]:
     """
     eu, ev = g.eu, g.ev
     assigned = np.full(g.edge_count, -1, dtype=np.int64)
-    packed: list[np.ndarray] = []
+    sides: list[np.ndarray] = []
     for e0 in range(g.edge_count):
         if assigned[e0] >= 0:
             continue
@@ -871,10 +862,10 @@ def distance_condition_sides(g: MedianGraph) -> tuple[np.ndarray, np.ndarray]:
         if (assigned[members] >= 0).any():
             raise SideComputationError(
                 "edge classes overlap; graph is not a partial cube")
-        assigned[members] = len(packed)
-        packed.append(np.packbits(far))
-    far = np.asarray(packed, dtype=np.uint8).reshape(-1, (g.vertex_count + 7) // 8)
-    return far, assigned
+        assigned[members] = len(sides)
+        sides.append(far)
+    far = np.asarray(sides, dtype=bool).reshape(-1, g.vertex_count)
+    return np.packbits(far.T, axis=1), assigned
 
 
 def square_closure_classes(g: MedianGraph) -> np.ndarray:

@@ -257,19 +257,25 @@ def gen_tree(spec: TreeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Roote
             raise ValueError("binary_sample requires a seed")
         rng = np.random.default_rng(spec.seed)
         bits = rng.integers(0, 2, size=(spec.rays, spec.depth))
-        parents = [0]
-        node_child: dict[tuple[int, int], int] = {}
-        for ray in bits:
-            at = 0
-            for b in ray:
-                step = (at, int(b))
-                nxt = node_child.get(step)
-                if nxt is None:
-                    nxt = len(parents)
-                    parents.append(at)
-                    node_child[step] = nxt
-                at = nxt
-        parent = np.asarray(parents)
+        # The ray prefixes, one depth at a time: node (parent, bit), first
+        # reached by ray ``first``; node 0 is the root, the rest by depth.
+        node = np.zeros(spec.rays, dtype=np.int64)
+        ups, firsts = [], []
+        count = 1
+        for d in range(spec.depth):
+            key, first, inverse = np.unique(node * 2 + bits[:, d], return_index=True,
+                                            return_inverse=True)
+            ups.append(key // 2)
+            firsts.append(first)
+            node = count + inverse
+            count += len(key)
+        # Vertex ids in the order a ray-by-ray walk creates the nodes: by
+        # first ray, then by depth.
+        level = np.repeat(np.arange(spec.depth), [len(f) for f in firsts])
+        vid = np.zeros(count, dtype=np.int64)
+        vid[1 + np.lexsort((level, np.concatenate(firsts)))] = np.arange(1, count)
+        parent = np.zeros(count, dtype=np.int64)
+        parent[vid[1:]] = vid[np.concatenate(ups)]
     else:
         raise ValueError(f"unknown tree kind {spec.kind!r}")
     return RootedTree(parent, root=0, label=spec.label())

@@ -127,7 +127,8 @@ def test_criterion_02_unit_oracle_complexes(cubes_c2):
         n = g.vertex_count
         # far sides: two vertices differ on one side exactly when they
         # differ on the other
-        far = np.unpackbits(g.hyperplanes(), axis=1, count=n).view(bool)
+        far = np.unpackbits(g.hyperplanes(), axis=1,
+                            count=g.forest().key_count).T.view(bool)
         for start in range(0, n, 256):
             block = np.arange(start, min(start + 256, n))
             dist = g.distances_from(block).astype(np.int64)

@@ -231,6 +231,27 @@ def test_measure_assert_passes(tmp_path, capsys):
     assert "PASS" in stdout
 
 
+def test_measure_assert_rejects_t_min_before_writing(tmp_path, capsys):
+    space = tmp_path / "g.json"
+    run(capsys, "generate", "--space", "grid", "--dims", "3x3", "-o", str(space))
+    out = tmp_path / "x.csv"
+    for t_min in ("1", "-3"):
+        code, stdout, err = run(capsys, "measure", "--space", str(space),
+                                "--sampler", "uniform:5", "--seed", "1",
+                                "--t-min", t_min, "--assert", "-o", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert not out.exists()
+        assert err == "error: t_min must be >= 2\n"
+    # without --assert t_min is not used; 0 means automatic
+    for extra in (("--t-min", "1"), ("--t-min", "0", "--assert")):
+        code, stdout, _ = run(capsys, "measure", "--space", str(space),
+                              "--sampler", "uniform:5", "--seed", "1",
+                              *extra, "-o", str(out))
+        assert code == 0
+        assert "profile: 3 rows" in stdout
+
+
 def test_measure_missing_file(tmp_path, capsys):
     out = tmp_path / "out.csv"
     code, _, err = run(capsys, "measure", "--space",

@@ -62,7 +62,8 @@ def _petersen():
 
 def far_sides(g):
     """Bool matrix, row c True on the far side of hyperplane c."""
-    return np.unpackbits(g.hyperplanes(), axis=1, count=g.vertex_count).view(bool)
+    k = g.forest().key_count
+    return np.unpackbits(g.hyperplanes(), axis=1, count=k).T.view(bool)
 
 
 # -- construction and generators -----------------------------------------------
@@ -76,9 +77,9 @@ def test_grid_2x3_counts():
 
 def test_grid_hyperplane_count():
     g = gen_cube(CubeSpec.grid(2, 3))
-    assert len(g.hyperplanes()) == 5
+    assert g.forest().key_count == 5
     g2 = gen_cube(CubeSpec.grid(4, 6))
-    assert len(g2.hyperplanes()) == 10
+    assert g2.forest().key_count == 10
 
 
 def test_from_tree_keeps_metric():
@@ -88,7 +89,7 @@ def test_from_tree_keeps_metric():
     dist_t = t.distances_from(range(t.vertex_count))
     dist_g = g.distances_from(range(g.vertex_count))
     assert np.array_equal(dist_t, dist_g)
-    assert len(g.hyperplanes()) == 5  # singleton classes on a path
+    assert g.forest().key_count == 5  # singleton classes on a path
     assert np.bincount(g.hyp_of_edge).tolist() == [1] * 5
 
 
@@ -425,8 +426,7 @@ def test_sweep_matches_oracles_on_median_check_graphs():
 
 def test_three_cube_hyperplanes():
     g = three_cube()
-    hyps = g.hyperplanes()
-    assert len(hyps) == 3
+    assert len(far_sides(g)) == 3
     assert np.bincount(g.hyp_of_edge).tolist() == [4, 4, 4]
 
 
@@ -442,7 +442,8 @@ def test_near_side_contains_root():
 
 def test_far_rows_match_bfs_sides():
     medians = [gen_cube(CubeSpec.grid(3, 2)), gen_cube(CubeSpec.staircase(5)),
-               three_cube(), MedianGraph(1, [])]
+               three_cube(), MedianGraph(1, []),
+               gen_cube(CubeSpec.grid(2, 500))]  # long chains of square links
     # the level sweep on median graphs; the distance-condition oracle on
     # those and on C6, a partial cube the sweep rejects
     routes = [(g, lambda g: (g.hyperplanes(), g.hyp_of_edge)) for g in medians]
@@ -451,7 +452,7 @@ def test_far_rows_match_bfs_sides():
         n = g.vertex_count
         packed, hoe = route(g)
         k = len(np.unique(hoe))
-        assert packed.dtype == np.uint8 and packed.shape == (k, (n + 7) // 8)
+        assert packed.dtype == np.uint8 and packed.shape == (n, (k + 7) // 8)
         far = np.zeros((k, n), dtype=bool)
         for c in range(k):
             # the far side is the halfspace of the class's first edge whose
@@ -462,7 +463,9 @@ def test_far_rows_match_bfs_sides():
                 a, b = b, a
             da, db = g.distances_from([a, b])
             far[c] = da < db
-        assert np.array_equal(np.packbits(far, axis=1), packed)
+        assert np.array_equal(np.packbits(far.T, axis=1), packed)
+        # a vertex lies on the far side of exactly d(base, v) classes
+        assert np.array_equal(np.bitwise_count(packed).sum(axis=1), g.dist_root)
     for g in medians:
         assert np.array_equal(g.separators.toarray(), far_sides(g).T)
 
@@ -741,7 +744,9 @@ def test_forest_rejects_classes_that_do_not_span_cubes():
 def test_six_cycle_has_no_spanning_cube():
     g = six_cycle()
     far, hoe = distance_condition_sides(g)  # opposite-edge classes are fine
-    assert len(far) == 3 and hoe.tolist() == [0, 1, 2, 0, 1, 2]
+    assert far.shape == (6, 1) and hoe.tolist() == [0, 1, 2, 0, 1, 2]
+    assert np.unpackbits(far, axis=1, count=3).tolist() == [
+        [0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1], [0, 1, 1], [0, 0, 1]]
     with pytest.raises(SideComputationError):
         g.hyperplanes()
     with pytest.raises(CubeSpanError):

@@ -63,6 +63,34 @@ def test_binary_sample_deterministic_and_bounded():
     assert int(t1.depth.max()) == 200
 
 
+def _binary_sample_walk(depth, rays, seed):
+    """Parent array of a binary sample built ray by ray, bit by bit."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(rays, depth))
+    parents = [0]
+    node_child = {}
+    for ray in bits:
+        at = 0
+        for b in ray:
+            step = (at, int(b))
+            nxt = node_child.get(step)
+            if nxt is None:
+                nxt = len(parents)
+                parents.append(at)
+                node_child[step] = nxt
+            at = nxt
+    return np.asarray(parents)
+
+
+@pytest.mark.parametrize("depth,rays,seed", [
+    (1, 1, 0), (1, 2, 5), (3, 8, 9), (5, 3, 1), (10, 1024, 3), (64, 500, 7),
+    (200, 32, 42)])
+def test_binary_sample_matches_ray_walk(depth, rays, seed):
+    parent = gen_tree(TreeSpec.binary_sample(depth, rays, seed)).parent
+    expected = _binary_sample_walk(depth, rays, seed)
+    assert parent.dtype == expected.dtype and np.array_equal(parent, expected)
+
+
 def test_binary_sample_needs_seed():
     with pytest.raises(ValueError):
         gen_tree(TreeSpec(kind="binary_sample", depth=5, rays=2, seed=None))
