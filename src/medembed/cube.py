@@ -10,11 +10,12 @@ classes separating them.  Those classes are stored once per vertex, as a
 packed bit row, and ``separators`` is the one reader of the rows.
 
 The classes (linked across squares, one level down), their sides and the
-cube paths all come from the levels of the base vertex's BFS row, which
-relies on two facts about median graphs (Bénéteau, Chalopin, Chepoi and
-Vaxès, "Medians in median graphs and their cube complexes in linear
-time", ICALP 2020): the vertex
-of a far side nearest the base is the one vertex there with a single
+cube paths all come from the levels of the base vertex's BFS row
+(``sparse.root_distances``, a numpy level BFS, so building and sweeping a
+median graph loads no scipy). The sweep relies on two facts about median
+graphs (Bénéteau, Chalopin, Chepoi and Vaxès, "Medians in median graphs
+and their cube complexes in linear time", ICALP 2020): the vertex of a
+far side nearest the base is the one vertex there with a single
 down-edge, and any two down-neighbours of a vertex have exactly one
 common lower neighbour, so the down-edges of every vertex span a cube.
 The sweep checks enough local conditions to accept exactly the median
@@ -50,7 +51,7 @@ from .errors import (
     NonTerminationError,
     SideComputationError,
 )
-from .sparse import Graph, PathForest, edge_array, lookup, ranges
+from .sparse import Graph, PathForest, edge_array, lookup, ranges, root_distances
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
 
 if TYPE_CHECKING:
@@ -170,10 +171,7 @@ class MedianGraph(Graph):
             raise ValueError("graph is not connected")
         self.eu, self.ev = np.ascontiguousarray(e.T)
         self._sides = None  # hyperplanes() sets it and _hyp_of_edge
-        row = self.distances_from([self.root])[0]
-        if not np.isfinite(row).all():
-            raise ValueError("graph is not connected")
-        self.dist_root = row.astype(np.int64)
+        self.dist_root = root_distances(self.n, self.eu, self.ev, self.root)
 
     @cached_property
     def adj(self) -> list[list[tuple[int, int]]]:
@@ -345,7 +343,9 @@ class MedianGraph(Graph):
         single = sizes[child] == 1
         exits[child[single]] = par[single]
         squares, cubes = [], []
-        for k in np.unique(sizes[sizes > 1]).tolist():
+        # the leg counts above 1 that occur, in order; a plain np.unique
+        # would import numpy.ma, a tenth of a median-graph generate
+        for k in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
             x = np.flatnonzero(sizes == k)
             if 1 << k > self.n:  # a k-cube has 2**k corners
                 raise CubeSpanError(

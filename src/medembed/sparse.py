@@ -1,6 +1,8 @@
 """Finitely supported vectors in a Hilbert space with integer basis keys,
 the cube-path forest every embedding is built from, and ``Graph``, what
 trees and median graphs share: edge arrays, CSR, BFS and embedding matrix.
+``root_distances`` is the numpy level BFS that gives a median graph its
+base vertex's row without loading scipy.
 
 Keys are local to a space: a tree's edge (v, parent(v)) has key v, a
 median graph's hyperplane has its class id as its key. These are the keys
@@ -174,10 +176,48 @@ class PathForest:
 def ranges(starts, counts) -> np.ndarray:
     """The concatenated ranges [start, start + count); counts below 1
     give empty ranges."""
+    # ufunc and array methods: np.cumsum and np.repeat cost microseconds of
+    # dispatch, which a BFS level pays on every call
     counts = np.maximum(counts, 0)
-    ends = np.cumsum(counts)
+    ends = np.add.accumulate(counts, dtype=np.int64)
     total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    return np.arange(total) + (starts - (ends - counts)).repeat(counts)
+
+
+def root_distances(n: int, eu, ev, root: int) -> np.ndarray:
+    """Graph distance from ``root`` to every vertex of the graph with edges
+    (eu[i], ev[i]) on vertices 0..n-1, as an int64 row; ValueError("graph
+    is not connected") if some vertex is unreachable.
+
+    A level BFS over a CSR adjacency, a fixed number of numpy calls per
+    level. Each frontier's unseen neighbours are deduplicated without a
+    sort: every copy writes its own stamp, and the copies whose stamp reads
+    back are kept, one per vertex whichever write won. The adjacency holds
+    int32 ids where they fit; each level's ids are widened to intp once,
+    since numpy converts every narrower index array it is given.
+    """
+    idx = np.int32 if n < 2**31 else np.int64
+    ends = np.concatenate([eu, ev]).astype(idx)
+    order = np.argsort(ends, kind="stable")
+    nbr = np.concatenate([ev, eu]).astype(idx)[order]
+    start = np.searchsorted(ends[order], np.arange(n + 1, dtype=idx))
+    del ends, order
+    degree = np.diff(start)
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[root] = 0
+    frontier = np.array([root], dtype=np.intp)
+    level = 0
+    while len(frontier):
+        level += 1
+        seen = nbr[ranges(start[frontier], degree[frontier])].astype(np.intp)
+        seen = seen[dist[seen] < 0]
+        stamp = np.arange(-2, -2 - len(seen), -1)
+        dist[seen] = stamp
+        frontier = seen[dist[seen] == stamp]
+        dist[frontier] = level
+    if (dist < 0).any():
+        raise ValueError("graph is not connected")
+    return dist
 
 
 def lookup(sorted_keys: np.ndarray, want) -> np.ndarray:
@@ -225,8 +265,9 @@ class Graph:
 
     Edge i joins ``eu[i]`` and ``ev[i]``; a subclass sets both arrays and
     ``forest()``, its cube-path forest to the root. ``distances_from``,
-    a csgraph BFS, serves the samplers, the oracles and a median graph's
-    base row; a tree reads its depths off its parent array.
+    a csgraph BFS from many sources, serves the samplers and the oracles. A
+    median graph's base row comes from ``root_distances``, and a tree reads
+    its depths off its parent array.
     """
 
     def __init__(self, n: int, root: int, label: str = ""):

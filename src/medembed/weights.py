@@ -198,18 +198,32 @@ def deficit_scan(w: WeightFunction, n_max: int) -> tuple[float, int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    best, at, carry = -math.inf, 0, 0.0
-    for lo in range(1, n_max + 1, SCAN_CHUNK):
-        ns = np.arange(lo, min(lo + SCAN_CHUNK, n_max + 1), dtype=np.float64)
-        vals = w.values(ns)
-        sq = vals * vals
+    return _deficit_maxima(w, (n_max,))[0]
+
+
+def _deficit_maxima(w: WeightFunction, stops, vals=None) -> list[tuple[float, int]]:
+    """``deficit_scan`` over [1, stop] for each of the ascending ``stops``,
+    from one scan to the last of them; w(i) is read from vals[i - 1] when
+    ``vals`` is given. A stop splits its chunk's argmax in two, which keeps
+    the first index attaining the maximum."""
+    out, best, at, carry = [], -math.inf, 0, 0.0
+    for lo in range(1, stops[-1] + 1, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, stops[-1] + 1)
+        ns = np.arange(lo, hi, dtype=np.float64)
+        chunk = w.values(ns) if vals is None else vals[lo - 1:hi - 1]
+        sq = chunk * chunk
         sums = np.cumsum(np.concatenate([[carry], sq]))[1:]
         cand = 0.5 * ns * sq - sums
-        k = int(np.argmax(cand))
-        if cand[k] > best:
-            best, at = float(cand[k]), lo + k
+        cut = lo
+        for stop in sorted({hi - 1, *(s for s in stops if lo <= s < hi)}):
+            k = cut + int(np.argmax(cand[cut - lo:stop - lo + 1]))
+            if cand[k - lo] > best:
+                best, at = float(cand[k - lo]), k
+            cut = stop + 1
+            if stop in stops:
+                out.append((max(0.0, best), at))
         carry = sums[-1]
-    return max(0.0, best), at
+    return out
 
 
 def deficit_constant(w: WeightFunction, n_max: int) -> float:
@@ -257,8 +271,13 @@ def build_weight_report(
     tail_bound = diff_sq_tail_bound(w)
     tail = float(dsq[n_max - 1] - dsq[w.m - 2])
     margin = tail_bound - tail
-    c_full, argmax = deficit_scan(w, n_max)
-    c_tenth, _ = deficit_scan(w, max(w.m, n_max // 10))
+    # the n_max/10 scan is a prefix of the full one, except at n_max = M - 1,
+    # where it reaches M, the one point of vals past n_max
+    tenth = max(w.m, n_max // 10)
+    stops = sorted({tenth, n_max})
+    scans = dict(zip(stops, _deficit_maxima(w, stops, vals)))
+    c_full, argmax = scans[n_max]
+    c_tenth = scans[tenth][0]
     stabilized = c_full == c_tenth and argmax < n_max
     passed = monotone_ok and stabilized and margin >= 0.0
     return WeightReport(

@@ -160,13 +160,23 @@ SCIPY_GUARD = (
       "-o", "tree.csv"), None),
     (("verify", "--suite", "lemma", "--N-max", "1000"), None),
     (("report", "-o", "merged.csv", "profile.csv"), None),
+    (("generate", "--space", "grid", "--dims", "30x30", "-o", "new.json"), None),
+    (("generate", "--space", "staircase", "--cols", "12", "-o", "new.json"), None),
+    (("generate", "--space", "from-tree", "--tree", "binary-sample:12,6",
+      "--seed", "5", "-o", "new.json"), None),
+    (("generate", "--space", "tree-product", "--left", "spider:3,4",
+      "--right", "path:6", "-o", "new.json"), None),
     (("measure", "--space", "grid.json", "--sampler", "exhaustive",
       "-o", "grid.csv"), "scipy.sparse"),
+    (("verify", "--suite", "normalpath", "--space", "grid.json"),
+     "scipy.sparse"),
 ], ids=["import", "generate-tree", "measure-tree", "verify-lemma", "report",
-        "measure-grid"])
+        "generate-grid", "generate-staircase", "generate-from-tree",
+        "generate-tree-product", "measure-grid", "verify-normalpath"])
 def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
-    # scipy takes most of a CLI process's start-up; tree commands build no
-    # sparse matrix and run no BFS, so they should not pay for it
+    # scipy takes most of a CLI process's start-up; tree commands and the
+    # median-graph generators build no sparse matrix and run no csgraph BFS
+    # (the base vertex's BFS row is numpy), so they should not pay for it
     run(capsys, "generate", "--space", "binary-sample", "--depth", "30",
         "--rays", "6", "--seed", "42", "-o", str(tmp_path / "tree.json"))
     run(capsys, "generate", "--space", "grid", "--dims", "4x4",
@@ -185,6 +195,9 @@ def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
         assert loaded == []
     else:
         assert loads in loaded
+    if argv[:3] == ("verify", "--suite", "normalpath"):
+        # the walks and the forest read the base vertex's numpy BFS row
+        assert "scipy.sparse.csgraph" not in loaded
 
 
 def test_measure_unit_profile(tmp_path, capsys):
@@ -379,6 +392,20 @@ def test_malformed_numbers_name_the_spec(tmp_path, capsys):
         code, _, err = run(capsys, "generate", "--space", *flags,
                            "-o", str(tmp_path / "x.json"))
         assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_disconnected_median_graph_exits_2(tmp_path, capsys):
+    # n - 1 edges, enough to pass the edge count, and still two parts:
+    # the base vertex's BFS leaves vertex 4 unreached
+    bad = tmp_path / "split.json"
+    bad.write_text('{"type":"median_graph","n":5,"root":0,'
+                   '"edges":[[0,1],[1,2],[2,3],[3,0]]}')
+    for argv in (("embed", "--space", str(bad), "--vertex", "1"),
+                 ("measure", "--space", str(bad), "--sampler", "exhaustive",
+                  "-o", str(tmp_path / "out.csv"))):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, err) == (2, "", "error: graph is not connected\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_measure_rejects_too_few_edges_for_n(tmp_path, capsys):

@@ -471,7 +471,9 @@ def test_far_rows_match_bfs_sides():
 
 
 def test_median_hot_path_runs_one_bfs(monkeypatch):
-    # the level sweep and the forest read dist_root, the constructor's BFS
+    # the level sweep and the forest read dist_root, the constructor's numpy
+    # BFS; construction, the sweep, the forest and the embedding never call
+    # distances_from, the csgraph BFS
     calls = []
     bfs = MedianGraph.distances_from
 
@@ -487,7 +489,7 @@ def test_median_hot_path_runs_one_bfs(monkeypatch):
         g.hyperplanes()
         g.forest()
         g.embedding_matrix(PAPER, range(g.vertex_count))
-        assert calls == [[g.root]], spec.label()
+        assert calls == [], spec.label()
 
 
 def test_triangle_hyperplanes_error():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from medembed import metrics
 from medembed.cube import (
     CubeSpec,
+    MedianGraph,
     gen_cube,
     key_property,
     normal_cube_path,
@@ -86,6 +87,14 @@ generated_trees = st.sampled_from([
 ]).map(gen_tree)
 
 
+generated_tree_specs = st.sampled_from([
+    TreeSpec.path(12),
+    TreeSpec.spider(3, 4),
+    TreeSpec.caterpillar(5, 2),
+    TreeSpec.binary_sample(6, 5, seed=3),
+])
+
+
 staircase_heights = st.lists(
     st.integers(min_value=1, max_value=7), min_size=1, max_size=5
 ).map(lambda hs: tuple(sorted(hs, reverse=True)))
@@ -107,6 +116,68 @@ def test_tree_depths_match_root_bfs(tree):
     bfs = tree.distances_from([tree.root])[0].astype(np.int64)
     assert tree.depth.dtype == np.int64
     np.testing.assert_array_equal(tree.depth, bfs)
+
+
+def _rerooted(spec, seed):
+    """The median graph of ``spec`` with its base vertex moved to a random
+    vertex."""
+    g = gen_cube(spec)
+    root = int(np.random.default_rng(seed).integers(g.vertex_count))
+    return MedianGraph(g.vertex_count, np.stack([g.eu, g.ev], axis=1), root=root)
+
+
+def _q5_subgraph(seed, size):
+    """Connected induced subgraph of the 5-cube: grown from a random corner
+    by random neighbours, relabelled at random, based at a random vertex."""
+    rng = np.random.default_rng(seed)
+    labels = [int(rng.integers(32))]
+    while len(labels) < size:
+        v = labels[int(rng.integers(len(labels)))] ^ 1 << int(rng.integers(5))
+        if v not in labels:
+            labels.append(v)
+    ids = dict(zip(labels, rng.permutation(size).tolist()))
+    edges = [(ids[u], ids[u ^ 1 << b]) for u in labels for b in range(5)
+             if u < u ^ 1 << b and u ^ 1 << b in ids]
+    return MedianGraph(size, edges, root=int(rng.integers(size)))
+
+
+rerooted_median_graphs = st.one_of(
+    st.builds(_rerooted, st.one_of(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
+        .map(lambda dims: CubeSpec.grid(*dims)),
+        staircase_heights.map(CubeSpec.staircase_heights),
+        st.tuples(generated_tree_specs, generated_tree_specs)
+        .map(lambda lr: CubeSpec.tree_product(*lr)),
+        generated_tree_specs.map(CubeSpec.from_tree),
+    ), st.integers(min_value=0, max_value=10**6)),
+    st.builds(_q5_subgraph, st.integers(min_value=0, max_value=10**6),
+              st.integers(min_value=1, max_value=32)),
+)
+
+
+@given(rerooted_median_graphs)
+@settings(max_examples=150, deadline=None)
+def test_root_distances_match_csgraph_bfs(g):
+    bfs = g.distances_from([g.root])[0].astype(np.int64)
+    assert g.dist_root.dtype == np.int64
+    np.testing.assert_array_equal(g.dist_root, bfs)
+
+
+def test_root_distances_fixed_cases():
+    single = MedianGraph(1, [])
+    assert single.dist_root.dtype == np.int64
+    assert single.dist_root.tolist() == [0]
+    # a 4-cycle with a pendant vertex, based away from vertex 0
+    g = MedianGraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)], root=2)
+    assert g.dist_root.tolist() == [2, 1, 0, 1, 2]
+    np.testing.assert_array_equal(
+        g.dist_root, g.distances_from([2])[0].astype(np.int64))
+    # n - 1 edges, enough to pass the edge count, and still two parts
+    for n, edges in ((5, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+                     (6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])):
+        for root in (0, n - 1):
+            with pytest.raises(ValueError, match="^graph is not connected$"):
+                MedianGraph(n, edges, root=root)
 
 
 @given(random_trees)

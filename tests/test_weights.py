@@ -252,16 +252,34 @@ def test_weight_report_passes():
     assert sums == sorted(sums)
 
 
-def test_weight_report_deficits_match_deficit_scan():
+def test_weight_report_deficits_match_deficit_scan(monkeypatch):
     # one evaluation of w serves both deficit scans; at n_max = M - 1 the
-    # n_max/10 scan reaches M, one point past n_max
-    for w in (WeightFunction.paper(18), WeightFunction.paper(25)):
-        for n_max in (w.m - 1, w.m, w.m + 1, 10 * w.m - 1, 10 * w.m, 12_345):
-            report = build_weight_report(w, n_max=n_max)
-            c_full, at = deficit_scan(w, n_max)
-            c_tenth, _ = deficit_scan(w, max(w.m, n_max // 10))
-            assert (report.deficit_constant, report.deficit_argmax) == (c_full, at)
-            assert report.stabilized == (c_full == c_tenth and at < n_max)
+    # n_max/10 scan reaches M, one point past n_max. Small chunks put the
+    # n_max/10 stop on and around chunk boundaries.
+    for chunk in (SCAN_CHUNK, 1, 5, 18, 25, 123):
+        monkeypatch.setattr(weights, "SCAN_CHUNK", chunk)
+        for w in (WeightFunction.paper(18), WeightFunction.paper(25)):
+            for n_max in (w.m - 1, w.m, w.m + 1, 10 * w.m - 1, 10 * w.m, 1230, 12_345):
+                report = build_weight_report(w, n_max=n_max)
+                c_full, at = deficit_scan(w, n_max)
+                c_tenth, _ = deficit_scan(w, max(w.m, n_max // 10))
+                assert (report.deficit_constant, report.deficit_argmax) == (c_full, at)
+                assert report.stabilized == (c_full == c_tenth and at < n_max), (
+                    chunk, w.label(), n_max)
+
+
+def test_weight_report_evaluates_w_once_per_point(monkeypatch):
+    counted = []
+    values = WeightFunction.values
+
+    def counting(self, t):
+        counted.append(np.size(t))
+        return values(self, t)
+
+    monkeypatch.setattr(WeightFunction, "values", counting)
+    n_max = 10**6
+    build_weight_report(WeightFunction.paper(18), n_max=n_max)
+    assert sum(counted) == n_max + 1
 
 
 def test_weight_report_fails_for_nonmonotone_cutoff():
