@@ -8,10 +8,13 @@ prefix maximum).  Exhaustive sampling makes both exact on the space;
 random sampling can only raise rho_hat and lower delta_hat.
 
 ``profile`` needs a space with ``vertex_count`` and
-``embedding_matrix(w, rows) -> CSR rows``: the exhaustive and the uniform
-sampler read the metric off the unit-weight rows. Only the stratified
-sampler and the oracle also need ``distances_from(sources) -> 2d array``.
-Trees, median graphs and products of them all qualify.
+``embedding_matrix(w, rows) -> CSR rows``: every sampler reads the metric
+off the unit-weight rows, whose squared distance is the graph distance.
+The stratified sampler reads both distances of its candidates off one
+product per chunk of vertex rows with its sources' rows held dense
+(``_stratified_pairs``), and sizes its chunks from the spaces' forests.
+Only the oracle needs ``distances_from(sources) -> 2d array``. Trees,
+median graphs and products of them all qualify.
 
 An exhaustive profile takes one of two routes. On a ``RootedTree`` a
 pair's embedded distance depends only on its depth triple (a, b, s), so
@@ -24,12 +27,14 @@ BLOCK_ROWS rows, which on trees is the tree route's oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .sparse import vertex_rows
 from .tree import RootedTree
 from .weights import WeightFunction, deficit_constant, diff_sq_tail_bound
@@ -42,6 +47,15 @@ EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
 BLOCK_ROWS = 512
 # Pairs per chunk of row-wise dot products in _grouped_pairs.
 PAIR_CHUNK = 8192
+# Unit-weight nnz plus dense entries per chunk of vertex rows in
+# _stratified_pairs; each chunk takes one product per weight.
+CHUNK_ENTRIES = 1 << 20
+# Bytes the stratified sampler may hold: CANDIDATE_BYTES per (source,
+# vertex) candidate (int32 distance, float64 embedded distance, masks,
+# flat index, int32 sort key, int64 order and the sort's buffer) plus
+# its unit and w source rows, dense and float64.
+CANDIDATE_BYTES = 40
+SAMPLER_BUDGET = 3 << 30
 
 
 @dataclass(frozen=True)
@@ -234,19 +248,81 @@ def _grouped_pairs(space, w: WeightFunction, us, vs) -> np.ndarray:
     return emb_sq
 
 
-def _stratified_pairs(space, sampler: PairSampler):
-    """Pairs (us, vs) from a few random sources and their BFS distances ts,
-    at most ``count`` pairs per distance."""
+def _stratified_plan(space, count: int) -> int:
+    """The stratified sampler's source count S; raises BudgetExceededError
+    if its S x n candidates and its dense source rows (S x K each, K the
+    key count) would take more than SAMPLER_BUDGET bytes."""
     n = space.vertex_count
+    n_sources = min(n, max(16, math.isqrt(4 * count)))
+    key_count = sum(f.forest().key_count for f in getattr(space, "factors", [space]))
+    need = n_sources * (n * CANDIDATE_BYTES + 2 * key_count * 8)
+    if need > SAMPLER_BUDGET:
+        raise BudgetExceededError(
+            f"stratified:{count} needs {need} bytes for {n_sources} sources x "
+            f"{n} vertices, over the budget of {SAMPLER_BUDGET} bytes")
+    return n_sources
+
+
+def _row_chunks(space, n_sources: int):
+    """Bounds (lo, hi) of consecutive chunks of the vertex rows 0..n-1:
+    each chunk's unit-weight nnz (the keys on its vertices' paths) plus
+    n_sources dense entries per row stay within CHUNK_ENTRIES, unless the
+    chunk is a single row."""
+    factors = getattr(space, "factors", [space])
+    coords = np.unravel_index(np.arange(space.vertex_count),
+                              [f.vertex_count for f in factors])
+    cost = np.cumsum(sum(f.forest().length[c] for f, c in zip(factors, coords))
+                     + n_sources)
+    cuts = np.searchsorted(cost, np.arange(CHUNK_ENTRIES, cost[-1], CHUNK_ENTRIES))
+    bounds = np.unique(np.concatenate(([0], cuts, [space.vertex_count])))
+    return itertools.pairwise(bounds.tolist())
+
+
+def _stored_order_norms(mat: sp.csr_matrix) -> np.ndarray:
+    """Squared row norms summed in stored key order, as ``mat @ dense``
+    sums each row's dot products."""
+    return mat.power(2) @ np.ones(mat.shape[1])
+
+
+def _sq_distances_to(mat: sp.csr_matrix, src_t, src_norms) -> np.ndarray:
+    """Squared embedded distances of the rows of ``mat`` (one per row) to
+    the sources, held as a dense K x S block and their squared norms."""
+    d2 = mat @ src_t
+    d2 *= -2.0  # in place, bit for bit (|v|^2 + |s|^2) - 2 v.s
+    d2 += _stored_order_norms(mat)[:, None] + src_norms[None, :]
+    return d2
+
+
+def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
+    """Pairs (us, vs) from a few random sources, at most ``count`` per
+    distance, with their distances ts and squared embedded distances.
+
+    Every (source, vertex) candidate's |s|^2 + |v|^2 - 2 v.s comes from
+    one sparse x dense product per chunk of vertex rows and weight, against
+    the sources' rows held dense. All three terms sum the same products in
+    the rows' stored key order, so two coinciding vectors give exactly 0;
+    at unit weight they sum 0/1 products, so t is exact."""
+    n = space.vertex_count
+    n_sources = _stratified_plan(space, sampler.count)
     rng = np.random.default_rng(sampler.seed)
-    n_sources = min(n, max(16, math.isqrt(4 * sampler.count)))
     sources = np.sort(rng.choice(n, size=n_sources, replace=False))
-    rows = space.distances_from(sources).astype(np.int64)
+    unit = WeightFunction.unit()
+    blocks = [(np.ascontiguousarray(src.T.toarray()), _stored_order_norms(src))
+              for src in space.embedding_matrices((unit, w), sources)]
+    ts = np.empty((n_sources, n), dtype=np.int32)
+    emb_sq = np.empty((n_sources, n))
+    for lo, hi in _row_chunks(space, n_sources):
+        unit_rows, w_rows = space.embedding_matrices((unit, w), np.arange(lo, hi))
+        ts[:, lo:hi] = np.rint(_sq_distances_to(unit_rows, *blocks[0])).T
+        emb_sq[:, lo:hi] = _sq_distances_to(w_rows, *blocks[1]).T
+        del unit_rows, w_rows  # before the next chunk's walk allocates
+    del blocks
     # every target at positive distance, except mirrored source-source pairs
     rank = np.full(n, n_sources)
     rank[sources] = np.arange(n_sources)
-    i, cv = np.nonzero((rows > 0) & (rank[None, :] > np.arange(n_sources)[:, None]))
-    cu, ct = sources[i], rows[i, cv]
+    flat = np.flatnonzero((ts > 0) & (rank[None, :] > np.arange(n_sources)[:, None]))
+    ct = ts.ravel()[flat]
+    del ts
     order = np.argsort(ct, kind="stable")
     picks = []
     for idx in np.split(order, np.flatnonzero(np.diff(ct[order])) + 1):
@@ -254,7 +330,9 @@ def _stratified_pairs(space, sampler: PairSampler):
             idx = rng.choice(idx, size=sampler.count, replace=False)
         picks.append(idx)
     sel = np.concatenate(picks)
-    return cu[sel], cv[sel], ct[sel]
+    cand = flat[sel]
+    return (sources[cand // n], cand % n, ct[sel].astype(np.int64),
+            emb_sq.ravel()[cand])
 
 
 def _draw_pairs(n: int, sampler: PairSampler):
@@ -294,14 +372,16 @@ def profile(
     from its depth triples; of any other space, from Gram blocks."""
     if space.vertex_count < 2:
         raise ValueError("profile needs at least two vertices")
-    samplers = {"stratified": _stratified_pairs, "uniform": _uniform_pairs}
     if sampler.mode == "exhaustive" and isinstance(space, RootedTree):
         entries = _tree_entries(space, w)
     elif sampler.mode == "exhaustive":
         entries = _exhaustive_entries(space, w)
-    elif sampler.mode in samplers:
-        us, vs, ts = samplers[sampler.mode](space, sampler)
-        emb_sq = _grouped_pairs(space, w, us, vs)
+    elif sampler.mode in ("stratified", "uniform"):
+        if sampler.mode == "stratified":
+            _, _, ts, emb_sq = _stratified_pairs(space, w, sampler)
+        else:
+            us, vs, ts = _uniform_pairs(space, sampler)
+            emb_sq = _grouped_pairs(space, w, us, vs)
         entries = _entries_from_pairs(ts, np.sqrt(np.clip(emb_sq, 0.0, None)))
     else:
         raise ValueError(f"unknown sampler mode {sampler.mode!r}")
@@ -461,11 +541,16 @@ class ProductSpace:
         """Factor matrices side by side; each factor's key count is its
         width, so factor i's columns start at ``offsets[i]``. A row outside
         0..vertex_count-1 raises ValueError("unknown vertex v")."""
+        return self.embedding_matrices([w], rows)[0]
+
+    def embedding_matrices(self, weights, rows) -> list[sp.csr_matrix]:
+        """``embedding_matrix(w, rows)`` for each of ``weights``, from one
+        walk per factor."""
         import scipy.sparse as sp  # slow to import, so only callers pay for it
 
         coords = np.unravel_index(vertex_rows(rows, self.vertex_count), self.sizes)
-        return sp.hstack([f._embed(w, c)
-                          for f, c in zip(self.factors, coords)], format="csr")
+        blocks = [f._embed(weights, c) for f, c in zip(self.factors, coords)]
+        return [sp.hstack(row, format="csr") for row in zip(*blocks)]
 
 
 def l1_l2_compare(k: int, distances: Sequence[float]) -> tuple[float, float]:

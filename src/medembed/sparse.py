@@ -11,7 +11,9 @@ at an explicit offset, so the factor blocks are disjoint.
 
 ``embedding_matrix(w, rows)`` is the one way to embed. Its walk costs a
 few array operations per path step, whatever the number of rows, so
-collect the rows and make one call; ``vectors`` hands them to ``fsum``.
+collect the rows and make one call; ``embedding_matrices(weights, rows)``
+takes the same rows at several weights from one walk. ``vectors`` hands
+the rows to ``fsum``.
 """
 
 from __future__ import annotations
@@ -136,10 +138,15 @@ class PathForest:
 
     def matrix(self, rows, table) -> sp.csr_matrix:
         """Row r holds ``table[i]`` on every key that the path of
-        ``rows[r]`` crosses at step i; zeros are dropped.
+        ``rows[r]`` crosses at step i; zeros are dropped."""
+        return self.matrices(rows, [table])[0]
 
-        All rows walk in lockstep, one step per round, writing into
-        arrays sized from ``length`` up front.
+    def matrices(self, rows, tables) -> list[sp.csr_matrix]:
+        """``matrix(rows, table)`` for each of ``tables``, from one walk.
+
+        All rows walk in lockstep, one step per round, writing each key's
+        step into arrays sized from ``length`` up front. The rows are
+        sorted by key once, and each table is read at the sorted steps.
         """
         import scipy.sparse as sp  # slow to import, so only callers pay for it
 
@@ -148,7 +155,7 @@ class PathForest:
         np.cumsum(self.length[rows], out=indptr[1:])
         idx = np.int32 if max(self.key_count, indptr[-1]) < 2**31 else np.int64
         indices = np.empty(indptr[-1], dtype=idx)
-        data = np.empty(indptr[-1])
+        steps = np.empty(indptr[-1], dtype=np.intp)  # table[steps] casts no index
         at = rows.copy()
         fill = indptr[:-1].copy()
         live = np.flatnonzero(at != self.root)
@@ -162,15 +169,27 @@ class PathForest:
                 np.cumsum(count) - count, count)
             dst = np.repeat(fill[live], count) + offset
             indices[dst] = self.step_keys[np.repeat(first, count) + offset]
-            data[dst] = table[step]
+            steps[dst] = step
             fill[live] += count
             at[live] = self.exit[x]
             live = live[at[live] != self.root]
-        mat = sp.csr_matrix((data, indices, indptr.astype(idx, copy=False)),
-                            shape=(len(rows), self.key_count))
-        mat.eliminate_zeros()
-        mat.sort_indices()
-        return mat
+        shape = (len(rows), self.key_count)
+        walk = sp.csr_matrix((steps, indices, indptr.astype(idx, copy=False)),
+                             shape=shape)
+        walk.sort_indices()
+        mats = []
+        for i, table in enumerate(tables):
+            # dropping zeros compacts the index arrays in place: copy them
+            # for every table but the last
+            share = i == len(tables) - 1
+            mat = sp.csr_matrix((table[walk.data],
+                                 walk.indices if share else walk.indices.copy(),
+                                 walk.indptr if share else walk.indptr.copy()),
+                                shape=shape)
+            mat.has_sorted_indices = True
+            mat.eliminate_zeros()
+            mats.append(mat)
+        return mats
 
 
 def ranges(starts, counts) -> np.ndarray:
@@ -265,9 +284,10 @@ class Graph:
 
     Edge i joins ``eu[i]`` and ``ev[i]``; a subclass sets both arrays and
     ``forest()``, its cube-path forest to the root. ``distances_from``,
-    a csgraph BFS from many sources, serves the samplers and the oracles. A
-    median graph's base row comes from ``root_distances``, and a tree reads
-    its depths off its parent array.
+    a csgraph BFS from many sources, is the oracle's metric: the profiles
+    and samplers read distances off the embedding's rows. A median graph's
+    base row comes from ``root_distances``, and a tree reads its depths
+    off its parent array.
     """
 
     def __init__(self, n: int, root: int, label: str = ""):
@@ -288,7 +308,11 @@ class Graph:
         return len(self.eu)
 
     def distances_from(self, sources) -> np.ndarray:
-        """Graph distances from the given vertices to every vertex."""
+        """Graph distances from the given vertices to every vertex, by
+        csgraph BFS: the independent metric of the oracles
+        (``oracle_deviations``, ``validate_median``,
+        ``distance_condition_sides``) and the tests. No profile or sampler
+        calls it."""
         import scipy.sparse as sp  # slow to import, so only callers pay for it
         from scipy.sparse import csgraph
 
@@ -303,9 +327,14 @@ class Graph:
     def embedding_matrix(self, w, rows) -> sp.csr_matrix:
         """CSR rows of the embedding of ``rows``; column k is key k. A row
         outside 0..n-1 raises ValueError("unknown vertex v")."""
-        return self._embed(w, vertex_rows(rows, self.n))
+        return self.embedding_matrices([w], rows)[0]
 
-    def _embed(self, w, rows: np.ndarray) -> sp.csr_matrix:
-        """``embedding_matrix`` of rows already checked to be vertices."""
+    def embedding_matrices(self, weights, rows) -> list[sp.csr_matrix]:
+        """``embedding_matrix(w, rows)`` for each of ``weights``, from one
+        walk of the rows' paths."""
+        return self._embed(weights, vertex_rows(rows, self.n))
+
+    def _embed(self, weights, rows: np.ndarray) -> list[sp.csr_matrix]:
+        """``embedding_matrices`` of rows already checked to be vertices."""
         forest = self.forest()
-        return forest.matrix(rows, forest.weight_table(w))
+        return forest.matrices(rows, [forest.weight_table(w) for w in weights])

@@ -170,9 +170,14 @@ SCIPY_GUARD = (
       "-o", "grid.csv"), "scipy.sparse"),
     (("verify", "--suite", "normalpath", "--space", "grid.json"),
      "scipy.sparse"),
+    (("measure", "--space", "grid.json", "--sampler", "stratified:5",
+      "--seed", "1", "-o", "grid.csv"), "scipy.sparse"),
+    (("measure", "--space", "tree.json", "--sampler", "stratified:5",
+      "--seed", "1", "-o", "tree.csv"), "scipy.sparse"),
 ], ids=["import", "generate-tree", "measure-tree", "verify-lemma", "report",
         "generate-grid", "generate-staircase", "generate-from-tree",
-        "generate-tree-product", "measure-grid", "verify-normalpath"])
+        "generate-tree-product", "measure-grid", "verify-normalpath",
+        "measure-grid-stratified", "measure-tree-stratified"])
 def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
     # scipy takes most of a CLI process's start-up; tree commands and the
     # median-graph generators build no sparse matrix and run no csgraph BFS
@@ -195,9 +200,25 @@ def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
         assert loaded == []
     else:
         assert loads in loaded
-    if argv[:3] == ("verify", "--suite", "normalpath"):
-        # the walks and the forest read the base vertex's numpy BFS row
+    if argv[:3] == ("verify", "--suite", "normalpath") or "stratified:5" in argv:
+        # the walks and the forest read the base vertex's numpy BFS row, and
+        # the stratified sampler reads distances off the embedding's rows
         assert "scipy.sparse.csgraph" not in loaded
+
+
+def test_measure_stratified_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    from medembed import metrics
+
+    space = tmp_path / "g.json"
+    run(capsys, "generate", "--space", "grid", "--dims", "4x4", "-o", str(space))
+    monkeypatch.setattr(metrics, "SAMPLER_BUDGET", 1000)
+    out = tmp_path / "p.csv"
+    code, stdout, err = run(capsys, "measure", "--space", str(space),
+                            "--sampler", "stratified:5", "--seed", "1",
+                            "-o", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == ("error: stratified:5 needs 18048 bytes for 16 sources x 25 "
+                   "vertices, over the budget of 1000 bytes\n")
 
 
 def test_measure_unit_profile(tmp_path, capsys):

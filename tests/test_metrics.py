@@ -142,7 +142,7 @@ def test_embedding_matrix_rejects_unknown_rows():
 
 
 def test_exhaustive_profile_runs_without_bfs(monkeypatch):
-    # the exhaustive and the uniform sampler read t off the unit rows
+    # every sampler reads t off the unit rows
     spaces = [
         gen_tree(TreeSpec.spider(3, 6)),
         gen_cube(CubeSpec.staircase(5)),
@@ -152,7 +152,7 @@ def test_exhaustive_profile_runs_without_bfs(monkeypatch):
         space.embedding_matrix(UNIT, [0])  # hyperplanes and forests first
 
     def no_bfs(self, sources):
-        raise AssertionError("exhaustive and uniform profiles must not run BFS")
+        raise AssertionError("profiles must not run BFS")
 
     for cls in (RootedTree, MedianGraph, ProductSpace):
         monkeypatch.setattr(cls, "distances_from", no_bfs)
@@ -160,9 +160,11 @@ def test_exhaustive_profile_runs_without_bfs(monkeypatch):
     for space in spaces:
         exh = profile(space, UNIT, PairSampler.exhaustive())
         uni = profile(space, UNIT, PairSampler.uniform(60, seed=2))
+        strat = profile(space, UNIT, PairSampler.stratified(5, seed=2))
         exh_ts.append(exh.ts().tolist())
         assert set(uni.ts().tolist()) <= set(exh_ts[-1])
-        for prof in (exh, uni):
+        assert set(strat.ts().tolist()) <= set(exh_ts[-1])
+        for prof in (exh, uni, strat):
             for e in prof.entries:
                 assert e.rho_hat == pytest.approx(math.sqrt(e.t), rel=1e-12)
     assert exh_ts[0] == list(range(1, 13))  # spider(3, 6)
@@ -182,15 +184,108 @@ def test_grouped_pair_evaluator_matches_bruteforce():
     for space, w in cases:
         vecs = vectors(space.embedding_matrix(w, range(space.vertex_count)))
         dist = space.distances_from(range(space.vertex_count)).astype(int)
-        for us, vs, ts in (
-            _stratified_pairs(space, PairSampler.stratified(7, seed=5)),
-            _uniform_pairs(space, PairSampler.uniform(80, seed=6)),
+        us, vs, ts = _uniform_pairs(space, PairSampler.uniform(80, seed=6))
+        for us, vs, ts, emb_sq in (
+            _stratified_pairs(space, w, PairSampler.stratified(7, seed=5)),
+            (us, vs, ts, _grouped_pairs(space, w, us, vs)),
         ):
-            emb = np.sqrt(np.clip(_grouped_pairs(space, w, us, vs), 0.0, None))
+            emb = np.sqrt(np.clip(emb_sq, 0.0, None))
             for u, v, t, e in zip(us, vs, ts, emb):
                 assert t == dist[u][v]
                 want = vec_distance(vecs[u], vecs[v])
                 assert e == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _bfs_stratified_pairs(space, sampler):
+    # the stratified sampler as it read t off a BFS from every source
+    n = space.vertex_count
+    rng = np.random.default_rng(sampler.seed)
+    n_sources = min(n, max(16, math.isqrt(4 * sampler.count)))
+    sources = np.sort(rng.choice(n, size=n_sources, replace=False))
+    rows = space.distances_from(sources).astype(np.int64)
+    rank = np.full(n, n_sources)
+    rank[sources] = np.arange(n_sources)
+    i, cv = np.nonzero((rows > 0) & (rank[None, :] > np.arange(n_sources)[:, None]))
+    cu, ct = sources[i], rows[i, cv]
+    order = np.argsort(ct, kind="stable")
+    picks = []
+    for idx in np.split(order, np.flatnonzero(np.diff(ct[order])) + 1):
+        if len(idx) > sampler.count:
+            idx = rng.choice(idx, size=sampler.count, replace=False)
+        picks.append(idx)
+    sel = np.concatenate(picks)
+    return cu[sel], cv[sel], ct[sel]
+
+
+def test_stratified_pairs_match_the_bfs_sampler(monkeypatch):
+    # the same pairs as the BFS sampler, and fsum's distances. Count n^2
+    # takes every vertex as a source (S = n) and keeps every pair once,
+    # through the mirrored source-source exclusion. On grid 40x40 under
+    # paper:18, hundreds of sampled pairs of distinct vertices have the same
+    # nonzero vector; their distance must be exactly 0. Chunks of 100 entries hold a few rows at
+    # S = 16 and one row at S = n; grid 40x40 takes about 40 rows a chunk.
+    from medembed.metrics import _stratified_pairs
+
+    small = ((1, 3), (7, 5), (1000, 11), (None, 2))
+    cases = [
+        (gen_cube(CubeSpec.grid(8, 7)), UNIT, small),
+        (gen_cube(CubeSpec.grid(5, 9)), PAPER, small),
+        (gen_cube(CubeSpec.staircase(7)), PAPER, small),
+        (gen_tree(TreeSpec.spider(3, 25)), PAPER, small),
+        (gen_tree(TreeSpec.binary_sample(20, 6, seed=3)), WeightFunction.power(0.3),
+         small),
+        (ProductSpace([gen_tree(TreeSpec.path(6)), gen_cube(CubeSpec.grid(2, 3))]),
+         PAPER, small),
+        (gen_cube(CubeSpec.grid(40, 40)), PAPER, ((7, 5), (1000, 11))),
+    ]
+    coinciding = 0
+    for space, w, counts in cases:
+        n = space.vertex_count
+        monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 100 if n < 200 else 4000)
+        vecs = vectors(space.embedding_matrix(w, range(n)))
+        for count, seed in counts:
+            sampler = PairSampler.stratified(count or n * n, seed=seed)
+            us, vs, ts, emb_sq = _stratified_pairs(space, w, sampler)
+            want = _bfs_stratified_pairs(space, sampler)
+            for got, ref in zip((us, vs, ts), want):
+                np.testing.assert_array_equal(got, ref)
+            if count is None:
+                codes = np.minimum(us, vs) * n + np.maximum(us, vs)
+                assert len(np.unique(codes)) == len(codes) == n * (n - 1) // 2
+            for u, v, e in zip(us, vs, np.sqrt(np.clip(emb_sq, 0.0, None))):
+                exact = vec_distance(vecs[u], vecs[v])
+                assert e == pytest.approx(exact, rel=1e-12, abs=1e-12)
+                if exact == 0.0:
+                    assert e == 0.0
+                    coinciding += vecs[u].support_size > 0
+    assert coinciding > 100
+
+
+def test_stratified_pairs_of_zero_vectors_are_exactly_zero():
+    # paper:18 gives steps 1..17 weight 0 and no path of grid 8x7 has more
+    # than 15 steps, so every vertex embeds to the zero vector
+    from medembed.metrics import _stratified_pairs
+
+    grid = gen_cube(CubeSpec.grid(8, 7))
+    for count in (1, 7, 1000):
+        *_, emb_sq = _stratified_pairs(grid, PAPER, PairSampler.stratified(count, 5))
+        assert len(emb_sq) and (emb_sq == 0.0).all()
+
+
+def test_stratified_budget_admits_the_benchmark_spaces():
+    # stratified:1000 on the benchmark's three spaces and criterion 07's
+    # grid fits; taking all 10,201 vertices of grid 100x100 as sources
+    # (S x n float64 is 794 MiB alone) does not, and fails before any
+    # source is drawn
+    from medembed.errors import BudgetExceededError
+    from medembed.metrics import _stratified_plan
+
+    grid100 = gen_cube(CubeSpec.grid(100, 100))
+    for space in (grid100, gen_tree(TreeSpec.binary_sample(200, 32, seed=42)),
+                  gen_cube(CubeSpec.grid(45, 45)), gen_cube(CubeSpec.grid(300, 300))):
+        assert _stratified_plan(space, 1000) == 63
+    with pytest.raises(BudgetExceededError, match=r"needs \d+ bytes for 10201 sources"):
+        metrics._stratified_pairs(grid100, PAPER, PairSampler.stratified(10**8, seed=1))
 
 
 def test_tree_triples_give_the_exact_pair_distances():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,3 +117,41 @@ def test_vectors_are_the_matrix_rows():
             for row in (mat[v], space.embedding_matrix(w, [v])):
                 assert vecs[v].coords == dict(zip(row.indices.tolist(),
                                                   row.data.tolist()))
+
+
+def _walked_row(forest, v, table, offset=0):
+    # v's path walked one exit at a time: key -> table[step], zeros dropped
+    coords, step = {}, 0
+    while v != forest.root:
+        step += 1
+        for k in forest.step_keys[forest.step_ptr[v]:forest.step_ptr[v + 1]]:
+            if table[step] != 0.0:
+                coords[int(k) + offset] = float(table[step])
+        v = int(forest.exit[v])
+    return coords
+
+
+def test_embedding_matrices_match_a_walk_per_weight():
+    # one lockstep walk for several weights gives each weight its own
+    # canonical matrix: the keys of each row sorted, zeros dropped
+    weights = (WeightFunction.unit(), WeightFunction.paper(18),
+               WeightFunction.power(0.3))
+    product = ProductSpace([gen_tree(TreeSpec.path(20)), gen_cube(CubeSpec.grid(3, 2))])
+    for space in (gen_tree(TreeSpec.spider(3, 25)), gen_cube(CubeSpec.staircase(6)),
+                  product):
+        n = space.vertex_count
+        rows = [n - 1, 0, n // 2, n // 2, 3]
+        factors = getattr(space, "factors", [space])
+        for w, mat in zip(weights, space.embedding_matrices(weights, rows)):
+            assert mat.has_sorted_indices and (mat.data != 0.0).all()
+            for r, v in enumerate(rows):
+                want = {}
+                coords = [int(c) for c in
+                          np.unravel_index(v, [f.vertex_count for f in factors])]
+                offsets = product.offsets if space is product else [0]
+                for f, c, off in zip(factors, coords, offsets):
+                    forest = f.forest()
+                    want.update(_walked_row(forest, c, forest.weight_table(w), off))
+                row = mat[r]
+                assert list(row.indices) == sorted(want)
+                assert dict(zip(row.indices.tolist(), row.data.tolist())) == want
