@@ -2,7 +2,8 @@
 run verification suites, merge result tables.
 
 Exit codes: 0 success (and all asserted checks passed), 1 a requested
-check failed, 2 bad input (malformed file, invalid flags, budget).
+check failed, 2 bad input (malformed file, invalid flags, budget) or an
+allocation the process could not get.
 All commands are deterministic given their flags and seeds.
 """
 
@@ -452,6 +453,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (MedEmbedError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -6,7 +6,10 @@ class MedEmbedError(Exception):
 
 
 class BudgetExceededError(MedEmbedError):
-    """A generator would allocate more vertices than the configured budget."""
+    """A planned allocation is over its budget: a generator would make more
+    vertices than its limit, or the stratified sampler would hold more
+    bytes than ``metrics.SAMPLER_BUDGET``. Raised before anything is
+    allocated."""
 
 
 class SpaceFormatError(MedEmbedError):

@@ -22,7 +22,7 @@ the profile folds the distinct triples, weighted by their pair counts
 (``_tree_entries``); its cost grows with the triples, not with the
 n(n-1)/2 pairs. Median graphs and products take the Gram route
 (``_exhaustive_entries``): squared distances of all pairs as blocks of
-BLOCK_ROWS rows, which on trees is the tree route's oracle.
+about BLOCK_ENTRIES pairs, which on trees is the tree route's oracle.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
-# Rows u per block of the all-pairs Gram route (_sq_distance_blocks).
-BLOCK_ROWS = 512
+# Pairs (u, v) per block of the all-pairs Gram route (_sq_distance_blocks),
+# which takes max(1, BLOCK_ENTRIES // n) rows u at a time.
+BLOCK_ENTRIES = 1 << 18
 # Pairs per chunk of row-wise dot products in _grouped_pairs.
 PAIR_CHUNK = 8192
 # Unit-weight nnz plus dense entries per chunk of vertex rows in
@@ -170,20 +171,61 @@ def _entries_from_pairs(ts: np.ndarray, emb: np.ndarray) -> tuple[ProfileEntry, 
     return acc.entries()
 
 
+class _WindowGram:
+    """Dot products of each block of rows u of a CSR matrix with the rows
+    v of its window [block[0], n), for consecutive blocks from row 0 on.
+
+    The matrix is transposed once, to key-major rows that list in ascending
+    order the vertices holding each key. Key k's list is split in two rows
+    of one CSR matrix without copying: row 2k holds the vertices before the
+    window, row 2k + 1 the rest, and the cut moves up by the block's keys
+    after each block. A block's rows, their keys moved to 2k + 1, multiply
+    only the window's entries, with no pass over the whole window; each
+    pair sums u's products in u's stored key order, as
+    ``mat[block] @ mat[window].T`` does, so the dots are bit for bit
+    the same. A method rather than a generator: its product is freed when
+    ``dots`` returns, not held while the caller uses the block."""
+
+    def __init__(self, mat: sp.csr_matrix):
+        self.mat, self.keys = mat, mat.T.tocsr()
+        # row bounds p0, c0, p1, c1, ..., pk of the split lists, with each
+        # cut c at its list's start: no vertex lies before the first window
+        self.split = np.repeat(self.keys.indptr, 2)[:-1]
+
+    def dots(self, start: int, stop: int) -> np.ndarray:
+        """Dense (stop - start) x (n - start) block of dot products."""
+        import scipy.sparse as sp  # slow to import, so only callers pay for it
+
+        mat, keys = self.mat, self.keys
+        (n, k), lo, hi = mat.shape, mat.indptr[start], mat.indptr[stop]
+        rows = sp.csr_matrix(
+            (mat.data[lo:hi], 2 * mat.indices[lo:hi] + 1,
+             mat.indptr[start:stop + 1] - lo), shape=(stop - start, 2 * k))
+        prod = rows @ sp.csr_matrix((keys.data, keys.indices, self.split),
+                                    shape=(2 * k, n))
+        self.split[1::2] += np.bincount(mat.indices[lo:hi], minlength=k)
+        prod.indices -= start  # every column lies in the window
+        return sp.csr_matrix((prod.data, prod.indices, prod.indptr),
+                             shape=(stop - start, n - start)).toarray()
+
+
 def _sq_distance_blocks(mats):
     """Squared distances between the rows of each CSR matrix in ``mats``
-    for all pairs u < v, BLOCK_ROWS of u at a time: yields the block, the
-    mask of pairs v > u in the block x [block[0], n) window, and one flat
-    array per matrix in mask order."""
+    for all pairs u < v, max(1, BLOCK_ENTRIES // n) rows u at a time
+    (``_WindowGram``): yields the block, the mask of pairs v > u in the
+    block x [block[0], n) window, and one flat array per matrix in mask
+    order. A block spans at most max(BLOCK_ENTRIES, n) pairs."""
     n = mats[0].shape[0]
+    rows = max(1, BLOCK_ENTRIES // n)
     norms = [sq_row_norms(mat) for mat in mats]
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
+    grams = [_WindowGram(mat) for mat in mats]
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         block = np.arange(start, stop)
         mask = np.arange(start, n)[None, :] > block[:, None]
         d2s = []
-        for mat, nsq in zip(mats, norms):
-            d2 = (mat[start:stop] @ mat[start:].T).toarray()
+        for gram, nsq in zip(grams, norms):
+            d2 = gram.dots(start, stop)
             d2 *= -2.0  # in place, bit for bit (|u|^2 + |v|^2) - 2 u.v
             d2 += nsq[start:stop, None] + nsq[None, start:]
             d2s.append(d2[mask])
@@ -621,10 +663,15 @@ def oracle_deviations(space) -> tuple[float, Optional[int]]:
     for block, mask, (unit_sq,) in _sq_distance_blocks([unit]):
         d = space.distances_from(block)[:, block[0]:][mask]
         nz = d > 0
-        worst = max(worst, float((np.abs(unit_sq - d)[nz] / d[nz]).max(initial=0.0)))
+        err = np.abs(np.subtract(unit_sq, d, out=unit_sq), out=unit_sq)
+        np.divide(err, d, out=err, where=nz)
+        worst = max(worst, float(err.max(initial=0.0, where=nz)))
+        del unit_sq, err, nz
         if seps is not None:
             sep = seps(block)[:, block[0]:][mask]
             sep_worst = max(sep_worst, int(np.abs(sep - d).max(initial=0)))
+            del sep
+        del block, mask, d  # before the next block allocates
     return worst, sep_worst
 
 

@@ -183,7 +183,7 @@ def sq_partial_sums(w: WeightFunction, n: int) -> np.ndarray:
     return np.cumsum(vals * vals)
 
 
-SCAN_CHUNK = 1 << 16  # points of w held at once by deficit_scan
+SCAN_CHUNK = 1 << 16  # points of w held at once by the scans below
 
 
 def deficit_scan(w: WeightFunction, n_max: int) -> tuple[float, int]:
@@ -201,19 +201,27 @@ def deficit_scan(w: WeightFunction, n_max: int) -> tuple[float, int]:
     return _deficit_maxima(w, (n_max,))[0]
 
 
-def _deficit_maxima(w: WeightFunction, stops, vals=None) -> list[tuple[float, int]]:
+def _deficit_maxima(w: WeightFunction, stops, last=None,
+                    tap=None) -> list[tuple[float, int]]:
     """``deficit_scan`` over [1, stop] for each of the ascending ``stops``,
-    from one scan to the last of them; w(i) is read from vals[i - 1] when
-    ``vals`` is given. A stop splits its chunk's argmax in two, which keeps
-    the first index attaining the maximum."""
+    from one pass over [1, last] (by default the last stop) that evaluates
+    w SCAN_CHUNK points at a time; ``tap(lo, vals)``, if given, is handed
+    each chunk's values w(lo), w(lo + 1), ... A stop splits its chunk's
+    argmax in two, which keeps the first index attaining the maximum."""
+    last = stops[-1] if last is None else last
     out, best, at, carry = [], -math.inf, 0, 0.0
-    for lo in range(1, stops[-1] + 1, SCAN_CHUNK):
-        hi = min(lo + SCAN_CHUNK, stops[-1] + 1)
+    for lo in range(1, last + 1, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, last + 1)
         ns = np.arange(lo, hi, dtype=np.float64)
-        chunk = w.values(ns) if vals is None else vals[lo - 1:hi - 1]
-        sq = chunk * chunk
+        chunk = w.values(ns)
+        if tap is not None:
+            tap(lo, chunk)
+        hi = min(hi, stops[-1] + 1)  # points past the last stop feed only the tap
+        if hi <= lo:
+            continue
+        sq = chunk[:hi - lo] * chunk[:hi - lo]
         sums = np.cumsum(np.concatenate([[carry], sq]))[1:]
-        cand = 0.5 * ns * sq - sums
+        cand = 0.5 * ns[:hi - lo] * sq - sums
         cut = lo
         for stop in sorted({hi - 1, *(s for s in stops if lo <= s < hi)}):
             k = cut + int(np.argmax(cand[cut - lo:stop - lo + 1]))
@@ -256,6 +264,11 @@ def build_weight_report(
     increment-square tail below the closed-form bound, and stabilization
     of the deficit constant between n_max/10 and n_max.  ``margin`` is the
     slack of the tail comparison.
+
+    One pass over [1, n_max + 1], SCAN_CHUNK points at a time, evaluates
+    each w(t) once and feeds every check; the increment sums carry from
+    chunk to chunk like the deficit scan's, so every number is that of a
+    whole-array scan and the memory held does not grow with n_max.
     """
     if w.kind != "paper":
         raise ValueError("the summability report applies to the paper weight")
@@ -263,19 +276,33 @@ def build_weight_report(
         raise ValueError(f"n_max must be at least M - 1 = {w.m - 1} for weight "
                          f"{w.label()}, got {n_max}")
     checkpoints = tuple(c for c in checkpoints if c <= n_max)
-    vals = w.values(np.arange(1, n_max + 2, dtype=np.float64))
-    diffs = np.diff(vals)
-    monotone_ok = bool(np.all(diffs[w.m - 1:] >= 0.0))
-    dsq = np.cumsum(diffs * diffs)
-    partial = tuple((c, float(dsq[c - 1])) for c in checkpoints)
-    tail_bound = diff_sq_tail_bound(w)
-    tail = float(dsq[n_max - 1] - dsq[w.m - 2])
-    margin = tail_bound - tail
+    # increment j is w(j + 1) - w(j); dsq[j] sums their squares up to j
+    wanted, dsq = {*checkpoints, w.m - 1, n_max}, {}
+    monotone_ok, prev, carry = True, None, 0.0
+
+    def increments(lo: int, vals: np.ndarray):
+        """Folds the increments from w(lo - 1) on into dsq and monotone_ok."""
+        nonlocal monotone_ok, prev, carry
+        first = max(1, lo - 1)  # this chunk's first increment
+        diffs = np.diff(vals) if prev is None else np.diff(vals, prepend=prev)
+        prev = vals[-1]
+        monotone_ok &= bool(np.all(diffs[max(0, w.m - first):] >= 0.0))
+        sums = np.multiply(diffs, diffs, out=diffs)
+        if len(sums):
+            sums[0] += carry
+            carry = np.cumsum(sums, out=sums)[-1]
+        dsq.update((j, float(sums[j - first]))
+                   for j in wanted if first <= j < first + len(sums))
+
     # the n_max/10 scan is a prefix of the full one, except at n_max = M - 1,
-    # where it reaches M, the one point of vals past n_max
+    # where it reaches M = n_max + 1, the last point of the pass
     tenth = max(w.m, n_max // 10)
     stops = sorted({tenth, n_max})
-    scans = dict(zip(stops, _deficit_maxima(w, stops, vals)))
+    scans = dict(zip(stops, _deficit_maxima(w, stops, n_max + 1, increments)))
+    partial = tuple((c, dsq[c]) for c in checkpoints)
+    tail_bound = diff_sq_tail_bound(w)
+    tail = dsq[n_max] - dsq[w.m - 1]
+    margin = tail_bound - tail
     c_full, argmax = scans[n_max]
     c_tenth = scans[tenth][0]
     stabilized = c_full == c_tenth and argmax < n_max

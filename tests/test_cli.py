@@ -159,6 +159,7 @@ SCIPY_GUARD = (
     (("measure", "--space", "tree.json", "--sampler", "exhaustive",
       "-o", "tree.csv"), None),
     (("verify", "--suite", "lemma", "--N-max", "1000"), None),
+    (("verify", "--suite", "lemma", "--N-max", "100000"), None),
     (("report", "-o", "merged.csv", "profile.csv"), None),
     (("generate", "--space", "grid", "--dims", "30x30", "-o", "new.json"), None),
     (("generate", "--space", "staircase", "--cols", "12", "-o", "new.json"), None),
@@ -174,7 +175,8 @@ SCIPY_GUARD = (
       "--seed", "1", "-o", "grid.csv"), "scipy.sparse"),
     (("measure", "--space", "tree.json", "--sampler", "stratified:5",
       "--seed", "1", "-o", "tree.csv"), "scipy.sparse"),
-], ids=["import", "generate-tree", "measure-tree", "verify-lemma", "report",
+], ids=["import", "generate-tree", "measure-tree", "verify-lemma",
+        "verify-lemma-chunked", "report",
         "generate-grid", "generate-staircase", "generate-from-tree",
         "generate-tree-product", "measure-grid", "verify-normalpath",
         "measure-grid-stratified", "measure-tree-stratified"])
@@ -219,6 +221,36 @@ def test_measure_stratified_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and stdout == "" and not out.exists()
     assert err == ("error: stratified:5 needs 18048 bytes for 16 sources x 25 "
                    "vertices, over the budget of 1000 bytes\n")
+
+
+def test_measure_out_of_memory_exits_2(tmp_path, capsys):
+    # stratified:10000000 on grid 100x100 plans 2.58 GB, within the sampler's
+    # budget; capped at 700 MB of address space, the process cannot allocate
+    # its candidate arrays
+    resource = pytest.importorskip("resource")
+    run(capsys, "generate", "--space", "grid", "--dims", "100x100",
+        "-o", str(tmp_path / "g.json"))
+    limit = 700 * 10**6
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"  # one BLAS thread: its buffers count against the cap
+    res = subprocess.run(
+        [sys.executable, "-m", "medembed.cli", "measure", "--space", "g.json",
+         "--sampler", "stratified:10000000", "--seed", "1", "-o", "p.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        preexec_fn=cap_address_space)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: out of memory: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_measure_unit_profile(tmp_path, capsys):

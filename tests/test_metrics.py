@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -638,13 +639,71 @@ def test_embedding_matrix_round_trip():
         assert norms[v] == pytest.approx(vec.norm() ** 2, rel=1e-12)
 
 
+def counted_blocks(monkeypatch) -> list[int]:
+    """Wraps ``metrics._sq_distance_blocks``; the returned list gets the
+    row count of each block it yields."""
+    sizes = []
+    blocks = metrics._sq_distance_blocks
+
+    def counting(mats):
+        for block, mask, d2s in blocks(mats):
+            sizes.append(len(block))
+            yield block, mask, d2s
+
+    monkeypatch.setattr(metrics, "_sq_distance_blocks", counting)
+    return sizes
+
+
 def test_unit_identity_helper(monkeypatch):
     g = gen_cube(CubeSpec.grid(5, 4))
     err, sep_dev = oracle_deviations(g)
     assert err <= 1e-9
     assert sep_dev == 0
     t = gen_tree(TreeSpec.spider(3, 4))
-    monkeypatch.setattr(metrics, "BLOCK_ROWS", 5)  # several blocks of 13 rows
+    # 5 rows of 13 per block
+    monkeypatch.setattr(metrics, "BLOCK_ENTRIES", 5 * t.vertex_count)
+    sizes = counted_blocks(monkeypatch)
     err, sep_dev = oracle_deviations(t)
     assert err <= 1e-9
     assert sep_dev is None
+    assert sizes == [5, 5, 3]
+
+
+@pytest.mark.parametrize("rows", [1, 5, 64])
+def test_window_gram_matches_tail_products(rows):
+    # the split key lists give each block's dots bit for bit as the block
+    # times the transposed tail, on a grid, a tree and a product
+    spaces = [gen_cube(CubeSpec.grid(6, 5)), gen_tree(TreeSpec.binary_sample(9, 5, seed=3)),
+              ProductSpace([gen_tree(TreeSpec.spider(3, 4)), gen_tree(TreeSpec.path(5))])]
+    for space in spaces:
+        n = space.vertex_count
+        for w in (UNIT, PAPER, WeightFunction.power(0.3)):
+            mat = space.embedding_matrix(w, np.arange(n))
+            gram = metrics._WindowGram(mat)
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                want = (mat[start:stop] @ mat[start:].T).toarray()
+                np.testing.assert_array_equal(gram.dots(start, stop), want)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc (numpy's buffers included) while
+    fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_routes_hold_a_bounded_block():
+    # 123 rows of 2,116 per block at the default BLOCK_ENTRIES. The forest
+    # is built and scipy's modules imported first: neither is a block
+    import scipy.sparse.csgraph  # noqa: F401
+
+    bound = 8 * metrics.BLOCK_ENTRIES * 8
+    g = gen_cube(CubeSpec.grid(45, 45))
+    g.forest()
+    assert _traced_peak(lambda: oracle_deviations(g)) < bound
+    assert _traced_peak(lambda: metrics._exhaustive_entries(g, PAPER)) < bound

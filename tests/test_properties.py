@@ -31,6 +31,7 @@ from medembed.tree import (
     meeting_point,
 )
 from medembed.weights import WeightFunction, diff_sq_sum
+from test_metrics import counted_blocks
 
 UNIT = WeightFunction.unit()
 PAPER = WeightFunction.paper(18)
@@ -373,8 +374,11 @@ def test_tree_profile_from_depth_triples_matches_gram_oracle(tree):
     assert got == want
     for w in (UNIT, PAPER, WeightFunction.power(0.3)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "BLOCK_ROWS", 7)  # several Gram blocks per tree
+            # Gram blocks of 7 rows: several per tree of more than 7 vertices
+            mp.setattr(metrics, "BLOCK_ENTRIES", 7 * n)
+            sizes = counted_blocks(mp)
             fast, oracle = _tree_entries(tree, w), _exhaustive_entries(tree, w)
+        assert sizes == [7] * ((n - 1) // 7) + [n - 7 * ((n - 1) // 7)]
         assert [(e.t, e.pair_count) for e in fast] == [
             (e.t, e.pair_count) for e in oracle]
         assert sum(e.pair_count for e in fast) == n * (n - 1) // 2

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from medembed import weights
 from medembed.weights import (
     SCAN_CHUNK,
     WeightFunction,
+    WeightReport,
     build_weight_report,
     deficit_constant,
     deficit_scan,
@@ -266,6 +269,70 @@ def test_weight_report_deficits_match_deficit_scan(monkeypatch):
                 assert (report.deficit_constant, report.deficit_argmax) == (c_full, at)
                 assert report.stabilized == (c_full == c_tenth and at < n_max), (
                     chunk, w.label(), n_max)
+
+
+def _whole_array_report(w: WeightFunction, n_max: int,
+                        checkpoints=(10**3, 10**4, 10**5, 10**6)) -> WeightReport:
+    """``build_weight_report`` from whole arrays: every w(t) of [1, n_max + 1]
+    at once, one cumsum over all increments and whole-array deficit scans.
+    The oracle of the streamed report."""
+    checkpoints = tuple(c for c in checkpoints if c <= n_max)
+    vals = w.values(np.arange(1, n_max + 2, dtype=np.float64))
+    diffs = np.diff(vals)
+    monotone_ok = bool(np.all(diffs[w.m - 1:] >= 0.0))
+    dsq = np.cumsum(diffs * diffs)
+    partial = tuple((c, float(dsq[c - 1])) for c in checkpoints)
+    tail_bound = diff_sq_tail_bound(w)
+    margin = tail_bound - float(dsq[n_max - 1] - dsq[w.m - 2])
+    c_full, argmax = _deficit_peak(vals[:n_max])
+    c_tenth, _ = _deficit_peak(vals[:max(w.m, n_max // 10)])
+    stabilized = c_full == c_tenth and argmax < n_max
+    return WeightReport(
+        partial_sums=partial,
+        tail_bound=tail_bound,
+        deficit_constant=c_full,
+        deficit_argmax=argmax,
+        monotone_ok=monotone_ok,
+        stabilized=stabilized,
+        passed=monotone_ok and stabilized and margin >= 0.0,
+        margin=margin,
+    )
+
+
+def test_streamed_weight_report_matches_whole_array(monkeypatch):
+    # small chunks put the checkpoints (10^3, 10^4), the tail's start at
+    # increment M - 1 and the n_max/10 stop on and beside chunk edges
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # cutoffs 16 and 17
+        families = [WeightFunction.paper(m) for m in (16, 17, 18, 25)]
+    for w in families:
+        m = w.m
+        for n_max in (m - 1, m, m + 1, 10 * m - 1, 10 * m, 1230, 12_345):
+            oracle = _whole_array_report(w, n_max)
+            for chunk in (SCAN_CHUNK, 1, 5, 18, 25, 123):
+                monkeypatch.setattr(weights, "SCAN_CHUNK", chunk)
+                assert build_weight_report(w, n_max=n_max) == oracle, (
+                    w.label(), n_max, chunk)
+        # at 10^6, chunks of 125 put the checkpoints 10^3 .. 10^6 and the
+        # n_max/10 stop on chunk edges, and chunks of 123 beside them
+        # (chunks of a few points take minutes here)
+        oracle = _whole_array_report(w, 10**6)
+        assert oracle.partial_sums[-1][0] == 10**6
+        for chunk in (SCAN_CHUNK, 123, 125):
+            monkeypatch.setattr(weights, "SCAN_CHUNK", chunk)
+            assert build_weight_report(w, n_max=10**6) == oracle, (w.label(), chunk)
+
+
+def test_weight_report_memory_does_not_grow_with_n_max():
+    # the whole-array report held about 55 bytes per point: 544 MB here
+    tracemalloc.start()
+    try:
+        report = build_weight_report(WeightFunction.paper(18), n_max=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 32 * 2**20
 
 
 def test_weight_report_evaluates_w_once_per_point(monkeypatch):
