@@ -189,7 +189,8 @@ def _load_space(path):
 def cmd_embed(args) -> int:
     space = _load_space(args.space)
     w = parse_weight(args.weight)
-    vec, = vectors(space.embedding_matrix(w, [args.vertex]))
+    indptr, indices, (data,) = space.embedding_rows([w], [args.vertex])
+    vec, = vectors((indptr, indices, data))
     keys, vals = vec.as_arrays()
     doc = {
         "vertex": args.vertex,

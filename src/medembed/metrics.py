@@ -7,14 +7,18 @@ embedded distance over pairs at metric distance <= t (``delta_hat``, a
 prefix maximum).  Exhaustive sampling makes both exact on the space;
 random sampling can only raise rho_hat and lower delta_hat.
 
-``profile`` needs a space with ``vertex_count`` and
-``embedding_matrix(w, rows) -> CSR rows``: every sampler reads the metric
-off the unit-weight rows, whose squared distance is the graph distance.
-The stratified sampler reads both distances of its candidates off one
-product per chunk of vertex rows with its sources' rows held dense
-(``_stratified_pairs``), and sizes its chunks from the spaces' forests.
-Only the oracle needs ``distances_from(sources) -> 2d array``. Trees,
-median graphs and products of them all qualify.
+``profile`` needs a space with ``vertex_count``, ``embedding_rows(weights,
+rows)`` (numpy CSR triples) and ``forest_distances(sources)``; the
+exhaustive Gram route takes ``embedding_matrix(w, rows) -> CSR rows`` and
+reads the metric off the unit-weight rows, whose squared distance is the
+graph distance. The samplers load no scipy. The stratified sampler reads
+every (source, vertex) candidate's distance off the cube-path forests,
+draws its pairs, and only then embeds them; the uniform sampler reads
+its pairs' distances off their unit-weight rows. Both embed their pairs
+with one kernel (``_pair_sq_distances``) that adds every sum in the same
+order as a CSR x dense product. Only the oracle needs
+``distances_from(sources) -> 2d array``. Trees, median graphs and
+products of them all qualify.
 
 An exhaustive profile takes one of two routes. On a ``RootedTree`` a
 pair's embedded distance depends only on its depth triple (a, b, s), so
@@ -35,7 +39,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .sparse import vertex_rows
+from .sparse import csr_matrices, vertex_rows
 from .tree import RootedTree
 from .weights import WeightFunction, deficit_constant, diff_sq_tail_bound
 
@@ -46,16 +50,20 @@ EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
 # Pairs (u, v) per block of the all-pairs Gram route (_sq_distance_blocks),
 # which takes max(1, BLOCK_ENTRIES // n) rows u at a time.
 BLOCK_ENTRIES = 1 << 18
-# Pairs per chunk of row-wise dot products in _grouped_pairs.
-PAIR_CHUNK = 8192
-# Unit-weight nnz plus dense entries per chunk of vertex rows in
-# _stratified_pairs; each chunk takes one product per weight.
-CHUNK_ENTRIES = 1 << 20
+# Entries per length-padded chunk of target rows, and terms per block of
+# pairs, in _pair_sq_distances.
+CHUNK_ENTRIES = 1 << 18
 # Bytes the stratified sampler may hold: CANDIDATE_BYTES per (source,
-# vertex) candidate (int32 distance, float64 embedded distance, masks,
-# flat index, int32 sort key, int64 order and the sort's buffer) plus
-# its unit and w source rows, dense and float64.
-CANDIDATE_BYTES = 40
+# vertex) candidate (its mask, its 16-bit distance, the int64 order and
+# the radix sort's buffer, or the int32 distances before them),
+# PAIR_BYTES per drawn pair (its ends, distance and embedded distance,
+# and the pair kernel's orders), SOURCE_KEY_BYTES per source and key (a
+# dense float64 row and an int8 indicator), and ENTRY_BYTES per entry of
+# one chunk of rows or of pair terms.
+CANDIDATE_BYTES = 20
+PAIR_BYTES = 96
+SOURCE_KEY_BYTES = 9
+ENTRY_BYTES = 40
 SAMPLER_BUDGET = 3 << 30
 
 
@@ -269,112 +277,178 @@ def _tree_entries(tree: RootedTree, w: WeightFunction):
     return acc.entries()
 
 
-def _grouped_pairs(space, w: WeightFunction, us, vs) -> np.ndarray:
-    """Squared embedded distances for explicit pairs, aligned with the
-    input pair order. The distinct first endpoints give one source
-    matrix; second endpoints stream through in target order, PAIR_CHUNK
-    pairs at a time, each chunk building the matrix of its own distinct
-    targets only."""
-    sources, src_row = np.unique(us, return_inverse=True)
-    src = space.embedding_matrix(w, sources)
-    src_norms = sq_row_norms(src)
+def _path_lengths(space, vertices) -> np.ndarray:
+    """The keys on each vertex's path: summed over the factors of a
+    product."""
+    factors = getattr(space, "factors", [space])
+    coords = np.unravel_index(vertices, [f.vertex_count for f in factors])
+    return sum(f.forest().length[c] for f, c in zip(factors, coords))
+
+
+def _key_count(space) -> int:
+    """Keys of ``space``: of all its factors, if it is a product."""
+    return sum(f.forest().key_count for f in getattr(space, "factors", [space]))
+
+
+def _runs(lengths, limit: int):
+    """Bounds (lo, hi) of consecutive runs of the ascending ``lengths``
+    whose last length times their size is at most ``limit``, or of one
+    item that alone exceeds it."""
+    lo = 0
+    while lo < len(lengths):
+        size = min(max(1, limit // max(1, int(lengths[lo]))), len(lengths) - lo)
+        fits = lengths[lo:lo + size] * np.arange(1, size + 1) <= limit
+        hi = lo + max(1, int(np.count_nonzero(fits)))
+        yield lo, hi
+        lo = hi
+
+
+def _padded(ptr, *arrays) -> list[np.ndarray]:
+    """The rows of a CSR triple as J x R blocks, one per array of entries,
+    J the longest row: column r holds row r's entries in order, then
+    zeros."""
+    counts = np.diff(ptr)
+    shape = (counts.max(initial=0), len(counts))
+    # entry i of row r goes to (i - ptr[r]) * R + r
+    at = np.arange(len(arrays[0])) * shape[1]
+    at -= (ptr[:-1] * shape[1] - np.arange(shape[1])).repeat(counts)
+    blocks = []
+    for values in arrays:
+        block = np.zeros(shape, dtype=values.dtype)
+        block.ravel()[at] = values
+        blocks.append(block)
+    return blocks
+
+
+def _in_order_sums(block) -> np.ndarray:
+    """Column sums of a J x R block, added one row at a time from 0, as a
+    scalar loop (and scipy's sparse x dense product) adds them; numpy's
+    own sums may add in pairs."""
+    sums = np.zeros(block.shape[1])
+    for row in block:
+        sums += row
+    return sums
+
+
+def _pair_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
+    """Squared embedded distances of the pairs (us[i], vs[i]), computed for
+    these pairs only. The distinct first ends' rows are held dense. The
+    second ends are taken in order of path length, in chunks whose rows,
+    padded to the longest, hold at most CHUNK_ENTRIES entries, and their
+    pairs in blocks of at most CHUNK_ENTRIES terms.
+
+    Each dot sums value x dense source value over the target's row in
+    ascending key order, one term at a time (``_in_order_sums``), and so
+    does each norm. A zero term (padding, or a key the source lacks) adds
+    exactly 0, so every (-2 v.s) + (|v|^2 + |s|^2) is bit for bit what the
+    CSR rows' product with the dense sources gives, and coinciding vectors
+    give exactly 0."""
+    sources, src_of = np.unique(us, return_inverse=True)
+    key_count = _key_count(space)
+    s_ptr, s_keys, (s_data,) = space.embedding_rows([w], sources)
+    dense = np.zeros((len(sources), key_count))
+    dense[np.arange(len(sources)).repeat(np.diff(s_ptr)), s_keys] = s_data
+    dense = dense.ravel()
+    s_sq = _in_order_sums(np.square(*_padded(s_ptr, s_data)))
+    targets, tgt_of = np.unique(vs, return_inverse=True)
+    lengths = _path_lengths(space, targets)
+    by_len = np.argsort(lengths, kind="stable")
+    targets, lengths = targets[by_len], lengths[by_len]
+    tgt_of = np.argsort(by_len)[tgt_of]
+    by_target = np.argsort(tgt_of, kind="stable")
+    tgt_of = tgt_of[by_target]
     emb_sq = np.empty(len(us))
-    by_target = np.argsort(vs, kind="stable")
-    for start in range(0, len(us), PAIR_CHUNK):
-        chunk = by_target[start:start + PAIR_CHUNK]
-        targets, b = np.unique(vs[chunk], return_inverse=True)
-        tgt = space.embedding_matrix(w, targets)
-        a = src_row[chunk]
-        dots = np.asarray(src[a].multiply(tgt[b]).sum(axis=1)).ravel()
-        emb_sq[chunk] = src_norms[a] + sq_row_norms(tgt)[b] - 2.0 * dots
+    for lo, hi in _runs(lengths, CHUNK_ENTRIES):
+        t_ptr, t_keys, (t_data,) = space.embedding_rows([w], targets[lo:hi])
+        values, keys = _padded(t_ptr, t_data, t_keys)
+        del t_ptr, t_keys, t_data
+        t_sq = _in_order_sums(np.square(values))
+        first, stop = np.searchsorted(tgt_of, [lo, hi])
+        block = max(1, CHUNK_ENTRIES // max(1, len(values)))
+        for at in range(first, stop, block):
+            pairs = by_target[at:min(at + block, stop)]
+            b = tgt_of[at:at + len(pairs)] - lo
+            a = src_of[pairs]
+            terms = keys[:, b] + a * key_count
+            terms = dense[terms]
+            terms *= values[:, b]
+            dots = _in_order_sums(terms)
+            del terms
+            dots *= -2.0
+            dots += t_sq[b] + s_sq[a]
+            emb_sq[pairs] = dots
+        del values, keys  # before the next chunk's rows are built
     return emb_sq
 
 
-def _stratified_plan(space, count: int) -> int:
-    """The stratified sampler's source count S; raises BudgetExceededError
-    if its S x n candidates and its dense source rows (S x K each, K the
-    key count) would take more than SAMPLER_BUDGET bytes."""
+def _stratified_need(space, count: int) -> tuple[int, int]:
+    """The stratified sampler's source count S and the bytes it may hold:
+    its S x n candidates, the pairs it may draw (``count`` per distance, at
+    most S x n), its dense source rows and key indicators (S x K, K the key
+    count) and one chunk of pair entries."""
     n = space.vertex_count
     n_sources = min(n, max(16, math.isqrt(4 * count)))
-    key_count = sum(f.forest().key_count for f in getattr(space, "factors", [space]))
-    need = n_sources * (n * CANDIDATE_BYTES + 2 * key_count * 8)
+    factors = getattr(space, "factors", [space])
+    # no two vertices lie further apart than twice the longest path
+    longest = sum(int(f.forest().length.max()) for f in factors)
+    pairs = min(n_sources * n, count * 2 * longest)
+    return n_sources, (n_sources * n * CANDIDATE_BYTES + pairs * PAIR_BYTES
+                       + n_sources * _key_count(space) * SOURCE_KEY_BYTES
+                       + CHUNK_ENTRIES * ENTRY_BYTES)
+
+
+def _stratified_plan(space, count: int) -> int:
+    """The stratified sampler's source count S; raises BudgetExceededError,
+    before anything is allocated, if ``_stratified_need`` is over
+    SAMPLER_BUDGET bytes."""
+    n_sources, need = _stratified_need(space, count)
     if need > SAMPLER_BUDGET:
         raise BudgetExceededError(
             f"stratified:{count} needs {need} bytes for {n_sources} sources x "
-            f"{n} vertices, over the budget of {SAMPLER_BUDGET} bytes")
+            f"{space.vertex_count} vertices, over the budget of {SAMPLER_BUDGET} bytes")
     return n_sources
-
-
-def _row_chunks(space, n_sources: int):
-    """Bounds (lo, hi) of consecutive chunks of the vertex rows 0..n-1:
-    each chunk's unit-weight nnz (the keys on its vertices' paths) plus
-    n_sources dense entries per row stay within CHUNK_ENTRIES, unless the
-    chunk is a single row."""
-    factors = getattr(space, "factors", [space])
-    coords = np.unravel_index(np.arange(space.vertex_count),
-                              [f.vertex_count for f in factors])
-    cost = np.cumsum(sum(f.forest().length[c] for f, c in zip(factors, coords))
-                     + n_sources)
-    cuts = np.searchsorted(cost, np.arange(CHUNK_ENTRIES, cost[-1], CHUNK_ENTRIES))
-    bounds = np.unique(np.concatenate(([0], cuts, [space.vertex_count])))
-    return itertools.pairwise(bounds.tolist())
-
-
-def _stored_order_norms(mat: sp.csr_matrix) -> np.ndarray:
-    """Squared row norms summed in stored key order, as ``mat @ dense``
-    sums each row's dot products."""
-    return mat.power(2) @ np.ones(mat.shape[1])
-
-
-def _sq_distances_to(mat: sp.csr_matrix, src_t, src_norms) -> np.ndarray:
-    """Squared embedded distances of the rows of ``mat`` (one per row) to
-    the sources, held as a dense K x S block and their squared norms."""
-    d2 = mat @ src_t
-    d2 *= -2.0  # in place, bit for bit (|v|^2 + |s|^2) - 2 v.s
-    d2 += _stored_order_norms(mat)[:, None] + src_norms[None, :]
-    return d2
 
 
 def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
     """Pairs (us, vs) from a few random sources, at most ``count`` per
     distance, with their distances ts and squared embedded distances.
 
-    Every (source, vertex) candidate's |s|^2 + |v|^2 - 2 v.s comes from
-    one sparse x dense product per chunk of vertex rows and weight, against
-    the sources' rows held dense. All three terms sum the same products in
-    the rows' stored key order, so two coinciding vectors give exactly 0;
-    at unit weight they sum 0/1 products, so t is exact."""
+    Every (source, vertex) candidate's distance is read off the cube-path
+    forests (``forest_distances``), with no embedding rows; once the pairs
+    are drawn, ``_pair_sq_distances`` embeds only them."""
     n = space.vertex_count
     n_sources = _stratified_plan(space, sampler.count)
     rng = np.random.default_rng(sampler.seed)
     sources = np.sort(rng.choice(n, size=n_sources, replace=False))
-    unit = WeightFunction.unit()
-    blocks = [(np.ascontiguousarray(src.T.toarray()), _stored_order_norms(src))
-              for src in space.embedding_matrices((unit, w), sources)]
-    ts = np.empty((n_sources, n), dtype=np.int32)
-    emb_sq = np.empty((n_sources, n))
-    for lo, hi in _row_chunks(space, n_sources):
-        unit_rows, w_rows = space.embedding_matrices((unit, w), np.arange(lo, hi))
-        ts[:, lo:hi] = np.rint(_sq_distances_to(unit_rows, *blocks[0])).T
-        emb_sq[:, lo:hi] = _sq_distances_to(w_rows, *blocks[1]).T
-        del unit_rows, w_rows  # before the next chunk's walk allocates
-    del blocks
+    dist = space.forest_distances(sources)
     # every target at positive distance, except mirrored source-source pairs
     rank = np.full(n, n_sources)
     rank[sources] = np.arange(n_sources)
-    flat = np.flatnonzero((ts > 0) & (rank[None, :] > np.arange(n_sources)[:, None]))
-    ct = ts.ravel()[flat]
-    del ts
+    keep = dist > 0
+    keep &= rank[None, :] > np.arange(n_sources)[:, None]
+    ct = dist[keep]  # in (source, vertex) order
+    del dist
+    if ct.max(initial=0) < 2**15:
+        ct = ct.astype(np.int16)  # the stable argsort radix-sorts 16-bit keys
     order = np.argsort(ct, kind="stable")
-    picks = []
-    for idx in np.split(order, np.flatnonzero(np.diff(ct[order])) + 1):
-        if len(idx) > sampler.count:
-            idx = rng.choice(idx, size=sampler.count, replace=False)
-        picks.append(idx)
+    picks = [rng.choice(idx, size=sampler.count, replace=False)
+             if len(idx) > sampler.count else idx
+             for idx in np.split(order, np.flatnonzero(np.diff(ct[order])) + 1)]
     sel = np.concatenate(picks)
-    cand = flat[sel]
-    return (sources[cand // n], cand % n, ct[sel].astype(np.int64),
-            emb_sq.ravel()[cand])
+    del order, picks  # the picks are views of the order
+    ts = ct[sel].astype(np.int64)
+    del ct  # before the pairs are embedded
+    # candidate k is the (k - starts[i])-th kept vertex of source i
+    counts = np.count_nonzero(keep, axis=1)
+    starts = np.cumsum(counts) - counts
+    row = np.searchsorted(starts, sel, side="right") - 1
+    vs = np.empty(len(sel), dtype=np.int64)
+    for i in range(n_sources):
+        mine = np.flatnonzero(row == i)
+        vs[mine] = np.flatnonzero(keep[i])[sel[mine] - starts[i]]
+    us = sources[row]
+    del keep, sel, row
+    return us, vs, ts, _pair_sq_distances(space, w, us, vs)
 
 
 def _draw_pairs(n: int, sampler: PairSampler):
@@ -395,11 +469,22 @@ def _draw_pairs(n: int, sampler: PairSampler):
     return held // n, held % n
 
 
+def _uniform_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
+    """``_pair_sq_distances`` of pairs sorted by first end, taken
+    max(1, CHUNK_ENTRIES // K) distinct first ends at a time, so the dense
+    rows stay within CHUNK_ENTRIES entries."""
+    per_call = max(1, CHUNK_ENTRIES // _key_count(space))
+    firsts = np.flatnonzero(np.diff(us, prepend=-1))[::per_call]
+    return np.concatenate([
+        _pair_sq_distances(space, w, us[lo:hi], vs[lo:hi])
+        for lo, hi in itertools.pairwise([*firsts.tolist(), len(us)])])
+
+
 def _uniform_pairs(space, sampler: PairSampler):
     """``count`` distinct random pairs (us, vs) and their distances ts,
     read off the unit-weight rows like the exhaustive route's t."""
     us, vs = _draw_pairs(space.vertex_count, sampler)
-    unit_sq = _grouped_pairs(space, WeightFunction.unit(), us, vs)
+    unit_sq = _uniform_sq_distances(space, WeightFunction.unit(), us, vs)
     return us, vs, np.rint(unit_sq).astype(np.int64)
 
 
@@ -423,7 +508,7 @@ def profile(
             _, _, ts, emb_sq = _stratified_pairs(space, w, sampler)
         else:
             us, vs, ts = _uniform_pairs(space, sampler)
-            emb_sq = _grouped_pairs(space, w, us, vs)
+            emb_sq = _uniform_sq_distances(space, w, us, vs)
         entries = _entries_from_pairs(ts, np.sqrt(np.clip(emb_sq, 0.0, None)))
     else:
         raise ValueError(f"unknown sampler mode {sampler.mode!r}")
@@ -570,13 +655,22 @@ class ProductSpace:
         """Sum of the factor distances: one ``distances_from`` call per
         factor on its distinct source coordinates, read off at every
         vertex's coordinate in that factor."""
+        return self._factor_sum(sources, lambda f, s: f.distances_from(s))
+
+    def forest_distances(self, sources) -> np.ndarray:
+        """``distances_from`` read off the factors' forests, int32."""
+        return self._factor_sum(sources, lambda f, s: f.forest_distances(s))
+
+    def _factor_sum(self, sources, block) -> np.ndarray:
+        """Sum over the factors of ``block(factor, distinct source
+        coordinates)``, each row read at every vertex's coordinate."""
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
         src = np.unravel_index(sources, self.sizes)
         cols = np.unravel_index(np.arange(self.vertex_count), self.sizes)
-        out = np.zeros((len(sources), self.vertex_count))
+        out = 0
         for f, s, c in zip(self.factors, src, cols):
             distinct, row = np.unique(s, return_inverse=True)
-            out += f.distances_from(distinct)[np.ix_(row, c)]
+            out = out + block(f, distinct)[np.ix_(row, c)]
         return out
 
     def embedding_matrix(self, w: WeightFunction, rows) -> sp.csr_matrix:
@@ -588,11 +682,29 @@ class ProductSpace:
     def embedding_matrices(self, weights, rows) -> list[sp.csr_matrix]:
         """``embedding_matrix(w, rows)`` for each of ``weights``, from one
         walk per factor."""
-        import scipy.sparse as sp  # slow to import, so only callers pay for it
+        return csr_matrices(*self.embedding_rows(weights, rows), _key_count(self))
 
+    def embedding_rows(self, weights, rows):
+        """``embedding_matrices(weights, rows)`` as one numpy CSR triple
+        (indptr, indices, [data per weight]): each row is its factor rows
+        one after another, each shifted to its factor's offset, so its keys
+        stay ascending."""
         coords = np.unravel_index(vertex_rows(rows, self.vertex_count), self.sizes)
-        blocks = [f._embed(weights, c) for f, c in zip(self.factors, coords)]
-        return [sp.hstack(row, format="csr") for row in zip(*blocks)]
+        parts = [f._rows(weights, c) for f, c in zip(self.factors, coords)]
+        counts = [np.diff(ptr) for ptr, _, _ in parts]
+        indptr = np.zeros(len(counts[0]) + 1, dtype=np.int64)
+        np.cumsum(sum(counts), out=indptr[1:])
+        idx = np.int32 if max(_key_count(self), indptr[-1]) < 2**31 else np.int64
+        indices = np.empty(indptr[-1], dtype=idx)
+        data = [np.empty(indptr[-1]) for _ in weights]
+        fill = indptr[:-1].copy()
+        for (ptr, keys, values), count, offset in zip(parts, counts, self.offsets):
+            dst = np.arange(len(keys)) + (fill - ptr[:-1]).repeat(count)
+            indices[dst] = keys + offset
+            for d, v in zip(data, values):
+                d[dst] = v
+            fill += count
+        return indptr, indices, data
 
 
 def l1_l2_compare(k: int, distances: Sequence[float]) -> tuple[float, float]:

@@ -9,11 +9,14 @@ median graph's hyperplane has its class id as its key. These are the keys
 ``medembed embed`` prints. A product of spaces places each factor's keys
 at an explicit offset, so the factor blocks are disjoint.
 
-``embedding_matrix(w, rows)`` is the one way to embed. Its walk costs a
-few array operations per path step, whatever the number of rows, so
-collect the rows and make one call; ``embedding_matrices(weights, rows)``
-takes the same rows at several weights from one walk. ``vectors`` hands
-the rows to ``fsum``.
+``embedding_rows(weights, rows)`` is the one way to embed: numpy CSR
+triples (``PathForest.rows``), the rows at several weights from one walk.
+Its walk costs a few array operations per path step, whatever the number
+of rows, so collect the rows and make one call. ``embedding_matrix`` and
+``embedding_matrices`` wrap the triples in scipy CSR matrices (imported
+only there), and ``vectors`` hands either to ``fsum``. A space's forest
+also gives the graph distances from a few sources to every vertex
+(``PathForest.distances``) with no BFS and no embedding.
 """
 
 from __future__ import annotations
@@ -75,12 +78,15 @@ class SparseVector:
         return keys[order], vals[order]
 
 
-def vectors(mat: sp.csr_matrix) -> list[SparseVector]:
-    """The rows of a CSR matrix, such as ``embedding_matrix(w, rows)``,
-    as SparseVectors for the ``fsum`` routines."""
-    indices, data = mat.indices.tolist(), mat.data.tolist()
+def vectors(rows) -> list[SparseVector]:
+    """Embedding rows as SparseVectors for the ``fsum`` routines: a CSR
+    matrix such as ``embedding_matrix(w, rows)``, or a CSR triple
+    (indptr, indices, data) such as one weight's ``embedding_rows``."""
+    if hasattr(rows, "indptr"):
+        rows = rows.indptr, rows.indices, rows.data
+    indptr, indices, data = (a.tolist() for a in rows)
     return [SparseVector(dict(zip(indices[lo:hi], data[lo:hi])))
-            for lo, hi in itertools.pairwise(mat.indptr.tolist())]
+            for lo, hi in itertools.pairwise(indptr)]
 
 
 def vec_distance(a: SparseVector, b: SparseVector) -> float:
@@ -137,59 +143,130 @@ class PathForest:
         return table
 
     def matrix(self, rows, table) -> sp.csr_matrix:
-        """Row r holds ``table[i]`` on every key that the path of
-        ``rows[r]`` crosses at step i; zeros are dropped."""
+        """``rows(rows, [table])`` as a CSR matrix."""
         return self.matrices(rows, [table])[0]
 
     def matrices(self, rows, tables) -> list[sp.csr_matrix]:
-        """``matrix(rows, table)`` for each of ``tables``, from one walk.
+        """``rows(rows, tables)`` as one CSR matrix per table."""
+        return csr_matrices(*self.rows(rows, tables), self.key_count)
 
-        All rows walk in lockstep, one step per round, writing each key's
-        step into arrays sized from ``length`` up front. The rows are
-        sorted by key once, and each table is read at the sorted steps.
+    def rows(self, rows, tables) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Row r holds ``table[i]`` on every key that the path of
+        ``rows[r]`` crosses at step i, for each of ``tables``: one CSR
+        triple (indptr, indices, [data per table]), keys ascending within
+        each row, with no entry at a step that is zero in every table.
+        numpy only.
+
+        All rows walk in lockstep, one step per round, recording the
+        vertex each row leaves at every step that some table weighs. Then
+        the recorded steps' keys are packed as (row, key, step) into one
+        int64 each and sorted at once, which groups the entries by row and
+        orders each row by key; each table is read at the unpacked steps.
         """
-        import scipy.sparse as sp  # slow to import, so only callers pay for it
-
         rows = np.asarray(rows, dtype=np.int64)
+        top = int(self.length[rows].max(initial=0))
+        step_bits, key_bits = top.bit_length(), max(self.key_count - 1, 1).bit_length()
+        weighed = np.full(top + 1, not tables)
+        for table in tables:
+            weighed |= table[:top + 1] != 0.0
+        left, who, steps = [], [], []
+        live = np.flatnonzero(rows != self.root)
+        at = rows[live]
+        for step in range(1, top + 1):
+            if weighed[step]:
+                left.append(at)
+                who.append(live)
+                steps.append(step)
+            at = self.exit[at]
+            # rows that arrived stay at the root, which crosses no key, and
+            # are dropped every few steps
+            if step % 8 == 0:
+                more = at != self.root
+                at, live = at[more], live[more]
+                if not len(live):
+                    break
+        blocks = [len(a) for a in left]
+        left = np.concatenate(left or [rows[:0]])
+        first = self.step_ptr[left]
+        count = self.step_ptr[left + 1] - first
+        del left
+        who = np.concatenate(who or [rows[:0]])
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(self.length[rows], out=indptr[1:])
+        per_row = np.bincount(who, weights=count, minlength=len(rows))
+        np.cumsum(per_row.astype(np.int64), out=indptr[1:])
+        # rows sort in groups whose ids fit beside the key and the step
+        group = 1 << max(0, 63 - key_bits - step_bits)
+        tags = (who & (group - 1)) << (key_bits + step_bits)
+        del who
+        tags |= np.repeat(np.array(steps, dtype=np.int64), blocks)
+        packed = self.step_keys[ranges(first, count)].astype(np.int64, copy=False)
+        packed <<= step_bits
+        packed |= tags.repeat(count)
+        del first, count, tags
+        for lo in range(0, len(rows), group):
+            packed[indptr[lo]:indptr[min(lo + group, len(rows))]].sort()
+        at_step = packed & ((1 << step_bits) - 1)
+        packed >>= step_bits
+        packed &= (1 << key_bits) - 1
         idx = np.int32 if max(self.key_count, indptr[-1]) < 2**31 else np.int64
-        indices = np.empty(indptr[-1], dtype=idx)
-        steps = np.empty(indptr[-1], dtype=np.intp)  # table[steps] casts no index
-        at = rows.copy()
-        fill = indptr[:-1].copy()
-        live = np.flatnonzero(at != self.root)
-        step = 0
-        while len(live):
-            step += 1
-            x = at[live]
+        indices = packed.astype(idx)
+        del packed
+        return indptr, indices, [table[at_step] for table in tables]
+
+    def distances(self, sources) -> np.ndarray:
+        """Graph distance from each of ``sources`` to every vertex, as an
+        S x n int32 block: len(s) + len(v) - 2 shared(v, s), where shared
+        counts the keys on both paths, so this is the number of keys on
+        exactly one of them.
+
+        A vertex shares with s what its exit shares plus the keys of its
+        own step on s's path. So shared fills in level by level of
+        ``length``, for all S sources at once, from a K x S indicator of
+        the sources' keys.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        n, n_sources = len(self.exit), len(sources)
+        indptr, indices, _ = self.rows(sources, [])
+        on_path = np.zeros((self.key_count, n_sources), dtype=np.int8)
+        on_path[indices, np.arange(n_sources).repeat(np.diff(indptr))] = 1
+        shared = np.zeros((n, n_sources), dtype=np.int32)
+        by_level = np.argsort(self.length, kind="stable")
+        level_at = np.searchsorted(self.length[by_level],
+                                   np.arange(int(self.length.max(initial=0)) + 2))
+        for lo, hi in itertools.pairwise(level_at[1:].tolist()):
+            x = by_level[lo:hi]
             first = self.step_ptr[x]
             count = self.step_ptr[x + 1] - first
-            offset = np.arange(int(count.sum())) - np.repeat(
-                np.cumsum(count) - count, count)
-            dst = np.repeat(fill[live], count) + offset
-            indices[dst] = self.step_keys[np.repeat(first, count) + offset]
-            steps[dst] = step
-            fill[live] += count
-            at[live] = self.exit[x]
-            live = live[at[live] != self.root]
-        shape = (len(rows), self.key_count)
-        walk = sp.csr_matrix((steps, indices, indptr.astype(idx, copy=False)),
-                             shape=shape)
-        walk.sort_indices()
-        mats = []
-        for i, table in enumerate(tables):
-            # dropping zeros compacts the index arrays in place: copy them
-            # for every table but the last
-            share = i == len(tables) - 1
-            mat = sp.csr_matrix((table[walk.data],
-                                 walk.indices if share else walk.indices.copy(),
-                                 walk.indptr if share else walk.indptr.copy()),
-                                shape=shape)
-            mat.has_sorted_indices = True
-            mat.eliminate_zeros()
-            mats.append(mat)
-        return mats
+            own = np.add.reduceat(on_path[self.step_keys[ranges(first, count)]],
+                                  np.cumsum(count) - count, axis=0, dtype=np.int32)
+            shared[x] = shared[self.exit[x]] + own
+        dist = np.ascontiguousarray(shared.T)
+        del shared
+        dist *= -2
+        dist += self.length.astype(np.int32)
+        dist += self.length[sources, None].astype(np.int32)
+        return dist
+
+
+def csr_matrices(indptr, indices, data, key_count: int) -> list[sp.csr_matrix]:
+    """A CSR triple with one data array per table, as ``PathForest.rows``
+    gives it, as one CSR matrix per table, each with its own zeros
+    dropped."""
+    import scipy.sparse as sp  # slow to import, so only callers pay for it
+
+    indptr = indptr.astype(indices.dtype)
+    shape = (len(indptr) - 1, key_count)
+    mats = []
+    for i, d in enumerate(data):
+        # dropping zeros compacts the index arrays in place: copy them
+        # for every table but the last
+        share = i == len(data) - 1
+        mat = sp.csr_matrix((d, indices if share else indices.copy(),
+                             indptr if share else indptr.copy()), shape=shape)
+        mat.has_sorted_indices = True
+        mat.eliminate_zeros()
+        mats.append(mat)
+    return mats
 
 
 def ranges(starts, counts) -> np.ndarray:
@@ -324,6 +401,12 @@ class Graph:
         d = csgraph.dijkstra(self._csr, unweighted=True, indices=sources)
         return np.atleast_2d(d)
 
+    def forest_distances(self, sources) -> np.ndarray:
+        """Graph distances from the given vertices to every vertex, read off
+        the cube-path forest (``PathForest.distances``): numpy only, and
+        what the samplers use."""
+        return self.forest().distances(vertex_rows(sources, self.n))
+
     def embedding_matrix(self, w, rows) -> sp.csr_matrix:
         """CSR rows of the embedding of ``rows``; column k is key k. A row
         outside 0..n-1 raises ValueError("unknown vertex v")."""
@@ -332,9 +415,15 @@ class Graph:
     def embedding_matrices(self, weights, rows) -> list[sp.csr_matrix]:
         """``embedding_matrix(w, rows)`` for each of ``weights``, from one
         walk of the rows' paths."""
-        return self._embed(weights, vertex_rows(rows, self.n))
+        return csr_matrices(*self.embedding_rows(weights, rows),
+                            self.forest().key_count)
 
-    def _embed(self, weights, rows: np.ndarray) -> list[sp.csr_matrix]:
-        """``embedding_matrices`` of rows already checked to be vertices."""
+    def embedding_rows(self, weights, rows):
+        """``embedding_matrices(weights, rows)`` as the numpy CSR triple
+        (indptr, indices, [data per weight]) of ``PathForest.rows``."""
+        return self._rows(weights, vertex_rows(rows, self.n))
+
+    def _rows(self, weights, rows: np.ndarray):
+        """``embedding_rows`` of rows already checked to be vertices."""
         forest = self.forest()
-        return forest.matrices(rows, [forest.weight_table(w) for w in weights])
+        return forest.rows(rows, [forest.weight_table(w) for w in weights])

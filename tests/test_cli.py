@@ -172,18 +172,25 @@ SCIPY_GUARD = (
     (("verify", "--suite", "normalpath", "--space", "grid.json"),
      "scipy.sparse"),
     (("measure", "--space", "grid.json", "--sampler", "stratified:5",
-      "--seed", "1", "-o", "grid.csv"), "scipy.sparse"),
+      "--seed", "1", "-o", "grid.csv"), None),
     (("measure", "--space", "tree.json", "--sampler", "stratified:5",
-      "--seed", "1", "-o", "tree.csv"), "scipy.sparse"),
+      "--seed", "1", "-o", "tree.csv"), None),
+    (("measure", "--space", "grid.json", "--sampler", "uniform:50",
+      "--seed", "1", "-o", "grid.csv"), None),
+    (("measure", "--space", "tree.json", "--sampler", "uniform:50",
+      "--seed", "1", "-o", "tree.csv"), None),
+    (("embed", "--space", "grid.json", "--vertex", "7"), None),
 ], ids=["import", "generate-tree", "measure-tree", "verify-lemma",
         "verify-lemma-chunked", "report",
         "generate-grid", "generate-staircase", "generate-from-tree",
         "generate-tree-product", "measure-grid", "verify-normalpath",
-        "measure-grid-stratified", "measure-tree-stratified"])
+        "measure-grid-stratified", "measure-tree-stratified",
+        "measure-grid-uniform", "measure-tree-uniform", "embed-grid"])
 def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
-    # scipy takes most of a CLI process's start-up; tree commands and the
-    # median-graph generators build no sparse matrix and run no csgraph BFS
-    # (the base vertex's BFS row is numpy), so they should not pay for it
+    # scipy takes most of a CLI process's start-up; tree commands, the
+    # median-graph generators, the samplers and embed build no sparse matrix
+    # and run no csgraph BFS (the base vertex's BFS row, the forests' rows
+    # and distances are numpy), so they should not pay for it
     run(capsys, "generate", "--space", "binary-sample", "--depth", "30",
         "--rays", "6", "--seed", "42", "-o", str(tmp_path / "tree.json"))
     run(capsys, "generate", "--space", "grid", "--dims", "4x4",
@@ -202,9 +209,8 @@ def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
         assert loaded == []
     else:
         assert loads in loaded
-    if argv[:3] == ("verify", "--suite", "normalpath") or "stratified:5" in argv:
-        # the walks and the forest read the base vertex's numpy BFS row, and
-        # the stratified sampler reads distances off the embedding's rows
+    if argv[:3] == ("verify", "--suite", "normalpath"):
+        # the walks and the forest read the base vertex's numpy BFS row
         assert "scipy.sparse.csgraph" not in loaded
 
 
@@ -219,12 +225,12 @@ def test_measure_stratified_over_budget_exits_2(tmp_path, capsys, monkeypatch):
                             "--sampler", "stratified:5", "--seed", "1",
                             "-o", str(out))
     assert code == 2 and stdout == "" and not out.exists()
-    assert err == ("error: stratified:5 needs 18048 bytes for 16 sources x 25 "
+    assert err == ("error: stratified:5 needs 10502592 bytes for 16 sources x 25 "
                    "vertices, over the budget of 1000 bytes\n")
 
 
 def test_measure_out_of_memory_exits_2(tmp_path, capsys):
-    # stratified:10000000 on grid 100x100 plans 2.58 GB, within the sampler's
+    # stratified:1000000 on grid 100x100 plans 2.38 GB, within the sampler's
     # budget; capped at 700 MB of address space, the process cannot allocate
     # its candidate arrays
     resource = pytest.importorskip("resource")
@@ -243,7 +249,7 @@ def test_measure_out_of_memory_exits_2(tmp_path, capsys):
         env[var] = "1"  # one BLAS thread: its buffers count against the cap
     res = subprocess.run(
         [sys.executable, "-m", "medembed.cli", "measure", "--space", "g.json",
-         "--sampler", "stratified:10000000", "--seed", "1", "-o", "p.csv"],
+         "--sampler", "stratified:1000000", "--seed", "1", "-o", "p.csv"],
         cwd=tmp_path, env=env, capture_output=True, text=True,
         preexec_fn=cap_address_space)
     assert res.returncode == 2, res.stderr

@@ -171,9 +171,12 @@ def test_exhaustive_profile_runs_without_bfs(monkeypatch):
     assert exh_ts[0] == list(range(1, 13))  # spider(3, 6)
 
 
-def test_grouped_pair_evaluator_matches_bruteforce():
-    from medembed.metrics import _grouped_pairs, _stratified_pairs, _uniform_pairs
+def test_pair_sq_distances_match_bruteforce(monkeypatch):
+    # the pair kernel of both samplers against fsum, with the uniform
+    # sampler's source blocks and the kernel's chunks a few rows each
+    from medembed.metrics import _stratified_pairs, _uniform_pairs, _uniform_sq_distances
 
+    monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 60)
     cases = [
         (gen_cube(CubeSpec.grid(8, 7)), UNIT),
         # paper weight on a spider: sources near the root embed to zero,
@@ -188,7 +191,7 @@ def test_grouped_pair_evaluator_matches_bruteforce():
         us, vs, ts = _uniform_pairs(space, PairSampler.uniform(80, seed=6))
         for us, vs, ts, emb_sq in (
             _stratified_pairs(space, w, PairSampler.stratified(7, seed=5)),
-            (us, vs, ts, _grouped_pairs(space, w, us, vs)),
+            (us, vs, ts, _uniform_sq_distances(space, w, us, vs)),
         ):
             emb = np.sqrt(np.clip(emb_sq, 0.0, None))
             for u, v, t, e in zip(us, vs, ts, emb):
@@ -271,6 +274,85 @@ def test_stratified_pairs_of_zero_vectors_are_exactly_zero():
     for count in (1, 7, 1000):
         *_, emb_sq = _stratified_pairs(grid, PAPER, PairSampler.stratified(count, 5))
         assert len(emb_sq) and (emb_sq == 0.0).all()
+
+
+def _scipy_stratified_pairs(space, w, sampler):
+    # the stratified sampler as it read every candidate's t and emb^2 off
+    # scipy's products of all vertex rows with the sources' rows held
+    # dense, each norm summed in stored key order like the dots
+    n = space.vertex_count
+    rng = np.random.default_rng(sampler.seed)
+    n_sources = min(n, max(16, math.isqrt(4 * sampler.count)))
+    sources = np.sort(rng.choice(n, size=n_sources, replace=False))
+    d2s = []
+    for mat, src in zip(space.embedding_matrices((UNIT, w), range(n)),
+                        space.embedding_matrices((UNIT, w), sources)):
+        d2 = mat @ np.ascontiguousarray(src.T.toarray())
+        d2 *= -2.0
+        d2 += ((mat.power(2) @ np.ones(mat.shape[1]))[:, None]
+               + (src.power(2) @ np.ones(src.shape[1]))[None, :])
+        d2s.append(d2.T)
+    ts, emb_sq = np.rint(d2s[0]).astype(np.int64), d2s[1]
+    rank = np.full(n, n_sources)
+    rank[sources] = np.arange(n_sources)
+    flat = np.flatnonzero((ts > 0) & (rank[None, :] > np.arange(n_sources)[:, None]))
+    ct = ts.ravel()[flat]
+    order = np.argsort(ct, kind="stable")
+    picks = []
+    for idx in np.split(order, np.flatnonzero(np.diff(ct[order])) + 1):
+        if len(idx) > sampler.count:
+            idx = rng.choice(idx, size=sampler.count, replace=False)
+        picks.append(idx)
+    sel = np.concatenate(picks)
+    cand = flat[sel]
+    return sources[cand // n], cand % n, ct[sel], emb_sq.ravel()[cand]
+
+
+def test_stratified_pairs_match_the_scipy_route(monkeypatch):
+    # t from the forests and emb^2 only at the drawn pairs give the same
+    # pairs and, bit for bit, the same squared distances as the products
+    # over every candidate; chunks of 100 entries split the targets' rows
+    # and the pairs' terms into many pieces
+    from medembed.metrics import _stratified_pairs
+
+    monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 100)
+    small = ((1, 3), (7, 5), (1000, 11), (None, 2))
+    cases = [
+        (gen_cube(CubeSpec.grid(8, 7)), UNIT),
+        (gen_cube(CubeSpec.grid(5, 9)), PAPER),
+        (gen_cube(CubeSpec.grid(3, 4, 3)), WeightFunction.power(0.3)),
+        (gen_cube(CubeSpec.staircase(7)), PAPER),
+        (gen_tree(TreeSpec.spider(3, 25)), PAPER),
+        (gen_tree(TreeSpec.binary_sample(20, 6, seed=3)), WeightFunction.power(0.3)),
+        (gen_cube(CubeSpec.from_tree(TreeSpec.binary_sample(12, 6, seed=5))), PAPER),
+        (gen_cube(CubeSpec.tree_product(TreeSpec.spider(3, 4), TreeSpec.path(6))),
+         PAPER),
+        (ProductSpace([gen_tree(TreeSpec.path(6)), gen_cube(CubeSpec.grid(2, 3))]),
+         PAPER),
+    ]
+    for space, w in cases:
+        n = space.vertex_count
+        for count, seed in small:
+            sampler = PairSampler.stratified(count or n * n, seed=seed)
+            got = _stratified_pairs(space, w, sampler)
+            want = _scipy_stratified_pairs(space, w, sampler)
+            for g, ref in zip(got[:3], want[:3]):
+                np.testing.assert_array_equal(g, ref)
+            np.testing.assert_array_equal(got[3].view(np.int64), want[3].view(np.int64))
+
+
+def test_stratified_pairs_stay_within_their_plan():
+    # the sampler's traced peak on grid 60x60 is within the bytes its plan
+    # checks against the budget, with few pairs drawn and with most
+    from medembed.metrics import _stratified_need, _stratified_pairs
+
+    grid = gen_cube(CubeSpec.grid(60, 60))
+    grid.forest()
+    for count in (1000, 5000):
+        _, planned = _stratified_need(grid, count)
+        peak = _traced_peak(
+            lambda: _stratified_pairs(grid, PAPER, PairSampler.stratified(count, 11)))
+        assert peak <= planned
 
 
 def test_stratified_budget_admits_the_benchmark_spaces():
