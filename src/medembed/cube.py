@@ -7,8 +7,7 @@ d(a,c)+d(b,d) != d(a,d)+d(b,c).
 Removing a class splits the graph into a near side (containing the base
 vertex) and a far side; for vertices, graph distance equals the number of
 classes separating them.  Those classes are stored once per vertex, as a
-packed bit row, and ``separators`` and ``separating_counts`` are the
-readers of the rows.
+packed bit row, and ``separators`` is the one reader of the rows.
 
 The classes (linked across squares, one level down), their sides and the
 cube paths all come from the levels of the base vertex's BFS row
@@ -284,15 +283,13 @@ class MedianGraph(Graph):
 
     def separating_counts(self, sources) -> np.ndarray:
         """Number of hyperplanes separating each source from each vertex,
-        a len(sources) x n block like ``distances_from``: the popcount of
-        the XOR of their ``hyperplanes()`` rows, 64 classes at a time."""
-        side = self.hyperplanes()
-        words = np.pad(side, ((0, 0), (0, -side.shape[1] % 8))).view(np.uint64)
+        a len(sources) x n block like ``distances_from``: a Gram of
+        separator rows, |S_u| + |S_v| - 2 S_u . S_v."""
+        sep = self.separators
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        counts = np.zeros((len(sources), self.n), dtype=np.int32)
-        for col in words.T:
-            counts += np.bitwise_count(col[sources, None] ^ col[None, :])
-        return counts
+        sizes = np.diff(sep.indptr)
+        gram = sep[sources].toarray() @ sep.T
+        return sizes[sources, None] + sizes[None, :] - 2 * gram
 
     @cached_property
     def dimension(self) -> int:

@@ -436,19 +436,25 @@ def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
              for idx in np.split(order, np.flatnonzero(np.diff(ct[order])) + 1)]
     sel = np.concatenate(picks)
     del order, picks  # the picks are views of the order
-    ts = ct[sel].astype(np.int64)
+    ts = ct[sel]  # widened once the pairs are embedded
     del ct  # before the pairs are embedded
-    # candidate k is the (k - starts[i])-th kept vertex of source i
+    # candidate k is the (k - starts[i])-th kept vertex of source i; the
+    # picks are grouped by source once, in one stable sort of their sources
     counts = np.count_nonzero(keep, axis=1)
     starts = np.cumsum(counts) - counts
     row = np.searchsorted(starts, sel, side="right") - 1
+    if n_sources < 2**15:
+        row = row.astype(np.int16)
+    by_row = np.argsort(row, kind="stable")
+    bounds = np.cumsum(np.bincount(row, minlength=n_sources))
     vs = np.empty(len(sel), dtype=np.int64)
-    for i in range(n_sources):
-        mine = np.flatnonzero(row == i)
+    for i, (lo, hi) in enumerate(itertools.pairwise([0, *bounds.tolist()])):
+        mine = by_row[lo:hi]
         vs[mine] = np.flatnonzero(keep[i])[sel[mine] - starts[i]]
     us = sources[row]
-    del keep, sel, row
-    return us, vs, ts, _pair_sq_distances(space, w, us, vs)
+    del keep, sel, row, by_row
+    emb_sq = _pair_sq_distances(space, w, us, vs)
+    return us, vs, ts.astype(np.int64), emb_sq
 
 
 def _draw_pairs(n: int, sampler: PairSampler):

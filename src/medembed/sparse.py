@@ -162,10 +162,14 @@ class PathForest:
         the recorded steps' keys are packed as (row, key, step) into one
         int64 each and sorted at once, which groups the entries by row and
         orders each row by key; each table is read at the unpacked steps.
+        ValueError if the row ids, keys and steps need more than 63 bits.
         """
         rows = np.asarray(rows, dtype=np.int64)
         top = int(self.length[rows].max(initial=0))
         step_bits, key_bits = top.bit_length(), max(self.key_count - 1, 1).bit_length()
+        if max(len(rows) - 1, 0).bit_length() + key_bits + step_bits > 63:
+            raise ValueError(f"{len(rows)} rows with {key_bits}-bit keys and "
+                             f"{step_bits}-bit steps do not fit one 63-bit sort key")
         weighed = np.full(top + 1, not tables)
         for table in tables:
             weighed |= table[:top + 1] != 0.0
@@ -194,17 +198,14 @@ class PathForest:
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         per_row = np.bincount(who, weights=count, minlength=len(rows))
         np.cumsum(per_row.astype(np.int64), out=indptr[1:])
-        # rows sort in groups whose ids fit beside the key and the step
-        group = 1 << max(0, 63 - key_bits - step_bits)
-        tags = (who & (group - 1)) << (key_bits + step_bits)
+        tags = who << (key_bits + step_bits)
         del who
         tags |= np.repeat(np.array(steps, dtype=np.int64), blocks)
         packed = self.step_keys[ranges(first, count)].astype(np.int64, copy=False)
         packed <<= step_bits
         packed |= tags.repeat(count)
         del first, count, tags
-        for lo in range(0, len(rows), group):
-            packed[indptr[lo]:indptr[min(lo + group, len(rows))]].sort()
+        packed.sort()
         at_step = packed & ((1 << step_bits) - 1)
         packed >>= step_bits
         packed &= (1 << key_bits) - 1

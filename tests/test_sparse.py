@@ -155,3 +155,16 @@ def test_embedding_matrices_match_a_walk_per_weight():
                 row = mat[r]
                 assert list(row.indices) == sorted(want)
                 assert dict(zip(row.indices.tolist(), row.data.tolist())) == want
+
+
+def test_rows_refuse_sort_keys_wider_than_63_bits():
+    # (row, key, step) must fit one int64: 2 + 60 + 2 bits does not
+    forest = gen_tree(TreeSpec.path(3)).forest()
+    table = forest.weight_table(WeightFunction.unit())
+    wide = dataclasses.replace(forest, key_count=2**60)
+    with pytest.raises(ValueError, match="63-bit sort key"):
+        wide.rows([0, 1, 2, 3], [table])
+    # 1 + 60 + 2 bits fit, and give the rows of the true key count
+    got, want = wide.rows([3, 2], [table]), forest.rows([3, 2], [table])
+    assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2]))
+    assert np.array_equal(got[2][0], want[2][0])
