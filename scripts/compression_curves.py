@@ -3,10 +3,15 @@
 under the truncated sqrt(t)/(sqrt(ln t) ln ln t) weight, write the profile
 CSVs, and print the bound checks.
 
+Each profile's line ends with its wall time and the process's peak
+resident set so far (``resource.getrusage``), in MB.
+
 Usage: python scripts/compression_curves.py [--out-dir out] [--grid 120]
 """
 
 import argparse
+import resource
+import sys
 import time
 from pathlib import Path
 
@@ -36,7 +41,14 @@ def run_space(name, space, dim, sampler, t_min, out_dir):
     status = "PASS" if check.passed else "FAIL"
     print(f"{name:<24} rows={len(prof.entries):<5} "
           f"[{status}] min slack {check.min_slack:8.4f} at t={check.at_t}  "
-          f"({time.perf_counter() - t0:5.1f}s)  -> {out}")
+          f"({time.perf_counter() - t0:5.1f}s, peak {peak_rss_mb():.1f} MB)"
+          f"  -> {out}")
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (2^20 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # Linux: KiB
 
 
 def main():

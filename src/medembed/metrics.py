@@ -12,10 +12,13 @@ rows)`` (numpy CSR triples) and ``forest_distances(sources)``; the
 exhaustive Gram route takes ``embedding_matrix(w, rows) -> CSR rows`` and
 reads the metric off the unit-weight rows, whose squared distance is the
 graph distance. The samplers load no scipy. The stratified sampler reads
-every (source, vertex) candidate's distance off the cube-path forests,
-draws its pairs, and only then embeds them; the uniform sampler reads
-its pairs' distances off their unit-weight rows. Both embed their pairs
-with one kernel (``_pair_sq_distances``) that adds every sum in the same
+every (source, vertex) candidate's distance off the cube-path forests
+into one S x n int32 block, draws its pairs from per-source counts by
+distance, with no sort of all candidates, and only then embeds them; the
+uniform sampler reads its pairs' distances off their unit-weight rows.
+Both embed their pairs with one kernel (``_pair_sq_distances``) that
+walks the target rows in chunks of at least CHUNK_ROWS rows, sums in
+blocks of at most CHUNK_ENTRIES entries and adds every sum in the same
 order as a CSR x dense product. Only the oracle needs
 ``distances_from(sources) -> 2d array``. Trees, median graphs and
 products of them all qualify.
@@ -50,20 +53,28 @@ EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
 # Pairs (u, v) per block of the all-pairs Gram route (_sq_distance_blocks),
 # which takes max(1, BLOCK_ENTRIES // n) rows u at a time.
 BLOCK_ENTRIES = 1 << 18
-# Entries per length-padded chunk of target rows, and terms per block of
-# pairs, in _pair_sq_distances.
-CHUNK_ENTRIES = 1 << 18
+# _pair_sq_distances walks its target rows in chunks of at least CHUNK_ROWS
+# rows, or as many as fit in CHUNK_ENTRIES entries, whichever is more
+# (_runs), and pads them, and sums their pairs' terms, in blocks of at most
+# CHUNK_ENTRIES entries (or one row, or one pair).
+CHUNK_ENTRIES = 1 << 16
+CHUNK_ROWS = 512
+# Entries of the dense source rows of one _pair_sq_distances call of the
+# uniform sampler (_uniform_sq_distances).
+DENSE_ENTRIES = 1 << 18
 # Bytes the stratified sampler may hold: CANDIDATE_BYTES per (source,
-# vertex) candidate (its mask, its 16-bit distance, the int64 order and
-# the radix sort's buffer, or the int32 distances before them),
-# PAIR_BYTES per drawn pair (its ends, distance and embedded distance,
-# and the pair kernel's orders), SOURCE_KEY_BYTES per source and key (a
-# dense float64 row and an int8 indicator), and ENTRY_BYTES per entry of
-# one chunk of rows or of pair terms.
-CANDIDATE_BYTES = 20
-PAIR_BYTES = 96
+# vertex) candidate (its int32 distance in the S x n block, and the few
+# arrays per vertex of one source's pass, spread over at least 16 sources),
+# PAIR_BYTES per drawn pair (its narrow ends and distance, with the draw's
+# order by source, or with the pair kernel's numbering of the ends, its
+# indices and the embedded distance), SOURCE_KEY_BYTES per source and key
+# (a dense float64 row and an int8 indicator), and ENTRY_BYTES per path
+# step of one walk of target rows (the walk's records and sort keys, then
+# the rows and the cache-sized blocks of padded rows and pair terms).
+CANDIDATE_BYTES = 6
+PAIR_BYTES = 48
 SOURCE_KEY_BYTES = 9
-ENTRY_BYTES = 40
+ENTRY_BYTES = 56
 SAMPLER_BUDGET = 3 << 30
 
 
@@ -290,15 +301,17 @@ def _key_count(space) -> int:
     return sum(f.forest().key_count for f in getattr(space, "factors", [space]))
 
 
-def _runs(lengths, limit: int):
+def _runs(lengths):
     """Bounds (lo, hi) of consecutive runs of the ascending ``lengths``
-    whose last length times their size is at most ``limit``, or of one
-    item that alone exceeds it."""
+    that hold CHUNK_ROWS items, or more while their last length times
+    their size stays within CHUNK_ENTRIES."""
     lo = 0
     while lo < len(lengths):
-        size = min(max(1, limit // max(1, int(lengths[lo]))), len(lengths) - lo)
-        fits = lengths[lo:lo + size] * np.arange(1, size + 1) <= limit
-        hi = lo + max(1, int(np.count_nonzero(fits)))
+        size = max(CHUNK_ROWS, CHUNK_ENTRIES // max(1, int(lengths[lo])))
+        size = min(size, len(lengths) - lo)
+        fits = np.arange(1, size + 1)
+        fits = (fits <= CHUNK_ROWS) | (lengths[lo:lo + size] * fits <= CHUNK_ENTRIES)
+        hi = lo + int(np.count_nonzero(fits))
         yield lo, hi
         lo = hi
 
@@ -321,21 +334,47 @@ def _padded(ptr, *arrays) -> list[np.ndarray]:
 
 
 def _in_order_sums(block) -> np.ndarray:
-    """Column sums of a J x R block, added one row at a time from 0, as a
-    scalar loop (and scipy's sparse x dense product) adds them; numpy's
-    own sums may add in pairs."""
-    sums = np.zeros(block.shape[1])
-    for row in block:
-        sums += row
-    return sums
+    """Column sums of a J x R block, added one row at a time from row 0,
+    as a scalar loop (and scipy's sparse x dense product) adds them.
+    numpy reduces axis 0 of a C-ordered block row by row when R > 1 (its
+    inner loop runs along a row); one column it would sum in pairs, so that
+    is accumulated, which adds in order. The first partial sum is row 0
+    itself, not 0 + row 0, so only the sign of a zero sum can differ, and
+    that vanishes once a norm is added."""
+    block = np.ascontiguousarray(block)
+    if block.shape[1] == 1:
+        return np.add.accumulate(block[:, 0])[-1:] if len(block) else np.zeros(1)
+    return np.add.reduce(block, axis=0)
+
+
+def _narrowest(size: int):
+    """The integer type of indices into ``size`` items: int16, int32 or
+    int64. Held narrow, widened to intp before they index."""
+    return next(t for t in (np.int16, np.int32, np.int64)
+                if size <= np.iinfo(t).max + 1)
+
+
+def _distinct(ids, n: int):
+    """``np.unique(ids, return_inverse=True)`` of vertex ids below n, the
+    inverse held narrow. Where the ids are many, without their sort: a mask
+    of the n vertices marks the distinct ids and numbers them."""
+    if len(ids) < n // 8:
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        return distinct, inverse.astype(_narrowest(len(distinct)))
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    distinct = np.flatnonzero(seen)
+    slot = np.empty(n, dtype=_narrowest(len(distinct)))
+    slot[distinct] = np.arange(len(distinct))
+    return distinct, slot[ids]
 
 
 def _pair_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
     """Squared embedded distances of the pairs (us[i], vs[i]), computed for
     these pairs only. The distinct first ends' rows are held dense. The
-    second ends are taken in order of path length, in chunks whose rows,
-    padded to the longest, hold at most CHUNK_ENTRIES entries, and their
-    pairs in blocks of at most CHUNK_ENTRIES terms.
+    second ends are taken in order of path length and walked in chunks
+    (``_runs``); each chunk's rows are padded to its longest, and their
+    pairs summed, in blocks of at most CHUNK_ENTRIES entries.
 
     Each dot sums value x dense source value over the target's row in
     ascending key order, one term at a time (``_in_order_sums``), and so
@@ -343,41 +382,50 @@ def _pair_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
     exactly 0, so every (-2 v.s) + (|v|^2 + |s|^2) is bit for bit what the
     CSR rows' product with the dense sources gives, and coinciding vectors
     give exactly 0."""
-    sources, src_of = np.unique(us, return_inverse=True)
+    sources, src_of = _distinct(us, space.vertex_count)
     key_count = _key_count(space)
     s_ptr, s_keys, (s_data,) = space.embedding_rows([w], sources)
     dense = np.zeros((len(sources), key_count))
     dense[np.arange(len(sources)).repeat(np.diff(s_ptr)), s_keys] = s_data
     dense = dense.ravel()
     s_sq = _in_order_sums(np.square(*_padded(s_ptr, s_data)))
-    targets, tgt_of = np.unique(vs, return_inverse=True)
+    targets, tgt_of = _distinct(vs, space.vertex_count)
     lengths = _path_lengths(space, targets)
     by_len = np.argsort(lengths, kind="stable")
     targets, lengths = targets[by_len], lengths[by_len]
-    tgt_of = np.argsort(by_len)[tgt_of]
+    rank = np.empty(len(targets), dtype=_narrowest(len(targets)))
+    rank[by_len] = np.arange(len(targets))
+    tgt_of = rank[tgt_of]  # each pair's target, in length order
     by_target = np.argsort(tgt_of, kind="stable")
-    tgt_of = tgt_of[by_target]
+    firsts = np.zeros(len(targets) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tgt_of, minlength=len(targets)), out=firsts[1:])
     emb_sq = np.empty(len(us))
-    for lo, hi in _runs(lengths, CHUNK_ENTRIES):
+    for lo, hi in _runs(lengths):
         t_ptr, t_keys, (t_data,) = space.embedding_rows([w], targets[lo:hi])
-        values, keys = _padded(t_ptr, t_data, t_keys)
-        del t_ptr, t_keys, t_data
-        t_sq = _in_order_sums(np.square(values))
-        first, stop = np.searchsorted(tgt_of, [lo, hi])
-        block = max(1, CHUNK_ENTRIES // max(1, len(values)))
-        for at in range(first, stop, block):
-            pairs = by_target[at:min(at + block, stop)]
-            b = tgt_of[at:at + len(pairs)] - lo
-            a = src_of[pairs]
-            terms = keys[:, b] + a * key_count
-            terms = dense[terms]
-            terms *= values[:, b]
-            dots = _in_order_sums(terms)
-            del terms
-            dots *= -2.0
-            dots += t_sq[b] + s_sq[a]
-            emb_sq[pairs] = dots
-        del values, keys  # before the next chunk's rows are built
+        # padded blocks and pair terms stay within CHUNK_ENTRIES entries
+        width = max(1, CHUNK_ENTRIES // max(1, int(lengths[hi - 1])))
+        for sub in range(lo, hi, width):
+            end = min(sub + width, hi)
+            ptr = t_ptr[sub - lo:end - lo + 1]
+            values, keys = _padded(ptr - ptr[0], t_data[ptr[0]:ptr[-1]],
+                                   t_keys[ptr[0]:ptr[-1]])
+            t_sq = _in_order_sums(np.square(values))
+            block = max(1, CHUNK_ENTRIES // max(1, len(values)))
+            for at in range(firsts[sub], firsts[end], block):
+                pairs = by_target[at:min(at + block, firsts[end])]
+                b = tgt_of[pairs].astype(np.intp)
+                b -= sub
+                a = src_of[pairs].astype(np.intp)
+                # take, not [:, b]: C-ordered, summed without a copy
+                terms = keys.take(b, axis=1) + a * key_count
+                terms = dense[terms]
+                terms *= values.take(b, axis=1)
+                dots = _in_order_sums(terms)
+                del terms
+                dots *= -2.0
+                dots += t_sq[b] + s_sq[a]
+                emb_sq[pairs] = dots
+        del t_ptr, t_keys, t_data  # before the next chunk's rows are built
     return emb_sq
 
 
@@ -385,16 +433,17 @@ def _stratified_need(space, count: int) -> tuple[int, int]:
     """The stratified sampler's source count S and the bytes it may hold:
     its S x n candidates, the pairs it may draw (``count`` per distance, at
     most S x n), its dense source rows and key indicators (S x K, K the key
-    count) and one chunk of pair entries."""
+    count) and one walk of target rows in the pair kernel."""
     n = space.vertex_count
     n_sources = min(n, max(16, math.isqrt(4 * count)))
     factors = getattr(space, "factors", [space])
     # no two vertices lie further apart than twice the longest path
     longest = sum(int(f.forest().length.max()) for f in factors)
     pairs = min(n_sources * n, count * 2 * longest)
+    entries = max(CHUNK_ENTRIES, CHUNK_ROWS * longest)  # rows of one walk
     return n_sources, (n_sources * n * CANDIDATE_BYTES + pairs * PAIR_BYTES
                        + n_sources * _key_count(space) * SOURCE_KEY_BYTES
-                       + CHUNK_ENTRIES * ENTRY_BYTES)
+                       + entries * ENTRY_BYTES)
 
 
 def _stratified_plan(space, count: int) -> int:
@@ -414,45 +463,75 @@ def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
     distance, with their distances ts and squared embedded distances.
 
     Every (source, vertex) candidate's distance is read off the cube-path
-    forests (``forest_distances``), with no embedding rows; once the pairs
-    are drawn, ``_pair_sq_distances`` embeds only them."""
+    forests (``forest_distances``) into one S x n block, with no embedding
+    rows. A source keeps every vertex at positive distance except the
+    sources before it (their pairs are kept from the other end), whose
+    distance is set to 0. The pairs are drawn in three passes over the
+    block, with no sort of all candidates:
+
+    1. per source, count the kept candidates at each distance;
+    2. for each realized t in ascending order, draw ``count`` positions in
+       the bucket of all candidates at t, in (source, vertex) order, with
+       the ``rng.choice`` call of a sort of all candidates by distance
+       (only where the bucket holds more than ``count``); a position's
+       source and rank follow from the bucket's counts per source;
+    3. per source, one stable argsort of its distances turns its picks'
+       ranks into vertices.
+
+    The picks are held as int32 vertex ranks, int16 distances and small
+    source indices; once the block is freed, ``_pair_sq_distances`` embeds
+    only them."""
     n = space.vertex_count
     n_sources = _stratified_plan(space, sampler.count)
     rng = np.random.default_rng(sampler.seed)
     sources = np.sort(rng.choice(n, size=n_sources, replace=False))
     dist = space.forest_distances(sources)
-    # every target at positive distance, except mirrored source-source pairs
-    rank = np.full(n, n_sources)
-    rank[sources] = np.arange(n_sources)
-    keep = dist > 0
-    keep &= rank[None, :] > np.arange(n_sources)[:, None]
-    ct = dist[keep]  # in (source, vertex) order
-    del dist
-    if ct.max(initial=0) < 2**15:
-        ct = ct.astype(np.int16)  # the stable argsort radix-sorts 16-bit keys
-    order = np.argsort(ct, kind="stable")
-    picks = [rng.choice(idx, size=sampler.count, replace=False)
-             if len(idx) > sampler.count else idx
-             for idx in np.split(order, np.flatnonzero(np.diff(ct[order])) + 1)]
-    sel = np.concatenate(picks)
-    del order, picks  # the picks are views of the order
-    ts = ct[sel]  # widened once the pairs are embedded
-    del ct  # before the pairs are embedded
-    # candidate k is the (k - starts[i])-th kept vertex of source i; the
-    # picks are grouped by source once, in one stable sort of their sources
-    counts = np.count_nonzero(keep, axis=1)
-    starts = np.cumsum(counts) - counts
-    row = np.searchsorted(starts, sel, side="right") - 1
-    if n_sources < 2**15:
-        row = row.astype(np.int16)
-    by_row = np.argsort(row, kind="stable")
-    bounds = np.cumsum(np.bincount(row, minlength=n_sources))
-    vs = np.empty(len(sel), dtype=np.int64)
-    for i, (lo, hi) in enumerate(itertools.pairwise([0, *bounds.tolist()])):
-        mine = by_row[lo:hi]
-        vs[mine] = np.flatnonzero(keep[i])[sel[mine] - starts[i]]
-    us = sources[row]
-    del keep, sel, row, by_row
+    top = int(dist.max(initial=0))
+    t_type = np.int16 if top < 2**15 else np.int32  # 16 bits: radix argsort
+    # pass 1: per_t[t, i] candidates of source i at distance t, and before
+    # them below[t, i] entries of its row (the zeros included)
+    per_t = np.empty((top + 1, n_sources), dtype=np.int64)
+    for i, row in enumerate(dist):
+        row[sources[:i]] = 0
+        per_t[:, i] = np.bincount(row, minlength=top + 1)
+    del row  # a view: it would keep the block alive
+    below = np.cumsum(per_t, axis=0)
+    below -= per_t
+    per_t[0] = 0
+    # pass 2: positions in each bucket, then their sources and ranks
+    ends = np.cumsum(per_t, axis=1)  # bucket t's candidates up to source i
+    src_type = _narrowest(n_sources)
+    at_type = np.int32 if n < 2**31 else np.int64
+    realized = np.flatnonzero(ends[:, -1])
+    picked, src, at = [], [], []
+    per_src = np.zeros(n_sources, dtype=np.int64)  # picks of each source
+    for t in realized.tolist():
+        size = int(ends[t, -1])
+        pos = (rng.choice(size, size=sampler.count, replace=False)
+               if size > sampler.count else np.arange(size))
+        i = np.searchsorted(ends[t], pos, side="right")
+        per_src += np.bincount(i, minlength=n_sources)
+        pos += below[t, i] + per_t[t, i] - ends[t, i]  # place in i's order
+        picked.append(len(pos))
+        src.append(i.astype(src_type))
+        at.append(pos.astype(at_type))
+    del per_t, below, ends
+    src = np.concatenate(src or [np.empty(0, dtype=src_type)])
+    at = np.concatenate(at or [np.empty(0, dtype=at_type)])
+    ts = realized.astype(t_type).repeat(picked)
+    # pass 3: each source's ranks through one stable argsort of its row
+    by_src = np.argsort(src, kind="stable")
+    bounds = np.cumsum(per_src).tolist()
+    vs = np.empty(len(src), dtype=at_type)
+    for i, (lo, hi) in enumerate(itertools.pairwise([0, *bounds])):
+        if lo < hi:
+            mine = by_src[lo:hi]
+            order = np.argsort(dist[i].astype(t_type), kind="stable")
+            vs[mine] = order[at[mine].astype(np.intp)]
+            del order, mine  # mine is a view of by_src
+    del dist, at, by_src
+    us = sources.astype(at_type)[src.astype(np.intp)]
+    del src
     emb_sq = _pair_sq_distances(space, w, us, vs)
     return us, vs, ts.astype(np.int64), emb_sq
 
@@ -477,9 +556,9 @@ def _draw_pairs(n: int, sampler: PairSampler):
 
 def _uniform_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
     """``_pair_sq_distances`` of pairs sorted by first end, taken
-    max(1, CHUNK_ENTRIES // K) distinct first ends at a time, so the dense
-    rows stay within CHUNK_ENTRIES entries."""
-    per_call = max(1, CHUNK_ENTRIES // _key_count(space))
+    max(1, DENSE_ENTRIES // K) distinct first ends at a time, so the dense
+    rows stay within DENSE_ENTRIES entries."""
+    per_call = max(1, DENSE_ENTRIES // _key_count(space))
     firsts = np.flatnonzero(np.diff(us, prepend=-1))[::per_call]
     return np.concatenate([
         _pair_sq_distances(space, w, us[lo:hi], vs[lo:hi])
@@ -673,10 +752,14 @@ class ProductSpace:
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
         src = np.unravel_index(sources, self.sizes)
         cols = np.unravel_index(np.arange(self.vertex_count), self.sizes)
-        out = 0
+        out = None
         for f, s, c in zip(self.factors, src, cols):
             distinct, row = np.unique(s, return_inverse=True)
-            out = out + block(f, distinct)[np.ix_(row, c)]
+            part = block(f, distinct)
+            if out is None:
+                out = np.zeros((len(sources), self.vertex_count), dtype=part.dtype)
+            for r, d in enumerate(row.tolist()):
+                out[r] += part[d, c]  # a row at a time: one S x n block
         return out
 
     def embedding_matrix(self, w: WeightFunction, rows) -> sp.csr_matrix:

@@ -33,6 +33,9 @@ from .errors import NonTerminationError
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+# Entries (vertices x sources) of one piece of a level in PathForest.distances.
+LEVEL_ENTRIES = 1 << 16
+
 
 class SparseVector:
     """Immutable finitely supported vector: a map basis key -> coefficient.
@@ -160,14 +163,16 @@ class PathForest:
         All rows walk in lockstep, one step per round, recording the
         vertex each row leaves at every step that some table weighs. Then
         the recorded steps' keys are packed as (row, key, step) into one
-        int64 each and sorted at once, which groups the entries by row and
+        integer each, int32 if that needs at most 31 bits and int64
+        otherwise, and sorted at once, which groups the entries by row and
         orders each row by key; each table is read at the unpacked steps.
         ValueError if the row ids, keys and steps need more than 63 bits.
         """
         rows = np.asarray(rows, dtype=np.int64)
         top = int(self.length[rows].max(initial=0))
         step_bits, key_bits = top.bit_length(), max(self.key_count - 1, 1).bit_length()
-        if max(len(rows) - 1, 0).bit_length() + key_bits + step_bits > 63:
+        bits = max(len(rows) - 1, 0).bit_length() + key_bits + step_bits
+        if bits > 63:
             raise ValueError(f"{len(rows)} rows with {key_bits}-bit keys and "
                              f"{step_bits}-bit steps do not fit one 63-bit sort key")
         weighed = np.full(top + 1, not tables)
@@ -192,25 +197,28 @@ class PathForest:
         blocks = [len(a) for a in left]
         left = np.concatenate(left or [rows[:0]])
         first = self.step_ptr[left]
-        count = self.step_ptr[left + 1] - first
+        count = self.step_ptr[left + 1]
+        count -= first
         del left
         who = np.concatenate(who or [rows[:0]])
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         per_row = np.bincount(who, weights=count, minlength=len(rows))
         np.cumsum(per_row.astype(np.int64), out=indptr[1:])
-        tags = who << (key_bits + step_bits)
+        pack = np.int32 if bits <= 31 else np.int64
+        tags = who.astype(pack)
         del who
-        tags |= np.repeat(np.array(steps, dtype=np.int64), blocks)
-        packed = self.step_keys[ranges(first, count)].astype(np.int64, copy=False)
+        tags <<= key_bits + step_bits
+        tags |= np.repeat(np.array(steps, dtype=pack), blocks)
+        packed = self.step_keys[ranges(first, count)].astype(pack, copy=False)
         packed <<= step_bits
         packed |= tags.repeat(count)
         del first, count, tags
         packed.sort()
-        at_step = packed & ((1 << step_bits) - 1)
+        at_step = (packed & ((1 << step_bits) - 1)).astype(np.intp, copy=False)
         packed >>= step_bits
         packed &= (1 << key_bits) - 1
         idx = np.int32 if max(self.key_count, indptr[-1]) < 2**31 else np.int64
-        indices = packed.astype(idx)
+        indices = packed.astype(idx, copy=False)
         del packed
         return indptr, indices, [table[at_step] for table in tables]
 
@@ -222,27 +230,31 @@ class PathForest:
 
         A vertex shares with s what its exit shares plus the keys of its
         own step on s's path. So shared fills in level by level of
-        ``length``, for all S sources at once, from a K x S indicator of
-        the sources' keys.
+        ``length``, for all S sources at once, from an S x K indicator of
+        the sources' keys, at most max(1, LEVEL_ENTRIES // S) vertices of a
+        level at a time, so a wide level's temporaries stay near
+        LEVEL_ENTRIES entries. The block holds shared until it is turned
+        into the distances in place.
         """
         sources = np.asarray(sources, dtype=np.int64)
         n, n_sources = len(self.exit), len(sources)
         indptr, indices, _ = self.rows(sources, [])
-        on_path = np.zeros((self.key_count, n_sources), dtype=np.int8)
-        on_path[indices, np.arange(n_sources).repeat(np.diff(indptr))] = 1
-        shared = np.zeros((n, n_sources), dtype=np.int32)
+        on_path = np.zeros((n_sources, self.key_count), dtype=np.int8)
+        on_path[np.arange(n_sources).repeat(np.diff(indptr)), indices] = 1
+        dist = np.zeros((n_sources, n), dtype=np.int32)
         by_level = np.argsort(self.length, kind="stable")
         level_at = np.searchsorted(self.length[by_level],
                                    np.arange(int(self.length.max(initial=0)) + 2))
+        piece = max(1, LEVEL_ENTRIES // max(1, n_sources))
         for lo, hi in itertools.pairwise(level_at[1:].tolist()):
-            x = by_level[lo:hi]
-            first = self.step_ptr[x]
-            count = self.step_ptr[x + 1] - first
-            own = np.add.reduceat(on_path[self.step_keys[ranges(first, count)]],
-                                  np.cumsum(count) - count, axis=0, dtype=np.int32)
-            shared[x] = shared[self.exit[x]] + own
-        dist = np.ascontiguousarray(shared.T)
-        del shared
+            for at in range(lo, hi, piece):
+                x = by_level[at:min(at + piece, hi)]
+                first = self.step_ptr[x]
+                count = self.step_ptr[x + 1] - first
+                own = np.add.reduceat(on_path[:, self.step_keys[ranges(first, count)]],
+                                      np.cumsum(count) - count, axis=1, dtype=np.int32)
+                own += dist[:, self.exit[x]]
+                dist[:, x] = own
         dist *= -2
         dist += self.length.astype(np.int32)
         dist += self.length[sources, None].astype(np.int32)
@@ -278,7 +290,9 @@ def ranges(starts, counts) -> np.ndarray:
     counts = np.maximum(counts, 0)
     ends = np.add.accumulate(counts, dtype=np.int64)
     total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + (starts - (ends - counts)).repeat(counts)
+    out = np.arange(total)
+    out += (starts - (ends - counts)).repeat(counts)
+    return out
 
 
 def root_distances(n: int, eu, ev, root: int) -> np.ndarray:

@@ -225,14 +225,14 @@ def test_measure_stratified_over_budget_exits_2(tmp_path, capsys, monkeypatch):
                             "--sampler", "stratified:5", "--seed", "1",
                             "-o", str(out))
     assert code == 2 and stdout == "" and not out.exists()
-    assert err == ("error: stratified:5 needs 10502592 bytes for 16 sources x 25 "
+    assert err == ("error: stratified:5 needs 3677408 bytes for 16 sources x 25 "
                    "vertices, over the budget of 1000 bytes\n")
 
 
 def test_measure_out_of_memory_exits_2(tmp_path, capsys):
-    # stratified:1000000 on grid 100x100 plans 2.38 GB, within the sampler's
+    # stratified:1000000 on grid 100x100 plans 1.11 GB, within the sampler's
     # budget; capped at 700 MB of address space, the process cannot allocate
-    # its candidate arrays
+    # its candidates and their picks
     resource = pytest.importorskip("resource")
     run(capsys, "generate", "--space", "grid", "--dims", "100x100",
         "-o", str(tmp_path / "g.json"))
@@ -569,6 +569,30 @@ def test_negative_counts_exit_2(capsys):
     code, stdout, err = run(capsys, "verify", "--suite", "product", "--count", "-3")
     assert code == 2 and stdout == ""
     assert err == "error: --count must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--space", "binary-sample", "--depth", "5", "--rays", "2"),
+    ("generate", "--space", "from-tree", "--tree", "binary-sample:5,2"),
+    ("generate", "--space", "tree-product", "--left", "binary-sample:5,2",
+     "--right", "path:3"),
+    ("measure", "--space", "{space}", "--sampler", "uniform:10"),
+    ("measure", "--space", "{space}", "--sampler", "stratified:10"),
+    ("verify", "--suite", "product"),
+], ids=["binary-sample", "from-tree", "tree-product", "uniform", "stratified",
+        "product"])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    # refused before any work, with the flag and the value named; numpy's
+    # own message ("expected non-negative integer") names neither
+    space = tmp_path / "p.json"
+    run(capsys, "generate", "--space", "path", "--len", "4", "-o", str(space))
+    out = tmp_path / "out"
+    argv = [a.format(space=space) for a in argv] + ["--seed", "-3"]
+    if argv[0] != "verify":
+        argv += ["-o", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: --seed must be >= 0, got -3\n"
 
 
 def test_verify_oracle_tree_and_grid(tmp_path, capsys):

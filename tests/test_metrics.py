@@ -177,6 +177,8 @@ def test_pair_sq_distances_match_bruteforce(monkeypatch):
     from medembed.metrics import _stratified_pairs, _uniform_pairs, _uniform_sq_distances
 
     monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 60)
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 1)
+    monkeypatch.setattr(metrics, "DENSE_ENTRIES", 60)
     cases = [
         (gen_cube(CubeSpec.grid(8, 7)), UNIT),
         # paper weight on a spider: sources near the root embed to zero,
@@ -200,8 +202,28 @@ def test_pair_sq_distances_match_bruteforce(monkeypatch):
                 assert e == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-def _bfs_stratified_pairs(space, sampler):
-    # the stratified sampler as it read t off a BFS from every source
+def test_in_order_sums_add_row_by_row():
+    # numpy's reduction against the loop it replaced, bit for bit: blocks
+    # of one column (which numpy would sum in pairs), Fortran-ordered
+    # blocks (as [:, b] gathers give them) and an empty block
+    from medembed.metrics import _in_order_sums
+
+    rng = np.random.default_rng(4)
+    for rows, cols in ((0, 3), (1, 1), (9, 1), (300, 1), (2, 7), (17, 2), (300, 65)):
+        scale = 10.0 ** rng.integers(-9, 9, (rows, cols))
+        block = rng.standard_normal((rows, cols)) * scale
+        want = np.zeros(cols)
+        for row in block:
+            want += row
+        for b in (block, np.asfortranarray(block)):
+            np.testing.assert_array_equal(_in_order_sums(b).view(np.int64),
+                                          want.view(np.int64))
+
+
+def _bfs_candidates(space, sampler):
+    # the stratified sampler's rng after it drew the sources, and its
+    # candidates (source, vertex, t) in (source, vertex) order, t off a BFS
+    # from every source
     n = space.vertex_count
     rng = np.random.default_rng(sampler.seed)
     n_sources = min(n, max(16, math.isqrt(4 * sampler.count)))
@@ -210,7 +232,12 @@ def _bfs_stratified_pairs(space, sampler):
     rank = np.full(n, n_sources)
     rank[sources] = np.arange(n_sources)
     i, cv = np.nonzero((rows > 0) & (rank[None, :] > np.arange(n_sources)[:, None]))
-    cu, ct = sources[i], rows[i, cv]
+    return rng, sources[i], cv, rows[i, cv]
+
+
+def _bfs_stratified_pairs(space, sampler):
+    # the stratified sampler as it sorted every candidate by t
+    rng, cu, cv, ct = _bfs_candidates(space, sampler)
     order = np.argsort(ct, kind="stable")
     picks = []
     for idx in np.split(order, np.flatnonzero(np.diff(ct[order])) + 1):
@@ -231,11 +258,15 @@ def test_stratified_pairs_match_the_bfs_sampler(monkeypatch):
     from medembed.metrics import _stratified_pairs
 
     small = ((1, 3), (7, 5), (1000, 11), (None, 2))
+    # from 16 sources of the spider: at seed 3 one bucket holds exactly 20
+    # candidates (kept whole, no rng call) while larger ones are drawn from,
+    # and 40 is at or above every bucket
+    edges = ((20, 3), (40, 3))
     cases = [
         (gen_cube(CubeSpec.grid(8, 7)), UNIT, small),
         (gen_cube(CubeSpec.grid(5, 9)), PAPER, small),
         (gen_cube(CubeSpec.staircase(7)), PAPER, small),
-        (gen_tree(TreeSpec.spider(3, 25)), PAPER, small),
+        (gen_tree(TreeSpec.spider(3, 25)), PAPER, small + edges),
         (gen_tree(TreeSpec.binary_sample(20, 6, seed=3)), WeightFunction.power(0.3),
          small),
         (ProductSpace([gen_tree(TreeSpec.path(6)), gen_cube(CubeSpec.grid(2, 3))]),
@@ -246,6 +277,7 @@ def test_stratified_pairs_match_the_bfs_sampler(monkeypatch):
     for space, w, counts in cases:
         n = space.vertex_count
         monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 100 if n < 200 else 4000)
+        monkeypatch.setattr(metrics, "CHUNK_ROWS", 1)
         vecs = vectors(space.embedding_matrix(w, range(n)))
         for count, seed in counts:
             sampler = PairSampler.stratified(count or n * n, seed=seed)
@@ -253,6 +285,13 @@ def test_stratified_pairs_match_the_bfs_sampler(monkeypatch):
             want = _bfs_stratified_pairs(space, sampler)
             for got, ref in zip((us, vs, ts), want):
                 np.testing.assert_array_equal(got, ref)
+            if (count, seed) in edges:  # the inputs are what they claim
+                sizes = np.bincount(_bfs_candidates(space, sampler)[3])
+                if count == 20:
+                    assert count in sizes and sizes.max() > count
+                else:
+                    assert metrics._stratified_need(space, count)[0] == 16 < n
+                    assert sizes.max() <= count
             if count is None:
                 codes = np.minimum(us, vs) * n + np.maximum(us, vs)
                 assert len(np.unique(codes)) == len(codes) == n * (n - 1) // 2
@@ -316,6 +355,7 @@ def test_stratified_pairs_match_the_scipy_route(monkeypatch):
     from medembed.metrics import _stratified_pairs
 
     monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 100)
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 1)
     small = ((1, 3), (7, 5), (1000, 11), (None, 2))
     cases = [
         (gen_cube(CubeSpec.grid(8, 7)), UNIT),
@@ -353,6 +393,25 @@ def test_stratified_pairs_stay_within_their_plan():
         peak = _traced_peak(
             lambda: _stratified_pairs(grid, PAPER, PairSampler.stratified(count, 11)))
         assert peak <= planned
+
+
+def test_stratified_draw_holds_under_8_bytes_per_candidate(monkeypatch):
+    # with the pair kernel patched out, the draw at stratified:5 on grid
+    # 100x100 (16 sources x 10,201 vertices) holds the int32 distance block
+    # and a few arrays per vertex, not a sort of all candidates; a first
+    # draw loads numpy's random modules before the trace
+    from medembed.metrics import _stratified_need, _stratified_pairs
+
+    grid = gen_cube(CubeSpec.grid(100, 100))
+    grid.forest()
+    monkeypatch.setattr(metrics, "_pair_sq_distances",
+                        lambda space, w, us, vs: np.zeros(len(us)))
+    sampler = PairSampler.stratified(5, 11)
+    _stratified_pairs(grid, PAPER, sampler)
+    n_sources, _ = _stratified_need(grid, 5)
+    assert n_sources == 16
+    peak = _traced_peak(lambda: _stratified_pairs(grid, PAPER, sampler))
+    assert peak <= n_sources * grid.vertex_count * 8
 
 
 def test_stratified_budget_admits_the_benchmark_spaces():

@@ -2,6 +2,7 @@
 each as its own process with this checkout's ``src`` on the path."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,9 @@ def test_compression_curves_smoke(tmp_path):
     out = run_script("compression_curves.py", "--grid", "6", "--depth", "20",
                      "--rays", "4", "--out-dir", str(tmp_path), cwd=tmp_path)
     assert out.count("[PASS]") == 2
+    # each profile's line reports its time and the process's peak RSS
+    peaks = re.findall(r"\(\s*\d+\.\ds, peak (\d+\.\d) MB\)", out)
+    assert len(peaks) == 2 and 0 < float(peaks[0]) <= float(peaks[1])
     for name in ("tree-profile.csv", "grid-profile.csv"):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == CSV_HEADER
