@@ -60,6 +60,7 @@ from .weights import (
     WeightFunction,
     WeightReport,
     build_weight_report,
+    deficit_bound,
     deficit_constant,
     deficit_scan,
     diff_sq_sum,

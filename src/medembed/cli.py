@@ -42,7 +42,7 @@ from .spacefile import (
 )
 from .sparse import vec_distance, vectors
 from .tree import RootedTree, TreeSpec, gen_tree
-from .weights import build_weight_report, parse_weight
+from .weights import build_weight_report, deficit_bound, parse_weight
 
 CSV_HEADER = "t,rho_hat,delta_hat,bound_lower,bound_upper,pairs"
 
@@ -260,9 +260,18 @@ def _verify_lemma(args) -> int:
           f"(attained at N={report.deficit_argmax}, "
           f"stabilized={report.stabilized})")
     print(f"  monotone past cutoff: {report.monotone_ok}")
-    status = "PASS" if report.passed else "FAIL"
+    # measure takes its constant in closed form; once the scan reaches the
+    # cutoff M, the two must agree bit for bit, with the maximum at M
+    closed = deficit_bound(w)
+    closed_ok = args.n_max < w.m or (closed == report.deficit_constant
+                                     and report.deficit_argmax == w.m)
+    if not closed_ok:
+        print(f"  closed-form deficit constant: {closed!r} "
+              f"(scan {report.deficit_constant!r} at N={report.deficit_argmax})")
+    passed = report.passed and closed_ok
+    status = "PASS" if passed else "FAIL"
     print(f"lemma[{status}] margin={report.margin:.6g}")
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 def _verify_oracle(args) -> int:

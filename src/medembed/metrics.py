@@ -44,7 +44,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .sparse import csr_matrices, vertex_rows
 from .tree import RootedTree
-from .weights import WeightFunction, deficit_constant, diff_sq_tail_bound
+from .weights import WeightFunction, deficit_bound, diff_sq_tail_bound
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -609,7 +609,10 @@ def profile(
 class BoundCurve:
     """Evaluable comparison curve.
 
-    * ``paper_lower``: sqrt(max(0, floor(t/2n) * w(floor(t/2n))^2 / 2 - C))
+    * ``paper_lower``: sqrt(max(0, floor(t/2n) * w(floor(t/2n))^2 / 2 - C)),
+      where C bounds the deficit N*w(N)^2/2 - sum_{i<=N} w(i)^2 over all N;
+      ``default_bound_curves`` takes C = D(M), its value at the paper
+      weight's cutoff (``weights.deficit_bound``), and 0 for other weights
     * ``linear_upper``: c_edge * t
     * ``bourgain_ceiling``: c * t / sqrt(ln t) for t >= 2, else 0
     """
@@ -877,9 +880,10 @@ def oracle_deviations(space) -> tuple[float, Optional[int]]:
 
 
 def default_bound_curves(w: WeightFunction, n: int) -> tuple[BoundCurve, BoundCurve]:
-    """Lower and upper curves with constants tied to the weight family."""
-    c = deficit_constant(w, 10**6)
+    """Lower and upper curves with constants tied to the weight family: the
+    lower curve's C is ``deficit_bound(w)``, closed form with no scan of w,
+    and the upper curve's slope is ``edge_dilatation_bound(w, n)``."""
     return (
-        BoundCurve.paper_lower(w, n, c),
+        BoundCurve.paper_lower(w, n, deficit_bound(w)),
         BoundCurve.linear_upper(edge_dilatation_bound(w, n)),
     )

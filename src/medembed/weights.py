@@ -183,7 +183,7 @@ def sq_partial_sums(w: WeightFunction, n: int) -> np.ndarray:
     return np.cumsum(vals * vals)
 
 
-SCAN_CHUNK = 1 << 16  # points of w held at once by the scans below
+SCAN_CHUNK = 1 << 13  # points of w held at once by the scans below
 
 
 def deficit_scan(w: WeightFunction, n_max: int) -> tuple[float, int]:
@@ -237,6 +237,31 @@ def _deficit_maxima(w: WeightFunction, stops, last=None,
 def deficit_constant(w: WeightFunction, n_max: int) -> float:
     """Verified constant for the partial-sum lower bound on [1, n_max]."""
     return deficit_scan(w, n_max)[0]
+
+
+def deficit_bound(w: WeightFunction) -> float:
+    """Closed-form constant C with sum_{i<=N} w(i)^2 >= N*w(N)^2/2 - C for
+    every N >= 1: the least such C >= 0, and the one ``deficit_scan`` finds.
+
+    Let D(N) = N*w(N)^2/2 - sum_{i<=N} w(i)^2, the deficit; then
+    D(j+1) - D(j) = ((j-1)*w(j+1)^2 - j*w(j)^2) / 2.
+
+    * paper weight, cutoff M: below M, w = 0 and D = 0. For j >= M,
+      w(t)^2 = t / (ln t * (ln ln t)^2), whose denominator increases, so
+      w(j+1)^2 / w(j)^2 < (j+1)/j < j/(j-1) and D falls from M on. Hence
+      C = D(M) = M*w(M)^2/2 - w(M)^2.
+    * unit and power weights are non-increasing, so
+      D(N) <= N*w(N)^2/2 - N*w(N)^2 < 0 and C = 0.
+
+    D(M) is computed as ``0.5 * M * sq - sq`` with sq = w(M)^2: at N = M
+    the scan's running sum is exactly sq, so this equals the scan's
+    constant bit for bit once its range reaches M.
+    """
+    if w.kind != "paper":
+        return 0.0
+    wm = w.value(w.m)
+    sq = wm * wm
+    return 0.5 * w.m * sq - sq
 
 
 @dataclass(frozen=True)

@@ -565,6 +565,65 @@ def test_verify_lemma_n_max_below_cutoff(capsys):
     assert "lemma[FAIL]" in stdout
 
 
+def test_verify_lemma_cross_checks_the_closed_form(capsys, monkeypatch):
+    from medembed import cli
+
+    code, passing, _ = run(capsys, "verify", "--suite", "lemma", "--N-max", "1000")
+    assert code == 0 and "lemma[PASS]" in passing
+    closed = cli.deficit_bound
+
+    def one_ulp_up(w):
+        return math.nextafter(closed(w), math.inf)
+
+    monkeypatch.setattr(cli, "deficit_bound", one_ulp_up)
+    code, stdout, _ = run(capsys, "verify", "--suite", "lemma", "--N-max", "1000")
+    assert code == 1
+    assert "lemma[FAIL]" in stdout and "closed-form deficit constant" in stdout
+    # below the cutoff the scan never reaches M, so there is nothing to match
+    code, stdout, _ = run(capsys, "verify", "--suite", "lemma", "--N-max", "17")
+    assert code == 1 and "closed-form" not in stdout
+
+
+def test_measure_runs_no_deficit_scan(tmp_path, capsys, monkeypatch):
+    # measure's lower curve takes the closed-form constant: with the scan
+    # disabled, every bound column is the one the scan's constant gives
+    from medembed import weights
+    from medembed.cli import format_profile_csv, profile_rows
+    from medembed.metrics import (
+        BoundCurve, PairSampler, default_bound_curves, edge_dilatation_bound,
+        profile)
+    from medembed.spacefile import build_space, load_spacefile
+
+    tree, grid = tmp_path / "tree.json", tmp_path / "grid.json"
+    run(capsys, "generate", "--space", "spider", "--legs", "3", "--leg-len", "40",
+        "-o", str(tree))
+    run(capsys, "generate", "--space", "grid", "--dims", "20x20", "-o", str(grid))
+    labels = ("paper:18", "unit", "power:0.25")
+    scanned = {w: weights.deficit_constant(weights.parse_weight(w), 10**6)
+               for w in labels}
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the deficit scan ran")
+
+    monkeypatch.setattr(weights, "_deficit_maxima", no_scan)
+    for path in (tree, grid):
+        space = build_space(load_spacefile(path))
+        n = getattr(space, "dimension", 1)
+        for label in labels:
+            w = weights.parse_weight(label)
+            lower = BoundCurve.paper_lower(w, n, scanned[label])
+            upper = BoundCurve.linear_upper(edge_dilatation_bound(w, n))
+            assert default_bound_curves(w, n) == (lower, upper)
+            out = tmp_path / "profile.csv"
+            code, stdout, _ = run(capsys, "measure", "--space", str(path),
+                                  "--weight", label, "--sampler", "exhaustive",
+                                  "--assert", "-o", str(out))
+            assert code == 0 and "bounds[PASS]" in stdout, (path.name, label)
+            want = profile_rows(profile(space, w, PairSampler.exhaustive()),
+                                lower, upper)
+            assert out.read_text() == format_profile_csv(want), (path.name, label)
+
+
 def test_negative_counts_exit_2(capsys):
     code, stdout, err = run(capsys, "verify", "--suite", "product", "--count", "-3")
     assert code == 2 and stdout == ""

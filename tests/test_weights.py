@@ -13,6 +13,7 @@ from medembed.weights import (
     WeightFunction,
     WeightReport,
     build_weight_report,
+    deficit_bound,
     deficit_constant,
     deficit_scan,
     diff_sq_sum,
@@ -204,6 +205,33 @@ def test_weight_report_rejects_short_n_max():
                                              rf"for weight paper:18, got {n_max}$"):
             build_weight_report(w, n_max=n_max)
     assert build_weight_report(w, n_max=17).deficit_argmax <= 17
+
+
+def test_deficit_bound_is_the_scans_constant():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # cutoffs 16 and 17
+        papers = [WeightFunction.paper(m)
+                  for m in (*range(16, 65), 100, 1000, 10**4, 10**5)]
+    for w in papers:
+        assert deficit_scan(w, 10**6) == (deficit_bound(w), w.m), w.label()
+    for w in (WeightFunction.unit(), WeightFunction.power(0.01),
+              WeightFunction.power(0.25), WeightFunction.power(0.5)):
+        assert deficit_bound(w) == 0.0 == deficit_scan(w, 10**6)[0], w.label()
+
+
+def test_deficit_bound_holds_past_the_old_horizon():
+    # a scan to 10^6 covers N <= 10^6; the closed form holds for every N,
+    # here the 2^13 past 10^6, with the sums the scan carries (one cumsum
+    # is the chunked scan's sum bit for bit)
+    w = WeightFunction.paper(18)
+    c = deficit_bound(w)
+    n = 10**6 + 2**13
+    vals = w.values(np.arange(1, n + 1, dtype=np.float64))
+    sq = vals * vals
+    sums = np.cumsum(sq)
+    idx = np.arange(10**6 + 1, n + 1)
+    assert np.all(sums[idx - 1] >= 0.5 * idx * sq[idx - 1] - c)
+    assert deficit_scan(w, n) == (c, 18)
 
 
 def test_deficit_stabilizes():
