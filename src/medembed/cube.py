@@ -6,20 +6,22 @@ of edges: edges (a,b) and (c,d) fall together exactly when
 d(a,c)+d(b,d) != d(a,d)+d(b,c).
 Removing a class splits the graph into a near side (containing the base
 vertex) and a far side; for vertices, graph distance equals the number of
-classes separating them.  Those classes are stored once per vertex, as a
-packed bit row, and ``separators`` is the one reader of the rows.
+classes separating them.  The classes separating a vertex from the base
+are the keys its cube path crosses, so the cube-path forest holds them
+once, and ``separators`` reads them off it.
 
-The classes (linked across squares, one level down), their sides and the
-cube paths all come from the levels of the base vertex's BFS row
-(``sparse.root_distances``, a numpy level BFS, so building and sweeping a
-median graph loads no scipy). The sweep relies on two facts about median
-graphs (Bénéteau, Chalopin, Chepoi and Vaxès, "Medians in median graphs
-and their cube complexes in linear time", ICALP 2020): the vertex of a
-far side nearest the base is the one vertex there with a single
+The classes (linked across squares, one level down) and the cube paths
+come from the levels of the base vertex's BFS row
+(``sparse.root_distances``, a numpy level BFS, so building a median graph
+and its forest loads no scipy). ``forest()`` relies on two facts about
+median graphs (Bénéteau, Chalopin, Chepoi and Vaxès, "Medians in median
+graphs and their cube complexes in linear time", ICALP 2020): the vertex
+of a far side nearest the base is the one vertex there with a single
 down-edge, and any two down-neighbours of a vertex have exactly one
 common lower neighbour, so the down-edges of every vertex span a cube.
-The sweep checks enough local conditions to accept exactly the median
-graphs (Chepoi's local characterization of median graphs; see
+It checks enough local conditions (a square test, the cube walk and a
+3-cube test) to accept exactly the median graphs (Chepoi's local
+characterization of median graphs; see ``forest()`` and
 ``_link_check``). ``distance_condition_sides`` (two BFS rows per class),
 ``square_closure_classes``, ``normal_cube_path`` and ``validate_median``
 (unique medians of vertex triples) are the independent oracles the
@@ -170,13 +172,12 @@ class MedianGraph(Graph):
         if self.n > len(e) + 1:
             raise ValueError("graph is not connected")
         self.eu, self.ev = np.ascontiguousarray(e.T)
-        self._sides = None  # hyperplanes() sets it and _hyp_of_edge
         self.dist_root = root_distances(self.n, self.eu, self.ev, self.root)
 
     @cached_property
     def adj(self) -> list[list[tuple[int, int]]]:
         """(neighbour, edge id) lists in edge-id order, for the oracles'
-        walks; the level sweep does not read them."""
+        walks; ``forest()`` does not read them."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for eid, (u, v) in enumerate(zip(self.eu.tolist(), self.ev.tolist())):
             adj[u].append((v, eid))
@@ -192,42 +193,50 @@ class MedianGraph(Graph):
         down = du > dv
         return np.where(down, self.eu, self.ev), np.where(down, self.ev, self.eu)
 
-    # -- hyperplanes -------------------------------------------------------
+    # -- hyperplanes and cube paths ---------------------------------------------
 
-    def hyperplanes(self) -> np.ndarray:
-        """Far-side rows, computed once and cached: row v is the set of
-        classes that separate v from the base vertex (whose far sides hold
-        v), packed eight classes a byte (``np.packbits``), shape
-        (n, ceil(K/8)), uint8. Classes are numbered in order of their
-        first edge.
+    def forest(self) -> PathForest:
+        """Cube-path forest, computed once and cached, with the edge
+        classes ``hyp_of_edge``: one step per vertex, crossing the classes
+        of its down-edges, its legs, in sorted order, and exiting at the
+        corner opposite x of the cube the legs span. Classes are numbered
+        in order of their first edge.
 
-        One sweep over the levels of ``dist_root``, after Bénéteau,
+        The classes come from the levels of ``dist_root``, after Bénéteau,
         Chalopin, Chepoi and Vaxès, "Medians in median graphs and their
         cube complexes in linear time" (ICALP 2020). Orient each edge
         down, toward the base vertex. In a median graph the far side of a
         class is convex, and its vertex nearest the base is the one vertex
-        of it whose only down-edge is in the class: every other vertex of
-        the far side has a down-edge inside it as well. So a vertex with
-        one down-edge opens a class. Any other down-edge (v, u) is
-        opposite, in the square v, u, x, u', to the edge (u', x), where u'
-        is the next down-neighbour of v and x the one common lower
-        neighbour of u and u', and takes its class. These links descend
-        one level each, so pointer doubling finds every edge's opening
-        edge. Then, level by level, a vertex lies on the far sides of its
-        first down-neighbour and of the class of the edge between them.
+        of it whose only down-edge is in the class. So a vertex with one
+        down-edge opens a class. Any other down-edge (x, u) is opposite,
+        in the square x, u, y, u', to the edge (u', y), where u' is the
+        next down-neighbour of x and y the one common lower neighbour of u
+        and u', and takes its class. These links descend one level each,
+        so pointer doubling finds every edge's opening edge.
 
-        The checks accept exactly the median graphs, so the classes are
-        right whenever they are returned. Raises SideComputationError for
-        an edge between equal levels (not bipartite), for two
-        down-neighbours without exactly one common lower neighbour, and
-        for an edge whose ends are not separated by exactly its own class
-        (the cut check, run on every edge; it is what rejects K_{2,3}).
-        Then the cube-path forest is built on the classes (see
-        ``_cube_forest``), and its cube walk and ``_link_check`` raise
-        CubeSpanError or NonTerminationError for the rest.
+        The square test then checks class(x, u') = class(u, y) for each
+        such square. With the checks of ``_cube_forest`` this makes every
+        edge's ends separated by exactly its own class (the cut
+        condition), by induction on the level: a vertex with one down-edge
+        opens its class, whose opening edge is its lowest edge, so the
+        lower end lies on no far side of it. At a vertex x with several
+        down-edges, the ends of (u, y) and (u', y) are cut by their own
+        classes by induction; class(x, u) = class(u', y) by construction,
+        so x, reached through u or through u', has one set of far sides
+        exactly when class(x, u') = class(u, y), given that no two edges
+        at a vertex share a class (which ``_Across`` checks).
+
+        So the checks accept exactly the median graphs (see
+        ``_link_check``), and the classes are right whenever they are
+        returned. Raises SideComputationError for an edge between equal
+        levels (not bipartite), for two down-neighbours without exactly
+        one common lower neighbour, and for a square whose opposite edges
+        lie in different classes (the square test; it is what rejects
+        K_{2,3}). ``_cube_forest`` raises CubeSpanError or
+        NonTerminationError for the rest.
         """
-        if self._sides is not None:
-            return self._sides
+        if self._forest is not None:
+            return self._forest
         n, dist = self.n, self.dist_root
         child, par = self._down_edges()
         # Position j: the down-edges grouped by deeper end (``below`` holds
@@ -235,7 +244,7 @@ class MedianGraph(Graph):
         order = np.lexsort((par, child))
         v, u = child[order], par[order]
         below = np.searchsorted(v, np.arange(n + 1))
-        multi, across = _square_opposites(v, u, below, n)
+        multi, other, across = _square_opposites(v, u, below, n)
         # Every edge's class-opening edge: at most max(dist) - 1 links down.
         opener = np.arange(len(v))
         opener[multi] = across[multi]
@@ -246,40 +255,38 @@ class MedianGraph(Graph):
         hoe[order] = opener
         _, first_edge, hoe = np.unique(hoe, return_index=True, return_inverse=True)
         hoe = np.argsort(np.argsort(first_edge))[hoe]
-        n_classes, cls = len(first_edge), hoe[order]
-        # The sweep: level by level, each vertex's far sides from its first
-        # down-neighbour's.
-        side = np.zeros((n, (n_classes + 7) // 8), dtype=np.uint8)
-        by_level = np.argsort(dist, kind="stable")
-        vertex_at = np.searchsorted(dist[by_level], np.arange(int(dist.max()) + 2))
-        for level in range(1, len(vertex_at) - 1):
-            x = by_level[vertex_at[level]:vertex_at[level + 1]]
-            first = below[x]
-            c = cls[first]
-            side[x] = side[u[first]]
-            side[x, c >> 3] |= (128 >> (c & 7)).astype(np.uint8)
-        _cut_check(side, self.eu, self.ev, hoe)
-        self._forest = self._cube_forest(hoe, n_classes)
-        self._sides, self._hyp_of_edge = side, hoe
-        return side
+        cls = hoe[order]
+        # The square test: (x, u') and (u, y) are opposite in the square
+        # x, u, y, u' and must share a class.
+        uy = lookup(v * n + u, u[multi] * n + u[across[multi]])
+        bad = np.flatnonzero(cls[other] != cls[uy])
+        if len(bad):
+            j, k, m = multi[bad[0]], other[bad[0]], uy[bad[0]]
+            e, f = order[k], order[m]
+            raise SideComputationError(
+                f"edges {e} ({self.eu[e]}, {self.ev[e]}) and {f} ({self.eu[f]}, "
+                f"{self.ev[f]}), opposite in the square {v[j]}, {u[j]}, {u[m]}, "
+                f"{u[k]}, lie in classes {cls[k]} and {cls[m]}; not a median graph")
+        self._forest = self._cube_forest(hoe, len(first_edge))
+        self._hyp_of_edge = hoe
+        return self._forest
 
     @property
     def hyp_of_edge(self) -> np.ndarray:
-        self.hyperplanes()
+        self.forest()
         return self._hyp_of_edge
 
     @cached_property
     def separators(self) -> sp.csr_matrix:
         """0/1 matrix with a row per vertex and a column per hyperplane:
-        1 where the vertex lies on the hyperplane's far side, the
-        ``hyperplanes()`` rows unpacked."""
+        1 where the hyperplane separates the vertex from the base vertex,
+        the keys its cube path crosses."""
         import scipy.sparse as sp  # slow to import, so only callers pay for it
 
-        k = self.forest().key_count
-        vertex, cls = np.nonzero(np.unpackbits(self.hyperplanes(), axis=1, count=k))
-        indptr = np.searchsorted(vertex, np.arange(self.n + 1))
+        forest = self.forest()
+        indptr, cls, _ = forest.rows(np.arange(self.n), [])
         return sp.csr_matrix((np.ones(len(cls), dtype=np.int32), cls, indptr),
-                             shape=(self.n, k))
+                             shape=(self.n, forest.key_count))
 
     def separating_counts(self, sources) -> np.ndarray:
         """Number of hyperplanes separating each source from each vertex,
@@ -297,25 +304,12 @@ class MedianGraph(Graph):
         root-decreasing edges at any vertex."""
         return int(np.bincount(self._down_edges()[0], minlength=self.n).max())
 
-    # -- cube paths ------------------------------------------------------------
-
-    def forest(self) -> PathForest:
-        """Cube-path forest: one step per vertex, built and checked by
-        ``hyperplanes()`` from the classes it finds.
-
-        The step leaving x crosses the classes of its down-edges, its
-        legs, in sorted order, and exits at the corner opposite x of the
-        cube the legs span.
-        """
-        self.hyperplanes()
-        return self._forest
-
     def _cube_forest(self, hoe: np.ndarray, n_keys: int) -> PathForest:
         """The forest for the edge classes ``hoe``, and the checks that,
-        with those of the sweep, make the graph median.
+        with the square test of ``forest()``, make the graph median.
 
         In a median graph the legs of x span a cube below x (the
-        characterization the level sweep relies on), and the step exits at
+        characterization ``forest()`` relies on), and the step exits at
         the corner opposite x. Every face of every such cube is walked,
         all vertices with k legs at once, and must close up. Then
         ``_link_check`` runs on the squares and 3-cubes the walk found.
@@ -384,8 +378,8 @@ class MedianGraph(Graph):
     @cached_property
     def _walk_classes(self) -> np.ndarray:
         """The classes of ``distance_condition_sides``, computed once per
-        graph for the walks of ``normal_cube_path``; the sweep never reads
-        them."""
+        graph for the walks of ``normal_cube_path``; ``forest()`` never
+        reads them."""
         return distance_condition_sides(self)[1]
 
     def _neighbor_across(self, v: int, hyp: int, hoe) -> Optional[int]:
@@ -442,12 +436,13 @@ class MedianGraph(Graph):
         return tuple(sorted(h for h, _ in legs)), exit_vertex
 
 
-def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For the down-edges (v[j], u[j]), grouped by v with group bounds
-    ``below``: the positions j whose vertex has another down-edge, and
-    across[j], the position of the edge opposite j in the square through
-    the next down-neighbour u' of v. SideComputationError unless u[j] and
-    u' have exactly one common lower neighbour."""
+    ``below``: the positions j whose vertex has another down-edge, the
+    position of the next down-edge (v[j], u') of each (one per j, cyclic
+    within the group), and across[j], the position of the edge opposite j
+    in the square through u'. SideComputationError unless u[j] and u'
+    have exactly one common lower neighbour."""
     count = np.diff(below)
     edge_key = v * n + u  # ascending
     multi = np.flatnonzero(count[v] > 1)
@@ -470,22 +465,7 @@ def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray]:
                 f"down-neighbours {a[i]} and {b[i]} of vertex {v[multi[s + i]]} "
                 f"have {common[i]} common lower neighbours; not a median graph")
         across[multi[s:s + step]] = cand[hit]
-    return multi, across
-
-
-def _cut_check(side: np.ndarray, eu, ev, hoe) -> None:
-    """SideComputationError unless the far-side rows (one packed row per
-    vertex) of the ends of every edge differ in exactly its class."""
-    step = max(1, CHUNK_BYTES // (2 * side.shape[1] + 1))
-    for s in range(0, len(hoe), step):
-        c = hoe[s:s + step]
-        diff = side[eu[s:s + step]] ^ side[ev[s:s + step]]
-        own = diff[np.arange(len(c)), c >> 3] & (128 >> (c & 7)) != 0
-        bad = np.flatnonzero(~own | (np.bitwise_count(diff).sum(axis=1) != 1))
-        if len(bad):
-            raise SideComputationError(
-                f"the ends of edge {s + bad[0]} are not separated by exactly "
-                "its own class; not a median graph")
+    return multi, other, across
 
 
 def _link_check(n_keys: int, down_key, step_ptr, keys,
@@ -505,15 +485,15 @@ def _link_check(n_keys: int, down_key, step_ptr, keys,
     base) and the square complex is simply connected. By Chepoi ("Graphs
     of some CAT(0) complexes", Adv. Appl. Math. 24, 2000) such a graph is
     median if it has no K_{2,3} and satisfies this 3-cube condition. A
-    K_{2,3} would give two vertices two common legs; by the cut check
-    both would lie on the far sides of exactly the classes of the two
-    legs, so two edges at a leg would share a class, which ``_Across``
-    rejects. Three squares at w with two or three edges going down lie in
-    the cube of w's legs or of the top of a square through the up-edge.
-    With one down-edge, the top of the square of the two up-edges must go
-    down in every class in which both of them do. With none, the three
-    classes must be those of a 3-cube with bottom w; the triangles of
-    squares at w are listed in degree order.
+    K_{2,3} would give two vertices two common legs; by the cut condition
+    (see ``forest()``) both would lie on the far sides of exactly the
+    classes of the two legs, so two edges at a leg would share a class,
+    which ``_Across`` rejects. Three squares at w with two or three edges
+    going down lie in the cube of w's legs or of the top of a square
+    through the up-edge. With one down-edge, the top of the square of the
+    two up-edges must go down in every class in which both of them do.
+    With none, the three classes must be those of a 3-cube with bottom w;
+    the triangles of squares at w are listed in degree order.
     """
     if not len(squares):
         return
@@ -792,7 +772,11 @@ class KeyProperty:
     from its shallower end.  ``max_step_size`` is the most hyperplanes
     crossed at one step of any path.  ``partition_ok`` says that each
     path crosses exactly the hyperplanes separating its start from the
-    base vertex, each once.
+    base vertex, each once: it crosses d(base, start) keys, each once, and
+    the crossed sets of the ends of every edge differ in exactly the
+    edge's own hyperplane, which, as the base crosses none and the graph
+    is connected, holds exactly when each crossed set is the start's
+    separating set.
     """
 
     index_deltas: np.ndarray
@@ -822,8 +806,11 @@ def key_property(g: MedianGraph) -> KeyProperty:
                             return_counts=True)
     crossed = index.astype(bool)
     crossed.sum_duplicates()
+    # the ends of every edge differ in exactly its own class
+    cut = crossed[g.eu] != crossed[g.ev]
     partition_ok = bool(np.array_equal(np.diff(crossed.indptr), dist)
-                        and (crossed != g.separators.astype(bool)).nnz == 0)
+                        and (np.diff(cut.indptr) == 1).all()
+                        and np.array_equal(cut.indices, own))
     return KeyProperty(
         index_deltas=deltas,
         own_key_ok=own_ok,
@@ -836,7 +823,8 @@ def key_property(g: MedianGraph) -> KeyProperty:
 
 
 def distance_condition_sides(g: MedianGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Far-side rows, as ``hyperplanes()`` returns them, and the class of
+    """Far-side rows, one per vertex with the classes separating it from
+    the base vertex packed eight a byte (``np.packbits``), and the class of
     every edge, by the distance condition with two BFS rows per class.
 
     The BFS rows da, db of a representative edge (a, b) split the
@@ -845,7 +833,7 @@ def distance_condition_sides(g: MedianGraph) -> tuple[np.ndarray, np.ndarray]:
     its first edge. Each halfspace is connected (a shortest path to a
     stays in W_ab). A vertex with da == db (not bipartite) or
     overlapping classes raise SideComputationError. Independent of the
-    level sweep; the cache of ``g`` is left as it is.
+    forest; the cache of ``g`` is left as it is.
     """
     eu, ev = g.eu, g.ev
     assigned = np.full(g.edge_count, -1, dtype=np.int64)

@@ -85,9 +85,15 @@ def save_spacefile(sf: SpaceFile, path) -> None:
 
 def load_spacefile(path) -> SpaceFile:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except IsADirectoryError as exc:
+        raise SpaceFormatError(f"{path}: is a directory") from exc
+    except UnicodeDecodeError as exc:
+        raise SpaceFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise SpaceFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise SpaceFormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise SpaceFormatError(f"{path}: top level must be an object")
     for key in ("type", "n", "root"):

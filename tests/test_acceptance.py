@@ -100,7 +100,7 @@ def from_tree_spider():
 @pytest.fixture(scope="module")
 def grid300():
     g = gen_cube(CubeSpec.grid(300, 300))
-    g.hyperplanes()
+    g.forest()
     return g
 
 
@@ -127,8 +127,7 @@ def test_criterion_02_unit_oracle_complexes(cubes_c2):
         n = g.vertex_count
         # far sides: two vertices differ on one side exactly when they
         # differ on the other
-        far = np.unpackbits(g.hyperplanes(), axis=1,
-                            count=g.forest().key_count).T.view(bool)
+        far = g.separators.toarray().astype(bool).T
         for start in range(0, n, 256):
             block = np.arange(start, min(start + 256, n))
             dist = g.distances_from(block).astype(np.int64)

@@ -333,8 +333,30 @@ def test_measure_missing_file(tmp_path, capsys):
     assert "no such space file" in err
 
 
+@pytest.mark.parametrize("case", ["nested", "directory", "latin-1"])
+def test_measure_rejects_unreadable_space_files(tmp_path, capsys, case):
+    # bad input exits 2 with a message naming the file, never a traceback
+    # and exit 1, which would read as a failed check
+    path = tmp_path / "space.json"
+    if case == "nested":
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        message = f"error: {path}: JSON nested too deeply\n"
+    elif case == "directory":
+        path.mkdir()
+        message = f"error: {path}: is a directory\n"
+    else:
+        path.write_bytes(b'{"type":"tree","n":1,"root":0,"parent":[0],'
+                         b'"generator":{"spec":"\xe9"}}')
+        message = (f"error: {path}: not UTF-8 text ('utf-8' codec can't decode "
+                   "byte 0xe9 in position 64: invalid continuation byte)\n")
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, "measure", "--space", str(path), "-o", str(out))
+    assert (code, stdout, err) == (2, "", message)
+    assert not out.exists()
+
+
 def test_measure_rejects_nonmedian(tmp_path, capsys):
-    # the level sweep of hyperplanes() rejects each graph before any pair
+    # the checks of forest() reject each graph before any pair
     # is drawn, whatever the sampler
     q5 = [3, 11, 7, 23, 22, 2, 19, 31, 10, 6, 18, 29, 25, 17, 5, 24, 28,
           27, 4, 26, 16, 14]  # the Q5 subgraph of the embed test above
@@ -349,8 +371,8 @@ def test_measure_rejects_nonmedian(tmp_path, capsys):
          "down-neighbours 2 and 4 of vertex 3 have 0 common lower "
          "neighbours; not a median graph"),
         ("k23", 5, [[a, b] for a in (0, 1) for b in (2, 3, 4)],
-         "the ends of edge 4 are not separated by exactly its own class; "
-         "not a median graph"),
+         "edges 4 (1, 3) and 0 (0, 2), opposite in the square 1, 2, 0, 3, "
+         "lie in classes 2 and 0; not a median graph"),
         ("q3-minus-top", 7, [[u, u ^ 1 << b] for u in range(7) for b in range(3)
                              if u < u ^ 1 << b < 7],
          "three squares at vertex 0 lie in no cube"),
