@@ -35,7 +35,9 @@ hyperplane's basis vector, whose key is the hyperplane's class id.
 
 The steps of all vertices form one cube-path forest, computed once per
 graph; embeddings and index maps of any set of vertices are built from
-it.  Graphs, hyperplanes and the forest are immutable once computed.
+it, and ``key_property`` checks the index facts of every edge on its
+numpy rows, loading no scipy.  Graphs, hyperplanes and the forest are
+immutable once computed.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import (
     NonTerminationError,
     SideComputationError,
 )
-from .sparse import Graph, PathForest, edge_array, lookup, ranges, root_distances
+from .sparse import LEVEL_ENTRIES, Graph, PathForest, edge_array, lookup, ranges, root_distances
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
 
 if TYPE_CHECKING:
@@ -786,35 +788,48 @@ class KeyProperty:
 
 
 def key_property(g: MedianGraph) -> KeyProperty:
-    """Read the key property of every edge off the index matrix, whose
-    row v holds the step at which v's path crosses each hyperplane."""
+    """Read the key property of every edge off the forest's rows of all
+    vertices, whose entry (v, key) is the step at which v's path crosses
+    that hyperplane (a key crossed twice counts once, at its first step).
+    Each entry is coded v * K + key, and every edge looks up its deeper
+    end's keys among its shallower end's: the common keys give the index
+    gaps, and the sizes of the two sets and their common part give the
+    cut. numpy only."""
     if not g.edge_count:
         return KeyProperty(np.zeros(0, dtype=np.int64), True, 0, True)
     forest = g.forest()
-    steps = np.arange(int(forest.length.max()) + 1, dtype=np.float64)
-    index = forest.matrix(np.arange(g.vertex_count), steps)
-    a, b = index[g.eu], index[g.ev]
-    gaps = abs(a - b).multiply(a.multiply(b).astype(bool))
-    deltas = gaps.max(axis=1).toarray().ravel().astype(np.int64)
-    dist = g.dist_root
+    n, n_keys = g.vertex_count, forest.key_count
+    steps = np.arange(int(forest.length.max()) + 1)
+    indptr, keys, (step,) = forest.rows(np.arange(n), [steps])
+    code = np.arange(n).repeat(np.diff(indptr)) * n_keys + keys
+    first = np.ones(len(code), dtype=bool)
+    first[1:] = code[1:] != code[:-1]
+    code, step = code[first], step[first]
+    size = np.bincount(code // n_keys, minlength=n)  # distinct keys per path
     deeper, shallower = g._down_edges()
     own = g.hyp_of_edge
-    own_ok = bool((np.asarray(index[deeper, own]) == 1).all()
-                  and (np.asarray(index[shallower, own]) == 0).all())
-    row = np.repeat(np.arange(g.vertex_count), np.diff(index.indptr))
-    _, per_step = np.unique(row * len(steps) + index.data.astype(np.int64),
-                            return_counts=True)
-    crossed = index.astype(bool)
-    crossed.sum_duplicates()
+    own_deep = lookup(code, deeper * n_keys + own)
+    own_shallow = lookup(code, shallower * n_keys + own) >= 0
+    own_ok = bool((own_deep >= 0).all() and (step[own_deep] == 1).all()
+                  and not own_shallow.any())
+    # every key of the deeper end, found or not at the shallower end
+    lo = np.searchsorted(code, deeper * n_keys)
+    count = size[deeper]
+    at = ranges(lo, count)
+    edge = np.arange(g.edge_count).repeat(count)
+    there = lookup(code, shallower[edge] * n_keys + code[at] % n_keys)
+    common = there >= 0
+    deltas = np.zeros(g.edge_count, dtype=np.int64)
+    np.maximum.at(deltas, edge[common], np.abs(step[at[common]] - step[there[common]]))
     # the ends of every edge differ in exactly its own class
-    cut = crossed[g.eu] != crossed[g.ev]
-    partition_ok = bool(np.array_equal(np.diff(crossed.indptr), dist)
-                        and (np.diff(cut.indptr) == 1).all()
-                        and np.array_equal(cut.indices, own))
+    shared = np.bincount(edge[common], minlength=g.edge_count)
+    partition_ok = bool(np.array_equal(size, g.dist_root)
+                        and (size[deeper] + size[shallower] - 2 * shared == 1).all()
+                        and ((own_deep >= 0) != own_shallow).all())
     return KeyProperty(
         index_deltas=deltas,
         own_key_ok=own_ok,
-        max_step_size=int(per_step.max()),
+        max_step_size=int(np.diff(forest.step_ptr).max()),
         partition_ok=partition_ok,
     )
 
@@ -834,14 +849,25 @@ def distance_condition_sides(g: MedianGraph) -> tuple[np.ndarray, np.ndarray]:
     stays in W_ab). A vertex with da == db (not bipartite) or
     overlapping classes raise SideComputationError. Independent of the
     forest; the cache of ``g`` is left as it is.
+
+    A BFS pays a few numpy calls per level whatever its number of sources,
+    so the rows come in batches: those of the next unassigned edges, about
+    LEVEL_ENTRIES entries at a time, of which an edge assigned by the time
+    its turn comes is skipped.
     """
     eu, ev = g.eu, g.ev
     assigned = np.full(g.edge_count, -1, dtype=np.int64)
     sides: list[np.ndarray] = []
+    batch = max(1, LEVEL_ENTRIES // (2 * g.vertex_count))
+    rows: dict[int, np.ndarray] = {}
     for e0 in range(g.edge_count):
         if assigned[e0] >= 0:
             continue
-        da, db = g.distances_from([int(eu[e0]), int(ev[e0])])
+        if e0 not in rows:
+            edges = e0 + np.flatnonzero(assigned[e0:] < 0)[:batch]
+            block = g.distances_from(np.stack([eu[edges], ev[edges]], axis=1).ravel())
+            rows = dict(zip(edges.tolist(), block.reshape(len(edges), 2, -1)))
+        da, db = rows[e0]
         if (da == db).any():
             raise SideComputationError(
                 f"a vertex is equidistant from the ends of edge {e0}; not bipartite")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cube import MedianGraph
 from .errors import SpaceFormatError
-from .sparse import edge_array
+from .sparse import edge_array, root_distances
 from .tree import RootedTree
 
 
@@ -149,9 +149,6 @@ def build_space(sf: SpaceFile) -> Union[RootedTree, MedianGraph]:
 
 
 def _parent_from_edges(n, edges, root):
-    import scipy.sparse as sp  # slow to import, so only callers pay for it
-    from scipy.sparse import csgraph
-
     if len(edges) != n - 1:
         raise SpaceFormatError("a tree on n vertices needs n-1 edges")
     if not 0 <= root < n:
@@ -160,12 +157,14 @@ def _parent_from_edges(n, edges, root):
     if out < len(e):
         u, v = edges[out]
         raise SpaceFormatError(f"edge ({u},{v}) out of range")
-    graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
-    # n - 1 edges reach every vertex only if they form a tree, whose BFS
-    # predecessors from the root are the parents.
-    order, parent = csgraph.breadth_first_order(
-        graph, root, directed=False, return_predecessors=True)
-    if len(order) != n:
-        raise SpaceFormatError("edge list is not a connected tree")
-    parent[root] = root
+    u, v = e.T
+    # n - 1 edges reach every vertex only if they form a tree, in which each
+    # vertex but the root has one edge to the level above: its parent.
+    try:
+        dist = root_distances(n, u, v, root)
+    except ValueError:
+        raise SpaceFormatError("edge list is not a connected tree") from None
+    parent = np.full(n, root, dtype=np.int64)
+    up = dist[u] > dist[v]
+    parent[np.where(up, u, v)] = np.where(up, v, u)
     return parent

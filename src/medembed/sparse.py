@@ -1,8 +1,10 @@
 """Finitely supported vectors in a Hilbert space with integer basis keys,
 the cube-path forest every embedding is built from, and ``Graph``, what
-trees and median graphs share: edge arrays, CSR, BFS and embedding matrix.
-``root_distances`` is the numpy level BFS that gives a median graph its
-base vertex's row without loading scipy.
+trees and median graphs share: edge arrays, adjacency, BFS and embedding
+matrix. ``bfs_distances`` is the one BFS, a numpy level BFS from many
+sources at once: the oracles' metric (``Graph.distances_from``) and, from
+one source, ``root_distances``, a median graph's base vertex's row and a
+tree file's parents. No BFS loads scipy.
 
 Keys are local to a space: a tree's edge (v, parent(v)) has key v, a
 median graph's hyperplane has its class id as its key. These are the keys
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -33,7 +36,9 @@ from .errors import NonTerminationError
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# Entries (vertices x sources) of one piece of a level in PathForest.distances.
+# Entries (vertices x sources) of one piece of many-source distance work: a
+# piece of a level in PathForest.distances, a batch of BFS rows in
+# cube.distance_condition_sides.
 LEVEL_ENTRIES = 1 << 16
 
 
@@ -144,14 +149,6 @@ class PathForest:
         table = np.zeros(int(self.length.max()) + 1)
         table[1:] = w.values(np.arange(1, len(table), dtype=np.float64))
         return table
-
-    def matrix(self, rows, table) -> sp.csr_matrix:
-        """``rows(rows, [table])`` as a CSR matrix."""
-        return self.matrices(rows, [table])[0]
-
-    def matrices(self, rows, tables) -> list[sp.csr_matrix]:
-        """``rows(rows, tables)`` as one CSR matrix per table."""
-        return csr_matrices(*self.rows(rows, tables), self.key_count)
 
     def rows(self, rows, tables) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """Row r holds ``table[i]`` on every key that the path of
@@ -295,40 +292,70 @@ def ranges(starts, counts) -> np.ndarray:
     return out
 
 
-def root_distances(n: int, eu, ev, root: int) -> np.ndarray:
-    """Graph distance from ``root`` to every vertex of the graph with edges
-    (eu[i], ev[i]) on vertices 0..n-1, as an int64 row; ValueError("graph
-    is not connected") if some vertex is unreachable.
-
-    A level BFS over a CSR adjacency, a fixed number of numpy calls per
-    level. Each frontier's unseen neighbours are deduplicated without a
-    sort: every copy writes its own stamp, and the copies whose stamp reads
-    back are kept, one per vertex whichever write won. The adjacency holds
-    int32 ids where they fit; each level's ids are widened to intp once,
-    since numpy converts every narrower index array it is given.
-    """
+def adjacency(n: int, eu, ev) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency (start, nbr) of the graph with edges (eu[i], ev[i]) on
+    vertices 0..n-1: the neighbours of v are ``nbr[start[v]:start[v + 1]]``,
+    in edge order, int32 ids where they fit."""
     idx = np.int32 if n < 2**31 else np.int64
     ends = np.concatenate([eu, ev]).astype(idx)
     order = np.argsort(ends, kind="stable")
     nbr = np.concatenate([ev, eu]).astype(idx)[order]
     start = np.searchsorted(ends[order], np.arange(n + 1, dtype=idx))
-    del ends, order
+    return start, nbr
+
+
+def bfs_distances(adj: tuple[np.ndarray, np.ndarray], sources) -> np.ndarray:
+    """Graph distance from each of ``sources`` (vertices, repeats allowed)
+    to every vertex of the graph with ``adjacency`` ``adj``, as an S x n
+    block, int32 like ``PathForest.distances`` where the level stamps fit
+    and int64 otherwise; ValueError("graph is not connected") if some
+    vertex is unreachable.
+
+    One level BFS for all sources at once, a fixed number of numpy calls
+    per level. The frontier holds codes s * n + v, entries of the flat
+    block. Each frontier's unseen neighbours are deduplicated without a
+    sort: every copy writes its own stamp, and the copies whose stamp reads
+    back are kept, one per entry whichever write won. The adjacency holds
+    int32 ids where they fit; each level's ids are widened to intp once,
+    since numpy converts every narrower index array it is given. With one
+    source a code is its vertex, so the level takes no vertex-of-code
+    split.
+    """
+    start, nbr = adj
+    n = len(start) - 1
+    sources = np.asarray(sources, dtype=np.intp)
+    one = len(sources) == 1
     degree = np.diff(start)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[root] = 0
-    frontier = np.array([root], dtype=np.intp)
+    # a level writes at most len(sources) * len(nbr) stamps below -1
+    wide = len(sources) * len(nbr) >= 2**31 - 2
+    dtype = np.int64 if wide else np.int32
+    dist = np.full(len(sources) * n, -1, dtype=dtype)
+    frontier = sources + n * np.arange(len(sources))
+    dist[frontier] = 0
     level = 0
     while len(frontier):
         level += 1
-        seen = nbr[ranges(start[frontier], degree[frontier])].astype(np.intp)
+        at = frontier if one else frontier % n
+        count = degree[at]
+        seen = nbr[ranges(start[at], count)].astype(np.intp)
+        if not one:
+            seen += (frontier - at).repeat(count)
         seen = seen[dist[seen] < 0]
-        stamp = np.arange(-2, -2 - len(seen), -1)
+        stamp = np.arange(-2, -2 - len(seen), -1, dtype=dtype)
         dist[seen] = stamp
         frontier = seen[dist[seen] == stamp]
         dist[frontier] = level
     if (dist < 0).any():
         raise ValueError("graph is not connected")
-    return dist
+    return dist.reshape(len(sources), n)
+
+
+def root_distances(n: int, eu, ev, root: int) -> np.ndarray:
+    """Graph distance from ``root`` to every vertex of the graph with edges
+    (eu[i], ev[i]) on vertices 0..n-1, as an int64 row: ``bfs_distances``
+    from the one source; ValueError("graph is not connected") if some
+    vertex is unreachable."""
+    return bfs_distances(adjacency(n, eu, ev), [root])[0].astype(np.int64)
 
 
 def lookup(sorted_keys: np.ndarray, want) -> np.ndarray:
@@ -376,10 +403,10 @@ class Graph:
 
     Edge i joins ``eu[i]`` and ``ev[i]``; a subclass sets both arrays and
     ``forest()``, its cube-path forest to the root. ``distances_from``,
-    a csgraph BFS from many sources, is the oracle's metric: the profiles
-    and samplers read distances off the embedding's rows. A median graph's
-    base row comes from ``root_distances``, and a tree reads its depths
-    off its parent array.
+    the numpy BFS of ``bfs_distances`` from many sources, is the oracle's
+    metric: the profiles and samplers read distances off the forest. A
+    median graph's base row comes from ``root_distances``, the same BFS
+    from one source, and a tree reads its depths off its parent array.
     """
 
     def __init__(self, n: int, root: int, label: str = ""):
@@ -388,7 +415,6 @@ class Graph:
         self.label = label
         if not 0 <= self.root < self.n:
             raise ValueError("root out of range")
-        self._csr: Optional[sp.csr_matrix] = None
         self._forest: Optional[PathForest] = None
 
     @property
@@ -400,21 +426,18 @@ class Graph:
         return len(self.eu)
 
     def distances_from(self, sources) -> np.ndarray:
-        """Graph distances from the given vertices to every vertex, by
-        csgraph BFS: the independent metric of the oracles
-        (``oracle_deviations``, ``validate_median``,
+        """Graph distances from the given vertices to every vertex, an
+        S x n block by ``bfs_distances``: the independent metric of
+        the oracles (``oracle_deviations``, ``validate_median``,
         ``distance_condition_sides``) and the tests. No profile or sampler
-        calls it."""
-        import scipy.sparse as sp  # slow to import, so only callers pay for it
-        from scipy.sparse import csgraph
+        calls it. A source outside 0..n-1 raises ValueError("unknown
+        vertex v")."""
+        sources = np.atleast_1d(vertex_rows(sources, self.n))
+        return bfs_distances(self._adjacency, sources)
 
-        if self._csr is None:
-            ones = np.ones(2 * self.edge_count, dtype=np.int8)
-            ends = (np.concatenate([self.eu, self.ev]),
-                    np.concatenate([self.ev, self.eu]))
-            self._csr = sp.csr_matrix((ones, ends), shape=(self.n, self.n))
-        d = csgraph.dijkstra(self._csr, unweighted=True, indices=sources)
-        return np.atleast_2d(d)
+    @cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        return adjacency(self.n, self.eu, self.ev)
 
     def forest_distances(self, sources) -> np.ndarray:
         """Graph distances from the given vertices to every vertex, read off

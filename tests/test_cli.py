@@ -169,8 +169,8 @@ SCIPY_GUARD = (
       "--right", "path:6", "-o", "new.json"), None),
     (("measure", "--space", "grid.json", "--sampler", "exhaustive",
       "-o", "grid.csv"), "scipy.sparse"),
-    (("verify", "--suite", "normalpath", "--space", "grid.json"),
-     "scipy.sparse"),
+    (("verify", "--suite", "normalpath", "--space", "grid.json"), None),
+    (("verify", "--suite", "oracle", "--space", "grid.json"), "scipy.sparse"),
     (("measure", "--space", "grid.json", "--sampler", "stratified:5",
       "--seed", "1", "-o", "grid.csv"), None),
     (("measure", "--space", "tree.json", "--sampler", "stratified:5",
@@ -180,23 +180,31 @@ SCIPY_GUARD = (
     (("measure", "--space", "tree.json", "--sampler", "uniform:50",
       "--seed", "1", "-o", "tree.csv"), None),
     (("embed", "--space", "grid.json", "--vertex", "7"), None),
+    (("embed", "--space", "tree-edges.json", "--vertex", "7"), None),
 ], ids=["import", "generate-tree", "measure-tree", "verify-lemma",
         "verify-lemma-chunked", "report",
         "generate-grid", "generate-staircase", "generate-from-tree",
         "generate-tree-product", "measure-grid", "verify-normalpath",
-        "measure-grid-stratified", "measure-tree-stratified",
-        "measure-grid-uniform", "measure-tree-uniform", "embed-grid"])
+        "verify-oracle", "measure-grid-stratified", "measure-tree-stratified",
+        "measure-grid-uniform", "measure-tree-uniform", "embed-grid",
+        "embed-tree-edges"])
 def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
-    # scipy takes most of a CLI process's start-up; tree commands, the
-    # median-graph generators, the samplers and embed build no sparse matrix
-    # and run no csgraph BFS (the base vertex's BFS row, the forests' rows
-    # and distances are numpy), so they should not pay for it
+    # scipy takes most of a CLI process's start-up; tree commands (tree files
+    # that list edges too), the median-graph generators, the samplers, embed
+    # and the normalpath suite build no sparse matrix, and every BFS is numpy
+    # (the base vertex's row, the oracles' rows, a tree's parents from its
+    # edges), so only the Gram routes load scipy.sparse and nothing loads
+    # csgraph
     run(capsys, "generate", "--space", "binary-sample", "--depth", "30",
         "--rays", "6", "--seed", "42", "-o", str(tmp_path / "tree.json"))
     run(capsys, "generate", "--space", "grid", "--dims", "4x4",
         "-o", str(tmp_path / "grid.json"))
     run(capsys, "measure", "--space", str(tmp_path / "tree.json"),
         "--sampler", "exhaustive", "-o", str(tmp_path / "profile.csv"))
+    tree = json.loads((tmp_path / "tree.json").read_text())
+    parent = tree.pop("parent")
+    tree["edges"] = [[v, p] for v, p in enumerate(parent) if v != tree["root"]]
+    (tmp_path / "tree-edges.json").write_text(json.dumps(tree))
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -209,9 +217,7 @@ def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
         assert loaded == []
     else:
         assert loads in loaded
-    if argv[:3] == ("verify", "--suite", "normalpath"):
-        # the walks and the forest read the base vertex's numpy BFS row
-        assert "scipy.sparse.csgraph" not in loaded
+    assert "scipy.sparse.csgraph" not in loaded
 
 
 def test_measure_stratified_over_budget_exits_2(tmp_path, capsys, monkeypatch):

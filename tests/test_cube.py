@@ -492,16 +492,14 @@ def test_far_rows_match_bfs_sides():
         packed, hoe = route(g)
         k = len(np.unique(hoe))
         assert packed.dtype == np.uint8 and packed.shape == (n, (k + 7) // 8)
-        far = np.zeros((k, n), dtype=bool)
-        for c in range(k):
-            # the far side is the halfspace of the class's first edge whose
-            # end is the farther one from the base vertex
-            eid = np.flatnonzero(hoe == c)[0]
-            a, b = int(g.eu[eid]), int(g.ev[eid])
-            if g.dist_root[a] < g.dist_root[b]:
-                a, b = b, a
-            da, db = g.distances_from([a, b])
-            far[c] = da < db
+        # the far side is the halfspace of the class's first edge whose end
+        # is the farther one from the base vertex; one BFS for all classes
+        first = np.unique(hoe, return_index=True)[1]
+        a, b = g.eu[first], g.ev[first]
+        swap = g.dist_root[a] < g.dist_root[b]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        rows = g.distances_from(np.stack([a, b], axis=1).ravel()).reshape(k, 2, n)
+        far = rows[:, 0] < rows[:, 1]
         assert np.array_equal(np.packbits(far.T, axis=1), packed)
         # a vertex lies on the far side of exactly d(base, v) classes
         assert np.array_equal(np.bitwise_count(packed).sum(axis=1), g.dist_root)
@@ -513,7 +511,8 @@ def test_far_rows_match_bfs_sides():
 
 def test_median_hot_path_runs_one_bfs(monkeypatch):
     # forest() reads dist_root, the constructor's numpy BFS; construction,
-    # the forest and the embedding never call distances_from, the csgraph BFS
+    # the forest and the embedding never call distances_from, the oracles'
+    # BFS from many sources
     calls = []
     bfs = MedianGraph.distances_from
 

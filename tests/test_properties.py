@@ -22,7 +22,14 @@ from medembed.cube import (
 )
 from medembed.metrics import _entries_from_pairs, _exhaustive_entries, _tree_entries
 from medembed.spacefile import SpaceFile, build_space
-from medembed.sparse import vec_distance, vectors
+from medembed.sparse import (
+    adjacency,
+    bfs_distances,
+    csr_matrices,
+    root_distances,
+    vec_distance,
+    vectors,
+)
 from medembed.tree import (
     RootedTree,
     TreeSpec,
@@ -156,12 +163,101 @@ rerooted_median_graphs = st.one_of(
 )
 
 
-@given(rerooted_median_graphs)
+def _dijkstra(n, eu, ev, sources):
+    """scipy's unweighted csgraph Dijkstra, the reference for the numpy BFS."""
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+
+    ones = np.ones(len(eu), dtype=np.int8)
+    adj = sp.csr_matrix((ones, (eu, ev)), shape=(n, n))
+    return csgraph.dijkstra(adj, directed=False, unweighted=True,
+                            indices=np.asarray(sources, dtype=np.int64))
+
+
+@given(rerooted_median_graphs, st.lists(st.integers(min_value=0, max_value=10**6),
+                                        max_size=6))
 @settings(max_examples=150, deadline=None)
-def test_root_distances_match_csgraph_bfs(g):
-    bfs = g.distances_from([g.root])[0].astype(np.int64)
+def test_root_distances_match_csgraph_bfs(g, picks):
     assert g.dist_root.dtype == np.int64
-    np.testing.assert_array_equal(g.dist_root, bfs)
+    ref = _dijkstra(g.n, g.eu, g.ev, [g.root])[0]
+    np.testing.assert_array_equal(g.dist_root, ref)
+    sources = [g.root, *(p % g.n for p in picks)]
+    block = g.distances_from(sources)
+    assert block.dtype == np.int32 and block.shape == (len(sources), g.n)
+    np.testing.assert_array_equal(block, _dijkstra(g.n, g.eu, g.ev, sources))
+
+
+@st.composite
+def connected_graphs(draw, min_parts=1):
+    """(n, eu, ev): a random forest of ``min_parts`` or more trees (parent
+    of i below i within its part), relabelled and with extra edges inside
+    the parts, repeats and self-loops among them, in shuffled order and
+    orientation."""
+    n = draw(st.integers(min_value=min_parts, max_value=30))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min_parts - 1, replace=False))
+    part = np.zeros(n, dtype=np.int64)
+    part[cuts] = 1
+    part = np.cumsum(part)
+    first = np.searchsorted(part, part)
+    v = np.flatnonzero(np.arange(n) != first)
+    edges = [np.stack([v, first[v] + rng.integers(0, v - first[v])], axis=1)]
+    extra = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+    edges.append(extra[part[extra[:, 0]] == part[extra[:, 1]]])
+    edges = np.concatenate(edges)
+    edges = edges[rng.permutation(len(edges))]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip][:, ::-1]
+    label = rng.permutation(n)
+    return n, label[edges[:, 0]], label[edges[:, 1]]
+
+
+@given(connected_graphs(), st.lists(st.integers(min_value=0, max_value=10**6),
+                                    max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_bfs_matches_csgraph_dijkstra(graph, picks):
+    n, eu, ev = graph
+    sources = [0, *(p % n for p in picks), 0]
+    block = bfs_distances(adjacency(n, eu, ev), sources)
+    assert block.dtype == np.int32
+    np.testing.assert_array_equal(block, _dijkstra(n, eu, ev, sources))
+    # the one-source call takes no vertex-of-code split, and must agree
+    for row, s in zip(block, sources):
+        np.testing.assert_array_equal(root_distances(n, eu, ev, s), row)
+    assert bfs_distances(adjacency(n, eu, ev), []).shape == (0, n)
+
+
+@given(connected_graphs(min_parts=2), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=100, deadline=None)
+def test_bfs_rejects_a_disconnected_graph(graph, pick):
+    n, eu, ev = graph
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        bfs_distances(adjacency(n, eu, ev), [pick % n, 0])
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        root_distances(n, eu, ev, pick % n)
+
+
+@given(random_trees, st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_parents_from_shuffled_edges_match_breadth_first_order(tree, seed):
+    from scipy.sparse import coo_matrix, csgraph
+
+    rng = np.random.default_rng(seed)
+    n = tree.vertex_count
+    edges = np.stack([tree.eu, tree.ev], axis=1)
+    edges = edges[rng.permutation(len(edges))]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip][:, ::-1]
+    root = int(rng.integers(n))
+    got = build_space(SpaceFile(type="tree", n=n, root=root,
+                                edges=edges.tolist())).parent
+    graph = coo_matrix((np.ones(len(edges)), edges.T), shape=(n, n))
+    order, parent = csgraph.breadth_first_order(
+        graph, root, directed=False, return_predecessors=True)
+    assert len(order) == n
+    parent[root] = root
+    np.testing.assert_array_equal(got, parent)
 
 
 def test_root_distances_fixed_cases():
@@ -171,8 +267,11 @@ def test_root_distances_fixed_cases():
     # a 4-cycle with a pendant vertex, based away from vertex 0
     g = MedianGraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)], root=2)
     assert g.dist_root.tolist() == [2, 1, 0, 1, 2]
-    np.testing.assert_array_equal(
-        g.dist_root, g.distances_from([2])[0].astype(np.int64))
+    np.testing.assert_array_equal(g.dist_root, g.distances_from([2])[0])
+    assert g.distances_from(4).tolist() == [[2, 3, 2, 1, 0]]
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match=f"^unknown vertex {bad}$"):
+            g.distances_from([0, bad])
     # n - 1 edges, enough to pass the edge count, and still two parts
     for n, edges in ((5, [(0, 1), (1, 2), (2, 3), (3, 0)]),
                      (6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])):
@@ -231,7 +330,8 @@ def assert_forest_rows_match(space, index_maps):
     n = space.vertex_count
     steps = np.arange(int(forest.length.max()) + 1, dtype=np.float64)
     table = forest.weight_table(POWER)
-    assert _rows(forest.matrix(range(n), steps)) == index_maps
+    index, = csr_matrices(*forest.rows(range(n), [steps]), forest.key_count)
+    assert _rows(index) == index_maps
     assert _rows(space.embedding_matrix(POWER, range(n))) == [
         {key: table[i] for key, i in m.items()} for m in index_maps]
 

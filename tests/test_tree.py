@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from medembed.errors import BudgetExceededError
-from medembed.sparse import vec_distance, vectors
+from medembed.sparse import csr_matrices, vec_distance, vectors
 from medembed.tree import (
     RootedTree,
     TreeSpec,
@@ -252,7 +252,8 @@ def test_injectivity_patch():
     eps = 0.5
     forest = t.forest()
     rows = range(t.vertex_count)
-    patched = forest.matrix(rows, forest.weight_table(PAPER) + eps).toarray()
+    patched = csr_matrices(*forest.rows(rows, [forest.weight_table(PAPER) + eps]),
+                           forest.key_count)[0].toarray()
     plain = t.embedding_matrix(PAPER, rows).toarray()
     assert len({tuple(row) for row in patched}) == t.vertex_count
     dist = bfs_distances(t)
