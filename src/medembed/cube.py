@@ -8,7 +8,8 @@ Removing a class splits the graph into a near side (containing the base
 vertex) and a far side; for vertices, graph distance equals the number of
 classes separating them.  The classes separating a vertex from the base
 are the keys its cube path crosses, so the cube-path forest holds them
-once, and ``separators`` reads them off it.
+once, ``separators`` reads them off it, and ``separating_counts`` are the
+forest distances.
 
 The classes (linked across squares, one level down) and the cube paths
 come from the levels of the base vertex's BFS row
@@ -292,13 +293,11 @@ class MedianGraph(Graph):
 
     def separating_counts(self, sources) -> np.ndarray:
         """Number of hyperplanes separating each source from each vertex,
-        a len(sources) x n block like ``distances_from``: a Gram of
-        separator rows, |S_u| + |S_v| - 2 S_u . S_v."""
-        sep = self.separators
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        sizes = np.diff(sep.indptr)
-        gram = sep[sources].toarray() @ sep.T
-        return sizes[sources, None] + sizes[None, :] - 2 * gram
+        a len(sources) x n int32 block like ``distances_from``: the
+        hyperplanes that separate exactly one of the two from the base
+        vertex, the keys on exactly one of their cube paths, so
+        ``forest_distances``."""
+        return self.forest_distances(sources)
 
     @cached_property
     def dimension(self) -> int:
@@ -794,7 +793,8 @@ def key_property(g: MedianGraph) -> KeyProperty:
     Each entry is coded v * K + key, and every edge looks up its deeper
     end's keys among its shallower end's: the common keys give the index
     gaps, and the sizes of the two sets and their common part give the
-    cut. numpy only."""
+    cut. The lookups go a piece of about LEVEL_ENTRIES keys at a time, so
+    beyond the rows they hold memory linear in the edges. numpy only."""
     if not g.edge_count:
         return KeyProperty(np.zeros(0, dtype=np.int64), True, 0, True)
     forest = g.forest()
@@ -812,17 +812,23 @@ def key_property(g: MedianGraph) -> KeyProperty:
     own_shallow = lookup(code, shallower * n_keys + own) >= 0
     own_ok = bool((own_deep >= 0).all() and (step[own_deep] == 1).all()
                   and not own_shallow.any())
-    # every key of the deeper end, found or not at the shallower end
+    # every key of the deeper end, found or not at the shallower end, for
+    # the edges whose keys start in one piece of LEVEL_ENTRIES keys
     lo = np.searchsorted(code, deeper * n_keys)
     count = size[deeper]
-    at = ranges(lo, count)
-    edge = np.arange(g.edge_count).repeat(count)
-    there = lookup(code, shallower[edge] * n_keys + code[at] % n_keys)
-    common = there >= 0
+    starts = np.cumsum(count) - count
+    bounds = np.searchsorted(starts, np.arange(0, starts[-1] + 1, LEVEL_ENTRIES))
     deltas = np.zeros(g.edge_count, dtype=np.int64)
-    np.maximum.at(deltas, edge[common], np.abs(step[at[common]] - step[there[common]]))
+    shared = np.zeros(g.edge_count, dtype=np.int64)
+    for a, b in itertools.pairwise([*bounds.tolist(), g.edge_count]):
+        at = ranges(lo[a:b], count[a:b])
+        edge = np.arange(a, b).repeat(count[a:b])
+        there = lookup(code, shallower[edge] * n_keys + code[at] % n_keys)
+        common = there >= 0
+        edge, at, there = edge[common], at[common], there[common]
+        np.maximum.at(deltas, edge, np.abs(step[at] - step[there]))
+        shared[a:b] = np.bincount(edge - a, minlength=b - a)
     # the ends of every edge differ in exactly its own class
-    shared = np.bincount(edge[common], minlength=g.edge_count)
     partition_ok = bool(np.array_equal(size, g.dist_root)
                         and (size[deeper] + size[shallower] - 2 * shared == 1).all()
                         and ((own_deep >= 0) != own_shallow).all())

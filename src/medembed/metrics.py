@@ -19,9 +19,15 @@ uniform sampler reads its pairs' distances off their unit-weight rows.
 Both embed their pairs with one kernel (``_pair_sq_distances``) that
 walks the target rows in chunks of at least CHUNK_ROWS rows, sums in
 blocks of at most CHUNK_ENTRIES entries and adds every sum in the same
-order as a CSR x dense product. Only the oracle needs
-``distances_from(sources) -> 2d array``. Trees, median graphs and
-products of them all qualify.
+order as a CSR x dense product. Trees, median graphs and products of
+them all qualify.
+
+``oracle_deviations`` checks the two identities on a tree or a median
+graph with no Gram: each block of sources reads its distances off the
+forest and proves them equal to the graph metric with the certificate
+``Graph.is_metric``, and the unit-weight rows are checked once to follow
+the forest. Only a block the certificate refuses runs the BFS
+(``distances_from``), so a passing space loads no scipy and runs no BFS.
 
 An exhaustive profile takes one of two routes. On a ``RootedTree`` a
 pair's embedded distance depends only on its depth triple (a, b, s), so
@@ -42,7 +48,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .sparse import csr_matrices, vertex_rows
+from .sparse import Graph, csr_matrices, ranges, vertex_rows
 from .tree import RootedTree
 from .weights import WeightFunction, deficit_bound, diff_sq_tail_bound
 
@@ -50,8 +56,9 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
-# Pairs (u, v) per block of the all-pairs Gram route (_sq_distance_blocks),
-# which takes max(1, BLOCK_ENTRIES // n) rows u at a time.
+# Pairs (u, v) per block of the all-pairs Gram route (_sq_distance_blocks)
+# and of oracle_deviations, which take max(1, BLOCK_ENTRIES // n) rows u at
+# a time.
 BLOCK_ENTRIES = 1 << 18
 # _pair_sq_distances walks its target rows in chunks of at least CHUNK_ROWS
 # rows, or as many as fit in CHUNK_ENTRIES entries, whichever is more
@@ -855,27 +862,81 @@ def bourgain_consistency(
 # -- convenience checks shared by the CLI and the test suite ----------------------
 
 
+def _unit_rows_follow_forest(space) -> bool:
+    """Whether the unit-weight rows of all vertices are the key sets of
+    their cube paths: the root's row is empty, the keys of each row ascend
+    strictly, every value is exactly 1.0, and row(v) is row(exit v) plus
+    the keys of v's own step, compared as sorted v * K + key codes. Then,
+    down the forest, row(v) holds each key of v's path once, so the
+    squared unit-weight distance of two rows counts the keys on exactly
+    one of their paths: their forest distance, exactly."""
+    forest = space.forest()
+    n, k = space.vertex_count, forest.key_count
+    indptr, keys, (values,) = space.embedding_rows([WeightFunction.unit()], np.arange(n))
+    count = np.diff(indptr)
+    code = np.arange(n).repeat(count) * k + keys
+    if count[forest.root] or not (values == 1.0).all() or (np.diff(code) <= 0).any():
+        return False
+    inherited = count[forest.exit]
+    sizes = np.diff(forest.step_ptr)
+    want = np.concatenate([
+        code[ranges(indptr[forest.exit], inherited)]
+        + ((np.arange(n) - forest.exit) * k).repeat(inherited),
+        np.arange(n).repeat(sizes) * k
+        + forest.step_keys[ranges(forest.step_ptr[:-1], sizes)]])
+    want.sort()
+    return np.array_equal(want, code)
+
+
 def oracle_deviations(space) -> tuple[float, Optional[int]]:
-    """Exact identities over all pairs against BFS distances d, with one
-    BFS per vertex: the largest relative deviation of the squared
-    unit-weight embedded distance from d (zero-ish for a square-root
+    """Exact identities over all pairs u < v of a tree or a median graph
+    against its graph metric d: the largest relative deviation of the
+    squared unit-weight embedded distance from d (zero for a square-root
     isometry) and the largest deviation of ``separating_counts`` from d
-    (None on spaces without hyperplanes)."""
-    unit = space.embedding_matrix(WeightFunction.unit(), np.arange(space.vertex_count))
+    (None on a tree, which has no hyperplanes). TypeError on any other
+    space; products have their own suite.
+
+    Sources u go max(1, BLOCK_ENTRIES // n) at a time, and each block
+    reads its distances t off the cube-path forest (``forest_distances``,
+    on a median graph its ``separating_counts``). Where the certificate
+    ``Graph.is_metric`` proves t = d and the unit rows follow the forest
+    (``_unit_rows_follow_forest``, checked once), the block adds exactly 0
+    to both deviations, with no BFS. Otherwise d is t if certified and the
+    BFS (``distances_from``) if not, and the squared unit-weight distances
+    are t where the rows follow the forest and ``_pair_sq_distances`` of
+    the block's pairs where they do not; every term is an integer, so
+    both are exact, as the Gram route's are."""
+    if not isinstance(space, Graph):
+        raise TypeError(f"oracle_deviations takes a tree or a median graph, "
+                        f"not {type(space).__name__}")
+    n = space.vertex_count
     seps = getattr(space, "separating_counts", None)
+    read = space.forest_distances if seps is None else seps
+    follows = _unit_rows_follow_forest(space)
     worst, sep_worst = 0.0, None if seps is None else 0
-    for block, mask, (unit_sq,) in _sq_distance_blocks([unit]):
-        d = space.distances_from(block)[:, block[0]:][mask]
+    rows = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        block = np.arange(start, min(start + rows, n))
+        t = read(block)
+        exact = space.is_metric(block, t)
+        if exact and follows:
+            continue
+        d = t if exact else space.distances_from(block)
+        mask = np.arange(start, n)[None, :] > block[:, None]
+        t, d = t[:, start:][mask], d[:, start:][mask]
+        if follows:
+            unit_sq = t.astype(np.float64)
+        else:
+            us, vs = np.nonzero(mask)
+            unit_sq = _pair_sq_distances(space, WeightFunction.unit(),
+                                         us + start, vs + start)
         nz = d > 0
         err = np.abs(np.subtract(unit_sq, d, out=unit_sq), out=unit_sq)
         np.divide(err, d, out=err, where=nz)
         worst = max(worst, float(err.max(initial=0.0, where=nz)))
-        del unit_sq, err, nz
         if seps is not None:
-            sep = seps(block)[:, block[0]:][mask]
-            sep_worst = max(sep_worst, int(np.abs(sep - d).max(initial=0)))
-            del sep
-        del block, mask, d  # before the next block allocates
+            sep_worst = max(sep_worst, int(np.abs(t - d).max(initial=0)))
+        del block, mask, t, d, unit_sq, err, nz  # before the next block allocates
     return worst, sep_worst
 
 

@@ -4,7 +4,9 @@ trees and median graphs share: edge arrays, adjacency, BFS and embedding
 matrix. ``bfs_distances`` is the one BFS, a numpy level BFS from many
 sources at once: the oracles' metric (``Graph.distances_from``) and, from
 one source, ``root_distances``, a median graph's base vertex's row and a
-tree file's parents. No BFS loads scipy.
+tree file's parents. No BFS loads scipy. ``is_graph_metric`` proves a
+block of rows equal to that metric without a BFS, in time linear in the
+edges per source (``Graph.is_metric``).
 
 Keys are local to a space: a tree's edge (v, parent(v)) has key v, a
 median graph's hyperplane has its class id as its key. These are the keys
@@ -18,7 +20,8 @@ of rows, so collect the rows and make one call. ``embedding_matrix`` and
 ``embedding_matrices`` wrap the triples in scipy CSR matrices (imported
 only there), and ``vectors`` hands either to ``fsum``. A space's forest
 also gives the graph distances from a few sources to every vertex
-(``PathForest.distances``) with no BFS and no embedding.
+(``PathForest.distances``) with no BFS and no embedding; the oracle
+checks them with the certificate.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ if TYPE_CHECKING:
 
 # Entries (vertices x sources) of one piece of many-source distance work: a
 # piece of a level in PathForest.distances, a batch of BFS rows in
-# cube.distance_condition_sides.
+# cube.distance_condition_sides, a chunk of sources of is_graph_metric (in
+# adjacency entries x sources); and the keys of one piece of the per-edge
+# lookups of cube.key_property.
 LEVEL_ENTRIES = 1 << 16
 
 
@@ -350,6 +355,52 @@ def bfs_distances(adj: tuple[np.ndarray, np.ndarray], sources) -> np.ndarray:
     return dist.reshape(len(sources), n)
 
 
+def is_graph_metric(adj: tuple[np.ndarray, np.ndarray], sources, f) -> bool:
+    """True exactly when row i of the S x n block ``f`` is the graph
+    distance d from ``sources[i]`` to every vertex of the graph with
+    ``adjacency`` ``adj``: a certificate, linear in the edges per source,
+    with no BFS.
+
+    It holds when (1) f >= 0 and f(s) = 0, (2) every edge changes f by at
+    most 1 and (3) every vertex v other than s has a neighbour with f one
+    less. By (1) and (2), f rises by at most 1 along a shortest path from
+    s, so f(v) <= d(s, v). By (3), a vertex v other than s steps down to a
+    neighbour where f is one less; by (1) f stays >= 0, so such steps end,
+    and only at s, after exactly f(v) edges, so f(v) >= d(s, v).
+    Conversely d itself satisfies all three. A vertex that s does not
+    reach has no such walk, so a disconnected graph fails (3).
+
+    The sources go max(1, LEVEL_ENTRIES // 2m) at a time, 2m the adjacency
+    entries, in the transposed n x S layout: each entry (v, u) of the
+    adjacency takes the difference f(v) - f(u) of the two rows, one gather
+    and one subtraction. Every edge is listed both ways, so (2) is that no
+    difference exceeds 1. Where a difference is exactly 1, u is closer; the
+    cumulative count of these flags over the entries, read at the bounds
+    of v's neighbour list, tells whether v has a closer neighbour.
+    """
+    start, nbr = adj
+    sources = np.asarray(sources, dtype=np.intp)
+    degree = np.diff(start)
+    chunk = max(1, LEVEL_ENTRIES // max(1, len(nbr)))
+    for lo in range(0, len(sources), chunk):
+        src = sources[lo:lo + chunk]
+        col = np.arange(len(src))
+        ft = np.ascontiguousarray(f[lo:lo + chunk].T)
+        if ft.min(initial=0) < 0 or (ft[src, col] != 0).any():
+            return False
+        step = ft.repeat(degree, axis=0)
+        step -= ft.take(nbr, axis=0)
+        if step.max(initial=0) > 1:
+            return False
+        closer = np.zeros((len(nbr) + 1, len(src)), dtype=np.int32)
+        np.cumsum(step == 1, axis=0, dtype=np.int32, out=closer[1:])
+        has = closer[start[1:]] > closer[start[:-1]]
+        has[src, col] = True
+        if not has.all():
+            return False
+    return True
+
+
 def root_distances(n: int, eu, ev, root: int) -> np.ndarray:
     """Graph distance from ``root`` to every vertex of the graph with edges
     (eu[i], ev[i]) on vertices 0..n-1, as an int64 row: ``bfs_distances``
@@ -403,8 +454,9 @@ class Graph:
 
     Edge i joins ``eu[i]`` and ``ev[i]``; a subclass sets both arrays and
     ``forest()``, its cube-path forest to the root. ``distances_from``,
-    the numpy BFS of ``bfs_distances`` from many sources, is the oracle's
-    metric: the profiles and samplers read distances off the forest. A
+    the numpy BFS of ``bfs_distances`` from many sources, is the oracles'
+    independent metric: the profiles and samplers read distances off the
+    forest, and ``is_metric`` proves such a block equal to it. A
     median graph's base row comes from ``root_distances``, the same BFS
     from one source, and a tree reads its depths off its parent array.
     """
@@ -427,13 +479,19 @@ class Graph:
 
     def distances_from(self, sources) -> np.ndarray:
         """Graph distances from the given vertices to every vertex, an
-        S x n block by ``bfs_distances``: the independent metric of
-        the oracles (``oracle_deviations``, ``validate_median``,
-        ``distance_condition_sides``) and the tests. No profile or sampler
-        calls it. A source outside 0..n-1 raises ValueError("unknown
-        vertex v")."""
+        S x n block by ``bfs_distances``: the independent metric of the
+        oracles (``validate_median``, ``distance_condition_sides``, and
+        ``oracle_deviations`` for a block its certificate refuses) and of
+        the tests. No profile or sampler calls it. A source outside
+        0..n-1 raises ValueError("unknown vertex v")."""
         sources = np.atleast_1d(vertex_rows(sources, self.n))
         return bfs_distances(self._adjacency, sources)
+
+    def is_metric(self, sources, block) -> bool:
+        """Whether ``block`` is ``distances_from(sources)``, by the
+        certificate of ``is_graph_metric``, with no BFS."""
+        sources = np.atleast_1d(vertex_rows(sources, self.n))
+        return is_graph_metric(self._adjacency, sources, block)
 
     @cached_property
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
@@ -443,7 +501,7 @@ class Graph:
         """Graph distances from the given vertices to every vertex, read off
         the cube-path forest (``PathForest.distances``): numpy only, and
         what the samplers use."""
-        return self.forest().distances(vertex_rows(sources, self.n))
+        return self.forest().distances(np.atleast_1d(vertex_rows(sources, self.n)))
 
     def embedding_matrix(self, w, rows) -> sp.csr_matrix:
         """CSR rows of the embedding of ``rows``; column k is key k. A row

@@ -170,7 +170,9 @@ SCIPY_GUARD = (
     (("measure", "--space", "grid.json", "--sampler", "exhaustive",
       "-o", "grid.csv"), "scipy.sparse"),
     (("verify", "--suite", "normalpath", "--space", "grid.json"), None),
-    (("verify", "--suite", "oracle", "--space", "grid.json"), "scipy.sparse"),
+    (("verify", "--suite", "oracle", "--space", "grid.json"), None),
+    (("verify", "--suite", "oracle", "--space", "tree.json"), None),
+    (("verify", "--suite", "oracle", "--space", "from-tree.json"), None),
     (("measure", "--space", "grid.json", "--sampler", "stratified:5",
       "--seed", "1", "-o", "grid.csv"), None),
     (("measure", "--space", "tree.json", "--sampler", "stratified:5",
@@ -185,20 +187,23 @@ SCIPY_GUARD = (
         "verify-lemma-chunked", "report",
         "generate-grid", "generate-staircase", "generate-from-tree",
         "generate-tree-product", "measure-grid", "verify-normalpath",
-        "verify-oracle", "measure-grid-stratified", "measure-tree-stratified",
+        "verify-oracle", "verify-oracle-tree", "verify-oracle-from-tree",
+        "measure-grid-stratified", "measure-tree-stratified",
         "measure-grid-uniform", "measure-tree-uniform", "embed-grid",
         "embed-tree-edges"])
 def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
     # scipy takes most of a CLI process's start-up; tree commands (tree files
     # that list edges too), the median-graph generators, the samplers, embed
-    # and the normalpath suite build no sparse matrix, and every BFS is numpy
-    # (the base vertex's row, the oracles' rows, a tree's parents from its
-    # edges), so only the Gram routes load scipy.sparse and nothing loads
-    # csgraph
+    # and the oracle and normalpath suites build no sparse matrix, and every
+    # BFS is numpy (the base vertex's row, the oracles' rows, a tree's
+    # parents from its edges), so only the exhaustive Gram route loads
+    # scipy.sparse and nothing loads csgraph
     run(capsys, "generate", "--space", "binary-sample", "--depth", "30",
         "--rays", "6", "--seed", "42", "-o", str(tmp_path / "tree.json"))
     run(capsys, "generate", "--space", "grid", "--dims", "4x4",
         "-o", str(tmp_path / "grid.json"))
+    run(capsys, "generate", "--space", "from-tree", "--tree", "binary-sample:12,6",
+        "--seed", "5", "-o", str(tmp_path / "from-tree.json"))
     run(capsys, "measure", "--space", str(tmp_path / "tree.json"),
         "--sampler", "exhaustive", "-o", str(tmp_path / "profile.csv"))
     tree = json.loads((tmp_path / "tree.json").read_text())

@@ -38,7 +38,13 @@ PAPER = WeightFunction.paper(18)
 
 
 def all_distances(g):
-    return g.distances_from(range(g.vertex_count)).astype(np.int64)
+    """All-pairs BFS distances, fetched max(1, 2**18 // n) sources at a
+    time: one BFS from all n sources touches its n x n block at random and
+    is slower."""
+    n = g.vertex_count
+    step = max(1, 2**18 // n)
+    return np.concatenate([g.distances_from(range(lo, min(lo + step, n)))
+                           for lo in range(0, n, step)]).astype(np.int64)
 
 
 def triangle():
@@ -741,6 +747,23 @@ def test_forest_memory_stays_linear_on_a_long_path():
     finally:
         tracemalloc.stop()
     assert peak <= 16 << 20
+
+
+def test_key_property_memory_is_a_multiple_of_the_rows():
+    # the rows of all vertices hold sum(length) entries; the per-edge
+    # lookups go in pieces of LEVEL_ENTRIES keys, so the peak stays a fixed
+    # multiple of the rows
+    for spec in (CubeSpec.grid(60, 60), CubeSpec.from_tree(TreeSpec.path(600))):
+        g = gen_cube(spec)
+        entries = int(g.forest().length.sum())
+        tracemalloc.start()
+        try:
+            keys = key_property(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keys.partition_ok and keys.index_deltas.max() <= 1
+        assert peak <= 80 * entries + (4 << 20), spec.label()
 
 
 def test_path_partitions_separators():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -801,13 +802,184 @@ def test_unit_identity_helper(monkeypatch):
     assert err <= 1e-9
     assert sep_dev == 0
     t = gen_tree(TreeSpec.spider(3, 4))
-    # 5 rows of 13 per block
+    # 5 rows of 13 per block, each read once off the forest
     monkeypatch.setattr(metrics, "BLOCK_ENTRIES", 5 * t.vertex_count)
-    sizes = counted_blocks(monkeypatch)
+    sizes = []
+    read = t.forest_distances
+
+    def counting(block):
+        sizes.append(len(block))
+        return read(block)
+
+    monkeypatch.setattr(t, "forest_distances", counting)
     err, sep_dev = oracle_deviations(t)
     assert err <= 1e-9
     assert sep_dev is None
     assert sizes == [5, 5, 3]
+
+
+def separator_gram_counts(g, sources):
+    """Separating counts as a Gram of separator rows, |S_u| + |S_v| -
+    2 S_u . S_v: the reference for ``separating_counts``."""
+    sep = g.separators
+    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    sizes = np.diff(sep.indptr)
+    gram = sep[sources].toarray() @ sep.T
+    return sizes[sources, None] + sizes[None, :] - 2 * gram
+
+
+def gram_oracle_deviations(space):
+    """The reference for ``oracle_deviations``: unit-weight Gram blocks
+    (``_sq_distance_blocks``) and separator Grams against one BFS block
+    per Gram block."""
+    unit = space.embedding_matrix(WeightFunction.unit(), np.arange(space.vertex_count))
+    seps = partial(separator_gram_counts, space) if isinstance(space, MedianGraph) else None
+    worst, sep_worst = 0.0, None if seps is None else 0
+    for block, mask, (unit_sq,) in metrics._sq_distance_blocks([unit]):
+        d = space.distances_from(block)[:, block[0]:][mask]
+        nz = d > 0
+        err = np.abs(np.subtract(unit_sq, d, out=unit_sq), out=unit_sq)
+        np.divide(err, d, out=err, where=nz)
+        worst = max(worst, float(err.max(initial=0.0, where=nz)))
+        del unit_sq, err, nz
+        if seps is not None:
+            sep = seps(block)[:, block[0]:][mask]
+            sep_worst = max(sep_worst, int(np.abs(sep - d).max(initial=0)))
+            del sep
+        del block, mask, d  # before the next block allocates
+    return worst, sep_worst
+
+
+def _oracle_space(kind, a, b, seed):
+    """A random tree, grid, staircase, median graph of a tree or product
+    of two trees, of a few hundred vertices at most."""
+    rng = np.random.default_rng(seed)
+    if kind == "tree":
+        n = a * b + 1
+        return RootedTree([0] + [int(rng.integers(0, i)) for i in range(1, n)])
+    if kind == "grid":
+        return gen_cube(CubeSpec.grid(a, b))
+    if kind == "staircase":
+        heights = sorted(rng.integers(1, a + 1, size=b).tolist(), reverse=True)
+        return gen_cube(CubeSpec.staircase_heights(heights))
+    tree = TreeSpec.binary_sample(a + 2, b, seed=seed)
+    if kind == "from-tree":
+        return gen_cube(CubeSpec.from_tree(tree))
+    return gen_cube(CubeSpec.tree_product(tree, TreeSpec.spider(2, a)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["tree", "grid", "staircase", "from-tree", "tree-product"]),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=9))
+def test_oracle_deviations_match_the_gram_reference(kind, a, b, seed, rows):
+    # several blocks of ``rows`` rows, every one certified
+    space = _oracle_space(kind, a, b, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "BLOCK_ENTRIES", rows * space.vertex_count)
+        got = oracle_deviations(space)
+    assert got == gram_oracle_deviations(space) == (0.0, got[1])
+
+
+def counted_bfs(monkeypatch) -> list[int]:
+    """Wraps ``sparse.bfs_distances``; the returned list gets the source
+    count of each call."""
+    from medembed import sparse
+
+    calls = []
+    bfs = sparse.bfs_distances
+
+    def counting(adj, sources):
+        calls.append(len(sources))
+        return bfs(adj, sources)
+
+    monkeypatch.setattr(sparse, "bfs_distances", counting)
+    return calls
+
+
+def test_oracle_runs_no_bfs_on_a_passing_space(monkeypatch):
+    g = gen_cube(CubeSpec.grid(45, 45))
+    g.forest()
+    calls = counted_bfs(monkeypatch)
+    assert oracle_deviations(g) == (0.0, 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("space", [gen_cube(CubeSpec.grid(4, 5)),
+                                   gen_tree(TreeSpec.caterpillar(5, 2))],
+                         ids=["grid", "tree"])
+def test_oracle_reports_the_bfs_deviation_of_a_doctored_forest(monkeypatch, space):
+    # one forest distance off by one at the pair (2, 9): the certificate
+    # refuses the block, and the BFS shows the deviation in both identities
+    n = space.vertex_count
+    monkeypatch.setattr(metrics, "BLOCK_ENTRIES", 4 * n)
+    read = space.forest_distances
+
+    def doctored(block):
+        t = read(block)
+        t[np.asarray(block) == 2, 9] += 1
+        return t
+
+    monkeypatch.setattr(space, "forest_distances", doctored)
+    calls = counted_bfs(monkeypatch)
+    d = int(space.distances_from([2])[0, 9])
+    calls.clear()
+    err, sep_dev = oracle_deviations(space)
+    assert calls == [4]  # block 0..3 only
+    assert err == 1 / d
+    assert sep_dev == (None if isinstance(space, RootedTree) else 1)
+
+
+def _doctored_row(indptr, keys, data, r, kind):
+    """The CSR triple with row r changed: its first value doubled to 2.0
+    ("two"), or its first key dropped ("drop")."""
+    i = indptr[r]
+    if kind == "two":
+        data[0][i] = 2.0
+        return indptr, keys, data
+    indptr = indptr.copy()
+    indptr[r + 1:] -= 1
+    return indptr, np.delete(keys, i), [np.delete(d, i) for d in data]
+
+
+@pytest.mark.parametrize("kind", ["two", "drop"])
+@pytest.mark.parametrize("space", [gen_cube(CubeSpec.staircase(5)),
+                                   gen_tree(TreeSpec.spider(3, 4))],
+                         ids=["staircase", "tree"])
+def test_oracle_weighs_unit_rows_that_leave_the_forest(monkeypatch, space, kind):
+    # vertex 7's unit row holds one integer 2.0, or misses a key of its
+    # path: the rows no longer follow the forest, every block's squared
+    # distances come from the pair kernel, and the deviation is the Gram
+    # reference's
+    monkeypatch.setattr(metrics, "BLOCK_ENTRIES", 3 * space.vertex_count)
+    rows = space.embedding_rows
+
+    def doctored(weights, vertices):
+        triple = rows(weights, vertices)
+        at = np.flatnonzero(np.asarray(vertices) == 7)
+        return _doctored_row(*triple, at[0], kind) if len(at) else triple
+
+    monkeypatch.setattr(space, "embedding_rows", doctored)
+    assert not metrics._unit_rows_follow_forest(space)
+    pairs = []
+    kernel = metrics._pair_sq_distances
+
+    def counting(space, w, us, vs):
+        pairs.append(len(us))
+        return kernel(space, w, us, vs)
+
+    monkeypatch.setattr(metrics, "_pair_sq_distances", counting)
+    got = oracle_deviations(space)
+    n = space.vertex_count
+    assert sum(pairs) == n * (n - 1) // 2
+    assert got == gram_oracle_deviations(space)
+    assert got[0] > 0 and got[1] in (None, 0)
+
+
+def test_oracle_takes_trees_and_median_graphs_only():
+    prod = ProductSpace([gen_tree(TreeSpec.path(3)), gen_tree(TreeSpec.path(2))])
+    with pytest.raises(TypeError, match="ProductSpace"):
+        oracle_deviations(prod)
 
 
 @pytest.mark.parametrize("rows", [1, 5, 64])

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from medembed.cube import CubeSpec, gen_cube
 from medembed.errors import NonTerminationError
 from medembed.metrics import ProductSpace
-from medembed.sparse import SparseVector, vec_distance, vectors
+from medembed import sparse
+from medembed.sparse import (
+    SparseVector,
+    adjacency,
+    bfs_distances,
+    is_graph_metric,
+    vec_distance,
+    vectors,
+)
 from medembed.tree import TreeSpec, gen_tree
 from medembed.weights import WeightFunction
 
@@ -168,3 +176,44 @@ def test_rows_refuse_sort_keys_wider_than_63_bits():
     got, want = wide.rows([3, 2], [table]), forest.rows([3, 2], [table])
     assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2]))
     assert np.array_equal(got[2][0], want[2][0])
+
+
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_certificate_accepts_exactly_the_bfs_rows(n, seed, n_sources, chunk):
+    # a random connected graph (a random tree and a few more edges, odd
+    # cycles too), BFS rows from random sources, some of them perturbed by
+    # +-1 or +-2 at a random entry, taken ``chunk`` sources at a time
+    rng = np.random.default_rng(seed)
+    eu = list(range(1, n)) + rng.integers(0, n, size=n // 3).tolist()
+    ev = [int(rng.integers(0, v)) for v in range(1, n)] + rng.integers(0, n, size=n // 3).tolist()
+    keep = [i for i, (u, v) in enumerate(zip(eu, ev)) if u != v]
+    adj = adjacency(n, np.array(eu)[keep], np.array(ev)[keep])
+    sources = rng.integers(0, n, size=n_sources)
+    true = bfs_distances(adj, sources)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "LEVEL_ENTRIES", chunk * len(adj[1]))
+        assert is_graph_metric(adj, sources, true)
+        for _ in range(8):
+            f = true.copy()
+            f[rng.integers(0, n_sources), rng.integers(0, n)] += rng.choice([-2, -1, 1, 2])
+            assert is_graph_metric(adj, sources, f) == bool((f == true).all())
+            for i in range(n_sources):  # single-source blocks
+                assert is_graph_metric(adj, sources[i:i + 1], f[i:i + 1]) == bool(
+                    (f[i] == true[i]).all())
+
+
+def test_certificate_on_one_vertex_and_disconnected_graphs():
+    one = adjacency(1, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert is_graph_metric(one, [0], np.zeros((1, 1), dtype=np.int32))
+    assert is_graph_metric(one, [0, 0], np.zeros((2, 1), dtype=np.int32))
+    assert not is_graph_metric(one, [0], np.ones((1, 1), dtype=np.int32))
+    # two components: no row reaches the far one by unit steps down
+    two = adjacency(4, np.array([0, 2]), np.array([1, 3]))
+    for far in (np.array([[0, 1, 5, 6]]), np.array([[0, 1, 1, 2]]), np.array([[0, 1, 0, 1]])):
+        assert not is_graph_metric(two, [0], far)
+    path = adjacency(3, np.array([0, 1]), np.array([1, 2]))
+    assert is_graph_metric(path, [1, 2], np.array([[1, 0, 1], [2, 1, 0]]))
+    assert not is_graph_metric(path, [1, 2], np.array([[1, 0, 1], [2, 1, 1]]))
+    assert not is_graph_metric(path, [1], np.array([[-1, 0, 1]]))

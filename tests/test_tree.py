@@ -25,7 +25,13 @@ PAPER = WeightFunction.paper(18)
 
 
 def bfs_distances(tree):
-    return tree.distances_from(range(tree.vertex_count)).astype(np.int64)
+    """All-pairs BFS distances, fetched max(1, 2**18 // n) sources at a
+    time: one BFS from all n sources touches its n x n block at random and
+    is slower."""
+    n = tree.vertex_count
+    step = max(1, 2**18 // n)
+    return np.concatenate([tree.distances_from(range(lo, min(lo + step, n)))
+                           for lo in range(0, n, step)]).astype(np.int64)
 
 
 # -- generators ------------------------------------------------------------
