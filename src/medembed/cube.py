@@ -56,7 +56,8 @@ from .errors import (
     NonTerminationError,
     SideComputationError,
 )
-from .sparse import LEVEL_ENTRIES, Graph, PathForest, edge_array, lookup, ranges, root_distances
+from .sparse import (LEVEL_ENTRIES, Graph, PathForest, edge_array, lookup, product_edges,
+                     ranges, root_distances)
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
 
 if TYPE_CHECKING:
@@ -607,13 +608,9 @@ def median_from_tree(tree: RootedTree) -> MedianGraph:
 def tree_product_graph(t1: RootedTree, t2: RootedTree, label: str = "") -> MedianGraph:
     """Cartesian product of two trees; vertex (i1, i2) gets id i1*n2 + i2."""
     n1, n2 = t1.vertex_count, t2.vertex_count
-    i1, i2 = np.arange(n1) * n2, np.arange(n2)
     # All t1 edges (by t1 edge, then i2), then all t2 edges (by t2 edge,
     # then i1): edge order fixes the class ids, which are the printed keys.
-    edges = np.concatenate([
-        np.stack([t1.eu[:, None] * n2 + i2, t1.ev[:, None] * n2 + i2], axis=-1),
-        np.stack([i1 + t2.eu[:, None], i1 + t2.ev[:, None]], axis=-1),
-    ], axis=None).reshape(-1, 2)
+    edges = np.column_stack(product_edges(n1, t1.eu, t1.ev, n2, t2.eu, t2.ev))
     return MedianGraph(n1 * n2, edges, root=t1.root * n2 + t2.root, label=label)
 
 

@@ -7,24 +7,26 @@ embedded distance over pairs at metric distance <= t (``delta_hat``, a
 prefix maximum).  Exhaustive sampling makes both exact on the space;
 random sampling can only raise rho_hat and lower delta_hat.
 
-``profile`` needs a space with ``vertex_count``, ``embedding_rows(weights,
-rows)`` (numpy CSR triples) and ``forest_distances(sources)``; the
-exhaustive Gram route takes ``embedding_matrix(w, rows) -> CSR rows`` and
-reads the metric off the unit-weight rows, whose squared distance is the
-graph distance. The samplers load no scipy. The stratified sampler reads
-every (source, vertex) candidate's distance off the cube-path forests
-into one S x n int32 block, draws its pairs from per-source counts by
-distance, with no sort of all candidates, and only then embeds them; the
-uniform sampler reads its pairs' distances off their unit-weight rows.
-Both embed their pairs with one kernel (``_pair_sq_distances``) that
-walks the target rows in chunks of at least CHUNK_ROWS rows, sums in
-blocks of at most CHUNK_ENTRIES entries and adds every sum in the same
-order as a CSR x dense product. Trees, median graphs and products of
-them all qualify.
+``profile`` takes a ``sparse.Graph``: a tree, a median graph or a
+``ProductSpace`` of them. Every one has a cube-path forest, and the
+profiles read the path lengths, the key count, the embedding rows
+(``embedding_rows``, numpy CSR triples) and the distances
+(``forest_distances``) off it; the exhaustive Gram route takes
+``embedding_matrix(w, rows) -> CSR rows`` and reads the metric off the
+unit-weight rows, whose squared distance is the graph distance. The
+samplers load no scipy. The stratified sampler reads every (source,
+vertex) candidate's distance off the cube-path forest into one S x n
+int32 block, draws its pairs from per-source counts by distance, with no
+sort of all candidates, and only then embeds them; the uniform sampler
+reads its pairs' distances off their unit-weight rows. Both embed their
+pairs with one kernel (``_pair_sq_distances``) that walks the target rows
+in chunks of at least CHUNK_ROWS rows, sums in blocks of at most
+CHUNK_ENTRIES entries and adds every sum in the same order as a CSR x
+dense product.
 
-``oracle_deviations`` checks the two identities on a tree or a median
-graph with no Gram: each block of sources reads its distances off the
-forest and proves them equal to the graph metric with the certificate
+``oracle_deviations`` checks the two identities on any ``Graph`` with no
+Gram: each block of sources reads its distances off the forest and
+proves them equal to the graph metric with the certificate
 ``Graph.is_metric``, and the unit-weight rows are checked once to follow
 the forest. Only a block the certificate refuses runs the BFS
 (``distances_from``), so a passing space loads no scipy and runs no BFS.
@@ -33,13 +35,15 @@ An exhaustive profile takes one of two routes. On a ``RootedTree`` a
 pair's embedded distance depends only on its depth triple (a, b, s), so
 the profile folds the distinct triples, weighted by their pair counts
 (``_tree_entries``); its cost grows with the triples, not with the
-n(n-1)/2 pairs. Median graphs and products take the Gram route
+n(n-1)/2 pairs. Every other ``Graph`` (median graphs and products,
+whose forests are not parent arrays) takes the Gram route
 (``_exhaustive_entries``): squared distances of all pairs as blocks of
 about BLOCK_ENTRIES pairs, which on trees is the tree route's oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,8 +52,8 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .sparse import Graph, csr_matrices, ranges, vertex_rows
-from .tree import RootedTree
+from .sparse import Graph, PathForest, product_edges, ranges
+from .tree import DEFAULT_VERTEX_BUDGET, RootedTree
 from .weights import WeightFunction, deficit_bound, diff_sq_tail_bound
 
 if TYPE_CHECKING:
@@ -295,19 +299,6 @@ def _tree_entries(tree: RootedTree, w: WeightFunction):
     return acc.entries()
 
 
-def _path_lengths(space, vertices) -> np.ndarray:
-    """The keys on each vertex's path: summed over the factors of a
-    product."""
-    factors = getattr(space, "factors", [space])
-    coords = np.unravel_index(vertices, [f.vertex_count for f in factors])
-    return sum(f.forest().length[c] for f, c in zip(factors, coords))
-
-
-def _key_count(space) -> int:
-    """Keys of ``space``: of all its factors, if it is a product."""
-    return sum(f.forest().key_count for f in getattr(space, "factors", [space]))
-
-
 def _runs(lengths):
     """Bounds (lo, hi) of consecutive runs of the ascending ``lengths``
     that hold CHUNK_ROWS items, or more while their last length times
@@ -389,15 +380,16 @@ def _pair_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
     exactly 0, so every (-2 v.s) + (|v|^2 + |s|^2) is bit for bit what the
     CSR rows' product with the dense sources gives, and coinciding vectors
     give exactly 0."""
+    forest = space.forest()
     sources, src_of = _distinct(us, space.vertex_count)
-    key_count = _key_count(space)
+    key_count = forest.key_count
     s_ptr, s_keys, (s_data,) = space.embedding_rows([w], sources)
     dense = np.zeros((len(sources), key_count))
     dense[np.arange(len(sources)).repeat(np.diff(s_ptr)), s_keys] = s_data
     dense = dense.ravel()
     s_sq = _in_order_sums(np.square(*_padded(s_ptr, s_data)))
     targets, tgt_of = _distinct(vs, space.vertex_count)
-    lengths = _path_lengths(space, targets)
+    lengths = forest.length[targets]
     by_len = np.argsort(lengths, kind="stable")
     targets, lengths = targets[by_len], lengths[by_len]
     rank = np.empty(len(targets), dtype=_narrowest(len(targets)))
@@ -443,13 +435,13 @@ def _stratified_need(space, count: int) -> tuple[int, int]:
     count) and one walk of target rows in the pair kernel."""
     n = space.vertex_count
     n_sources = min(n, max(16, math.isqrt(4 * count)))
-    factors = getattr(space, "factors", [space])
+    forest = space.forest()
     # no two vertices lie further apart than twice the longest path
-    longest = sum(int(f.forest().length.max()) for f in factors)
+    longest = int(forest.length.max())
     pairs = min(n_sources * n, count * 2 * longest)
     entries = max(CHUNK_ENTRIES, CHUNK_ROWS * longest)  # rows of one walk
     return n_sources, (n_sources * n * CANDIDATE_BYTES + pairs * PAIR_BYTES
-                       + n_sources * _key_count(space) * SOURCE_KEY_BYTES
+                       + n_sources * forest.key_count * SOURCE_KEY_BYTES
                        + entries * ENTRY_BYTES)
 
 
@@ -470,7 +462,7 @@ def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
     distance, with their distances ts and squared embedded distances.
 
     Every (source, vertex) candidate's distance is read off the cube-path
-    forests (``forest_distances``) into one S x n block, with no embedding
+    forest (``forest_distances``) into one S x n block, with no embedding
     rows. A source keeps every vertex at positive distance except the
     sources before it (their pairs are kept from the other end), whose
     distance is set to 0. The pairs are drawn in three passes over the
@@ -565,7 +557,7 @@ def _uniform_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
     """``_pair_sq_distances`` of pairs sorted by first end, taken
     max(1, DENSE_ENTRIES // K) distinct first ends at a time, so the dense
     rows stay within DENSE_ENTRIES entries."""
-    per_call = max(1, DENSE_ENTRIES // _key_count(space))
+    per_call = max(1, DENSE_ENTRIES // space.forest().key_count)
     firsts = np.flatnonzero(np.diff(us, prepend=-1))[::per_call]
     return np.concatenate([
         _pair_sq_distances(space, w, us[lo:hi], vs[lo:hi])
@@ -726,19 +718,31 @@ def check_profile_against(
 # -- products -------------------------------------------------------------------
 
 
-class ProductSpace:
+class ProductSpace(Graph):
     """Cartesian product of spaces under the combined path metric (sum of
-    factor distances). Vertices are flat indices in row-major order; each
+    factor distances), as a ``Graph``: vertices are flat indices in
+    row-major order, the edges are ``product_edges`` and the cube-path
+    forest is the ``PathForest.product`` of the factors' forests, so each
     factor's keys sit at its offset, after the keys of the factors before
-    it."""
+    it. Over DEFAULT_VERTEX_BUDGET vertices raises BudgetExceededError
+    before any array is allocated."""
 
     def __init__(self, factors: Sequence, label: str = ""):
         if not factors:
             raise ValueError("need at least one factor")
         self.factors = list(factors)
         self.sizes = [f.vertex_count for f in self.factors]
-        self.vertex_count = int(np.prod(self.sizes))
-        self.label = label
+        n = math.prod(self.sizes)
+        if n > DEFAULT_VERTEX_BUDGET:
+            raise BudgetExceededError(f"the product has {n} vertices, "
+                                      f"budget is {DEFAULT_VERTEX_BUDGET}")
+        super().__init__(n, np.ravel_multi_index([f.root for f in self.factors],
+                                                 self.sizes), label)
+        self.eu = self.ev = np.empty(0, dtype=np.int64)  # the one-vertex graph
+        size = 1
+        for f in self.factors:
+            self.eu, self.ev = product_edges(size, self.eu, self.ev, f.n, f.eu, f.ev)
+            size *= f.n
 
     @property
     def offsets(self) -> list[int]:
@@ -746,64 +750,12 @@ class ProductSpace:
         widths = [f.forest().key_count for f in self.factors]
         return [0, *np.cumsum(widths[:-1]).tolist()]
 
-    def distances_from(self, sources) -> np.ndarray:
-        """Sum of the factor distances: one ``distances_from`` call per
-        factor on its distinct source coordinates, read off at every
-        vertex's coordinate in that factor."""
-        return self._factor_sum(sources, lambda f, s: f.distances_from(s))
-
-    def forest_distances(self, sources) -> np.ndarray:
-        """``distances_from`` read off the factors' forests, int32."""
-        return self._factor_sum(sources, lambda f, s: f.forest_distances(s))
-
-    def _factor_sum(self, sources, block) -> np.ndarray:
-        """Sum over the factors of ``block(factor, distinct source
-        coordinates)``, each row read at every vertex's coordinate."""
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        src = np.unravel_index(sources, self.sizes)
-        cols = np.unravel_index(np.arange(self.vertex_count), self.sizes)
-        out = None
-        for f, s, c in zip(self.factors, src, cols):
-            distinct, row = np.unique(s, return_inverse=True)
-            part = block(f, distinct)
-            if out is None:
-                out = np.zeros((len(sources), self.vertex_count), dtype=part.dtype)
-            for r, d in enumerate(row.tolist()):
-                out[r] += part[d, c]  # a row at a time: one S x n block
-        return out
-
-    def embedding_matrix(self, w: WeightFunction, rows) -> sp.csr_matrix:
-        """Factor matrices side by side; each factor's key count is its
-        width, so factor i's columns start at ``offsets[i]``. A row outside
-        0..vertex_count-1 raises ValueError("unknown vertex v")."""
-        return self.embedding_matrices([w], rows)[0]
-
-    def embedding_matrices(self, weights, rows) -> list[sp.csr_matrix]:
-        """``embedding_matrix(w, rows)`` for each of ``weights``, from one
-        walk per factor."""
-        return csr_matrices(*self.embedding_rows(weights, rows), _key_count(self))
-
-    def embedding_rows(self, weights, rows):
-        """``embedding_matrices(weights, rows)`` as one numpy CSR triple
-        (indptr, indices, [data per weight]): each row is its factor rows
-        one after another, each shifted to its factor's offset, so its keys
-        stay ascending."""
-        coords = np.unravel_index(vertex_rows(rows, self.vertex_count), self.sizes)
-        parts = [f._rows(weights, c) for f, c in zip(self.factors, coords)]
-        counts = [np.diff(ptr) for ptr, _, _ in parts]
-        indptr = np.zeros(len(counts[0]) + 1, dtype=np.int64)
-        np.cumsum(sum(counts), out=indptr[1:])
-        idx = np.int32 if max(_key_count(self), indptr[-1]) < 2**31 else np.int64
-        indices = np.empty(indptr[-1], dtype=idx)
-        data = [np.empty(indptr[-1]) for _ in weights]
-        fill = indptr[:-1].copy()
-        for (ptr, keys, values), count, offset in zip(parts, counts, self.offsets):
-            dst = np.arange(len(keys)) + (fill - ptr[:-1]).repeat(count)
-            indices[dst] = keys + offset
-            for d, v in zip(data, values):
-                d[dst] = v
-            fill += count
-        return indptr, indices, data
+    def forest(self) -> PathForest:
+        """The factors' forests, multiplied left to right."""
+        if self._forest is None:
+            self._forest = functools.reduce(PathForest.product,
+                                            [f.forest() for f in self.factors])
+        return self._forest
 
 
 def l1_l2_compare(k: int, distances: Sequence[float]) -> tuple[float, float]:
@@ -889,12 +841,13 @@ def _unit_rows_follow_forest(space) -> bool:
 
 
 def oracle_deviations(space) -> tuple[float, Optional[int]]:
-    """Exact identities over all pairs u < v of a tree or a median graph
-    against its graph metric d: the largest relative deviation of the
-    squared unit-weight embedded distance from d (zero for a square-root
-    isometry) and the largest deviation of ``separating_counts`` from d
-    (None on a tree, which has no hyperplanes). TypeError on any other
-    space; products have their own suite.
+    """Exact identities over all pairs u < v of a ``Graph`` (a tree, a
+    median graph or a product of them) against its graph metric d: the
+    largest relative deviation of the squared unit-weight embedded
+    distance from d (zero for a square-root isometry) and the largest
+    deviation of ``separating_counts`` from d (None on a space without
+    them: a tree or a product). TypeError on anything that is not a
+    ``Graph``.
 
     Sources u go max(1, BLOCK_ENTRIES // n) at a time, and each block
     reads its distances t off the cube-path forest (``forest_distances``,
@@ -907,8 +860,7 @@ def oracle_deviations(space) -> tuple[float, Optional[int]]:
     the block's pairs where they do not; every term is an integer, so
     both are exact, as the Gram route's are."""
     if not isinstance(space, Graph):
-        raise TypeError(f"oracle_deviations takes a tree or a median graph, "
-                        f"not {type(space).__name__}")
+        raise TypeError(f"oracle_deviations takes a Graph, not {type(space).__name__}")
     n = space.vertex_count
     seps = getattr(space, "separating_counts", None)
     read = space.forest_distances if seps is None else seps

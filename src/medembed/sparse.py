@@ -1,17 +1,20 @@
 """Finitely supported vectors in a Hilbert space with integer basis keys,
 the cube-path forest every embedding is built from, and ``Graph``, what
-trees and median graphs share: edge arrays, adjacency, BFS and embedding
-matrix. ``bfs_distances`` is the one BFS, a numpy level BFS from many
-sources at once: the oracles' metric (``Graph.distances_from``) and, from
-one source, ``root_distances``, a median graph's base vertex's row and a
-tree file's parents. No BFS loads scipy. ``is_graph_metric`` proves a
-block of rows equal to that metric without a BFS, in time linear in the
-edges per source (``Graph.is_metric``).
+trees, median graphs and their products share: edge arrays, adjacency,
+BFS and embedding matrix. ``bfs_distances`` is the one BFS, a numpy level
+BFS from many sources at once: the oracles' metric
+(``Graph.distances_from``) and, from one source, ``root_distances``, a
+median graph's base vertex's row and a tree file's parents. No BFS loads
+scipy. ``is_graph_metric`` proves a block of rows equal to that metric
+without a BFS, in time linear in the edges per source
+(``Graph.is_metric``).
 
 Keys are local to a space: a tree's edge (v, parent(v)) has key v, a
 median graph's hyperplane has its class id as its key. These are the keys
-``medembed embed`` prints. A product of spaces places each factor's keys
-at an explicit offset, so the factor blocks are disjoint.
+``medembed embed`` prints. A Cartesian product of spaces is a ``Graph``
+too, with the edges of ``product_edges`` and the forest of
+``PathForest.product``: each factor's keys are shifted by the key counts
+of the factors before it, so the factor blocks are disjoint.
 
 ``embedding_rows(weights, rows)`` is the one way to embed: numpy CSR
 triples (``PathForest.rows``), the rows at several weights from one walk.
@@ -262,6 +265,29 @@ class PathForest:
         dist += self.length[sources, None].astype(np.int32)
         return dist
 
+    def product(self, other: "PathForest") -> "PathForest":
+        """The forest of the Cartesian product, vertex (x, y) numbered
+        x * n2 + y: its Θ-classes at (x, y) are those of x and of y, so one
+        step exits to (exit x, exit y), crossing x's step keys, then y's
+        shifted by ``key_count``, which keeps them ascending. numpy only."""
+        n2 = len(other.exit)
+        x, y = np.divmod(np.arange(len(self.exit) * n2), n2)
+        ours, theirs = np.diff(self.step_ptr)[x], np.diff(other.step_ptr)[y]
+        step_ptr = np.zeros(len(x) + 1, dtype=np.int64)
+        np.cumsum(ours + theirs, out=step_ptr[1:])
+        step_keys = np.empty(step_ptr[-1], dtype=np.int64)
+        step_keys[ranges(step_ptr[:-1], ours)] = self.step_keys[ranges(self.step_ptr[x], ours)]
+        step_keys[ranges(step_ptr[:-1] + ours, theirs)] = (
+            other.step_keys[ranges(other.step_ptr[y], theirs)] + self.key_count)
+        return PathForest(
+            root=self.root * n2 + other.root,
+            exit=self.exit[x] * n2 + other.exit[y],
+            step_ptr=step_ptr,
+            step_keys=step_keys,
+            key_count=self.key_count + other.key_count,
+            length=self.length[x] + other.length[y],
+        )
+
 
 def csr_matrices(indptr, indices, data, key_count: int) -> list[sp.csr_matrix]:
     """A CSR triple with one data array per table, as ``PathForest.rows``
@@ -307,6 +333,15 @@ def adjacency(n: int, eu, ev) -> tuple[np.ndarray, np.ndarray]:
     nbr = np.concatenate([ev, eu]).astype(idx)[order]
     start = np.searchsorted(ends[order], np.arange(n + 1, dtype=idx))
     return start, nbr
+
+
+def product_edges(n1: int, eu1, ev1, n2: int, eu2, ev2) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (eu, ev) of the Cartesian product of two graphs, vertex
+    (x, y) numbered x * n2 + y: every first-factor edge (by edge, then y),
+    then every second-factor edge (by edge, then x)."""
+    x, y = np.arange(n1) * n2, np.arange(n2)
+    return (np.concatenate([(eu1[:, None] * n2 + y).ravel(), (x + eu2[:, None]).ravel()]),
+            np.concatenate([(ev1[:, None] * n2 + y).ravel(), (x + ev2[:, None]).ravel()]))
 
 
 def bfs_distances(adj: tuple[np.ndarray, np.ndarray], sources) -> np.ndarray:
@@ -452,13 +487,15 @@ def edge_array(edges, n: int) -> tuple[np.ndarray, int]:
 class Graph:
     """Undirected graph on vertices 0..n-1 with a base vertex ``root``.
 
-    Edge i joins ``eu[i]`` and ``ev[i]``; a subclass sets both arrays and
-    ``forest()``, its cube-path forest to the root. ``distances_from``,
-    the numpy BFS of ``bfs_distances`` from many sources, is the oracles'
-    independent metric: the profiles and samplers read distances off the
-    forest, and ``is_metric`` proves such a block equal to it. A
-    median graph's base row comes from ``root_distances``, the same BFS
-    from one source, and a tree reads its depths off its parent array.
+    Edge i joins ``eu[i]`` and ``ev[i]``; a subclass (a tree, a median
+    graph or a product of spaces) sets both arrays and ``forest()``, its
+    cube-path forest to the root. ``distances_from``, the numpy BFS of
+    ``bfs_distances`` from many sources, is the oracles' independent
+    metric: the profiles and samplers read distances off the forest, and
+    ``is_metric`` proves such a block equal to it. A median graph's base
+    row comes from ``root_distances``, the same BFS from one source, a tree
+    reads its depths off its parent array, and a product adds its
+    factors' depths.
     """
 
     def __init__(self, n: int, root: int, label: str = ""):
@@ -517,9 +554,6 @@ class Graph:
     def embedding_rows(self, weights, rows):
         """``embedding_matrices(weights, rows)`` as the numpy CSR triple
         (indptr, indices, [data per weight]) of ``PathForest.rows``."""
-        return self._rows(weights, vertex_rows(rows, self.n))
-
-    def _rows(self, weights, rows: np.ndarray):
-        """``embedding_rows`` of rows already checked to be vertices."""
         forest = self.forest()
-        return forest.rows(rows, [forest.weight_table(w) for w in weights])
+        return forest.rows(vertex_rows(rows, self.n),
+                           [forest.weight_table(w) for w in weights])

@@ -225,6 +225,30 @@ def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
     assert "scipy.sparse.csgraph" not in loaded
 
 
+PRODUCT_SCIPY_GUARD = (
+    "import sys\n"
+    "from medembed import (CubeSpec, PairSampler, ProductSpace, TreeSpec, WeightFunction,\n"
+    "                      gen_cube, gen_tree, profile)\n"
+    "space = ProductSpace([gen_tree(TreeSpec.spider(3, 4)), gen_cube(CubeSpec.grid(2, 3))])\n"
+    "sampler = getattr(PairSampler, sys.argv[1])(int(sys.argv[2]), seed=1)\n"
+    "profile(space, WeightFunction.paper(18), sampler)\n"
+    "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+
+
+@pytest.mark.parametrize("mode, count", [("stratified", 5), ("uniform", 50)])
+def test_product_samplers_load_no_scipy(tmp_path, mode, count):
+    # a product is a Graph with a cube-path forest, so its sampled profiles
+    # take the numpy route of trees and median graphs
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", PRODUCT_SCIPY_GUARD, mode, str(count)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1].split() == []
+
+
 def test_measure_stratified_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     from medembed import metrics
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from medembed import metrics
 from medembed.cube import CubeSpec, MedianGraph, gen_cube
+from medembed.errors import BudgetExceededError
 from medembed.metrics import (
     BoundCurve,
     CompressionProfile,
@@ -701,6 +703,49 @@ def test_product_factor_blocks_disjoint():
     assert before.entries == after.entries
 
 
+def test_product_vertex_count_is_exact_and_budgeted(monkeypatch):
+    # five path:9999 factors have 10**20 vertices, beyond int64; the count
+    # is refused before any edge or forest array is built
+    def no_arrays(*args):
+        raise AssertionError("an over-budget product must allocate nothing")
+
+    path = gen_tree(TreeSpec.path(9999))
+    with monkeypatch.context() as patched:
+        patched.setattr(metrics, "product_edges", no_arrays)
+        with pytest.raises(BudgetExceededError,
+                           match=r"^the product has 100000000000000000000 vertices, "
+                                 r"budget is 5000000$"):
+            ProductSpace([path] * 5)
+    pair = [gen_tree(TreeSpec.path(2)), gen_tree(TreeSpec.path(6))]  # 21 vertices
+    monkeypatch.setattr(metrics, "DEFAULT_VERTEX_BUDGET", 21)
+    assert ProductSpace(pair).vertex_count == 21
+    monkeypatch.setattr(metrics, "DEFAULT_VERTEX_BUDGET", 20)
+    with pytest.raises(BudgetExceededError, match="the product has 21 vertices"):
+        ProductSpace(pair)
+
+
+def test_nested_product_is_the_flat_product():
+    a, b = gen_tree(TreeSpec.spider(2, 3)), gen_cube(CubeSpec.staircase(3))
+    c = gen_tree(TreeSpec.path(4))
+    nested, flat = ProductSpace([ProductSpace([a, b]), c]), ProductSpace([a, b, c])
+    n = flat.vertex_count
+    assert nested.vertex_count == n
+    assert nested.offsets == [0, a.forest().key_count + b.forest().key_count]
+    weights = [UNIT, PAPER, WeightFunction.power(0.3)]
+    (ptr, keys, data), (flat_ptr, flat_keys, flat_data) = (
+        space.embedding_rows(weights, np.arange(n)) for space in (nested, flat))
+    for got, want in zip([ptr, keys, *data], [flat_ptr, flat_keys, *flat_data]):
+        np.testing.assert_array_equal(got, want)
+    sources = [0, 7, n - 1]
+    np.testing.assert_array_equal(nested.forest_distances(sources),
+                                  flat.forest_distances(sources))
+    for w in weights:
+        assert (profile(nested, w, PairSampler.exhaustive()).entries
+                == profile(flat, w, PairSampler.exhaustive()).entries)
+    assert profile(nested, PAPER, PairSampler.stratified(9, seed=4)).entries == profile(
+        flat, PAPER, PairSampler.stratified(9, seed=4)).entries
+
+
 def test_product_profile_against_lower_bound():
     # two paths under the combined metric; lower curve for two dimensions
     t1 = gen_tree(TreeSpec.path(80))
@@ -976,10 +1021,15 @@ def test_oracle_weighs_unit_rows_that_leave_the_forest(monkeypatch, space, kind)
     assert got[0] > 0 and got[1] in (None, 0)
 
 
-def test_oracle_takes_trees_and_median_graphs_only():
-    prod = ProductSpace([gen_tree(TreeSpec.path(3)), gen_tree(TreeSpec.path(2))])
-    with pytest.raises(TypeError, match="ProductSpace"):
-        oracle_deviations(prod)
+def test_oracle_takes_graphs_and_passes_products():
+    # a product is a Graph with a forest, so both identities hold on it;
+    # it has no separating counts
+    with pytest.raises(TypeError, match="takes a Graph, not SimpleNamespace"):
+        oracle_deviations(SimpleNamespace(vertex_count=4))
+    prod = ProductSpace([gen_tree(TreeSpec.path(3)), gen_tree(TreeSpec.path(2)),
+                         gen_cube(CubeSpec.grid(2, 3))])
+    assert oracle_deviations(prod) == (0.0, None)
+    assert gram_oracle_deviations(prod) == (0.0, None)
 
 
 @pytest.mark.parametrize("rows", [1, 5, 64])

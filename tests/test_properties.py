@@ -1,6 +1,7 @@
 """Property tests over randomized structures: random parent arrays for
-trees, random monotone height profiles for staircases, and random pair
-data for the profile fold."""
+trees, random monotone height profiles for staircases, random products of
+small trees and median graphs, and random pair data for the profile
+fold."""
 
 import collections
 import itertools
@@ -401,6 +402,60 @@ def test_random_staircase_unit_embedding(heights):
     for u, v in itertools.combinations(range(g.vertex_count), 2):
         emb_sq = vec_distance(vecs[u], vecs[v]) ** 2
         assert abs(emb_sq - dist[u][v]) <= 1e-9 * dist[u][v]
+
+
+product_factors = st.one_of(
+    st.builds(_shaped_tree, st.sampled_from(["path", "star", "spider", "caterpillar", "random"]),
+              st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6)),
+    st.builds(_rerooted, st.one_of(
+        st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2)
+        .map(lambda dims: CubeSpec.grid(*dims)),
+        st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
+        .map(lambda hs: CubeSpec.staircase_heights(sorted(hs, reverse=True)))),
+        st.integers(min_value=0, max_value=10**6)),
+)
+
+
+def _spliced_rows(prod, weights, rows):
+    """The product's rows as the factors' rows side by side, each shifted
+    to its factor's offset: the reference for the product forest."""
+    coords = np.unravel_index(rows, prod.sizes)
+    parts = [f.embedding_rows(weights, c) for f, c in zip(prod.factors, coords)]
+    counts = [np.diff(ptr) for ptr, _, _ in parts]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sum(counts), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = [np.empty(indptr[-1]) for _ in weights]
+    fill = indptr[:-1].copy()
+    for (ptr, keys, values), count, offset in zip(parts, counts, prod.offsets):
+        dst = np.arange(len(keys)) + (fill - ptr[:-1]).repeat(count)
+        indices[dst] = keys + offset
+        for d, v in zip(data, values):
+            d[dst] = v
+        fill += count
+    return indptr, indices, data
+
+
+@given(st.lists(product_factors, min_size=2, max_size=3),
+       st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_product_forest_is_the_factor_splice(factors, picks):
+    prod = metrics.ProductSpace(factors)
+    n = prod.vertex_count
+    weights = [UNIT, PAPER, WeightFunction.power(0.3)]
+    ptr, keys, data = prod.embedding_rows(weights, np.arange(n))
+    want_ptr, want_keys, want_data = _spliced_rows(prod, weights, np.arange(n))
+    for got, want in zip([ptr, keys, *data], [want_ptr, want_keys, *want_data]):
+        np.testing.assert_array_equal(got, want)
+    # distances: the sum of the factors' BFS rows, and certified
+    sources = np.asarray(picks) % n
+    block = prod.forest_distances(sources)
+    src, cols = np.unravel_index(sources, prod.sizes), np.unravel_index(np.arange(n), prod.sizes)
+    want = sum(f.distances_from(s)[:, c] for f, s, c in zip(factors, src, cols))
+    np.testing.assert_array_equal(block, want)
+    assert prod.is_metric(sources, block)
+    assert prod.edge_count == sum(
+        f.edge_count * n // f.vertex_count for f in factors)
 
 
 pair_data = st.lists(
