@@ -784,55 +784,28 @@ class KeyProperty:
 
 
 def key_property(g: MedianGraph) -> KeyProperty:
-    """Read the key property of every edge off the forest's rows of all
-    vertices, whose entry (v, key) is the step at which v's path crosses
-    that hyperplane (a key crossed twice counts once, at its first step).
-    Each entry is coded v * K + key, and every edge looks up its deeper
-    end's keys among its shallower end's: the common keys give the index
-    gaps, and the sizes of the two sets and their common part give the
-    cut. The lookups go a piece of about LEVEL_ENTRIES keys at a time, so
-    beyond the rows they hold memory linear in the edges. numpy only."""
+    """Read the key property of every edge off the forest's key sets of
+    its two ends (``keysets.edge_diffs``, which walks the edges in
+    chunks of about LEVEL_ENTRIES keys and builds only the rows of each
+    chunk's end vertices, so memory stays near LEVEL_ENTRIES entries
+    however deep the paths): the index gaps of their common keys, the
+    steps at which each end crosses the edge's own class, and the cut,
+    that the ends differ in exactly that class. numpy only."""
     if not g.edge_count:
         return KeyProperty(np.zeros(0, dtype=np.int64), True, 0, True)
-    forest = g.forest()
-    n, n_keys = g.vertex_count, forest.key_count
-    steps = np.arange(int(forest.length.max()) + 1)
-    indptr, keys, (step,) = forest.rows(np.arange(n), [steps])
-    code = np.arange(n).repeat(np.diff(indptr)) * n_keys + keys
-    first = np.ones(len(code), dtype=bool)
-    first[1:] = code[1:] != code[:-1]
-    code, step = code[first], step[first]
-    size = np.bincount(code // n_keys, minlength=n)  # distinct keys per path
+    from .keysets import edge_diffs
+
     deeper, shallower = g._down_edges()
     own = g.hyp_of_edge
-    own_deep = lookup(code, deeper * n_keys + own)
-    own_shallow = lookup(code, shallower * n_keys + own) >= 0
-    own_ok = bool((own_deep >= 0).all() and (step[own_deep] == 1).all()
-                  and not own_shallow.any())
-    # every key of the deeper end, found or not at the shallower end, for
-    # the edges whose keys start in one piece of LEVEL_ENTRIES keys
-    lo = np.searchsorted(code, deeper * n_keys)
-    count = size[deeper]
-    starts = np.cumsum(count) - count
-    bounds = np.searchsorted(starts, np.arange(0, starts[-1] + 1, LEVEL_ENTRIES))
-    deltas = np.zeros(g.edge_count, dtype=np.int64)
-    shared = np.zeros(g.edge_count, dtype=np.int64)
-    for a, b in itertools.pairwise([*bounds.tolist(), g.edge_count]):
-        at = ranges(lo[a:b], count[a:b])
-        edge = np.arange(a, b).repeat(count[a:b])
-        there = lookup(code, shallower[edge] * n_keys + code[at] % n_keys)
-        common = there >= 0
-        edge, at, there = edge[common], at[common], there[common]
-        np.maximum.at(deltas, edge, np.abs(step[at] - step[there]))
-        shared[a:b] = np.bincount(edge - a, minlength=b - a)
+    diffs = edge_diffs(g.forest(), deeper, shallower, probe=own)
+    own_ok = bool((diffs.probe_u == 1).all() and not diffs.probe_v.any())
     # the ends of every edge differ in exactly its own class
-    partition_ok = bool(np.array_equal(size, g.dist_root)
-                        and (size[deeper] + size[shallower] - 2 * shared == 1).all()
-                        and ((own_deep >= 0) != own_shallow).all())
+    partition_ok = bool(np.array_equal(diffs.distinct, g.dist_root)
+                        and (diffs.count == 1).all() and (diffs.key == own).all())
     return KeyProperty(
-        index_deltas=deltas,
+        index_deltas=diffs.gap,
         own_key_ok=own_ok,
-        max_step_size=int(np.diff(forest.step_ptr).max()),
+        max_step_size=int(np.diff(g.forest().step_ptr).max()),
         partition_ok=partition_ok,
     )
 

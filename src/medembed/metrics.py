@@ -25,11 +25,14 @@ CHUNK_ENTRIES entries and adds every sum in the same order as a CSR x
 dense product.
 
 ``oracle_deviations`` checks the two identities on any ``Graph`` with no
-Gram: each block of sources reads its distances off the forest and
-proves them equal to the graph metric with the certificate
-``Graph.is_metric``, and the unit-weight rows are checked once to follow
-the forest. Only a block the certificate refuses runs the BFS
-(``distances_from``), so a passing space loads no scipy and runs no BFS.
+Gram: each block of sources reads its distances off the forest, and the
+certificate of ``keysets`` proves them equal to the graph metric: once
+per space, that the forest's key sets count the distance of every pair
+(``forest_certificate``), then per block, by the block's signs across the
+edges (``certified_block``). The unit-weight rows are checked once to
+follow the forest. Only a block the certificate does not prove runs the
+BFS (``distances_from``), so a passing space loads no scipy and runs no
+BFS.
 
 An exhaustive profile takes one of two routes. On a ``RootedTree`` a
 pair's embedded distance depends only on its depth triple (a, b, s), so
@@ -52,7 +55,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .sparse import Graph, PathForest, product_edges, ranges
+from .sparse import BLOCK_ENTRIES, Graph, PathForest, narrowest, product_edges, ranges
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree
 from .weights import WeightFunction, deficit_bound, diff_sq_tail_bound
 
@@ -60,10 +63,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
-# Pairs (u, v) per block of the all-pairs Gram route (_sq_distance_blocks)
-# and of oracle_deviations, which take max(1, BLOCK_ENTRIES // n) rows u at
-# a time.
-BLOCK_ENTRIES = 1 << 18
 # _pair_sq_distances walks its target rows in chunks of at least CHUNK_ROWS
 # rows, or as many as fit in CHUNK_ENTRIES entries, whichever is more
 # (_runs), and pads them, and sums their pairs' terms, in blocks of at most
@@ -345,24 +344,17 @@ def _in_order_sums(block) -> np.ndarray:
     return np.add.reduce(block, axis=0)
 
 
-def _narrowest(size: int):
-    """The integer type of indices into ``size`` items: int16, int32 or
-    int64. Held narrow, widened to intp before they index."""
-    return next(t for t in (np.int16, np.int32, np.int64)
-                if size <= np.iinfo(t).max + 1)
-
-
 def _distinct(ids, n: int):
     """``np.unique(ids, return_inverse=True)`` of vertex ids below n, the
     inverse held narrow. Where the ids are many, without their sort: a mask
     of the n vertices marks the distinct ids and numbers them."""
     if len(ids) < n // 8:
         distinct, inverse = np.unique(ids, return_inverse=True)
-        return distinct, inverse.astype(_narrowest(len(distinct)))
+        return distinct, inverse.astype(narrowest(len(distinct)))
     seen = np.zeros(n, dtype=bool)
     seen[ids] = True
     distinct = np.flatnonzero(seen)
-    slot = np.empty(n, dtype=_narrowest(len(distinct)))
+    slot = np.empty(n, dtype=narrowest(len(distinct)))
     slot[distinct] = np.arange(len(distinct))
     return distinct, slot[ids]
 
@@ -392,7 +384,7 @@ def _pair_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
     lengths = forest.length[targets]
     by_len = np.argsort(lengths, kind="stable")
     targets, lengths = targets[by_len], lengths[by_len]
-    rank = np.empty(len(targets), dtype=_narrowest(len(targets)))
+    rank = np.empty(len(targets), dtype=narrowest(len(targets)))
     rank[by_len] = np.arange(len(targets))
     tgt_of = rank[tgt_of]  # each pair's target, in length order
     by_target = np.argsort(tgt_of, kind="stable")
@@ -499,7 +491,7 @@ def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
     per_t[0] = 0
     # pass 2: positions in each bucket, then their sources and ranks
     ends = np.cumsum(per_t, axis=1)  # bucket t's candidates up to source i
-    src_type = _narrowest(n_sources)
+    src_type = narrowest(n_sources)
     at_type = np.int32 if n < 2**31 else np.int64
     realized = np.flatnonzero(ends[:, -1])
     picked, src, at = [], [], []
@@ -851,26 +843,34 @@ def oracle_deviations(space) -> tuple[float, Optional[int]]:
 
     Sources u go max(1, BLOCK_ENTRIES // n) at a time, and each block
     reads its distances t off the cube-path forest (``forest_distances``,
-    on a median graph its ``separating_counts``). Where the certificate
-    ``Graph.is_metric`` proves t = d and the unit rows follow the forest
-    (``_unit_rows_follow_forest``, checked once), the block adds exactly 0
-    to both deviations, with no BFS. Otherwise d is t if certified and the
-    BFS (``distances_from``) if not, and the squared unit-weight distances
-    are t where the rows follow the forest and ``_pair_sq_distances`` of
-    the block's pairs where they do not; every term is an integer, so
-    both are exact, as the Gram route's are."""
+    on a median graph its ``separating_counts``): the fast path under
+    test, on every pair. The space is certified once
+    (``keysets.forest_certificate``, its bitsets in blocks of about
+    BLOCK_ENTRIES words), and a block's t is proved equal to d by its
+    edge signs (``keysets.certified_block``). Where t = d is proved and
+    the unit rows follow the forest (``_unit_rows_follow_forest``,
+    checked once), the block adds exactly 0 to both deviations, with no
+    BFS. Otherwise d is t if proved and the BFS (``distances_from``) if
+    not, and the squared unit-weight distances are t where the rows
+    follow the forest and ``_pair_sq_distances`` of the block's pairs
+    where they do not; every term is an integer, so both are exact, as
+    the Gram route's are."""
     if not isinstance(space, Graph):
         raise TypeError(f"oracle_deviations takes a Graph, not {type(space).__name__}")
+    from .keysets import certified_block, forest_certificate
+
     n = space.vertex_count
     seps = getattr(space, "separating_counts", None)
     read = space.forest_distances if seps is None else seps
     follows = _unit_rows_follow_forest(space)
+    certificate = forest_certificate(space)
     worst, sep_worst = 0.0, None if seps is None else 0
     rows = max(1, BLOCK_ENTRIES // n)
     for start in range(0, n, rows):
         block = np.arange(start, min(start + rows, n))
         t = read(block)
-        exact = space.is_metric(block, t)
+        exact = certificate is not None and certified_block(
+            space.forest(), certificate, block, t)
         if exact and follows:
             continue
         d = t if exact else space.distances_from(block)

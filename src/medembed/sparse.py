@@ -5,9 +5,7 @@ BFS and embedding matrix. ``bfs_distances`` is the one BFS, a numpy level
 BFS from many sources at once: the oracles' metric
 (``Graph.distances_from``) and, from one source, ``root_distances``, a
 median graph's base vertex's row and a tree file's parents. No BFS loads
-scipy. ``is_graph_metric`` proves a block of rows equal to that metric
-without a BFS, in time linear in the edges per source
-(``Graph.is_metric``).
+scipy.
 
 Keys are local to a space: a tree's edge (v, parent(v)) has key v, a
 median graph's hyperplane has its class id as its key. These are the keys
@@ -23,8 +21,9 @@ of rows, so collect the rows and make one call. ``embedding_matrix`` and
 ``embedding_matrices`` wrap the triples in scipy CSR matrices (imported
 only there), and ``vectors`` hands either to ``fsum``. A space's forest
 also gives the graph distances from a few sources to every vertex
-(``PathForest.distances``) with no BFS and no embedding; the oracle
-checks them with the certificate.
+(``PathForest.distances``, a few whole-array operations per step depth)
+with no BFS and no embedding; the oracle proves them equal to the BFS
+metric with the certificate of ``keysets``.
 """
 
 from __future__ import annotations
@@ -43,11 +42,16 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # Entries (vertices x sources) of one piece of many-source distance work: a
-# piece of a level in PathForest.distances, a batch of BFS rows in
-# cube.distance_condition_sides, a chunk of sources of is_graph_metric (in
-# adjacency entries x sources); and the keys of one piece of the per-edge
-# lookups of cube.key_property.
+# piece of a level in PathForest.distances and a batch of BFS rows in
+# cube.distance_condition_sides; and the keys of one chunk of
+# keysets.edge_diffs or of the rows behind one block of the bitsets of
+# keysets.forest_certificate.
 LEVEL_ENTRIES = 1 << 16
+# Pairs (u, v) per block of the all-pairs Gram route
+# (metrics._sq_distance_blocks) and of metrics.oracle_deviations, which
+# take max(1, BLOCK_ENTRIES // n) rows u at a time; and the 64-bit words of
+# one block of keysets.forest_certificate's bitsets.
+BLOCK_ENTRIES = 1 << 18
 
 
 class SparseVector:
@@ -227,6 +231,49 @@ class PathForest:
         del packed
         return indptr, indices, [table[at_step] for table in tables]
 
+    @cached_property
+    def _schedule(self) -> tuple[list[int], list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """The non-root vertices by step depth, the steps to the root (a
+        vertex's exit is one step shallower than the vertex), found by
+        pointer doubling: the bounds of the depths among the vertices and
+        among the keys, then the vertices, their exits and their padded
+        step keys, in the narrowest integer types. A depth's padded keys
+        are a width x count block, width its widest step: row j holds the
+        j-th key of each vertex's step, or ``key_count`` past its last
+        key."""
+        n, root = len(self.exit), self.root
+        depth = (np.arange(n) != root).astype(np.int64)
+        up = self.exit
+        while (up != root).any():  # ends: every walk reaches the root
+            depth += depth[up]
+            up = up[up]
+        order = np.argsort(depth, kind="stable")[1:]  # the root comes first
+        level = depth[order] - 1
+        count = np.bincount(level)
+        sizes = np.diff(self.step_ptr)[order]
+        width = np.zeros(len(count), dtype=np.int64)
+        np.maximum.at(width, level, sizes)
+        bounds = np.concatenate([[0], np.cumsum(count)])
+        starts = np.concatenate([[0], np.cumsum(width * count)])
+        # key j of the i-th vertex of a depth: row j, column i of its block
+        cells = (starts[level] + np.arange(len(order)) - bounds[level]).repeat(sizes)
+        cells += ranges(np.zeros_like(sizes), sizes) * count[level].repeat(sizes)
+        pad = np.full(starts[-1], self.key_count, dtype=narrowest(self.key_count + 1))
+        pad[cells] = self.step_keys[ranges(self.step_ptr[order], sizes)]
+        ids = narrowest(n)
+        return (bounds.tolist(), starts.tolist(), order.astype(ids),
+                self.exit[order].astype(ids), pad)
+
+    def _levels(self, piece: int):
+        """(vertices, exits, padded keys) of each step depth in turn, at
+        most ``piece`` vertices at a time, as views of ``_schedule``."""
+        bounds, starts, x, up, pad = self._schedule
+        for d, (lo, hi) in enumerate(itertools.pairwise(bounds)):
+            keys = pad[starts[d]:starts[d + 1]].reshape(-1, hi - lo)
+            for at in range(lo, hi, piece):
+                cut = slice(at, min(at + piece, hi))
+                yield x[cut], up[cut], keys[:, at - lo:cut.stop - lo]
+
     def distances(self, sources) -> np.ndarray:
         """Graph distance from each of ``sources`` to every vertex, as an
         S x n int32 block: len(s) + len(v) - 2 shared(v, s), where shared
@@ -234,32 +281,29 @@ class PathForest:
         exactly one of them.
 
         A vertex shares with s what its exit shares plus the keys of its
-        own step on s's path. So shared fills in level by level of
-        ``length``, for all S sources at once, from an S x K indicator of
-        the sources' keys, at most max(1, LEVEL_ENTRIES // S) vertices of a
-        level at a time, so a wide level's temporaries stay near
+        own step on s's path. So shared fills in by step depth
+        (``_schedule``, built once per forest), for all S sources at once,
+        in an n x S block, from a (K + 1) x S int8 indicator of the
+        sources' keys whose last row, the padding key K, is zero: each
+        depth is a gather of its exits' rows, one gathered add per key of
+        its widest step, and a scatter, at most max(1, LEVEL_ENTRIES // S)
+        vertices at a time, so a wide depth's temporaries stay near
         LEVEL_ENTRIES entries. The block holds shared until it is turned
-        into the distances in place.
+        into the distances in place, and its transpose is returned (S x n,
+        in Fortran order: no copy).
         """
         sources = np.asarray(sources, dtype=np.int64)
         n, n_sources = len(self.exit), len(sources)
         indptr, indices, _ = self.rows(sources, [])
-        on_path = np.zeros((n_sources, self.key_count), dtype=np.int8)
-        on_path[np.arange(n_sources).repeat(np.diff(indptr)), indices] = 1
-        dist = np.zeros((n_sources, n), dtype=np.int32)
-        by_level = np.argsort(self.length, kind="stable")
-        level_at = np.searchsorted(self.length[by_level],
-                                   np.arange(int(self.length.max(initial=0)) + 2))
-        piece = max(1, LEVEL_ENTRIES // max(1, n_sources))
-        for lo, hi in itertools.pairwise(level_at[1:].tolist()):
-            for at in range(lo, hi, piece):
-                x = by_level[at:min(at + piece, hi)]
-                first = self.step_ptr[x]
-                count = self.step_ptr[x + 1] - first
-                own = np.add.reduceat(on_path[:, self.step_keys[ranges(first, count)]],
-                                      np.cumsum(count) - count, axis=1, dtype=np.int32)
-                own += dist[:, self.exit[x]]
-                dist[:, x] = own
+        on_path = np.zeros((self.key_count + 1, n_sources), dtype=np.int8)
+        on_path[indices, np.arange(n_sources).repeat(np.diff(indptr))] = 1
+        shared = np.zeros((n, n_sources), dtype=np.int32)
+        for x, up, pad in self._levels(max(1, LEVEL_ENTRIES // max(1, n_sources))):
+            own = shared.take(up, axis=0)
+            for keys in pad:
+                own += on_path.take(keys, axis=0)
+            shared[x] = own
+        dist = shared.T
         dist *= -2
         dist += self.length.astype(np.int32)
         dist += self.length[sources, None].astype(np.int32)
@@ -321,6 +365,13 @@ def ranges(starts, counts) -> np.ndarray:
     out = np.arange(total)
     out += (starts - (ends - counts)).repeat(counts)
     return out
+
+
+def narrowest(size: int):
+    """The integer type of indices into ``size`` items: int16, int32 or
+    int64. Held narrow, widened to intp before they index."""
+    return next(t for t in (np.int16, np.int32, np.int64)
+                if size <= np.iinfo(t).max + 1)
 
 
 def adjacency(n: int, eu, ev) -> tuple[np.ndarray, np.ndarray]:
@@ -390,52 +441,6 @@ def bfs_distances(adj: tuple[np.ndarray, np.ndarray], sources) -> np.ndarray:
     return dist.reshape(len(sources), n)
 
 
-def is_graph_metric(adj: tuple[np.ndarray, np.ndarray], sources, f) -> bool:
-    """True exactly when row i of the S x n block ``f`` is the graph
-    distance d from ``sources[i]`` to every vertex of the graph with
-    ``adjacency`` ``adj``: a certificate, linear in the edges per source,
-    with no BFS.
-
-    It holds when (1) f >= 0 and f(s) = 0, (2) every edge changes f by at
-    most 1 and (3) every vertex v other than s has a neighbour with f one
-    less. By (1) and (2), f rises by at most 1 along a shortest path from
-    s, so f(v) <= d(s, v). By (3), a vertex v other than s steps down to a
-    neighbour where f is one less; by (1) f stays >= 0, so such steps end,
-    and only at s, after exactly f(v) edges, so f(v) >= d(s, v).
-    Conversely d itself satisfies all three. A vertex that s does not
-    reach has no such walk, so a disconnected graph fails (3).
-
-    The sources go max(1, LEVEL_ENTRIES // 2m) at a time, 2m the adjacency
-    entries, in the transposed n x S layout: each entry (v, u) of the
-    adjacency takes the difference f(v) - f(u) of the two rows, one gather
-    and one subtraction. Every edge is listed both ways, so (2) is that no
-    difference exceeds 1. Where a difference is exactly 1, u is closer; the
-    cumulative count of these flags over the entries, read at the bounds
-    of v's neighbour list, tells whether v has a closer neighbour.
-    """
-    start, nbr = adj
-    sources = np.asarray(sources, dtype=np.intp)
-    degree = np.diff(start)
-    chunk = max(1, LEVEL_ENTRIES // max(1, len(nbr)))
-    for lo in range(0, len(sources), chunk):
-        src = sources[lo:lo + chunk]
-        col = np.arange(len(src))
-        ft = np.ascontiguousarray(f[lo:lo + chunk].T)
-        if ft.min(initial=0) < 0 or (ft[src, col] != 0).any():
-            return False
-        step = ft.repeat(degree, axis=0)
-        step -= ft.take(nbr, axis=0)
-        if step.max(initial=0) > 1:
-            return False
-        closer = np.zeros((len(nbr) + 1, len(src)), dtype=np.int32)
-        np.cumsum(step == 1, axis=0, dtype=np.int32, out=closer[1:])
-        has = closer[start[1:]] > closer[start[:-1]]
-        has[src, col] = True
-        if not has.all():
-            return False
-    return True
-
-
 def root_distances(n: int, eu, ev, root: int) -> np.ndarray:
     """Graph distance from ``root`` to every vertex of the graph with edges
     (eu[i], ev[i]) on vertices 0..n-1, as an int64 row: ``bfs_distances``
@@ -491,11 +496,12 @@ class Graph:
     graph or a product of spaces) sets both arrays and ``forest()``, its
     cube-path forest to the root. ``distances_from``, the numpy BFS of
     ``bfs_distances`` from many sources, is the oracles' independent
-    metric: the profiles and samplers read distances off the forest, and
-    ``is_metric`` proves such a block equal to it. A median graph's base
-    row comes from ``root_distances``, the same BFS from one source, a tree
-    reads its depths off its parent array, and a product adds its
-    factors' depths.
+    metric: the profiles and samplers read distances off the forest
+    (``forest_distances``), and ``keysets.forest_certificate`` proves,
+    once per graph and with no BFS, that the forest's key sets count it.
+    A median graph's base row comes from ``root_distances``, the same BFS
+    from one source, a tree reads its depths off its parent array, and a
+    product adds its factors' depths.
     """
 
     def __init__(self, n: int, root: int, label: str = ""):
@@ -518,17 +524,11 @@ class Graph:
         """Graph distances from the given vertices to every vertex, an
         S x n block by ``bfs_distances``: the independent metric of the
         oracles (``validate_median``, ``distance_condition_sides``, and
-        ``oracle_deviations`` for a block its certificate refuses) and of
-        the tests. No profile or sampler calls it. A source outside
+        ``oracle_deviations`` for a block the certificate does not prove)
+        and of the tests. No profile or sampler calls it. A source outside
         0..n-1 raises ValueError("unknown vertex v")."""
         sources = np.atleast_1d(vertex_rows(sources, self.n))
         return bfs_distances(self._adjacency, sources)
-
-    def is_metric(self, sources, block) -> bool:
-        """Whether ``block`` is ``distances_from(sources)``, by the
-        certificate of ``is_graph_metric``, with no BFS."""
-        sources = np.atleast_1d(vertex_rows(sources, self.n))
-        return is_graph_metric(self._adjacency, sources, block)
 
     @cached_property
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:

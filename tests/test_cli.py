@@ -144,45 +144,55 @@ def test_embed_rejects_graph_that_is_not_median(tmp_path, capsys):
 
 
 # Imports medembed.cli, runs the command given in argv, if any, and prints
-# the scipy modules then loaded on its last stdout line.
+# the medembed modules then loaded, less the package, cli and errors, and
+# the scipy modules, on its last two stdout lines.
 SCIPY_GUARD = (
     "import sys, medembed.cli; "
     "code = medembed.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+    "print(*sorted(m.split('.')[1] for m in sys.modules if m.split('.')[0] == 'medembed'"
+    " and m not in ('medembed', 'medembed.cli', 'medembed.errors'))); "
     "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
     "sys.exit(code)")
 
+# The medembed modules a command loads besides cli and errors: cli imports
+# the graph, profile and weight modules, and only the oracle and normalpath
+# suites import the key-set comparisons of keysets.
+MODULES = ("cube", "metrics", "spacefile", "sparse", "tree", "weights")
+KEYSETS = ("keysets", *MODULES)
 
-@pytest.mark.parametrize("argv, loads", [
-    ((), None),
+
+@pytest.mark.parametrize("argv, loads, modules", [
+    ((), None, MODULES),
     (("generate", "--space", "binary-sample", "--depth", "30", "--rays", "6",
-      "--seed", "42", "-o", "new.json"), None),
+      "--seed", "42", "-o", "new.json"), None, MODULES),
     (("measure", "--space", "tree.json", "--sampler", "exhaustive",
-      "-o", "tree.csv"), None),
-    (("verify", "--suite", "lemma", "--N-max", "1000"), None),
-    (("verify", "--suite", "lemma", "--N-max", "100000"), None),
-    (("report", "-o", "merged.csv", "profile.csv"), None),
-    (("generate", "--space", "grid", "--dims", "30x30", "-o", "new.json"), None),
-    (("generate", "--space", "staircase", "--cols", "12", "-o", "new.json"), None),
+      "-o", "tree.csv"), None, MODULES),
+    (("verify", "--suite", "lemma", "--N-max", "1000"), None, MODULES),
+    (("verify", "--suite", "lemma", "--N-max", "100000"), None, MODULES),
+    (("report", "-o", "merged.csv", "profile.csv"), None, MODULES),
+    (("generate", "--space", "grid", "--dims", "30x30", "-o", "new.json"), None, MODULES),
+    (("generate", "--space", "staircase", "--cols", "12", "-o", "new.json"), None, MODULES),
     (("generate", "--space", "from-tree", "--tree", "binary-sample:12,6",
-      "--seed", "5", "-o", "new.json"), None),
+      "--seed", "5", "-o", "new.json"), None, MODULES),
     (("generate", "--space", "tree-product", "--left", "spider:3,4",
-      "--right", "path:6", "-o", "new.json"), None),
+      "--right", "path:6", "-o", "new.json"), None, MODULES),
     (("measure", "--space", "grid.json", "--sampler", "exhaustive",
-      "-o", "grid.csv"), "scipy.sparse"),
-    (("verify", "--suite", "normalpath", "--space", "grid.json"), None),
-    (("verify", "--suite", "oracle", "--space", "grid.json"), None),
-    (("verify", "--suite", "oracle", "--space", "tree.json"), None),
-    (("verify", "--suite", "oracle", "--space", "from-tree.json"), None),
+      "-o", "grid.csv"), "scipy.sparse", MODULES),
+    (("verify", "--suite", "normalpath", "--space", "grid.json"), None, KEYSETS),
+    (("verify", "--suite", "oracle", "--space", "grid.json"), None, KEYSETS),
+    (("verify", "--suite", "oracle", "--space", "tree.json"), None, KEYSETS),
+    (("verify", "--suite", "oracle", "--space", "from-tree.json"), None, KEYSETS),
     (("measure", "--space", "grid.json", "--sampler", "stratified:5",
-      "--seed", "1", "-o", "grid.csv"), None),
+      "--seed", "1", "-o", "grid.csv"), None, MODULES),
     (("measure", "--space", "tree.json", "--sampler", "stratified:5",
-      "--seed", "1", "-o", "tree.csv"), None),
+      "--seed", "1", "-o", "tree.csv"), None, MODULES),
     (("measure", "--space", "grid.json", "--sampler", "uniform:50",
-      "--seed", "1", "-o", "grid.csv"), None),
+      "--seed", "1", "-o", "grid.csv"), None, MODULES),
     (("measure", "--space", "tree.json", "--sampler", "uniform:50",
-      "--seed", "1", "-o", "tree.csv"), None),
-    (("embed", "--space", "grid.json", "--vertex", "7"), None),
-    (("embed", "--space", "tree-edges.json", "--vertex", "7"), None),
+      "--seed", "1", "-o", "tree.csv"), None, MODULES),
+    (("embed", "--space", "grid.json", "--vertex", "7"), None, MODULES),
+    (("embed", "--space", "tree-edges.json", "--vertex", "7"), None, MODULES),
+    (("verify", "--suite", "product", "--count", "10"), "scipy.sparse", MODULES),
 ], ids=["import", "generate-tree", "measure-tree", "verify-lemma",
         "verify-lemma-chunked", "report",
         "generate-grid", "generate-staircase", "generate-from-tree",
@@ -190,14 +200,15 @@ SCIPY_GUARD = (
         "verify-oracle", "verify-oracle-tree", "verify-oracle-from-tree",
         "measure-grid-stratified", "measure-tree-stratified",
         "measure-grid-uniform", "measure-tree-uniform", "embed-grid",
-        "embed-tree-edges"])
-def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
+        "embed-tree-edges", "verify-product"])
+def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads, modules):
     # scipy takes most of a CLI process's start-up; tree commands (tree files
     # that list edges too), the median-graph generators, the samplers, embed
     # and the oracle and normalpath suites build no sparse matrix, and every
     # BFS is numpy (the base vertex's row, the oracles' rows, a tree's
-    # parents from its edges), so only the exhaustive Gram route loads
-    # scipy.sparse and nothing loads csgraph
+    # parents from its edges), so only the exhaustive Gram route and the
+    # product suite load scipy.sparse and nothing loads csgraph. Only the
+    # oracle and normalpath suites compile keysets
     run(capsys, "generate", "--space", "binary-sample", "--depth", "30",
         "--rays", "6", "--seed", "42", "-o", str(tmp_path / "tree.json"))
     run(capsys, "generate", "--space", "grid", "--dims", "4x4",
@@ -217,6 +228,7 @@ def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads):
     res = subprocess.run([sys.executable, "-c", SCIPY_GUARD, *argv], cwd=tmp_path,
                          env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-2].split() == sorted(modules)
     loaded = res.stdout.splitlines()[-1].split()
     if loads is None:
         assert loaded == []

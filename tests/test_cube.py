@@ -766,6 +766,24 @@ def test_key_property_memory_is_a_multiple_of_the_rows():
         assert peak <= 80 * entries + (4 << 20), spec.label()
 
 
+def test_key_property_memory_does_not_grow_with_depth():
+    # from-tree path:2000 has 2,001,000 path entries (about 120 MiB as the
+    # rows of all vertices); the edges go in chunks of about LEVEL_ENTRIES
+    # keys, each with the rows of its own ends only
+    from medembed.sparse import LEVEL_ENTRIES
+
+    g = gen_cube(CubeSpec.from_tree(TreeSpec.path(2000)))
+    g.forest()
+    tracemalloc.start()
+    try:
+        keys = key_property(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.partition_ok and keys.own_key_ok and keys.index_deltas.max() == 1
+    assert peak <= 128 * LEVEL_ENTRIES
+
+
 def test_path_partitions_separators():
     g = gen_cube(CubeSpec.staircase(5))
     far = far_sides(g)

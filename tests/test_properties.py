@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medembed import metrics
+from medembed import metrics, sparse
 from medembed.cube import (
     CubeSpec,
     MedianGraph,
@@ -21,6 +21,7 @@ from medembed.cube import (
     square_closure_classes,
     validate_median,
 )
+from medembed.keysets import certified_block, forest_certificate
 from medembed.metrics import _entries_from_pairs, _exhaustive_entries, _tree_entries
 from medembed.spacefile import SpaceFile, build_space
 from medembed.sparse import (
@@ -40,6 +41,7 @@ from medembed.tree import (
 )
 from medembed.weights import WeightFunction, diff_sq_sum
 from test_metrics import counted_blocks
+from test_sparse import _key_sets
 
 UNIT = WeightFunction.unit()
 PAPER = WeightFunction.paper(18)
@@ -453,9 +455,34 @@ def test_product_forest_is_the_factor_splice(factors, picks):
     src, cols = np.unravel_index(sources, prod.sizes), np.unravel_index(np.arange(n), prod.sizes)
     want = sum(f.distances_from(s)[:, c] for f, s, c in zip(factors, src, cols))
     np.testing.assert_array_equal(block, want)
-    assert prod.is_metric(sources, block)
+    certificate = forest_certificate(prod)
+    assert certificate is not None
+    assert certified_block(prod.forest(), certificate, sources, block)
     assert prod.edge_count == sum(
         f.edge_count * n // f.vertex_count for f in factors)
+
+
+@given(st.one_of(
+    shaped_trees,
+    shaped_trees.map(lambda t: MedianGraph(t.vertex_count, np.stack([t.eu, t.ev], axis=1),
+                                           root=t.root)),
+    st.builds(_rerooted, staircase_heights.map(CubeSpec.staircase_heights),
+              st.integers(min_value=0, max_value=10**6)),
+    generated_tree_specs.map(lambda spec: gen_cube(CubeSpec.from_tree(spec))),
+    st.lists(product_factors, min_size=2, max_size=3).map(metrics.ProductSpace)),
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=6))
+@settings(max_examples=120, deadline=None)
+def test_forest_distances_count_the_keys_on_one_path(space, picks):
+    # rerooted trees, staircases, from-tree spaces and products, whose
+    # steps cross several keys, with the level pieces as small as one
+    # vertex
+    sources = np.asarray(picks) % space.vertex_count
+    sets = _key_sets(space.forest())
+    want = np.array([[len(sets[s] ^ q) for q in sets] for s in sources])
+    np.testing.assert_array_equal(space.forest_distances(sources), want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "LEVEL_ENTRIES", 1)
+        np.testing.assert_array_equal(space.forest().distances(sources), want)
 
 
 pair_data = st.lists(

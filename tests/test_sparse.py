@@ -10,11 +10,11 @@ from medembed.cube import CubeSpec, gen_cube
 from medembed.errors import NonTerminationError
 from medembed.metrics import ProductSpace
 from medembed import sparse
+from medembed.keysets import certified_block, forest_certificate
 from medembed.sparse import (
     SparseVector,
     adjacency,
     bfs_distances,
-    is_graph_metric,
     vec_distance,
     vectors,
 )
@@ -178,42 +178,160 @@ def test_rows_refuse_sort_keys_wider_than_63_bits():
     assert np.array_equal(got[2][0], want[2][0])
 
 
-@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6),
-       st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3))
-@settings(max_examples=150, deadline=None)
-def test_certificate_accepts_exactly_the_bfs_rows(n, seed, n_sources, chunk):
-    # a random connected graph (a random tree and a few more edges, odd
-    # cycles too), BFS rows from random sources, some of them perturbed by
-    # +-1 or +-2 at a random entry, taken ``chunk`` sources at a time
+class _Keyed(sparse.Graph):
+    """A graph with the edges (eu[i], ev[i]), self-loops and repeats
+    allowed, whose key sets are those of any given forest."""
+
+    def __init__(self, n, eu, ev, forest):
+        super().__init__(n, forest.root)
+        self.eu, self.ev = np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64)
+        self._forest = forest
+
+    def forest(self):
+        return self._forest
+
+
+def _key_sets(forest):
+    """P(v) of every vertex, walked one exit at a time."""
+    sets = []
+    for v in range(len(forest.exit)):
+        keys = set()
+        while v != forest.root:
+            keys.update(forest.step_keys[forest.step_ptr[v]:forest.step_ptr[v + 1]].tolist())
+            v = int(forest.exit[v])
+        sets.append(keys)
+    return sets
+
+
+def _random_forest(n, rng, n_keys):
+    """Exits toward vertex 0 and steps of one or two random keys, which
+    may repeat along a path."""
+    exit_ = np.array([0] + [int(rng.integers(0, v)) for v in range(1, n)])
+    sizes = np.array([0] + rng.integers(1, min(2, n_keys) + 1, size=n - 1).tolist())
+    step_ptr = np.concatenate([[0], np.cumsum(sizes)])
+    keys = [np.sort(rng.choice(n_keys, size=int(c), replace=False)) for c in sizes]
+    length = np.zeros(n, dtype=np.int64)
+    for v in range(1, n):
+        length[v] = length[exit_[v]] + sizes[v]
+    return sparse.PathForest(0, exit_, step_ptr, np.concatenate(keys).astype(np.int64),
+                             n_keys, length)
+
+
+def _perturbed(forest, rng):
+    """The forest with one step key replaced by a random key."""
+    keys = forest.step_keys.copy()
+    if len(keys):
+        keys[rng.integers(len(keys))] = rng.integers(max(forest.key_count, 1))
+    for v in range(len(forest.exit)):  # keep each step's keys ascending
+        lo, hi = forest.step_ptr[v], forest.step_ptr[v + 1]
+        keys[lo:hi] = np.sort(keys[lo:hi])
+    return dataclasses.replace(forest, step_keys=keys)
+
+
+def _median_graph(kind, a, b, seed):
+    if kind == "grid":
+        return gen_cube(CubeSpec.grid(a, b))
+    if kind == "staircase":
+        heights = np.random.default_rng(seed).integers(1, a + 1, size=b)
+        return gen_cube(CubeSpec.staircase_heights(sorted(heights.tolist(), reverse=True)))
+    if kind == "from-tree":
+        return gen_cube(CubeSpec.from_tree(TreeSpec.binary_sample(a + 2, b, seed=seed)))
     rng = np.random.default_rng(seed)
-    eu = list(range(1, n)) + rng.integers(0, n, size=n // 3).tolist()
-    ev = [int(rng.integers(0, v)) for v in range(1, n)] + rng.integers(0, n, size=n // 3).tolist()
-    keep = [i for i, (u, v) in enumerate(zip(eu, ev)) if u != v]
-    adj = adjacency(n, np.array(eu)[keep], np.array(ev)[keep])
-    sources = rng.integers(0, n, size=n_sources)
-    true = bfs_distances(adj, sources)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sparse, "LEVEL_ENTRIES", chunk * len(adj[1]))
-        assert is_graph_metric(adj, sources, true)
-        for _ in range(8):
-            f = true.copy()
-            f[rng.integers(0, n_sources), rng.integers(0, n)] += rng.choice([-2, -1, 1, 2])
-            assert is_graph_metric(adj, sources, f) == bool((f == true).all())
-            for i in range(n_sources):  # single-source blocks
-                assert is_graph_metric(adj, sources[i:i + 1], f[i:i + 1]) == bool(
-                    (f[i] == true[i]).all())
+    return gen_tree(TreeSpec.caterpillar(a, b % 3)) if rng.integers(2) else \
+        ProductSpace([gen_tree(TreeSpec.path(a)), gen_cube(CubeSpec.grid(1, b % 3 + 1))])
+
+
+@given(st.sampled_from(["grid", "staircase", "from-tree", "tree", "one"]),
+       st.sampled_from(["partial cube", "perturbed", "random"]),
+       st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=10**6), st.booleans(), st.booleans())
+@settings(max_examples=250, deadline=None)
+def test_certificate_accepts_exactly_the_bfs_rows(kind, keys, a, b, seed, loop, repeat):
+    # the certificate holds exactly when |P(s) Δ P(v)| is the BFS distance
+    # of every pair; then a block of forest distances passes its edge signs
+    # exactly when it equals the BFS rows, at any block size. Graphs: median
+    # graphs and trees with their own key sets, those key sets perturbed,
+    # or random key sets on a random connected graph; each maybe with a
+    # self-loop and a repeated edge
+    rng = np.random.default_rng(seed)
+    if kind == "one":
+        base = gen_tree(TreeSpec.path(1))
+        n, eu, ev, forest = 1, [], [], dataclasses.replace(
+            base.forest(), exit=np.array([0]), step_ptr=np.array([0, 0]),
+            length=np.array([0]), step_keys=np.zeros(0, dtype=np.int64))
+    elif keys == "random":
+        n = a * b + 1
+        eu = list(range(1, n)) + rng.integers(0, n, size=n // 3).tolist()
+        ev = [int(rng.integers(0, v)) for v in range(1, n)] + rng.integers(0, n, size=n // 3).tolist()
+        keep = [i for i, (u, v) in enumerate(zip(eu, ev)) if u != v]
+        eu, ev = [eu[i] for i in keep], [ev[i] for i in keep]
+        forest = _random_forest(n, rng, int(rng.integers(1, n + 2)))
+    else:
+        space = _median_graph(kind, a, b, seed)
+        n, eu, ev, forest = space.vertex_count, space.eu.tolist(), space.ev.tolist(), space.forest()
+        if keys == "perturbed":
+            forest = _perturbed(forest, rng)
+    if loop:
+        v = int(rng.integers(n))
+        eu, ev = eu + [v], ev + [v]
+    if repeat and len(eu):
+        i = int(rng.integers(len(eu)))
+        eu, ev = eu + [ev[i]], ev + [eu[i]]
+    graph = _Keyed(n, eu, ev, forest)
+    bfs = bfs_distances(adjacency(n, graph.eu, graph.ev), np.arange(n))
+    sets = _key_sets(forest)
+    count = np.array([[len(p ^ q) for q in sets] for p in sets])
+    certificate = forest_certificate(graph)
+    assert (certificate is not None) == bool((count == bfs).all())
+    if certificate is None:
+        return
+    for size in (1, 3, 64, n + 1):
+        for lo in range(0, n, size):
+            block = np.arange(lo, min(lo + size, n))
+            t = forest.distances(block)
+            assert certified_block(forest, certificate, block, t) == bool(
+                (t == bfs[block]).all())
+            t[rng.integers(len(block)), rng.integers(n)] += int(rng.choice([-2, -1, 1, 2]))
+            assert not certified_block(forest, certificate, block, t)
 
 
 def test_certificate_on_one_vertex_and_disconnected_graphs():
-    one = adjacency(1, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    assert is_graph_metric(one, [0], np.zeros((1, 1), dtype=np.int32))
-    assert is_graph_metric(one, [0, 0], np.zeros((2, 1), dtype=np.int32))
-    assert not is_graph_metric(one, [0], np.ones((1, 1), dtype=np.int32))
-    # two components: no row reaches the far one by unit steps down
-    two = adjacency(4, np.array([0, 2]), np.array([1, 3]))
-    for far in (np.array([[0, 1, 5, 6]]), np.array([[0, 1, 1, 2]]), np.array([[0, 1, 0, 1]])):
-        assert not is_graph_metric(two, [0], far)
-    path = adjacency(3, np.array([0, 1]), np.array([1, 2]))
-    assert is_graph_metric(path, [1, 2], np.array([[1, 0, 1], [2, 1, 0]]))
-    assert not is_graph_metric(path, [1, 2], np.array([[1, 0, 1], [2, 1, 1]]))
-    assert not is_graph_metric(path, [1], np.array([[-1, 0, 1]]))
+    one = gen_tree(TreeSpec.path(1))
+    one = _Keyed(1, [], [], dataclasses.replace(
+        one.forest(), exit=np.array([0]), step_ptr=np.array([0, 0]),
+        length=np.array([0]), step_keys=np.zeros(0, dtype=np.int64)))
+    assert forest_certificate(one) is not None
+    assert forest_certificate(_Keyed(1, [0], [0], one.forest())) is not None
+    # the path 0 - 1 - 2 - 3 crossing keys 1, 2 and 3, on two components
+    # (edges 0 - 1 and 2 - 3), and with vertex 3 on no edge: every edge's
+    # ends differ in one key, but the graph is not connected
+    path = gen_tree(TreeSpec.path(3)).forest()
+    assert forest_certificate(_Keyed(4, [0, 1, 2], [1, 2, 3], path)) is not None
+    assert forest_certificate(_Keyed(4, [0, 2], [1, 3], path)) is None
+    assert forest_certificate(_Keyed(4, [0, 1], [1, 2], path)) is None
+    # an edge whose ends differ in two keys, or none
+    assert forest_certificate(_Keyed(4, [0, 1, 2, 0], [1, 2, 3, 2], path)) is None
+    assert forest_certificate(_Keyed(4, [0, 1, 2], [1, 2, 3], dataclasses.replace(
+        path, step_keys=np.array([1, 1, 3])))) is None
+
+
+@pytest.mark.parametrize("space", [gen_cube(CubeSpec.grid(9, 9)), gen_tree(TreeSpec.path(150)),
+                                   gen_cube(CubeSpec.from_tree(TreeSpec.binary_sample(9, 12, 5)))],
+                         ids=["grid", "path", "from-tree"])
+def test_certificate_bitset_blocks_give_one_verdict(space, monkeypatch):
+    # blocks of one word up to all of them; a doctored forest, where the
+    # deepest vertex's step crosses a key of its exit's step again, fails
+    # at every block size
+    forest = space.forest()
+    k = forest.key_count
+    v = int(np.argmax(forest.length))
+    keys = forest.step_keys.copy()
+    keys[forest.step_ptr[v]] = keys[forest.step_ptr[forest.exit[v]]]
+    lo, hi = forest.step_ptr[v], forest.step_ptr[v + 1]
+    keys[lo:hi] = np.sort(keys[lo:hi])
+    doctored = _Keyed(space.vertex_count, space.eu, space.ev,
+                      dataclasses.replace(forest, step_keys=keys))
+    for words in (1, k, 2 * k + 1, 1 << 18):
+        monkeypatch.setattr(sparse, "BLOCK_ENTRIES", words)
+        assert forest_certificate(space) is not None
+        assert forest_certificate(doctored) is None
