@@ -327,9 +327,9 @@ def _verify_product(args) -> int:
     w = parse_weight(args.weight or "unit")
     # 2,000 pairs (a, b), drawn one scalar at a time, a before b
     ends = [int(rng.integers(0, prod.vertex_count)) for _ in range(4000)]
-    vec = vectors(prod.embedding_matrix(w, ends))
-    x, y = (vectors(t.embedding_matrix(w, c))
-            for t, c in zip((t1, t2), np.unravel_index(ends, prod.sizes)))
+    rows = [space.embedding_rows([w], c) for space, c in
+            zip((prod, t1, t2), (ends, *np.unravel_index(ends, prod.sizes)))]
+    vec, x, y = (vectors((indptr, indices, data)) for indptr, indices, (data,) in rows)
     max_err = 0.0
     for a, b in zip(range(0, 4000, 2), range(1, 4000, 2)):
         lhs = vec_distance(vec[a], vec[b]) ** 2

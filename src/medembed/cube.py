@@ -20,13 +20,13 @@ graphs and their cube complexes in linear time", ICALP 2020): the vertex
 of a far side nearest the base is the one vertex there with a single
 down-edge, and any two down-neighbours of a vertex have exactly one
 common lower neighbour, so the down-edges of every vertex span a cube.
-It checks enough local conditions (a square test, the cube walk and a
-3-cube test) to accept exactly the median graphs (Chepoi's local
-characterization of median graphs; see ``forest()`` and
-``_link_check``). ``distance_condition_sides`` (two BFS rows per class),
-``square_closure_classes``, ``normal_cube_path`` and ``validate_median``
-(unique medians of vertex triples) are the independent oracles the
-tests compare with.
+It checks enough local conditions (one common lower neighbour for any
+two down-neighbours, the cube walk and a 3-cube test) to accept exactly
+the median graphs (Chepoi's local characterization of median graphs; see
+``forest()`` and ``_link_check``). ``distance_condition_sides`` (two BFS
+rows per class), ``square_closure_classes``, ``normal_cube_path`` and
+``validate_median`` (unique medians of vertex triples) are the
+independent oracles the tests compare with.
 
 The cube path from a vertex V to the base vertex repeatedly crosses, in
 one diagonal step, the full set of hyperplanes that are adjacent at the
@@ -218,26 +218,28 @@ class MedianGraph(Graph):
         and u', and takes its class. These links descend one level each,
         so pointer doubling finds every edge's opening edge.
 
-        The square test then checks class(x, u') = class(u, y) for each
-        such square. With the checks of ``_cube_forest`` this makes every
-        edge's ends separated by exactly its own class (the cut
-        condition), by induction on the level: a vertex with one down-edge
-        opens its class, whose opening edge is its lowest edge, so the
-        lower end lies on no far side of it. At a vertex x with several
-        down-edges, the ends of (u, y) and (u', y) are cut by their own
-        classes by induction; class(x, u) = class(u', y) by construction,
-        so x, reached through u or through u', has one set of far sides
-        exactly when class(x, u') = class(u, y), given that no two edges
-        at a vertex share a class (which ``_Across`` checks).
+        The checks of ``_cube_forest`` make every edge's ends separated by
+        exactly its own class (the cut condition), by induction on the
+        level: a vertex with one down-edge opens its class, whose opening
+        edge is its lowest edge, so the lower end lies on no far side of
+        it. At a vertex x with several down-edges, the ends of (u, y) and
+        (u', y) are cut by their own classes by induction, so x, reached
+        through u or through u', has one set of far sides exactly when
+        class(x, u) = class(u', y) and class(x, u') = class(u, y), given
+        that no two edges at a vertex share a class (which ``_Across``
+        checks). The first holds by construction, so y is the one
+        neighbour of u' across class(x, u). The cube walk
+        (``_Across.corners``) requires the neighbour of u across
+        class(x, u') to exist and to be that same y. As no edge is
+        repeated, the edge joining them is (u, y), which is thus in
+        class(x, u'): the second holds too.
 
         So the checks accept exactly the median graphs (see
         ``_link_check``), and the classes are right whenever they are
         returned. Raises SideComputationError for an edge between equal
-        levels (not bipartite), for two down-neighbours without exactly
-        one common lower neighbour, and for a square whose opposite edges
-        lie in different classes (the square test; it is what rejects
-        K_{2,3}). ``_cube_forest`` raises CubeSpanError or
-        NonTerminationError for the rest.
+        levels (not bipartite) and for two down-neighbours without exactly
+        one common lower neighbour; ``_cube_forest`` raises CubeSpanError
+        for the rest (a K_{2,3} among them: its cube walk fails).
         """
         if self._forest is not None:
             return self._forest
@@ -248,7 +250,7 @@ class MedianGraph(Graph):
         order = np.lexsort((par, child))
         v, u = child[order], par[order]
         below = np.searchsorted(v, np.arange(n + 1))
-        multi, other, across = _square_opposites(v, u, below, n)
+        multi, across = _square_opposites(v, u, below, n)
         # Every edge's class-opening edge: at most max(dist) - 1 links down.
         opener = np.arange(len(v))
         opener[multi] = across[multi]
@@ -259,18 +261,6 @@ class MedianGraph(Graph):
         hoe[order] = opener
         _, first_edge, hoe = np.unique(hoe, return_index=True, return_inverse=True)
         hoe = np.argsort(np.argsort(first_edge))[hoe]
-        cls = hoe[order]
-        # The square test: (x, u') and (u, y) are opposite in the square
-        # x, u, y, u' and must share a class.
-        uy = lookup(v * n + u, u[multi] * n + u[across[multi]])
-        bad = np.flatnonzero(cls[other] != cls[uy])
-        if len(bad):
-            j, k, m = multi[bad[0]], other[bad[0]], uy[bad[0]]
-            e, f = order[k], order[m]
-            raise SideComputationError(
-                f"edges {e} ({self.eu[e]}, {self.ev[e]}) and {f} ({self.eu[f]}, "
-                f"{self.ev[f]}), opposite in the square {v[j]}, {u[j]}, {u[m]}, "
-                f"{u[k]}, lie in classes {cls[k]} and {cls[m]}; not a median graph")
         self._forest = self._cube_forest(hoe, len(first_edge))
         self._hyp_of_edge = hoe
         return self._forest
@@ -307,8 +297,8 @@ class MedianGraph(Graph):
         return int(np.bincount(self._down_edges()[0], minlength=self.n).max())
 
     def _cube_forest(self, hoe: np.ndarray, n_keys: int) -> PathForest:
-        """The forest for the edge classes ``hoe``, and the checks that,
-        with the square test of ``forest()``, make the graph median.
+        """The forest for the edge classes ``hoe``, and the checks that
+        make the graph median (see ``forest()``).
 
         In a median graph the legs of x span a cube below x (the
         characterization ``forest()`` relies on), and the step exits at
@@ -316,23 +306,15 @@ class MedianGraph(Graph):
         all vertices with k legs at once, and must close up. Then
         ``_link_check`` runs on the squares and 3-cubes the walk found.
 
-        Raises NonTerminationError for a vertex other than the base with
-        no down-edge, and CubeSpanError for two down-edges in one class
-        (parallel), two edges at one vertex in one class, legs that do
-        not span a cube or whose cube does not close up, and three squares
-        at a vertex that lie in no cube.
+        Raises CubeSpanError for two edges at one vertex in one class,
+        legs that do not span a cube or whose cube does not close up, and
+        three squares at a vertex that lie in no cube. Every vertex but
+        the base has a down-edge, its parent in the BFS of ``dist_root``.
         """
         child, par = self._down_edges()
         order = np.lexsort((hoe, child))
         child, par, keys = child[order], par[order], hoe[order]
         sizes = np.bincount(child, minlength=self.n)
-        stuck = np.flatnonzero(sizes == 0)
-        stuck = stuck[stuck != self.root]
-        if len(stuck):
-            raise NonTerminationError(f"no downward edge at vertex {stuck[0]}")
-        twin = np.flatnonzero((child[1:] == child[:-1]) & (keys[1:] == keys[:-1]))
-        if len(twin):
-            raise CubeSpanError(f"parallel downward edges at vertex {child[twin[0]]}")
         across = _Across(self, hoe, n_keys)
         step_ptr = np.concatenate([[0], np.cumsum(sizes)])
         exits = np.arange(self.n)
@@ -438,13 +420,13 @@ class MedianGraph(Graph):
         return tuple(sorted(h for h, _ in legs)), exit_vertex
 
 
-def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray]:
     """For the down-edges (v[j], u[j]), grouped by v with group bounds
-    ``below``: the positions j whose vertex has another down-edge, the
-    position of the next down-edge (v[j], u') of each (one per j, cyclic
-    within the group), and across[j], the position of the edge opposite j
-    in the square through u'. SideComputationError unless u[j] and u'
-    have exactly one common lower neighbour."""
+    ``below``: the positions j whose vertex has another down-edge, and
+    across[j], the position of the edge (u', y) opposite j in the square
+    v[j], u[j], y, u', where (v[j], u') is the next down-edge of v[j]
+    (cyclic within the group). SideComputationError unless u[j] and u'
+    have exactly one common lower neighbour y."""
     count = np.diff(below)
     edge_key = v * n + u  # ascending
     multi = np.flatnonzero(count[v] > 1)
@@ -467,7 +449,7 @@ def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray, np.n
                 f"down-neighbours {a[i]} and {b[i]} of vertex {v[multi[s + i]]} "
                 f"have {common[i]} common lower neighbours; not a median graph")
         across[multi[s:s + step]] = cand[hit]
-    return multi, other, across
+    return multi, across
 
 
 def _link_check(n_keys: int, down_key, step_ptr, keys,
@@ -488,14 +470,15 @@ def _link_check(n_keys: int, down_key, step_ptr, keys,
     of some CAT(0) complexes", Adv. Appl. Math. 24, 2000) such a graph is
     median if it has no K_{2,3} and satisfies this 3-cube condition. A
     K_{2,3} would give two vertices two common legs; by the cut condition
-    (see ``forest()``) both would lie on the far sides of exactly the
-    classes of the two legs, so two edges at a leg would share a class,
-    which ``_Across`` rejects. Three squares at w with two or three edges
-    going down lie in the cube of w's legs or of the top of a square
-    through the up-edge. With one down-edge, the top of the square of the
-    two up-edges must go down in every class in which both of them do.
-    With none, the three classes must be those of a 3-cube with bottom w;
-    the triangles of squares at w are listed in degree order.
+    (which ``forest()`` derives from ``_Across`` and the cube walk) both
+    would lie on the far sides of exactly the classes of the two legs, so
+    two edges at a leg would share a class, which ``_Across`` rejects.
+    Three squares at w with two or three edges going down lie in the cube
+    of w's legs or of the top of a square through the up-edge. With one
+    down-edge, the top of the square of the two up-edges must go down in
+    every class in which both of them do. With none, the three classes
+    must be those of a 3-cube with bottom w; the triangles of squares at w
+    are listed in degree order.
     """
     if not len(squares):
         return

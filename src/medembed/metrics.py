@@ -11,10 +11,9 @@ random sampling can only raise rho_hat and lower delta_hat.
 ``ProductSpace`` of them. Every one has a cube-path forest, and the
 profiles read the path lengths, the key count, the embedding rows
 (``embedding_rows``, numpy CSR triples) and the distances
-(``forest_distances``) off it; the exhaustive Gram route takes
-``embedding_matrix(w, rows) -> CSR rows`` and reads the metric off the
-unit-weight rows, whose squared distance is the graph distance. The
-samplers load no scipy. The stratified sampler reads every (source,
+(``forest_distances``) off it; only the exhaustive Gram route takes
+``embedding_matrix(w, rows) -> CSR rows``, for the embedded distances.
+The samplers load no scipy. The stratified sampler reads every (source,
 vertex) candidate's distance off the cube-path forest into one S x n
 int32 block, draws its pairs from per-source counts by distance, with no
 sort of all candidates, and only then embeds them; the uniform sampler
@@ -40,8 +39,10 @@ the profile folds the distinct triples, weighted by their pair counts
 (``_tree_entries``); its cost grows with the triples, not with the
 n(n-1)/2 pairs. Every other ``Graph`` (median graphs and products,
 whose forests are not parent arrays) takes the Gram route
-(``_exhaustive_entries``): squared distances of all pairs as blocks of
-about BLOCK_ENTRIES pairs, which on trees is the tree route's oracle.
+(``_exhaustive_entries``): squared embedded distances of all pairs as
+Gram blocks of about BLOCK_ENTRIES pairs, each block's distances t read
+off the forest, as the stratified sampler and ``oracle_deviations`` read
+them. On trees it is the tree route's oracle.
 """
 
 from __future__ import annotations
@@ -238,41 +239,39 @@ class _WindowGram:
                              shape=(stop - start, n - start)).toarray()
 
 
-def _sq_distance_blocks(mats):
-    """Squared distances between the rows of each CSR matrix in ``mats``
-    for all pairs u < v, max(1, BLOCK_ENTRIES // n) rows u at a time
+def _sq_distance_blocks(mat):
+    """Squared distances between the rows of the CSR matrix ``mat`` for
+    all pairs u < v, max(1, BLOCK_ENTRIES // n) rows u at a time
     (``_WindowGram``): yields the block, the mask of pairs v > u in the
-    block x [block[0], n) window, and one flat array per matrix in mask
-    order. A block spans at most max(BLOCK_ENTRIES, n) pairs."""
-    n = mats[0].shape[0]
+    block x [block[0], n) window, and the flat array of their squared
+    distances in mask order. A block spans at most max(BLOCK_ENTRIES, n)
+    pairs."""
+    n = mat.shape[0]
     rows = max(1, BLOCK_ENTRIES // n)
-    norms = [sq_row_norms(mat) for mat in mats]
-    grams = [_WindowGram(mat) for mat in mats]
+    nsq = sq_row_norms(mat)
+    gram = _WindowGram(mat)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         block = np.arange(start, stop)
         mask = np.arange(start, n)[None, :] > block[:, None]
-        d2s = []
-        for gram, nsq in zip(grams, norms):
-            d2 = gram.dots(start, stop)
-            d2 *= -2.0  # in place, bit for bit (|u|^2 + |v|^2) - 2 u.v
-            d2 += nsq[start:stop, None] + nsq[None, start:]
-            d2s.append(d2[mask])
-            del d2  # before the next product allocates
-        yield block, mask, d2s
+        d2 = gram.dots(start, stop)
+        d2 *= -2.0  # in place, bit for bit (|u|^2 + |v|^2) - 2 u.v
+        d2 += nsq[start:stop, None] + nsq[None, start:]
+        d2 = d2[mask]  # frees the dense block
+        yield block, mask, d2
+        del d2  # before the next product allocates
 
 
 def _exhaustive_entries(space, w: WeightFunction):
-    """All pairs by Gram blocks; t is the unit-weight squared distance,
-    rounded. That is exact: it sums products of 0/1 entries, far below
-    2**53. On trees this is the oracle of ``_tree_entries``."""
-    mats = [space.embedding_matrix(weight, np.arange(space.vertex_count))
-            for weight in (WeightFunction.unit(), w)]
+    """All pairs by Gram blocks of the weight-w rows; each block's t is
+    read off the cube-path forest (``forest_distances``). On trees this
+    is the oracle of ``_tree_entries``."""
+    mat = space.embedding_matrix(w, np.arange(space.vertex_count))
     acc = _ProfileAccumulator()
-    for _, _, (unit_sq, emb_sq) in _sq_distance_blocks(mats):
-        acc.add(np.rint(unit_sq, out=unit_sq).astype(np.int64),
-                np.sqrt(np.clip(emb_sq, 0.0, None, out=emb_sq), out=emb_sq))
-        del unit_sq, emb_sq  # before the next block is computed
+    for block, mask, emb_sq in _sq_distance_blocks(mat):
+        t = space.forest_distances(block)[:, block[0]:][mask]
+        acc.add(t, np.sqrt(np.clip(emb_sq, 0.0, None, out=emb_sq), out=emb_sq))
+        del t, emb_sq  # before the next block is computed
     return acc.entries()
 
 
@@ -572,7 +571,8 @@ def profile(
 ) -> CompressionProfile:
     """Measure the embedding with weight w over sampled pairs and fold
     into a profile. An exhaustive profile of a ``RootedTree`` is folded
-    from its depth triples; of any other space, from Gram blocks."""
+    from its depth triples; of any other space, from Gram blocks of the
+    weight-w rows, with t read off the forest."""
     if space.vertex_count < 2:
         raise ValueError("profile needs at least two vertices")
     if sampler.mode == "exhaustive" and isinstance(space, RootedTree):

@@ -1,6 +1,10 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import re
+import textwrap
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -12,6 +16,9 @@ from medembed.cube import (
     CubeSpec,
     MedianGraph,
     MedianVerdict,
+    _Across,
+    _link_check,
+    _square_opposites,
     dimension_by_cliques,
     distance_condition_sides,
     gen_cube,
@@ -449,8 +456,8 @@ near_medians = st.tuples(
 @settings(max_examples=150, deadline=None)
 def test_sweep_matches_oracles_on_near_medians(g):
     # a vertex added beside a vertex of a median graph closes squares that
-    # are not opposite in one class, and the square test rejects about one
-    # in six such graphs; few of them are median
+    # are not opposite in one class, which the cube walk rejects; few of
+    # these graphs are median
     _sweep_against_oracles(g)
 
 
@@ -467,6 +474,29 @@ def test_sweep_matches_oracles_on_median_check_graphs():
     # medians, non-medians both routes reject, and partial cubes (C6 and
     # some subgraphs of Q5) that only the sweep rejects
     assert {(True, True, True), (False, False, False), (False, False, True)} <= seen
+
+
+def _k2m_with_tail(m, tail):
+    """K_{2,m} on the sides 0, 1 and 2..m+1, with a path of ``tail``
+    edges hung at vertex 0."""
+    n = m + 2 + tail
+    edges = [(a, b) for a in (0, 1) for b in range(2, m + 2)]
+    return MedianGraph(n, edges + [(v - 1 if v > m + 2 else 0, v)
+                                   for v in range(m + 2, n)])
+
+
+@pytest.mark.parametrize("m, tail", [(3, 3), (3, 6), (4, 10)])
+def test_sweep_rejects_tailed_k2m_by_the_cube_walk(m, tail):
+    # with n >= 2**m vertices the corner count cannot reject the m legs of
+    # a vertex first: at every root, _Across or the cube walk does
+    g = _k2m_with_tail(m, tail)
+    assert g.vertex_count >= 2 ** m
+    for root in range(g.vertex_count):
+        h = _rerooted(g, root)
+        assert _sweep_against_oracles(h)[:2] == (False, False)
+        with pytest.raises(CubeSpanError) as info:
+            h.forest()
+        assert traceback.extract_tb(info.tb)[-1].name in ("__init__", "corners")
 
 
 def test_three_cube_hyperplanes():
@@ -546,13 +576,10 @@ def test_triangle_hyperplanes_error():
     with pytest.raises(SideComputationError, match="0 common lower neighbours"):
         six_cycle().forest()
     # K_{2,3} passes the common-neighbour check (any two of 2, 3, 4 meet at
-    # 0 below vertex 1) and is rejected by the square test: edge 4, (1, 3),
-    # takes the class of (4, 0), but its opposite in the square 1, 2, 0, 3
-    # is (0, 2), the edge of another class
+    # 0 below vertex 1); its three legs at vertex 1 would need 8 corners
     k23 = MedianGraph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
-    with pytest.raises(SideComputationError, match=re.escape(
-            "edges 4 (1, 3) and 0 (0, 2), opposite in the square 1, 2, 0, 3, "
-            "lie in classes 2 and 0; not a median graph")):
+    with pytest.raises(CubeSpanError, match=re.escape(
+            "downward edges at vertex 1 do not span a cube")):
         k23.forest()
 
 
@@ -840,8 +867,13 @@ def test_forest_rejects_classes_that_do_not_span_cubes():
 
     square = [(0, 1), (0, 2), (1, 3), (2, 3)]
     cases = [
-        # both down-edges at 3 in one class
-        (MedianGraph(4, square), [0, 0, 0, 0], "^parallel downward edges at vertex 3$"),
+        # both down-edges at 3 in one class (and both edges at 0)
+        (MedianGraph(4, square), [0, 0, 0, 0],
+         "^two edges at vertex 0 cross the same hyperplane$"),
+        # at 3, class(3, 1) = class(2, 0), but 1 is joined to 0 in class 0,
+        # not in class(3, 2): the cube walk finds no neighbour of 1 across 2
+        (MedianGraph(4, square), [0, 1, 1, 2],
+         "^downward edges at vertex 3 do not span a cube$"),
         # (0, 1) and (1, 3) in one class
         (MedianGraph(4, square), [0, 1, 0, 1],
          "^two edges at vertex 1 cross the same hyperplane$"),
@@ -857,6 +889,62 @@ def test_forest_rejects_classes_that_do_not_span_cubes():
     for g, hoe, message in cases:
         with pytest.raises(CubeSpanError, match=message):
             forest_with(g, hoe)
+
+
+def _raise_lines(fn):
+    """Line numbers of the raise statements in the source of fn, in order."""
+    lines, start = inspect.getsourcelines(fn)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    return sorted(start + node.lineno - 1 for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise))
+
+
+# the checks of forest(), and a graph that reaches each of their raises:
+# (graph, check, index of the raise in it, error type, message)
+FOREST_CHECKS = {"_down_edges": MedianGraph._down_edges,
+                 "_square_opposites": _square_opposites,
+                 "_cube_forest": MedianGraph._cube_forest,
+                 "_Across": _Across, "_link_check": _link_check}
+FOREST_RAISES = [
+    (triangle, "_down_edges", 0, SideComputationError,
+     "graph has an edge between equal levels; not bipartite"),
+    (six_cycle, "_square_opposites", 0, SideComputationError,
+     "down-neighbours 2 and 4 of vertex 3 have 0 common lower neighbours; "
+     "not a median graph"),
+    # K_{2,3}: three legs at vertex 1 would need 8 corners
+    (lambda: _k2m_with_tail(3, 0), "_cube_forest", 0, CubeSpanError,
+     "downward edges at vertex 1 do not span a cube"),
+    # K_{2,3} based at 2: the edges (3, 0) and (4, 0) both take the class
+    # of (1, 2)
+    (lambda: _rerooted(_k2m_with_tail(3, 0), 2), "_Across", 0, CubeSpanError,
+     "two edges at vertex 0 cross the same hyperplane"),
+    # K_{2,3} with a tail of 3 edges: 8 vertices, so 8 corners may fit,
+    # but the cube walk misses one
+    (lambda: _k2m_with_tail(3, 3), "_Across", 1, CubeSpanError,
+     "downward edges at vertex 1 do not span a cube"),
+    # from the near-median corpus: a vertex beside vertex 5 of the 3x3x3 grid
+    (lambda: _near_median(gen_cube(CubeSpec.grid(3, 3, 3)), 5, [1, 3], 25), "_Across", 2,
+     CubeSpanError, "cube at vertex 0 does not close up"),
+    # Q3 without 3 and without 7, as in test_sweep_rejects_squares_outside_cubes
+    (lambda: _cube_subgraph([0, 1, 2, 4, 5, 6, 7], 3), "_link_check", 0, CubeSpanError,
+     "three squares at vertex 3 lie in no cube"),
+    (lambda: _cube_subgraph([0, 1, 2, 3, 4, 5, 6], 3), "_link_check", 1, CubeSpanError,
+     "three squares at vertex 0 lie in no cube"),
+]
+
+
+@pytest.mark.parametrize("graph, check, index, error, message", FOREST_RAISES,
+                         ids=[f"{row[1]}-{row[2]}" for row in FOREST_RAISES])
+def test_forest_reaches_each_raise(graph, check, index, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        graph().forest()
+    assert traceback.extract_tb(info.tb)[-1].lineno == _raise_lines(FOREST_CHECKS[check])[index]
+
+
+def test_forest_raises_are_all_in_the_table():
+    assert sorted((check, index) for _, check, index, _, _ in FOREST_RAISES) == sorted(
+        (check, index) for check, fn in FOREST_CHECKS.items()
+        for index in range(len(_raise_lines(fn))))
 
 
 def test_six_cycle_has_no_spanning_cube():

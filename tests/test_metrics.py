@@ -832,10 +832,10 @@ def counted_blocks(monkeypatch) -> list[int]:
     sizes = []
     blocks = metrics._sq_distance_blocks
 
-    def counting(mats):
-        for block, mask, d2s in blocks(mats):
+    def counting(mat):
+        for block, mask, d2 in blocks(mat):
             sizes.append(len(block))
-            yield block, mask, d2s
+            yield block, mask, d2
 
     monkeypatch.setattr(metrics, "_sq_distance_blocks", counting)
     return sizes
@@ -880,7 +880,7 @@ def gram_oracle_deviations(space):
     unit = space.embedding_matrix(WeightFunction.unit(), np.arange(space.vertex_count))
     seps = partial(separator_gram_counts, space) if isinstance(space, MedianGraph) else None
     worst, sep_worst = 0.0, None if seps is None else 0
-    for block, mask, (unit_sq,) in metrics._sq_distance_blocks([unit]):
+    for block, mask, unit_sq in metrics._sq_distance_blocks(unit):
         d = space.distances_from(block)[:, block[0]:][mask]
         nz = d > 0
         err = np.abs(np.subtract(unit_sq, d, out=unit_sq), out=unit_sq)
@@ -893,6 +893,34 @@ def gram_oracle_deviations(space):
             del sep
         del block, mask, d  # before the next block allocates
     return worst, sep_worst
+
+
+def unit_gram_entries(space, w):
+    """The exhaustive profile with t the rounded squared distance of the
+    unit-weight rows, from a Gram of its own: the reference for
+    ``_exhaustive_entries``, which reads t off the forest. The rounding
+    is exact, as the unit Gram sums products of 0/1 entries."""
+    acc = metrics._ProfileAccumulator()
+    unit, emb = (space.embedding_matrix(weight, np.arange(space.vertex_count))
+                 for weight in (UNIT, w))
+    for (_, _, unit_sq), (_, _, emb_sq) in zip(metrics._sq_distance_blocks(unit),
+                                               metrics._sq_distance_blocks(emb)):
+        acc.add(np.rint(unit_sq).astype(np.int64), np.sqrt(np.clip(emb_sq, 0.0, None)))
+    return acc.entries()
+
+
+@pytest.mark.parametrize("space", [
+    gen_cube(CubeSpec.grid(45, 45)), gen_cube(CubeSpec.grid(4, 5, 6)),
+    gen_cube(CubeSpec.staircase(30)), gen_cube(CubeSpec.staircase(60)),
+    gen_cube(CubeSpec.tree_product(TreeSpec.spider(3, 4),
+                                   TreeSpec.binary_sample(6, 5, seed=42))),
+    gen_cube(CubeSpec.from_tree(TreeSpec.binary_sample(30, 10, seed=42))),
+    ProductSpace([gen_tree(TreeSpec.path(12)), gen_tree(TreeSpec.spider(3, 4))]),
+], ids=["grid45x45", "grid4x5x6", "staircase30", "staircase60", "tree-product",
+        "from-tree", "product"])
+def test_exhaustive_t_off_the_forest_matches_the_unit_gram(space):
+    for w in (UNIT, PAPER, WeightFunction.power(0.3)):
+        assert metrics._exhaustive_entries(space, w) == unit_gram_entries(space, w)
 
 
 def _oracle_space(kind, a, b, seed):
