@@ -5,17 +5,10 @@ from .cube import (
     CubeSpec,
     KeyProperty,
     MedianGraph,
-    MedianVerdict,
-    NormalCubePath,
-    dimension_by_cliques,
-    distance_condition_sides,
     gen_cube,
     key_property,
     median_from_tree,
-    normal_cube_path,
-    square_closure_classes,
     tree_product_graph,
-    validate_median,
 )
 from .errors import (
     BudgetExceededError,
@@ -39,7 +32,6 @@ from .metrics import (
     l1_l2_compare,
     oracle_deviations,
     profile,
-    sq_row_norms,
 )
 from .sparse import Graph, PathForest, SparseVector, vec_distance, vectors
 from .spacefile import (
@@ -49,26 +41,15 @@ from .spacefile import (
     save_spacefile,
     to_spacefile,
 )
-from .tree import (
-    RootedTree,
-    TreeSpec,
-    gen_tree,
-    geodesic_edges,
-    meeting_point,
-)
+from .tree import RootedTree, TreeSpec, gen_tree
 from .weights import (
     WeightFunction,
     WeightReport,
     build_weight_report,
     deficit_bound,
-    deficit_constant,
-    deficit_scan,
     diff_sq_sum,
     diff_sq_tail_bound,
-    find_monotone_cutoff,
     parse_weight,
-    sq_partial_sum,
-    sq_partial_sums,
 )
 
 __version__ = "0.1.0"

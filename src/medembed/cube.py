@@ -8,8 +8,7 @@ Removing a class splits the graph into a near side (containing the base
 vertex) and a far side; for vertices, graph distance equals the number of
 classes separating them.  The classes separating a vertex from the base
 are the keys its cube path crosses, so the cube-path forest holds them
-once, ``separators`` reads them off it, and ``separating_counts`` are the
-forest distances.
+once and ``separating_counts`` are the forest distances.
 
 The classes (linked across squares, one level down) and the cube paths
 come from the levels of the base vertex's BFS row
@@ -23,10 +22,11 @@ common lower neighbour, so the down-edges of every vertex span a cube.
 It checks enough local conditions (one common lower neighbour for any
 two down-neighbours, the cube walk and a 3-cube test) to accept exactly
 the median graphs (Chepoi's local characterization of median graphs; see
-``forest()`` and ``_link_check``). ``distance_condition_sides`` (two BFS
-rows per class), ``square_closure_classes``, ``normal_cube_path`` and
-``validate_median`` (unique medians of vertex triples) are the
-independent oracles the tests compare with.
+``forest()`` and ``_link_check``). The independent oracles the tests
+compare with (the distance-condition classes with two BFS rows per
+class, the square closure, the cube path walked one step at a time and
+unique medians of vertex triples) live beside the tests, in
+``tests/oracles.py``, and do not ship in the package.
 
 The cube path from a vertex V to the base vertex repeatedly crosses, in
 one diagonal step, the full set of hyperplanes that are adjacent at the
@@ -44,24 +44,16 @@ immutable once computed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    CubeSpanError,
-    NonTerminationError,
-    SideComputationError,
-)
-from .sparse import (LEVEL_ENTRIES, Graph, PathForest, edge_array, lookup, product_edges,
-                     ranges, root_distances)
+from .errors import BudgetExceededError, CubeSpanError, SideComputationError
+from .sparse import (Graph, PathForest, edge_array, lookup, product_edges, ranges,
+                     root_distances)
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 CHUNK_BYTES = 4 << 20  # bytes per chunk of the row-sized work arrays
 
@@ -123,35 +115,6 @@ class CubeSpec:
         return f"tree-product({self.left.label()},{self.right.label()})"
 
 
-@dataclass(frozen=True)
-class CubeStep:
-    entry: int
-    crossed: frozenset[int]  # hyperplane basis keys
-    exit: int
-
-
-@dataclass(frozen=True)
-class NormalCubePath:
-    """Cube path from ``start`` to the base vertex; length is the step
-    count and index_map sends each crossed hyperplane key to its step."""
-
-    start: int
-    steps: tuple[CubeStep, ...]
-    index_map: dict[int, int] = field(repr=False)
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-
-@dataclass(frozen=True)
-class MedianVerdict:
-    valid: bool
-    triples_checked: int
-    violation: Optional[tuple[int, int, int]] = None
-    median_count: Optional[int] = None
-
-
 class MedianGraph(Graph):
     """Undirected simple connected graph with a base vertex ``root``."""
 
@@ -177,16 +140,6 @@ class MedianGraph(Graph):
             raise ValueError("graph is not connected")
         self.eu, self.ev = np.ascontiguousarray(e.T)
         self.dist_root = root_distances(self.n, self.eu, self.ev, self.root)
-
-    @cached_property
-    def adj(self) -> list[list[tuple[int, int]]]:
-        """(neighbour, edge id) lists in edge-id order, for the oracles'
-        walks; ``forest()`` does not read them."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(zip(self.eu.tolist(), self.ev.tolist())):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        return adj
 
     def _down_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Deeper and shallower end of every edge, in edge order."""
@@ -270,18 +223,6 @@ class MedianGraph(Graph):
         self.forest()
         return self._hyp_of_edge
 
-    @cached_property
-    def separators(self) -> sp.csr_matrix:
-        """0/1 matrix with a row per vertex and a column per hyperplane:
-        1 where the hyperplane separates the vertex from the base vertex,
-        the keys its cube path crosses."""
-        import scipy.sparse as sp  # slow to import, so only callers pay for it
-
-        forest = self.forest()
-        indptr, cls, _ = forest.rows(np.arange(self.n), [])
-        return sp.csr_matrix((np.ones(len(cls), dtype=np.int32), cls, indptr),
-                             shape=(self.n, forest.key_count))
-
     def separating_counts(self, sources) -> np.ndarray:
         """Number of hyperplanes separating each source from each vertex,
         a len(sources) x n int32 block like ``distances_from``: the
@@ -356,69 +297,6 @@ class MedianGraph(Graph):
             key_count=n_keys,
             length=self.dist_root,
         )
-
-    # -- the walk of normal_cube_path, the forest's oracle ----------------------
-
-    @cached_property
-    def _walk_classes(self) -> np.ndarray:
-        """The classes of ``distance_condition_sides``, computed once per
-        graph for the walks of ``normal_cube_path``; ``forest()`` never
-        reads them."""
-        return distance_condition_sides(self)[1]
-
-    def _neighbor_across(self, v: int, hyp: int, hoe) -> Optional[int]:
-        found = None
-        for nbr, eid in self.adj[v]:
-            if hoe[eid] == hyp:
-                if found is not None:
-                    raise CubeSpanError(
-                        f"two edges at vertex {v} cross the same hyperplane")
-                found = nbr
-        return found
-
-    def _cross_cube(self, x: int, legs: list[tuple[int, int]], hoe) -> int:
-        """Verify that the legs (hyperplane id, neighbor) span a cube at x
-        and return the diagonally opposite corner."""
-        if len(legs) == 1:
-            return legs[0][1]
-        hyps = [h for h, _ in legs]
-        if len(set(hyps)) != len(hyps):
-            raise CubeSpanError(f"parallel downward edges at vertex {x}")
-        corner: dict[frozenset, int] = {frozenset(): x}
-        for h, nbr in legs:
-            corner[frozenset([h])] = nbr
-        for size in range(2, len(hyps) + 1):
-            for combo in itertools.combinations(hyps, size):
-                fs = frozenset(combo)
-                target = None
-                for h in combo:
-                    base = corner[fs - {h}]
-                    nb = self._neighbor_across(base, h, hoe)
-                    if nb is None:
-                        raise CubeSpanError(
-                            f"downward edges at vertex {x} do not span a cube")
-                    if target is None:
-                        target = nb
-                    elif target != nb:
-                        raise CubeSpanError(
-                            f"cube at vertex {x} does not close up")
-                corner[fs] = target
-        return corner[frozenset(hyps)]
-
-    def _step(self, x: int, hoe) -> tuple[tuple[int, ...], int]:
-        """Crossed hyperplane ids and exit corner of the cube-path step
-        leaving x toward the root, with edge classes ``hoe``."""
-        dist = self.dist_root
-        legs = [
-            (int(hoe[eid]), nbr)
-            for nbr, eid in self.adj[x]
-            if dist[nbr] < dist[x]
-        ]
-        if not legs:
-            raise NonTerminationError(f"no downward edge at vertex {x}")
-        exit_vertex = self._cross_cube(x, legs, hoe)
-        return tuple(sorted(h for h, _ in legs)), exit_vertex
-
 
 def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray]:
     """For the down-edges (v[j], u[j]), grouped by v with group bounds
@@ -648,98 +526,7 @@ def gen_cube(spec: CubeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Media
     raise ValueError(f"unknown cube kind {spec.kind!r}")
 
 
-# -- validation ----------------------------------------------------------------
-
-def validate_median(
-    g: MedianGraph, triple_budget: int = 200_000, seed: int = 0
-) -> MedianVerdict:
-    """Check unique-median existence over vertex triples.
-
-    Exhaustive when the triple count fits the budget, otherwise a seeded
-    sample drawn from a vertex pool sized so the pool's triples cover the
-    budget. The median of (u, v, w) is the intersection of the three
-    pairwise intervals I(p, q) = {x : d(p,x) + d(x,q) = d(p,q)}, one packed
-    bit row per pool pair. Triples are checked in order, CHUNK_BYTES of
-    rows at a time; the first whose median count is not 1 is a violation.
-    """
-    n = g.vertex_count
-    if n < 3:
-        return MedianVerdict(valid=True, triples_checked=0)
-    total = n * (n - 1) * (n - 2) // 6
-    if total <= triple_budget:
-        pool = np.arange(n)
-        triples = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), 3)),
-            dtype=np.int64, count=3 * total).reshape(-1, 3)
-    else:
-        rng = np.random.default_rng(seed)
-        p = min(n, max(8, int(round((6.0 * triple_budget) ** (1.0 / 3.0))) + 2))
-        pool = np.sort(rng.choice(n, size=p, replace=False))
-        draws = rng.integers(0, p, size=(int(triple_budget * 1.3), 3))
-        distinct = (
-            (draws[:, 0] != draws[:, 1])
-            & (draws[:, 1] != draws[:, 2])
-            & (draws[:, 0] != draws[:, 2])
-        )
-        triples = draws[distinct][:triple_budget]
-    rows = g.distances_from(pool).astype(np.int64)
-    # slot[i, j] is the interval row of pool pair {i, j}
-    a, b = np.triu_indices(len(pool), 1)
-    slot = np.zeros((len(pool), len(pool)), dtype=np.int64)
-    slot[a, b] = slot[b, a] = np.arange(len(a))
-    intervals = np.empty((len(a), (n + 7) // 8), dtype=np.uint8)
-    step = max(1, CHUNK_BYTES // (8 * n))
-    for s in range(0, len(a), step):
-        i, j = a[s:s + step], b[s:s + step]
-        between = rows[i] + rows[j] == rows[i, pool[j]][:, None]
-        intervals[s:s + step] = np.packbits(between, axis=1)
-    step = max(1, CHUNK_BYTES // (3 * intervals.shape[1]))
-    for s in range(0, len(triples), step):
-        i, j, k = triples[s:s + step].T
-        medians = np.bitwise_count(intervals[slot[i, j]] & intervals[slot[j, k]]
-                                   & intervals[slot[i, k]]).sum(axis=1)
-        bad = np.flatnonzero(medians != 1)
-        if len(bad):
-            t = int(bad[0])
-            return MedianVerdict(valid=False, triples_checked=s + t + 1,
-                                 violation=tuple(pool[triples[s + t]].tolist()),
-                                 median_count=int(medians[t]))
-    return MedianVerdict(valid=True, triples_checked=len(triples))
-
-
 # -- spec operations -----------------------------------------------------------
-
-
-def normal_cube_path(g: MedianGraph, v: int) -> NormalCubePath:
-    """Greedy maximal cube path from v to the base vertex, walked one
-    step at a time on the classes of ``distance_condition_sides`` (found
-    once per graph); the oracle for the forest, which it does not read.
-
-    Each step crosses every hyperplane that is adjacent at the current
-    vertex and has it on its far side; the crossed set must span a
-    cube (verified constructively) and the walk exits at its opposite
-    corner, which must be as many edges nearer the base as the step
-    crosses hyperplanes.
-    """
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"unknown vertex {v}")
-    hoe = g._walk_classes
-    dist = g.dist_root
-    steps = []
-    index_map: dict[int, int] = {}
-    x = v
-    while x != g.root:
-        hyps, exit_vertex = g._step(x, hoe)
-        if dist[exit_vertex] != dist[x] - len(hyps):
-            raise NonTerminationError(
-                f"cube path step from {x} does not shorten the path by "
-                f"the {len(hyps)} hyperplanes it crosses")
-        keys = frozenset(hyps)
-        for key in keys:
-            index_map[key] = len(steps) + 1
-        steps.append(CubeStep(entry=x, crossed=keys, exit=exit_vertex))
-        x = exit_vertex
-    return NormalCubePath(start=v, steps=tuple(steps), index_map=index_map)
 
 
 @dataclass(frozen=True)
@@ -791,112 +578,3 @@ def key_property(g: MedianGraph) -> KeyProperty:
         max_step_size=int(np.diff(g.forest().step_ptr).max()),
         partition_ok=partition_ok,
     )
-
-
-# -- independent oracle for tests ----------------------------------------------
-
-
-def distance_condition_sides(g: MedianGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Far-side rows, one per vertex with the classes separating it from
-    the base vertex packed eight a byte (``np.packbits``), and the class of
-    every edge, by the distance condition with two BFS rows per class.
-
-    The BFS rows da, db of a representative edge (a, b) split the
-    vertices into the halfspaces W_ab = {da < db} and W_ba; the class
-    is the set of edges crossing between them, numbered in order of
-    its first edge. Each halfspace is connected (a shortest path to a
-    stays in W_ab). A vertex with da == db (not bipartite) or
-    overlapping classes raise SideComputationError. Independent of the
-    forest; the cache of ``g`` is left as it is.
-
-    A BFS pays a few numpy calls per level whatever its number of sources,
-    so the rows come in batches: those of the next unassigned edges, about
-    LEVEL_ENTRIES entries at a time, of which an edge assigned by the time
-    its turn comes is skipped.
-    """
-    eu, ev = g.eu, g.ev
-    assigned = np.full(g.edge_count, -1, dtype=np.int64)
-    sides: list[np.ndarray] = []
-    batch = max(1, LEVEL_ENTRIES // (2 * g.vertex_count))
-    rows: dict[int, np.ndarray] = {}
-    for e0 in range(g.edge_count):
-        if assigned[e0] >= 0:
-            continue
-        if e0 not in rows:
-            edges = e0 + np.flatnonzero(assigned[e0:] < 0)[:batch]
-            block = g.distances_from(np.stack([eu[edges], ev[edges]], axis=1).ravel())
-            rows = dict(zip(edges.tolist(), block.reshape(len(edges), 2, -1)))
-        da, db = rows[e0]
-        if (da == db).any():
-            raise SideComputationError(
-                f"a vertex is equidistant from the ends of edge {e0}; not bipartite")
-        far = (da < db) != (da[g.root] < db[g.root])
-        members = np.flatnonzero(far[eu] != far[ev])
-        if (assigned[members] >= 0).any():
-            raise SideComputationError(
-                "edge classes overlap; graph is not a partial cube")
-        assigned[members] = len(sides)
-        sides.append(far)
-    far = np.asarray(sides, dtype=bool).reshape(-1, g.vertex_count)
-    return np.packbits(far.T, axis=1), assigned
-
-
-def square_closure_classes(g: MedianGraph) -> np.ndarray:
-    """Edge classes as the transitive closure of square opposition.
-
-    Independent of the distance-condition route; quadratic in local
-    degree, intended for desk-scale cross-checks.
-    """
-    m = g.edge_count
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    nbr_edge = [dict(g.adj[v]) for v in range(g.vertex_count)]
-    dist = g.dist_root
-    for v in range(g.vertex_count):
-        up = [(nbr, eid) for nbr, eid in g.adj[v] if dist[nbr] > dist[v]]
-        for (a, ea), (b, eb) in itertools.combinations(up, 2):
-            for w_vertex, ew in g.adj[a]:
-                if w_vertex == v or dist[w_vertex] != dist[v] + 2:
-                    continue
-                eb2 = nbr_edge[b].get(w_vertex)
-                if eb2 is not None:
-                    union(ea, eb2)
-                    union(eb, ew)
-    labels = np.asarray([find(e) for e in range(m)])
-    _, canonical = np.unique(labels, return_inverse=True)
-    return canonical
-
-
-def dimension_by_cliques(g: MedianGraph) -> int:
-    """Largest set of edges at one vertex that pairwise close squares.
-
-    Exponential in local degree; cross-check oracle for ``dimension``.
-    """
-    best = 0
-    adj_sets = [set(nbr for nbr, _ in g.adj[v]) for v in range(g.vertex_count)]
-    for v in range(g.vertex_count):
-        nbrs = [nbr for nbr, _ in g.adj[v]]
-        k = len(nbrs)
-        square = [[False] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                common = (adj_sets[nbrs[i]] & adj_sets[nbrs[j]]) - {v}
-                square[i][j] = square[j][i] = bool(common)
-        for mask in range(1, 1 << k):
-            members = [i for i in range(k) if mask >> i & 1]
-            if len(members) <= best:
-                continue
-            if all(square[a][b] for a, b in itertools.combinations(members, 2)):
-                best = len(members)
-    return best

@@ -42,8 +42,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # Entries (vertices x sources) of one piece of many-source distance work: a
-# piece of a level in PathForest.distances and a batch of BFS rows in
-# cube.distance_condition_sides; and the keys of one chunk of
+# piece of a level in PathForest.distances and a batch of BFS rows in the
+# tests' distance-condition oracle; and the keys of one chunk of
 # keysets.edge_diffs or of the rows behind one block of the bitsets of
 # keysets.forest_certificate.
 LEVEL_ENTRIES = 1 << 16
@@ -235,18 +235,14 @@ class PathForest:
     def _schedule(self) -> tuple[list[int], list[int], np.ndarray, np.ndarray, np.ndarray]:
         """The non-root vertices by step depth, the steps to the root (a
         vertex's exit is one step shallower than the vertex), found by
-        pointer doubling: the bounds of the depths among the vertices and
+        ``step_depths``: the bounds of the depths among the vertices and
         among the keys, then the vertices, their exits and their padded
         step keys, in the narrowest integer types. A depth's padded keys
         are a width x count block, width its widest step: row j holds the
         j-th key of each vertex's step, or ``key_count`` past its last
         key."""
-        n, root = len(self.exit), self.root
-        depth = (np.arange(n) != root).astype(np.int64)
-        up = self.exit
-        while (up != root).any():  # ends: every walk reaches the root
-            depth += depth[up]
-            up = up[up]
+        n = len(self.exit)
+        depth = step_depths(self.exit, self.root)
         order = np.argsort(depth, kind="stable")[1:]  # the root comes first
         level = depth[order] - 1
         count = np.bincount(level)
@@ -365,6 +361,23 @@ def ranges(starts, counts) -> np.ndarray:
     out = np.arange(total)
     out += (starts - (ends - counts)).repeat(counts)
     return out
+
+
+def step_depths(up: np.ndarray, root: int) -> np.ndarray:
+    """Steps from every vertex to ``root`` along ``up`` (a parent array,
+    ``up[root] == root``), by pointer doubling: after round k, ``anc[v]``
+    is v's 2**k-th ancestor (or the root) and ``depth[v]`` the steps up to
+    it. Within n.bit_length() rounds every ancestor is the root, unless
+    some vertex's parents run into a cycle that never reaches it, which
+    raises ValueError("parent array is not a connected tree")."""
+    anc = up
+    depth = (np.arange(len(up)) != root).astype(np.int64)
+    for _ in range(len(up).bit_length() + 1):
+        if (anc == root).all():
+            return depth
+        depth += depth[anc]
+        anc = anc[anc]
+    raise ValueError("parent array is not a connected tree")
 
 
 def narrowest(size: int):
@@ -522,10 +535,9 @@ class Graph:
 
     def distances_from(self, sources) -> np.ndarray:
         """Graph distances from the given vertices to every vertex, an
-        S x n block by ``bfs_distances``: the independent metric of the
-        oracles (``validate_median``, ``distance_condition_sides``, and
-        ``oracle_deviations`` for a block the certificate does not prove)
-        and of the tests. No profile or sampler calls it. A source outside
+        S x n block by ``bfs_distances``: the independent metric of
+        ``oracle_deviations`` for a block the certificate does not prove
+        and of the tests and their oracles (``tests/oracles.py``). No profile or sampler calls it. A source outside
         0..n-1 raises ValueError("unknown vertex v")."""
         sources = np.atleast_1d(vertex_rows(sources, self.n))
         return bfs_distances(self._adjacency, sources)

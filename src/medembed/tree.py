@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError
-from .sparse import Graph, PathForest, id_array, ranges
+from .sparse import Graph, PathForest, id_array, ranges, step_depths
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 CHUNK_BYTES = 16 << 20  # bytes of depth histograms and their rows per chunk
@@ -107,22 +107,7 @@ class RootedTree(Graph):
         loops = self.eu[self.ev == self.eu]
         if len(loops):
             raise ValueError(f"vertex {loops[0]} is its own parent but not root")
-        self.depth = self._depths()
-
-    def _depths(self) -> np.ndarray:
-        """Depth of every vertex by pointer doubling on ``parent``: after
-        round k, ``anc[v]`` is v's 2**k-th ancestor (or the root) and
-        ``depth[v]`` the edges up to it. Within n.bit_length() rounds every
-        ancestor is the root, unless some vertex's parents run into a cycle
-        that never reaches it."""
-        anc = self.parent
-        depth = (np.arange(self.n) != self.root).astype(np.int64)
-        for _ in range(self.n.bit_length() + 1):
-            if (anc == self.root).all():
-                return depth
-            depth += depth[anc]
-            anc = anc[anc]
-        raise ValueError("parent array is not a connected tree")
+        self.depth = step_depths(self.parent, self.root)
 
     def edge_key(self, v: int) -> int:
         """Basis key of the edge (v, parent(v))."""
@@ -279,32 +264,3 @@ def gen_tree(spec: TreeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> Roote
     else:
         raise ValueError(f"unknown tree kind {spec.kind!r}")
     return RootedTree(parent, root=0, label=spec.label())
-
-
-def geodesic_edges(tree: RootedTree, v: int) -> list[int]:
-    """Basis keys of the edges of the path from v to the root, in order
-    starting at v. The list length equals depth(v)."""
-    if not 0 <= v < tree.vertex_count:
-        raise ValueError(f"unknown vertex {v}")
-    keys = []
-    while v != tree.root:
-        keys.append(tree.edge_key(v))
-        v = int(tree.parent[v])
-    return keys
-
-
-def meeting_point(tree: RootedTree, u: int, v: int) -> int:
-    """Deepest common ancestor of u and v (simultaneous upward walk)."""
-    n = tree.vertex_count
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError("unknown vertex id")
-    du, dv = int(tree.depth[u]), int(tree.depth[v])
-    while du > dv:
-        u = int(tree.parent[u]); du -= 1
-    while dv > du:
-        v = int(tree.parent[v]); dv -= 1
-    while u != v:
-        u = int(tree.parent[u])
-        v = int(tree.parent[v])
-    return u
-

@@ -38,24 +38,6 @@ def paper_formula(t):
     return np.sqrt(t) / (np.sqrt(lt) * np.log(lt))
 
 
-def find_monotone_cutoff() -> int:
-    """Least integer M such that the raw weight formula increases on [M, inf).
-
-    The derivative is positive exactly when u - 1 - 2/ln(u) > 0 for
-    u = ln t; the unique root of that expression gives the threshold.
-    """
-    from scipy.optimize import brentq  # slow to import; no CLI path needs it
-
-    u = brentq(lambda u: u - 1.0 - 2.0 / math.log(u), 1.0 + 1e-9, 10.0)
-    m = math.ceil(math.exp(u))
-    # Sanity: decreasing into m, increasing from m on (short scan).
-    ts = np.arange(m - 1, m + 64, dtype=np.float64)
-    vals = paper_formula(ts)
-    if not (vals[1] < vals[0] and np.all(np.diff(vals[1:]) > 0)):
-        raise RuntimeError("monotone cutoff scan disagrees with the root")
-    return m
-
-
 @dataclass(frozen=True)
 class WeightFunction:
     """Immutable description of one weight family member.
@@ -169,45 +151,21 @@ def diff_sq_tail_bound(w: WeightFunction) -> float:
     return 1.0 / math.log(math.log(w.m))
 
 
-def sq_partial_sum(w: WeightFunction, n: int) -> float:
-    """Sum of w(i)^2 for i = 1 .. n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    vals = w.values(np.arange(1, n + 1, dtype=np.float64))
-    return float(np.dot(vals, vals))
-
-
-def sq_partial_sums(w: WeightFunction, n: int) -> np.ndarray:
-    """Vector of partial sums of w(i)^2; entry k-1 holds the sum to k."""
-    vals = w.values(np.arange(1, n + 1, dtype=np.float64))
-    return np.cumsum(vals * vals)
-
-
 SCAN_CHUNK = 1 << 13  # points of w held at once by the scans below
-
-
-def deficit_scan(w: WeightFunction, n_max: int) -> tuple[float, int]:
-    """Scan the deficit N*w(N)^2/2 - sum_{i<=N} w(i)^2 over N <= n_max.
-
-    Returns (max deficit clamped at 0, index attaining the maximum).  The
-    returned constant C makes sum_{i<=N} w(i)^2 >= N*w(N)^2/2 - C hold for
-    every N in the scanned range.  Runs SCAN_CHUNK points at a time; each
-    chunk's cumulative sum starts from the last one's, so the sums, the
-    constant and the first index attaining it are those of one whole-array
-    scan.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return _deficit_maxima(w, (n_max,))[0]
 
 
 def _deficit_maxima(w: WeightFunction, stops, last=None,
                     tap=None) -> list[tuple[float, int]]:
-    """``deficit_scan`` over [1, stop] for each of the ascending ``stops``,
-    from one pass over [1, last] (by default the last stop) that evaluates
-    w SCAN_CHUNK points at a time; ``tap(lo, vals)``, if given, is handed
-    each chunk's values w(lo), w(lo + 1), ... A stop splits its chunk's
-    argmax in two, which keeps the first index attaining the maximum."""
+    """Scan the deficit N*w(N)^2/2 - sum_{i<=N} w(i)^2 over N <= stop for
+    each of the ascending ``stops``: (max deficit clamped at 0, the first
+    index attaining the maximum), the constant C that makes
+    sum_{i<=N} w(i)^2 >= N*w(N)^2/2 - C hold on [1, stop]. One pass over
+    [1, last] (by default the last stop) evaluates w SCAN_CHUNK points at a
+    time, and each chunk's cumulative sum starts from the last one's, so
+    every number is that of one whole-array scan; ``tap(lo, vals)``, if
+    given, is handed each chunk's values w(lo), w(lo + 1), ... A stop
+    splits its chunk's argmax in two, which keeps the first index
+    attaining the maximum."""
     last = stops[-1] if last is None else last
     out, best, at, carry = [], -math.inf, 0, 0.0
     for lo in range(1, last + 1, SCAN_CHUNK):
@@ -234,14 +192,9 @@ def _deficit_maxima(w: WeightFunction, stops, last=None,
     return out
 
 
-def deficit_constant(w: WeightFunction, n_max: int) -> float:
-    """Verified constant for the partial-sum lower bound on [1, n_max]."""
-    return deficit_scan(w, n_max)[0]
-
-
 def deficit_bound(w: WeightFunction) -> float:
     """Closed-form constant C with sum_{i<=N} w(i)^2 >= N*w(N)^2/2 - C for
-    every N >= 1: the least such C >= 0, and the one ``deficit_scan`` finds.
+    every N >= 1: the least such C >= 0, and the one ``_deficit_maxima`` finds.
 
     Let D(N) = N*w(N)^2/2 - sum_{i<=N} w(i)^2, the deficit; then
     D(j+1) - D(j) = ((j-1)*w(j+1)^2 - j*w(j)^2) / 2.

@@ -28,13 +28,8 @@ from medembed.metrics import (
 )
 from medembed.sparse import vec_distance, vectors
 from medembed.tree import TreeSpec, gen_tree
-from medembed.weights import (
-    WeightFunction,
-    deficit_scan,
-    diff_sq_sum,
-    diff_sq_tail_bound,
-    sq_partial_sums,
-)
+from medembed.weights import WeightFunction, diff_sq_sum, diff_sq_tail_bound
+from oracles import deficit_scan, separators, sq_partial_sums
 
 PAPER = WeightFunction.paper(18)
 XI_18_SQ = 5.52806069209341
@@ -127,7 +122,7 @@ def test_criterion_02_unit_oracle_complexes(cubes_c2):
         n = g.vertex_count
         # far sides: two vertices differ on one side exactly when they
         # differ on the other
-        far = g.separators.toarray().astype(bool).T
+        far = separators(g).toarray().astype(bool).T
         for start in range(0, n, 256):
             block = np.arange(start, min(start + 256, n))
             dist = g.distances_from(block).astype(np.int64)

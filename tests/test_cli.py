@@ -661,13 +661,14 @@ def test_measure_runs_no_deficit_scan(tmp_path, capsys, monkeypatch):
         BoundCurve, PairSampler, default_bound_curves, edge_dilatation_bound,
         profile)
     from medembed.spacefile import build_space, load_spacefile
+    from oracles import deficit_constant
 
     tree, grid = tmp_path / "tree.json", tmp_path / "grid.json"
     run(capsys, "generate", "--space", "spider", "--legs", "3", "--leg-len", "40",
         "-o", str(tree))
     run(capsys, "generate", "--space", "grid", "--dims", "20x20", "-o", str(grid))
     labels = ("paper:18", "unit", "power:0.25")
-    scanned = {w: weights.deficit_constant(weights.parse_weight(w), 10**6)
+    scanned = {w: deficit_constant(weights.parse_weight(w), 10**6)
                for w in labels}
 
     def no_scan(*args, **kwargs):

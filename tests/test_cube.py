@@ -15,19 +15,13 @@ from hypothesis import strategies as st
 from medembed.cube import (
     CubeSpec,
     MedianGraph,
-    MedianVerdict,
     _Across,
     _link_check,
     _square_opposites,
-    dimension_by_cliques,
-    distance_condition_sides,
     gen_cube,
     key_property,
     median_from_tree,
-    normal_cube_path,
-    square_closure_classes,
     tree_product_graph,
-    validate_median,
 )
 from medembed.errors import (
     BudgetExceededError,
@@ -39,6 +33,17 @@ from medembed.errors import (
 from medembed.sparse import Graph, vec_distance, vectors
 from medembed.tree import RootedTree, TreeSpec, gen_tree
 from medembed.weights import WeightFunction
+import oracles
+from oracles import (
+    MedianVerdict,
+    adj,
+    dimension_by_cliques,
+    distance_condition_sides,
+    normal_cube_path,
+    separators,
+    square_closure_classes,
+    validate_median,
+)
 
 UNIT = WeightFunction.unit()
 PAPER = WeightFunction.paper(18)
@@ -79,7 +84,7 @@ def _petersen():
 def packed_sides(g):
     """Far-side rows packed as ``distance_condition_sides`` packs them,
     from ``separators``: row v holds the classes separating v from the base."""
-    return np.packbits(g.separators.toarray().astype(bool), axis=1)
+    return np.packbits(separators(g).toarray().astype(bool), axis=1)
 
 
 def far_sides(g):
@@ -437,7 +442,7 @@ def _near_median(g, x, picks, root):
     """``g`` with one more vertex, joined to 2 to 4 neighbours of vertex x
     (taken from its sorted neighbours by ``picks``), based at ``root``."""
     n = g.vertex_count
-    nbrs = sorted(v for v, _ in g.adj[x % n])
+    nbrs = sorted(v for v, _ in adj(g)[x % n])
     joined = [nbrs.pop(p % len(nbrs)) for p in picks[:len(nbrs)]]
     edges = np.concatenate([np.column_stack([g.eu, g.ev]), [[n, v] for v in joined]])
     return MedianGraph(n + 1, edges, root=root % (n + 1))
@@ -541,7 +546,7 @@ def test_far_rows_match_bfs_sides():
         assert np.array_equal(np.bitwise_count(packed).sum(axis=1), g.dist_root)
     for g in medians:
         k = g.forest().key_count
-        assert np.array_equal(g.separators.toarray(), np.unpackbits(
+        assert np.array_equal(separators(g).toarray(), np.unpackbits(
             distance_condition_sides(g)[0], axis=1, count=k))
 
 
@@ -666,7 +671,7 @@ def test_square_closure_oracle_agrees():
 
 def test_separates_cases():
     g = gen_cube(CubeSpec.grid(2, 3))
-    sep = g.separators.toarray()
+    sep = separators(g).toarray()
     assert sep.shape == (g.vertex_count, 5)
     assert not (sep[5] != sep[5]).any()
     # adjacent pair crosses exactly its own hyperplane
@@ -847,16 +852,17 @@ def test_step_order_independence():
     for order in itertools.permutations(step.crossed):
         at = far
         for key in order:
-            nxt = [nbr for nbr, eid in g.adj[at] if hoe[eid] == key]
+            nxt = [nbr for nbr, eid in adj(g)[at] if hoe[eid] == key]
             assert len(nxt) == 1
             at = nxt[0]
         assert at == step.exit
 
 
-def test_cube_path_step_must_shorten_path():
+def test_cube_path_step_must_shorten_path(monkeypatch):
     g = gen_cube(CubeSpec.grid(2, 2))
     far = g.vertex_count - 1
-    g._step = lambda x, hoe: ((0,), x)  # a step that stays put never ends
+    # a step that stays put never ends
+    monkeypatch.setattr(oracles, "_step", lambda g, x, hoe: ((0,), x))
     with pytest.raises(NonTerminationError):
         normal_cube_path(g, far)
 
@@ -1013,7 +1019,7 @@ def test_cube_embed_matches_tree_embed_on_from_tree():
 def test_per_pair_compression_inequality_on_grid():
     # diameter 80 makes the floor pass the cutoff, so the bound is live
     from medembed.metrics import sq_row_norms
-    from medembed.weights import sq_partial_sums
+    from oracles import sq_partial_sums
 
     g = gen_cube(CubeSpec.grid(40, 40))
     n = g.vertex_count

@@ -28,8 +28,9 @@ from medembed.metrics import (
     sq_row_norms,
 )
 from medembed.sparse import vec_distance, vectors
-from medembed.tree import RootedTree, TreeSpec, gen_tree, geodesic_edges
-from medembed.weights import WeightFunction, deficit_constant
+from medembed.tree import RootedTree, TreeSpec, gen_tree
+from medembed.weights import WeightFunction
+from oracles import deficit_constant, geodesic_edges, separators
 
 XI_18 = 2.35118282830013
 XI_18_SQ = 5.52806069209341
@@ -437,7 +438,7 @@ def test_tree_triples_give_the_exact_pair_distances():
     # every pair of a spider deep enough for paper:18's nonzero steps:
     # the closed form at the pair's (a, b, s) against fsum
     from medembed.metrics import _triple_sq_distances
-    from medembed.tree import meeting_point
+    from oracles import meeting_point
 
     t = gen_tree(TreeSpec.spider(3, 24))
     for w in (UNIT, PAPER, WeightFunction.power(0.3)):
@@ -782,7 +783,7 @@ def test_product_l2_metric_lower_bound():
 
 
 def test_tree_profile_rho_bounded_below_by_partial_sums():
-    from medembed.weights import sq_partial_sums
+    from oracles import sq_partial_sums
     t = gen_tree(TreeSpec.spider(3, 40))
     prof = profile(t, PAPER, PairSampler.exhaustive())
     cum = np.concatenate([[0.0], sq_partial_sums(PAPER, 100)])
@@ -866,7 +867,7 @@ def test_unit_identity_helper(monkeypatch):
 def separator_gram_counts(g, sources):
     """Separating counts as a Gram of separator rows, |S_u| + |S_v| -
     2 S_u . S_v: the reference for ``separating_counts``."""
-    sep = g.separators
+    sep = separators(g)
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     sizes = np.diff(sep.indptr)
     gram = sep[sources].toarray() @ sep.T

@@ -17,9 +17,6 @@ from medembed.cube import (
     MedianGraph,
     gen_cube,
     key_property,
-    normal_cube_path,
-    square_closure_classes,
-    validate_median,
 )
 from medembed.keysets import certified_block, forest_certificate
 from medembed.metrics import _entries_from_pairs, _exhaustive_entries, _tree_entries
@@ -32,14 +29,15 @@ from medembed.sparse import (
     vec_distance,
     vectors,
 )
-from medembed.tree import (
-    RootedTree,
-    TreeSpec,
-    gen_tree,
+from medembed.tree import RootedTree, TreeSpec, gen_tree
+from medembed.weights import WeightFunction, diff_sq_sum
+from oracles import (
     geodesic_edges,
     meeting_point,
+    normal_cube_path,
+    square_closure_classes,
+    validate_median,
 )
-from medembed.weights import WeightFunction, diff_sq_sum
 from test_metrics import counted_blocks
 from test_sparse import _key_sets
 

@@ -6,18 +6,9 @@ import pytest
 
 from medembed.errors import BudgetExceededError
 from medembed.sparse import csr_matrices, vec_distance, vectors
-from medembed.tree import (
-    RootedTree,
-    TreeSpec,
-    gen_tree,
-    geodesic_edges,
-    meeting_point,
-)
-from medembed.weights import (
-    WeightFunction,
-    diff_sq_tail_bound,
-    sq_partial_sums,
-)
+from medembed.tree import RootedTree, TreeSpec, gen_tree
+from medembed.weights import WeightFunction, diff_sq_tail_bound
+from oracles import geodesic_edges, meeting_point, sq_partial_sums
 
 XI_SQ_18_19_20 = 16.6069717014757
 UNIT = WeightFunction.unit()

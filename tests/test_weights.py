@@ -14,13 +14,15 @@ from medembed.weights import (
     WeightReport,
     build_weight_report,
     deficit_bound,
-    deficit_constant,
-    deficit_scan,
     diff_sq_sum,
     diff_sq_tail_bound,
-    find_monotone_cutoff,
     parse_weight,
     paper_formula,
+)
+from oracles import (
+    deficit_constant,
+    deficit_scan,
+    find_monotone_cutoff,
     sq_partial_sum,
     sq_partial_sums,
 )
