@@ -63,7 +63,7 @@ def main():
 
     tree = gen_tree(TreeSpec.binary_sample(args.depth, args.rays, args.seed))
     print(f"binary sample: {tree.vertex_count} vertices, depth {args.depth}")
-    run_space("tree-profile", tree, 1,
+    run_space("tree-profile", tree, tree.dimension,
               PairSampler.exhaustive(), t_min=36, out_dir=args.out_dir)
 
     grid = gen_cube(CubeSpec.grid(args.grid, args.grid))

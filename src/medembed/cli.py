@@ -18,7 +18,6 @@ import numpy as np
 
 from .cube import (
     CubeSpec,
-    MedianGraph,
     gen_cube,
     key_property,
     median_from_tree,
@@ -220,11 +219,7 @@ def cmd_measure(args) -> int:
         spec = ("exhaustive" if n_pairs <= EXHAUSTIVE_DEFAULT_PAIR_LIMIT
                 else "stratified:1000")
     sampler = parse_sampler(spec, args.seed)
-    if isinstance(space, MedianGraph):
-        space.forest()  # the level sweep accepts exactly the median graphs
-        dim = space.dimension
-    else:
-        dim = 1
+    dim = space.dimension  # builds the forest, which accepts exactly the median graphs
     prof = profile(
         space, w, sampler,
         metadata={"space": space.label or str(args.space), "weight": w.label()},

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -230,12 +229,6 @@ class MedianGraph(Graph):
         vertex, the keys on exactly one of their cube paths, so
         ``forest_distances``."""
         return self.forest_distances(sources)
-
-    @cached_property
-    def dimension(self) -> int:
-        """Largest cube dimension, computed as the maximum number of
-        root-decreasing edges at any vertex."""
-        return int(np.bincount(self._down_edges()[0], minlength=self.n).max())
 
     def _cube_forest(self, hoe: np.ndarray, n_keys: int) -> PathForest:
         """The forest for the edge classes ``hoe``, and the checks that

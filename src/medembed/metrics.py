@@ -17,21 +17,19 @@ The samplers load no scipy. The stratified sampler reads every (source,
 vertex) candidate's distance off the cube-path forest into one S x n
 int32 block, draws its pairs from per-source counts by distance, with no
 sort of all candidates, and only then embeds them; the uniform sampler
-reads its pairs' distances off their unit-weight rows. Both embed their
-pairs with one kernel (``_pair_sq_distances``) that walks the target rows
-in chunks of at least CHUNK_ROWS rows, sums in blocks of at most
-CHUNK_ENTRIES entries and adds every sum in the same order as a CSR x
-dense product.
+reads its pairs' distances off their unit-weight rows, from the same walk
+that embeds them at the profile's weight. Both embed their pairs with
+one kernel (``_pair_sq_distances``, at one or more weights) that walks
+the target rows in chunks of at least CHUNK_ROWS rows, sums in blocks of
+at most CHUNK_ENTRIES entries and adds every sum in the same order as a
+CSR x dense product.
 
 ``oracle_deviations`` checks the two identities on any ``Graph`` with no
-Gram: each block of sources reads its distances off the forest, and the
-certificate of ``keysets`` proves them equal to the graph metric: once
-per space, that the forest's key sets count the distance of every pair
-(``forest_certificate``), then per block, by the block's signs across the
-edges (``certified_block``). The unit-weight rows are checked once to
-follow the forest. Only a block the certificate does not prove runs the
-BFS (``distances_from``), so a passing space loads no scipy and runs no
-BFS.
+Gram: each block of sources reads its distances off the forest, and
+``keysets.proves_distances`` proves them equal to the graph metric by
+their layers across the edges. The unit-weight rows are checked once to
+follow the forest. Only a block that is not proved runs the BFS
+(``distances_from``), so a passing space loads no scipy and runs no BFS.
 
 An exhaustive profile takes one of two routes. On a ``RootedTree`` a
 pair's embedded distance depends only on its depth triple (a, b, s), so
@@ -70,8 +68,8 @@ EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
 # CHUNK_ENTRIES entries (or one row, or one pair).
 CHUNK_ENTRIES = 1 << 16
 CHUNK_ROWS = 512
-# Entries of the dense source rows of one _pair_sq_distances call of the
-# uniform sampler (_uniform_sq_distances).
+# Entries of the dense source rows, per weight, of one _pair_sq_distances
+# call of the uniform sampler (_uniform_sq_distances).
 DENSE_ENTRIES = 1 << 18
 # Bytes the stratified sampler may hold: CANDIDATE_BYTES per (source,
 # vertex) candidate (its int32 distance in the S x n block, and the few
@@ -358,27 +356,31 @@ def _distinct(ids, n: int):
     return distinct, slot[ids]
 
 
-def _pair_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
-    """Squared embedded distances of the pairs (us[i], vs[i]), computed for
-    these pairs only. The distinct first ends' rows are held dense. The
-    second ends are taken in order of path length and walked in chunks
+def _pair_sq_distances(space, weights, us, vs) -> list[np.ndarray]:
+    """Squared embedded distances of the pairs (us[i], vs[i]) at each of
+    ``weights``, one array per weight from one walk of the rows, computed
+    for these pairs only. The distinct first ends' rows are held dense.
+    The second ends are taken in order of path length and walked in chunks
     (``_runs``); each chunk's rows are padded to its longest, and their
-    pairs summed, in blocks of at most CHUNK_ENTRIES entries.
+    pairs summed, in blocks of at most CHUNK_ENTRIES entries, with one
+    gather of the keys per block for all weights.
 
     Each dot sums value x dense source value over the target's row in
     ascending key order, one term at a time (``_in_order_sums``), and so
-    does each norm. A zero term (padding, or a key the source lacks) adds
-    exactly 0, so every (-2 v.s) + (|v|^2 + |s|^2) is bit for bit what the
-    CSR rows' product with the dense sources gives, and coinciding vectors
-    give exactly 0."""
+    does each norm. A zero term (padding, a step another weight weighs, or
+    a key the source lacks) adds exactly 0, so every (-2 v.s) + (|v|^2 +
+    |s|^2) is bit for bit what the CSR rows' product with the dense
+    sources gives, and coinciding vectors give exactly 0."""
     forest = space.forest()
     sources, src_of = _distinct(us, space.vertex_count)
     key_count = forest.key_count
-    s_ptr, s_keys, (s_data,) = space.embedding_rows([w], sources)
-    dense = np.zeros((len(sources), key_count))
-    dense[np.arange(len(sources)).repeat(np.diff(s_ptr)), s_keys] = s_data
-    dense = dense.ravel()
-    s_sq = _in_order_sums(np.square(*_padded(s_ptr, s_data)))
+    s_ptr, s_keys, s_data = space.embedding_rows(weights, sources)
+    dense, s_sq = [], []
+    for data in s_data:
+        rows = np.zeros((len(sources), key_count))
+        rows[np.arange(len(sources)).repeat(np.diff(s_ptr)), s_keys] = data
+        dense.append(rows.ravel())
+        s_sq.append(_in_order_sums(np.square(*_padded(s_ptr, data))))
     targets, tgt_of = _distinct(vs, space.vertex_count)
     lengths = forest.length[targets]
     by_len = np.argsort(lengths, kind="stable")
@@ -389,32 +391,34 @@ def _pair_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
     by_target = np.argsort(tgt_of, kind="stable")
     firsts = np.zeros(len(targets) + 1, dtype=np.int64)
     np.cumsum(np.bincount(tgt_of, minlength=len(targets)), out=firsts[1:])
-    emb_sq = np.empty(len(us))
+    emb_sq = [np.empty(len(us)) for _ in weights]
     for lo, hi in _runs(lengths):
-        t_ptr, t_keys, (t_data,) = space.embedding_rows([w], targets[lo:hi])
+        t_ptr, t_keys, t_data = space.embedding_rows(weights, targets[lo:hi])
         # padded blocks and pair terms stay within CHUNK_ENTRIES entries
         width = max(1, CHUNK_ENTRIES // max(1, int(lengths[hi - 1])))
         for sub in range(lo, hi, width):
             end = min(sub + width, hi)
             ptr = t_ptr[sub - lo:end - lo + 1]
-            values, keys = _padded(ptr - ptr[0], t_data[ptr[0]:ptr[-1]],
-                                   t_keys[ptr[0]:ptr[-1]])
-            t_sq = _in_order_sums(np.square(values))
-            block = max(1, CHUNK_ENTRIES // max(1, len(values)))
+            keys, *values = _padded(ptr - ptr[0], t_keys[ptr[0]:ptr[-1]],
+                                    *(data[ptr[0]:ptr[-1]] for data in t_data))
+            t_sq = [_in_order_sums(np.square(v)) for v in values]
+            block = max(1, CHUNK_ENTRIES // max(1, len(keys)))
             for at in range(firsts[sub], firsts[end], block):
                 pairs = by_target[at:min(at + block, firsts[end])]
                 b = tgt_of[pairs].astype(np.intp)
                 b -= sub
                 a = src_of[pairs].astype(np.intp)
                 # take, not [:, b]: C-ordered, summed without a copy
-                terms = keys.take(b, axis=1) + a * key_count
-                terms = dense[terms]
-                terms *= values.take(b, axis=1)
-                dots = _in_order_sums(terms)
-                del terms
-                dots *= -2.0
-                dots += t_sq[b] + s_sq[a]
-                emb_sq[pairs] = dots
+                cells = keys.take(b, axis=1) + a * key_count
+                gathered = [rows[cells] for rows in dense]
+                del cells  # before the products allocate
+                for terms, vals, t_norm, s_norm, out in zip(gathered, values, t_sq, s_sq, emb_sq):
+                    terms *= vals.take(b, axis=1)
+                    dots = _in_order_sums(terms)
+                    dots *= -2.0
+                    dots += t_norm[b] + s_norm[a]
+                    out[pairs] = dots
+                del gathered, terms  # before the next block is gathered
         del t_ptr, t_keys, t_data  # before the next chunk's rows are built
     return emb_sq
 
@@ -522,7 +526,7 @@ def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
     del dist, at, by_src
     us = sources.astype(at_type)[src.astype(np.intp)]
     del src
-    emb_sq = _pair_sq_distances(space, w, us, vs)
+    emb_sq, = _pair_sq_distances(space, [w], us, vs)
     return us, vs, ts.astype(np.int64), emb_sq
 
 
@@ -544,23 +548,26 @@ def _draw_pairs(n: int, sampler: PairSampler):
     return held // n, held % n
 
 
-def _uniform_sq_distances(space, w: WeightFunction, us, vs) -> np.ndarray:
+def _uniform_sq_distances(space, weights, us, vs) -> list[np.ndarray]:
     """``_pair_sq_distances`` of pairs sorted by first end, taken
     max(1, DENSE_ENTRIES // K) distinct first ends at a time, so the dense
-    rows stay within DENSE_ENTRIES entries."""
+    rows of each weight stay within DENSE_ENTRIES entries."""
     per_call = max(1, DENSE_ENTRIES // space.forest().key_count)
     firsts = np.flatnonzero(np.diff(us, prepend=-1))[::per_call]
-    return np.concatenate([
-        _pair_sq_distances(space, w, us[lo:hi], vs[lo:hi])
-        for lo, hi in itertools.pairwise([*firsts.tolist(), len(us)])])
+    parts = [_pair_sq_distances(space, weights, us[lo:hi], vs[lo:hi])
+             for lo, hi in itertools.pairwise([*firsts.tolist(), len(us)])]
+    return [np.concatenate(sq) for sq in zip(*parts)]
 
 
-def _uniform_pairs(space, sampler: PairSampler):
-    """``count`` distinct random pairs (us, vs) and their distances ts,
-    read off the unit-weight rows like the exhaustive route's t."""
+def _uniform_pairs(space, w: WeightFunction, sampler: PairSampler):
+    """``count`` distinct random pairs (us, vs), their distances ts and
+    their squared embedded distances at weight w, from one walk of their
+    rows at the unit weight and at w: t is read off the unit-weight
+    rows."""
     us, vs = _draw_pairs(space.vertex_count, sampler)
-    unit_sq = _uniform_sq_distances(space, WeightFunction.unit(), us, vs)
-    return us, vs, np.rint(unit_sq).astype(np.int64)
+    # the unit weight once, if w is the unit weight
+    sq = _uniform_sq_distances(space, list(dict.fromkeys([WeightFunction.unit(), w])), us, vs)
+    return us, vs, np.rint(sq[0]).astype(np.int64), sq[-1]
 
 
 def profile(
@@ -580,11 +587,8 @@ def profile(
     elif sampler.mode == "exhaustive":
         entries = _exhaustive_entries(space, w)
     elif sampler.mode in ("stratified", "uniform"):
-        if sampler.mode == "stratified":
-            _, _, ts, emb_sq = _stratified_pairs(space, w, sampler)
-        else:
-            us, vs, ts = _uniform_pairs(space, sampler)
-            emb_sq = _uniform_sq_distances(space, w, us, vs)
+        pairs = _stratified_pairs if sampler.mode == "stratified" else _uniform_pairs
+        _, _, ts, emb_sq = pairs(space, w, sampler)
         entries = _entries_from_pairs(ts, np.sqrt(np.clip(emb_sq, 0.0, None)))
     else:
         raise ValueError(f"unknown sampler mode {sampler.mode!r}")
@@ -842,35 +846,33 @@ def oracle_deviations(space) -> tuple[float, Optional[int]]:
     ``Graph``.
 
     Sources u go max(1, BLOCK_ENTRIES // n) at a time, and each block
-    reads its distances t off the cube-path forest (``forest_distances``,
-    on a median graph its ``separating_counts``): the fast path under
-    test, on every pair. The space is certified once
-    (``keysets.forest_certificate``, its bitsets in blocks of about
-    BLOCK_ENTRIES words), and a block's t is proved equal to d by its
-    edge signs (``keysets.certified_block``). Where t = d is proved and
-    the unit rows follow the forest (``_unit_rows_follow_forest``,
-    checked once), the block adds exactly 0 to both deviations, with no
-    BFS. Otherwise d is t if proved and the BFS (``distances_from``) if
-    not, and the squared unit-weight distances are t where the rows
-    follow the forest and ``_pair_sq_distances`` of the block's pairs
-    where they do not; every term is an integer, so both are exact, as
-    the Gram route's are."""
+    reads its distances t off the cube-path forest (on a median graph
+    through ``separating_counts``, which are its forest distances): the
+    fast path under test, on every pair. ``keysets.proves_distances``
+    proves t equal to d by its layers across the edges, over the
+    neighbours grouped by degree once (``keysets.degree_groups``). Where
+    t = d is proved and the unit rows follow the forest
+    (``_unit_rows_follow_forest``, checked once), the block adds exactly
+    0 to both deviations, with no BFS. Otherwise d is t if proved and the
+    BFS (``distances_from``) if not, and the squared unit-weight
+    distances are t where the rows follow the forest and
+    ``_pair_sq_distances`` of the block's pairs where they do not; every
+    term is an integer, so both are exact, as the Gram route's are."""
     if not isinstance(space, Graph):
         raise TypeError(f"oracle_deviations takes a Graph, not {type(space).__name__}")
-    from .keysets import certified_block, forest_certificate
+    from .keysets import degree_groups, proves_distances
 
     n = space.vertex_count
     seps = getattr(space, "separating_counts", None)
     read = space.forest_distances if seps is None else seps
     follows = _unit_rows_follow_forest(space)
-    certificate = forest_certificate(space)
+    groups = degree_groups(space)
     worst, sep_worst = 0.0, None if seps is None else 0
     rows = max(1, BLOCK_ENTRIES // n)
     for start in range(0, n, rows):
         block = np.arange(start, min(start + rows, n))
         t = read(block)
-        exact = certificate is not None and certified_block(
-            space.forest(), certificate, block, t)
+        exact = proves_distances(groups, block, t)
         if exact and follows:
             continue
         d = t if exact else space.distances_from(block)
@@ -880,8 +882,8 @@ def oracle_deviations(space) -> tuple[float, Optional[int]]:
             unit_sq = t.astype(np.float64)
         else:
             us, vs = np.nonzero(mask)
-            unit_sq = _pair_sq_distances(space, WeightFunction.unit(),
-                                         us + start, vs + start)
+            unit_sq, = _pair_sq_distances(space, [WeightFunction.unit()],
+                                          us + start, vs + start)
         nz = d > 0
         err = np.abs(np.subtract(unit_sq, d, out=unit_sq), out=unit_sq)
         np.divide(err, d, out=err, where=nz)

@@ -23,7 +23,7 @@ only there), and ``vectors`` hands either to ``fsum``. A space's forest
 also gives the graph distances from a few sources to every vertex
 (``PathForest.distances``, a few whole-array operations per step depth)
 with no BFS and no embedding; the oracle proves them equal to the BFS
-metric with the certificate of ``keysets``.
+metric by their layers across the edges (``keysets.proves_distances``).
 """
 
 from __future__ import annotations
@@ -42,15 +42,13 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # Entries (vertices x sources) of one piece of many-source distance work: a
-# piece of a level in PathForest.distances and a batch of BFS rows in the
-# tests' distance-condition oracle; and the keys of one chunk of
-# keysets.edge_diffs or of the rows behind one block of the bitsets of
-# keysets.forest_certificate.
+# piece of a level in PathForest.distances, of a degree group in
+# keysets.proves_distances and a batch of BFS rows in the tests'
+# distance-condition oracle; and the keys of one chunk of keysets.edge_diffs.
 LEVEL_ENTRIES = 1 << 16
 # Pairs (u, v) per block of the all-pairs Gram route
 # (metrics._sq_distance_blocks) and of metrics.oracle_deviations, which
-# take max(1, BLOCK_ENTRIES // n) rows u at a time; and the 64-bit words of
-# one block of keysets.forest_certificate's bitsets.
+# take max(1, BLOCK_ENTRIES // n) rows u at a time.
 BLOCK_ENTRIES = 1 << 18
 
 
@@ -510,11 +508,11 @@ class Graph:
     cube-path forest to the root. ``distances_from``, the numpy BFS of
     ``bfs_distances`` from many sources, is the oracles' independent
     metric: the profiles and samplers read distances off the forest
-    (``forest_distances``), and ``keysets.forest_certificate`` proves,
-    once per graph and with no BFS, that the forest's key sets count it.
-    A median graph's base row comes from ``root_distances``, the same BFS
-    from one source, a tree reads its depths off its parent array, and a
-    product adds its factors' depths.
+    (``forest_distances``), and ``keysets.proves_distances`` proves a
+    block of them equal to it with no BFS. A median graph's base row comes
+    from ``root_distances``, the same BFS from one source, a tree reads
+    its depths off its parent array, and a product adds its factors'
+    depths. ``dimension`` is read off the forest too.
     """
 
     def __init__(self, n: int, root: int, label: str = ""):
@@ -533,12 +531,20 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.eu)
 
+    @cached_property
+    def dimension(self) -> int:
+        """The most keys crossed at one step of the cube-path forest: a
+        median graph's largest cube, 1 for a tree with an edge, 0 for one
+        vertex and the sum of the factors' for a product."""
+        return int(np.diff(self.forest().step_ptr).max())
+
     def distances_from(self, sources) -> np.ndarray:
         """Graph distances from the given vertices to every vertex, an
         S x n block by ``bfs_distances``: the independent metric of
-        ``oracle_deviations`` for a block the certificate does not prove
-        and of the tests and their oracles (``tests/oracles.py``). No profile or sampler calls it. A source outside
-        0..n-1 raises ValueError("unknown vertex v")."""
+        ``oracle_deviations`` for a block ``keysets.proves_distances``
+        does not prove, and of the tests and their oracles
+        (``tests/oracles.py``). No profile or sampler calls it. A source
+        outside 0..n-1 raises ValueError("unknown vertex v")."""
         sources = np.atleast_1d(vertex_rows(sources, self.n))
         return bfs_distances(self._adjacency, sources)
 

@@ -677,7 +677,7 @@ def test_measure_runs_no_deficit_scan(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(weights, "_deficit_maxima", no_scan)
     for path in (tree, grid):
         space = build_space(load_spacefile(path))
-        n = getattr(space, "dimension", 1)
+        n = space.dimension
         for label in labels:
             w = weights.parse_weight(label)
             lower = BoundCurve.paper_lower(w, n, scanned[label])

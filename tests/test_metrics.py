@@ -178,7 +178,7 @@ def test_exhaustive_profile_runs_without_bfs(monkeypatch):
 def test_pair_sq_distances_match_bruteforce(monkeypatch):
     # the pair kernel of both samplers against fsum, with the uniform
     # sampler's source blocks and the kernel's chunks a few rows each
-    from medembed.metrics import _stratified_pairs, _uniform_pairs, _uniform_sq_distances
+    from medembed.metrics import _stratified_pairs, _uniform_pairs
 
     monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 60)
     monkeypatch.setattr(metrics, "CHUNK_ROWS", 1)
@@ -194,16 +194,47 @@ def test_pair_sq_distances_match_bruteforce(monkeypatch):
     for space, w in cases:
         vecs = vectors(space.embedding_matrix(w, range(space.vertex_count)))
         dist = space.distances_from(range(space.vertex_count)).astype(int)
-        us, vs, ts = _uniform_pairs(space, PairSampler.uniform(80, seed=6))
         for us, vs, ts, emb_sq in (
             _stratified_pairs(space, w, PairSampler.stratified(7, seed=5)),
-            (us, vs, ts, _uniform_sq_distances(space, w, us, vs)),
+            _uniform_pairs(space, w, PairSampler.uniform(80, seed=6)),
         ):
             emb = np.sqrt(np.clip(emb_sq, 0.0, None))
             for u, v, t, e in zip(us, vs, ts, emb):
                 assert t == dist[u][v]
                 want = vec_distance(vecs[u], vecs[v])
                 assert e == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _two_pass_uniform_pairs(space, w, sampler):
+    """The uniform sampler with t and emb² from two walks of the pair
+    kernel, at the unit weight and at w: the reference for the one walk at
+    both weights."""
+    us, vs = metrics._draw_pairs(space.vertex_count, sampler)
+    unit_sq, = metrics._uniform_sq_distances(space, [UNIT], us, vs)
+    emb_sq, = metrics._uniform_sq_distances(space, [w], us, vs)
+    return us, vs, np.rint(unit_sq).astype(np.int64), emb_sq
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "small-chunks"])
+def test_uniform_pairs_walk_their_rows_once(monkeypatch, small):
+    # the one walk gives the two walks' pairs, t and emb² bit for bit, at
+    # weights whose steps are all weighed or not; with the default chunks,
+    # or with source blocks and chunks a few rows each
+    if small:
+        monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 60)
+        monkeypatch.setattr(metrics, "CHUNK_ROWS", 1)
+        monkeypatch.setattr(metrics, "DENSE_ENTRIES", 60)
+    spaces = [gen_cube(CubeSpec.grid(9, 8)), gen_cube(CubeSpec.staircase(8)),
+              gen_tree(TreeSpec.binary_sample(30, 6, seed=3)),
+              ProductSpace([gen_tree(TreeSpec.path(12)), gen_tree(TreeSpec.spider(3, 4))])]
+    sampler = PairSampler.uniform(300, seed=1)
+    for space in spaces:
+        for w in (UNIT, PAPER, WeightFunction.power(0.3)):
+            us, vs, ts, emb_sq = metrics._uniform_pairs(space, w, sampler)
+            want = _two_pass_uniform_pairs(space, w, sampler)
+            for got, ref in zip((us, vs, ts, emb_sq.view(np.int64)),
+                                (*want[:3], want[3].view(np.int64))):
+                np.testing.assert_array_equal(got, ref)
 
 
 def test_in_order_sums_add_row_by_row():
@@ -409,7 +440,7 @@ def test_stratified_draw_holds_under_8_bytes_per_candidate(monkeypatch):
     grid = gen_cube(CubeSpec.grid(100, 100))
     grid.forest()
     monkeypatch.setattr(metrics, "_pair_sq_distances",
-                        lambda space, w, us, vs: np.zeros(len(us)))
+                        lambda space, weights, us, vs: [np.zeros(len(us))])
     sampler = PairSampler.stratified(5, 11)
     _stratified_pairs(grid, PAPER, sampler)
     n_sources, _ = _stratified_need(grid, 5)
@@ -979,6 +1010,27 @@ def test_oracle_runs_no_bfs_on_a_passing_space(monkeypatch):
     assert calls == []
 
 
+def test_oracle_walks_each_block_of_rows_once(monkeypatch):
+    # the unit rows of all vertices once, then one walk per block, for its
+    # forest distances: the proof walks no rows
+    from medembed.sparse import PathForest
+
+    g = gen_cube(CubeSpec.grid(45, 45))
+    g.forest()
+    calls = []
+    rows = PathForest.rows
+
+    def counting(self, *args):
+        calls.append(len(args[0]))
+        return rows(self, *args)
+
+    monkeypatch.setattr(PathForest, "rows", counting)
+    assert oracle_deviations(g) == (0.0, 0)
+    n = g.vertex_count
+    blocks = -(-n // max(1, metrics.BLOCK_ENTRIES // n))
+    assert len(calls) == 1 + blocks and calls[0] == sum(calls[1:]) == n
+
+
 @pytest.mark.parametrize("space", [gen_cube(CubeSpec.grid(4, 5)),
                                    gen_tree(TreeSpec.caterpillar(5, 2))],
                          ids=["grid", "tree"])
@@ -1038,9 +1090,9 @@ def test_oracle_weighs_unit_rows_that_leave_the_forest(monkeypatch, space, kind)
     pairs = []
     kernel = metrics._pair_sq_distances
 
-    def counting(space, w, us, vs):
+    def counting(space, weights, us, vs):
         pairs.append(len(us))
-        return kernel(space, w, us, vs)
+        return kernel(space, weights, us, vs)
 
     monkeypatch.setattr(metrics, "_pair_sq_distances", counting)
     got = oracle_deviations(space)

@@ -18,7 +18,7 @@ from medembed.cube import (
     gen_cube,
     key_property,
 )
-from medembed.keysets import certified_block, forest_certificate
+from medembed.keysets import degree_groups, proves_distances
 from medembed.metrics import _entries_from_pairs, _exhaustive_entries, _tree_entries
 from medembed.spacefile import SpaceFile, build_space
 from medembed.sparse import (
@@ -447,15 +447,13 @@ def test_product_forest_is_the_factor_splice(factors, picks):
     want_ptr, want_keys, want_data = _spliced_rows(prod, weights, np.arange(n))
     for got, want in zip([ptr, keys, *data], [want_ptr, want_keys, *want_data]):
         np.testing.assert_array_equal(got, want)
-    # distances: the sum of the factors' BFS rows, and certified
+    # distances: the sum of the factors' BFS rows, and proved
     sources = np.asarray(picks) % n
     block = prod.forest_distances(sources)
     src, cols = np.unravel_index(sources, prod.sizes), np.unravel_index(np.arange(n), prod.sizes)
     want = sum(f.distances_from(s)[:, c] for f, s, c in zip(factors, src, cols))
     np.testing.assert_array_equal(block, want)
-    certificate = forest_certificate(prod)
-    assert certificate is not None
-    assert certified_block(prod.forest(), certificate, sources, block)
+    assert proves_distances(degree_groups(prod), sources, block)
     assert prod.edge_count == sum(
         f.edge_count * n // f.vertex_count for f in factors)
 

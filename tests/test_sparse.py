@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medembed.cube import CubeSpec, gen_cube
+from medembed.cube import CubeSpec, MedianGraph, gen_cube
 from medembed.errors import NonTerminationError
 from medembed.metrics import ProductSpace
 from medembed import sparse
-from medembed.keysets import certified_block, forest_certificate
+from medembed.keysets import degree_groups, proves_distances
 from medembed.sparse import (
     SparseVector,
     adjacency,
@@ -18,7 +18,7 @@ from medembed.sparse import (
     vec_distance,
     vectors,
 )
-from medembed.tree import TreeSpec, gen_tree
+from medembed.tree import RootedTree, TreeSpec, gen_tree
 from medembed.weights import WeightFunction
 
 XI_18 = 2.35118282830013
@@ -236,20 +236,44 @@ def _median_graph(kind, a, b, seed):
         return gen_cube(CubeSpec.staircase_heights(sorted(heights.tolist(), reverse=True)))
     if kind == "from-tree":
         return gen_cube(CubeSpec.from_tree(TreeSpec.binary_sample(a + 2, b, seed=seed)))
+    if kind == "wide":  # a star, or a caterpillar: one degree group of wide rows
+        return gen_tree(TreeSpec.spider(8 * a, 1) if seed % 2 else TreeSpec.caterpillar(a, 4 * b))
     rng = np.random.default_rng(seed)
     return gen_tree(TreeSpec.caterpillar(a, b % 3)) if rng.integers(2) else \
         ProductSpace([gen_tree(TreeSpec.path(a)), gen_cube(CubeSpec.grid(1, b % 3 + 1))])
 
 
-@given(st.sampled_from(["grid", "staircase", "from-tree", "tree", "one"]),
+def test_dimension_is_the_widest_forest_step():
+    # a tree's steps cross one key, one vertex's none, and a product's the
+    # keys of a step of every factor; on median graphs it is the most
+    # down-edges at a vertex
+    assert gen_tree(TreeSpec.binary_sample(9, 5, seed=2)).dimension == 1
+    assert gen_tree(TreeSpec.spider(4, 3)).dimension == 1
+    assert RootedTree([0]).dimension == 0
+    assert MedianGraph(1, []).dimension == 0
+    assert ProductSpace([RootedTree([0])]).dimension == 0
+    factors = [gen_cube(CubeSpec.grid(2, 3)), gen_tree(TreeSpec.path(4)),
+               gen_cube(CubeSpec.grid(1, 1, 1)), RootedTree([0])]
+    assert ProductSpace(factors).dimension == 2 + 1 + 3 + 0
+    for g in (gen_cube(CubeSpec.grid(3, 2, 2)), gen_cube(CubeSpec.staircase(5)),
+              gen_cube(CubeSpec.tree_product(TreeSpec.spider(3, 2), TreeSpec.path(3)))):
+        assert g.dimension == np.bincount(g._down_edges()[0], minlength=g.vertex_count).max()
+
+
+def _proves(graph, block, t) -> bool:
+    return proves_distances(degree_groups(graph), block, t)
+
+
+@given(st.sampled_from(["grid", "staircase", "from-tree", "tree", "wide", "one"]),
        st.sampled_from(["partial cube", "perturbed", "random"]),
        st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
-       st.integers(min_value=0, max_value=10**6), st.booleans(), st.booleans())
+       st.integers(min_value=0, max_value=10**6), st.booleans(), st.booleans(),
+       st.sampled_from([7, 1 << 16]))
 @settings(max_examples=250, deadline=None)
-def test_certificate_accepts_exactly_the_bfs_rows(kind, keys, a, b, seed, loop, repeat):
-    # the certificate holds exactly when |P(s) Δ P(v)| is the BFS distance
-    # of every pair; then a block of forest distances passes its edge signs
-    # exactly when it equals the BFS rows, at any block size. Graphs: median
+def test_certificate_accepts_exactly_the_bfs_rows(kind, keys, a, b, seed, loop, repeat, entries):
+    # a block of forest distances is proved exactly when it equals the BFS
+    # rows, at any block size and in pieces of 7 entries or of the default;
+    # the BFS rows with one entry moved by 1 or 2 never are. Graphs: median
     # graphs and trees with their own key sets, those key sets perturbed,
     # or random key sets on a random connected graph; each maybe with a
     # self-loop and a repeated edge
@@ -278,21 +302,19 @@ def test_certificate_accepts_exactly_the_bfs_rows(kind, keys, a, b, seed, loop, 
         i = int(rng.integers(len(eu)))
         eu, ev = eu + [ev[i]], ev + [eu[i]]
     graph = _Keyed(n, eu, ev, forest)
+    groups = degree_groups(graph)
     bfs = bfs_distances(adjacency(n, graph.eu, graph.ev), np.arange(n))
-    sets = _key_sets(forest)
-    count = np.array([[len(p ^ q) for q in sets] for p in sets])
-    certificate = forest_certificate(graph)
-    assert (certificate is not None) == bool((count == bfs).all())
-    if certificate is None:
-        return
-    for size in (1, 3, 64, n + 1):
-        for lo in range(0, n, size):
-            block = np.arange(lo, min(lo + size, n))
-            t = forest.distances(block)
-            assert certified_block(forest, certificate, block, t) == bool(
-                (t == bfs[block]).all())
-            t[rng.integers(len(block)), rng.integers(n)] += int(rng.choice([-2, -1, 1, 2]))
-            assert not certified_block(forest, certificate, block, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "LEVEL_ENTRIES", entries)
+        for size in (1, 3, 64, n + 1):
+            for lo in range(0, n, size):
+                block = np.arange(lo, min(lo + size, n))
+                t = forest.distances(block)
+                assert proves_distances(groups, block, t) == bool((t == bfs[block]).all())
+                d = np.asfortranarray(bfs[block])
+                assert proves_distances(groups, block, d)
+                d[rng.integers(len(block)), rng.integers(n)] += int(rng.choice([-2, -1, 1, 2]))
+                assert not proves_distances(groups, block, d)
 
 
 def test_certificate_on_one_vertex_and_disconnected_graphs():
@@ -300,38 +322,50 @@ def test_certificate_on_one_vertex_and_disconnected_graphs():
     one = _Keyed(1, [], [], dataclasses.replace(
         one.forest(), exit=np.array([0]), step_ptr=np.array([0, 0]),
         length=np.array([0]), step_keys=np.zeros(0, dtype=np.int64)))
-    assert forest_certificate(one) is not None
-    assert forest_certificate(_Keyed(1, [0], [0], one.forest())) is not None
+    for graph in (one, _Keyed(1, [0], [0], one.forest())):
+        assert _proves(graph, [0], np.zeros((1, 1), dtype=np.int32))
+        assert not _proves(graph, [0], np.ones((1, 1), dtype=np.int32))
     # the path 0 - 1 - 2 - 3 crossing keys 1, 2 and 3, on two components
-    # (edges 0 - 1 and 2 - 3), and with vertex 3 on no edge: every edge's
-    # ends differ in one key, but the graph is not connected
+    # (edges 0 - 1 and 2 - 3), and with vertex 3 on no edge: no block of
+    # distances is proved, the forest's or any other
     path = gen_tree(TreeSpec.path(3)).forest()
-    assert forest_certificate(_Keyed(4, [0, 1, 2], [1, 2, 3], path)) is not None
-    assert forest_certificate(_Keyed(4, [0, 2], [1, 3], path)) is None
-    assert forest_certificate(_Keyed(4, [0, 1], [1, 2], path)) is None
-    # an edge whose ends differ in two keys, or none
-    assert forest_certificate(_Keyed(4, [0, 1, 2, 0], [1, 2, 3, 2], path)) is None
-    assert forest_certificate(_Keyed(4, [0, 1, 2], [1, 2, 3], dataclasses.replace(
-        path, step_keys=np.array([1, 1, 3])))) is None
+    everyone = np.arange(4)
+    t = path.distances(everyone)
+    assert _proves(_Keyed(4, [0, 1, 2], [1, 2, 3], path), everyone, t)
+    for eu, ev in (([0, 2], [1, 3]), ([0, 1], [1, 2])):
+        disconnected = _Keyed(4, eu, ev, path)
+        for block in ([0], [3], everyone):
+            assert not _proves(disconnected, block, t[block])
+            assert not _proves(disconnected, block, np.minimum(t[block], 1))
+    # an edge that skips a vertex: the forest's distances are not the
+    # graph's, whose BFS rows are proved
+    chord = _Keyed(4, [0, 1, 2, 0], [1, 2, 3, 2], path)
+    assert not _proves(chord, everyone, t)
+    assert _proves(chord, everyone, chord.distances_from(everyone))
 
 
 @pytest.mark.parametrize("space", [gen_cube(CubeSpec.grid(9, 9)), gen_tree(TreeSpec.path(150)),
                                    gen_cube(CubeSpec.from_tree(TreeSpec.binary_sample(9, 12, 5)))],
                          ids=["grid", "path", "from-tree"])
-def test_certificate_bitset_blocks_give_one_verdict(space, monkeypatch):
-    # blocks of one word up to all of them; a doctored forest, where the
+def test_certificate_pieces_give_one_verdict(space, monkeypatch):
+    # pieces of one row up to all of them; a doctored forest, where the
     # deepest vertex's step crosses a key of its exit's step again, fails
-    # at every block size
+    # at every piece size, on the blocks of its deepest vertex's rows
     forest = space.forest()
-    k = forest.key_count
     v = int(np.argmax(forest.length))
     keys = forest.step_keys.copy()
     keys[forest.step_ptr[v]] = keys[forest.step_ptr[forest.exit[v]]]
     lo, hi = forest.step_ptr[v], forest.step_ptr[v + 1]
     keys[lo:hi] = np.sort(keys[lo:hi])
-    doctored = _Keyed(space.vertex_count, space.eu, space.ev,
-                      dataclasses.replace(forest, step_keys=keys))
-    for words in (1, k, 2 * k + 1, 1 << 18):
-        monkeypatch.setattr(sparse, "BLOCK_ENTRIES", words)
-        assert forest_certificate(space) is not None
-        assert forest_certificate(doctored) is None
+    doctored = dataclasses.replace(forest, step_keys=keys)
+    groups = degree_groups(space)
+    n = space.vertex_count
+    bfs = space.distances_from(np.arange(n))
+    blocks = [np.arange(lo, min(lo + 16, n)) for lo in range(0, n, 16)]
+    for entries in (1, 16, 16 * n, 1 << 16):
+        monkeypatch.setattr(sparse, "LEVEL_ENTRIES", entries)
+        for block in blocks:
+            assert proves_distances(groups, block, forest.distances(block))
+            t = doctored.distances(block)
+            assert proves_distances(groups, block, t) == bool((t == bfs[block]).all())
+        assert not all(proves_distances(groups, b, doctored.distances(b)) for b in blocks)
