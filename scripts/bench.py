@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Record a checkout's benchmark numbers in a BENCH JSON file.
+
+Usage: python scripts/bench.py --label NAME [--checkout DIR] [--out FILE]
+                               [--seconds S] [--smoke]
+
+Two parts, each run in child processes against the checkout's own code:
+
+* ``perfbench/run.py --trace 0`` of the checkout, once per workload at its
+  default seed, for ``--seconds`` seconds: the medians of ``setup_s``,
+  ``run_s`` and ``peak_rss_mb``;
+* the stratified profile's stages, timed in process (paper:18,
+  stratified:1000, seed 11) on grid 100x100, grid 300x300 (W1) and grid
+  1000x1000: building the space and its forest, the draw of the pairs,
+  their embedded distances (the pair kernel, or the factor route where the
+  checkout has one; both are wrapped with timers) and the whole
+  ``profile`` call, with the child's peak RSS.
+
+The results go under ``runs[NAME]`` of ``--out`` (default BENCH_29.json in
+this checkout), next to the runs already there, with the machine facts:
+cores and the Python, numpy and scipy versions. Run it once per checkout
+on the same machine to compare them. ``--smoke`` passes ``--smoke`` to
+perfbench and times grids 10x10, 20x20 and 30x30 instead, in seconds.
+"""
+
+import argparse
+import importlib.metadata
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("grid-stratified", "tree-exhaustive", "verify-suites")
+GRIDS = {False: (("100x100", 5), ("300x300", 3), ("1000x1000", 1)),
+         True: (("10x10", 1), ("20x20", 1), ("30x30", 1))}
+
+
+def machine_facts() -> dict:
+    facts = {"cores": os.cpu_count(), "python": sys.version.split()[0]}
+    for pkg in ("numpy", "scipy"):
+        try:
+            facts[pkg] = importlib.metadata.version(pkg)
+        except importlib.metadata.PackageNotFoundError:
+            facts[pkg] = "not installed"
+    return facts
+
+
+def child_env(checkout: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(checkout / "src")
+    return env
+
+
+def perfbench(checkout: Path, workload: str, seconds: float, smoke: bool) -> dict:
+    """The end-to-end metrics of one perfbench run, from its last line."""
+    argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload",
+            workload, "--trace", "0", "--seconds", str(seconds)]
+    res = subprocess.run(argv + ["--smoke"] * smoke, cwd=checkout,
+                         env=child_env(checkout), capture_output=True, text=True)
+    if not res.stdout.strip():
+        raise SystemExit(f"perfbench {workload} printed nothing: {res.stderr}")
+    summary = json.loads(res.stdout.strip().splitlines()[-1])
+    out = {name: m["value"] for name, m in summary["metrics"].items()}
+    out.update(correct=summary["correct"], runs=summary["attempted"])
+    return out
+
+
+def stages(dims: str, reps: int) -> dict:
+    """The stratified profile's stage times on grid ``dims``: medians over
+    ``reps`` runs in this process, which imports the checkout's code."""
+    import resource
+
+    from medembed import metrics
+    from medembed.cube import CubeSpec, gen_cube
+    from medembed.metrics import PairSampler, profile
+    from medembed.weights import WeightFunction
+
+    spent = {}
+
+    def timed(owner, name, key):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[key] = spent.get(key, 0.0) + time.perf_counter() - start
+        setattr(owner, name, wrapper)
+
+    timed(metrics, "_pair_sq_distances", "kernel")
+    try:
+        from medembed import factors
+    except ImportError:  # a checkout without the factor route
+        pass
+    else:
+        timed(factors, "tree_factors", "factors")
+        timed(factors.TreeFactors, "sq_distances", "factors")
+    start = time.perf_counter()
+    grid = gen_cube(CubeSpec.grid(*(int(d) for d in dims.split("x"))))
+    grid.forest()
+    build = time.perf_counter() - start
+    w, sampler = WeightFunction.paper(18), PairSampler.stratified(1000, 11)
+    samples = []
+    for _ in range(reps):
+        spent.clear()
+        start = time.perf_counter()
+        pairs = len(metrics._stratified_pairs(grid, w, sampler)[0])
+        total = time.perf_counter() - start
+        embed = spent.get("kernel", 0.0) + spent.get("factors", 0.0)
+        route = "factors" if "factors" in spent else "kernel"
+        start = time.perf_counter()
+        profile(grid, w, sampler)
+        samples.append({"draw_s": total - embed, "embed_s": embed,
+                        "profile_s": time.perf_counter() - start})
+    out = {"space": f"grid {dims}", "vertices": grid.vertex_count, "pairs": pairs,
+           "route": route, "reps": reps, "build_s": build}
+    for key in samples[0]:
+        out[key] = statistics.median(s[key] for s in samples)
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", help="name of this run in the BENCH file")
+    ap.add_argument("--checkout", type=Path, default=ROOT,
+                    help="source checkout to measure (default: this one)")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_29.json")
+    ap.add_argument("--seconds", type=float, default=25.0,
+                    help="perfbench --seconds per workload")
+    ap.add_argument("--smoke", action="store_true", help="tiny spaces")
+    ap.add_argument("--stage", nargs=2, metavar=("DIMS", "REPS"), help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.stage:  # the child of one stage timing
+        print(json.dumps(stages(args.stage[0], int(args.stage[1]))))
+        return
+    if not args.label:
+        ap.error("--label is required")
+    checkout = args.checkout.resolve()
+    run = {"machine": machine_facts(), "seconds": args.seconds, "smoke": args.smoke,
+           "workloads": {}, "stages": {}}
+    for workload in WORKLOADS:
+        run["workloads"][workload] = perfbench(checkout, workload, args.seconds, args.smoke)
+        print(workload, run["workloads"][workload], flush=True)
+    for dims, reps in GRIDS[args.smoke]:
+        res = subprocess.run([sys.executable, __file__, "--stage", dims, str(reps)],
+                             cwd=checkout, env=child_env(checkout),
+                             capture_output=True, text=True, check=True)
+        run["stages"][dims] = json.loads(res.stdout)
+        print(dims, run["stages"][dims], flush=True)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["command"] = "python scripts/bench.py --label NAME --checkout DIR"
+    doc.setdefault("runs", {})[args.label] = run
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote runs[{args.label!r}] -> {args.out}")
+
+
+if __name__ == "__main__":
+    main()

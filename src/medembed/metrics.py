@@ -22,7 +22,13 @@ that embeds them at the profile's weight. Both embed their pairs with
 one kernel (``_pair_sq_distances``, at one or more weights) that walks
 the target rows in chunks of at least CHUNK_ROWS rows, sums in blocks of
 at most CHUNK_ENTRIES entries and adds every sum in the same order as a
-CSR x dense product.
+CSR x dense product. The stratified sampler skips the kernel where the
+space's forest is a product of rooted trees (``factors.tree_factors``,
+which checks that exactly): a tree, a grid, a median graph built from a
+tree or a product of trees, or a ``ProductSpace`` of trees. There a
+pair's squared distance is the sum of its factors', each the closed
+form of its depth triple in the factor tree (``_triple_sq_distances``),
+so it is exact up to rounding with no term that cancels.
 
 ``oracle_deviations`` checks the two identities on any ``Graph`` with no
 Gram: each block of sources reads its distances off the forest, and
@@ -79,11 +85,16 @@ DENSE_ENTRIES = 1 << 18
 # indices and the embedded distance), SOURCE_KEY_BYTES per source and key
 # (a dense float64 row and an int8 indicator), and ENTRY_BYTES per path
 # step of one walk of target rows (the walk's records and sort keys, then
-# the rows and the cache-sized blocks of padded rows and pair terms).
+# the rows and the cache-sized blocks of padded rows and pair terms). The
+# factor route, for a product of trees, holds FACTOR_BYTES per vertex and per
+# key of its step (finding and checking the factors, and the factor trees)
+# and per pair of one block of CHUNK_ENTRIES pairs (their coordinates,
+# depths, triples and squares); the plan takes the larger of the two routes.
 CANDIDATE_BYTES = 6
 PAIR_BYTES = 48
 SOURCE_KEY_BYTES = 9
 ENTRY_BYTES = 56
+FACTOR_BYTES = 48
 SAMPLER_BUDGET = 3 << 30
 
 
@@ -426,8 +437,12 @@ def _pair_sq_distances(space, weights, us, vs) -> list[np.ndarray]:
 def _stratified_need(space, count: int) -> tuple[int, int]:
     """The stratified sampler's source count S and the bytes it may hold:
     its S x n candidates, the pairs it may draw (``count`` per distance, at
-    most S x n), its dense source rows and key indicators (S x K, K the key
-    count) and one walk of target rows in the pair kernel."""
+    most S x n), and the larger of the two routes that embed them: the pair
+    kernel's dense source rows and key indicators (S x K, K the key count)
+    and one walk of target rows, or the factor route's vertices, step keys
+    and block of pairs. The factor trees' distances from the sources, S x
+    the factors' vertices <= S x n int32, fit in the candidates' bytes,
+    freed by then."""
     n = space.vertex_count
     n_sources = min(n, max(16, math.isqrt(4 * count)))
     forest = space.forest()
@@ -435,9 +450,10 @@ def _stratified_need(space, count: int) -> tuple[int, int]:
     longest = int(forest.length.max())
     pairs = min(n_sources * n, count * 2 * longest)
     entries = max(CHUNK_ENTRIES, CHUNK_ROWS * longest)  # rows of one walk
+    kernel = n_sources * forest.key_count * SOURCE_KEY_BYTES + entries * ENTRY_BYTES
+    factor = (n + len(forest.step_keys) + CHUNK_ENTRIES) * FACTOR_BYTES
     return n_sources, (n_sources * n * CANDIDATE_BYTES + pairs * PAIR_BYTES
-                       + n_sources * forest.key_count * SOURCE_KEY_BYTES
-                       + entries * ENTRY_BYTES)
+                       + max(kernel, factor))
 
 
 def _stratified_plan(space, count: int) -> int:
@@ -473,8 +489,10 @@ def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
        ranks into vertices.
 
     The picks are held as int32 vertex ranks, int16 distances and small
-    source indices; once the block is freed, ``_pair_sq_distances`` embeds
-    only them."""
+    source indices; once the block is freed, only they are embedded: by
+    their factors' depth triples where the forest is a product of trees
+    (``factors.TreeFactors.sq_distances``), by ``_pair_sq_distances``
+    otherwise."""
     n = space.vertex_count
     n_sources = _stratified_plan(space, sampler.count)
     rng = np.random.default_rng(sampler.seed)
@@ -526,7 +544,13 @@ def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
     del dist, at, by_src
     us = sources.astype(at_type)[src.astype(np.intp)]
     del src
-    emb_sq, = _pair_sq_distances(space, [w], us, vs)
+    from .factors import tree_factors  # only this sampler compiles it
+
+    product = tree_factors(space.forest())
+    if product is None:
+        emb_sq, = _pair_sq_distances(space, [w], us, vs)
+    else:
+        emb_sq = product.sq_distances(w, sources, us, vs, ts)
     return us, vs, ts.astype(np.int64), emb_sq
 
 

@@ -155,10 +155,12 @@ SCIPY_GUARD = (
     "sys.exit(code)")
 
 # The medembed modules a command loads besides cli and errors: cli imports
-# the graph, profile and weight modules, and only the oracle and normalpath
-# suites import the key-set comparisons of keysets.
+# the graph, profile and weight modules, only the oracle and normalpath
+# suites import the key-set comparisons of keysets, and only the stratified
+# sampler imports the tree factors of factors.
 MODULES = ("cube", "metrics", "spacefile", "sparse", "tree", "weights")
 KEYSETS = ("keysets", *MODULES)
+FACTORS = ("factors", *MODULES)
 
 
 @pytest.mark.parametrize("argv, loads, modules", [
@@ -183,9 +185,9 @@ KEYSETS = ("keysets", *MODULES)
     (("verify", "--suite", "oracle", "--space", "tree.json"), None, KEYSETS),
     (("verify", "--suite", "oracle", "--space", "from-tree.json"), None, KEYSETS),
     (("measure", "--space", "grid.json", "--sampler", "stratified:5",
-      "--seed", "1", "-o", "grid.csv"), None, MODULES),
+      "--seed", "1", "-o", "grid.csv"), None, FACTORS),
     (("measure", "--space", "tree.json", "--sampler", "stratified:5",
-      "--seed", "1", "-o", "tree.csv"), None, MODULES),
+      "--seed", "1", "-o", "tree.csv"), None, FACTORS),
     (("measure", "--space", "grid.json", "--sampler", "uniform:50",
       "--seed", "1", "-o", "grid.csv"), None, MODULES),
     (("measure", "--space", "tree.json", "--sampler", "uniform:50",
@@ -208,7 +210,8 @@ def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads, modules)
     # and every BFS is numpy (the base vertex's row, the oracles' rows, a
     # tree's parents from its edges), so only the exhaustive Gram route
     # loads scipy.sparse and nothing loads csgraph. Only the oracle and
-    # normalpath suites compile keysets
+    # normalpath suites compile keysets, and only the stratified measure
+    # rows compile factors
     run(capsys, "generate", "--space", "binary-sample", "--depth", "30",
         "--rays", "6", "--seed", "42", "-o", str(tmp_path / "tree.json"))
     run(capsys, "generate", "--space", "grid", "--dims", "4x4",

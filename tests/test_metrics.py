@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medembed import metrics
+from medembed import factors, metrics
 from medembed.cube import CubeSpec, MedianGraph, gen_cube
 from medembed.errors import BudgetExceededError
 from medembed.metrics import (
@@ -177,9 +177,12 @@ def test_exhaustive_profile_runs_without_bfs(monkeypatch):
 
 def test_pair_sq_distances_match_bruteforce(monkeypatch):
     # the pair kernel of both samplers against fsum, with the uniform
-    # sampler's source blocks and the kernel's chunks a few rows each
+    # sampler's source blocks and the kernel's chunks a few rows each; these
+    # spaces are products of trees, so the factor route is pinned off
+    # (test_factor_route_matches_bruteforce runs it on them)
     from medembed.metrics import _stratified_pairs, _uniform_pairs
 
+    monkeypatch.setattr(factors, "tree_factors", lambda forest: None)
     monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 60)
     monkeypatch.setattr(metrics, "CHUNK_ROWS", 1)
     monkeypatch.setattr(metrics, "DENSE_ENTRIES", 60)
@@ -203,6 +206,27 @@ def test_pair_sq_distances_match_bruteforce(monkeypatch):
                 assert t == dist[u][v]
                 want = vec_distance(vecs[u], vecs[v])
                 assert e == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_factor_route_matches_bruteforce(monkeypatch):
+    # the stratified sampler's factor route against fsum, in blocks of 60
+    # pairs: one tree, two factors of a grid with a path, three of a 3-grid
+    from medembed.metrics import _stratified_pairs
+
+    monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 60)
+    cases = [
+        (gen_tree(TreeSpec.spider(3, 25)), PAPER, 1),
+        (ProductSpace([gen_tree(TreeSpec.path(6)), gen_cube(CubeSpec.grid(2, 3))]),
+         PAPER, 3),
+        (gen_cube(CubeSpec.grid(3, 4, 5)), WeightFunction.power(0.3), 3),
+    ]
+    for space, w, width in cases:
+        assert len(factors.tree_factors(space.forest()).trees) == width
+        vecs = vectors(space.embedding_matrix(w, range(space.vertex_count)))
+        us, vs, _, emb_sq = _stratified_pairs(space, w, PairSampler.stratified(7, seed=5))
+        assert len(us) > 60
+        for u, v, e in zip(us, vs, np.sqrt(np.clip(emb_sq, 0.0, None))):
+            assert e == pytest.approx(vec_distance(vecs[u], vecs[v]), rel=1e-12, abs=1e-12)
 
 
 def _two_pass_uniform_pairs(space, w, sampler):
@@ -386,9 +410,12 @@ def test_stratified_pairs_match_the_scipy_route(monkeypatch):
     # t from the forests and emb^2 only at the drawn pairs give the same
     # pairs and, bit for bit, the same squared distances as the products
     # over every candidate; chunks of 100 entries split the targets' rows
-    # and the pairs' terms into many pieces
+    # and the pairs' terms into many pieces. The pair kernel's sums are
+    # under test, so the factor route, which adds in another order, is
+    # pinned off (tests/test_factors.py compares it with the kernel)
     from medembed.metrics import _stratified_pairs
 
+    monkeypatch.setattr(factors, "tree_factors", lambda forest: None)
     monkeypatch.setattr(metrics, "CHUNK_ENTRIES", 100)
     monkeypatch.setattr(metrics, "CHUNK_ROWS", 1)
     small = ((1, 3), (7, 5), (1000, 11), (None, 2))
@@ -416,29 +443,52 @@ def test_stratified_pairs_match_the_scipy_route(monkeypatch):
             np.testing.assert_array_equal(got[3].view(np.int64), want[3].view(np.int64))
 
 
-def test_stratified_pairs_stay_within_their_plan():
-    # the sampler's traced peak on grid 60x60 is within the bytes its plan
-    # checks against the budget, with few pairs drawn and with most
+def test_stratified_pairs_stay_within_their_plan(monkeypatch):
+    # the sampler's traced peak is within the bytes its plan checks against
+    # the budget, with few pairs drawn and with most: on grid 60x60 by the
+    # pair kernel (the factor route pinned off) and by the factor route,
+    # and by the factor route on a tree product and on a tree
     from medembed.metrics import _stratified_need, _stratified_pairs
 
     grid = gen_cube(CubeSpec.grid(60, 60))
+    product = gen_cube(CubeSpec.tree_product(TreeSpec.spider(3, 20),
+                                             TreeSpec.binary_sample(40, 10, seed=3)))
+    tree = gen_tree(TreeSpec.binary_sample(200, 32, seed=42))
+    for space, kernel in ((grid, True), (grid, False), (product, False), (tree, False)):
+        with monkeypatch.context() as m:
+            if kernel:
+                m.setattr(factors, "tree_factors", lambda forest: None)
+            assert (factors.tree_factors(space.forest()) is None) == kernel
+            for count in (1000, 5000):
+                _, planned = _stratified_need(space, count)
+                peak = _traced_peak(
+                    lambda: _stratified_pairs(space, PAPER, PairSampler.stratified(count, 11)))
+                assert peak <= planned
+
+
+def test_factor_route_holds_no_more_than_the_kernel_did():
+    # on the grid-stratified workload's grid at stratified:1000, the
+    # sampler's traced peak stays within the 8,356,525 bytes it held when
+    # every pair took the pair kernel
+    from medembed.metrics import _stratified_pairs
+
+    grid = gen_cube(CubeSpec.grid(100, 100))
     grid.forest()
-    for count in (1000, 5000):
-        _, planned = _stratified_need(grid, count)
-        peak = _traced_peak(
-            lambda: _stratified_pairs(grid, PAPER, PairSampler.stratified(count, 11)))
-        assert peak <= planned
+    sampler = PairSampler.stratified(1000, 11)
+    _stratified_pairs(grid, PAPER, sampler)
+    assert _traced_peak(lambda: _stratified_pairs(grid, PAPER, sampler)) <= 8_356_525
 
 
 def test_stratified_draw_holds_under_8_bytes_per_candidate(monkeypatch):
-    # with the pair kernel patched out, the draw at stratified:5 on grid
-    # 100x100 (16 sources x 10,201 vertices) holds the int32 distance block
-    # and a few arrays per vertex, not a sort of all candidates; a first
-    # draw loads numpy's random modules before the trace
+    # with the factor route and the pair kernel patched out, the draw at
+    # stratified:5 on grid 100x100 (16 sources x 10,201 vertices) holds the
+    # int32 distance block and a few arrays per vertex, not a sort of all
+    # candidates; a first draw loads numpy's random modules before the trace
     from medembed.metrics import _stratified_need, _stratified_pairs
 
     grid = gen_cube(CubeSpec.grid(100, 100))
     grid.forest()
+    monkeypatch.setattr(factors, "tree_factors", lambda forest: None)
     monkeypatch.setattr(metrics, "_pair_sq_distances",
                         lambda space, weights, us, vs: [np.zeros(len(us))])
     sampler = PairSampler.stratified(5, 11)

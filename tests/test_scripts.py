@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts under ``scripts/`` on tiny inputs,
 each as its own process with this checkout's ``src`` on the path."""
 
+import json
 import os
 import re
 import subprocess
@@ -42,3 +43,23 @@ def test_ceiling_drift_smoke(tmp_path):
     rows = [line.split() for line in out.splitlines()[2:4]]
     assert [row[0] for row in rows] == ["20", "30"]
     assert "spread across depths" in out
+
+
+def test_bench_smoke(tmp_path):
+    # perfbench's --smoke spaces for every workload, and the stage timings
+    # on tiny grids, written under the run's label
+    out = tmp_path / "bench.json"
+    run_script("bench.py", "--smoke", "--seconds", "0.1", "--label", "smoke",
+               "--out", str(out), cwd=tmp_path)
+    doc = json.loads(out.read_text())
+    run = doc["runs"]["smoke"]
+    assert set(run["machine"]) == {"cores", "python", "numpy", "scipy"}
+    assert run["smoke"] is True
+    for workload in ("grid-stratified", "tree-exhaustive", "verify-suites"):
+        result = run["workloads"][workload]
+        assert result["correct"] is True
+        assert {"setup_s", "run_s", "peak_rss_mb"} <= set(result)
+    assert list(run["stages"]) == ["10x10", "20x20", "30x30"]
+    for stage in run["stages"].values():
+        assert stage["route"] == "factors" and stage["pairs"] > 0
+        assert stage["draw_s"] > 0 and stage["embed_s"] > 0
