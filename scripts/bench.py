@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Record a checkout's benchmark numbers in a BENCH JSON file.
 
-Usage: python scripts/bench.py --label NAME [--checkout DIR] [--out FILE]
+Usage: python scripts/bench.py --label NAME --out FILE [--checkout DIR]
                                [--seconds S] [--smoke]
 
-Two parts, each run in child processes against the checkout's own code:
+Three parts, each run in child processes against the checkout's own code:
 
 * ``perfbench/run.py --trace 0`` of the checkout, once per workload at its
   default seed, for ``--seconds`` seconds: the medians of ``setup_s``,
@@ -14,13 +14,18 @@ Two parts, each run in child processes against the checkout's own code:
   1000x1000: building the space and its forest, the draw of the pairs,
   their embedded distances (the pair kernel, or the factor route where the
   checkout has one; both are wrapped with timers) and the whole
-  ``profile`` call, with the child's peak RSS.
+  ``profile`` call, with the child's peak RSS;
+* the exhaustive profile (paper:18), timed in process on the from-tree
+  path:2000, staircase 60 and grid 45x45: building the space and its
+  forest, the ``profile`` call and its route (``tree``, the depth triples,
+  or ``gram``, the Gram blocks), with the child's peak RSS.
 
-The results go under ``runs[NAME]`` of ``--out`` (default BENCH_29.json in
-this checkout), next to the runs already there, with the machine facts:
-cores and the Python, numpy and scipy versions. Run it once per checkout
-on the same machine to compare them. ``--smoke`` passes ``--smoke`` to
-perfbench and times grids 10x10, 20x20 and 30x30 instead, in seconds.
+The results go under ``runs[NAME]`` of ``--out``, next to the runs already
+there, with the machine facts: cores and the Python, numpy and scipy
+versions. Run it once per checkout on the same machine to compare them.
+``--smoke`` passes ``--smoke`` to perfbench and times grids 10x10, 20x20
+and 30x30 and the exhaustive profiles of from-tree path:30, staircase 6
+and grid 6x6 instead, in seconds.
 """
 
 import argparse
@@ -37,6 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("grid-stratified", "tree-exhaustive", "verify-suites")
 GRIDS = {False: (("100x100", 5), ("300x300", 3), ("1000x1000", 1)),
          True: (("10x10", 1), ("20x20", 1), ("30x30", 1))}
+EXHAUSTIVE = {False: (("from-tree:2000", 3), ("staircase:60", 3), ("grid:45x45", 3)),
+              True: (("from-tree:30", 1), ("staircase:6", 1), ("grid:6x6", 1))}
 
 
 def machine_facts() -> dict:
@@ -125,36 +132,92 @@ def stages(dims: str, reps: int) -> dict:
     return out
 
 
+def exhaustive(name: str, reps: int) -> dict:
+    """The exhaustive profile's time on the median graph ``name``
+    (from-tree:L, a path of L edges; staircase:C; grid:AxB): medians over
+    ``reps`` runs in this process, which imports the checkout's code."""
+    import resource
+
+    from medembed import metrics
+    from medembed.cube import CubeSpec, gen_cube
+    from medembed.metrics import PairSampler, profile
+    from medembed.tree import TreeSpec
+    from medembed.weights import WeightFunction
+
+    kind, arg = name.split(":")
+    spec = {"from-tree": lambda: CubeSpec.from_tree(TreeSpec.path(int(arg))),
+            "staircase": lambda: CubeSpec.staircase(int(arg)),
+            "grid": lambda: CubeSpec.grid(*(int(d) for d in arg.split("x")))}[kind]()
+    routes = []
+
+    def tagged(attr, route):
+        fn = getattr(metrics, attr)
+
+        def wrapper(*args):
+            routes.append(route)
+            return fn(*args)
+        setattr(metrics, attr, wrapper)
+
+    tagged("_tree_entries", "tree")
+    tagged("_exhaustive_entries", "gram")
+    start = time.perf_counter()
+    space = gen_cube(spec)
+    space.forest()
+    build = time.perf_counter() - start
+    w, times = WeightFunction.paper(18), []
+    for _ in range(reps):
+        start = time.perf_counter()
+        profile(space, w, PairSampler.exhaustive())
+        times.append(time.perf_counter() - start)
+    return {"space": name, "vertices": space.vertex_count, "route": routes[0],
+            "reps": reps, "build_s": build, "profile_s": statistics.median(times),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def child(checkout: Path, *argv) -> dict:
+    """The JSON line printed by this script run with ``argv`` against the
+    checkout's code."""
+    res = subprocess.run([sys.executable, __file__, *argv], cwd=checkout,
+                         env=child_env(checkout), capture_output=True, text=True,
+                         check=True)
+    return json.loads(res.stdout)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", help="name of this run in the BENCH file")
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="source checkout to measure (default: this one)")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_29.json")
+    ap.add_argument("--out", type=Path, help="BENCH JSON file to add the run to")
     ap.add_argument("--seconds", type=float, default=25.0,
                     help="perfbench --seconds per workload")
     ap.add_argument("--smoke", action="store_true", help="tiny spaces")
     ap.add_argument("--stage", nargs=2, metavar=("DIMS", "REPS"), help=argparse.SUPPRESS)
+    ap.add_argument("--exhaustive", nargs=2, metavar=("SPACE", "REPS"),
+                    help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.stage:  # the child of one stage timing
         print(json.dumps(stages(args.stage[0], int(args.stage[1]))))
         return
-    if not args.label:
-        ap.error("--label is required")
+    if args.exhaustive:  # the child of one exhaustive timing
+        print(json.dumps(exhaustive(args.exhaustive[0], int(args.exhaustive[1]))))
+        return
+    if not args.label or not args.out:
+        ap.error("--label and --out are required")
     checkout = args.checkout.resolve()
     run = {"machine": machine_facts(), "seconds": args.seconds, "smoke": args.smoke,
-           "workloads": {}, "stages": {}}
+           "workloads": {}, "stages": {}, "exhaustive": {}}
     for workload in WORKLOADS:
         run["workloads"][workload] = perfbench(checkout, workload, args.seconds, args.smoke)
         print(workload, run["workloads"][workload], flush=True)
     for dims, reps in GRIDS[args.smoke]:
-        res = subprocess.run([sys.executable, __file__, "--stage", dims, str(reps)],
-                             cwd=checkout, env=child_env(checkout),
-                             capture_output=True, text=True, check=True)
-        run["stages"][dims] = json.loads(res.stdout)
+        run["stages"][dims] = child(checkout, "--stage", dims, str(reps))
         print(dims, run["stages"][dims], flush=True)
+    for name, reps in EXHAUSTIVE[args.smoke]:
+        run["exhaustive"][name] = child(checkout, "--exhaustive", name, str(reps))
+        print(name, run["exhaustive"][name], flush=True)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["command"] = "python scripts/bench.py --label NAME --checkout DIR"
+    doc["command"] = "python scripts/bench.py --label NAME --out FILE --checkout DIR"
     doc.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote runs[{args.label!r}] -> {args.out}")

@@ -297,7 +297,8 @@ def _verify_normalpath(args) -> int:
     print(f"  max index deviation over edges: {max_dev}")
     print(f"  step sizes within dimension {n_dim}: {mult_ok}")
     print(f"  crossed sets partition the separators: {keys.partition_ok}")
-    ok = max_dev <= 1 and mult_ok and keys.partition_ok
+    print(f"  each edge's own hyperplane crossed first from its deeper end: {keys.own_key_ok}")
+    ok = max_dev <= 1 and mult_ok and keys.partition_ok and keys.own_key_ok
     status = "PASS" if ok else "FAIL"
     print(f"normalpath[{status}]")
     return 0 if ok else 1

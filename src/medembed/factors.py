@@ -22,9 +22,10 @@ tree, or a forest that is not a product gives None.
 
 On a tree a pair's squared embedded distance is a closed form of its
 depth triple (``metrics._triple_sq_distances``), so ``TreeFactors``
-embeds a product's pairs with no walk of their rows. numpy only;
-imported only by the stratified sampler, so no other command compiles
-it.
+embeds a product's pairs with no walk of their rows, and an exhaustive
+profile folds a space whose forest is one tree from that tree's depth
+triples. numpy only; imported only by the stratified sampler and the
+exhaustive profile, so no other command compiles it.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class TreeFactors:
         S x n_P block; with one factor t_P is ts), its meeting depth is
         s = (d_P(u) + d_P(v) - t_P) / 2, and its squared distance comes
         from the triple, one call per distinct offset c = |d_P(u) -
-        d_P(v)| in the block. The factors' squares are added in factor
-        order."""
+        d_P(v)| in the block, with the factor's prefix sums of w^2 made
+        once. The factors' squares are added in factor order."""
         factors = []
         for tree, coord in zip(self.trees, self.coords):
             dist = slot = None
@@ -68,13 +69,14 @@ class TreeFactors:
                 dist = tree.forest().distances(held)
                 slot = np.zeros(tree.vertex_count, dtype=narrowest(len(held)))
                 slot[held] = np.arange(len(held))
-            factors.append((tree.forest().weight_table(w), tree.depth.astype(np.int32),
+            table = tree.forest().weight_table(w)
+            factors.append((table, np.cumsum(table * table), tree.depth.astype(np.int32),
                             coord, dist, slot))
         out = np.empty(len(us))
         chunk = metrics.CHUNK_ENTRIES
         for lo in range(0, len(us), chunk):
             u, v, block = us[lo:lo + chunk], vs[lo:lo + chunk], out[lo:lo + chunk]
-            for i, (table, depth, coord, dist, slot) in enumerate(factors):
+            for i, (table, sums, depth, coord, dist, slot) in enumerate(factors):
                 cu, cv = coord[u], coord[v]
                 t = ts[lo:lo + chunk] if dist is None else dist[slot[cu], cv]
                 du, dv = depth[cu], depth[cv]
@@ -90,7 +92,7 @@ class TreeFactors:
                 order = np.argsort(c.astype(narrowest(len(table))), kind="stable")
                 for pairs in np.split(order, np.flatnonzero(np.diff(c[order])) + 1):
                     sq[pairs] = metrics._triple_sq_distances(
-                        table, int(c[pairs[0]]), a[pairs], s[pairs])
+                        table, sums, int(c[pairs[0]]), a[pairs], s[pairs])
                 if i:
                     block += sq
                 del a, s, c, order, sq

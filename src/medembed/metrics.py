@@ -37,16 +37,18 @@ their layers across the edges. The unit-weight rows are checked once to
 follow the forest. Only a block that is not proved runs the BFS
 (``distances_from``), so a passing space loads no scipy and runs no BFS.
 
-An exhaustive profile takes one of two routes. On a ``RootedTree`` a
-pair's embedded distance depends only on its depth triple (a, b, s), so
-the profile folds the distinct triples, weighted by their pair counts
-(``_tree_entries``); its cost grows with the triples, not with the
-n(n-1)/2 pairs. Every other ``Graph`` (median graphs and products,
-whose forests are not parent arrays) takes the Gram route
-(``_exhaustive_entries``): squared embedded distances of all pairs as
-Gram blocks of about BLOCK_ENTRIES pairs, each block's distances t read
-off the forest, as the stratified sampler and ``oracle_deviations`` read
-them. On trees it is the tree route's oracle.
+An exhaustive profile takes one of two routes, chosen by the decider of
+the stratified sampler, ``factors.tree_factors``. Where the space's
+forest is one rooted tree (a ``RootedTree``, a median graph built from a
+tree, a ``ProductSpace`` of one tree), a pair's embedded distance depends
+only on its depth triple (a, b, s) in that tree, so the profile folds the
+distinct triples, weighted by their pair counts (``_tree_entries``); its
+cost grows with the triples, not with the n(n-1)/2 pairs. Every other
+space (grids, staircases, tree products and other products) takes the
+Gram route (``_exhaustive_entries``): squared embedded distances of all
+pairs as Gram blocks of about BLOCK_ENTRIES pairs, each block's
+distances t read off the forest, as the stratified sampler and
+``oracle_deviations`` read them.
 """
 
 from __future__ import annotations
@@ -210,60 +212,21 @@ def _entries_from_pairs(ts: np.ndarray, emb: np.ndarray) -> tuple[ProfileEntry, 
     return acc.entries()
 
 
-class _WindowGram:
-    """Dot products of each block of rows u of a CSR matrix with the rows
-    v of its window [block[0], n), for consecutive blocks from row 0 on.
-
-    The matrix is transposed once, to key-major rows that list in ascending
-    order the vertices holding each key. Key k's list is split in two rows
-    of one CSR matrix without copying: row 2k holds the vertices before the
-    window, row 2k + 1 the rest, and the cut moves up by the block's keys
-    after each block. A block's rows, their keys moved to 2k + 1, multiply
-    only the window's entries, with no pass over the whole window; each
-    pair sums u's products in u's stored key order, as
-    ``mat[block] @ mat[window].T`` does, so the dots are bit for bit
-    the same. A method rather than a generator: its product is freed when
-    ``dots`` returns, not held while the caller uses the block."""
-
-    def __init__(self, mat: sp.csr_matrix):
-        self.mat, self.keys = mat, mat.T.tocsr()
-        # row bounds p0, c0, p1, c1, ..., pk of the split lists, with each
-        # cut c at its list's start: no vertex lies before the first window
-        self.split = np.repeat(self.keys.indptr, 2)[:-1]
-
-    def dots(self, start: int, stop: int) -> np.ndarray:
-        """Dense (stop - start) x (n - start) block of dot products."""
-        import scipy.sparse as sp  # slow to import, so only callers pay for it
-
-        mat, keys = self.mat, self.keys
-        (n, k), lo, hi = mat.shape, mat.indptr[start], mat.indptr[stop]
-        rows = sp.csr_matrix(
-            (mat.data[lo:hi], 2 * mat.indices[lo:hi] + 1,
-             mat.indptr[start:stop + 1] - lo), shape=(stop - start, 2 * k))
-        prod = rows @ sp.csr_matrix((keys.data, keys.indices, self.split),
-                                    shape=(2 * k, n))
-        self.split[1::2] += np.bincount(mat.indices[lo:hi], minlength=k)
-        prod.indices -= start  # every column lies in the window
-        return sp.csr_matrix((prod.data, prod.indices, prod.indptr),
-                             shape=(stop - start, n - start)).toarray()
-
-
 def _sq_distance_blocks(mat):
     """Squared distances between the rows of the CSR matrix ``mat`` for
-    all pairs u < v, max(1, BLOCK_ENTRIES // n) rows u at a time
-    (``_WindowGram``): yields the block, the mask of pairs v > u in the
-    block x [block[0], n) window, and the flat array of their squared
-    distances in mask order. A block spans at most max(BLOCK_ENTRIES, n)
-    pairs."""
+    all pairs u < v, max(1, BLOCK_ENTRIES // n) rows u at a time: yields
+    the block, the mask of pairs v > u in the block x [block[0], n)
+    window, and the flat array of their squared distances in mask order.
+    Each block's dots are ``mat[block] @ mat[block[0]:].T``. A block spans
+    at most max(BLOCK_ENTRIES, n) pairs."""
     n = mat.shape[0]
     rows = max(1, BLOCK_ENTRIES // n)
     nsq = sq_row_norms(mat)
-    gram = _WindowGram(mat)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         block = np.arange(start, stop)
         mask = np.arange(start, n)[None, :] > block[:, None]
-        d2 = gram.dots(start, stop)
+        d2 = (mat[start:stop] @ mat[start:].T).toarray()
         d2 *= -2.0  # in place, bit for bit (|u|^2 + |v|^2) - 2 u.v
         d2 += nsq[start:stop, None] + nsq[None, start:]
         d2 = d2[mask]  # frees the dense block
@@ -274,7 +237,7 @@ def _sq_distance_blocks(mat):
 def _exhaustive_entries(space, w: WeightFunction):
     """All pairs by Gram blocks of the weight-w rows; each block's t is
     read off the cube-path forest (``forest_distances``). On trees this
-    is the oracle of ``_tree_entries``."""
+    is the tests' oracle of ``_tree_entries``."""
     mat = space.embedding_matrix(w, np.arange(space.vertex_count))
     acc = _ProfileAccumulator()
     for block, mask, emb_sq in _sq_distance_blocks(mat):
@@ -284,13 +247,14 @@ def _exhaustive_entries(space, w: WeightFunction):
     return acc.entries()
 
 
-def _triple_sq_distances(table: np.ndarray, c: int, a, s) -> np.ndarray:
+def _triple_sq_distances(table: np.ndarray, sq: np.ndarray, c: int, a, s) -> np.ndarray:
     """Squared embedded distance of tree pairs that meet at depth s and
     lie a and b = a + c edges below it, from the weight table w(0..depth)
-    of ``PathForest.weight_table``: S(a) + S(b) + P_c(a + s) - P_c(a),
-    where S(k) sums w(i)^2 and P_c(k) sums (w(i) - w(i + c))^2 over
-    i <= k. No term cancels, unlike |u|^2 + |v|^2 - 2 u.v."""
-    sq = np.cumsum(table * table)
+    of ``PathForest.weight_table`` and its prefix sums of squares ``sq`` =
+    ``np.cumsum(table * table)``, computed once per table by the caller:
+    S(a) + S(b) + P_c(a + s) - P_c(a), where S(k) sums w(i)^2 and P_c(k)
+    sums (w(i) - w(i + c))^2 over i <= k. No term cancels, unlike
+    |u|^2 + |v|^2 - 2 u.v."""
     step = table[1:len(table) - c] - table[1 + c:]
     p = np.concatenate(([0.0], np.cumsum(step * step)))
     return sq[a] + sq[a + c] + (p[a + s] - p[a])
@@ -300,9 +264,10 @@ def _tree_entries(tree: RootedTree, w: WeightFunction):
     """All pairs of a tree, folded one offset at a time from its depth
     triples (``RootedTree.depth_triples``) at t = a + b."""
     table = tree.forest().weight_table(w)
+    sq = np.cumsum(table * table)
     acc = _ProfileAccumulator()
     for c, a, s, count in tree.depth_triples():
-        acc.add(2 * a + c, np.sqrt(_triple_sq_distances(table, c, a, s)), count)
+        acc.add(2 * a + c, np.sqrt(_triple_sq_distances(table, sq, c, a, s)), count)
     return acc.entries()
 
 
@@ -544,7 +509,7 @@ def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
     del dist, at, by_src
     us = sources.astype(at_type)[src.astype(np.intp)]
     del src
-    from .factors import tree_factors  # only this sampler compiles it
+    from .factors import tree_factors  # not compiled by the uniform sampler
 
     product = tree_factors(space.forest())
     if product is None:
@@ -601,15 +566,20 @@ def profile(
     metadata: Optional[Mapping[str, object]] = None,
 ) -> CompressionProfile:
     """Measure the embedding with weight w over sampled pairs and fold
-    into a profile. An exhaustive profile of a ``RootedTree`` is folded
-    from its depth triples; of any other space, from Gram blocks of the
-    weight-w rows, with t read off the forest."""
+    into a profile. An exhaustive profile of a space whose forest is one
+    rooted tree (``factors.tree_factors``) is folded from that tree's
+    depth triples; of any other space, from Gram blocks of the weight-w
+    rows, with t read off the forest."""
     if space.vertex_count < 2:
         raise ValueError("profile needs at least two vertices")
-    if sampler.mode == "exhaustive" and isinstance(space, RootedTree):
-        entries = _tree_entries(space, w)
-    elif sampler.mode == "exhaustive":
-        entries = _exhaustive_entries(space, w)
+    if sampler.mode == "exhaustive":
+        from .factors import tree_factors  # not compiled by the uniform sampler
+
+        product = tree_factors(space.forest())
+        if product is not None and len(product.trees) == 1:
+            entries = _tree_entries(product.trees[0], w)
+        else:
+            entries = _exhaustive_entries(space, w)
     elif sampler.mode in ("stratified", "uniform"):
         pairs = _stratified_pairs if sampler.mode == "stratified" else _uniform_pairs
         _, _, ts, emb_sq = pairs(space, w, sampler)

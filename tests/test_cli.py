@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from medembed import cli
 from medembed.cli import CSV_HEADER, main
 
 
@@ -157,7 +159,7 @@ SCIPY_GUARD = (
 # The medembed modules a command loads besides cli and errors: cli imports
 # the graph, profile and weight modules, only the oracle and normalpath
 # suites import the key-set comparisons of keysets, and only the stratified
-# sampler imports the tree factors of factors.
+# sampler and the exhaustive profile import the tree factors of factors.
 MODULES = ("cube", "metrics", "spacefile", "sparse", "tree", "weights")
 KEYSETS = ("keysets", *MODULES)
 FACTORS = ("factors", *MODULES)
@@ -168,7 +170,7 @@ FACTORS = ("factors", *MODULES)
     (("generate", "--space", "binary-sample", "--depth", "30", "--rays", "6",
       "--seed", "42", "-o", "new.json"), None, MODULES),
     (("measure", "--space", "tree.json", "--sampler", "exhaustive",
-      "-o", "tree.csv"), None, MODULES),
+      "-o", "tree.csv"), None, FACTORS),
     (("verify", "--suite", "lemma", "--N-max", "1000"), None, MODULES),
     (("verify", "--suite", "lemma", "--N-max", "100000"), None, MODULES),
     (("report", "-o", "merged.csv", "profile.csv"), None, MODULES),
@@ -179,7 +181,7 @@ FACTORS = ("factors", *MODULES)
     (("generate", "--space", "tree-product", "--left", "spider:3,4",
       "--right", "path:6", "-o", "new.json"), None, MODULES),
     (("measure", "--space", "grid.json", "--sampler", "exhaustive",
-      "-o", "grid.csv"), "scipy.sparse", MODULES),
+      "-o", "grid.csv"), "scipy.sparse", FACTORS),
     (("verify", "--suite", "normalpath", "--space", "grid.json"), None, KEYSETS),
     (("verify", "--suite", "oracle", "--space", "grid.json"), None, KEYSETS),
     (("verify", "--suite", "oracle", "--space", "tree.json"), None, KEYSETS),
@@ -208,10 +210,12 @@ def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, loads, modules)
     # that list edges too), the median-graph generators, the samplers, embed
     # and the oracle, normalpath and product suites build no sparse matrix,
     # and every BFS is numpy (the base vertex's row, the oracles' rows, a
-    # tree's parents from its edges), so only the exhaustive Gram route
-    # loads scipy.sparse and nothing loads csgraph. Only the oracle and
-    # normalpath suites compile keysets, and only the stratified measure
-    # rows compile factors
+    # tree's parents from its edges), so only the exhaustive Gram route (a
+    # space whose forest is not one tree, such as the grid) loads
+    # scipy.sparse and nothing loads csgraph. Only the oracle and
+    # normalpath suites compile keysets, and only the stratified and
+    # exhaustive measure rows compile factors, whose tree_factors decides
+    # whether a space is a tree
     run(capsys, "generate", "--space", "binary-sample", "--depth", "30",
         "--rays", "6", "--seed", "42", "-o", str(tmp_path / "tree.json"))
     run(capsys, "generate", "--space", "grid", "--dims", "4x4",
@@ -750,6 +754,20 @@ def test_verify_normalpath(tmp_path, capsys):
     assert code == 0
     assert "max index deviation over edges: 1" in stdout
     assert "normalpath[PASS]" in stdout
+
+
+def test_verify_normalpath_fails_on_own_key(tmp_path, capsys, monkeypatch):
+    # the suite's verdict includes each edge's own-hyperplane check
+    grid = tmp_path / "g.json"
+    run(capsys, "generate", "--space", "grid", "--dims", "3x3", "-o", str(grid))
+    real = cli.key_property
+    monkeypatch.setattr(cli, "key_property", lambda g: dataclasses.replace(
+        real(g), own_key_ok=False))
+    code, stdout, _ = run(capsys, "verify", "--suite", "normalpath",
+                          "--space", str(grid))
+    assert code == 1
+    assert "from its deeper end: False" in stdout
+    assert "normalpath[FAIL]" in stdout
 
 
 def test_verify_product(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medembed import factors, metrics
-from medembed.cube import CubeSpec, MedianGraph, gen_cube
+from medembed.cube import CubeSpec, MedianGraph, gen_cube, median_from_tree
 from medembed.errors import BudgetExceededError
 from medembed.metrics import (
     BoundCurve,
@@ -528,7 +528,8 @@ def test_tree_triples_give_the_exact_pair_distances():
         for u, v in itertools.combinations(range(t.vertex_count), 2):
             s = int(t.depth[meeting_point(t, u, v)])
             a, b = sorted((int(t.depth[u]) - s, int(t.depth[v]) - s))
-            got = _triple_sq_distances(table, b - a, np.array([a]), np.array([s]))[0]
+            got = _triple_sq_distances(table, np.cumsum(table * table), b - a,
+                                       np.array([a]), np.array([s]))[0]
             assert got == pytest.approx(vec_distance(vecs[u], vecs[v]) ** 2,
                                         rel=1e-12, abs=1e-300)
 
@@ -544,6 +545,36 @@ def test_tree_profile_split_into_chunks(monkeypatch):
     monkeypatch.setattr(tree_mod, "CHUNK_BYTES", 64)
     assert sum(1 for _ in t.depth_triples()) > offsets
     assert _tree_entries(t, PAPER) == whole
+
+
+def test_exhaustive_profile_of_a_tree_leaves_the_gram(monkeypatch):
+    # a space whose forest is one rooted tree (the tree, the tree as a
+    # median graph, rooted at its root or at vertex 7, and the product of
+    # the tree alone) folds its depth triples and runs no Gram block: t
+    # and the pair counts equal the Gram's, the squared distances agree to
+    # 1e-12. Grids, staircases and products of two trees take the Gram
+    tree = gen_tree(TreeSpec.binary_sample(30, 6, seed=3))
+    edges = np.column_stack([tree.eu, tree.ev])
+    trees = [tree, median_from_tree(tree),
+             MedianGraph(tree.vertex_count, edges, root=7), ProductSpace([tree])]
+    gram = [gen_cube(CubeSpec.grid(4, 5)), gen_cube(CubeSpec.staircase(6)),
+            gen_cube(CubeSpec.tree_product(TreeSpec.spider(3, 3), TreeSpec.path(4))),
+            ProductSpace([gen_tree(TreeSpec.path(4)), gen_tree(TreeSpec.spider(3, 2))])]
+    for space in trees + gram:
+        for w in (UNIT, PAPER, WeightFunction.power(0.3)):
+            with monkeypatch.context() as m:
+                sizes = counted_blocks(m)
+                got = profile(space, w, PairSampler.exhaustive()).entries
+            if any(space is t for t in trees):
+                assert sizes == []
+            else:
+                assert sum(sizes) == space.vertex_count
+            want = metrics._exhaustive_entries(space, w)
+            assert [(e.t, e.pair_count) for e in got] == [
+                (e.t, e.pair_count) for e in want]
+            for x, y in zip(got, want):
+                assert x.rho_hat ** 2 == pytest.approx(y.rho_hat ** 2, rel=1e-12, abs=1e-12)
+                assert x.delta_hat ** 2 == pytest.approx(y.delta_hat ** 2, rel=1e-12, abs=1e-12)
 
 
 def _uniform_pairs_by_loop(n, sampler):
@@ -1161,23 +1192,6 @@ def test_oracle_takes_graphs_and_passes_products():
                          gen_cube(CubeSpec.grid(2, 3))])
     assert oracle_deviations(prod) == (0.0, None)
     assert gram_oracle_deviations(prod) == (0.0, None)
-
-
-@pytest.mark.parametrize("rows", [1, 5, 64])
-def test_window_gram_matches_tail_products(rows):
-    # the split key lists give each block's dots bit for bit as the block
-    # times the transposed tail, on a grid, a tree and a product
-    spaces = [gen_cube(CubeSpec.grid(6, 5)), gen_tree(TreeSpec.binary_sample(9, 5, seed=3)),
-              ProductSpace([gen_tree(TreeSpec.spider(3, 4)), gen_tree(TreeSpec.path(5))])]
-    for space in spaces:
-        n = space.vertex_count
-        for w in (UNIT, PAPER, WeightFunction.power(0.3)):
-            mat = space.embedding_matrix(w, np.arange(n))
-            gram = metrics._WindowGram(mat)
-            for start in range(0, n, rows):
-                stop = min(start + rows, n)
-                want = (mat[start:stop] @ mat[start:].T).toarray()
-                np.testing.assert_array_equal(gram.dots(start, stop), want)
 
 
 def _traced_peak(fn) -> int:

@@ -46,8 +46,9 @@ def test_ceiling_drift_smoke(tmp_path):
 
 
 def test_bench_smoke(tmp_path):
-    # perfbench's --smoke spaces for every workload, and the stage timings
-    # on tiny grids, written under the run's label
+    # perfbench's --smoke spaces for every workload, the stage timings on
+    # tiny grids and the exhaustive profiles of tiny median graphs, written
+    # under the run's label
     out = tmp_path / "bench.json"
     run_script("bench.py", "--smoke", "--seconds", "0.1", "--label", "smoke",
                "--out", str(out), cwd=tmp_path)
@@ -63,3 +64,18 @@ def test_bench_smoke(tmp_path):
     for stage in run["stages"].values():
         assert stage["route"] == "factors" and stage["pairs"] > 0
         assert stage["draw_s"] > 0 and stage["embed_s"] > 0
+    assert list(run["exhaustive"]) == ["from-tree:30", "staircase:6", "grid:6x6"]
+    routes = [stage["route"] for stage in run["exhaustive"].values()]
+    assert routes == ["tree", "gram", "gram"]
+    for stage in run["exhaustive"].values():
+        assert stage["profile_s"] > 0 and stage["peak_rss_mb"] > 0
+
+
+def test_bench_needs_an_out_file(tmp_path):
+    # a run never falls back to an earlier change's BENCH file
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    res = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"),
+                          "--label", "x"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2 and "--out are required" in res.stderr
