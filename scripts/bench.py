@@ -4,7 +4,7 @@
 Usage: python scripts/bench.py --label NAME --out FILE [--checkout DIR]
                                [--seconds S] [--smoke]
 
-Three parts, each run in child processes against the checkout's own code:
+Four parts, each run in child processes against the checkout's own code:
 
 * ``perfbench/run.py --trace 0`` of the checkout, once per workload at its
   default seed, for ``--seconds`` seconds: the medians of ``setup_s``,
@@ -16,16 +16,22 @@ Three parts, each run in child processes against the checkout's own code:
   checkout has one; both are wrapped with timers) and the whole
   ``profile`` call, with the child's peak RSS;
 * the exhaustive profile (paper:18), timed in process on the from-tree
-  path:2000, staircase 60 and grid 45x45: building the space and its
-  forest, the ``profile`` call and its route (``tree``, the depth triples,
-  or ``gram``, the Gram blocks), with the child's peak RSS.
+  path:2000, staircase 60, grid 45x45, the trees path:20000 and
+  path:100000 (one run) and binary-sample 12,4096 (seed 1): building the
+  space and its forest, the ``profile`` call and its route (``tree``, the
+  tree fold ``metrics._tree_entries``, or ``gram``, the Gram blocks), with
+  the child's peak RSS;
+* two deep CLI commands, each in its own child with its peak RSS:
+  ``generate`` of from-tree path:100000, and ``verify --suite oracle`` on
+  from-tree path:2000 (its ``generate`` is not timed).
 
 The results go under ``runs[NAME]`` of ``--out``, next to the runs already
 there, with the machine facts: cores and the Python, numpy and scipy
 versions. Run it once per checkout on the same machine to compare them.
 ``--smoke`` passes ``--smoke`` to perfbench and times grids 10x10, 20x20
-and 30x30 and the exhaustive profiles of from-tree path:30, staircase 6
-and grid 6x6 instead, in seconds.
+and 30x30, the exhaustive profiles of from-tree path:30, staircase 6,
+grid 6x6, path:300 and binary-sample 6,64, and both deep commands on
+one from-tree path:30 instead, in seconds.
 """
 
 import argparse
@@ -42,8 +48,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("grid-stratified", "tree-exhaustive", "verify-suites")
 GRIDS = {False: (("100x100", 5), ("300x300", 3), ("1000x1000", 1)),
          True: (("10x10", 1), ("20x20", 1), ("30x30", 1))}
-EXHAUSTIVE = {False: (("from-tree:2000", 3), ("staircase:60", 3), ("grid:45x45", 3)),
-              True: (("from-tree:30", 1), ("staircase:6", 1), ("grid:6x6", 1))}
+EXHAUSTIVE = {False: (("from-tree:2000", 3), ("staircase:60", 3), ("grid:45x45", 3),
+                     ("path:20000", 3), ("path:100000", 1), ("binary-sample:12,4096", 3)),
+              True: (("from-tree:30", 1), ("staircase:6", 1), ("grid:6x6", 1),
+                     ("path:300", 1), ("binary-sample:6,64", 1))}
+# the from-tree path lengths of the deep generate and the deep oracle run
+DEEP = {False: (100000, 2000), True: (30, 30)}
 
 
 def machine_facts() -> dict:
@@ -133,21 +143,25 @@ def stages(dims: str, reps: int) -> dict:
 
 
 def exhaustive(name: str, reps: int) -> dict:
-    """The exhaustive profile's time on the median graph ``name``
-    (from-tree:L, a path of L edges; staircase:C; grid:AxB): medians over
-    ``reps`` runs in this process, which imports the checkout's code."""
+    """The exhaustive profile's time on the space ``name``: the median
+    graphs from-tree:L (a path of L edges), staircase:C and grid:AxB, or
+    the trees path:L and binary-sample:D,R (seed 1). Medians over ``reps``
+    runs in this process, which imports the checkout's code."""
     import resource
 
     from medembed import metrics
     from medembed.cube import CubeSpec, gen_cube
     from medembed.metrics import PairSampler, profile
-    from medembed.tree import TreeSpec
+    from medembed.tree import TreeSpec, gen_tree
     from medembed.weights import WeightFunction
 
     kind, arg = name.split(":")
-    spec = {"from-tree": lambda: CubeSpec.from_tree(TreeSpec.path(int(arg))),
-            "staircase": lambda: CubeSpec.staircase(int(arg)),
-            "grid": lambda: CubeSpec.grid(*(int(d) for d in arg.split("x")))}[kind]()
+    build = {"from-tree": lambda: gen_cube(CubeSpec.from_tree(TreeSpec.path(int(arg)))),
+             "staircase": lambda: gen_cube(CubeSpec.staircase(int(arg))),
+             "grid": lambda: gen_cube(CubeSpec.grid(*(int(d) for d in arg.split("x")))),
+             "path": lambda: gen_tree(TreeSpec.path(int(arg))),
+             "binary-sample": lambda: gen_tree(TreeSpec.binary_sample(
+                 *(int(d) for d in arg.split(",")), seed=1))}[kind]
     routes = []
 
     def tagged(attr, route):
@@ -161,17 +175,55 @@ def exhaustive(name: str, reps: int) -> dict:
     tagged("_tree_entries", "tree")
     tagged("_exhaustive_entries", "gram")
     start = time.perf_counter()
-    space = gen_cube(spec)
+    space = build()
     space.forest()
-    build = time.perf_counter() - start
+    build_s = time.perf_counter() - start
     w, times = WeightFunction.paper(18), []
     for _ in range(reps):
         start = time.perf_counter()
         profile(space, w, PairSampler.exhaustive())
         times.append(time.perf_counter() - start)
     return {"space": name, "vertices": space.vertex_count, "route": routes[0],
-            "reps": reps, "build_s": build, "profile_s": statistics.median(times),
+            "reps": reps, "build_s": build_s, "profile_s": statistics.median(times),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def deep(generate_len: int, oracle_len: int) -> dict:
+    """Two deep CLI commands, each run by the checkout's ``medembed.cli`` in
+    a child of this process, with its wall time and its own peak RSS:
+    ``generate`` of from-tree path:``generate_len``, and ``verify --suite
+    oracle`` on from-tree path:``oracle_len``, whose file is generated
+    first, untimed, unless the two lengths are equal."""
+    import tempfile
+
+    cli = [sys.executable, "-m", "medembed.cli"]
+
+    def run(*argv) -> dict:
+        with tempfile.TemporaryFile("w+") as err:
+            start = time.perf_counter()
+            proc = subprocess.Popen(cli + list(argv), stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode:
+                err.seek(0)
+                raise SystemExit(f"{' '.join(argv)} failed: {err.read()}")
+        return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {n: str(Path(tmp) / f"path{n}.json") for n in (generate_len, oracle_len)}
+
+        def generate(n):
+            return run("generate", "--space", "from-tree", "--tree", f"path:{n}",
+                       "-o", files[n])
+
+        out = {"generate": {"space": f"from-tree path:{generate_len}",
+                            **generate(generate_len)}}
+        if oracle_len != generate_len:
+            generate(oracle_len)
+        out["oracle"] = {"space": f"from-tree path:{oracle_len}",
+                         **run("verify", "--suite", "oracle", "--space", files[oracle_len])}
+    return out
 
 
 def child(checkout: Path, *argv) -> dict:
@@ -195,6 +247,8 @@ def main():
     ap.add_argument("--stage", nargs=2, metavar=("DIMS", "REPS"), help=argparse.SUPPRESS)
     ap.add_argument("--exhaustive", nargs=2, metavar=("SPACE", "REPS"),
                     help=argparse.SUPPRESS)
+    ap.add_argument("--deep", nargs=2, metavar=("GENERATE_LEN", "ORACLE_LEN"),
+                    help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.stage:  # the child of one stage timing
         print(json.dumps(stages(args.stage[0], int(args.stage[1]))))
@@ -202,11 +256,14 @@ def main():
     if args.exhaustive:  # the child of one exhaustive timing
         print(json.dumps(exhaustive(args.exhaustive[0], int(args.exhaustive[1]))))
         return
+    if args.deep:  # the child of the deep commands
+        print(json.dumps(deep(*(int(n) for n in args.deep))))
+        return
     if not args.label or not args.out:
         ap.error("--label and --out are required")
     checkout = args.checkout.resolve()
     run = {"machine": machine_facts(), "seconds": args.seconds, "smoke": args.smoke,
-           "workloads": {}, "stages": {}, "exhaustive": {}}
+           "workloads": {}, "stages": {}, "exhaustive": {}, "deep": {}}
     for workload in WORKLOADS:
         run["workloads"][workload] = perfbench(checkout, workload, args.seconds, args.smoke)
         print(workload, run["workloads"][workload], flush=True)
@@ -216,6 +273,8 @@ def main():
     for name, reps in EXHAUSTIVE[args.smoke]:
         run["exhaustive"][name] = child(checkout, "--exhaustive", name, str(reps))
         print(name, run["exhaustive"][name], flush=True)
+    run["deep"] = child(checkout, "--deep", *map(str, DEEP[args.smoke]))
+    print("deep", run["deep"], flush=True)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["command"] = "python scripts/bench.py --label NAME --out FILE --checkout DIR"
     doc.setdefault("runs", {})[args.label] = run

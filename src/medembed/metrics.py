@@ -41,9 +41,11 @@ An exhaustive profile takes one of two routes, chosen by the decider of
 the stratified sampler, ``factors.tree_factors``. Where the space's
 forest is one rooted tree (a ``RootedTree``, a median graph built from a
 tree, a ``ProductSpace`` of one tree), a pair's embedded distance depends
-only on its depth triple (a, b, s) in that tree, so the profile folds the
-distinct triples, weighted by their pair counts (``_tree_entries``); its
-cost grows with the triples, not with the n(n-1)/2 pairs. Every other
+only on its depth triple (a, b, s) in that tree and grows with s, so the
+profile takes each distance's exact pair count and evaluates the closed
+form only at each (a, b)'s least and greatest meeting depth
+(``_tree_entries``); its cost grows with the distinct (a, b), not with the
+n(n-1)/2 pairs or the triples. Every other
 space (grids, staircases, tree products and other products) takes the
 Gram route (``_exhaustive_entries``): squared embedded distances of all
 pairs as Gram blocks of about BLOCK_ENTRIES pairs, each block's
@@ -194,15 +196,22 @@ class _ProfileAccumulator:
         np.add.at(self.counts, ts, counts)
 
     def entries(self) -> tuple[ProfileEntry, ...]:
-        realized = np.flatnonzero(self.counts)
-        if len(realized) == 0:
-            raise ValueError("empty sample")
-        rho = np.minimum.accumulate(self.min_emb[realized][::-1])[::-1]
-        delta = np.maximum.accumulate(self.max_emb[realized])
-        return tuple(
-            ProfileEntry(int(t), float(r), float(d), int(c))
-            for t, r, d, c in zip(realized, rho, delta, self.counts[realized])
-        )
+        return _fold_entries(self.counts, self.min_emb, self.max_emb)
+
+
+def _fold_entries(counts, min_emb, max_emb) -> tuple[ProfileEntry, ...]:
+    """Profile rows from per-distance pair counts and least and greatest
+    embedded distances: a suffix minimum and a prefix maximum over the
+    realized distances."""
+    realized = np.flatnonzero(counts)
+    if len(realized) == 0:
+        raise ValueError("empty sample")
+    rho = np.minimum.accumulate(min_emb[realized][::-1])[::-1]
+    delta = np.maximum.accumulate(max_emb[realized])
+    return tuple(
+        ProfileEntry(int(t), float(r), float(d), int(c))
+        for t, r, d, c in zip(realized, rho, delta, counts[realized])
+    )
 
 
 def _entries_from_pairs(ts: np.ndarray, emb: np.ndarray) -> tuple[ProfileEntry, ...]:
@@ -261,14 +270,24 @@ def _triple_sq_distances(table: np.ndarray, sq: np.ndarray, c: int, a, s) -> np.
 
 
 def _tree_entries(tree: RootedTree, w: WeightFunction):
-    """All pairs of a tree, folded one offset at a time from its depth
-    triples (``RootedTree.depth_triples``) at t = a + b."""
+    """All pairs of a tree at t = a + b, from each depth pair (a, b)'s
+    least and greatest meeting depth s (``RootedTree.meeting_extremes``)
+    and the exact pair count of each t (``RootedTree.distance_counts``).
+    For fixed (a, b), S(a) + S(b) + P_c(a + s) - P_c(a) is nondecreasing
+    in s, in floats too: P_c is a cumulative sum of nonnegative terms and
+    rounding is monotone. So the least and the greatest embedded distance
+    at each t are among the values at those two ends."""
     table = tree.forest().weight_table(w)
     sq = np.cumsum(table * table)
-    acc = _ProfileAccumulator()
-    for c, a, s, count in tree.depth_triples():
-        acc.add(2 * a + c, np.sqrt(_triple_sq_distances(table, sq, c, a, s)), count)
-    return acc.entries()
+    counts = tree.distance_counts()
+    least, most = np.full(len(counts), np.inf), np.zeros(len(counts))
+    for c, a, lo, hi in tree.meeting_extremes():
+        emb = np.sqrt(_triple_sq_distances(table, sq, c, np.concatenate((a, a)),
+                                           np.concatenate((lo, hi))))
+        t = slice(2 * int(a[0]) + c, 2 * int(a[-1]) + c + 1, 2)
+        np.minimum(least[t], emb[:len(a)], out=least[t])
+        np.maximum(most[t], emb[len(a):], out=most[t])
+    return _fold_entries(counts, least, most)
 
 
 def _runs(lengths):
@@ -568,8 +587,8 @@ def profile(
     """Measure the embedding with weight w over sampled pairs and fold
     into a profile. An exhaustive profile of a space whose forest is one
     rooted tree (``factors.tree_factors``) is folded from that tree's
-    depth triples; of any other space, from Gram blocks of the weight-w
-    rows, with t read off the forest."""
+    pair counts and extreme meeting depths; of any other space, from Gram
+    blocks of the weight-w rows, with t read off the forest."""
     if space.vertex_count < 2:
         raise ValueError("profile needs at least two vertices")
     if sampler.mode == "exhaustive":

@@ -9,9 +9,12 @@ from V back to the root, counted from V.  As a cube-path forest, a tree
 exits each vertex to its parent and crosses the single key of that edge.
 
 A pair's embedded distance depends only on its depth triple: the depth
-of its meeting point and the lengths of the two branches below it.
-``depth_triples`` lists the triples of all pairs, with pair counts, and
-an exhaustive profile is folded from them.
+of its meeting point and the lengths a <= b of the two branches below
+it. An exhaustive profile needs, per distance t = a + b, the pair count
+(``distance_counts``, exact, from subtree depth histograms) and, per
+(a, b), only the least and greatest meeting depth (``meeting_extremes``,
+read off the heights of each branching vertex's two tallest children),
+since the distance grows with the meeting depth.
 
 Trees are immutable after generation and all operations here are pure, so
 vertex pairs may be evaluated concurrently without coordination.
@@ -25,14 +28,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError
-from .sparse import Graph, PathForest, id_array, ranges, step_depths
+from .sparse import Graph, PathForest, id_array, step_depths
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
-CHUNK_BYTES = 16 << 20  # bytes of depth histograms and their rows per chunk
-# int64 words held per entry of h_k, q_k (depth_triples) while they are
-# built, and per entry of q_k's support, which gives up to two rows per
-# offset of (a, s, count) and of the profile fold's arrays over them
-_ENTRY_WORDS, _ROW_WORDS = 8, 24
+# bytes of work arrays per chunk of the pair fold: the padded depth
+# histograms of a chunk of children (``distance_counts``), a row block of
+# their product, and the tables of extreme meeting depths over a chunk of
+# offsets (``meeting_extremes``)
+CHUNK_BYTES = 16 << 20
+# int64 words held per histogram entry while it is built, per entry of a
+# product block with its sheared copy, and per cell of the extremes'
+# tables and of the class placements
+_HIST_WORDS, _PRODUCT_WORDS, _EXTREME_WORDS = 6, 3, 6
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,7 @@ class RootedTree(Graph):
         if len(loops):
             raise ValueError(f"vertex {loops[0]} is its own parent but not root")
         self.depth = step_depths(self.parent, self.root)
+        self._branch_cache = None
 
     def edge_key(self, v: int) -> int:
         """Basis key of the edge (v, parent(v))."""
@@ -129,85 +137,187 @@ class RootedTree(Graph):
             )
         return self._forest
 
-    def depth_triples(self):
-        """Every pair of distinct vertices as a triple (a, b, s): the pair
-        meets at depth s and lies a <= b edges below its meeting point.
-        Yields, one offset c = b - a at a time, arrays (a, s, count):
-        count pairs have the triple (a, a + c, s). Counts are positive; a
-        triple may take several rows.
+    def distance_counts(self) -> np.ndarray:
+        """Entry t is the number of pairs of distinct vertices at distance
+        t, for t = 0..2 * depth.
 
-        A vertex at depth s and a descendant at depth s + c are (0, c, s);
-        each of the N[s + c] vertices at that depth has one such ancestor.
-        The other pairs meet at a vertex m with two or more children. With
-        the children in order of height, the pairs with one end at depth a
-        below m in child k's subtree and the other at depth b in an earlier
+        A vertex at depth s + c and its ancestor at depth s are c apart, so
+        distance c counts every vertex at depth c or more once. The other
+        pairs meet at a vertex m with two or more children. With the
+        children in order of height, the pairs with one end at depth a below
+        m in child k's subtree and the other at depth b in an earlier
         child's number h_k[a] * q_k[b]: h_k counts k's subtree by depth
         below m and q_k the earlier children's subtrees, which form one
-        interval of a preorder that visits children in that order. The
-        h_k, q_k rows are built for CHUNK_BYTES worth of children at a
-        time, and each chunk runs through its offsets.
+        interval of a preorder that visits children in that order. So
+        distance t counts the sum over k of the anti-diagonal a + b = t of
+        h_k q_k^T, taken for children of like height at once as one integer
+        product of their histograms, padded to the longest: sum_k h_k q_k^T
+        has (a, b) entry the pairs at (a, b), so every partial sum is a count
+        of pairs and exact.
         """
         n_at = np.bincount(self.depth)
         top = len(n_at) - 1
-        for c in range(1, top + 1):
-            yield (c, np.zeros(top + 1 - c, dtype=np.int64),
-                   np.arange(top + 1 - c), n_at[c:])
-        height, size, tin = self._preorder()
-        kids = np.bincount(self.parent[self.eu], minlength=self.n)
-        child = self.eu[kids[self.ev] >= 2]
-        child = child[np.lexsort((child, height[child], self.parent[child]))]
-        later = np.flatnonzero(self.parent[child][1:] == self.parent[child][:-1]) + 1
-        k, prev = child[later], child[later - 1]
-        m = self.parent[k]
-        seg_len, seg_plen = height[k] + 1, height[prev] + 1
+        total = np.zeros(2 * top + 1, dtype=np.int64)
+        total[1:top + 1] = np.cumsum(n_at[::-1])[::-1][1:]
+        height, size, tin, k, prev = self._branches()
+        m, lens, plens = self.parent[k], height[k] + 1, height[prev] + 1
         # vertices by (depth, preorder position): those at depth d in the
         # preorder interval [lo, hi) lie between the insertion points of
         # d*n + lo and d*n + hi
         keys = np.sort(self.depth * self.n + tin)
-        words = _ENTRY_WORDS * seg_len + _ROW_WORDS * seg_plen
-        chunk = (np.cumsum(words) - words) // max(1, CHUNK_BYTES // 8)
-        for g in np.split(np.arange(len(k)), np.flatnonzero(np.diff(chunk)) + 1):
-            if not len(g):
+
+        def histograms(g, lo, hi, width):
+            """Row a - 1 counts, for each child k of g, the vertices at
+            depth a below m whose preorder position lies in [lo, hi)."""
+            base = (np.arange(1, width + 1)[:, None] + self.depth[m[g]]) * self.n
+            return np.searchsorted(keys, base + hi[g]) - np.searchsorted(keys, base + lo[g])
+
+        budget = max(1, CHUNK_BYTES // 8)
+        # children of like height, lengths within a factor of two, each
+        # group by (depth of m, preorder of k), so that the insertion points
+        # of every depth a ascend
+        group = np.frexp(lens)[1]
+        order = np.lexsort((tin[k], self.depth[m], group))
+        k, m, lens, plens, group = k[order], m[order], lens[order], plens[order], group[order]
+        for like in np.split(np.arange(len(k)), np.flatnonzero(np.diff(group)) + 1):
+            if not len(like):
                 continue
-            # one entry per child k and depth a = 1..height(k) + 1 below m;
-            # q_k is zero below the earlier children's depth plen
-            lens, plens = seg_len[g], seg_plen[g]
-            start = np.cumsum(lens) - lens
-            seg = np.repeat(np.arange(len(g)), lens)
-            a = np.arange(len(seg)) - start[seg] + 1
-            s = self.depth[m[g]][seg]
-            base = (s + a) * self.n
-            at = np.searchsorted(keys, base + tin[k[g]][seg])
-            h = np.searchsorted(keys, base + (tin[k[g]] + size[k[g]])[seg]) - at
-            q = at - np.searchsorted(keys, base + tin[m[g]][seg])
-            for c in range(int(lens.max())):
-                # k's end at depth a, the other at a + c (up) or a - c (down)
-                up = ranges(start, plens - c)
-                down = ranges(start + c, np.minimum(lens - c, plens)) if c else up[:0]
-                yield (c, np.concatenate([a[up], a[down] - c]),
-                       np.concatenate([s[up], s[down]]),
-                       np.concatenate([h[up] * q[up + c], h[down] * q[down - c]]))
+            width, pwidth = int(lens[like].max()), int(plens[like].max())
+            step = max(1, budget // (_HIST_WORDS * (width + pwidth)))
+            for g in np.split(like, range(step, len(like), step)):
+                h = histograms(g, tin[k], tin[k] + size[k], width)
+                q = histograms(g, tin[m], tin[k], pwidth)
+                rows = max(1, budget // (_PRODUCT_WORDS * pwidth))
+                for r in range(0, width, rows):
+                    # depths a = r + 1.. and b = 1.. below m, so t = a + b
+                    sums = _diagonal_sums(h[r:r + rows] @ q.T)
+                    total[r + 2:r + 2 + len(sums)] += sums
+        return total
+
+    def meeting_extremes(self):
+        """The least and greatest meeting depth of the pairs of distinct
+        vertices that lie a and a + c edges below their meeting point, one
+        offset c = 0..depth at a time. Yields (c, a, lo, hi): a ascends from
+        0 (from 1 at c = 0) through every a that some pair takes with offset
+        c, and lo[i], hi[i] are the least and greatest meeting depth at
+        a[i].
+
+        A vertex at depth s + c and its ancestor at depth s are (0, c, s)
+        for every s = 0..depth - c. Two ends at depths 1 <= a <= b below a
+        vertex m, in different child subtrees, exist exactly when the two
+        tallest child subtrees of m reach depths x <= y below m with a <= x
+        and b <= y. So with r = min(x, y - c), the meeting depths at
+        (a, a + c) are the depths of the vertices m with r >= a: lo and hi
+        are a suffix minimum and maximum over a of the depths placed at r,
+        taken over the distinct (x, y) of the branching vertices, each with
+        its least and greatest depth. The tables over (c, a) are built for
+        CHUNK_BYTES worth of offsets at a time, and only classes with
+        y > c take part in offset c.
+        """
+        top = int(self.depth.max())
+        height, _, _, k, prev = self._branches()
+        tallest = np.append(np.diff(self.parent[k]) != 0, True)[:len(k)]
+        x, y = height[prev[tallest]] + 1, height[k[tallest]] + 1
+        depth = self.depth[self.parent[k[tallest]]]
+        cls, inv = np.unique(x * (top + 2) + y, return_inverse=True)
+        x, y = cls // (top + 2), cls % (top + 2)
+        least, most = np.full(len(cls), top + 1), np.full(len(cls), -1)
+        np.minimum.at(least, inv, depth)
+        np.maximum.at(most, inv, depth)
+        by_y = np.argsort(-y, kind="stable")
+        x, y, least, most = x[by_y], y[by_y], least[by_y], most[by_y]
+        budget = max(1, CHUNK_BYTES // 8)
+        ramp = np.arange(top + 2)
+        c0 = 0
+        while c0 <= top:
+            live = int(np.searchsorted(-y, -c0))  # the classes with y > c0
+            width = 1 + int(np.minimum(x[:live], y[:live] - c0).max(initial=0))
+            step = max(1, budget // (_EXTREME_WORDS * (live + width)))
+            cs = np.arange(c0, min(top + 1, c0 + step))
+            lo, hi, last = _extreme_tables(x[:live], y[:live], least[:live], most[:live], cs)
+            lo[:, 0], hi[:, 0] = 0, top - cs  # the ancestor pairs
+            for i, (c, end) in enumerate(zip(cs.tolist(), (last + 1).tolist())):
+                first = 0 if c else 1
+                if end > first:
+                    yield c, ramp[first:end], lo[i, first:end], hi[i, first:end]
+            c0 += len(cs)
+
+    def _branches(self):
+        """Height, subtree size and preorder position of every vertex
+        (``_preorder``), and each child k of a vertex with an earlier
+        sibling, with the sibling prev just before it, the children of a
+        vertex in order of height, then id; computed once per tree."""
+        if self._branch_cache is None:
+            height, size, tin = self._preorder()
+            kids = np.bincount(self.parent[self.eu], minlength=self.n)
+            child = self.eu[kids[self.ev] >= 2]
+            child = child[np.lexsort((child, height[child], self.parent[child]))]
+            later = np.flatnonzero(self.parent[child][1:] == self.parent[child][:-1]) + 1
+            self._branch_cache = (height, size, tin, child[later], child[later - 1])
+        return self._branch_cache
 
     def _preorder(self):
         """Height, subtree size and preorder position of every vertex, in a
-        preorder that visits the children of a vertex by height, then id."""
-        order = np.argsort(self.depth, kind="stable")
-        ptr = np.searchsorted(self.depth[order], np.arange(self.depth.max() + 2))
-        levels = [order[lo:hi] for lo, hi in zip(ptr[1:-1], ptr[2:])]
-        height = np.zeros(self.n, dtype=np.int64)
+        preorder that visits the children of a vertex by height, then id.
+        Each is folded along the parent array by pointer doubling, so the
+        rounds number about log2 of the depth: after the round for j,
+        ``anc[v]`` is v's 2j-th ancestor (or the root), and ``height`` and
+        ``size`` cover the descendants fewer than 2j edges below."""
+        top = int(self.depth.max())
+        deepest = self.depth.copy()
         size = np.ones(self.n, dtype=np.int64)
-        for vs in reversed(levels):
-            np.maximum.at(height, self.parent[vs], height[vs] + 1)
-            np.add.at(size, self.parent[vs], size[vs])
+        anc, j = self.parent, 1
+        while j <= top:
+            below = self.depth >= j  # v's j-th ancestor anc[v] exists
+            np.maximum.at(deepest, anc[below], deepest[below])
+            np.add.at(size, anc[below], size[below])
+            anc, j = anc[anc], 2 * j
+        height = deepest - self.depth
+        # tin[v] = tin[parent] + 1 + the sizes of v's earlier siblings,
+        # summed along the root path
+        vs = self.eu[np.lexsort((self.eu, height[self.eu], self.ev))]
+        p = self.parent[vs]
+        before = np.cumsum(size[vs]) - size[vs]
+        first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+        before -= np.repeat(before[first], np.diff(np.r_[first, len(vs)]))
         tin = np.zeros(self.n, dtype=np.int64)
-        for vs in levels:
-            vs = vs[np.lexsort((vs, height[vs], self.parent[vs]))]
-            p = self.parent[vs]
-            before = np.cumsum(size[vs]) - size[vs]
-            first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
-            before -= np.repeat(before[first], np.diff(np.r_[first, len(vs)]))
-            tin[vs] = tin[p] + 1 + before
-        return height, size, tin
+        tin[vs] = before
+        anc, j = self.parent, 1
+        while j <= top:
+            tin += tin[anc]
+            anc, j = anc[anc], 2 * j
+        return height, size, tin + self.depth
+
+
+def _extreme_tables(x, y, least, most, cs):
+    """Over the classes (x, y) with least and greatest depths ``least``,
+    ``most``: row i of (lo, hi) holds at column a >= 1 the least and the
+    greatest depth of the classes with min(x, y - cs[i]) >= a, and last[i]
+    is the largest such a (0 if there is none). Column 0 is left unset."""
+    r = np.maximum(np.minimum(x, y - cs[:, None]), 0)
+    last = r.max(axis=1, initial=0)
+    width = int(last.max(initial=0)) + 1
+    at = (np.arange(len(cs))[:, None] * width + r).ravel()
+    lo = np.full((len(cs), width), np.iinfo(np.int64).max)
+    hi = np.full((len(cs), width), -1)
+    np.minimum.at(lo.ravel(), at, np.broadcast_to(least, r.shape).ravel())
+    np.maximum.at(hi.ravel(), at, np.broadcast_to(most, r.shape).ravel())
+    # a class placed at r takes part at every a <= r
+    lo = np.minimum.accumulate(lo[:, ::-1], axis=1)[:, ::-1]
+    hi = np.maximum.accumulate(hi[:, ::-1], axis=1)[:, ::-1]
+    return lo, hi, last
+
+
+def _diagonal_sums(block: np.ndarray) -> np.ndarray:
+    """The sums of the anti-diagonals i + j = 0, 1, .. of a 2-d integer
+    array, exact: its rows are sheared one place each into a padded copy of
+    the shorter side, whose columns are then summed."""
+    if block.shape[0] > block.shape[1]:
+        block = block.T
+    rows, cols = block.shape
+    sheared = np.zeros((rows, cols + rows), dtype=block.dtype)
+    sheared[:, :cols] = block
+    return sheared.ravel()[:rows * (cols + rows - 1)].reshape(rows, -1).sum(axis=0)
 
 
 def gen_tree(spec: TreeSpec, max_vertices: int = DEFAULT_VERTEX_BUDGET) -> RootedTree:

@@ -11,7 +11,12 @@ None of this runs outside the tests, so none of it ships in ``medembed``:
   (``dimension_by_cliques``), the vertex-by-class separator matrix
   (``separators``) and (neighbour, edge id) lists (``adj``);
 * trees: the root path's keys (``geodesic_edges``) and the meeting point
-  of two vertices (``meeting_point``), by walking the parent array;
+  of two vertices (``meeting_point``), by walking the parent array; the
+  heights, subtree sizes and preorder, one depth level at a time
+  (``preorder_by_levels``); every pair's depth triple with pair counts
+  (``depth_triples``) and the exhaustive profile folded from the closed
+  form of every distinct triple (``triple_entries``), the reference of
+  the package's fold by extreme meeting depths;
 * weights: the least integer past which the paper formula increases
   (``find_monotone_cutoff``, by root finding), partial sums of w^2
   (``sq_partial_sum``, ``sq_partial_sums``) and the deficit scan on its
@@ -34,9 +39,11 @@ from typing import Optional
 
 import numpy as np
 
+from medembed import tree as tree_module
 from medembed.cube import CHUNK_BYTES, MedianGraph
 from medembed.errors import CubeSpanError, NonTerminationError, SideComputationError
-from medembed.sparse import LEVEL_ENTRIES
+from medembed.metrics import _ProfileAccumulator, _triple_sq_distances
+from medembed.sparse import LEVEL_ENTRIES, ranges
 from medembed.tree import RootedTree
 from medembed.weights import WeightFunction, _deficit_maxima, paper_formula
 
@@ -398,6 +405,108 @@ def meeting_point(tree: RootedTree, u: int, v: int) -> int:
         u = int(tree.parent[u])
         v = int(tree.parent[v])
     return u
+
+
+# int64 words held per entry of h_k, q_k (``depth_triples``) while they are
+# built, and per entry of q_k's support, which gives up to two rows per
+# offset of (a, s, count) and of the profile fold's arrays over them
+_ENTRY_WORDS, _ROW_WORDS = 8, 24
+
+
+def preorder_by_levels(tree: RootedTree):
+    """Height, subtree size and preorder position of every vertex, in a
+    preorder that visits the children of a vertex by height, then id: one
+    pass up the depth levels for heights and sizes, one pass down for the
+    positions."""
+    order = np.argsort(tree.depth, kind="stable")
+    ptr = np.searchsorted(tree.depth[order], np.arange(tree.depth.max() + 2))
+    levels = [order[lo:hi] for lo, hi in zip(ptr[1:-1], ptr[2:])]
+    height = np.zeros(tree.n, dtype=np.int64)
+    size = np.ones(tree.n, dtype=np.int64)
+    for vs in reversed(levels):
+        np.maximum.at(height, tree.parent[vs], height[vs] + 1)
+        np.add.at(size, tree.parent[vs], size[vs])
+    tin = np.zeros(tree.n, dtype=np.int64)
+    for vs in levels:
+        vs = vs[np.lexsort((vs, height[vs], tree.parent[vs]))]
+        p = tree.parent[vs]
+        before = np.cumsum(size[vs]) - size[vs]
+        first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+        before -= np.repeat(before[first], np.diff(np.r_[first, len(vs)]))
+        tin[vs] = tin[p] + 1 + before
+    return height, size, tin
+
+
+def depth_triples(tree: RootedTree):
+    """Every pair of distinct vertices as a triple (a, b, s): the pair
+    meets at depth s and lies a <= b edges below its meeting point.
+    Yields, one offset c = b - a at a time, arrays (a, s, count):
+    count pairs have the triple (a, a + c, s). Counts are positive; a
+    triple may take several rows.
+
+    A vertex at depth s and a descendant at depth s + c are (0, c, s);
+    each of the N[s + c] vertices at that depth has one such ancestor.
+    The other pairs meet at a vertex m with two or more children. With
+    the children in order of height, the pairs with one end at depth a
+    below m in child k's subtree and the other at depth b in an earlier
+    child's number h_k[a] * q_k[b]: h_k counts k's subtree by depth below
+    m and q_k the earlier children's subtrees, which form one interval of
+    a preorder that visits children in that order. The h_k, q_k rows are
+    built for ``medembed.tree.CHUNK_BYTES`` worth of children at a time,
+    and each chunk runs through its offsets.
+    """
+    n_at = np.bincount(tree.depth)
+    top = len(n_at) - 1
+    for c in range(1, top + 1):
+        yield (c, np.zeros(top + 1 - c, dtype=np.int64),
+               np.arange(top + 1 - c), n_at[c:])
+    height, size, tin = preorder_by_levels(tree)
+    kids = np.bincount(tree.parent[tree.eu], minlength=tree.n)
+    child = tree.eu[kids[tree.ev] >= 2]
+    child = child[np.lexsort((child, height[child], tree.parent[child]))]
+    later = np.flatnonzero(tree.parent[child][1:] == tree.parent[child][:-1]) + 1
+    k, prev = child[later], child[later - 1]
+    m = tree.parent[k]
+    seg_len, seg_plen = height[k] + 1, height[prev] + 1
+    # vertices by (depth, preorder position): those at depth d in the
+    # preorder interval [lo, hi) lie between the insertion points of
+    # d*n + lo and d*n + hi
+    keys = np.sort(tree.depth * tree.n + tin)
+    words = _ENTRY_WORDS * seg_len + _ROW_WORDS * seg_plen
+    chunk = (np.cumsum(words) - words) // max(1, tree_module.CHUNK_BYTES // 8)
+    for g in np.split(np.arange(len(k)), np.flatnonzero(np.diff(chunk)) + 1):
+        if not len(g):
+            continue
+        # one entry per child k and depth a = 1..height(k) + 1 below m;
+        # q_k is zero below the earlier children's depth plen
+        lens, plens = seg_len[g], seg_plen[g]
+        start = np.cumsum(lens) - lens
+        seg = np.repeat(np.arange(len(g)), lens)
+        a = np.arange(len(seg)) - start[seg] + 1
+        s = tree.depth[m[g]][seg]
+        base = (s + a) * tree.n
+        at = np.searchsorted(keys, base + tin[k[g]][seg])
+        h = np.searchsorted(keys, base + (tin[k[g]] + size[k[g]])[seg]) - at
+        q = at - np.searchsorted(keys, base + tin[m[g]][seg])
+        for c in range(int(lens.max())):
+            # k's end at depth a, the other at a + c (up) or a - c (down)
+            up = ranges(start, plens - c)
+            down = ranges(start + c, np.minimum(lens - c, plens)) if c else up[:0]
+            yield (c, np.concatenate([a[up], a[down] - c]),
+                   np.concatenate([s[up], s[down]]),
+                   np.concatenate([h[up] * q[up + c], h[down] * q[down - c]]))
+
+
+def triple_entries(tree: RootedTree, w: WeightFunction):
+    """All pairs of a tree, folded one offset at a time from its depth
+    triples (``depth_triples``) at t = a + b: the closed form of every
+    distinct triple, weighted by its pair count."""
+    table = tree.forest().weight_table(w)
+    sq = np.cumsum(table * table)
+    acc = _ProfileAccumulator()
+    for c, a, s, count in depth_triples(tree):
+        acc.add(2 * a + c, np.sqrt(_triple_sq_distances(table, sq, c, a, s)), count)
+    return acc.entries()
 
 
 # -- weights --------------------------------------------------------------------

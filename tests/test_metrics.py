@@ -30,7 +30,13 @@ from medembed.metrics import (
 from medembed.sparse import vec_distance, vectors
 from medembed.tree import RootedTree, TreeSpec, gen_tree
 from medembed.weights import WeightFunction
-from oracles import deficit_constant, geodesic_edges, separators
+from oracles import (
+    deficit_constant,
+    depth_triples,
+    geodesic_edges,
+    separators,
+    triple_entries,
+)
 
 XI_18 = 2.35118282830013
 XI_18_SQ = 5.52806069209341
@@ -536,15 +542,30 @@ def test_tree_triples_give_the_exact_pair_distances():
 
 def test_tree_profile_split_into_chunks(monkeypatch):
     # a budget below one child's histograms gives each child its own chunk
+    # and each depth below it its own block of the product, and each offset
+    # its own table of extremes; the oracle's triples split as well
     import medembed.tree as tree_mod
     from medembed.metrics import _tree_entries
 
     t = gen_tree(TreeSpec.binary_sample(40, 12, seed=5))
     whole = _tree_entries(t, PAPER)
-    offsets = sum(1 for _ in t.depth_triples())
-    monkeypatch.setattr(tree_mod, "CHUNK_BYTES", 64)
-    assert sum(1 for _ in t.depth_triples()) > offsets
+    assert whole == triple_entries(t, PAPER)
+    offsets = sum(1 for _ in depth_triples(t))
+    calls = {"_diagonal_sums": 0, "_extreme_tables": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(tree_mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(tree_mod, name, counted)
     assert _tree_entries(t, PAPER) == whole
+    blocks, tables = calls["_diagonal_sums"], calls["_extreme_tables"]
+    assert tables == 1
+    monkeypatch.setattr(tree_mod, "CHUNK_BYTES", 64)
+    assert sum(1 for _ in depth_triples(t)) > offsets
+    calls.update(dict.fromkeys(calls, 0))
+    assert _tree_entries(t, PAPER) == whole
+    assert calls["_diagonal_sums"] > blocks
+    assert calls["_extreme_tables"] == int(t.depth.max()) + 1
 
 
 def test_exhaustive_profile_of_a_tree_leaves_the_gram(monkeypatch):
@@ -1203,6 +1224,17 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_tree_profile_holds_bounded_chunks():
+    # the root of spider 4,3000 has two child subtrees that reach depth
+    # 3000, so a whole table of extreme meeting depths over its depth pairs
+    # (a, b) would hold 9M cells; the fold sweeps them in chunks
+    import medembed.tree as tree_mod
+
+    t = gen_tree(TreeSpec.spider(4, 3000))
+    t.forest()
+    assert _traced_peak(lambda: metrics._tree_entries(t, PAPER)) < 2 * tree_mod.CHUNK_BYTES
 
 
 def test_gram_routes_hold_a_bounded_block():

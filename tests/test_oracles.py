@@ -18,6 +18,7 @@ MOVED = {
     MedianGraph: ["adj", "separators", "_walk_classes", "_neighbor_across",
                   "_cross_cube", "_step"],
     tree: ["geodesic_edges", "meeting_point"],
+    tree.RootedTree: ["depth_triples"],
     weights: ["find_monotone_cutoff", "sq_partial_sum", "sq_partial_sums",
               "deficit_scan", "deficit_constant"],
 }

@@ -32,10 +32,13 @@ from medembed.sparse import (
 from medembed.tree import RootedTree, TreeSpec, gen_tree
 from medembed.weights import WeightFunction, diff_sq_sum
 from oracles import (
+    depth_triples,
     geodesic_edges,
     meeting_point,
     normal_cube_path,
+    preorder_by_levels,
     square_closure_classes,
+    triple_entries,
     validate_median,
 )
 from test_metrics import counted_blocks
@@ -545,7 +548,7 @@ def test_tree_profile_from_depth_triples_matches_gram_oracle(tree):
         assert a + b == dist[u][v]
         want[a, b, s] += 1
     got = collections.Counter()
-    for c, a, s, count in tree.depth_triples():
+    for c, a, s, count in depth_triples(tree):
         assert (count > 0).all()
         for ai, si, k in zip(a.tolist(), s.tolist(), count.tolist()):
             got[ai, ai + c, si] += k
@@ -565,3 +568,37 @@ def test_tree_profile_from_depth_triples_matches_gram_oracle(tree):
         for x, y in zip(fast, oracle):
             assert x.rho_hat ** 2 == pytest.approx(y.rho_hat ** 2, rel=1e-12, abs=1e-12)
             assert x.delta_hat ** 2 == pytest.approx(y.delta_hat ** 2, rel=1e-12, abs=1e-12)
+
+
+_EXTREME_TREES = [
+    TreeSpec.path(1),
+    TreeSpec.spider(5, 1),
+    TreeSpec.binary_sample(8, 256, seed=1),
+    TreeSpec.caterpillar(40, 3),
+]
+
+
+@given(st.one_of(shaped_trees, st.sampled_from(_EXTREME_TREES).map(gen_tree)))
+@settings(max_examples=80, deadline=None)
+def test_tree_profile_from_meeting_extremes_matches_triple_fold(tree):
+    # the fold by extreme meeting depths and exact per-distance counts
+    # gives the per-triple fold's entries bit for bit
+    for w in (UNIT, PAPER, WeightFunction.power(0.3)):
+        assert _tree_entries(tree, w) == triple_entries(tree, w)
+    want, least, most = collections.Counter(), {}, {}
+    for c, a, s, count in depth_triples(tree):
+        for ai, si, k in zip(a.tolist(), s.tolist(), count.tolist()):
+            want[2 * ai + c] += k
+            least[ai, c] = min(least.get((ai, c), si), si)
+            most[ai, c] = max(most.get((ai, c), si), si)
+    for got, ref in zip(tree._preorder(), preorder_by_levels(tree)):
+        assert np.array_equal(got, ref)
+    counts = tree.distance_counts()
+    assert {t: int(k) for t, k in enumerate(counts) if k} == dict(want)
+    got_least, got_most = {}, {}
+    for c, a, lo, hi in tree.meeting_extremes():
+        # a runs through 0.. (1.. at c = 0) with no gap
+        assert a.tolist() == list(range(int(c == 0), int(c == 0) + len(a)))
+        for ai, x, y in zip(a.tolist(), lo.tolist(), hi.tolist()):
+            got_least[ai, c], got_most[ai, c] = x, y
+    assert got_least == least and got_most == most

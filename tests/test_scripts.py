@@ -47,8 +47,9 @@ def test_ceiling_drift_smoke(tmp_path):
 
 def test_bench_smoke(tmp_path):
     # perfbench's --smoke spaces for every workload, the stage timings on
-    # tiny grids and the exhaustive profiles of tiny median graphs, written
-    # under the run's label
+    # tiny grids, the exhaustive profiles of tiny median graphs and trees
+    # and the deep commands on tiny from-tree paths, written under the
+    # run's label
     out = tmp_path / "bench.json"
     run_script("bench.py", "--smoke", "--seconds", "0.1", "--label", "smoke",
                "--out", str(out), cwd=tmp_path)
@@ -64,11 +65,15 @@ def test_bench_smoke(tmp_path):
     for stage in run["stages"].values():
         assert stage["route"] == "factors" and stage["pairs"] > 0
         assert stage["draw_s"] > 0 and stage["embed_s"] > 0
-    assert list(run["exhaustive"]) == ["from-tree:30", "staircase:6", "grid:6x6"]
+    assert list(run["exhaustive"]) == ["from-tree:30", "staircase:6", "grid:6x6",
+                                       "path:300", "binary-sample:6,64"]
     routes = [stage["route"] for stage in run["exhaustive"].values()]
-    assert routes == ["tree", "gram", "gram"]
+    assert routes == ["tree", "gram", "gram", "tree", "tree"]
     for stage in run["exhaustive"].values():
         assert stage["profile_s"] > 0 and stage["peak_rss_mb"] > 0
+    assert list(run["deep"]) == ["generate", "oracle"]
+    for stage in run["deep"].values():
+        assert stage["wall_s"] > 0 and stage["peak_rss_mb"] > 0
 
 
 def test_bench_needs_an_out_file(tmp_path):
