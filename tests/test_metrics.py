@@ -541,9 +541,10 @@ def test_tree_triples_give_the_exact_pair_distances():
 
 
 def test_tree_profile_split_into_chunks(monkeypatch):
-    # a budget below one child's histograms gives each child its own chunk
-    # and each depth below it its own block of the product, and each offset
-    # its own table of extremes; the oracle's triples split as well
+    # a budget below one child's histograms gives each child its own chunk,
+    # splits the product of its histograms into blocks of a row or two and
+    # gives each offset its own table of extremes; the oracle's triples
+    # split as well
     import medembed.tree as tree_mod
     from medembed.metrics import _tree_entries
 
