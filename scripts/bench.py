@@ -3,8 +3,10 @@
 
 Usage: python scripts/bench.py --label NAME --out FILE [--checkout DIR]
                                [--seconds S] [--smoke]
+       python scripts/bench.py --alternate NAME=DIR NAME=DIR --out FILE
+                               [--smoke]
 
-Four parts, each run in child processes against the checkout's own code:
+Five parts, each run in child processes against the checkout's own code:
 
 * ``perfbench/run.py --trace 0`` of the checkout, once per workload at its
   default seed, for ``--seconds`` seconds: the medians of ``setup_s``,
@@ -18,20 +20,35 @@ Four parts, each run in child processes against the checkout's own code:
 * the exhaustive profile (paper:18), timed in process on the from-tree
   path:2000, staircase 60, grid 45x45, the trees path:20000 and
   path:100000 (one run) and binary-sample 12,4096 (seed 1): building the
-  space and its forest, the ``profile`` call and its route (``tree``, the
-  tree fold ``metrics._tree_entries``, or ``gram``, the Gram blocks), with
-  the child's peak RSS;
+  space and its forest, the ``profile`` call and its route, named after
+  the functions the checkout has (``ROUTES``): ``fold``, the factor trees'
+  folds (``metrics._tree_entries``) convolved, or ``kernel``, the pair
+  kernel over blocks of sources (``metrics._kernel_entries``); in a
+  checkout with the Gram route, ``tree``, the tree fold, or ``gram``, the
+  Gram blocks (``metrics._exhaustive_entries``). A profile that runs
+  none of them fails the script. With the child's peak RSS;
 * two deep CLI commands, each in its own child with its peak RSS:
   ``generate`` of from-tree path:100000, and ``verify --suite oracle`` on
-  from-tree path:2000 (its ``generate`` is not timed).
+  from-tree path:2000 (its ``generate`` is not timed);
+* ``measure --sampler exhaustive --assert`` (paper:18) of grid 1000x1000
+  in its own child, with its wall time and peak RSS (its ``generate`` is
+  not timed). A checkout with the Gram route is not timed: its Gram
+  would face 5·10^11 pairs.
+
+``--alternate`` times only the exhaustive profiles of staircase 60 and
+grid 45x45 (``ALTERNATE``), one child per checkout and space in turn
+(each the median of 3 runs in process), for 5 rounds, and writes the
+times and their medians per checkout under ``alternating`` of ``--out``;
+``--smoke`` takes staircase 6 and grid 6x6, one round.
 
 The results go under ``runs[NAME]`` of ``--out``, next to the runs already
 there, with the machine facts: cores and the Python, numpy and scipy
 versions. Run it once per checkout on the same machine to compare them.
 ``--smoke`` passes ``--smoke`` to perfbench and times grids 10x10, 20x20
 and 30x30, the exhaustive profiles of from-tree path:30, staircase 6,
-grid 6x6, path:300 and binary-sample 6,64, and both deep commands on
-one from-tree path:30 instead, in seconds.
+grid 6x6, path:300 and binary-sample 6,64, both deep commands on one
+from-tree path:30 and the exhaustive ``measure`` of grid 10x10 instead,
+in seconds.
 """
 
 import argparse
@@ -54,6 +71,14 @@ EXHAUSTIVE = {False: (("from-tree:2000", 3), ("staircase:60", 3), ("grid:45x45",
                      ("path:300", 1), ("binary-sample:6,64", 1))}
 # the from-tree path lengths of the deep generate and the deep oracle run
 DEEP = {False: (100000, 2000), True: (30, 30)}
+# the grid of the exhaustive measure command
+MEASURE = {False: "1000x1000", True: "10x10"}
+ALTERNATE = {False: ("staircase:60", "grid:45x45"), True: ("staircase:6", "grid:6x6")}
+ROUNDS = {False: 5, True: 1}
+# the exhaustive routes by the metrics functions of a checkout: the first
+# table whose names it all has tags them
+ROUTES = ({"_exhaustive_entries": "gram", "_tree_entries": "tree"},
+          {"_kernel_entries": "kernel", "_tree_entries": "fold"})
 
 
 def machine_facts() -> dict:
@@ -172,8 +197,8 @@ def exhaustive(name: str, reps: int) -> dict:
             return fn(*args)
         setattr(metrics, attr, wrapper)
 
-    tagged("_tree_entries", "tree")
-    tagged("_exhaustive_entries", "gram")
+    for attr, route in route_names(metrics).items():
+        tagged(attr, route)
     start = time.perf_counter()
     space = build()
     space.forest()
@@ -183,9 +208,56 @@ def exhaustive(name: str, reps: int) -> dict:
         start = time.perf_counter()
         profile(space, w, PairSampler.exhaustive())
         times.append(time.perf_counter() - start)
+    if not routes:
+        raise SystemExit(f"the exhaustive profile of {name} ran no tagged route")
     return {"space": name, "vertices": space.vertex_count, "route": routes[0],
             "reps": reps, "build_s": build_s, "profile_s": statistics.median(times),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def route_names(metrics) -> dict:
+    """The ``ROUTES`` table of the checkout's ``metrics`` module."""
+    for names in ROUTES:
+        if all(hasattr(metrics, attr) for attr in names):
+            return names
+    raise SystemExit("the checkout has none of the exhaustive routes of ROUTES")
+
+
+def run_cli(*argv) -> dict:
+    """``medembed.cli`` with ``argv``, in a child of this process: its wall
+    time and its own peak RSS."""
+    import tempfile
+
+    with tempfile.TemporaryFile("w+") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "medembed.cli", *argv],
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        if os.waitstatus_to_exitcode(status):
+            err.seek(0)
+            raise SystemExit(f"{' '.join(argv)} failed: {err.read()}")
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
+def measure(dims: str) -> dict:
+    """``measure --sampler exhaustive --assert`` of grid ``dims`` at
+    paper:18 by the checkout's CLI, after an untimed ``generate``; a
+    checkout with the Gram route is not timed."""
+    import tempfile
+
+    from medembed import metrics
+
+    out = {"space": f"grid {dims}", "route": "fold"}
+    if route_names(metrics) is ROUTES[0]:
+        return {**out, "route": "gram",
+                "skipped": "the Gram would face n(n-1)/2 pairs (5·10^11 at 1000x1000)"}
+    with tempfile.TemporaryDirectory() as tmp:
+        space, csv = str(Path(tmp) / "grid.json"), str(Path(tmp) / "grid.csv")
+        run_cli("generate", "--space", "grid", "--dims", dims, "-o", space)
+        out.update(run_cli("measure", "--space", space, "--weight", "paper:18",
+                           "--sampler", "exhaustive", "--assert", "-o", csv))
+    return out
 
 
 def deep(generate_len: int, oracle_len: int) -> dict:
@@ -196,33 +268,19 @@ def deep(generate_len: int, oracle_len: int) -> dict:
     first, untimed, unless the two lengths are equal."""
     import tempfile
 
-    cli = [sys.executable, "-m", "medembed.cli"]
-
-    def run(*argv) -> dict:
-        with tempfile.TemporaryFile("w+") as err:
-            start = time.perf_counter()
-            proc = subprocess.Popen(cli + list(argv), stdout=subprocess.DEVNULL, stderr=err)
-            _, status, usage = os.wait4(proc.pid, 0)
-            wall = time.perf_counter() - start
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            if proc.returncode:
-                err.seek(0)
-                raise SystemExit(f"{' '.join(argv)} failed: {err.read()}")
-        return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
-
     with tempfile.TemporaryDirectory() as tmp:
         files = {n: str(Path(tmp) / f"path{n}.json") for n in (generate_len, oracle_len)}
 
         def generate(n):
-            return run("generate", "--space", "from-tree", "--tree", f"path:{n}",
-                       "-o", files[n])
+            return run_cli("generate", "--space", "from-tree", "--tree", f"path:{n}",
+                           "-o", files[n])
 
         out = {"generate": {"space": f"from-tree path:{generate_len}",
                             **generate(generate_len)}}
         if oracle_len != generate_len:
             generate(oracle_len)
         out["oracle"] = {"space": f"from-tree path:{oracle_len}",
-                         **run("verify", "--suite", "oracle", "--space", files[oracle_len])}
+                         **run_cli("verify", "--suite", "oracle", "--space", files[oracle_len])}
     return out
 
 
@@ -249,6 +307,9 @@ def main():
                     help=argparse.SUPPRESS)
     ap.add_argument("--deep", nargs=2, metavar=("GENERATE_LEN", "ORACLE_LEN"),
                     help=argparse.SUPPRESS)
+    ap.add_argument("--measure", metavar="DIMS", help=argparse.SUPPRESS)
+    ap.add_argument("--alternate", nargs=2, metavar=("NAME=DIR", "NAME=DIR"),
+                    help="time the ALTERNATE exhaustive profiles on two checkouts in turn")
     args = ap.parse_args()
     if args.stage:  # the child of one stage timing
         print(json.dumps(stages(args.stage[0], int(args.stage[1]))))
@@ -258,6 +319,12 @@ def main():
         return
     if args.deep:  # the child of the deep commands
         print(json.dumps(deep(*(int(n) for n in args.deep))))
+        return
+    if args.measure:  # the child of the exhaustive measure command
+        print(json.dumps(measure(args.measure)))
+        return
+    if args.alternate and args.out:
+        alternate(args.alternate, args.smoke, args.out)
         return
     if not args.label or not args.out:
         ap.error("--label and --out are required")
@@ -275,11 +342,43 @@ def main():
         print(name, run["exhaustive"][name], flush=True)
     run["deep"] = child(checkout, "--deep", *map(str, DEEP[args.smoke]))
     print("deep", run["deep"], flush=True)
+    run["measure"] = child(checkout, "--measure", MEASURE[args.smoke])
+    print("measure", run["measure"], flush=True)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["command"] = "python scripts/bench.py --label NAME --out FILE --checkout DIR"
     doc.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote runs[{args.label!r}] -> {args.out}")
+
+
+def alternate(pairs, smoke: bool, out: Path):
+    """The exhaustive profiles of ``ALTERNATE``, one child per space on
+    each of the two NAME=DIR checkouts in turn, ``ROUNDS`` times: each
+    child's ``profile_s`` (the median of 3 runs in process, so the first
+    call's imports do not count) and route, with the medians over the
+    rounds, under ``alternating`` of ``out``."""
+    checkouts = dict(pair.split("=", 1) for pair in pairs)
+    times = {name: {label: [] for label in checkouts} for name in ALTERNATE[smoke]}
+    routes = {name: {} for name in ALTERNATE[smoke]}
+    rounds = ROUNDS[smoke]
+    for _ in range(rounds):
+        for name in ALTERNATE[smoke]:
+            for label, checkout in checkouts.items():
+                got = child(Path(checkout).resolve(), "--exhaustive", name, "3")
+                times[name][label].append(got["profile_s"])
+                routes[name][label] = got["route"]
+        print("round", {name: {label: ts[-1] for label, ts in by.items()}
+                        for name, by in times.items()}, flush=True)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["alternating"] = {
+        "command": "python scripts/bench.py --alternate NAME=DIR NAME=DIR --out FILE",
+        "machine": machine_facts(), "rounds": rounds,
+        "spaces": {name: {label: {"route": routes[name][label], "profile_s": ts,
+                                  "median_s": statistics.median(ts)}
+                          for label, ts in by.items()}
+                   for name, by in times.items()}}
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote alternating -> {out}")
 
 
 if __name__ == "__main__":

@@ -23,9 +23,11 @@ tree, or a forest that is not a product gives None.
 On a tree a pair's squared embedded distance is a closed form of its
 depth triple (``metrics._triple_sq_distances``), so ``TreeFactors``
 embeds a product's pairs with no walk of their rows, and an exhaustive
-profile folds a space whose forest is one tree from that tree's depth
-triples. numpy only; imported only by the stratified sampler and the
-exhaustive profile, so no other command compiles it.
+profile folds each factor tree once from its pair counts and extreme
+meeting depths and convolves the folds, adding the factors' squares in
+the order ``TreeFactors.sq_distances`` adds them. numpy only; imported
+only by the stratified sampler and the exhaustive profile, so no other
+command compiles it.
 """
 
 from __future__ import annotations

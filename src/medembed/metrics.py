@@ -11,14 +11,12 @@ random sampling can only raise rho_hat and lower delta_hat.
 ``ProductSpace`` of them. Every one has a cube-path forest, and the
 profiles read the path lengths, the key count, the embedding rows
 (``embedding_rows``, numpy CSR triples) and the distances
-(``forest_distances``) off it; only the exhaustive Gram route takes
-``embedding_matrix(w, rows) -> CSR rows``, for the embedded distances.
-The samplers load no scipy. The stratified sampler reads every (source,
-vertex) candidate's distance off the cube-path forest into one S x n
-int32 block, draws its pairs from per-source counts by distance, with no
-sort of all candidates, and only then embeds them; the uniform sampler
-reads its pairs' distances off their unit-weight rows, from the same walk
-that embeds them at the profile's weight. Both embed their pairs with
+(``forest_distances``) off it. No profile loads scipy. The stratified
+sampler reads every (source, vertex) candidate's distance off the forest
+into one S x n int32 block, draws its pairs from per-source counts by
+distance, with no sort of all candidates, and only then embeds them; the
+uniform sampler reads its pairs' distances off their unit-weight rows,
+from the walk that embeds them at the profile's weight. Both embed with
 one kernel (``_pair_sq_distances``, at one or more weights) that walks
 the target rows in chunks of at least CHUNK_ROWS rows, sums in blocks of
 at most CHUNK_ENTRIES entries and adds every sum in the same order as a
@@ -30,27 +28,23 @@ pair's squared distance is the sum of its factors', each the closed
 form of its depth triple in the factor tree (``_triple_sq_distances``),
 so it is exact up to rounding with no term that cancels.
 
-``oracle_deviations`` checks the two identities on any ``Graph`` with no
-Gram: each block of sources reads its distances off the forest, and
+``oracle_deviations`` checks the two identities on any ``Graph``: each
+block of sources reads its distances off the forest, and
 ``keysets.proves_distances`` proves them equal to the graph metric by
 their layers across the edges. The unit-weight rows are checked once to
 follow the forest. Only a block that is not proved runs the BFS
-(``distances_from``), so a passing space loads no scipy and runs no BFS.
+(``distances_from``).
 
-An exhaustive profile takes one of two routes, chosen by the decider of
-the stratified sampler, ``factors.tree_factors``. Where the space's
-forest is one rooted tree (a ``RootedTree``, a median graph built from a
-tree, a ``ProductSpace`` of one tree), a pair's embedded distance depends
-only on its depth triple (a, b, s) in that tree and grows with s, so the
-profile takes each distance's exact pair count and evaluates the closed
-form only at each (a, b)'s least and greatest meeting depth
-(``_tree_entries``); its cost grows with the distinct (a, b), not with the
-n(n-1)/2 pairs or the triples. Every other
-space (grids, staircases, tree products and other products) takes the
-Gram route (``_exhaustive_entries``): squared embedded distances of all
-pairs as Gram blocks of about BLOCK_ENTRIES pairs, each block's
-distances t read off the forest, as the stratified sampler and
-``oracle_deviations`` read them.
+An exhaustive profile takes one of two routes, chosen as the stratified
+sampler chooses, by whether ``factors.tree_factors`` finds the forest a
+product of rooted trees. There each factor tree is folded once from its
+pair counts and the closed form at each (a, b)'s extreme meeting depths
+(``_tree_entries``), and the folds are convolved (``_product_entries``),
+at a cost of the product of the factors' distance ranges, not of the
+n(n-1)/2 pairs. Every other space (a staircase, a product with a factor
+that is not a tree) takes the pair kernel over the blocks of sources of
+``_source_blocks``, whose t are read off the forest, as
+``oracle_deviations`` reads them.
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -67,9 +61,6 @@ from .errors import BudgetExceededError
 from .sparse import BLOCK_ENTRIES, Graph, PathForest, narrowest, product_edges, ranges
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree
 from .weights import WeightFunction, deficit_bound, diff_sq_tail_bound
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 EXHAUSTIVE_DEFAULT_PAIR_LIMIT = 2_000_000
 # _pair_sq_distances walks its target rows in chunks of at least CHUNK_ROWS
@@ -162,11 +153,6 @@ class CompressionProfile:
         return np.asarray([e.pair_count for e in self.entries], dtype=np.int64)
 
 
-def sq_row_norms(mat: sp.csr_matrix) -> np.ndarray:
-    """Squared Euclidean norm of each row."""
-    return np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
-
-
 class _ProfileAccumulator:
     """Streamed per-distance minima/maxima/counts over pair chunks."""
 
@@ -221,41 +207,6 @@ def _entries_from_pairs(ts: np.ndarray, emb: np.ndarray) -> tuple[ProfileEntry, 
     return acc.entries()
 
 
-def _sq_distance_blocks(mat):
-    """Squared distances between the rows of the CSR matrix ``mat`` for
-    all pairs u < v, max(1, BLOCK_ENTRIES // n) rows u at a time: yields
-    the block, the mask of pairs v > u in the block x [block[0], n)
-    window, and the flat array of their squared distances in mask order.
-    Each block's dots are ``mat[block] @ mat[block[0]:].T``. A block spans
-    at most max(BLOCK_ENTRIES, n) pairs."""
-    n = mat.shape[0]
-    rows = max(1, BLOCK_ENTRIES // n)
-    nsq = sq_row_norms(mat)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = np.arange(start, stop)
-        mask = np.arange(start, n)[None, :] > block[:, None]
-        d2 = (mat[start:stop] @ mat[start:].T).toarray()
-        d2 *= -2.0  # in place, bit for bit (|u|^2 + |v|^2) - 2 u.v
-        d2 += nsq[start:stop, None] + nsq[None, start:]
-        d2 = d2[mask]  # frees the dense block
-        yield block, mask, d2
-        del d2  # before the next product allocates
-
-
-def _exhaustive_entries(space, w: WeightFunction):
-    """All pairs by Gram blocks of the weight-w rows; each block's t is
-    read off the cube-path forest (``forest_distances``). On trees this
-    is the tests' oracle of ``_tree_entries``."""
-    mat = space.embedding_matrix(w, np.arange(space.vertex_count))
-    acc = _ProfileAccumulator()
-    for block, mask, emb_sq in _sq_distance_blocks(mat):
-        t = space.forest_distances(block)[:, block[0]:][mask]
-        acc.add(t, np.sqrt(np.clip(emb_sq, 0.0, None, out=emb_sq), out=emb_sq))
-        del t, emb_sq  # before the next block is computed
-    return acc.entries()
-
-
 def _triple_sq_distances(table: np.ndarray, sq: np.ndarray, c: int, a, s) -> np.ndarray:
     """Squared embedded distance of tree pairs that meet at depth s and
     lie a and b = a + c edges below it, from the weight table w(0..depth)
@@ -270,24 +221,51 @@ def _triple_sq_distances(table: np.ndarray, sq: np.ndarray, c: int, a, s) -> np.
 
 
 def _tree_entries(tree: RootedTree, w: WeightFunction):
-    """All pairs of a tree at t = a + b, from each depth pair (a, b)'s
-    least and greatest meeting depth s (``RootedTree.meeting_extremes``)
-    and the exact pair count of each t (``RootedTree.distance_counts``).
-    For fixed (a, b), S(a) + S(b) + P_c(a + s) - P_c(a) is nondecreasing
-    in s, in floats too: P_c is a cumulative sum of nonnegative terms and
-    rounding is monotone. So the least and the greatest embedded distance
-    at each t are among the values at those two ends."""
+    """Per distance t = 0..2 * depth, the ordered pairs (u, v) of a tree:
+    their count (n at t = 0, twice ``distance_counts`` after) and least and
+    greatest squared embedded distance (+inf and -inf at no pair). For
+    fixed (a, b), S(a) + S(b) + P_c(a + s) - P_c(a) is nondecreasing in s,
+    in floats too: P_c is a cumulative sum of nonnegative terms and
+    rounding is monotone. So the extremes at each t are among the values
+    at each (a, b)'s least and greatest meeting depth s
+    (``RootedTree.meeting_extremes``)."""
     table = tree.forest().weight_table(w)
     sq = np.cumsum(table * table)
-    counts = tree.distance_counts()
-    least, most = np.full(len(counts), np.inf), np.zeros(len(counts))
+    counts = 2 * tree.distance_counts()
+    counts[0] = tree.vertex_count
+    least, most = np.full(len(counts), np.inf), np.full(len(counts), -np.inf)
+    least[0] = most[0] = 0.0
     for c, a, lo, hi in tree.meeting_extremes():
-        emb = np.sqrt(_triple_sq_distances(table, sq, c, np.concatenate((a, a)),
-                                           np.concatenate((lo, hi))))
+        emb_sq = _triple_sq_distances(table, sq, c, np.concatenate((a, a)),
+                                      np.concatenate((lo, hi)))
         t = slice(2 * int(a[0]) + c, 2 * int(a[-1]) + c + 1, 2)
-        np.minimum(least[t], emb[:len(a)], out=least[t])
-        np.maximum(most[t], emb[len(a):], out=most[t])
-    return _fold_entries(counts, least, most)
+        np.minimum(least[t], emb_sq[:len(a)], out=least[t])
+        np.maximum(most[t], emb_sq[len(a):], out=most[t])
+    return counts, least, most
+
+
+def _convolve(left, right):
+    """``_tree_entries`` of a product from its two factors': a pair at t_1
+    + t_2 has the square s_1 + s_2, so the counts convolve, the least
+    squares by min-plus and the greatest by max-plus, which is exact as
+    rounded addition is monotone in each term."""
+    (c1, lo1, hi1), (c2, lo2, hi2) = left, right
+    least, most = (np.full(len(c1) + len(c2) - 1, end) for end in (np.inf, -np.inf))
+    for t in np.flatnonzero(c1).tolist():
+        span = slice(t, t + len(c2))
+        np.minimum(least[span], lo1[t] + lo2, out=least[span])
+        np.maximum(most[span], hi1[t] + hi2, out=most[span])
+    return np.convolve(c1, c2), least, most
+
+
+def _product_entries(folds):
+    """Profile rows of the product of the trees folded into ``folds``,
+    convolved left to right (none for one tree), so the squares add in
+    factor order, as in ``factors.TreeFactors.sq_distances``."""
+    counts, least, most = functools.reduce(_convolve, folds)
+    counts[0] = 0
+    counts //= 2
+    return _fold_entries(counts, np.sqrt(least), np.sqrt(np.maximum(most, 0.0)))
 
 
 def _runs(lengths):
@@ -416,6 +394,37 @@ def _pair_sq_distances(space, weights, us, vs) -> list[np.ndarray]:
                 del gathered, terms  # before the next block is gathered
         del t_ptr, t_keys, t_data  # before the next chunk's rows are built
     return emb_sq
+
+
+def _source_blocks(space):
+    """Sources u, max(1, BLOCK_ENTRIES // n) at a time: yields each block,
+    its S x n distances t off the forest (a median graph's through
+    ``separating_counts``) and the mask of its pairs v > u in the block x
+    [block[0], n) window, at most max(BLOCK_ENTRIES, n) pairs."""
+    n = space.vertex_count
+    read = getattr(space, "separating_counts", space.forest_distances)
+    rows = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        block = np.arange(start, min(start + rows, n))
+        t = read(block)
+        yield block, t, np.arange(start, n)[None, :] > block[:, None]
+        del block, t  # before the next block is read
+
+
+def _block_pairs(block, mask):
+    """The pairs (u, v) of a ``_source_blocks`` mask, int32 ends in mask order."""
+    return [(ends + block[0]).astype(np.int32) for ends in np.nonzero(mask)]
+
+
+def _kernel_entries(space, w: WeightFunction):
+    """All pairs u < v by ``_pair_sq_distances``, a ``_source_blocks`` at a time."""
+    acc = _ProfileAccumulator()
+    for block, t, mask in _source_blocks(space):
+        emb_sq, = _pair_sq_distances(space, [w], *_block_pairs(block, mask))
+        acc.add(t[:, block[0]:][mask],
+                np.sqrt(np.clip(emb_sq, 0.0, None, out=emb_sq), out=emb_sq))
+        del t, mask, emb_sq  # before the next block is read
+    return acc.entries()
 
 
 def _stratified_need(space, count: int) -> tuple[int, int]:
@@ -585,20 +594,19 @@ def profile(
     metadata: Optional[Mapping[str, object]] = None,
 ) -> CompressionProfile:
     """Measure the embedding with weight w over sampled pairs and fold
-    into a profile. An exhaustive profile of a space whose forest is one
-    rooted tree (``factors.tree_factors``) is folded from that tree's
-    pair counts and extreme meeting depths; of any other space, from Gram
-    blocks of the weight-w rows, with t read off the forest."""
+    into a profile. An exhaustive profile of a space whose forest is a
+    product of rooted trees (``factors.tree_factors``) is folded from each
+    factor tree's pair counts and extreme meeting depths, convolved; of
+    any other space, by the pair kernel over blocks of sources, with t
+    read off the forest."""
     if space.vertex_count < 2:
         raise ValueError("profile needs at least two vertices")
     if sampler.mode == "exhaustive":
         from .factors import tree_factors  # not compiled by the uniform sampler
 
         product = tree_factors(space.forest())
-        if product is not None and len(product.trees) == 1:
-            entries = _tree_entries(product.trees[0], w)
-        else:
-            entries = _exhaustive_entries(space, w)
+        entries = (_kernel_entries(space, w) if product is None
+                   else _product_entries([_tree_entries(t, w) for t in product.trees]))
     elif sampler.mode in ("stratified", "uniform"):
         pairs = _stratified_pairs if sampler.mode == "stratified" else _uniform_pairs
         _, _, ts, emb_sq = pairs(space, w, sampler)
@@ -858,50 +866,41 @@ def oracle_deviations(space) -> tuple[float, Optional[int]]:
     them: a tree or a product). TypeError on anything that is not a
     ``Graph``.
 
-    Sources u go max(1, BLOCK_ENTRIES // n) at a time, and each block
-    reads its distances t off the cube-path forest (on a median graph
-    through ``separating_counts``, which are its forest distances): the
-    fast path under test, on every pair. ``keysets.proves_distances``
-    proves t equal to d by its layers across the edges, over the
-    neighbours grouped by degree once (``keysets.degree_groups``). Where
-    t = d is proved and the unit rows follow the forest
-    (``_unit_rows_follow_forest``, checked once), the block adds exactly
-    0 to both deviations, with no BFS. Otherwise d is t if proved and the
-    BFS (``distances_from``) if not, and the squared unit-weight
-    distances are t where the rows follow the forest and
+    Sources u go in the blocks of ``_source_blocks``, with their distances
+    t read off the forest: the fast path under test, on every pair.
+    ``keysets.proves_distances`` proves t equal to d by its layers across
+    the edges, over the neighbours grouped by degree once
+    (``keysets.degree_groups``). Where t = d is proved and the unit rows
+    follow the forest (``_unit_rows_follow_forest``, checked once), the
+    block adds exactly 0 to both deviations, with no BFS. Otherwise d is
+    t if proved and the BFS (``distances_from``) if not, and the squared
+    unit-weight distances are t where the rows follow the forest and
     ``_pair_sq_distances`` of the block's pairs where they do not; every
-    term is an integer, so both are exact, as the Gram route's are."""
+    term is an integer, so both are exact."""
     if not isinstance(space, Graph):
         raise TypeError(f"oracle_deviations takes a Graph, not {type(space).__name__}")
     from .keysets import degree_groups, proves_distances
 
-    n = space.vertex_count
-    seps = getattr(space, "separating_counts", None)
-    read = space.forest_distances if seps is None else seps
+    seps = hasattr(space, "separating_counts")
     follows = _unit_rows_follow_forest(space)
     groups = degree_groups(space)
-    worst, sep_worst = 0.0, None if seps is None else 0
-    rows = max(1, BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
-        block = np.arange(start, min(start + rows, n))
-        t = read(block)
+    worst, sep_worst = 0.0, 0 if seps else None
+    for block, t, mask in _source_blocks(space):
         exact = proves_distances(groups, block, t)
         if exact and follows:
             continue
         d = t if exact else space.distances_from(block)
-        mask = np.arange(start, n)[None, :] > block[:, None]
-        t, d = t[:, start:][mask], d[:, start:][mask]
+        t, d = t[:, block[0]:][mask], d[:, block[0]:][mask]
         if follows:
             unit_sq = t.astype(np.float64)
         else:
-            us, vs = np.nonzero(mask)
             unit_sq, = _pair_sq_distances(space, [WeightFunction.unit()],
-                                          us + start, vs + start)
+                                          *_block_pairs(block, mask))
         nz = d > 0
         err = np.abs(np.subtract(unit_sq, d, out=unit_sq), out=unit_sq)
         np.divide(err, d, out=err, where=nz)
         worst = max(worst, float(err.max(initial=0.0, where=nz)))
-        if seps is not None:
+        if seps:
             sep_worst = max(sep_worst, int(np.abs(t - d).max(initial=0)))
         del block, mask, t, d, unit_sq, err, nz  # before the next block allocates
     return worst, sep_worst

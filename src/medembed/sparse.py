@@ -32,23 +32,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import NonTerminationError
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # Entries (vertices x sources) of one piece of many-source distance work: a
 # piece of a level in PathForest.distances, of a degree group in
 # keysets.proves_distances and a batch of BFS rows in the tests'
 # distance-condition oracle; and the keys of one chunk of keysets.edge_diffs.
 LEVEL_ENTRIES = 1 << 16
-# Pairs (u, v) per block of the all-pairs Gram route
-# (metrics._sq_distance_blocks) and of metrics.oracle_deviations, which
-# take max(1, BLOCK_ENTRIES // n) rows u at a time.
+# Pairs (u, v) per block of the all-pairs routes, which take max(1,
+# BLOCK_ENTRIES // n) sources u at a time (metrics._source_blocks): the
+# exhaustive pair kernel and metrics.oracle_deviations.
 BLOCK_ENTRIES = 1 << 18
 
 
@@ -327,10 +324,10 @@ class PathForest:
         )
 
 
-def csr_matrices(indptr, indices, data, key_count: int) -> list[sp.csr_matrix]:
+def csr_matrices(indptr, indices, data, key_count: int) -> list:
     """A CSR triple with one data array per table, as ``PathForest.rows``
-    gives it, as one CSR matrix per table, each with its own zeros
-    dropped."""
+    gives it, as one scipy ``csr_matrix`` per table, each with its own
+    zeros dropped."""
     import scipy.sparse as sp  # slow to import, so only callers pay for it
 
     indptr = indptr.astype(indices.dtype)
@@ -558,12 +555,12 @@ class Graph:
         what the samplers use."""
         return self.forest().distances(np.atleast_1d(vertex_rows(sources, self.n)))
 
-    def embedding_matrix(self, w, rows) -> sp.csr_matrix:
-        """CSR rows of the embedding of ``rows``; column k is key k. A row
+    def embedding_matrix(self, w, rows):
+        """scipy CSR rows of the embedding of ``rows``; column k is key k. A row
         outside 0..n-1 raises ValueError("unknown vertex v")."""
         return self.embedding_matrices([w], rows)[0]
 
-    def embedding_matrices(self, weights, rows) -> list[sp.csr_matrix]:
+    def embedding_matrices(self, weights, rows) -> list:
         """``embedding_matrix(w, rows)`` for each of ``weights``, from one
         walk of the rows' paths."""
         return csr_matrices(*self.embedding_rows(weights, rows),

@@ -17,6 +17,11 @@ None of this runs outside the tests, so none of it ships in ``medembed``:
   (``depth_triples``) and the exhaustive profile folded from the closed
   form of every distinct triple (``triple_entries``), the reference of
   the package's fold by extreme meeting depths;
+* the Gram: squared row norms of a scipy CSR matrix (``sq_row_norms``),
+  squared distances of all row pairs as Gram blocks of about
+  BLOCK_ENTRIES pairs (``_sq_distance_blocks``) and the exhaustive
+  profile folded from them (``_exhaustive_entries``), the reference of
+  the package's fold and pair-kernel routes;
 * weights: the least integer past which the paper formula increases
   (``find_monotone_cutoff``, by root finding), partial sums of w^2
   (``sq_partial_sum``, ``sq_partial_sums``) and the deficit scan on its
@@ -35,7 +40,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -43,9 +48,12 @@ from medembed import tree as tree_module
 from medembed.cube import CHUNK_BYTES, MedianGraph
 from medembed.errors import CubeSpanError, NonTerminationError, SideComputationError
 from medembed.metrics import _ProfileAccumulator, _triple_sq_distances
-from medembed.sparse import LEVEL_ENTRIES, ranges
+from medembed.sparse import BLOCK_ENTRIES, LEVEL_ENTRIES, ranges
 from medembed.tree import RootedTree
 from medembed.weights import WeightFunction, _deficit_maxima, paper_formula
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def _per_graph(fn):
@@ -506,6 +514,49 @@ def triple_entries(tree: RootedTree, w: WeightFunction):
     acc = _ProfileAccumulator()
     for c, a, s, count in depth_triples(tree):
         acc.add(2 * a + c, np.sqrt(_triple_sq_distances(table, sq, c, a, s)), count)
+    return acc.entries()
+
+
+# -- the Gram -------------------------------------------------------------------
+
+
+def sq_row_norms(mat: sp.csr_matrix) -> np.ndarray:
+    """Squared Euclidean norm of each row."""
+    return np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
+
+
+def _sq_distance_blocks(mat):
+    """Squared distances between the rows of the CSR matrix ``mat`` for
+    all pairs u < v, max(1, BLOCK_ENTRIES // n) rows u at a time: yields
+    the block, the mask of pairs v > u in the block x [block[0], n)
+    window, and the flat array of their squared distances in mask order.
+    Each block's dots are ``mat[block] @ mat[block[0]:].T``. A block spans
+    at most max(BLOCK_ENTRIES, n) pairs."""
+    n = mat.shape[0]
+    rows = max(1, BLOCK_ENTRIES // n)
+    nsq = sq_row_norms(mat)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = np.arange(start, stop)
+        mask = np.arange(start, n)[None, :] > block[:, None]
+        d2 = (mat[start:stop] @ mat[start:].T).toarray()
+        d2 *= -2.0  # in place, bit for bit (|u|^2 + |v|^2) - 2 u.v
+        d2 += nsq[start:stop, None] + nsq[None, start:]
+        d2 = d2[mask]  # frees the dense block
+        yield block, mask, d2
+        del d2  # before the next product allocates
+
+
+def _exhaustive_entries(space, w: WeightFunction):
+    """All pairs by Gram blocks of the weight-w rows; each block's t is
+    read off the cube-path forest (``forest_distances``). On trees this
+    is the tests' oracle of ``_tree_entries``."""
+    mat = space.embedding_matrix(w, np.arange(space.vertex_count))
+    acc = _ProfileAccumulator()
+    for block, mask, emb_sq in _sq_distance_blocks(mat):
+        t = space.forest_distances(block)[:, block[0]:][mask]
+        acc.add(t, np.sqrt(np.clip(emb_sq, 0.0, None, out=emb_sq), out=emb_sq))
+        del t, emb_sq  # before the next block is computed
     return acc.entries()
 
 

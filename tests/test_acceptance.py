@@ -24,12 +24,11 @@ from medembed.metrics import (
     l1_l2_compare,
     oracle_deviations,
     profile,
-    sq_row_norms,
 )
 from medembed.sparse import vec_distance, vectors
 from medembed.tree import TreeSpec, gen_tree
 from medembed.weights import WeightFunction, diff_sq_sum, diff_sq_tail_bound
-from oracles import deficit_scan, separators, sq_partial_sums
+from oracles import deficit_scan, separators, sq_partial_sums, sq_row_norms
 
 PAPER = WeightFunction.paper(18)
 XI_18_SQ = 5.52806069209341
@@ -247,6 +246,21 @@ def test_criterion_07_complex_compression_bound(grid300):
                   f"{check.min_slack:.4f} at t={check.at_t} "
                   f"({check.points_checked} distances)")
     assert ok
+
+
+def test_criterion_07_curves_hold_on_every_pair_of_the_grid(grid300):
+    # criterion 07's curves and t_min over all n(n-1)/2 pairs of grid
+    # 300x300, not a sample: the exhaustive profile convolves the folds of
+    # its two factor paths
+    g = grid300
+    c_full, _ = deficit_scan(PAPER, 10**6)
+    prof = profile(g, PAPER, PairSampler.exhaustive())
+    n = g.vertex_count
+    assert prof.pair_counts().sum() == n * (n - 1) // 2
+    assert prof.ts().tolist() == list(range(1, 601))
+    lower = BoundCurve.paper_lower(PAPER, 2, c_full)
+    upper = BoundCurve.linear_upper(edge_dilatation_bound(PAPER, 2))
+    assert check_profile_against(prof, lower, upper, t_min=36).passed
 
 
 def test_criterion_08_key_property(cubes_c8):

@@ -1018,8 +1018,7 @@ def test_cube_embed_matches_tree_embed_on_from_tree():
 
 def test_per_pair_compression_inequality_on_grid():
     # diameter 80 makes the floor pass the cutoff, so the bound is live
-    from medembed.metrics import sq_row_norms
-    from oracles import sq_partial_sums
+    from oracles import sq_partial_sums, sq_row_norms
 
     g = gen_cube(CubeSpec.grid(40, 40))
     n = g.vertex_count

@@ -25,16 +25,19 @@ from medembed.metrics import (
     l1_l2_compare,
     oracle_deviations,
     profile,
-    sq_row_norms,
 )
 from medembed.sparse import vec_distance, vectors
 from medembed.tree import RootedTree, TreeSpec, gen_tree
 from medembed.weights import WeightFunction
+import oracles
 from oracles import (
+    _exhaustive_entries,
+    _sq_distance_blocks,
     deficit_constant,
     depth_triples,
     geodesic_edges,
     separators,
+    sq_row_norms,
     triple_entries,
 )
 
@@ -540,16 +543,29 @@ def test_tree_triples_give_the_exact_pair_distances():
                                         rel=1e-12, abs=1e-300)
 
 
+def tree_fold(tree, w):
+    """The exhaustive profile of a tree from its fold alone, with no
+    convolution step."""
+    return metrics._product_entries([metrics._tree_entries(tree, w)])
+
+
+def assert_entries_agree(got, want):
+    """t and the pair counts equal, the squared distances to 1e-12."""
+    assert [(e.t, e.pair_count) for e in got] == [(e.t, e.pair_count) for e in want]
+    for x, y in zip(got, want):
+        assert x.rho_hat ** 2 == pytest.approx(y.rho_hat ** 2, rel=1e-12, abs=1e-12)
+        assert x.delta_hat ** 2 == pytest.approx(y.delta_hat ** 2, rel=1e-12, abs=1e-12)
+
+
 def test_tree_profile_split_into_chunks(monkeypatch):
     # a budget below one child's histograms gives each child its own chunk,
     # splits the product of its histograms into blocks of a row or two and
     # gives each offset its own table of extremes; the oracle's triples
     # split as well
     import medembed.tree as tree_mod
-    from medembed.metrics import _tree_entries
 
     t = gen_tree(TreeSpec.binary_sample(40, 12, seed=5))
-    whole = _tree_entries(t, PAPER)
+    whole = tree_fold(t, PAPER)
     assert whole == triple_entries(t, PAPER)
     offsets = sum(1 for _ in depth_triples(t))
     calls = {"_diagonal_sums": 0, "_extreme_tables": 0}
@@ -558,45 +574,60 @@ def test_tree_profile_split_into_chunks(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(tree_mod, name, counted)
-    assert _tree_entries(t, PAPER) == whole
+    assert tree_fold(t, PAPER) == whole
     blocks, tables = calls["_diagonal_sums"], calls["_extreme_tables"]
     assert tables == 1
     monkeypatch.setattr(tree_mod, "CHUNK_BYTES", 64)
     assert sum(1 for _ in depth_triples(t)) > offsets
     calls.update(dict.fromkeys(calls, 0))
-    assert _tree_entries(t, PAPER) == whole
+    assert tree_fold(t, PAPER) == whole
     assert calls["_diagonal_sums"] > blocks
     assert calls["_extreme_tables"] == int(t.depth.max()) + 1
 
 
-def test_exhaustive_profile_of_a_tree_leaves_the_gram(monkeypatch):
-    # a space whose forest is one rooted tree (the tree, the tree as a
-    # median graph, rooted at its root or at vertex 7, and the product of
-    # the tree alone) folds its depth triples and runs no Gram block: t
-    # and the pair counts equal the Gram's, the squared distances agree to
-    # 1e-12. Grids, staircases and products of two trees take the Gram
+def test_exhaustive_profile_takes_the_fold_or_the_kernel(monkeypatch):
+    # the route is decided by tree_factors, as in the stratified sampler.
+    # A space whose forest is a product of rooted trees (a tree, the tree as
+    # a median graph rooted at its root or at vertex 7, a grid, a tree
+    # product, ProductSpaces of trees) folds each factor tree once and
+    # convolves the folds, with no convolution for one factor, and runs no
+    # pair kernel; a staircase and a product with a staircase factor take
+    # the kernel, one call per block of sources. Neither route imports
+    # scipy. t and the pair counts equal the Gram oracle's, the squared
+    # distances agree to 1e-12
+    import sys
+
     tree = gen_tree(TreeSpec.binary_sample(30, 6, seed=3))
     edges = np.column_stack([tree.eu, tree.ev])
-    trees = [tree, median_from_tree(tree),
-             MedianGraph(tree.vertex_count, edges, root=7), ProductSpace([tree])]
-    gram = [gen_cube(CubeSpec.grid(4, 5)), gen_cube(CubeSpec.staircase(6)),
-            gen_cube(CubeSpec.tree_product(TreeSpec.spider(3, 3), TreeSpec.path(4))),
-            ProductSpace([gen_tree(TreeSpec.path(4)), gen_tree(TreeSpec.spider(3, 2))])]
-    for space in trees + gram:
+    spider, path = gen_tree(TreeSpec.spider(3, 2)), gen_tree(TreeSpec.path(4))
+    folds = [(tree, 1), (median_from_tree(tree), 1),
+             (MedianGraph(tree.vertex_count, edges, root=7), 1), (ProductSpace([tree]), 1),
+             (gen_cube(CubeSpec.grid(4, 5)), 2), (gen_cube(CubeSpec.grid(2, 3, 4)), 3),
+             (gen_cube(CubeSpec.tree_product(TreeSpec.spider(3, 3), TreeSpec.path(4))), 2),
+             (ProductSpace([path, spider]), 2), (ProductSpace([path, spider, path]), 3)]
+    staircase = gen_cube(CubeSpec.staircase(6))
+    kernels = [staircase, ProductSpace([staircase, spider])]
+    for space, factor_count in [*folds, *((s, 0) for s in kernels)]:
+        space.forest()
         for w in (UNIT, PAPER, WeightFunction.power(0.3)):
+            want = _exhaustive_entries(space, w)
+            calls = {"_tree_entries": 0, "_convolve": 0, "_pair_sq_distances": 0}
             with monkeypatch.context() as m:
-                sizes = counted_blocks(m)
+                for name in calls:
+                    def counted(*args, _fn=getattr(metrics, name), _name=name):
+                        calls[_name] += 1
+                        return _fn(*args)
+                    m.setattr(metrics, name, counted)
+                for name in [k for k in sys.modules if k.split(".")[0] == "scipy"]:
+                    m.setitem(sys.modules, name, None)
+                m.setitem(sys.modules, "scipy", None)
                 got = profile(space, w, PairSampler.exhaustive()).entries
-            if any(space is t for t in trees):
-                assert sizes == []
-            else:
-                assert sum(sizes) == space.vertex_count
-            want = metrics._exhaustive_entries(space, w)
-            assert [(e.t, e.pair_count) for e in got] == [
-                (e.t, e.pair_count) for e in want]
-            for x, y in zip(got, want):
-                assert x.rho_hat ** 2 == pytest.approx(y.rho_hat ** 2, rel=1e-12, abs=1e-12)
-                assert x.delta_hat ** 2 == pytest.approx(y.delta_hat ** 2, rel=1e-12, abs=1e-12)
+            n = space.vertex_count
+            blocks = -(-n // max(1, metrics.BLOCK_ENTRIES // n))
+            assert calls == {"_tree_entries": factor_count,
+                             "_convolve": max(0, factor_count - 1),
+                             "_pair_sq_distances": 0 if factor_count else blocks}
+            assert_entries_agree(got, want)
 
 
 def _uniform_pairs_by_loop(n, sampler):
@@ -962,17 +993,17 @@ def test_embedding_matrix_round_trip():
 
 
 def counted_blocks(monkeypatch) -> list[int]:
-    """Wraps ``metrics._sq_distance_blocks``; the returned list gets the
-    row count of each block it yields."""
+    """Wraps the Gram oracle's ``_sq_distance_blocks``; the returned list
+    gets the row count of each block it yields."""
     sizes = []
-    blocks = metrics._sq_distance_blocks
+    blocks = oracles._sq_distance_blocks
 
     def counting(mat):
         for block, mask, d2 in blocks(mat):
             sizes.append(len(block))
             yield block, mask, d2
 
-    monkeypatch.setattr(metrics, "_sq_distance_blocks", counting)
+    monkeypatch.setattr(oracles, "_sq_distance_blocks", counting)
     return sizes
 
 
@@ -1015,7 +1046,7 @@ def gram_oracle_deviations(space):
     unit = space.embedding_matrix(WeightFunction.unit(), np.arange(space.vertex_count))
     seps = partial(separator_gram_counts, space) if isinstance(space, MedianGraph) else None
     worst, sep_worst = 0.0, None if seps is None else 0
-    for block, mask, unit_sq in metrics._sq_distance_blocks(unit):
+    for block, mask, unit_sq in _sq_distance_blocks(unit):
         d = space.distances_from(block)[:, block[0]:][mask]
         nz = d > 0
         err = np.abs(np.subtract(unit_sq, d, out=unit_sq), out=unit_sq)
@@ -1032,14 +1063,15 @@ def gram_oracle_deviations(space):
 
 def unit_gram_entries(space, w):
     """The exhaustive profile with t the rounded squared distance of the
-    unit-weight rows, from a Gram of its own: the reference for
-    ``_exhaustive_entries``, which reads t off the forest. The rounding
-    is exact, as the unit Gram sums products of 0/1 entries."""
+    unit-weight rows, from a Gram of its own: the reference for the
+    exhaustive routes, which read t off the forest or convolve the factor
+    trees' distances. The rounding is exact, as the unit Gram sums
+    products of 0/1 entries."""
     acc = metrics._ProfileAccumulator()
     unit, emb = (space.embedding_matrix(weight, np.arange(space.vertex_count))
                  for weight in (UNIT, w))
-    for (_, _, unit_sq), (_, _, emb_sq) in zip(metrics._sq_distance_blocks(unit),
-                                               metrics._sq_distance_blocks(emb)):
+    for (_, _, unit_sq), (_, _, emb_sq) in zip(_sq_distance_blocks(unit),
+                                               _sq_distance_blocks(emb)):
         acc.add(np.rint(unit_sq).astype(np.int64), np.sqrt(np.clip(emb_sq, 0.0, None)))
     return acc.entries()
 
@@ -1054,8 +1086,10 @@ def unit_gram_entries(space, w):
 ], ids=["grid45x45", "grid4x5x6", "staircase30", "staircase60", "tree-product",
         "from-tree", "product"])
 def test_exhaustive_t_off_the_forest_matches_the_unit_gram(space):
+    # the staircases take the pair kernel, every other space the fold
     for w in (UNIT, PAPER, WeightFunction.power(0.3)):
-        assert metrics._exhaustive_entries(space, w) == unit_gram_entries(space, w)
+        assert_entries_agree(profile(space, w, PairSampler.exhaustive()).entries,
+                             unit_gram_entries(space, w))
 
 
 def _oracle_space(kind, a, b, seed):
@@ -1239,12 +1273,13 @@ def test_tree_profile_holds_bounded_chunks():
 
 
 def test_gram_routes_hold_a_bounded_block():
-    # 123 rows of 2,116 per block at the default BLOCK_ENTRIES. The forest
-    # is built and scipy.sparse imported first: neither is a block
-    import scipy.sparse  # noqa: F401
-
+    # 123 rows of 2,116 per block of the oracle on grid 45x45 at the default
+    # BLOCK_ENTRIES, and as many pairs per block of the pair kernel on
+    # staircase 60. The forests are built first: neither is a block
     bound = 8 * metrics.BLOCK_ENTRIES * 8
     g = gen_cube(CubeSpec.grid(45, 45))
     g.forest()
     assert _traced_peak(lambda: oracle_deviations(g)) < bound
-    assert _traced_peak(lambda: metrics._exhaustive_entries(g, PAPER)) < bound
+    s = gen_cube(CubeSpec.staircase(60))
+    s.forest()
+    assert _traced_peak(lambda: profile(s, PAPER, PairSampler.exhaustive())) < bound

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import medembed
-from medembed import cube, tree, weights
+from medembed import cube, metrics, tree, weights
 from medembed.cube import CubeSpec, MedianGraph, gen_cube
 from medembed.tree import TreeSpec
 import oracles
@@ -17,6 +17,7 @@ MOVED = {
            "square_closure_classes", "dimension_by_cliques"],
     MedianGraph: ["adj", "separators", "_walk_classes", "_neighbor_across",
                   "_cross_cube", "_step"],
+    metrics: ["sq_row_norms", "_sq_distance_blocks", "_exhaustive_entries"],
     tree: ["geodesic_edges", "meeting_point"],
     tree.RootedTree: ["depth_triples"],
     weights: ["find_monotone_cutoff", "sq_partial_sum", "sq_partial_sums",
@@ -37,8 +38,7 @@ def test_package_drops_the_oracles_imports():
     # only the moved code used them
     assert not hasattr(cube, "NonTerminationError")
     assert not hasattr(cube, "LEVEL_ENTRIES")
-    assert not hasattr(medembed, "sq_row_norms")  # still metrics.sq_row_norms
-    assert hasattr(medembed.metrics, "sq_row_norms")
+    assert not hasattr(metrics, "TYPE_CHECKING")  # it typed the Gram's scipy matrices
 
 
 def _k23():

@@ -5,10 +5,11 @@ fold."""
 
 import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from medembed import metrics, sparse
@@ -17,9 +18,12 @@ from medembed.cube import (
     MedianGraph,
     gen_cube,
     key_property,
+    median_from_tree,
+    tree_product_graph,
 )
+from medembed.factors import tree_factors
 from medembed.keysets import degree_groups, proves_distances
-from medembed.metrics import _entries_from_pairs, _exhaustive_entries, _tree_entries
+from medembed.metrics import _entries_from_pairs
 from medembed.spacefile import SpaceFile, build_space
 from medembed.sparse import (
     adjacency,
@@ -31,7 +35,9 @@ from medembed.sparse import (
 )
 from medembed.tree import RootedTree, TreeSpec, gen_tree
 from medembed.weights import WeightFunction, diff_sq_sum
+import oracles
 from oracles import (
+    _exhaustive_entries,
     depth_triples,
     geodesic_edges,
     meeting_point,
@@ -41,7 +47,7 @@ from oracles import (
     triple_entries,
     validate_median,
 )
-from test_metrics import counted_blocks
+from test_metrics import assert_entries_agree, counted_blocks, tree_fold
 from test_sparse import _key_sets
 
 UNIT = WeightFunction.unit()
@@ -556,9 +562,9 @@ def test_tree_profile_from_depth_triples_matches_gram_oracle(tree):
     for w in (UNIT, PAPER, WeightFunction.power(0.3)):
         with pytest.MonkeyPatch.context() as mp:
             # Gram blocks of 7 rows: several per tree of more than 7 vertices
-            mp.setattr(metrics, "BLOCK_ENTRIES", 7 * n)
+            mp.setattr(oracles, "BLOCK_ENTRIES", 7 * n)
             sizes = counted_blocks(mp)
-            fast, oracle = _tree_entries(tree, w), _exhaustive_entries(tree, w)
+            fast, oracle = tree_fold(tree, w), _exhaustive_entries(tree, w)
         assert sizes == [7] * ((n - 1) // 7) + [n - 7 * ((n - 1) // 7)]
         assert [(e.t, e.pair_count) for e in fast] == [
             (e.t, e.pair_count) for e in oracle]
@@ -584,7 +590,7 @@ def test_tree_profile_from_meeting_extremes_matches_triple_fold(tree):
     # the fold by extreme meeting depths and exact per-distance counts
     # gives the per-triple fold's entries bit for bit
     for w in (UNIT, PAPER, WeightFunction.power(0.3)):
-        assert _tree_entries(tree, w) == triple_entries(tree, w)
+        assert tree_fold(tree, w) == triple_entries(tree, w)
     want, least, most = collections.Counter(), {}, {}
     for c, a, s, count in depth_triples(tree):
         for ai, si, k in zip(a.tolist(), s.tolist(), count.tolist()):
@@ -602,3 +608,37 @@ def test_tree_profile_from_meeting_extremes_matches_triple_fold(tree):
         for ai, x, y in zip(a.tolist(), lo.tolist(), hi.tolist()):
             got_least[ai, c], got_most[ai, c] = x, y
     assert got_least == least and got_most == most
+
+
+def _tree_product(trees, graph):
+    """The product of one to three trees: a ``ProductSpace`` of them, or
+    as a graph: the tree itself or its median graph, the tree-product
+    graph of two, or of three a ``ProductSpace`` of the first two's graph
+    and the third."""
+    if not graph:
+        return metrics.ProductSpace(trees)
+    if len(trees) == 1:
+        return trees[0] if trees[0].root % 2 else median_from_tree(trees[0])
+    left = tree_product_graph(trees[0], trees[1])
+    return left if len(trees) == 2 else metrics.ProductSpace([left, trees[2]])
+
+
+@given(st.lists(shaped_trees, min_size=1, max_size=3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_product_profile_by_convolution_matches_every_pair(trees, graph):
+    # the convolution of the factor trees' folds gives, bit for bit, the
+    # entries of the factor route's squares of every pair folded one pair
+    # at a time; against the Gram oracle, t and the counts are equal and
+    # the squared distances agree to 1e-12
+    assume(math.prod(t.vertex_count for t in trees) <= 600)
+    space = _tree_product(trees, graph)
+    product = tree_factors(space.forest())
+    assert product is not None and len(product.trees) == len(trees)
+    n = space.vertex_count
+    us, vs = np.triu_indices(n, 1)
+    ts = space.forest_distances(np.arange(n))[us, vs]
+    for w in (UNIT, PAPER, WeightFunction.power(0.3)):
+        got = metrics.profile(space, w, metrics.PairSampler.exhaustive()).entries
+        emb_sq = product.sq_distances(w, np.arange(n), us, vs, ts)
+        assert got == _entries_from_pairs(ts, np.sqrt(np.clip(emb_sq, 0.0, None)))
+        assert_entries_agree(got, _exhaustive_entries(space, w))

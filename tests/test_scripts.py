@@ -47,9 +47,9 @@ def test_ceiling_drift_smoke(tmp_path):
 
 def test_bench_smoke(tmp_path):
     # perfbench's --smoke spaces for every workload, the stage timings on
-    # tiny grids, the exhaustive profiles of tiny median graphs and trees
-    # and the deep commands on tiny from-tree paths, written under the
-    # run's label
+    # tiny grids, the exhaustive profiles of tiny median graphs and trees,
+    # the deep commands on tiny from-tree paths and the exhaustive measure
+    # of a tiny grid, written under the run's label
     out = tmp_path / "bench.json"
     run_script("bench.py", "--smoke", "--seconds", "0.1", "--label", "smoke",
                "--out", str(out), cwd=tmp_path)
@@ -68,12 +68,29 @@ def test_bench_smoke(tmp_path):
     assert list(run["exhaustive"]) == ["from-tree:30", "staircase:6", "grid:6x6",
                                        "path:300", "binary-sample:6,64"]
     routes = [stage["route"] for stage in run["exhaustive"].values()]
-    assert routes == ["tree", "gram", "gram", "tree", "tree"]
+    assert routes == ["fold", "kernel", "fold", "fold", "fold"]
     for stage in run["exhaustive"].values():
         assert stage["profile_s"] > 0 and stage["peak_rss_mb"] > 0
     assert list(run["deep"]) == ["generate", "oracle"]
-    for stage in run["deep"].values():
+    for stage in [*run["deep"].values(), run["measure"]]:
         assert stage["wall_s"] > 0 and stage["peak_rss_mb"] > 0
+    assert run["measure"]["space"] == "grid 10x10"
+
+
+def test_bench_alternates_two_checkouts(tmp_path):
+    # the exhaustive profiles of a tiny staircase and grid, on two
+    # checkouts in turn, a child per checkout and space
+    out = tmp_path / "bench.json"
+    run_script("bench.py", "--smoke", "--alternate", f"a={ROOT}", f"b={ROOT}",
+               "--out", str(out), cwd=tmp_path)
+    alt = json.loads(out.read_text())["alternating"]
+    assert alt["rounds"] == 1
+    assert list(alt["spaces"]) == ["staircase:6", "grid:6x6"]
+    for space, route in zip(alt["spaces"].values(), ("kernel", "fold")):
+        assert list(space) == ["a", "b"]
+        for side in space.values():
+            assert side["route"] == route and len(side["profile_s"]) == 1
+            assert side["median_s"] > 0
 
 
 def test_bench_needs_an_out_file(tmp_path):
