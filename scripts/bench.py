@@ -6,7 +6,7 @@ Usage: python scripts/bench.py --label NAME --out FILE [--checkout DIR]
        python scripts/bench.py --alternate NAME=DIR NAME=DIR --out FILE
                                [--smoke]
 
-Five parts, each run in child processes against the checkout's own code:
+Seven parts, each run in child processes against the checkout's own code:
 
 * ``perfbench/run.py --trace 0`` of the checkout, once per workload at its
   default seed, for ``--seconds`` seconds: the medians of ``setup_s``,
@@ -33,7 +33,13 @@ Five parts, each run in child processes against the checkout's own code:
 * ``measure --sampler exhaustive --assert`` (paper:18) of grid 1000x1000
   in its own child, with its wall time and peak RSS (its ``generate`` is
   not timed). A checkout with the Gram route is not timed: its Gram
-  would face 5·10^11 pairs.
+  would face 5·10^11 pairs;
+* the space file of grid 1000x1000, in process: ``load_spacefile`` +
+  ``build_space``, timed and then traced (tracemalloc), and ``forest()``
+  of the built graph, timed and then traced, per vertex;
+* ``measure --sampler stratified:1000 --seed 11 --assert`` (paper:18) of
+  grid 1000x1000 in its own child, with its wall time and peak RSS (its
+  ``generate`` is not timed).
 
 ``--alternate`` times only the exhaustive profiles of staircase 60 and
 grid 45x45 (``ALTERNATE``), one child per checkout and space in turn
@@ -47,8 +53,8 @@ versions. Run it once per checkout on the same machine to compare them.
 ``--smoke`` passes ``--smoke`` to perfbench and times grids 10x10, 20x20
 and 30x30, the exhaustive profiles of from-tree path:30, staircase 6,
 grid 6x6, path:300 and binary-sample 6,64, both deep commands on one
-from-tree path:30 and the exhaustive ``measure`` of grid 10x10 instead,
-in seconds.
+from-tree path:30, and the space file and both ``measure`` commands of
+grid 10x10 instead, in seconds.
 """
 
 import argparse
@@ -71,7 +77,7 @@ EXHAUSTIVE = {False: (("from-tree:2000", 3), ("staircase:60", 3), ("grid:45x45",
                      ("path:300", 1), ("binary-sample:6,64", 1))}
 # the from-tree path lengths of the deep generate and the deep oracle run
 DEEP = {False: (100000, 2000), True: (30, 30)}
-# the grid of the exhaustive measure command
+# the grid of the space file and of both measure commands
 MEASURE = {False: "1000x1000", True: "10x10"}
 ALTERNATE = {False: ("staircase:60", "grid:45x45"), True: ("staircase:6", "grid:6x6")}
 ROUNDS = {False: 5, True: 1}
@@ -141,7 +147,8 @@ def stages(dims: str, reps: int) -> dict:
         pass
     else:
         timed(factors, "tree_factors", "factors")
-        timed(factors.TreeFactors, "sq_distances", "factors")
+        # the factor route's embedder: FactorPairs, or TreeFactors before it
+        timed(getattr(factors, "FactorPairs", factors.TreeFactors), "sq_distances", "factors")
     start = time.perf_counter()
     grid = gen_cube(CubeSpec.grid(*(int(d) for d in dims.split("x"))))
     grid.forest()
@@ -260,6 +267,58 @@ def measure(dims: str) -> dict:
     return out
 
 
+def stratified_measure(dims: str) -> dict:
+    """``measure --sampler stratified:1000 --seed 11 --assert`` of grid
+    ``dims`` at paper:18 by the checkout's CLI, after an untimed
+    ``generate``."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        space, csv = str(Path(tmp) / "grid.json"), str(Path(tmp) / "grid.csv")
+        run_cli("generate", "--space", "grid", "--dims", dims, "-o", space)
+        return {"space": f"grid {dims}", **run_cli(
+            "measure", "--space", space, "--weight", "paper:18", "--sampler",
+            "stratified:1000", "--seed", "11", "--assert", "-o", csv)}
+
+
+def space_file(dims: str) -> dict:
+    """The space file of grid ``dims``, written untimed, then read in this
+    process, which imports the checkout's code: ``load_spacefile`` +
+    ``build_space`` timed, then again under tracemalloc for its traced
+    peak; ``forest()`` of the graph built untraced, timed, and of the one
+    built traced, traced, per vertex."""
+    import tempfile
+    import tracemalloc
+
+    from medembed.cube import CubeSpec, gen_cube
+    from medembed.spacefile import build_space, load_spacefile, save_spacefile, to_spacefile
+
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.json"
+        save_spacefile(to_spacefile(gen_cube(CubeSpec.grid(*(int(d) for d in dims.split("x"))))),
+                       path)
+        start = time.perf_counter()
+        graph = build_space(load_spacefile(path))
+        load_build = time.perf_counter() - start
+        start = time.perf_counter()
+        graph.forest()
+        forest_s = time.perf_counter() - start
+        del graph
+        graph, load_peak = traced(lambda: build_space(load_spacefile(path)))
+        _, forest_peak = traced(graph.forest)
+        return {"space": f"grid {dims}", "bytes": path.stat().st_size,
+                "vertices": graph.vertex_count, "load_build_s": load_build,
+                "load_build_traced_mib": load_peak / 2**20, "forest_s": forest_s,
+                "forest_traced_b_per_vertex": forest_peak / graph.vertex_count}
+
+
 def deep(generate_len: int, oracle_len: int) -> dict:
     """Two deep CLI commands, each run by the checkout's ``medembed.cli`` in
     a child of this process, with its wall time and its own peak RSS:
@@ -308,6 +367,8 @@ def main():
     ap.add_argument("--deep", nargs=2, metavar=("GENERATE_LEN", "ORACLE_LEN"),
                     help=argparse.SUPPRESS)
     ap.add_argument("--measure", metavar="DIMS", help=argparse.SUPPRESS)
+    ap.add_argument("--stratified-measure", metavar="DIMS", help=argparse.SUPPRESS)
+    ap.add_argument("--space-file", metavar="DIMS", help=argparse.SUPPRESS)
     ap.add_argument("--alternate", nargs=2, metavar=("NAME=DIR", "NAME=DIR"),
                     help="time the ALTERNATE exhaustive profiles on two checkouts in turn")
     args = ap.parse_args()
@@ -322,6 +383,12 @@ def main():
         return
     if args.measure:  # the child of the exhaustive measure command
         print(json.dumps(measure(args.measure)))
+        return
+    if args.stratified_measure:  # the child of the stratified measure command
+        print(json.dumps(stratified_measure(args.stratified_measure)))
+        return
+    if args.space_file:  # the child of the space file timing
+        print(json.dumps(space_file(args.space_file)))
         return
     if args.alternate and args.out:
         alternate(args.alternate, args.smoke, args.out)
@@ -344,6 +411,10 @@ def main():
     print("deep", run["deep"], flush=True)
     run["measure"] = child(checkout, "--measure", MEASURE[args.smoke])
     print("measure", run["measure"], flush=True)
+    run["space_file"] = child(checkout, "--space-file", MEASURE[args.smoke])
+    print("space_file", run["space_file"], flush=True)
+    run["stratified_measure"] = child(checkout, "--stratified-measure", MEASURE[args.smoke])
+    print("stratified_measure", run["stratified_measure"], flush=True)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["command"] = "python scripts/bench.py --label NAME --out FILE --checkout DIR"
     doc.setdefault("runs", {})[args.label] = run

@@ -50,8 +50,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, CubeSpanError, SideComputationError
-from .sparse import (Graph, PathForest, edge_array, lookup, product_edges, ranges,
-                     root_distances)
+from .sparse import (Graph, PathForest, edge_array, lookup, narrowest, product_edges,
+                     ranges, root_distances)
 from .tree import DEFAULT_VERTEX_BUDGET, RootedTree, TreeSpec, gen_tree
 
 CHUNK_BYTES = 4 << 20  # bytes per chunk of the row-sized work arrays
@@ -123,12 +123,16 @@ class MedianGraph(Graph):
         # The first offending edge in edge order raises; within one edge,
         # out of range comes before a self-loop, a self-loop before a repeat.
         loop = int(np.flatnonzero(e[:out, 0] == e[:out, 1]).min(initial=out))
-        pairs = np.sort(e[:loop], axis=1)
-        order = np.lexsort(pairs.T[::-1])  # stable: a repeat follows its first
-        repeats = order[1:][(np.diff(pairs[order], axis=0) == 0).all(axis=1)]
+        # a repeat follows its first in the stable order of the edges' ends
+        low, high = np.minimum(e[:loop, 0], e[:loop, 1]), np.maximum(e[:loop, 0], e[:loop, 1])
+        order = np.lexsort((high, low))
+        low, high = low[order], high[order]
+        same = (low[1:] == low[:-1]) & (high[1:] == high[:-1])
+        repeats = order[1:][same]
+        del low, high, order, same
         dup = int(repeats.min(initial=loop))
         if dup < loop:
-            raise ValueError(f"duplicate edge {tuple(pairs[dup].tolist())}")
+            raise ValueError(f"duplicate edge {tuple(np.sort(e[dup]).tolist())}")
         if loop < out:
             raise ValueError(f"self-loop at {e[loop, 0]}")
         if out < len(e):
@@ -141,13 +145,19 @@ class MedianGraph(Graph):
         self.dist_root = root_distances(self.n, self.eu, self.ev, self.root)
 
     def _down_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Deeper and shallower end of every edge, in edge order."""
-        du, dv = self.dist_root[self.eu], self.dist_root[self.ev]
-        if (du == dv).any():
+        """Deeper and shallower end of every edge, in edge order, in the
+        narrowest integer type that holds 0..n."""
+        gap = self.dist_root[self.eu]
+        gap -= self.dist_root[self.ev]
+        if not gap.all():
             raise SideComputationError(
                 "graph has an edge between equal levels; not bipartite")
-        down = du > dv
-        return np.where(down, self.eu, self.ev), np.where(down, self.ev, self.eu)
+        down = gap > 0
+        del gap
+        deeper, shallower = (ends.astype(narrowest(self.n + 1)) for ends in (self.ev, self.eu))
+        np.copyto(deeper, self.eu, where=down, casting="same_kind")
+        np.copyto(shallower, self.ev, where=down, casting="same_kind")
+        return deeper, shallower
 
     # -- hyperplanes and cube paths ---------------------------------------------
 
@@ -192,29 +202,50 @@ class MedianGraph(Graph):
         levels (not bipartite) and for two down-neighbours without exactly
         one common lower neighbour; ``_cube_forest`` raises CubeSpanError
         for the rest (a K_{2,3} among them: its cube walk fails).
+
+        Memory: the build holds vertex and edge ids in the narrowest
+        integer types of ``sparse.narrowest`` and frees each working array
+        once it is used, the class numbering takes a ``np.minimum.at``
+        over the edges, not a sort, and only the forest and the classes
+        stay held, in int64. Grid 100x100 traces at most 3 MiB.
         """
         if self._forest is not None:
             return self._forest
-        n, dist = self.n, self.dist_root
+        n, m, dist = self.n, len(self.eu), self.dist_root
+        edge = narrowest(m + 1)
         child, par = self._down_edges()
         # Position j: the down-edges grouped by deeper end (``below`` holds
         # the group bounds), each group ordered by its shallower end.
         order = np.lexsort((par, child))
         v, u = child[order], par[order]
-        below = np.searchsorted(v, np.arange(n + 1))
+        del child, par
+        below = np.searchsorted(v, np.arange(n + 1, dtype=v.dtype))
         multi, across = _square_opposites(v, u, below, n)
+        del v, u, below
         # Every edge's class-opening edge: at most max(dist) - 1 links down.
-        opener = np.arange(len(v))
+        opener = np.arange(m, dtype=edge)
         opener[multi] = across[multi]
+        del multi, across
         for _ in range(int(dist.max()).bit_length()):
             opener = opener[opener]
-        # Number the classes by first edge.
         hoe = np.empty_like(opener)
         hoe[order] = opener
-        _, first_edge, hoe = np.unique(hoe, return_index=True, return_inverse=True)
-        hoe = np.argsort(np.argsort(first_edge))[hoe]
-        self._forest = self._cube_forest(hoe, len(first_edge))
-        self._hyp_of_edge = hoe
+        del order, opener
+        # Number the classes by first edge: a class's number counts the
+        # first edges of the classes before its own.
+        first = np.full(m, m, dtype=edge)
+        np.minimum.at(first, hoe, np.arange(m, dtype=edge))
+        first = first[hoe]
+        del hoe
+        opens = first == np.arange(m, dtype=edge)
+        n_keys = int(np.count_nonzero(opens))
+        number = np.cumsum(opens, dtype=narrowest(n_keys + 1))
+        del opens
+        number -= 1
+        hoe = number[first]
+        del number, first
+        self._forest = self._cube_forest(hoe, n_keys)
+        self._hyp_of_edge = hoe.astype(np.int64)
         return self._forest
 
     @property
@@ -248,13 +279,16 @@ class MedianGraph(Graph):
         child, par = self._down_edges()
         order = np.lexsort((hoe, child))
         child, par, keys = child[order], par[order], hoe[order]
+        del order
         sizes = np.bincount(child, minlength=self.n)
         across = _Across(self, hoe, n_keys)
         step_ptr = np.concatenate([[0], np.cumsum(sizes)])
         exits = np.arange(self.n)
         single = sizes[child] == 1
         exits[child[single]] = par[single]
+        del single
         squares, cubes = [], []
+        ids = narrowest(max(self.n, n_keys) + 1)  # of the squares' vertices and classes
         # the leg counts above 1 that occur, in order; a plain np.unique
         # would import numpy.ma, a tenth of a median-graph generate
         for k in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
@@ -274,19 +308,26 @@ class MedianGraph(Graph):
                 squares.append(np.stack(np.broadcast_arrays(
                     x[s:s + step, None], corner[:, 1 << i], corner[:, 1 << j],
                     corner[:, 1 << i | 1 << j], keys[legs][:, i],
-                    keys[legs][:, j]), axis=-1).reshape(-1, 6))
+                    keys[legs][:, j]), axis=-1).reshape(-1, 6).astype(ids))
                 # rows: bottom, the three classes
                 cubes.append(np.concatenate([
                     corner[:, (1 << trios).sum(axis=1)][..., None],
                     keys[legs][:, trios]], axis=-1).reshape(-1, 4))
-        _link_check(n_keys, child * n_keys + keys, step_ptr, keys,
-                    np.concatenate(squares or [np.empty((0, 6), np.int64)]),
-                    np.concatenate(cubes or [np.empty((0, 4), np.int64)]))
+            del x, legs, corner  # before the next leg count
+        down_key = child.astype(np.int64)
+        down_key *= n_keys
+        down_key += keys
+        ends_key = across.key
+        del child, par, across, sizes
+        squares = np.concatenate(squares or [np.empty((0, 6), ids)])
+        cubes = np.concatenate(cubes or [np.empty((0, 4), np.int64)])
+        _link_check(n_keys, down_key, step_ptr, keys, ends_key, squares, cubes)
+        del down_key, ends_key, squares, cubes
         return PathForest(
             root=self.root,
             exit=exits,
             step_ptr=step_ptr,
-            step_keys=keys,
+            step_keys=keys.astype(np.int64),
             key_count=n_keys,
             length=self.dist_root,
         )
@@ -299,19 +340,21 @@ def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray]:
     (cyclic within the group). SideComputationError unless u[j] and u'
     have exactly one common lower neighbour y."""
     count = np.diff(below)
-    edge_key = v * n + u  # ascending
+    edge_key = v.astype(np.int64)
+    edge_key *= n
+    edge_key += u  # ascending
     multi = np.flatnonzero(count[v] > 1)
     other = multi + 1
     wrap = other == below[v[multi] + 1]
     other[wrap] = below[v[multi[wrap]]]
-    across = np.full(len(v), -1)
+    across = np.full(len(v), -1, dtype=narrowest(len(v) + 1))
     step = max(1, CHUNK_BYTES // (32 * max(1, int(count.max()))))
     for s in range(0, len(multi), step):
         a, b = u[multi[s:s + step]], u[other[s:s + step]]
         # candidates: every down-edge (u', x) of u', kept where (u, x) is one
         owner = np.repeat(np.arange(len(b)), count[b])
         cand = ranges(below[b], count[b])
-        hit = lookup(edge_key, a[owner] * n + u[cand]) >= 0
+        hit = lookup(edge_key, a[owner].astype(np.int64) * n + u[cand]) >= 0
         common = np.bincount(owner[hit], minlength=len(a))
         bad = np.flatnonzero(common != 1)
         if len(bad):
@@ -323,7 +366,7 @@ def _square_opposites(v, u, below, n: int) -> tuple[np.ndarray, np.ndarray]:
     return multi, across
 
 
-def _link_check(n_keys: int, down_key, step_ptr, keys,
+def _link_check(n_keys: int, down_key, step_ptr, keys, ends_key,
                 squares: np.ndarray, cubes: np.ndarray) -> None:
     """CubeSpanError unless any three squares at a vertex that pairwise
     share an edge lie in a 3-cube.
@@ -332,7 +375,9 @@ def _link_check(n_keys: int, down_key, step_ptr, keys,
     class i, class j) per pair of legs of each vertex, ``cubes`` a row
     (bottom, three classes) per three legs; ``down_key`` is the sorted
     v * n_keys + class of every down-edge, whose classes ``keys`` are
-    grouped by v with bounds ``step_ptr``.
+    grouped by v with bounds ``step_ptr``, and ``ends_key`` the sorted
+    v * n_keys + class of every edge end (``_Across.key``), by which the
+    nodes of the links are numbered.
 
     This is the last of the local conditions that make the graph median.
     Every two down-neighbours have a common lower neighbour, so every
@@ -361,29 +406,38 @@ def _link_check(n_keys: int, down_key, step_ptr, keys,
         cnt = count[b[s:s + step]]
         owner = s + np.repeat(np.arange(len(cnt)), cnt)
         alpha = keys[ranges(step_ptr[b[s:s + step]], cnt)]
-        bad = np.flatnonzero((lookup(down_key, c[owner] * n_keys + alpha) >= 0)
-                             & (lookup(down_key, top[owner] * n_keys + alpha) < 0))
+        bad = np.flatnonzero(
+            (lookup(down_key, c[owner].astype(np.int64) * n_keys + alpha) >= 0)
+            & (lookup(down_key, top[owner].astype(np.int64) * n_keys + alpha) < 0))
         if len(bad):
             raise CubeSpanError(
                 f"three squares at vertex {w[owner[bad[0]]]} lie in no cube")
+        del cnt, owner, alpha, bad  # before the next chunk, and the link
     # The link of each bottom w: a node (w, class) per up-edge in a square,
-    # a link edge per square; each points away from its end of lower
-    # (degree, node), so a triangle is found once, at its lowest node.
-    nodes, ends = np.unique(np.concatenate([w * n_keys + p, w * n_keys + q]),
-                            return_inverse=True)
-    m = len(nodes)
-    ends = ends.reshape(2, -1)
-    rank = np.bincount(ends.ravel(), minlength=m) * m + np.arange(m)
-    src, dst = np.where(rank[ends[0]] < rank[ends[1]], ends, ends[::-1])
+    # numbered by its place among the edge ends, a link edge per square;
+    # each points away from its end of lower (degree, node), so a triangle
+    # is found once, at its lowest node.
+    nodes, m = ends_key, len(ends_key)
+    ends = np.concatenate([w, w], dtype=np.int64)
+    ends *= n_keys
+    ends += np.concatenate([p, q])
+    ends = lookup(nodes, ends.astype(nodes.dtype)).reshape(2, -1)
+    degree = np.bincount(ends.ravel(), minlength=m).astype(np.int32)
+    d0, d1 = degree[ends[0]], degree[ends[1]]
+    del degree
+    src, dst = np.where((d0 < d1) | ((d0 == d1) & (ends[0] < ends[1])), ends, ends[::-1])
+    del ends, d0, d1
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
+    del order
     link = np.sort(np.minimum(src, dst) * m + np.maximum(src, dst))
     # the 3-cubes, keyed by the link edge of their two lower classes
-    lo = lookup(nodes, cubes[:, 0] * n_keys + cubes[:, 1])
-    hi = lookup(nodes, cubes[:, 0] * n_keys + cubes[:, 2])
+    lo = lookup(nodes, (cubes[:, 0] * n_keys + cubes[:, 1]).astype(nodes.dtype))
+    hi = lookup(nodes, (cubes[:, 0] * n_keys + cubes[:, 2]).astype(nodes.dtype))
     edge = lookup(link, lo * m + hi)
     known = (lo >= 0) & (hi >= 0) & (edge >= 0)
     solid = np.sort(edge[known] * n_keys + cubes[known, 3])
+    del lo, hi, edge, known
     pairs = np.searchsorted(src, src, side="right") - np.arange(len(src)) - 1
     step = max(1, CHUNK_BYTES // (32 * max(1, int(pairs.max()))))
     for s in range(0, len(src), step):
@@ -393,7 +447,7 @@ def _link_check(n_keys: int, down_key, step_ptr, keys,
         a, z = np.sort(np.stack([dst[first], dst[second]]), axis=0)
         tri = lookup(link, a * m + z) >= 0
         t = np.sort(np.stack([src[first][tri], a[tri], z[tri]]), axis=0)
-        cube = lookup(link, t[0] * m + t[1]) * n_keys + nodes[t[2]] % n_keys
+        cube = lookup(link, t[0] * m + t[1]) * n_keys + nodes[t[2]].astype(np.int64) % n_keys
         bad = np.flatnonzero(lookup(solid, cube) < 0)
         if len(bad):
             raise CubeSpanError(
@@ -406,10 +460,15 @@ class _Across:
     class raise CubeSpanError."""
 
     def __init__(self, g: MedianGraph, hoe: np.ndarray, n_keys: int):
-        key = np.concatenate([g.eu, g.ev]) * n_keys + np.concatenate([hoe, hoe])
+        code = np.int32 if g.n * n_keys < 2**31 else np.int64
+        key = np.concatenate([g.eu, g.ev], dtype=code)
+        key *= n_keys
+        key += np.concatenate([hoe, hoe])
         order = np.argsort(key, kind="stable")
         self.key = key[order]
-        self.nbr = np.concatenate([g.ev, g.eu])[order]
+        del key
+        self.nbr = np.concatenate([g.ev, g.eu], dtype=narrowest(g.n + 1))[order]
+        del order
         self.n_keys = n_keys
         twin = np.flatnonzero(self.key[1:] == self.key[:-1])
         if len(twin):
@@ -418,7 +477,7 @@ class _Across:
 
     def __call__(self, v: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Neighbour of each v across class c, -1 where there is none."""
-        i = lookup(self.key, v * self.n_keys + c)
+        i = lookup(self.key, (v * self.n_keys + c).astype(self.key.dtype))
         return np.where(i >= 0, self.nbr[i], -1)
 
     def corners(self, x: np.ndarray, legs: np.ndarray,

@@ -21,11 +21,11 @@ graph built from a tree or from a product of trees, and a
 tree, or a forest that is not a product gives None.
 
 On a tree a pair's squared embedded distance is a closed form of its
-depth triple (``metrics._triple_sq_distances``), so ``TreeFactors``
+depth triple (``metrics._triple_sq_distances``), so ``FactorPairs``
 embeds a product's pairs with no walk of their rows, and an exhaustive
 profile folds each factor tree once from its pair counts and extreme
 meeting depths and convolves the folds, adding the factors' squares in
-the order ``TreeFactors.sq_distances`` adds them. numpy only; imported
+the order ``FactorPairs.sq_distances`` adds them. numpy only; imported
 only by the stratified sampler and the exhaustive profile, so no other
 command compiles it.
 """
@@ -51,34 +51,66 @@ class TreeFactors:
     trees: list[RootedTree]
     coords: list[np.ndarray]
 
-    def sq_distances(self, w, sources, us, vs, ts) -> np.ndarray:
-        """Squared embedded distances at weight w of the pairs (us[i],
-        vs[i]), at distances ts, whose first ends are among ``sources``.
 
-        The pairs go CHUNK_ENTRIES at a time, in int32 and narrower. Per
-        factor, a pair's distance t_P is read off the factor tree's
-        distances from the distinct coordinates of the sources (an
-        S x n_P block; with one factor t_P is ts), its meeting depth is
-        s = (d_P(u) + d_P(v) - t_P) / 2, and its squared distance comes
-        from the triple, one call per distinct offset c = |d_P(u) -
-        d_P(v)| in the block, with the factor's prefix sums of w^2 made
-        once. The factors' squares are added in factor order."""
-        factors = []
-        for tree, coord in zip(self.trees, self.coords):
+class FactorPairs:
+    """A product of trees seen from a few ``sources`` at weight w, built
+    once per profile: per factor P its weight table, the prefix sums of
+    its squares and its depths, and, where there are two factors or more,
+    the factor tree's distances from the distinct coordinates of the
+    sources, a C-ordered block of rows, one per coordinate. Depths and
+    distances are int16 where twice the factor's depth fits, and a row of
+    distances from a source where the sum of the factors' twice depths
+    does. The sums P_c of each offset c are kept once built, as many per
+    factor as hold at most CHUNK_ENTRIES floats in all at the factor's
+    depth."""
+
+    def __init__(self, product: TreeFactors, w, sources):
+        self.sources = np.asarray(sources)
+        self.factors = []
+        for tree, coord in zip(product.trees, product.coords):
+            depth = tree.depth.astype(np.int16 if 2 * int(tree.depth.max()) < 2**15
+                                      else np.int32)
             dist = slot = None
-            if len(self.trees) > 1:
-                held = np.unique(coord[sources])
-                dist = tree.forest().distances(held)
+            if len(product.trees) > 1:
+                # the distinct coordinates, sorted, with no np.unique: a
+                # plain one would import numpy.ma
+                held = np.zeros(tree.vertex_count, dtype=bool)
+                held[coord[self.sources]] = True
+                held = np.flatnonzero(held)
+                dist = tree.forest().distances(held).astype(depth.dtype, order="C")
                 slot = np.zeros(tree.vertex_count, dtype=narrowest(len(held)))
                 slot[held] = np.arange(len(held))
             table = tree.forest().weight_table(w)
-            factors.append((table, np.cumsum(table * table), tree.depth.astype(np.int32),
-                            coord, dist, slot))
+            self.factors.append((table, np.cumsum(table * table), depth, coord, dist, slot, {}))
+        # no two vertices lie further apart than the sum of the factors' twice depths
+        reach = sum(2 * int(tree.depth.max()) for tree in product.trees)
+        self.row_type = np.int16 if reach < 2**15 else np.int32
+
+    def row(self, i: int) -> np.ndarray:
+        """Distance from ``sources[i]`` to every vertex (two factors or
+        more): the sum of its factor trees' rows at the coordinates."""
+        row = None
+        for *_, coord, dist, slot, _ in self.factors:
+            part = dist[slot[coord[self.sources[i]]]].take(coord)
+            row = part.astype(self.row_type, copy=False) if row is None else np.add(
+                row, part, out=row)
+        return row
+
+    def sq_distances(self, us, vs, ts) -> np.ndarray:
+        """Squared embedded distances of the pairs (us[i], vs[i]), at
+        distances ts, whose first ends are among the sources.
+
+        The pairs go CHUNK_ENTRIES at a time, in int32 and narrower. Per
+        factor, a pair's distance t_P is read off the factor's block (with
+        one factor t_P is ts), its meeting depth is s = (d_P(u) + d_P(v) -
+        t_P) / 2, and its squared distance comes from the triple, one call
+        per distinct offset c = |d_P(u) - d_P(v)| in the chunk. The
+        factors' squares are added in factor order."""
         out = np.empty(len(us))
         chunk = metrics.CHUNK_ENTRIES
         for lo in range(0, len(us), chunk):
             u, v, block = us[lo:lo + chunk], vs[lo:lo + chunk], out[lo:lo + chunk]
-            for i, (table, sums, depth, coord, dist, slot) in enumerate(factors):
+            for i, (table, sums, depth, coord, dist, slot, kept) in enumerate(self.factors):
                 cu, cv = coord[u], coord[v]
                 t = ts[lo:lo + chunk] if dist is None else dist[slot[cu], cv]
                 du, dv = depth[cu], depth[cv]
@@ -88,13 +120,23 @@ class TreeFactors:
                 s >>= 1
                 a = np.minimum(du, dv)
                 a -= s
-                c = np.abs(du - dv)
+                c = du
+                c -= dv
+                np.abs(c, out=c)
                 del du, dv, t
                 sq = block if i == 0 else np.empty(len(block))
                 order = np.argsort(c.astype(narrowest(len(table))), kind="stable")
-                for pairs in np.split(order, np.flatnonzero(np.diff(c[order])) + 1):
+                cuts = np.flatnonzero(np.diff(c[order])) + 1
+                for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), len(order)]):
+                    pairs = order[start:stop]
+                    offset = int(c[pairs[0]])
+                    p = kept.get(offset)
+                    if p is None:
+                        p = metrics._offset_sums(table, offset)
+                        if (len(kept) + 1) * len(table) * len(self.factors) <= chunk:
+                            kept[offset] = p
                     sq[pairs] = metrics._triple_sq_distances(
-                        table, sums, int(c[pairs[0]]), a[pairs], s[pairs])
+                        table, sums, offset, a[pairs], s[pairs], p)
                 if i:
                     block += sq
                 del a, s, c, order, sq

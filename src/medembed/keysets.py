@@ -67,8 +67,10 @@ def edge_diffs(forest: PathForest, eu, ev, probe=None) -> EdgeDiffs:
     steps = np.arange(int(forest.length.max(initial=0)) + 1)
     entries = forest.length[eu] + forest.length[ev]
     starts = np.cumsum(entries) - entries
-    cuts = np.unique(np.searchsorted(
-        starts, np.arange(0, int(entries.sum()) + 1, sparse.LEVEL_ENTRIES)))
+    # the distinct cuts of the ascending searchsorted: a plain np.unique
+    # would import numpy.ma
+    cuts = np.searchsorted(starts, np.arange(0, int(entries.sum()) + 1, sparse.LEVEL_ENTRIES))
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]
     for a, b in itertools.pairwise([*cuts[cuts < m].tolist(), m]):
         ends, row = np.unique(np.concatenate([eu[a:b], ev[a:b]]), return_inverse=True)
         ptr, keys, (step,) = forest.rows(ends, [steps])

@@ -12,12 +12,16 @@ random sampling can only raise rho_hat and lower delta_hat.
 profiles read the path lengths, the key count, the embedding rows
 (``embedding_rows``, numpy CSR triples) and the distances
 (``forest_distances``) off it. No profile loads scipy. The stratified
-sampler reads every (source, vertex) candidate's distance off the forest
-into one S x n int32 block, draws its pairs from per-source counts by
-distance, with no sort of all candidates, and only then embeds them; the
-uniform sampler reads its pairs' distances off their unit-weight rows,
-from the walk that embeds them at the profile's weight. Both embed with
-one kernel (``_pair_sq_distances``, at one or more weights) that walks
+sampler reads the distances from a few sources to every vertex one group
+of sources at a time, twice: once to count the candidates of each source
+by distance, from which it draws its pairs with no sort of all
+candidates, and once to turn the drawn ranks into vertices, embed the
+group's pairs and fold them into the profile, so it holds no block of
+all the sources' rows and no array of all pairs but the draw's narrow
+picks; the uniform sampler reads its pairs' distances off their
+unit-weight rows, from the walk that embeds them at the profile's
+weight. Both embed with one kernel (``_pair_sq_distances``, at one or
+more weights) that walks
 the target rows in chunks of at least CHUNK_ROWS rows, sums in blocks of
 at most CHUNK_ENTRIES entries and adds every sum in the same order as a
 CSR x dense product. The stratified sampler skips the kernel where the
@@ -26,7 +30,9 @@ which checks that exactly): a tree, a grid, a median graph built from a
 tree or a product of trees, or a ``ProductSpace`` of trees. There a
 pair's squared distance is the sum of its factors', each the closed
 form of its depth triple in the factor tree (``_triple_sq_distances``),
-so it is exact up to rounding with no term that cancels.
+so it is exact up to rounding with no term that cancels; with two
+factors or more, a source's distances are the sums of its factor trees'
+too (``factors.FactorPairs``).
 
 ``oracle_deviations`` checks the two identities on any ``Graph``: each
 block of sources reads its distances off the forest, and
@@ -72,19 +78,35 @@ CHUNK_ROWS = 512
 # Entries of the dense source rows, per weight, of one _pair_sq_distances
 # call of the uniform sampler (_uniform_sq_distances).
 DENSE_ENTRIES = 1 << 18
+# The stratified sampler takes its sources in groups of at least 8 (all of
+# them if fewer), in at most 16 groups, as each group looks its picks up
+# among all, and otherwise as many as hold GROUP_ENTRIES (source, vertex)
+# candidates where each row is built on its own, as a sum of factor rows, or
+# BLOCK_GROUP_ENTRIES where a group's rows are read off the forest as one
+# block, which each group walks again, as the pair kernel walks its targets.
+# Small groups cost time only where rows come in blocks: blocks of 8 sources
+# made stratified:1000 take 2.4 times as long on staircase 200 and, in place
+# of the factor rows, 1.35 times as long on grid 100x100.
+GROUP_ENTRIES = 1 << 16
+BLOCK_GROUP_ENTRIES = 1 << 22
 # Bytes the stratified sampler may hold: CANDIDATE_BYTES per (source,
-# vertex) candidate (its int32 distance in the S x n block, and the few
-# arrays per vertex of one source's pass, spread over at least 16 sources),
-# PAIR_BYTES per drawn pair (its narrow ends and distance, with the draw's
-# order by source, or with the pair kernel's numbering of the ends, its
-# indices and the embedded distance), SOURCE_KEY_BYTES per source and key
-# (a dense float64 row and an int8 indicator), and ENTRY_BYTES per path
-# step of one walk of target rows (the walk's records and sort keys, then
-# the rows and the cache-sized blocks of padded rows and pair terms). The
-# factor route, for a product of trees, holds FACTOR_BYTES per vertex and per
-# key of its step (finding and checking the factors, and the factor trees)
-# and per pair of one block of CHUNK_ENTRIES pairs (their coordinates,
-# depths, triples and squares); the plan takes the larger of the two routes.
+# vertex) candidate of one group (its int32 distance, where the group's rows
+# are read off the forest as one block, and the few arrays per vertex of one
+# source's pass, spread over at least 8 sources), per drawn pair its source
+# and rank and the two one-byte masks that select a group's picks (8 bytes
+# with int16 sources and int32 ranks), PAIR_BYTES per drawn pair of one
+# group, these included (its order by source, its ends, and the pair kernel's
+# numbering of the ends, its indices and the embedded distance),
+# SOURCE_KEY_BYTES per source of one group and key (a dense float64 row and
+# an int8 indicator), and ENTRY_BYTES per path step of one walk of target
+# rows (the walk's records and sort keys, then the rows and the cache-sized
+# blocks of padded rows and pair terms). The factor route, for a product of
+# trees, holds FACTOR_BYTES per vertex and per key of its step (finding and
+# checking the factors, and the factor trees) and per pair of one block of
+# CHUNK_ENTRIES pairs (their coordinates, depths, triples and squares, and the
+# kept sums P_c, at most CHUNK_ENTRIES floats), and, with two factors or
+# more, an int32 distance per source and factor vertex; the plan takes the
+# larger of the two routes.
 CANDIDATE_BYTES = 6
 PAIR_BYTES = 48
 SOURCE_KEY_BYTES = 9
@@ -207,16 +229,24 @@ def _entries_from_pairs(ts: np.ndarray, emb: np.ndarray) -> tuple[ProfileEntry, 
     return acc.entries()
 
 
-def _triple_sq_distances(table: np.ndarray, sq: np.ndarray, c: int, a, s) -> np.ndarray:
+def _offset_sums(table: np.ndarray, c: int) -> np.ndarray:
+    """P_c(0..depth - c) of ``_triple_sq_distances`` for the weight table."""
+    step = table[1:len(table) - c] - table[1 + c:]
+    return np.concatenate(([0.0], np.cumsum(step * step)))
+
+
+def _triple_sq_distances(table: np.ndarray, sq: np.ndarray, c: int, a, s,
+                         p: Optional[np.ndarray] = None) -> np.ndarray:
     """Squared embedded distance of tree pairs that meet at depth s and
     lie a and b = a + c edges below it, from the weight table w(0..depth)
     of ``PathForest.weight_table`` and its prefix sums of squares ``sq`` =
     ``np.cumsum(table * table)``, computed once per table by the caller:
     S(a) + S(b) + P_c(a + s) - P_c(a), where S(k) sums w(i)^2 and P_c(k)
-    sums (w(i) - w(i + c))^2 over i <= k. No term cancels, unlike
-    |u|^2 + |v|^2 - 2 u.v."""
-    step = table[1:len(table) - c] - table[1 + c:]
-    p = np.concatenate(([0.0], np.cumsum(step * step)))
+    sums (w(i) - w(i + c))^2 over i <= k (``_offset_sums``, built here if
+    ``p`` does not give it). No term cancels, unlike |u|^2 + |v|^2 -
+    2 u.v."""
+    if p is None:
+        p = _offset_sums(table, c)
     return sq[a] + sq[a + c] + (p[a + s] - p[a])
 
 
@@ -261,7 +291,7 @@ def _convolve(left, right):
 def _product_entries(folds):
     """Profile rows of the product of the trees folded into ``folds``,
     convolved left to right (none for one tree), so the squares add in
-    factor order, as in ``factors.TreeFactors.sq_distances``."""
+    factor order, as in ``factors.FactorPairs.sq_distances``."""
     counts, least, most = functools.reduce(_convolve, folds)
     counts[0] = 0
     counts //= 2
@@ -427,25 +457,44 @@ def _kernel_entries(space, w: WeightFunction):
     return acc.entries()
 
 
+def _group_size(n: int, n_sources: int, entries: int) -> int:
+    """Sources per group of the stratified sampler, for groups of about
+    ``entries`` candidates (see GROUP_ENTRIES)."""
+    return min(n_sources, max(8, entries // n, -(-n_sources // 16)))
+
+
+def _pick_types(n: int, n_sources: int):
+    """The stratified sampler's integer types of a pick's source and rank."""
+    return narrowest(n_sources), np.int32 if n < 2**31 else np.int64
+
+
 def _stratified_need(space, count: int) -> tuple[int, int]:
     """The stratified sampler's source count S and the bytes it may hold:
-    its S x n candidates, the pairs it may draw (``count`` per distance, at
-    most S x n), and the larger of the two routes that embed them: the pair
-    kernel's dense source rows and key indicators (S x K, K the key count)
-    and one walk of target rows, or the factor route's vertices, step keys
-    and block of pairs. The factor trees' distances from the sources, S x
-    the factors' vertices <= S x n int32, fit in the candidates' bytes,
-    freed by then."""
+    the candidates of one group of sources, the picks it may draw
+    (``count`` per distance, at most S x n) with the pairs of one group,
+    and the larger of the two routes that embed them: the pair kernel's
+    dense source rows and key indicators (a group x K, K the key count) and
+    one walk of target rows, or the factor route's vertices, step keys and
+    block of pairs, with the factor trees' distances from the sources. In a
+    product of trees the factors' vertices are the K keys plus one root per
+    factor, and there are at most as many factors as the widest step
+    crosses keys. The groups are taken at their larger size, that of rows
+    read as one block."""
     n = space.vertex_count
     n_sources = min(n, max(16, math.isqrt(4 * count)))
+    group = _group_size(n, n_sources, BLOCK_GROUP_ENTRIES)
+    pick = sum(np.dtype(t).itemsize for t in _pick_types(n, n_sources)) + 2
     forest = space.forest()
     # no two vertices lie further apart than twice the longest path
     longest = int(forest.length.max())
     pairs = min(n_sources * n, count * 2 * longest)
     entries = max(CHUNK_ENTRIES, CHUNK_ROWS * longest)  # rows of one walk
-    kernel = n_sources * forest.key_count * SOURCE_KEY_BYTES + entries * ENTRY_BYTES
-    factor = (n + len(forest.step_keys) + CHUNK_ENTRIES) * FACTOR_BYTES
-    return n_sources, (n_sources * n * CANDIDATE_BYTES + pairs * PAIR_BYTES
+    kernel = group * forest.key_count * SOURCE_KEY_BYTES + entries * ENTRY_BYTES
+    widest = int(np.diff(forest.step_ptr).max())
+    blocks = n_sources * (forest.key_count + widest) * 4 if widest > 1 else 0
+    factor = (n + len(forest.step_keys) + CHUNK_ENTRIES) * FACTOR_BYTES + blocks
+    return n_sources, (group * n * CANDIDATE_BYTES + pairs * pick
+                       + min(group * n, pairs) * (PAIR_BYTES - pick)
                        + max(kernel, factor))
 
 
@@ -461,90 +510,127 @@ def _stratified_plan(space, count: int) -> int:
     return n_sources
 
 
-def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
-    """Pairs (us, vs) from a few random sources, at most ``count`` per
-    distance, with their distances ts and squared embedded distances.
+def _stratified_groups(space, w: WeightFunction, sampler: PairSampler):
+    """Pairs from a few random sources, at most ``count`` per distance,
+    yielded one group of sources at a time (GROUP_ENTRIES) as (picks,
+    us, vs, ts, emb_sq): each pair's place in the draw, its ends, its
+    distance and its squared embedded distance.
 
-    Every (source, vertex) candidate's distance is read off the cube-path
-    forest (``forest_distances``) into one S x n block, with no embedding
-    rows. A source keeps every vertex at positive distance except the
-    sources before it (their pairs are kept from the other end), whose
-    distance is set to 0. The pairs are drawn in three passes over the
-    block, with no sort of all candidates:
+    A source's row holds its distance to every vertex, with the sources
+    before it (their pairs are kept from the other end) set to 0. Where
+    the forest is a product of two trees or more, a row is the sum of its
+    factor trees' rows (``factors.FactorPairs.row``); otherwise a group's
+    rows are read off the cube-path forest (``forest_distances``) as one
+    block. No block of all the sources' rows is held. The pairs are drawn
+    in three passes, with no sort of all candidates:
 
-    1. per source, count the kept candidates at each distance;
+    1. per source, count the kept candidates at each distance, group by
+       group, keeping only the counts;
     2. for each realized t in ascending order, draw ``count`` positions in
        the bucket of all candidates at t, in (source, vertex) order, with
        the ``rng.choice`` call of a sort of all candidates by distance
        (only where the bucket holds more than ``count``); a position's
        source and rank follow from the bucket's counts per source;
-    3. per source, one stable argsort of its distances turns its picks'
-       ranks into vertices.
+    3. group by group, the rows are read again and one stable argsort of
+       each turns its source's picks' ranks into vertices; then the
+       group's pairs are embedded: by their factors' depth triples where
+       the forest is a product of trees (``factors.FactorPairs``, built
+       once per draw), by ``_pair_sq_distances`` otherwise.
 
-    The picks are held as int32 vertex ranks, int16 distances and small
-    source indices; once the block is freed, only they are embedded: by
-    their factors' depth triples where the forest is a product of trees
-    (``factors.TreeFactors.sq_distances``), by ``_pair_sq_distances``
-    otherwise."""
+    The picks are held as int32 vertex ranks and small source indices, in
+    draw order, so in ascending t: a pick's t is read off the number of
+    picks at each t."""
+    from .factors import FactorPairs, tree_factors  # not compiled by the uniform sampler
+
     n = space.vertex_count
     n_sources = _stratified_plan(space, sampler.count)
     rng = np.random.default_rng(sampler.seed)
     sources = np.sort(rng.choice(n, size=n_sources, replace=False))
-    dist = space.forest_distances(sources)
-    top = int(dist.max(initial=0))
-    t_type = np.int16 if top < 2**15 else np.int32  # 16 bits: radix argsort
+    product = tree_factors(space.forest())
+    factored = None if product is None else FactorPairs(product, w, sources)
+    by_factors = product is not None and len(product.trees) > 1
+    group = _group_size(n, n_sources, GROUP_ENTRIES if by_factors else BLOCK_GROUP_ENTRIES)
+
+    def rows(lo: int, hi: int):
+        """The rows of sources lo..hi - 1, in turn."""
+        block = None if by_factors else space.forest_distances(sources[lo:hi])
+        for i in range(lo, hi):
+            row = factored.row(i) if by_factors else block[i - lo]
+            row[sources[:i]] = 0
+            yield row
+
+    groups = [(lo, min(lo + group, n_sources)) for lo in range(0, n_sources, group)]
     # pass 1: per_t[t, i] candidates of source i at distance t, and before
     # them below[t, i] entries of its row (the zeros included)
-    per_t = np.empty((top + 1, n_sources), dtype=np.int64)
-    for i, row in enumerate(dist):
-        row[sources[:i]] = 0
-        per_t[:, i] = np.bincount(row, minlength=top + 1)
-    del row  # a view: it would keep the block alive
+    counts = [np.bincount(row) for lo, hi in groups for row in rows(lo, hi)]
+    top = len(max(counts, key=len)) - 1
+    t_type = np.int16 if top < 2**15 else np.int32  # 16 bits: radix argsort
+    per_t = np.zeros((top + 1, n_sources), dtype=np.int64)
+    for i, c in enumerate(counts):
+        per_t[:len(c), i] = c
+    del counts
     below = np.cumsum(per_t, axis=0)
     below -= per_t
     per_t[0] = 0
     # pass 2: positions in each bucket, then their sources and ranks
     ends = np.cumsum(per_t, axis=1)  # bucket t's candidates up to source i
-    src_type = narrowest(n_sources)
-    at_type = np.int32 if n < 2**31 else np.int64
+    src_type, at_type = _pick_types(n, n_sources)
     realized = np.flatnonzero(ends[:, -1])
-    picked, src, at = [], [], []
-    per_src = np.zeros(n_sources, dtype=np.int64)  # picks of each source
-    for t in realized.tolist():
+    stops = np.cumsum(np.minimum(ends[realized, -1], sampler.count))
+    src = np.empty(int(stops[-1:].sum()), dtype=src_type)
+    at = np.empty(len(src), dtype=at_type)
+    for t, lo, hi in zip(realized.tolist(), [0, *stops[:-1].tolist()], stops.tolist()):
         size = int(ends[t, -1])
         pos = (rng.choice(size, size=sampler.count, replace=False)
                if size > sampler.count else np.arange(size))
         i = np.searchsorted(ends[t], pos, side="right")
-        per_src += np.bincount(i, minlength=n_sources)
         pos += below[t, i] + per_t[t, i] - ends[t, i]  # place in i's order
-        picked.append(len(pos))
-        src.append(i.astype(src_type))
-        at.append(pos.astype(at_type))
+        src[lo:hi] = i
+        at[lo:hi] = pos
     del per_t, below, ends
-    src = np.concatenate(src or [np.empty(0, dtype=src_type)])
-    at = np.concatenate(at or [np.empty(0, dtype=at_type)])
-    ts = realized.astype(t_type).repeat(picked)
-    # pass 3: each source's ranks through one stable argsort of its row
-    by_src = np.argsort(src, kind="stable")
-    bounds = np.cumsum(per_src).tolist()
-    vs = np.empty(len(src), dtype=at_type)
-    for i, (lo, hi) in enumerate(itertools.pairwise([0, *bounds])):
-        if lo < hi:
-            mine = by_src[lo:hi]
-            order = np.argsort(dist[i].astype(t_type), kind="stable")
-            vs[mine] = order[at[mine].astype(np.intp)]
-            del order, mine  # mine is a view of by_src
-    del dist, at, by_src
-    us = sources.astype(at_type)[src.astype(np.intp)]
-    del src
-    from .factors import tree_factors  # not compiled by the uniform sampler
+    # pass 3: each group's picks by source, each source's ranks through one
+    # stable argsort of its row, then the group's pairs embedded
+    mask = np.empty(len(src), dtype=bool)
+    for lo, hi in groups:
+        np.greater_equal(src, lo, out=mask)
+        mask &= src < hi
+        picks = np.flatnonzero(mask)
+        picks = picks[np.argsort(src[picks], kind="stable")]
+        mine = src[picks]
+        bounds = np.searchsorted(mine, np.arange(lo, hi + 1)).tolist()
+        us = sources.astype(at_type)[mine.astype(np.intp)]
+        vs = np.empty(len(picks), dtype=at_type)
+        for i, row in zip(range(hi - lo), rows(lo, hi)):
+            if bounds[i] < bounds[i + 1]:
+                order = np.argsort(row.astype(t_type, copy=False), kind="stable")
+                cut = slice(bounds[i], bounds[i + 1])
+                vs[cut] = order[at[picks[cut]].astype(np.intp)]
+                del order
+            del row  # before the next row is built
+        if len(picks):
+            ts = realized[np.searchsorted(stops, picks, side="right")].astype(t_type)
+            emb_sq = (_pair_sq_distances(space, [w], us, vs)[0] if product is None
+                      else factored.sq_distances(us, vs, ts))
+            yield picks, us, vs, ts, emb_sq
+            del ts, emb_sq
+        del picks, mine, us, vs  # before the next group's rows are read
 
-    product = tree_factors(space.forest())
-    if product is None:
-        emb_sq, = _pair_sq_distances(space, [w], us, vs)
-    else:
-        emb_sq = product.sq_distances(w, sources, us, vs, ts)
-    return us, vs, ts.astype(np.int64), emb_sq
+
+def _stratified_pairs(space, w: WeightFunction, sampler: PairSampler):
+    """The pairs of ``_stratified_groups`` in draw order, as (us, vs, ts,
+    emb_sq): the whole sample at once, for inspection."""
+    parts = list(_stratified_groups(space, w, sampler))
+    if not parts:  # no realized distance: a one-vertex space
+        at_type = _pick_types(space.vertex_count, 1)[1]
+        return tuple(np.empty(0, dtype=t) for t in (at_type, at_type, np.int64, float))
+    size = sum(len(part[0]) for part in parts)
+    out = [np.empty(size, dtype=a.dtype) for a in parts[0][1:]]
+    while parts:
+        picks, *arrays = parts.pop()
+        for whole, part in zip(out, arrays):
+            whole[picks] = part
+        del picks, arrays
+    return tuple(out)
 
 
 def _draw_pairs(n: int, sampler: PairSampler):
@@ -607,9 +693,15 @@ def profile(
         product = tree_factors(space.forest())
         entries = (_kernel_entries(space, w) if product is None
                    else _product_entries([_tree_entries(t, w) for t in product.trees]))
-    elif sampler.mode in ("stratified", "uniform"):
-        pairs = _stratified_pairs if sampler.mode == "stratified" else _uniform_pairs
-        _, _, ts, emb_sq = pairs(space, w, sampler)
+    elif sampler.mode == "stratified":
+        acc = _ProfileAccumulator()
+        for part in _stratified_groups(space, w, sampler):
+            _, _, _, ts, emb_sq = part
+            acc.add(ts, np.sqrt(np.clip(emb_sq, 0.0, None, out=emb_sq), out=emb_sq))
+            del part, ts, emb_sq  # before the next group is drawn
+        entries = acc.entries()
+    elif sampler.mode == "uniform":
+        _, _, ts, emb_sq = _uniform_pairs(space, w, sampler)
         entries = _entries_from_pairs(ts, np.sqrt(np.clip(emb_sq, 0.0, None)))
     else:
         raise ValueError(f"unknown sampler mode {sampler.mode!r}")

@@ -387,9 +387,9 @@ def adjacency(n: int, eu, ev) -> tuple[np.ndarray, np.ndarray]:
     vertices 0..n-1: the neighbours of v are ``nbr[start[v]:start[v + 1]]``,
     in edge order, int32 ids where they fit."""
     idx = np.int32 if n < 2**31 else np.int64
-    ends = np.concatenate([eu, ev]).astype(idx)
+    ends = np.concatenate([eu, ev], dtype=idx)
     order = np.argsort(ends, kind="stable")
-    nbr = np.concatenate([ev, eu]).astype(idx)[order]
+    nbr = np.concatenate([ev, eu], dtype=idx)[order]
     start = np.searchsorted(ends[order], np.arange(n + 1, dtype=idx))
     return start, nbr
 

@@ -147,13 +147,14 @@ def test_embed_rejects_graph_that_is_not_median(tmp_path, capsys):
 
 # Imports medembed.cli, runs the command given in argv, if any, and prints
 # the medembed modules then loaded, less the package, cli and errors, and
-# the scipy modules, on its last two stdout lines.
+# the scipy and numpy.ma modules, on its last two stdout lines.
 SCIPY_GUARD = (
     "import sys, medembed.cli; "
     "code = medembed.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
     "print(*sorted(m.split('.')[1] for m in sys.modules if m.split('.')[0] == 'medembed'"
     " and m not in ('medembed', 'medembed.cli', 'medembed.errors'))); "
-    "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+    "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+    " or m.split('.')[:2] == ['numpy', 'ma'])); "
     "sys.exit(code)")
 
 # The medembed modules a command loads besides cli and errors: cli imports
@@ -215,7 +216,8 @@ def test_cli_loads_scipy_only_where_used(tmp_path, capsys, argv, modules):
     # any other space, such as the staircase), embed and the oracle,
     # normalpath and product suites, and every BFS is numpy (the base
     # vertex's row, the oracles' rows, a tree's parents from its edges),
-    # so no command loads scipy. Only the oracle and normalpath suites
+    # so no command loads scipy. No command loads numpy.ma either, which a
+    # plain np.unique imports. Only the oracle and normalpath suites
     # compile keysets, and only the stratified and exhaustive measure rows
     # compile factors, whose tree_factors decides the route
     run(capsys, "generate", "--space", "binary-sample", "--depth", "30",
@@ -283,11 +285,12 @@ def test_measure_stratified_over_budget_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_measure_out_of_memory_exits_2(tmp_path, capsys):
-    # stratified:1000000 on grid 100x100 plans 1.11 GB, within the sampler's
-    # budget; capped at 700 MB of address space, the process cannot allocate
-    # its candidates and their picks
+    # stratified:26500000 on grid 150x150 takes 10,295 sources and keeps
+    # every pair of a source with a later vertex, 182M picks: it plans 2.57
+    # GB, within the sampler's budget; capped at 700 MB of address space, the
+    # process cannot allocate the picks
     resource = pytest.importorskip("resource")
-    run(capsys, "generate", "--space", "grid", "--dims", "100x100",
+    run(capsys, "generate", "--space", "grid", "--dims", "150x150",
         "-o", str(tmp_path / "g.json"))
     limit = 700 * 10**6
 
@@ -302,7 +305,7 @@ def test_measure_out_of_memory_exits_2(tmp_path, capsys):
         env[var] = "1"  # one BLAS thread: its buffers count against the cap
     res = subprocess.run(
         [sys.executable, "-m", "medembed.cli", "measure", "--space", "g.json",
-         "--sampler", "stratified:1000000", "--seed", "1", "-o", "p.csv"],
+         "--sampler", "stratified:26500000", "--seed", "1", "-o", "p.csv"],
         cwd=tmp_path, env=env, capture_output=True, text=True,
         preexec_fn=cap_address_space)
     assert res.returncode == 2, res.stderr

@@ -173,6 +173,16 @@ def test_edge_errors_name_the_first_bad_edge():
     for edges, message in cases:
         with pytest.raises(ValueError, match=message):
             MedianGraph(4, edges)
+    # ids so large that low * n + high overflows int64 take the sort by both
+    # ends; the first repeat is still the one reported
+    big = 4 * 10**9
+    for edges, message in (
+            ([(big - 1, big - 2), (big - 3, 1), (big - 2, big - 1), (1, big - 3)],
+             rf"^duplicate edge \({big - 2}, {big - 1}\)$"),
+            ([(big - 1, 0), (0, big - 1), (2, 3)], rf"^duplicate edge \(0, {big - 1}\)$"),
+            ([(big - 1, big - 2), (big - 2, 0)], "^graph is not connected$")):
+        with pytest.raises(ValueError, match=message):
+            MedianGraph(big, edges)
     # the root is checked before any edge
     with pytest.raises(ValueError, match="^root out of range$"):
         MedianGraph(4, [(0, 9), (1, 1)], root=7)
@@ -779,6 +789,21 @@ def test_forest_memory_stays_linear_on_a_long_path():
     finally:
         tracemalloc.stop()
     assert peak <= 16 << 20
+
+
+def test_forest_build_holds_narrow_ids_on_a_grid():
+    # grid 100x100 (10,201 vertices, 20,200 edges): the build holds its
+    # vertex and edge ids in int16 and frees each working array once used,
+    # so it traces at most 3 MiB, about 300 bytes per vertex
+    g = gen_cube(CubeSpec.grid(100, 100))
+    tracemalloc.start()
+    try:
+        forest = g.forest()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forest.key_count == 200 and g.hyp_of_edge.dtype == np.int64
+    assert peak <= 3 << 20
 
 
 def test_key_property_memory_is_a_multiple_of_the_rows():

@@ -145,3 +145,18 @@ def test_route_pins(monkeypatch, make, mode, kernel):
     sampler = getattr(PairSampler, mode)(20, seed=4)
     metrics.profile(space, WeightFunction.paper(18), sampler)
     assert bool(calls) == kernel
+
+
+def test_factor_rows_are_wide_enough_for_their_sum():
+    # spider 2,16383 has depth 16383, so its distances fit int16, and so do
+    # path 2's; their sum reaches 32768, which does not
+    space = gen_cube(CubeSpec.tree_product(TreeSpec.spider(2, 16383), TreeSpec.path(2)))
+    product = factors.tree_factors(space.forest())
+    assert product is not None and len(product.trees) == 2
+    far = int(np.argmax(space.forest().length))
+    sources = np.array([0, far, space.vertex_count - 1])
+    rows = factors.FactorPairs(product, WeightFunction.paper(18), sources)
+    want = space.forest_distances(sources)
+    assert want.max() >= 2**15
+    for i in range(len(sources)):
+        np.testing.assert_array_equal(rows.row(i), want[i])

@@ -453,26 +453,49 @@ def test_stratified_pairs_match_the_scipy_route(monkeypatch):
 
 
 def test_stratified_pairs_stay_within_their_plan(monkeypatch):
-    # the sampler's traced peak is within the bytes its plan checks against
-    # the budget, with few pairs drawn and with most: on grid 60x60 by the
-    # pair kernel (the factor route pinned off) and by the factor route,
-    # and by the factor route on a tree product and on a tree
-    from medembed.metrics import _stratified_need, _stratified_pairs
+    # a stratified profile's traced peak is within the bytes its plan checks
+    # against the budget, with few pairs drawn and with most: on grid 60x60
+    # by the pair kernel (the factor route pinned off) and by the factor
+    # route, and by the factor route on a tree product, on a tree and on grid
+    # 100x100; on a RootedTree, and by the kernel on staircase 12 and on a
+    # ProductSpace with a staircase factor. The profile folds one group of
+    # sources at a time; _stratified_pairs holds the whole sample at once
+    from medembed.metrics import _stratified_need
 
     grid = gen_cube(CubeSpec.grid(60, 60))
     product = gen_cube(CubeSpec.tree_product(TreeSpec.spider(3, 20),
                                              TreeSpec.binary_sample(40, 10, seed=3)))
     tree = gen_tree(TreeSpec.binary_sample(200, 32, seed=42))
-    for space, kernel in ((grid, True), (grid, False), (product, False), (tree, False)):
+    others = [gen_cube(CubeSpec.grid(100, 100)), gen_tree(TreeSpec.spider(4, 500)),
+              gen_cube(CubeSpec.staircase(12)),
+              ProductSpace([gen_cube(CubeSpec.staircase(8)), gen_tree(TreeSpec.path(5))])]
+    cases = [(grid, True), (grid, False), (product, False), (tree, False)]
+    for space, kernel in cases + [(space, None) for space in others]:
         with monkeypatch.context() as m:
             if kernel:
                 m.setattr(factors, "tree_factors", lambda forest: None)
-            assert (factors.tree_factors(space.forest()) is None) == kernel
+            if kernel is not None:
+                assert (factors.tree_factors(space.forest()) is None) == kernel
             for count in (1000, 5000):
                 _, planned = _stratified_need(space, count)
                 peak = _traced_peak(
-                    lambda: _stratified_pairs(space, PAPER, PairSampler.stratified(count, 11)))
+                    lambda: profile(space, PAPER, PairSampler.stratified(count, 11)))
                 assert peak <= planned
+    # many groups, with the picks over most of the peak: stratified:20000 on
+    # grid 60x60 by the factor route draws 1,009,419 pairs from 282 sources
+    # in 16 groups of 18, and each group's picks are selected among all
+    assert metrics._group_size(grid.vertex_count, 282, metrics.GROUP_ENTRIES) == 18
+    sampler = PairSampler.stratified(20000, 11)
+    _, planned = _stratified_need(grid, sampler.count)
+    peak = _traced_peak(lambda: profile(grid, PAPER, sampler))
+    assert 1_009_419 * 8 < peak <= planned
+
+
+def test_stratified_pairs_of_one_vertex_are_empty():
+    # no distance is realized, so no group is drawn
+    us, vs, ts, emb_sq = metrics._stratified_pairs(
+        MedianGraph(1, []), PAPER, PairSampler.stratified(5, seed=1))
+    assert len(us) == len(vs) == len(ts) == len(emb_sq) == 0
 
 
 def test_factor_route_holds_no_more_than_the_kernel_did():
@@ -486,6 +509,21 @@ def test_factor_route_holds_no_more_than_the_kernel_did():
     sampler = PairSampler.stratified(1000, 11)
     _stratified_pairs(grid, PAPER, sampler)
     assert _traced_peak(lambda: _stratified_pairs(grid, PAPER, sampler)) <= 8_356_525
+
+
+def test_stratified_profile_holds_no_block_of_all_sources():
+    # stratified:1000 on grid 100x100 draws 156,534 pairs from 63 sources:
+    # the profile traces less than the 63 x 10,201 int32 block of all the
+    # sources' rows (2.6 MB) and two int32 ends per pair, as it holds the
+    # rows and the embedded pairs of one group of sources at a time
+    grid = gen_cube(CubeSpec.grid(100, 100))
+    grid.forest()
+    sampler = PairSampler.stratified(1000, 11)
+    n_sources, _ = metrics._stratified_need(grid, 1000)
+    pairs = len(metrics._stratified_pairs(grid, PAPER, sampler)[0])
+    assert (n_sources, pairs) == (63, 156534)
+    peak = _traced_peak(lambda: profile(grid, PAPER, sampler))
+    assert peak < n_sources * grid.vertex_count * 4 + pairs * 8
 
 
 def test_stratified_draw_holds_under_8_bytes_per_candidate(monkeypatch):
@@ -510,18 +548,19 @@ def test_stratified_draw_holds_under_8_bytes_per_candidate(monkeypatch):
 
 def test_stratified_budget_admits_the_benchmark_spaces():
     # stratified:1000 on the benchmark's three spaces and criterion 07's
-    # grid fits; taking all 10,201 vertices of grid 100x100 as sources
-    # (S x n float64 is 794 MiB alone) does not, and fails before any
+    # grid fits; taking all 90,601 vertices of grid 300x300 as sources
+    # (their 4.1e9 picks are 33 GB alone) does not, and fails before any
     # source is drawn
     from medembed.errors import BudgetExceededError
     from medembed.metrics import _stratified_plan
 
-    grid100 = gen_cube(CubeSpec.grid(100, 100))
-    for space in (grid100, gen_tree(TreeSpec.binary_sample(200, 32, seed=42)),
-                  gen_cube(CubeSpec.grid(45, 45)), gen_cube(CubeSpec.grid(300, 300))):
+    grid300 = gen_cube(CubeSpec.grid(300, 300))
+    for space in (gen_cube(CubeSpec.grid(100, 100)),
+                  gen_tree(TreeSpec.binary_sample(200, 32, seed=42)),
+                  gen_cube(CubeSpec.grid(45, 45)), grid300):
         assert _stratified_plan(space, 1000) == 63
-    with pytest.raises(BudgetExceededError, match=r"needs \d+ bytes for 10201 sources"):
-        metrics._stratified_pairs(grid100, PAPER, PairSampler.stratified(10**8, seed=1))
+    with pytest.raises(BudgetExceededError, match=r"needs \d+ bytes for 90601 sources"):
+        metrics._stratified_pairs(grid300, PAPER, PairSampler.stratified(10**10, seed=1))
 
 
 def test_tree_triples_give_the_exact_pair_distances():

@@ -21,7 +21,7 @@ from medembed.cube import (
     median_from_tree,
     tree_product_graph,
 )
-from medembed.factors import tree_factors
+from medembed.factors import FactorPairs, tree_factors
 from medembed.keysets import degree_groups, proves_distances
 from medembed.metrics import _entries_from_pairs
 from medembed.spacefile import SpaceFile, build_space
@@ -639,6 +639,6 @@ def test_product_profile_by_convolution_matches_every_pair(trees, graph):
     ts = space.forest_distances(np.arange(n))[us, vs]
     for w in (UNIT, PAPER, WeightFunction.power(0.3)):
         got = metrics.profile(space, w, metrics.PairSampler.exhaustive()).entries
-        emb_sq = product.sq_distances(w, np.arange(n), us, vs, ts)
+        emb_sq = FactorPairs(product, w, np.arange(n)).sq_distances(us, vs, ts)
         assert got == _entries_from_pairs(ts, np.sqrt(np.clip(emb_sq, 0.0, None)))
         assert_entries_agree(got, _exhaustive_entries(space, w))

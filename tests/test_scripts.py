@@ -48,8 +48,9 @@ def test_ceiling_drift_smoke(tmp_path):
 def test_bench_smoke(tmp_path):
     # perfbench's --smoke spaces for every workload, the stage timings on
     # tiny grids, the exhaustive profiles of tiny median graphs and trees,
-    # the deep commands on tiny from-tree paths and the exhaustive measure
-    # of a tiny grid, written under the run's label
+    # the deep commands on tiny from-tree paths, and the space file and the
+    # exhaustive and stratified measures of a tiny grid, written under the
+    # run's label
     out = tmp_path / "bench.json"
     run_script("bench.py", "--smoke", "--seconds", "0.1", "--label", "smoke",
                "--out", str(out), cwd=tmp_path)
@@ -75,6 +76,13 @@ def test_bench_smoke(tmp_path):
     for stage in [*run["deep"].values(), run["measure"]]:
         assert stage["wall_s"] > 0 and stage["peak_rss_mb"] > 0
     assert run["measure"]["space"] == "grid 10x10"
+    stratified, space_file = run["stratified_measure"], run["space_file"]
+    assert stratified["space"] == space_file["space"] == "grid 10x10"
+    assert stratified["wall_s"] > 0 and stratified["peak_rss_mb"] > 0
+    assert space_file["vertices"] == 121 and space_file["bytes"] > 0
+    for key in ("load_build_s", "load_build_traced_mib", "forest_s",
+                "forest_traced_b_per_vertex"):
+        assert space_file[key] > 0
 
 
 def test_bench_alternates_two_checkouts(tmp_path):
